@@ -17,6 +17,7 @@ morphism::
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -128,8 +129,15 @@ def load_instance(name_or_path: str) -> tuple[str, Proximity]:
     return parse_instance(json.loads(text))
 
 
+@functools.cache
+def _catalog() -> tuple[tuple[str, Proximity], ...]:
+    """The catalog, parsed once per process; proximities are immutable."""
+    return tuple(load_instance(n) for n in CATALOG_NAMES)
+
+
 def catalog_instances() -> dict[str, Proximity]:
-    return dict(load_instance(n) for n in CATALOG_NAMES)
+    """A fresh dict of the catalog's (shared, immutable) proximities."""
+    return dict(_catalog())
 
 
 # -- element and morphism codecs ---------------------------------------------

@@ -122,8 +122,8 @@ class ChainLikeFrame:
         """Finitely many elements covering every segment class.
 
         Omega blocks contribute their first `depth` elements; points
-        contribute themselves.  Used by checkers that do a case split per
-        class and by seed-driven sampling.
+        contribute themselves.  Used by seed-driven sampling and by the
+        per-class listings of reports.
         """
         out: list[El] = []
         for i, s in enumerate(self.segments):

@@ -196,6 +196,9 @@ def cmd_laws(suite: str, instance: str | None, samples: int, seed: int) -> int:
         insts = catalog_instances()
     else:
         insts = dict([load_instance(instance)])
+    if not all(validate_proximity(prox).ok for prox in insts.values()):
+        print("error: instance fails the proximity axioms", file=sys.stderr)
+        return 1
     depth = max(2, min(samples, 8))
     reports: list[LawReport] = []
     if suite in ("R", "all"):

@@ -520,17 +520,21 @@ def doubled_membership_lemma(prox: Proximity, depth: int = 4,
     eps_CL = epsilon_map(ccfd)
     reps_C = _reps(rfd, depth, seed)
     reps_CC = _reps(ccfd, depth, seed)
+    # per ibar: its ideal I and the kbar (by index) whose joins land in I
+    joins_C = [sigma(rfd.ideal_of(kbar)) for kbar in reps_C]
+    ideals = []
+    for ibar in reps_C:
+        I = rfd.ideal_of(ibar)
+        ideals.append((I, {k for k, x in enumerate(joins_C) if member(x, I)}))
     samples = 0
     for jbar in reps_CC:
-        for ibar in reps_C:
+        ej = eps_CL.apply(jbar)  # an element of the ideal frame
+        ej_join = sigma(rfd.ideal_of(ej))
+        above = {k for k, kbar in enumerate(reps_C) if maxp.rel(ej, kbar)}
+        for I, landing in ideals:
             samples += 1
-            I = rfd.ideal_of(ibar)
-            ej = eps_CL.apply(jbar)  # an element of the ideal frame
-            lhs = member(sigma(rfd.ideal_of(ej)), I)
-            rhs = any(
-                maxp.rel(ej, kbar) and member(sigma(rfd.ideal_of(kbar)), I)
-                for kbar in reps_C
-            )
+            lhs = member(ej_join, I)
+            rhs = not above.isdisjoint(landing)
             if lhs != rhs:
                 return law_fail("C.doubled-membership", inst,
                                 witness=(repr(jbar), repr(I)), samples=samples,

@@ -87,6 +87,18 @@ def test_catalog_is_complete():
         assert name in ms
 
 
+def test_catalog_is_parsed_once_and_shared():
+    first = catalog_instances()
+    second = catalog_instances()
+    assert first is not second
+    assert all(second[name] is prox for name, prox in first.items())
+    first.clear()
+    first["extra"] = second["two"]
+    third = catalog_instances()
+    assert set(third) == set(CATALOG_NAMES)
+    assert all(third[name] is prox for name, prox in second.items())
+
+
 # -- command-line front end ------------------------------------------------------
 
 
@@ -107,6 +119,22 @@ def test_cli_validate_failing_instance(tmp_path, capsys):
     assert main(["validate", str(p)]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is False
+
+
+@pytest.mark.parametrize("suite", ["R", "C", "morphisms", "all"])
+def test_cli_laws_refuses_instance_failing_the_axioms(suite, tmp_path, capsys):
+    # 0 < a < 1 with (a, a) missing: a is not the join of its approximants
+    bad = {
+        "name": "bad", "builder": "finite",
+        "elements": ["0", "a", "1"], "leq": [["0", "a"], ["a", "1"]],
+        "proximity": {"pairs": [["0", "0"], ["0", "1"], ["1", "1"]]},
+    }
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    assert main(["laws", "--suite", suite, "--instance", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: instance fails the proximity axioms\n"
 
 
 def test_cli_usage_and_input_errors(capsys):
@@ -146,6 +174,13 @@ def test_cli_laws_deterministic_output(capsys):
     assert capsys.readouterr().out == first
     for line in first.strip().splitlines():
         assert json.loads(line)["verdict"] == "pass"
+
+
+def test_cli_laws_whole_catalog_is_repeatable(capsys):
+    assert main(["laws", "--suite", "all"]) == 0
+    first = capsys.readouterr().out
+    assert main(["laws", "--suite", "all"]) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_cli_laws_morphism_suite(capsys):

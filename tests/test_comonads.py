@@ -1,5 +1,6 @@
 import pytest
 
+import proxkit.comonads as comonads
 from proxkit.catalog import catalog_instances, catalog_morphisms
 from proxkit.chain import El, Tail, build_chain_frame
 from proxkit.errors import NotComposable, NotStablyCompact
@@ -36,7 +37,8 @@ from proxkit.morphisms import (
     validate_pframemap,
 )
 from proxkit.proximity import chain_proximity, validate_proximity
-from proxkit.roundideal import rframe
+from proxkit.reports import law_fail, law_pass
+from proxkit.roundideal import rframe, sigma
 
 # instances small enough for the doubled and tripled ideal frames
 LAW_INSTANCES = ("two", "chain3", "diamond", "chain-k1", "chain-k2")
@@ -144,6 +146,67 @@ def test_adjunction_inequalities():
 def test_doubled_membership():
     for name, prox in insts().items():
         assert doubled_membership_lemma(prox, seed=5).ok, name
+
+
+def nested_doubled_membership(prox, depth=4, seed=0):
+    """Reference: the lemma by a triple loop that recomputes every ideal,
+    join and relation test per (jbar, ibar, kbar)."""
+    inst = describe_instance(prox)
+    rfd = rframe(prox)
+    maxp = max_proximity(rfd)
+    ccfd = rframe(maxp)
+    eps_CL = epsilon_map(ccfd)
+    reps_C = comonads._reps(rfd, depth, seed)
+    reps_CC = comonads._reps(ccfd, depth, seed)
+    member = comonads.member
+    samples = 0
+    for jbar in reps_CC:
+        for ibar in reps_C:
+            samples += 1
+            I = rfd.ideal_of(ibar)
+            ej = eps_CL.apply(jbar)
+            lhs = member(sigma(rfd.ideal_of(ej)), I)
+            rhs = any(
+                maxp.rel(ej, kbar) and member(sigma(rfd.ideal_of(kbar)), I)
+                for kbar in reps_C
+            )
+            if lhs != rhs:
+                return law_fail("C.doubled-membership", inst,
+                                witness=(repr(jbar), repr(I)), samples=samples,
+                                seed=seed, note="sampled witnesses")
+    return law_pass("C.doubled-membership", inst, samples=samples, seed=seed,
+                    note="sampled witnesses")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_doubled_membership_matches_nested_loop_on_chains(k):
+    frame = build_chain_frame(k)
+    for refl in ({k}, {1, k}, set(range(1, k + 1))):
+        prox = chain_proximity(frame, refl)
+        for seed in range(4):
+            for depth in range(2, 6):
+                assert (doubled_membership_lemma(prox, depth, seed)
+                        == nested_doubled_membership(prox, depth, seed))
+
+
+def test_doubled_membership_matches_nested_loop_on_finite_catalog():
+    for name, prox in catalog_instances().items():
+        if name not in ("two", "chain3", "diamond", "cube3"):
+            continue
+        assert (doubled_membership_lemma(prox, seed=1)
+                == nested_doubled_membership(prox, seed=1)), name
+
+
+def test_doubled_membership_failure_matches_nested_loop(monkeypatch):
+    # membership corrupted to "is the join" breaks the lemma; both loops
+    # must stop at the same (jbar, ibar) with the same sample count
+    monkeypatch.setattr(comonads, "member", lambda b, I: b == sigma(I))
+    failed = 0
+    for prox in (*insts().values(), chain_proximity(build_chain_frame(3), {3})):
+        got = doubled_membership_lemma(prox, depth=3, seed=2)
+        assert got == nested_doubled_membership(prox, depth=3, seed=2)
+        failed += not got.ok
+    assert failed
 
 
 # -- coalgebras ----------------------------------------------------------------

@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxkit.catalog import catalog_instances
-from proxkit.chain import build_chain_frame, lim
+from proxkit.chain import ElementFamily, Tail, build_chain_frame, lim
+from proxkit.comonads import max_proximity
 from proxkit.errors import InvalidReflexiveSet, MalformedRelation
 from proxkit.finite import build_finite_frame
 from proxkit.proximity import (
@@ -16,6 +19,8 @@ from proxkit.proximity import (
     validate_proximity,
     well_inside,
 )
+from proxkit.reports import FAIL, SYMBOLIC, AxiomReport, Verdict
+from proxkit.roundideal import rframe
 
 
 def three_chain():
@@ -142,3 +147,111 @@ def test_sampled_subrelations_of_3chain_valid_iff_order(bits):
             mat[a][b] = True
     cand = FiniteProximity(f, tuple(tuple(r) for r in mat))
     assert validate_proximity(cand).ok == (cand.mat == f.leq_mat)
+
+
+# -- chain validation against the representative scan -----------------------
+
+
+def _rep_pairs(p: ChainProximity, reps):
+    return [(a, b) for a in reps for b in reps if p.rel(a, b)]
+
+
+def scan_validate_chain(p: ChainProximity) -> AxiomReport:
+    """Reference: every axiom tested on all tuples of class representatives
+    (quartic in their number), keeping the last failure found."""
+    f = p.frame
+    reps = f.class_representatives(depth=3)
+    axioms = []
+
+    v = Verdict(SYMBOLIC, note="relation is strict pairs plus reflexive classes")
+    for a in reps:
+        for b in reps:
+            if p.rel(a, b) and not f.leq(a, b):
+                v = Verdict(FAIL, (f.label(a), f.label(b)))
+    axioms.append(("finer-than-leq", v))
+
+    if not p.reflexive(f.top):
+        v = Verdict(FAIL, (f.label(f.top), f.label(f.top)), "top pair missing")
+    else:
+        v = Verdict(SYMBOLIC, note="min/max closure per reflexivity class")
+        for (a, b) in _rep_pairs(p, reps):
+            for (c, d) in _rep_pairs(p, reps):
+                if not p.rel(min(a, c), min(b, d)) or not p.rel(max(a, c), max(b, d)):
+                    v = Verdict(FAIL, (f.label(a), f.label(b), f.label(c), f.label(d)))
+    axioms.append(("sublattice", v))
+
+    v = Verdict(SYMBOLIC, note="fails only at a=d non-reflexive, impossible")
+    for (b, c) in _rep_pairs(p, reps):
+        for a in reps:
+            for d in reps:
+                if a <= b and c <= d and not p.rel(a, d):
+                    v = Verdict(FAIL, (f.label(a), f.label(b), f.label(c), f.label(d)))
+    axioms.append(("weakening", v))
+
+    v = Verdict(SYMBOLIC, note="witness: a itself, or the successor of a")
+    for (a, b) in _rep_pairs(p, reps):
+        c = p.interpolant(a, b)
+        if not (p.rel(a, c) and p.rel(c, b)):
+            v = Verdict(FAIL, (f.label(a), f.label(b)))
+    axioms.append(("interpolation", v))
+
+    v = Verdict(SYMBOLIC, note="suprema computed from the tail rule")
+    for a in reps:
+        if p.reflexive(a):
+            continue
+        fam = ElementFamily(f, Tail.affine(a.seg - 1, 1, 0))
+        if fam.sup() != a:
+            v = Verdict(FAIL, (f.label(a), f.label(fam.sup())))
+    axioms.append(("approximation", v))
+
+    collapse = set(p.reflexive_limits) == set(f.limits())
+    return AxiomReport(tuple(axioms), collapse=collapse)
+
+
+def _reflexive_subsets(frame):
+    lims = frame.limits()
+    for r in range(len(lims) + 1):
+        for chosen in combinations(lims, r):
+            yield ChainProximity(frame, frozenset(chosen))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_chain_validation_matches_scan_on_all_reflexive_sets(k):
+    # subsets without the top included: those fail the sublattice axiom
+    for p in _reflexive_subsets(build_chain_frame(k)):
+        assert validate_proximity(p) == scan_validate_chain(p), p.reflexive_limits
+
+
+def _derived_proximities(p):
+    """The way-below and maximal structures on the ideal frame of p."""
+    rfd = rframe(p)
+    return rfd.wb, max_proximity(rfd)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chain_validation_matches_scan_on_ideal_frames(k):
+    frame = build_chain_frame(k)
+    for p in _reflexive_subsets(frame):
+        if not p.reflexive(frame.top):
+            continue
+        for q in _derived_proximities(p):
+            for q2 in (q, *_derived_proximities(q)):
+                assert validate_proximity(q2) == scan_validate_chain(q2), q2
+
+
+@pytest.mark.parametrize("k", [8, 64])
+def test_chain_validation_work_is_linear_in_segments(k, monkeypatch):
+    frame = build_chain_frame(k)
+    calls = 0
+    rel = ChainProximity.rel
+
+    def counting_rel(self, a, b):
+        nonlocal calls
+        calls += 1
+        return rel(self, a, b)
+
+    monkeypatch.setattr(ChainProximity, "rel", counting_rel)
+    for refl in ({k}, set(range(1, k + 1))):
+        p = chain_proximity(frame, refl)
+        assert validate_proximity(p).ok
+    assert 0 < calls <= 4 * len(frame.segments)
