@@ -1,17 +1,16 @@
 """Finite frames (= finite distributive lattices) from explicit data.
 
-Frames are stored with a precomputed bit-matrix order and full meet/join
-tables, so every lattice operation is a table lookup.  Elements are the
-canonical indices 0..n-1, ordered topologically by leq with ties broken
-by name.
+Frames are stored with a precomputed boolean order matrix and full
+meet/join tables, so every lattice operation is a table lookup.  Elements
+are the canonical indices 0..n-1, ordered topologically by leq with ties
+broken by name.  The builders work on "up-rows": up[a] is the int bitmask
+of the elements above a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from .errors import (
     NoBounds,
@@ -80,18 +79,108 @@ class FiniteFrame:
         return f"FiniteFrame({list(self.names)})"
 
 
-def _lub(leq: np.ndarray, a: int, b: int) -> int | None:
-    n = leq.shape[0]
-    ubs = [c for c in range(n) if leq[a, c] and leq[b, c]]
-    least = [c for c in ubs if all(leq[c, d] for d in ubs)]
-    return least[0] if least else None
+def _bits(mask: int):
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _glb(leq: np.ndarray, a: int, b: int) -> int | None:
-    n = leq.shape[0]
-    lbs = [c for c in range(n) if leq[c, a] and leq[c, b]]
-    greatest = [c for c in lbs if all(leq[d, c] for d in lbs)]
-    return greatest[0] if greatest else None
+def _order_rows(names: list[str], leq_pairs) -> list[int]:
+    """Closed up-rows of the order generated by leq_pairs: bit b of
+    up[a] is set iff names[a] <= names[b].  Raises NotAPoset on duplicate
+    ids, unlisted ids and cycles."""
+    if len(set(names)) != len(names):
+        raise NotAPoset("duplicate element ids")
+    n = len(names)
+    idx = {name: i for i, name in enumerate(names)}
+    up = [1 << i for i in range(n)]
+    for x, y in leq_pairs:
+        if x not in idx or y not in idx:
+            raise NotAPoset(f"pair ({x},{y}) references an unlisted id")
+        up[idx[x]] |= 1 << idx[y]
+    # transitive closure
+    for k in range(n):
+        bit, row = 1 << k, up[k]
+        for i in range(n):
+            if up[i] & bit:
+                up[i] |= row
+    for a in range(n):
+        for b in range(a + 1, n):
+            if (up[a] >> b) & 1 and (up[b] >> a) & 1:
+                raise NotAPoset(f"cycle through {names[a]} and {names[b]}")
+    return up
+
+
+def _frame_of_rows(names, up: list[int]) -> tuple[FiniteFrame, list[int]]:
+    """Validate the poset with closed up-rows `up` as a finite frame and
+    derive all tables.  Returns the frame and pos, where pos[i] is the
+    canonical index of input element i.  Raises NotAPoset, NoBounds,
+    NotALattice, TooLarge or NotDistributive."""
+    if len(set(names)) != len(names):
+        raise NotAPoset("duplicate element ids")
+    n = len(names)
+    if n == 0:
+        raise NoBounds("empty element list")
+    down = [sum(1 << a for a in range(n) if (up[a] >> b) & 1) for b in range(n)]
+    # canonical order: topological by leq, ties by id
+    order = sorted(range(n), key=lambda i: (down[i].bit_count(), names[i]))
+    pos = [0] * n
+    for i, old in enumerate(order):
+        pos[old] = i
+    names2 = tuple(names[i] for i in order)
+    up = [sum(1 << pos[b] for b in _bits(up[a])) for a in order]
+    down = [sum(1 << pos[b] for b in _bits(down[a])) for a in order]
+
+    # a bottom, if any, comes first and a top last in a linear extension
+    full = (1 << n) - 1
+    if up[0] != full or down[-1] != full:
+        raise NoBounds("frame needs a global bottom and top")
+
+    # In a linear extension the least upper bound, if any, is the lowest
+    # common upper bound, and the greatest lower bound the highest common
+    # lower bound.  Only joins need checking: if a and b have no meet, two
+    # maximal common lower bounds below them have no join, and that pair
+    # comes first in the scan.
+    meet_t = [[0] * n for _ in range(n)]
+    join_t = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            m = (down[a] & down[b]).bit_length() - 1
+            upper = up[a] & up[b]
+            j = (upper & -upper).bit_length() - 1
+            if upper & ~up[j]:
+                raise NotALattice(f"no join for ({names2[a]},{names2[b]})")
+            meet_t[a][b] = meet_t[b][a] = m
+            join_t[a][b] = join_t[b][a] = j
+
+    if n > DISTRIBUTIVITY_SCAN_LIMIT:
+        raise TooLarge(
+            f"distributivity scan rejects frames over {DISTRIBUTIVITY_SCAN_LIMIT} elements"
+        )
+    for a in range(n):
+        ma = meet_t[a]
+        for b in range(n):
+            jb, jab = join_t[b], join_t[ma[b]]
+            for c in range(n):
+                if ma[jb[c]] != jab[ma[c]]:
+                    raise NotDistributive((names2[a], names2[b], names2[c]))
+
+    # pseudocomplement a* = largest x with x /\ a = 0; in a distributive
+    # lattice those x are closed under joins, so a* is the last of them
+    pseudo = tuple(max(x for x in range(n) if meet_t[a][x] == 0) for a in range(n))
+
+    frame = FiniteFrame(
+        names=names2,
+        leq_mat=tuple(tuple(bool((row >> b) & 1) for b in range(n)) for row in up),
+        meet_t=tuple(map(tuple, meet_t)),
+        join_t=tuple(map(tuple, join_t)),
+        bot=0,
+        top=n - 1,
+        pseudo=pseudo,
+    )
+    return frame, pos
 
 
 def build_finite_frame(names: list[str], leq_pairs: list[tuple[str, str]]) -> FiniteFrame:
@@ -100,107 +189,22 @@ def build_finite_frame(names: list[str], leq_pairs: list[tuple[str, str]]) -> Fi
     leq_pairs may be any generating set; the reflexive-transitive closure
     is taken.  Raises NotAPoset, NotALattice, NotDistributive or NoBounds.
     """
-    if len(set(names)) != len(names):
-        raise NotAPoset("duplicate element ids")
-    n = len(names)
-    if n == 0:
-        raise NoBounds("empty element list")
-    idx = {name: i for i, name in enumerate(names)}
-    rel = np.eye(n, dtype=bool)
-    for x, y in leq_pairs:
-        if x not in idx or y not in idx:
-            raise NotAPoset(f"pair ({x},{y}) references an unlisted id")
-        rel[idx[x], idx[y]] = True
-    # transitive closure
-    for k in range(n):
-        rel |= np.outer(rel[:, k], rel[k, :])
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rel[a, b] and rel[b, a]:
-                raise NotAPoset(f"cycle through {names[a]} and {names[b]}")
-
-    # canonical order: topological by leq, ties by id
-    order = sorted(range(n), key=lambda i: (int(rel[:, i].sum()), names[i]))
-    names2 = tuple(names[i] for i in order)
-    leq = rel[np.ix_(order, order)]
-
-    bots = [a for a in range(n) if all(leq[a, b] for b in range(n))]
-    tops = [a for a in range(n) if all(leq[b, a] for b in range(n))]
-    if not bots or not tops:
-        raise NoBounds("frame needs a global bottom and top")
-    bot, top = bots[0], tops[0]
-
-    meet_t = np.zeros((n, n), dtype=int)
-    join_t = np.zeros((n, n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            m = _glb(leq, a, b)
-            j = _lub(leq, a, b)
-            if m is None:
-                raise NotALattice(f"no meet for ({names2[a]},{names2[b]})")
-            if j is None:
-                raise NotALattice(f"no join for ({names2[a]},{names2[b]})")
-            meet_t[a, b] = m
-            join_t[a, b] = j
-
-    if n > DISTRIBUTIVITY_SCAN_LIMIT:
-        raise TooLarge(
-            f"distributivity scan rejects frames over {DISTRIBUTIVITY_SCAN_LIMIT} elements"
-        )
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if meet_t[a, join_t[b, c]] != join_t[meet_t[a, b], meet_t[a, c]]:
-                    raise NotDistributive((names2[a], names2[b], names2[c]))
-
-    # pseudocomplement a* = largest x with x /\ a = 0
-    pseudo = []
-    for a in range(n):
-        xs = [x for x in range(n) if meet_t[x, a] == bot]
-        best = xs[0]
-        for x in xs[1:]:
-            best = join_t[best, x]
-        pseudo.append(int(best))
-
-    return FiniteFrame(
-        names=names2,
-        leq_mat=tuple(tuple(bool(v) for v in row) for row in leq),
-        meet_t=tuple(tuple(int(v) for v in row) for row in meet_t),
-        join_t=tuple(tuple(int(v) for v in row) for row in join_t),
-        bot=int(bot),
-        top=int(top),
-        pseudo=tuple(pseudo),
-    )
+    up = _order_rows(names, leq_pairs) if names else []
+    return _frame_of_rows(names, up)[0]
 
 
 def downset_frame(names: list[str], leq_pairs: list[tuple[str, str]]) -> FiniteFrame:
     """The frame of downsets of a finite poset, ordered by inclusion."""
+    up = _order_rows(names, leq_pairs)
     n = len(names)
-    if len(set(names)) != n:
-        raise NotAPoset("duplicate element ids")
-    idx = {name: i for i, name in enumerate(names)}
-    rel = np.eye(n, dtype=bool)
-    for x, y in leq_pairs:
-        if x not in idx or y not in idx:
-            raise NotAPoset(f"pair ({x},{y}) references an unlisted id")
-        rel[idx[x], idx[y]] = True
-    for k in range(n):
-        rel |= np.outer(rel[:, k], rel[k, :])
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rel[a, b] and rel[b, a]:
-                raise NotAPoset(f"cycle through {names[a]} and {names[b]}")
     if n > 16:
         raise TooLarge("downset enumeration limited to posets of 16 elements")
-    downs = []
-    for mask in range(1 << n):
-        if all(
-            not (mask >> b) & 1 or (mask >> a) & 1
-            for a in range(n)
-            for b in range(n)
-            if rel[a, b]
-        ):
-            downs.append(mask)
+    # extend the downsets of a down-closed prefix of a linear extension
+    # by the next element x wherever everything strictly below x is in
+    downs = [0]
+    for x in sorted(range(n), key=lambda i: -up[i].bit_count()):
+        below = sum(1 << a for a in range(n) if a != x and (up[a] >> x) & 1)
+        downs += [d | 1 << x for d in downs if not below & ~d]
     return _frame_of_masks(names, downs)
 
 
@@ -233,29 +237,31 @@ def _frame_of_masks(base_names: list[str], masks: list[int]) -> FiniteFrame:
         members = [base_names[i] for i in range(len(base_names)) if (mask >> i) & 1]
         return "{" + ",".join(sorted(members)) + "}"
 
-    names = [name(m) for m in masks]
-    pairs = [
-        (name(a), name(b)) for a in masks for b in masks if a != b and a & b == a
-    ]
-    return build_finite_frame(names, pairs)
+    return _frame_of_rows([name(m) for m in masks], _inclusion_rows(masks))[0]
+
+
+def _inclusion_rows(masks: list[int]) -> list[int]:
+    """Up-rows of a family of distinct bitsets ordered by inclusion."""
+    return [sum(1 << j for j, b in enumerate(masks) if a & b == a) for a in masks]
+
+
+def _up_rows(frame: FiniteFrame) -> list[int]:
+    return [sum(1 << b for b, le in enumerate(row) if le) for row in frame.leq_mat]
+
+
+def _product(f: FiniteFrame, g: FiniteFrame) -> tuple[FiniteFrame, list[int]]:
+    """The product frame and pos, where pos[a * g.n + b] is the index of
+    the pair (a, b)."""
+    names = [f"({x},{y})" for x in f.names for y in g.names]
+    uf, ug, m = _up_rows(f), _up_rows(g), g.n
+    up = [sum(ug[b] << a2 * m for a2 in _bits(uf[a]))
+          for a in f.elements() for b in g.elements()]
+    return _frame_of_rows(names, up)
 
 
 def product(f: FiniteFrame, g: FiniteFrame) -> FiniteFrame:
     """Componentwise-ordered product of two finite frames."""
-    names = [f"({f.names[a]},{g.names[b]})" for a in f.elements() for b in g.elements()]
-    pairs = []
-    for a1 in f.elements():
-        for b1 in g.elements():
-            for a2 in f.elements():
-                for b2 in g.elements():
-                    if f.leq(a1, a2) and g.leq(b1, b2):
-                        pairs.append(
-                            (
-                                f"({f.names[a1]},{g.names[b1]})",
-                                f"({f.names[a2]},{g.names[b2]})",
-                            )
-                        )
-    return build_finite_frame(names, pairs)
+    return _product(f, g)[0]
 
 
 def hasse_dot(frame: FiniteFrame, title: str = "frame") -> str:

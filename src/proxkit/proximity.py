@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .chain import OMEGA, ChainLikeFrame, El, ElementFamily, Tail
 from .errors import InvalidReflexiveSet, MalformedRelation, TooLarge
-from .finite import FiniteFrame
+from .finite import FiniteFrame, _product
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, LawReport, Verdict, law_fail, law_pass
 
 
@@ -108,20 +108,12 @@ def chain_proximity(frame: ChainLikeFrame, reflexive_blocks) -> ChainProximity:
 
 def product_proximity(p: FiniteProximity, q: FiniteProximity):
     """Componentwise proximity on the product of two finite frames."""
-    from .finite import product as fproduct
-
-    pf = fproduct(p.frame, q.frame)
-    pos = {name: i for i, name in enumerate(pf.names)}
-    n = pf.n
+    pf, pos = _product(p.frame, q.frame)
+    n, m = pf.n, q.frame.n
     mat = [[False] * n for _ in range(n)]
-    for a1 in p.frame.elements():
-        for b1 in q.frame.elements():
-            for a2 in p.frame.elements():
-                for b2 in q.frame.elements():
-                    if p.rel(a1, a2) and q.rel(b1, b2):
-                        i = pos[f"({p.frame.names[a1]},{q.frame.names[b1]})"]
-                        j = pos[f"({p.frame.names[a2]},{q.frame.names[b2]})"]
-                        mat[i][j] = True
+    for a1, a2 in p.pairs():
+        for b1, b2 in q.pairs():
+            mat[pos[a1 * m + b1]][pos[a2 * m + b2]] = True
     return FiniteProximity(pf, tuple(tuple(r) for r in mat))
 
 

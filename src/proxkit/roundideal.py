@@ -26,7 +26,7 @@ from .errors import (
     TooLarge,
     UnsupportedRepresentation,
 )
-from .finite import FiniteFrame
+from .finite import FiniteFrame, _frame_of_rows, _inclusion_rows
 from .proximity import ChainProximity, FiniteProximity, Proximity, order_proximity
 
 FINITE_IDEAL_ENUM_LIMIT = 14
@@ -401,18 +401,12 @@ def _rframe_finite(prox: FiniteProximity) -> RFrameData:
         else:
             members = ",".join(f.names[i] for i in f.elements() if (m >> i) & 1)
             names.append("{" + members + "}")
-    pairs = [
-        (names[i], names[j])
-        for i, mi in enumerate(masks)
-        for j, mj in enumerate(masks)
-        if i != j and mi & mj == mi
-    ]
-    from .finite import build_finite_frame
-
-    frame = build_finite_frame(names, pairs)
-    order = tuple(masks[names.index(nm)] for nm in frame.names)
+    frame, pos = _frame_of_rows(names, _inclusion_rows(masks))
+    order = [0] * len(masks)
+    for i, m in enumerate(masks):
+        order[pos[i]] = m
     return RFrameData(
-        base=prox, frame=frame, wb=order_proximity(frame), masks=order
+        base=prox, frame=frame, wb=order_proximity(frame), masks=tuple(order)
     )
 
 

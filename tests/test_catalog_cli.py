@@ -15,6 +15,7 @@ from proxkit.catalog import (
 from proxkit.chain import lim, succ
 from proxkit.cli import main
 from proxkit.errors import InvalidParameter, UnknownInstance
+from proxkit.morphisms import enumerate_proxhoms
 from proxkit.proximity import ChainProximity
 
 
@@ -212,3 +213,31 @@ def test_cli_search_star_vs_compose(capsys):
     doc = json.loads(out.strip().splitlines()[-1])
     assert doc["result"] == "no finite witness"
     assert "k2-f" in doc["note"]
+
+
+def test_cli_search_star_vs_compose_enumerates_endomorphisms_once(capsys, monkeypatch):
+    from proxkit import cli
+
+    calls = []
+
+    def counting(src, dst):
+        calls.append((src, dst))
+        return enumerate_proxhoms(src, dst)
+
+    monkeypatch.setattr(cli, "enumerate_proxhoms", counting)
+    assert main(["search", "--law", "star-vs-compose", "--max-size", "4"]) == 0
+    # five frames: one call per (source, target) pair, and one per target
+    # for its endomorphisms
+    assert len(calls) == 5 * 5 + 5
+
+
+@pytest.mark.parametrize("law", ["theta-rho", "star-vs-compose"])
+def test_cli_search_reports_skipped_frames(capsys, law):
+    assert main(["search", "--law", law, "--max-size", "4"]) == 0
+    small = capsys.readouterr().out
+    assert main(["search", "--law", law, "--max-size", "5"]) == 0
+    skips = "".join(
+        json.dumps({"frame": name, "skipped": "over 4 elements"}, sort_keys=True) + "\n"
+        for name in ("order5", "vee")
+    )
+    assert capsys.readouterr().out == skips + small

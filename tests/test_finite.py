@@ -1,21 +1,34 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import proxkit
+from proxkit.catalog import catalog_instances
 from proxkit.errors import (
     NoBounds,
     NotALattice,
     NotAPoset,
     NotATopology,
     NotDistributive,
+    ProxkitError,
+    TooLarge,
 )
 from proxkit.finite import (
+    DISTRIBUTIVITY_SCAN_LIMIT,
+    FiniteFrame,
     build_finite_frame,
     downset_frame,
     hasse_dot,
     open_set_frame,
     product,
 )
+from proxkit.proximity import FiniteProximity, order_proximity, product_proximity
+from proxkit.roundideal import FINITE_IDEAL_ENUM_LIMIT, rframe
 
 
 def diamond():
@@ -138,3 +151,332 @@ def test_downset_frames_are_distributive_lattices(poset):
                 rhs = f.join(f.meet(a, b), f.meet(a, c))
                 assert lhs == rhs
     assert all(f.leq(f.bot, a) and f.leq(a, f.top) for a in f.elements())
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(proxkit.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-c", "import proxkit, sys; assert 'numpy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+
+
+# -- differential oracle -------------------------------------------------------
+#
+# The scan construction that the up-row builder replaced: a boolean matrix
+# closure, least-upper-bound and greatest-lower-bound scans over all
+# elements, a fold of joins for the pseudocomplement, and products and
+# ideal frames built from name-string pair lists.  The row builder must give
+# equal frames, or an exception of the same type with the same message.
+
+
+def _oracle_closure(names, leq_pairs):
+    if len(set(names)) != len(names):
+        raise NotAPoset("duplicate element ids")
+    n = len(names)
+    idx = {name: i for i, name in enumerate(names)}
+    rel = [[i == j for j in range(n)] for i in range(n)]
+    for x, y in leq_pairs:
+        if x not in idx or y not in idx:
+            raise NotAPoset(f"pair ({x},{y}) references an unlisted id")
+        rel[idx[x]][idx[y]] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                rel[i][j] = rel[i][j] or (rel[i][k] and rel[k][j])
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rel[a][b] and rel[b][a]:
+                raise NotAPoset(f"cycle through {names[a]} and {names[b]}")
+    return rel
+
+
+def _oracle_lub(leq, a, b):
+    ubs = [c for c in range(len(leq)) if leq[a][c] and leq[b][c]]
+    least = [c for c in ubs if all(leq[c][d] for d in ubs)]
+    return least[0] if least else None
+
+
+def _oracle_glb(leq, a, b):
+    lbs = [c for c in range(len(leq)) if leq[c][a] and leq[c][b]]
+    greatest = [c for c in lbs if all(leq[d][c] for d in lbs)]
+    return greatest[0] if greatest else None
+
+
+def oracle_frame(names, leq_pairs):
+    if len(set(names)) != len(names):
+        raise NotAPoset("duplicate element ids")
+    n = len(names)
+    if n == 0:
+        raise NoBounds("empty element list")
+    rel = _oracle_closure(names, leq_pairs)
+    order = sorted(range(n), key=lambda i: (sum(rel[j][i] for j in range(n)), names[i]))
+    names2 = tuple(names[i] for i in order)
+    leq = [[rel[a][b] for b in order] for a in order]
+    bots = [a for a in range(n) if all(leq[a][b] for b in range(n))]
+    tops = [a for a in range(n) if all(leq[b][a] for b in range(n))]
+    if not bots or not tops:
+        raise NoBounds("frame needs a global bottom and top")
+    meet_t = [[0] * n for _ in range(n)]
+    join_t = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            m, j = _oracle_glb(leq, a, b), _oracle_lub(leq, a, b)
+            if m is None:
+                raise NotALattice(f"no meet for ({names2[a]},{names2[b]})")
+            if j is None:
+                raise NotALattice(f"no join for ({names2[a]},{names2[b]})")
+            meet_t[a][b], join_t[a][b] = m, j
+    if n > DISTRIBUTIVITY_SCAN_LIMIT:
+        raise TooLarge(
+            f"distributivity scan rejects frames over {DISTRIBUTIVITY_SCAN_LIMIT} elements"
+        )
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if meet_t[a][join_t[b][c]] != join_t[meet_t[a][b]][meet_t[a][c]]:
+                    raise NotDistributive((names2[a], names2[b], names2[c]))
+    pseudo = []
+    for a in range(n):
+        xs = [x for x in range(n) if meet_t[x][a] == bots[0]]
+        best = xs[0]
+        for x in xs[1:]:
+            best = join_t[best][x]
+        pseudo.append(best)
+    return FiniteFrame(
+        names=names2,
+        leq_mat=tuple(tuple(row) for row in leq),
+        meet_t=tuple(tuple(row) for row in meet_t),
+        join_t=tuple(tuple(row) for row in join_t),
+        bot=bots[0],
+        top=tops[0],
+        pseudo=tuple(pseudo),
+    )
+
+
+def _oracle_frame_of_masks(base_names, masks):
+    def name(mask):
+        members = [base_names[i] for i in range(len(base_names)) if (mask >> i) & 1]
+        return "{" + ",".join(sorted(members)) + "}"
+
+    pairs = [(name(a), name(b)) for a in masks for b in masks if a != b and a & b == a]
+    return oracle_frame([name(m) for m in masks], pairs)
+
+
+def oracle_downset_frame(names, leq_pairs):
+    rel = _oracle_closure(names, leq_pairs)
+    n = len(names)
+    if n > 16:
+        raise TooLarge("downset enumeration limited to posets of 16 elements")
+    downs = [
+        mask
+        for mask in range(1 << n)
+        if all(
+            not (mask >> b) & 1 or (mask >> a) & 1
+            for a in range(n)
+            for b in range(n)
+            if rel[a][b]
+        )
+    ]
+    return _oracle_frame_of_masks(names, downs)
+
+
+def oracle_open_set_frame(points, opens):
+    # membership, bounds and closure checks are unchanged; only the frame
+    # construction is under test
+    masks = sorted({sum(1 << points.index(p) for p in o) for o in opens})
+    return _oracle_frame_of_masks(points, masks)
+
+
+def _pair(f, g, a, b):
+    return f"({f.names[a]},{g.names[b]})"
+
+
+def oracle_product(f, g):
+    names = [_pair(f, g, a, b) for a in f.elements() for b in g.elements()]
+    pairs = [
+        (_pair(f, g, a1, b1), _pair(f, g, a2, b2))
+        for a1 in f.elements()
+        for b1 in g.elements()
+        for a2 in f.elements()
+        for b2 in g.elements()
+        if f.leq(a1, a2) and g.leq(b1, b2)
+    ]
+    return oracle_frame(names, pairs)
+
+
+def oracle_product_proximity(p, q):
+    pf = oracle_product(p.frame, q.frame)
+    pos = {name: i for i, name in enumerate(pf.names)}
+    mat = [[False] * pf.n for _ in range(pf.n)]
+    for a1, a2 in p.pairs():
+        for b1, b2 in q.pairs():
+            mat[pos[_pair(p.frame, q.frame, a1, b1)]][pos[_pair(p.frame, q.frame, a2, b2)]] = True
+    return FiniteProximity(pf, tuple(map(tuple, mat)))
+
+
+def oracle_rframe_masks(prox):
+    """(frame, masks in frame order) of the round ideals of a finite
+    proximity, by exhaustive scan and name lookup."""
+    f = prox.frame
+    masks = []
+    for mask in range(1, 1 << f.n):
+        members = [a for a in f.elements() if (mask >> a) & 1]
+        if (
+            (mask >> f.bot) & 1
+            and all((mask >> b) & 1 for a in members for b in f.elements() if f.leq(b, a))
+            and all((mask >> f.join(a, b)) & 1 for a in members for b in members)
+            and all(any(prox.rel(a, b) for b in members) for a in members)
+        ):
+            masks.append(mask)
+    masks.sort(key=lambda m: (bin(m).count("1"), m))
+    names = []
+    for m in masks:
+        mx = f.bot
+        for b in f.elements():
+            if (m >> b) & 1:
+                mx = f.join(mx, b)
+        if m == f.down_mask(mx):
+            names.append(f"dn({f.names[mx]})")
+        else:
+            names.append("{" + ",".join(f.names[i] for i in f.elements() if (m >> i) & 1) + "}")
+    pairs = [
+        (names[i], names[j])
+        for i, mi in enumerate(masks)
+        for j, mj in enumerate(masks)
+        if i != j and mi & mj == mi
+    ]
+    frame = oracle_frame(names, pairs)
+    return frame, tuple(masks[names.index(nm)] for nm in frame.names)
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except ProxkitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same(build, oracle, *args):
+    assert outcome(build, *args) == outcome(oracle, *args)
+
+
+def test_oracle_shuffled_chains():
+    rng = random.Random(4)
+    for n in range(1, 12):
+        names = [f"e{i}" for i in range(n)]
+        covers = list(zip(names, names[1:]))
+        rng.shuffle(names)
+        rng.shuffle(covers)
+        f = build_finite_frame(names, covers)
+        assert f == oracle_frame(names, covers)
+        assert f.names == tuple(sorted(names, key=lambda nm: int(nm[1:])))
+
+
+def test_oracle_cubes():
+    for k in range(7):
+        names = [f"x{i}" for i in range(k)]
+        f = downset_frame(names, [])
+        assert f.n == 2 ** k
+        assert f == oracle_downset_frame(names, [])
+
+
+def test_oracle_named_lattices():
+    n5 = (["0", "a", "b", "c", "1"],
+          [("0", "a"), ("0", "c"), ("a", "b"), ("b", "1"), ("c", "1")])
+    m3 = (["0", "a", "b", "c", "1"],
+          [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")])
+    bowtie = (["0", "a", "b", "c", "d", "1"],
+              [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
+               ("b", "d"), ("c", "1"), ("d", "1")])
+    for names, pairs in (n5, m3, bowtie):
+        assert not isinstance(outcome(build_finite_frame, names, pairs), FiniteFrame)
+        assert_same(build_finite_frame, oracle_frame, names, pairs)
+        assert_same(build_finite_frame, oracle_frame, names[::-1], pairs[::-1])
+    assert_same(build_finite_frame, oracle_frame, [], [])
+    assert_same(build_finite_frame, oracle_frame, [], [("a", "b")])
+    assert_same(downset_frame, oracle_downset_frame, [], [])
+    # a downset frame over the distributivity scan limit
+    assert_same(downset_frame, oracle_downset_frame, list("abcdefg"), [])
+
+
+def test_oracle_open_sets():
+    for points, opens in (
+        (["p", "q"], [[], ["p"], ["p", "q"]]),
+        (["p", "q", "r"], [[], ["q"], ["p", "q"], ["q", "r"], ["p", "q", "r"]]),
+        ([], [[]]),
+    ):
+        assert_same(open_set_frame, oracle_open_set_frame, points, opens)
+
+
+def _small_frames():
+    return [
+        build_finite_frame(["0"], []),
+        build_finite_frame(["0", "1"], [("0", "1")]),
+        build_finite_frame(["b", "m", "t"], [("b", "m"), ("m", "t")]),
+        downset_frame(["x", "y"], []),
+        downset_frame(["a", "b", "c"], [("a", "c"), ("b", "c")]),
+    ]
+
+
+def test_oracle_products():
+    frames = _small_frames()
+    for f in frames:
+        for g in frames:
+            assert product(f, g) == oracle_product(f, g)
+    # names that collide in the product
+    f = build_finite_frame(["a", "a,b"], [("a", "a,b")])
+    g = build_finite_frame(["b,c", "c"], [("b,c", "c")])
+    assert_same(product, oracle_product, f, g)
+
+
+def test_oracle_product_proximity():
+    finite = [p for p in catalog_instances().values() if isinstance(p, FiniteProximity)]
+    proxes = [order_proximity(f) for f in _small_frames()[:3]] + finite[:3]
+    for p in proxes:
+        for q in proxes:
+            assert product_proximity(p, q) == oracle_product_proximity(p, q)
+
+
+def rframe_tables(prox):
+    r = rframe(prox)
+    return r.frame, r.masks
+
+
+def test_oracle_round_ideal_frames():
+    finite = [p for p in catalog_instances().values() if isinstance(p, FiniteProximity)]
+    two = order_proximity(build_finite_frame(["0", "1"], [("0", "1")]))
+    empty = FiniteProximity(two.frame, ((False, False), (False, False)))
+    # "a" sorts before "a!", but "dn(a!)" before "dn(a)"
+    names = build_finite_frame(["0", "a", "a!", "1"],
+                               [("0", "a"), ("0", "a!"), ("a", "1"), ("a!", "1")])
+    proxes = finite + [order_proximity(f) for f in _small_frames() + [names]] + [empty]
+    for prox in proxes:
+        assert prox.frame.n <= FINITE_IDEAL_ENUM_LIMIT
+        assert_same(rframe_tables, oracle_rframe_masks, prox)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_posets())
+def test_oracle_posets(poset):
+    names, pairs = poset
+    assert_same(build_finite_frame, oracle_frame, names, pairs)
+    assert_same(downset_frame, oracle_downset_frame, names, pairs)
+
+
+@st.composite
+def generating_relations(draw):
+    names = draw(st.lists(st.sampled_from("abcdefg"), max_size=6))
+    ids = sorted(set(names)) + ["z"]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=10))
+    return names, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(generating_relations())
+def test_oracle_generating_relations(rel):
+    names, pairs = rel
+    assert_same(build_finite_frame, oracle_frame, names, pairs)
+    assert_same(downset_frame, oracle_downset_frame, names, pairs)
