@@ -53,6 +53,8 @@ from .proximity import (
 from .reports import LawReport, law_fail, law_pass
 from .roundideal import rframe, sigma
 
+SAMPLES_MIN, SAMPLES_MAX = 2, 8
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -74,7 +76,7 @@ def main(argv=None) -> int:
     p.add_argument("--instance", default=None,
                    help="catalog name or instance JSON file (default: whole catalog)")
     p.add_argument("--samples", type=int, default=3,
-                   help="per-class sampling depth")
+                   help=f"per-class sampling depth, {SAMPLES_MIN} to {SAMPLES_MAX}")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("search", help="exhaustive counterexample search on "
@@ -192,6 +194,10 @@ def _compact_dot(name: str, rfd) -> str:
 
 
 def cmd_laws(suite: str, instance: str | None, samples: int, seed: int) -> int:
+    if not SAMPLES_MIN <= samples <= SAMPLES_MAX:
+        print(f"error: --samples must be between {SAMPLES_MIN} and {SAMPLES_MAX}",
+              file=sys.stderr)
+        return 2
     if instance is None:
         insts = catalog_instances()
     else:
@@ -199,21 +205,20 @@ def cmd_laws(suite: str, instance: str | None, samples: int, seed: int) -> int:
     if not all(validate_proximity(prox).ok for prox in insts.values()):
         print("error: instance fails the proximity axioms", file=sys.stderr)
         return 1
-    depth = max(2, min(samples, 8))
     reports: list[LawReport] = []
     if suite in ("R", "all"):
         for prox in insts.values():
-            reports += comonad_laws("R", prox, depth=depth, seed=seed)
-            reports += subcomonad_check(prox, depth=depth, seed=seed)
+            reports += comonad_laws("R", prox, depth=samples, seed=seed)
+            reports += subcomonad_check(prox, depth=samples, seed=seed)
     if suite in ("C", "all"):
         for prox in insts.values():
-            reports += comonad_laws("C", prox, depth=depth, seed=seed)
-            reports.append(kz_check(prox, depth=depth, seed=seed))
-            reports += adjunction_checks(prox, depth=depth, seed=seed)
-            reports.append(doubled_membership_lemma(prox, depth=depth, seed=seed))
+            reports += comonad_laws("C", prox, depth=samples, seed=seed)
+            reports.append(kz_check(prox, depth=samples, seed=seed))
+            reports += adjunction_checks(prox, depth=samples, seed=seed)
+            reports.append(doubled_membership_lemma(prox, depth=samples, seed=seed))
             rfd = rframe(prox)
-            reports.append(max_proximity_agreement(rfd, depth=depth, seed=seed))
-            reports.append(maxrel_contains_wb(prox, depth=depth, seed=seed))
+            reports.append(max_proximity_agreement(rfd, depth=samples, seed=seed))
+            reports.append(maxrel_contains_wb(prox, depth=samples, seed=seed))
     if suite in ("morphisms", "all"):
         reports += _morphism_suite(insts, seed)
     for r in reports:
@@ -305,6 +310,9 @@ def _generated_frames(max_size: int):
 
 
 def cmd_search(law: str, max_size: int) -> int:
+    if max_size < 2:
+        print("error: --max-size must be at least 2", file=sys.stderr)
+        return 2
     frames = _generated_frames(max_size)
     failures = 0
     if law == "collapse":
@@ -328,8 +336,8 @@ def cmd_search(law: str, max_size: int) -> int:
             small.append((name, order_proximity(frame)))
     if law == "theta-rho":
         for ns, ps in small:
+            rfd = rframe(ps)
             for nd, pd in small:
-                rfd = rframe(ps)
                 count = bad = 0
                 for f in enumerate_proxhoms(ps, pd):
                     count += 1

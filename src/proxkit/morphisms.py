@@ -563,16 +563,35 @@ def rmap_map(f: Morphism, src_rfd: RFrameData | None = None,
 
 
 def enumerate_proxhoms(src: FiniteProximity, dst: FiniteProximity) -> list[FiniteMap]:
-    """All valid proximity homomorphisms between two small finite frames."""
-    n, m = src.frame.n, dst.frame.n
+    """All valid proximity homomorphisms between two small finite frames,
+    in the order of their codes sum(table[i] * m**i).
+
+    Tables are filled depth-first in canonical index order, a linear
+    extension of the source, so meet(a, b) is assigned for every b < a.
+    A branch is cut as soon as f(bot) != bot, f(top) != top or
+    f(meet(a, b)) != meet(f(a), f(b)): every completion would fail the
+    zero, top or meet-hom axiom, whatever the relations are.  Every
+    complete table is judged by validate_proxhom.
+    """
+    sf, df = src.frame, dst.frame
+    n, m = sf.n, df.n
     out = []
-    for code in range(m**n):
-        table = []
-        c = code
-        for _ in range(n):
-            table.append(c % m)
-            c //= m
-        f = FiniteMap(src, dst, tuple(table))
-        if validate_proxhom(f).ok:
-            out.append(f)
+    table = [0] * n
+
+    def extend(a: int):
+        if a == n:
+            f = FiniteMap(src, dst, tuple(table))
+            if validate_proxhom(f).ok:
+                out.append(f)
+            return
+        meets = [(sf.meet(a, b), b) for b in range(a)]
+        for v in range(m):
+            if a == sf.bot and v != df.bot or a == sf.top and v != df.top:
+                continue
+            if all(table[c] == df.meet(v, table[b]) for c, b in meets):
+                table[a] = v
+                extend(a + 1)
+
+    extend(0)
+    out.sort(key=lambda f: f.table[::-1])
     return out

@@ -385,13 +385,10 @@ def _rframe_finite(prox: FiniteProximity) -> RFrameData:
         raise TooLarge(
             f"round-ideal enumeration limited to {FINITE_IDEAL_ENUM_LIMIT} elements"
         )
-    masks = []
-    for mask in range(1, 1 << f.n):
-        if not (mask >> f.bot) & 1:
-            continue
-        if not _is_round_downset(prox, mask):
-            continue
-        masks.append(mask)
+    # A join-closed downset of a finite lattice that contains bot is the
+    # principal downset of its join, so, whatever the relation, no other
+    # mask can pass `_is_round_downset`.
+    masks = [m for m in map(f.down_mask, f.elements()) if _is_round_downset(prox, m)]
     masks.sort(key=lambda m: (bin(m).count("1"), m))
     names = []
     for m in masks:

@@ -13,10 +13,11 @@ from proxkit.catalog import (
     parse_morphism,
 )
 from proxkit.chain import lim, succ
-from proxkit.cli import main
+from proxkit.cli import _generated_frames, main
 from proxkit.errors import InvalidParameter, UnknownInstance
 from proxkit.morphisms import enumerate_proxhoms
 from proxkit.proximity import ChainProximity
+from proxkit.roundideal import rframe
 
 
 # -- codecs --------------------------------------------------------------------
@@ -229,6 +230,60 @@ def test_cli_search_star_vs_compose_enumerates_endomorphisms_once(capsys, monkey
     # five frames: one call per (source, target) pair, and one per target
     # for its endomorphisms
     assert len(calls) == 5 * 5 + 5
+
+
+def test_cli_search_collapse_covers_order6(capsys):
+    assert main(["search", "--law", "collapse", "--max-size", "6"]) == 0
+    lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+    assert [l["frame"] for l in lines] == [
+        "order2", "order3", "order4", "order5", "order6", "cube1", "cube2", "vee"]
+    sizes = dict(_generated_frames(6))
+    for l in lines:
+        f = sizes[l["frame"]]
+        comparable = sum(f.leq(a, b) for a in f.elements() for b in f.elements())
+        assert l["verdict"] == "pass"
+        assert l["samples"] == 2 ** (comparable - 2)
+    assert lines[4]["samples"] == 2 ** 19
+
+
+def test_cli_search_theta_rho_builds_each_ideal_frame_once(capsys, monkeypatch):
+    from proxkit import cli
+
+    calls = []
+
+    def counting(prox):
+        calls.append(prox)
+        return rframe(prox)
+
+    monkeypatch.setattr(cli, "rframe", counting)
+    assert main(["search", "--law", "theta-rho", "--max-size", "4"]) == 0
+    # five frames: one ideal frame per source, not per (source, target) pair
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("law", ["collapse", "theta-rho", "star-vs-compose"])
+@pytest.mark.parametrize("size", ["1", "0", "-3"])
+def test_cli_search_rejects_max_size_below_two(capsys, law, size):
+    assert main(["search", "--law", law, "--max-size", size]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --max-size must be at least 2\n"
+
+
+@pytest.mark.parametrize("samples", ["1", "9", "-1"])
+def test_cli_laws_rejects_samples_outside_range(capsys, samples):
+    assert main(["laws", "--suite", "R", "--instance", "two", "--samples", samples]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --samples must be between 2 and 8\n"
+
+
+def test_cli_laws_accepts_samples_at_the_range_ends(capsys):
+    for samples in ("2", "8"):
+        assert main(["laws", "--suite", "R", "--instance", "two",
+                     "--samples", samples]) == 0
+    assert main(["laws", "--help"]) == 0
+    assert "2 to 8" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("law", ["theta-rho", "star-vs-compose"])

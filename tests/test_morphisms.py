@@ -1,8 +1,13 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxkit import morphisms
 from proxkit.catalog import catalog_instances, catalog_morphisms
+from proxkit.cli import _generated_frames
 from proxkit.chain import El, Tail, build_chain_frame, lim, succ
 from proxkit.errors import MalformedMap, NotComposable
 from proxkit.finite import build_finite_frame
@@ -23,7 +28,7 @@ from proxkit.morphisms import (
     validate_pframemap,
     validate_proxhom,
 )
-from proxkit.proximity import chain_proximity, order_proximity
+from proxkit.proximity import FiniteProximity, chain_proximity, order_proximity
 from proxkit.roundideal import rframe
 
 
@@ -245,6 +250,79 @@ def test_enumerated_homomorphisms_closed_under_star():
     for f in homs:
         for g in homs:
             assert star_compose(g, f) in homs
+
+
+def scan_enumerate_proxhoms(src, dst):
+    """The former enumeration: all m**n tables in code order, each judged
+    by validate_proxhom."""
+    n, m = src.frame.n, dst.frame.n
+    out = []
+    for code in range(m**n):
+        table = [(code // m**i) % m for i in range(n)]
+        f = FiniteMap(src, dst, tuple(table))
+        if validate_proxhom(f).ok:
+            out.append(f)
+    return out
+
+
+def _sub_relation(frame, rng):
+    """A random sub-relation of leq, not validated."""
+    return FiniteProximity(frame, tuple(
+        tuple(le and rng.random() < 0.6 for le in row) for row in frame.leq_mat))
+
+
+def _small_proximities():
+    """Frames of up to 4 elements, the one-point frame among them, each
+    with its order, the empty relation and two random sub-relations."""
+    rng = random.Random(7)
+    frames = [("one", build_finite_frame(["0"], []))] + _generated_frames(4)
+    out = []
+    for name, f in frames:
+        empty = tuple((False,) * f.n for _ in range(f.n))
+        out += [(name, order_proximity(f)), (f"{name}:empty", FiniteProximity(f, empty)),
+                (f"{name}:r1", _sub_relation(f, rng)), (f"{name}:r2", _sub_relation(f, rng))]
+    return out
+
+
+def test_enumeration_matches_full_scan_on_small_frames():
+    # relations are not validated: the pruning must not depend on them
+    props = _small_proximities()
+    found = 0
+    for (ns, src), (nd, dst) in product(props, props):
+        homs = enumerate_proxhoms(src, dst)
+        assert homs == scan_enumerate_proxhoms(src, dst), (ns, nd)
+        found += len(homs)
+    assert found > 0
+
+
+def test_enumeration_matches_full_scan_on_catalog():
+    insts = {k: v for k, v in catalog_instances().items()
+             if isinstance(v, FiniteProximity)}
+    for (ns, src), (nd, dst) in product(insts.items(), insts.items()):
+        # the scan of cube3 into chain3 alone is 3**8 tables and seconds
+        if dst.frame.n ** src.frame.n <= 4096:
+            assert enumerate_proxhoms(src, dst) == scan_enumerate_proxhoms(src, dst), (ns, nd)
+
+
+def test_enumeration_validates_only_bounded_meet_preserving_tables(monkeypatch):
+    validate = morphisms.validate_proxhom
+    judged = []
+
+    def recording(f):
+        judged.append(f.table)
+        return validate(f)
+
+    monkeypatch.setattr(morphisms, "validate_proxhom", recording)
+    orders = [p for name, p in _small_proximities() if ":" not in name]
+    for p, q in product(orders, orders):
+        judged.clear()
+        enumerate_proxhoms(p, q)
+        expected = []
+        for table in product(range(q.frame.n), repeat=p.frame.n):
+            axioms = dict(validate(FiniteMap(p, q, table)).axioms)
+            if all(axioms[a].ok for a in ("meet-hom", "zero", "top")):
+                expected.append(table)
+        assert sorted(judged) == sorted(expected)
 
 
 # -- theta / rho --------------------------------------------------------------

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxkit.catalog import catalog_instances
+from proxkit import proximity
 from proxkit.chain import ElementFamily, Tail, build_chain_frame, lim
+from proxkit.cli import _generated_frames
 from proxkit.comonads import max_proximity
 from proxkit.errors import InvalidReflexiveSet, MalformedRelation
 from proxkit.finite import build_finite_frame
@@ -19,7 +21,7 @@ from proxkit.proximity import (
     validate_proximity,
     well_inside,
 )
-from proxkit.reports import FAIL, SYMBOLIC, AxiomReport, Verdict
+from proxkit.reports import FAIL, SYMBOLIC, AxiomReport, Verdict, law_fail, law_pass
 from proxkit.roundideal import rframe
 
 
@@ -255,3 +257,102 @@ def test_chain_validation_work_is_linear_in_segments(k, monkeypatch):
         p = chain_proximity(frame, refl)
         assert validate_proximity(p).ok
     assert 0 < calls <= 4 * len(frame.segments)
+
+
+# -- collapse certificate against the full scan ------------------------------
+
+
+def _free_pairs(f):
+    return [
+        (a, b) for a in f.elements() for b in f.elements()
+        if f.leq(a, b) and (a, b) not in ((f.bot, f.bot), (f.top, f.top))
+    ]
+
+
+def _candidate(f, free, bits):
+    mat = [[False] * f.n for _ in range(f.n)]
+    mat[f.bot][f.bot] = mat[f.top][f.top] = True
+    for i, (a, b) in enumerate(free):
+        if (bits >> i) & 1:
+            mat[a][b] = True
+    return FiniteProximity(f, tuple(tuple(r) for r in mat))
+
+
+def scan_certify_finite_collapse(frame):
+    """The former certificate: every one of the 2^|free| sub-relations of
+    leq with the two bound pairs, validated in increasing mask order."""
+    instance = f"finite:{','.join(frame.names)}"
+    free = _free_pairs(frame)
+    survivors = 0
+    for bits in range(1 << len(free)):
+        cand = _candidate(frame, free, bits)
+        if proximity.validate_proximity(cand).ok:
+            survivors += 1
+            if cand.mat != frame.leq_mat:
+                return law_fail("collapse", instance, witness=tuple(
+                    (frame.names[a], frame.names[b]) for a, b in cand.pairs()),
+                    samples=1 << len(free), note="non-order proximity found")
+    if survivors != 1:
+        return law_fail("collapse", instance, samples=1 << len(free),
+                        note="the order itself did not survive")
+    return law_pass("collapse", instance, samples=1 << len(free),
+                    note="only the order satisfies the axioms")
+
+
+SMALL_FRAMES = [(name, f) for name, f in _generated_frames(5)]
+
+
+@pytest.mark.parametrize("name,frame", SMALL_FRAMES, ids=[n for n, _ in SMALL_FRAMES])
+def test_collapse_certificate_matches_full_scan(name, frame):
+    assert certify_finite_collapse(frame) == scan_certify_finite_collapse(frame)
+
+
+@pytest.mark.parametrize("name,frame", SMALL_FRAMES, ids=[n for n, _ in SMALL_FRAMES])
+def test_collapse_candidates_are_the_masks_passing_weakening(name, frame):
+    # every mask the certificate skips fails the weakening axiom, and every
+    # one it generates passes it
+    free = _free_pairs(frame)
+    closed = [
+        bits for bits in range(1 << len(free))
+        if dict(validate_proximity(_candidate(frame, free, bits)).axioms)["weakening"].ok
+    ]
+    assert proximity._weakening_closed(frame, free) == closed
+
+
+def test_collapse_reports_the_first_survivor_of_the_scan(monkeypatch):
+    # under a validator that ignores interpolation and approximation,
+    # non-order relations survive; the certificate must name the same
+    # first one as the scan
+    validate = proximity.validate_proximity
+
+    def looser(p):
+        report = validate(p)
+        kept = tuple((a, v) for a, v in report.axioms
+                     if a not in ("interpolation", "approximation"))
+        return AxiomReport(kept, collapse=report.collapse)
+
+    monkeypatch.setattr(proximity, "validate_proximity", looser)
+    witnessed = []
+    for name, frame in SMALL_FRAMES:
+        report = certify_finite_collapse(frame)
+        assert report == scan_certify_finite_collapse(frame), name
+        if report.witness:
+            witnessed.append(name)
+    assert witnessed == ["order3", "order4", "order5", "cube2", "vee"]
+
+
+@pytest.mark.parametrize("name,validations", [("order5", 14), ("vee", 13)])
+def test_collapse_validates_only_weakening_closed_relations(name, validations, monkeypatch):
+    frame = dict(SMALL_FRAMES)[name]
+    calls = 0
+    validate = proximity.validate_proximity
+
+    def counting(p):
+        nonlocal calls
+        calls += 1
+        return validate(p)
+
+    monkeypatch.setattr(proximity, "validate_proximity", counting)
+    report = certify_finite_collapse(frame)
+    assert report.ok and report.samples == 2 ** len(_free_pairs(frame))
+    assert calls == validations

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxkit.catalog import catalog_morphisms, load_instance
+from proxkit.catalog import catalog_instances, catalog_morphisms, load_instance
 from proxkit.chain import El, ElementFamily, Tail, build_chain_frame, lim, succ
 from proxkit.errors import (
     NotDirected,
@@ -10,10 +12,13 @@ from proxkit.errors import (
     TooLarge,
     UnsupportedRepresentation,
 )
-from proxkit.finite import build_finite_frame, downset_frame
-from proxkit.proximity import chain_proximity, order_proximity
+from proxkit.cli import _generated_frames
+from proxkit.errors import ProxkitError
+from proxkit.finite import _frame_of_rows, _inclusion_rows, build_finite_frame, downset_frame
+from proxkit.proximity import FiniteProximity, chain_proximity, order_proximity
 from proxkit.roundideal import (
     BelowLim,
+    RFrameData,
     DirFam,
     FinIdeal,
     JoinFin,
@@ -33,6 +38,7 @@ from proxkit.roundideal import (
     sigma,
     subideal,
     way_below_ideals,
+    _is_round_downset,
 )
 
 
@@ -76,6 +82,63 @@ def test_finite_rframe_matches_brute_enumeration():
         _, prox = load_instance(name)
         rfd = rframe(prox)
         assert sorted(rfd.masks) == brute_round_downsets(prox), name
+
+
+def scan_rframe_finite(prox):
+    """The former construction: every one of the 2^n masks that contains
+    bot is put to _is_round_downset."""
+    f = prox.frame
+    masks = [m for m in range(1, 1 << f.n)
+             if (m >> f.bot) & 1 and _is_round_downset(prox, m)]
+    masks.sort(key=lambda m: (bin(m).count("1"), m))
+    names = []
+    for m in masks:
+        mx = sigma(FinIdeal(prox, m))
+        if m == f.down_mask(mx):
+            names.append(f"dn({f.names[mx]})")
+        else:
+            members = ",".join(f.names[i] for i in f.elements() if (m >> i) & 1)
+            names.append("{" + members + "}")
+    frame, pos = _frame_of_rows(names, _inclusion_rows(masks))
+    order = [0] * len(masks)
+    for i, m in enumerate(masks):
+        order[pos[i]] = m
+    return RFrameData(
+        base=prox, frame=frame, wb=order_proximity(frame), masks=tuple(order)
+    )
+
+
+def _rframe_or_error(build, prox):
+    try:
+        return build(prox)
+    except ProxkitError as exc:
+        return type(exc), str(exc)
+
+
+def _oracle_frames():
+    frames = dict(_generated_frames(12))
+    frames.update((k, v.frame) for k, v in catalog_instances().items()
+                  if isinstance(v, FiniteProximity))
+    frames["poset"] = downset_frame(list("pqrs"), [("p", "q"), ("p", "r")])
+    return frames
+
+
+ORACLE_FRAMES = _oracle_frames()
+
+
+@pytest.mark.parametrize("name,frame", ORACLE_FRAMES.items(), ids=list(ORACLE_FRAMES))
+def test_finite_rframe_matches_full_mask_scan(name, frame):
+    # the order, the empty relation (no round ideals, so no frame) and
+    # random sub-relations of leq, none of them validated
+    rng = random.Random(name)
+    proxes = [order_proximity(frame),
+              FiniteProximity(frame, tuple((False,) * frame.n for _ in frame.elements()))]
+    for _ in range(3 if frame.n <= 8 else 1):
+        proxes.append(FiniteProximity(frame, tuple(
+            tuple(le and rng.random() < 0.7 for le in row) for row in frame.leq_mat)))
+    for prox in proxes:
+        assert (_rframe_or_error(rframe, prox)
+                == _rframe_or_error(scan_rframe_finite, prox)), prox.mat
 
 
 def test_ideal_frame_of_diamond_is_diamond_again():
