@@ -4,9 +4,8 @@ two comonads they generate, with decision procedures at desk scale."""
 from .chain import (
     ChainLikeFrame,
     El,
-    ElementFamily,
     Segment,
-    Tail,
+    Seq,
     build_chain_frame,
     lim,
     succ,
@@ -35,8 +34,6 @@ from .roundideal import (
     BelowLim,
     DirFam,
     FinIdeal,
-    Image,
-    JoinFin,
     Prin,
     RFrameData,
     alpha,
@@ -47,7 +44,6 @@ from .roundideal import (
     is_stably_compact,
     kappa,
     member,
-    normalize,
     rframe,
     rmap,
     sigma,
@@ -58,7 +54,6 @@ from .morphisms import (
     ChainMap,
     FiniteMap,
     Morphism,
-    SegRule,
     alpha_map,
     compose,
     enumerate_proxhoms,

@@ -21,10 +21,10 @@ import functools
 import json
 from importlib import resources
 
-from .chain import El, Tail, build_chain_frame, lim, succ
+from .chain import El, Seq, build_chain_frame, lim, succ
 from .errors import InvalidParameter, UnknownInstance
 from .finite import build_finite_frame, downset_frame, open_set_frame
-from .morphisms import ChainMap, FiniteMap, Morphism, SegRule, identity_map
+from .morphisms import ChainMap, FiniteMap, Morphism, identity_map
 from .proximity import (
     ChainProximity,
     FiniteProximity,
@@ -164,38 +164,30 @@ def parse_morphism(doc: dict, src: Proximity, dst: Proximity) -> Morphism:
         return FiniteMap(src, dst, tuple(table))
     blocks = doc["blocks"]
     limits = doc.get("limits", "derived")
-    rules: list[SegRule] = []
+    rules: list[Seq] = []
     bi = 0
     li = 0
-    from .morphisms import ChainMap as _CM
-
     for i, seg in enumerate(src.frame.segments):
         if seg.kind == "omega":
             b = blocks[bi]
             bi += 1
-            exc = tuple(
-                (int(k), parse_element(dst, v))
-                for k, v in sorted(b.get("exceptions", {}).items(), key=lambda kv: int(kv[0]))
-            )
+            exc = [(int(k), parse_element(dst, v))
+                   for k, v in b.get("exceptions", {}).items()]
             t = b["tail"]
             if isinstance(t, str):
-                tail = Tail.constant(parse_element(dst, t))
+                rules.append(Seq.constant(parse_element(dst, t), exc))
             else:
-                block = int(t["block"])
-                tail = Tail.affine(2 * block, int(t.get("a", 1)), int(t.get("b", 0)))
-            rules.append(SegRule(tail, exc))
+                rules.append(Seq.affine(2 * int(t["block"]), int(t.get("a", 1)),
+                                        int(t.get("b", 0)), exc))
+        elif limits == "derived":
+            # the limit value is forced by the supremum of the block below
+            if not src.frame.is_limit(El(i, 0)):
+                raise InvalidParameter(
+                    f"no block below {seg.label} to derive its value from")
+            rules.append(Seq.constant(rules[-1].sup(dst.frame.join)[0]))
         else:
-            if limits == "derived":
-                # the limit value is forced by the block's supremum
-                probe = _CM(src, dst, tuple(rules) + tuple(
-                    SegRule(Tail.constant(dst.frame.top))
-                    for _ in range(len(src.frame.segments) - len(rules))
-                ))
-                sup, _ = probe.block_sup(i - 1)
-                rules.append(SegRule(Tail.constant(sup)))
-            else:
-                rules.append(SegRule(Tail.constant(parse_element(dst, limits[li]))))
-                li += 1
+            rules.append(Seq.constant(parse_element(dst, limits[li])))
+            li += 1
     return ChainMap(src, dst, tuple(rules))
 
 
@@ -217,30 +209,30 @@ def catalog_morphisms() -> dict[str, Morphism]:
     out: dict[str, Morphism] = {
         "chain-id": identity_map(p1),
         "chain-double": ChainMap(p1, p1, (
-            SegRule(Tail.affine(0, 2, 0)),
-            SegRule(Tail.constant(L1_1)),
+            Seq.affine(0, 2, 0),
+            Seq.constant(L1_1),
         )),
         # n -> n+3 relocated at 0 to keep the bottom fixed
         "chain-shift3": ChainMap(p1, p1, (
-            SegRule(Tail.affine(0, 1, 3), exceptions=((0, f1.bot),)),
-            SegRule(Tail.constant(L1_1)),
+            Seq.affine(0, 1, 3, ((0, f1.bot),)),
+            Seq.constant(L1_1),
         )),
         "chain-h": ChainMap(p1, p1, (
-            SegRule(Tail.constant(f1.bot)),
-            SegRule(Tail.constant(L1_1)),
+            Seq.constant(f1.bot),
+            Seq.constant(L1_1),
         )),
         # star-vs-compose witnesses on the two-block chain
         "k2-f": ChainMap(p2, p2, (
-            SegRule(Tail.affine(2, 1, 0), exceptions=((0, f2.bot),)),
-            SegRule(Tail.constant(f2.top)),
-            SegRule(Tail.constant(f2.top)),
-            SegRule(Tail.constant(f2.top)),
+            Seq.affine(2, 1, 0, ((0, f2.bot),)),
+            Seq.constant(f2.top),
+            Seq.constant(f2.top),
+            Seq.constant(f2.top),
         )),
         "k2-g": ChainMap(p2, p2, (
-            SegRule(Tail.constant(f2.bot)),
-            SegRule(Tail.constant(f2.bot)),
-            SegRule(Tail.constant(succ(f2, 0, 0))),
-            SegRule(Tail.constant(f2.top)),
+            Seq.constant(f2.bot),
+            Seq.constant(f2.bot),
+            Seq.constant(succ(f2, 0, 0)),
+            Seq.constant(f2.top),
         )),
     }
     for name in ("two", "chain3", "diamond", "cube3"):

@@ -11,9 +11,9 @@ layouts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import InvalidParameter, NotDirected
+from .errors import InvalidParameter, MalformedMap
 
 OMEGA = "omega"
 POINT = "point"
@@ -156,88 +156,78 @@ def lim(frame: ChainLikeFrame, i: int) -> El:
     return frame.check(El(2 * i - 1, 0))
 
 
-# -- finitely-described monotone families ---------------------------------
-
-AFFINE = "affine"
-CONST = "const"
+# -- eventually-affine sequences -------------------------------------------
 
 
 @dataclass(frozen=True)
-class Tail:
-    """Eventual behaviour of a family: affine into an omega segment
-    (n -> El(seg, a*n + b) with slope a >= 1) or a constant element."""
+class Seq:
+    """Sequence n -> value: finitely many (index, value) exceptions, then a
+    tail that is the constant `const` or, when the slope `a` is >= 1,
+    n -> El(seg, a*n + b).
 
-    kind: str  # AFFINE | CONST
+    This describes a map out of one omega block (or, with no exceptions
+    and a constant tail, out of a point), and a monotone family of frame
+    elements.  Construction sorts the exceptions by index and drops those
+    that agree with the tail, so equal sequences compare equal.
+    """
+
+    const: object = None
     seg: int = 0
     a: int = 0
     b: int = 0
-    const: El | None = None
-
-    @staticmethod
-    def affine(seg: int, a: int, b: int) -> "Tail":
-        if a < 1:
-            raise InvalidParameter("affine tail needs slope >= 1; use const")
-        return Tail(AFFINE, seg=seg, a=a, b=b)
-
-    @staticmethod
-    def constant(e: El) -> "Tail":
-        return Tail(CONST, const=e)
-
-    def value(self, n: int) -> El:
-        if self.kind == AFFINE:
-            return El(self.seg, self.a * n + self.b)
-        return self.const
-
-
-@dataclass(frozen=True)
-class ElementFamily:
-    """Monotone sequence n -> frame element, given by finitely many
-    exceptions and a tail rule.  Suprema are computable from the tail."""
-
-    frame: ChainLikeFrame = field(compare=False)
-    tail: Tail = Tail.constant(El(0, 0))
-    exceptions: tuple[tuple[int, El], ...] = ()
+    exceptions: tuple[tuple[int, object], ...] = ()
 
     def __post_init__(self):
-        for _, e in self.exceptions:
-            self.frame.check(e)
-        if self.tail.kind == AFFINE:
-            s = self.frame.segments[self.tail.seg]
-            if s.kind != OMEGA:
-                raise InvalidParameter("affine tail must land in an omega block")
-            if self.tail.b < 0:
-                raise InvalidParameter("affine tail offset must be >= 0")
-        else:
-            self.frame.check(self.tail.const)
-        if not self._monotone():
-            raise NotDirected("described family is not monotone nondecreasing")
+        idx = [m for m, _ in self.exceptions]
+        if len(set(idx)) != len(idx):
+            raise InvalidParameter("repeated exception index")
+        if any(m < 0 for m in idx):
+            raise MalformedMap("negative exception index")
+        exc = sorted((e for e in self.exceptions if e[1] != self.tail(e[0])),
+                     key=lambda e: e[0])
+        object.__setattr__(self, "exceptions", tuple(exc))
 
-    def _exc(self) -> dict[int, El]:
-        return dict(self.exceptions)
+    @staticmethod
+    def constant(v, exceptions=()) -> "Seq":
+        return Seq(const=v, exceptions=tuple(exceptions))
 
-    def value(self, n: int) -> El:
-        exc = self._exc()
-        if n in exc:
-            return exc[n]
-        return self.tail.value(n)
+    @staticmethod
+    def affine(seg: int, a: int, b: int, exceptions=()) -> "Seq":
+        if a < 1:
+            raise InvalidParameter("affine tail needs slope >= 1; use constant")
+        return Seq(seg=seg, a=a, b=b, exceptions=tuple(exceptions))
 
-    def _monotone(self) -> bool:
-        horizon = max([n for n, _ in self.exceptions], default=-1) + 2
-        prev = None
-        for n in range(horizon + 1):
-            v = self.value(n)
-            if prev is not None and v < prev:
-                return False
-            prev = v
-        return True
+    @property
+    def is_affine(self) -> bool:
+        return self.a > 0
 
-    def sup(self) -> El:
-        """Exact supremum: the limit after the tail's block, or the maximum."""
-        if self.tail.kind == AFFINE:
-            return El(self.tail.seg + 1, 0)
-        horizon = max([n for n, _ in self.exceptions], default=-1) + 1
-        return max(self.value(n) for n in range(horizon + 1))
+    def tail(self, n: int):
+        return El(self.seg, self.a * n + self.b) if self.a else self.const
 
-    def attained(self) -> bool:
-        """Whether the supremum is a value of the family."""
-        return self.tail.kind == CONST
+    def value(self, n: int):
+        for m, v in self.exceptions:
+            if m == n:
+                return v
+        return self.tail(n)
+
+    def horizon(self) -> int:
+        """One past the largest exception index: the tail rules from here."""
+        return self.exceptions[-1][0] + 1 if self.exceptions else 0
+
+    def descent(self, leq) -> int | None:
+        """The first n with value(n) not below value(n+1), or None; past
+        the horizon the tail never descends."""
+        for n in range(self.horizon()):
+            if not leq(self.value(n), self.value(n + 1)):
+                return n
+        return None
+
+    def sup(self, join):
+        """(supremum, attained?) of a monotone sequence: the limit after
+        an affine tail's block, else the join of the tail and exceptions."""
+        if self.a:
+            return El(self.seg + 1, 0), False
+        out = self.const
+        for _, v in self.exceptions:
+            out = join(out, v)
+        return out, True

@@ -11,12 +11,7 @@ import argparse
 import json
 import sys
 
-from .catalog import (
-    CATALOG_NAMES,
-    catalog_instances,
-    catalog_morphisms,
-    load_instance,
-)
+from .catalog import catalog_instances, catalog_morphisms, load_instance
 from .chain import ChainLikeFrame, El
 from .comonads import (
     adjunction_checks,
@@ -44,7 +39,6 @@ from .morphisms import (
     validate_proxhom,
 )
 from .proximity import (
-    ChainProximity,
     FiniteProximity,
     certify_finite_collapse,
     order_proximity,

@@ -16,13 +16,12 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from .chain import El, ElementFamily, Tail
+from .chain import El, Seq
 from .errors import NotComposable, NotStablyCompact
 from .morphisms import (
     ChainMap,
     FiniteMap,
     Morphism,
-    SegRule,
     alpha_map,
     compose,
     identity_map,
@@ -31,8 +30,15 @@ from .morphisms import (
     rmap_map,
     sigma_map,
     validate_pframemap,
+    validate_proxhom,
 )
-from .proximity import ChainProximity, FiniteProximity, Proximity, validate_proximity
+from .proximity import (
+    ChainProximity,
+    FiniteProximity,
+    Proximity,
+    order_proximity,
+    validate_proximity,
+)
 from .reports import LawReport, law_fail, law_pass
 from .roundideal import (
     BelowLim,
@@ -46,7 +52,6 @@ from .roundideal import (
     member,
     retag,
     rframe,
-    rmap,
     sigma,
     subideal,
     way_below_ideals,
@@ -166,7 +171,7 @@ def c_map(rfd: RFrameData, ccfd: RFrameData | None = None) -> Morphism:
 def m_map(rfd: RFrameData, jfd: RFrameData | None = None) -> Morphism:
     """Inclusion of round ideals into all ideals (carrier-preserving)."""
     if jfd is None:
-        jfd = ideal_frame(_frame_of(rfd.base))
+        jfd = ideal_frame(rfd.base.frame)
     if isinstance(rfd.base, FiniteProximity):
         table = tuple(
             jfd.el_of(retag(rfd.ideal_of(i), jfd.base))
@@ -177,23 +182,17 @@ def m_map(rfd: RFrameData, jfd: RFrameData | None = None) -> Morphism:
     for kind, payload in rfd.seg_descs:
         if kind == "prin_block":
             target = jfd.el_of(Prin(jfd.base, El(payload, 0)))
-            rules.append(SegRule(Tail.affine(target.seg, 1, 0)))
+            rules.append(Seq.affine(target.seg, 1, 0))
         elif kind == "prin":
-            rules.append(SegRule(Tail.constant(jfd.el_of(Prin(jfd.base, payload)))))
+            rules.append(Seq.constant(jfd.el_of(Prin(jfd.base, payload))))
         else:
-            rules.append(SegRule(Tail.constant(jfd.el_of(BelowLim(jfd.base, payload)))))
+            rules.append(Seq.constant(jfd.el_of(BelowLim(jfd.base, payload))))
     return ChainMap(rfd.wb, jfd.wb, tuple(rules))
-
-
-def _frame_of(prox: Proximity):
-    return prox.frame
 
 
 def order_retag(f: Morphism) -> Morphism:
     """The same carrier map between the order proximities (for the
     all-ideals functor action)."""
-    from .proximity import order_proximity
-
     return retag_map(
         f, order_proximity(f.src.frame), order_proximity(f.dst.frame)
     )
@@ -312,8 +311,7 @@ def _nonprincipal_comult(prox, rfd, maxp, ccfd, c, seed) -> LawReport:
                             witness=(repr(got), repr(expected)), samples=samples,
                             seed=seed)
         # the same ideal as an explicit directed union of principals
-        union = dir_sup(DirFam(maxp, ElementFamily(rfd.frame,
-                                                   Tail.affine(b.seg - 1, 1, 0))))
+        union = dir_sup(DirFam(maxp, Seq.affine(b.seg - 1, 1, 0)))
         if union != expected:
             return law_fail("C.comult.nonprincipal", inst,
                             witness=(repr(union), repr(expected)),
@@ -421,8 +419,6 @@ def subcomonad_check(prox: Proximity, depth: int = 3, seed: int = 0) -> list[Law
 
 def naturality_suite(f: Morphism, depth: int = 3, seed: int = 0) -> list[LawReport]:
     """The five squares, each run when f belongs to the right class."""
-    from .morphisms import validate_proxhom
-
     inst = f"{describe_instance(f.src)} -> {describe_instance(f.dst)}"
     rfd_L, rfd_M = rframe(f.src), rframe(f.dst)
     rf = rmap_map(f, rfd_L, rfd_M)

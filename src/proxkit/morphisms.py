@@ -1,23 +1,22 @@
 """Represented morphisms between proximity frames.
 
-Finite-source maps are full tables.  Chain-source maps carry one rule per
-segment: finitely many exceptions plus an eventually-affine tail (or a
-constant).  Rules are normalized on construction, so map equality is a
-normal-form comparison and the identities checked by the law harness are
-exact, not sampled.
+Finite-source maps are full tables.  Chain-source maps carry one
+:class:`~proxkit.chain.Seq` per segment: finitely many exceptions plus an
+eventually-affine tail (or a constant).  A Seq is normalized on
+construction, so map equality is a normal-form comparison and the
+identities checked by the law harness are exact, not sampled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import AFFINE, CONST, OMEGA, ChainLikeFrame, El, ElementFamily, Tail
+from .chain import OMEGA, El, Seq
 from .errors import MalformedMap, NotComposable, NotStablyCompact
 from .proximity import ChainProximity, FiniteProximity, Proximity
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, Verdict
 from .roundideal import (
     BelowLim,
-    FinIdeal,
     Prin,
     RFrameData,
     is_stably_compact,
@@ -55,62 +54,34 @@ class FiniteMap:
 
 
 @dataclass(frozen=True)
-class SegRule:
-    """Behaviour of a map on one source segment.  Point segments use a
-    constant tail and no exceptions."""
-
-    tail: Tail
-    exceptions: tuple[tuple[int, object], ...] = ()
-
-    def value(self, n: int):
-        for m, v in self.exceptions:
-            if m == n:
-                return v
-        return self.tail.value(n)
-
-    def horizon(self) -> int:
-        return max([m for m, _ in self.exceptions], default=-1) + 1
-
-
-def _normalize_rule(rule: SegRule) -> SegRule:
-    exc = sorted((m, v) for m, v in rule.exceptions if v != rule.tail.value(m))
-    return SegRule(tail=rule.tail, exceptions=tuple(exc))
-
-
-@dataclass(frozen=True)
 class ChainMap:
     src: ChainProximity
     dst: Proximity
-    rules: tuple[SegRule, ...]
+    rules: tuple[Seq, ...]  # one per source segment
 
     def __post_init__(self):
         segs = self.src.frame.segments
         if len(self.rules) != len(segs):
             raise MalformedMap("one rule per source segment required")
         for s, rule in zip(segs, self.rules):
-            if s.kind != OMEGA and (rule.exceptions or rule.tail.kind != CONST):
+            if s.kind != OMEGA and (rule.exceptions or rule.is_affine):
                 raise MalformedMap("point segments take a single constant value")
-            if rule.tail.kind == AFFINE and not isinstance(self.dst, ChainProximity):
+            if rule.is_affine and not isinstance(self.dst, ChainProximity):
                 raise MalformedMap("affine tails need a chain target")
-            if any(m < 0 for m, _ in rule.exceptions):
-                raise MalformedMap("negative exception index")
             for _, v in rule.exceptions:
                 if not _in_target(self.dst, v):
                     raise MalformedMap(f"value {v!r} is not in the target frame")
-            if rule.tail.kind == CONST:
-                if not _in_target(self.dst, rule.tail.const):
+            if not rule.is_affine:
+                if not _in_target(self.dst, rule.const):
                     raise MalformedMap(
-                        f"value {rule.tail.const!r} is not in the target frame"
+                        f"value {rule.const!r} is not in the target frame"
                     )
             elif (
-                rule.tail.b < 0
-                or not 0 <= rule.tail.seg < len(self.dst.frame.segments)
-                or self.dst.frame.segments[rule.tail.seg].kind != OMEGA
+                rule.b < 0
+                or not 0 <= rule.seg < len(self.dst.frame.segments)
+                or self.dst.frame.segments[rule.seg].kind != OMEGA
             ):
                 raise MalformedMap("affine tail must land in an omega block")
-        object.__setattr__(
-            self, "rules", tuple(_normalize_rule(r) for r in self.rules)
-        )
 
     def apply(self, x: El):
         self.src.frame.check(x)
@@ -118,29 +89,19 @@ class ChainMap:
 
     def block_sup(self, seg: int):
         """(supremum of the map over an omega segment, attained?)."""
-        rule = self.rules[seg]
-        if isinstance(self.dst, ChainProximity):
-            fam = ElementFamily(
-                self.dst.frame, rule.tail, tuple(rule.exceptions)
-            )
-            return fam.sup(), fam.attained()
-        f = self.dst.frame
-        out = rule.tail.const
-        for _, v in rule.exceptions:
-            out = f.join(out, v)
-        return out, True
+        return self.rules[seg].sup(self.dst.frame.join)
 
     def __repr__(self):
         parts = []
         for i, r in enumerate(self.rules):
             lab = self.src.frame.segments[i].label
-            if r.tail.kind == CONST and not r.exceptions:
-                parts.append(f"{lab}->{self._lab(r.tail.const)}")
+            if not (r.is_affine or r.exceptions):
+                parts.append(f"{lab}->{self._lab(r.const)}")
             else:
                 t = (
-                    f"affine({r.tail.seg},{r.tail.a},{r.tail.b})"
-                    if r.tail.kind == AFFINE
-                    else self._lab(r.tail.const)
+                    f"affine({r.seg},{r.a},{r.b})"
+                    if r.is_affine
+                    else self._lab(r.const)
                 )
                 exc = {m: self._lab(v) for m, v in r.exceptions}
                 parts.append(f"{lab}:{exc if exc else ''}{t}")
@@ -165,9 +126,9 @@ def identity_map(prox: Proximity) -> Morphism:
     rules = []
     for i, s in enumerate(prox.frame.segments):
         if s.kind == OMEGA:
-            rules.append(SegRule(Tail.affine(i, 1, 0)))
+            rules.append(Seq.affine(i, 1, 0))
         else:
-            rules.append(SegRule(Tail.constant(El(i, 0))))
+            rules.append(Seq.constant(El(i, 0)))
     return ChainMap(prox, prox, tuple(rules))
 
 
@@ -180,23 +141,21 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     rules = []
     for rule in f.rules:
         exc = [(m, g.apply(v)) for m, v in rule.exceptions]
-        if rule.tail.kind == CONST:
-            rules.append(SegRule(Tail.constant(g.apply(rule.tail.const)), tuple(exc)))
+        if not rule.is_affine:
+            rules.append(Seq.constant(g.apply(rule.const), exc))
             continue
-        s, a, b = rule.tail.seg, rule.tail.a, rule.tail.b
-        grule = g.rules[s]
+        a, b = rule.a, rule.b
+        grule = g.rules[rule.seg]
         taken = {m for m, _ in exc}
         for m, w in grule.exceptions:
             if m >= b and (m - b) % a == 0:
                 n = (m - b) // a
                 if n not in taken:
                     exc.append((n, w))
-        gt = grule.tail
-        if gt.kind == CONST:
-            tail = Tail.constant(gt.const)
+        if grule.is_affine:
+            rules.append(Seq.affine(grule.seg, grule.a * a, grule.a * b + grule.b, exc))
         else:
-            tail = Tail.affine(gt.seg, gt.a * a, gt.a * b + gt.b)
-        rules.append(SegRule(tail, tuple(exc)))
+            rules.append(Seq.constant(grule.const, exc))
     return ChainMap(f.src, g.dst, tuple(rules))
 
 
@@ -226,7 +185,7 @@ def star_compose(g: Morphism, f: Morphism) -> Morphism:
             continue
         # non-reflexive limit: the approximants are the block below it
         sup, _ = comp.block_sup(i - 1)
-        rules[i] = SegRule(Tail.constant(sup))
+        rules[i] = Seq.constant(sup)
     return ChainMap(f.src, g.dst, tuple(rules))
 
 
@@ -329,20 +288,12 @@ def _validate_finite_hom(f: FiniteMap, frame_map: bool) -> AxiomReport:
 def _chain_monotone(f: ChainMap):
     """Witness pair if f is not monotone, else None."""
     frame = f.src.frame
-    leq = (
-        f.dst.frame.leq
-        if isinstance(f.dst, FiniteProximity)
-        else lambda a, b: a <= b
-    )
+    leq = f.dst.frame.leq
     for i, s in enumerate(frame.segments):
         rule = f.rules[i]
-        if s.kind == OMEGA:
-            prev = None
-            for n in range(rule.horizon() + 2):
-                val = rule.value(n)
-                if prev is not None and not leq(prev, val):
-                    return El(i, n - 1), El(i, n)
-                prev = val
+        n = rule.descent(leq)
+        if n is not None:
+            return El(i, n), El(i, n + 1)
         if i + 1 < len(frame.segments):
             nxt = f.rules[i + 1].value(0)
             if s.kind == OMEGA:
@@ -369,7 +320,7 @@ def _chain_preserves(f: ChainMap, src_refl, dst_refl):
             for m, v in rule.exceptions:
                 if not dst_refl(v):
                     return El(i, m)
-            if rule.tail.kind == CONST and not dst_refl(rule.tail.const):
+            if not rule.is_affine and not dst_refl(rule.const):
                 return El(i, rule.horizon())
         elif src_refl(e):
             if not dst_refl(rule.value(0)):
@@ -449,11 +400,9 @@ def sigma_map(rfd: RFrameData) -> Morphism:
     rules = []
     for kind, payload in rfd.seg_descs:
         if kind == "prin_block":
-            rules.append(SegRule(Tail.affine(payload, 1, 0)))
-        elif kind == "prin":
-            rules.append(SegRule(Tail.constant(payload)))
-        else:
-            rules.append(SegRule(Tail.constant(payload)))  # join of BelowLim
+            rules.append(Seq.affine(payload, 1, 0))
+        else:  # the join of Prin(a) is a, and of BelowLim(l) is l
+            rules.append(Seq.constant(payload))
     return ChainMap(rfd.wb, rfd.base, tuple(rules))
 
 
@@ -485,11 +434,11 @@ def _pointed_ideal_map(rfd: RFrameData, use_wb: bool) -> ChainMap:
         e = El(i, 0)
         if s.kind == OMEGA:
             target = rfd.el_of(Prin(prox, e))
-            rules.append(SegRule(Tail.affine(target.seg, 1, 0)))
+            rules.append(Seq.affine(target.seg, 1, 0))
         else:
             refl = (not frame.is_limit(e)) if use_wb else prox.reflexive(e)
             ideal = Prin(prox, e) if refl else BelowLim(prox, e)
-            rules.append(SegRule(Tail.constant(rfd.el_of(ideal))))
+            rules.append(Seq.constant(rfd.el_of(ideal)))
     return ChainMap(prox, rfd.wb, tuple(rules))
 
 
@@ -506,10 +455,10 @@ def theta(f: Morphism, rfd: RFrameData | None = None) -> Morphism:
         if kind == "prin_block":
             rules.append(f.rules[payload])
         elif kind == "prin":
-            rules.append(SegRule(Tail.constant(f.apply(payload))))
+            rules.append(Seq.constant(f.apply(payload)))
         else:  # below a limit: join of images over the block underneath
             sup, _ = f.block_sup(payload.seg - 1)
-            rules.append(SegRule(Tail.constant(sup)))
+            rules.append(Seq.constant(sup))
     return ChainMap(rfd.wb, f.dst, tuple(rules))
 
 
@@ -541,21 +490,21 @@ def rmap_map(f: Morphism, src_rfd: RFrameData | None = None,
             exc = tuple(
                 (m, dst_rfd.el_of(kappa(f.dst, v))) for m, v in rule.exceptions
             )
-            if rule.tail.kind == CONST:
-                tail = Tail.constant(dst_rfd.el_of(kappa(f.dst, rule.tail.const)))
-            else:
+            if rule.is_affine:
                 # omega values of the target are reflexive, so their
                 # approximant ideals are principal and sit in the matching
                 # block of the target ideal frame
-                probe = dst_rfd.el_of(Prin(f.dst, El(rule.tail.seg, 0)))
-                tail = Tail.affine(probe.seg, rule.tail.a, rule.tail.b)
-            rules.append(SegRule(tail, exc))
+                probe = dst_rfd.el_of(Prin(f.dst, El(rule.seg, 0)))
+                rules.append(Seq.affine(probe.seg, rule.a, rule.b, exc))
+            else:
+                rules.append(
+                    Seq.constant(dst_rfd.el_of(kappa(f.dst, rule.const)), exc))
         elif kind == "prin":
             ideal = rmap(f, Prin(f.src, payload))
-            rules.append(SegRule(Tail.constant(dst_rfd.el_of(ideal))))
+            rules.append(Seq.constant(dst_rfd.el_of(ideal)))
         else:
             ideal = rmap(f, BelowLim(f.src, payload))
-            rules.append(SegRule(Tail.constant(dst_rfd.el_of(ideal))))
+            rules.append(Seq.constant(dst_rfd.el_of(ideal)))
     return ChainMap(src_rfd.wb, dst_rfd.wb, tuple(rules))
 
 

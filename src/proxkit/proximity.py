@@ -16,10 +16,10 @@ is therefore the full degree of freedom for chain proximities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
-from .chain import OMEGA, ChainLikeFrame, El, ElementFamily, Tail
+from .chain import ChainLikeFrame, El, Seq
 from .errors import InvalidReflexiveSet, MalformedRelation, TooLarge
 from .finite import FiniteFrame, _product
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, LawReport, Verdict, law_fail, law_pass
@@ -268,7 +268,7 @@ def _validate_chain(p: ChainProximity) -> AxiomReport:
     # non-reflexive limit is the exact supremum of the block below it.
     v = Verdict(SYMBOLIC, note="suprema computed from the tail rule")
     for a in open_limits:
-        sup = ElementFamily(f, Tail.affine(a.seg - 1, 1, 0)).sup()
+        sup, _ = Seq.affine(a.seg - 1, 1, 0).sup(f.join)
         if sup != a:
             v = Verdict(FAIL, (f.label(a), f.label(sup)))
             break

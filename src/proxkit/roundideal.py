@@ -10,17 +10,16 @@ and inclusion exact:
 
 The frame of round ideals of a chain instance is again a chain-like frame;
 :func:`rframe` materializes it with a codec between its element codes and
-the ideals they stand for.  Symbolic terms (finite joins, directed
-families, images) are accepted as input and normalized eagerly.
+the ideals they stand for.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from .chain import OMEGA, POINT, ChainLikeFrame, El, ElementFamily, Segment, Tail
+from .chain import OMEGA, POINT, ChainLikeFrame, El, Segment, Seq
 from .errors import (
+    InvalidParameter,
     NotDirected,
     NotStablyCompact,
     TooLarge,
@@ -30,11 +29,6 @@ from .finite import FiniteFrame, _frame_of_rows, _inclusion_rows
 from .proximity import ChainProximity, FiniteProximity, Proximity, order_proximity
 
 FINITE_IDEAL_ENUM_LIMIT = 14
-DEFAULT_BUDGET = 10_000
-
-
-def normalization_budget() -> int:
-    return int(os.environ.get("PROXKIT_BUDGET", DEFAULT_BUDGET))
 
 
 # -- canonical forms -------------------------------------------------------
@@ -85,62 +79,15 @@ class BelowLim:
 RoundIdeal = FinIdeal | Prin | BelowLim
 
 
-# -- symbolic input terms ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JoinFin:
-    items: tuple
-
-    def __repr__(self):
-        return f"JoinFin{self.items}"
+# -- described directed families --------------------------------------------
 
 
 @dataclass(frozen=True)
 class DirFam:
-    """The directed family of principal ideals over a described sequence."""
+    """The directed family of principal ideals Prin(seq(n)), n = 0, 1, ..."""
 
     prox: ChainProximity
-    family: ElementFamily
-
-
-@dataclass(frozen=True)
-class Image:
-    f: object  # a validated morphism
-    term: object
-
-
-def normalize(term, budget: int | None = None) -> RoundIdeal:
-    """Reduce a symbolic ideal term to canonical form.
-
-    Exceeding the normalization budget raises, never returns a wrong
-    answer.
-    """
-    if budget is None:
-        budget = normalization_budget()
-    state = [budget]
-
-    def go(t):
-        state[0] -= 1
-        if state[0] < 0:
-            raise UnsupportedRepresentation("normalization budget exceeded")
-        if isinstance(t, (FinIdeal, Prin, BelowLim)):
-            return t
-        if isinstance(t, JoinFin):
-            items = [go(x) for x in t.items]
-            if not items:
-                raise UnsupportedRepresentation("empty finite join")
-            out = items[0]
-            for x in items[1:]:
-                out = ideal_join(out, x)
-            return out
-        if isinstance(t, DirFam):
-            return _dirfam_sup(t.prox, t.family)
-        if isinstance(t, Image):
-            return rmap(t.f, go(t.term))
-        raise UnsupportedRepresentation(f"unknown ideal term {t!r}")
-
-    return go(term)
+    seq: Seq
 
 
 # -- the core maps ----------------------------------------------------------
@@ -228,7 +175,7 @@ def dir_sup(family) -> RoundIdeal:
     directed) or a DirFam term.
     """
     if isinstance(family, DirFam):
-        return _dirfam_sup(family.prox, family.family)
+        return _dirfam_sup(family.prox, family.seq)
     items = list(family)
     if not items:
         raise NotDirected("empty family")
@@ -251,22 +198,29 @@ def dir_sup(family) -> RoundIdeal:
     return out
 
 
-def _dirfam_sup(prox: ChainProximity, fam: ElementFamily) -> RoundIdeal:
-    # union of Prin(fam(n)); each generator must itself be round
-    reps = [fam.value(n) for n, _ in fam.exceptions] + [
-        fam.tail.value(n) for n in range(2)
-    ]
-    if fam.tail.kind == "const":
-        reps.append(fam.tail.const)
-    for v in reps:
+def _dirfam_sup(prox: ChainProximity, seq: Seq) -> RoundIdeal:
+    # union of Prin(seq(n)): the sequence must be a monotone family of
+    # frame elements, and each generator must itself be round
+    f = prox.frame
+    for _, v in seq.exceptions:
+        f.check(v)
+    if seq.is_affine:
+        if not (0 <= seq.seg < len(f.segments)
+                and f.segments[seq.seg].kind == OMEGA):
+            raise InvalidParameter("affine tail must land in an omega block")
+        if seq.b < 0:
+            raise InvalidParameter("affine tail offset must be >= 0")
+    else:
+        f.check(seq.const)
+    if seq.descent(f.leq) is not None:
+        raise NotDirected("described family is not monotone nondecreasing")
+    for v in [v for _, v in seq.exceptions] + [seq.tail(0), seq.tail(1)]:
         if not prox.reflexive(v):
             raise UnsupportedRepresentation(
                 f"generator Prin({prox.label(v)}) is not round"
             )
-    s = fam.sup()
-    if fam.attained():
-        return Prin(prox, s)
-    return BelowLim(prox, s)
+    s, attained = seq.sup(f.join)
+    return Prin(prox, s) if attained else BelowLim(prox, s)
 
 
 def way_below_ideals(i: RoundIdeal, j: RoundIdeal) -> bool:
@@ -310,8 +264,7 @@ def is_stably_compact(prox: Proximity) -> bool:
         return False
     for a in f.class_representatives():
         if f.is_limit(a):
-            fam = ElementFamily(f, Tail.affine(a.seg - 1, 1, 0))
-            if fam.sup() != a:
+            if Seq.affine(a.seg - 1, 1, 0).sup(f.join)[0] != a:
                 return False
     return True
 

@@ -4,7 +4,7 @@ each (run with -s or read captured output on failure)."""
 import pytest
 
 from proxkit.catalog import catalog_instances, catalog_morphisms
-from proxkit.chain import El, Tail, build_chain_frame, lim, succ
+from proxkit.chain import El, Seq, build_chain_frame, lim, succ
 from proxkit.comonads import (
     check_coalgebra_morphism,
     coalgebra_laws,
@@ -19,7 +19,6 @@ from proxkit.comonads import (
 )
 from proxkit.morphisms import (
     ChainMap,
-    SegRule,
     compose,
     enumerate_proxhoms,
     identity_map,
@@ -282,9 +281,9 @@ def test_criterion_12_coalgebras():
     fr = maxp.frame
     B, P0, T = El(1, 0), El(0, 0), El(2, 0)
     w = ChainMap(maxp, maxp, (
-        SegRule(Tail.constant(B), exceptions=((0, P0),)),
-        SegRule(Tail.constant(B)),
-        SegRule(Tail.constant(T)),
+        Seq.constant(B, ((0, P0),)),
+        Seq.constant(B),
+        Seq.constant(T),
     ))
     ok = ok and validate_pframemap(w).ok and not is_proper(w)
     rep = check_coalgebra_morphism(w)

@@ -12,7 +12,7 @@ from proxkit.catalog import (
     parse_instance,
     parse_morphism,
 )
-from proxkit.chain import lim, succ
+from proxkit.chain import OMEGA, POINT, ChainLikeFrame, Segment, lim, succ
 from proxkit.cli import _generated_frames, main
 from proxkit.errors import InvalidParameter, UnknownInstance
 from proxkit.morphisms import enumerate_proxhoms
@@ -79,6 +79,23 @@ def test_parse_morphism_documents():
     assert parse_morphism(explicit, p, p) == catalog_morphisms()["chain-double"]
     doc_h = {"blocks": [{"tail": "S0.0"}], "limits": ["L1"]}
     assert parse_morphism(doc_h, p, p) == catalog_morphisms()["chain-h"]
+
+
+def test_parse_morphism_rejects_repeated_exception_index():
+    p = catalog_instances()["chain-k1"]
+    doc = {"blocks": [{"exceptions": {"0": "S0.0", "00": "S0.1"},
+                       "tail": {"block": 0}}], "limits": "derived"}
+    with pytest.raises(InvalidParameter):
+        parse_morphism(doc, p, p)
+
+
+def test_parse_morphism_derives_limits_only():
+    # B follows a point, not an omega block: it has no supremum to take
+    frame = ChainLikeFrame((Segment(OMEGA, "S"), Segment(POINT, "A"),
+                            Segment(POINT, "B")))
+    p = ChainProximity(frame, frozenset())
+    with pytest.raises(InvalidParameter):
+        parse_morphism({"blocks": [{"tail": "A"}], "limits": "derived"}, p, p)
 
 
 def test_catalog_is_complete():

@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 from proxkit.chain import (
     ChainLikeFrame,
     El,
-    ElementFamily,
     Segment,
-    Tail,
+    Seq,
     build_chain_frame,
     lim,
     succ,
 )
 from proxkit.errors import InvalidParameter, NotDirected
+from proxkit.proximity import chain_proximity
+from proxkit.roundideal import DirFam, dir_sup
 
 
 def test_element_order_is_lexicographic():
@@ -62,27 +63,50 @@ def test_membership_checks():
 
 def test_family_sup_affine_not_attained():
     f = build_chain_frame(1)
-    fam = ElementFamily(f, Tail.affine(0, 2, 1))
-    assert fam.sup() == lim(f, 1)
-    assert not fam.attained()
+    sup, attained = Seq.affine(0, 2, 1).sup(f.join)
+    assert sup == lim(f, 1)
+    assert not attained
 
 
 def test_family_sup_constant_attained():
     f = build_chain_frame(1)
-    fam = ElementFamily(f, Tail.constant(succ(f, 0, 5)), ((0, succ(f, 0, 1)),))
-    assert fam.sup() == succ(f, 0, 5)
-    assert fam.attained()
+    fam = Seq.constant(succ(f, 0, 5), ((0, succ(f, 0, 1)),))
+    sup, attained = fam.sup(f.join)
+    assert sup == succ(f, 0, 5)
+    assert attained
 
 
 def test_family_rejects_non_monotone():
     f = build_chain_frame(1)
+    fam = Seq.affine(0, 1, 0, ((1, succ(f, 0, 9)),))
+    assert fam.descent(f.leq) == 1
     with pytest.raises(NotDirected):
-        ElementFamily(f, Tail.affine(0, 1, 0), ((1, succ(f, 0, 9)),))
+        dir_sup(DirFam(chain_proximity(f, {1}), fam))
 
 
 def test_affine_tail_needs_positive_slope():
     with pytest.raises(InvalidParameter):
-        Tail.affine(0, 0, 3)
+        Seq.affine(0, 0, 3)
+
+
+def test_seq_normal_form():
+    f = build_chain_frame(1)
+    s = Seq.affine(0, 1, 0, ((5, El(0, 9)), (3, El(0, 3)), (1, El(0, 0))))
+    # sorted by index; the exception at 3 agrees with the tail and vanishes
+    assert s.exceptions == ((1, El(0, 0)), (5, El(0, 9)))
+    assert s == Seq.affine(0, 1, 0, ((5, El(0, 9)), (1, El(0, 0))))
+    assert [s.value(n) for n in range(7)] == [
+        El(0, 0), El(0, 0), El(0, 2), El(0, 3), El(0, 4), El(0, 9), El(0, 6)]
+    assert s.horizon() == 6 and s.descent(f.leq) == 5
+    assert Seq.constant(El(0, 4), ((2, El(0, 4)),)).exceptions == ()
+    assert Seq.constant(El(0, 4)).horizon() == 0
+
+
+def test_seq_rejects_repeated_index():
+    with pytest.raises(InvalidParameter):
+        Seq.constant(El(0, 5), ((0, El(0, 9)), (0, El(0, 1))))
+    with pytest.raises(InvalidParameter):
+        Seq.affine(0, 1, 0, ((2, El(0, 2)), (2, El(0, 2))))
 
 
 @settings(max_examples=80, deadline=None)
@@ -90,8 +114,8 @@ def test_affine_tail_needs_positive_slope():
        st.integers(0, 30))
 def test_family_values_bounded_by_sup(k, a, b, n):
     f = build_chain_frame(k)
-    fam = ElementFamily(f, Tail.affine(0, a, b))
-    assert fam.value(n) < fam.sup() == lim(f, 1)
+    fam = Seq.affine(0, a, b)
+    assert fam.value(n) < fam.sup(f.join)[0] == lim(f, 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,7 +2,7 @@ import pytest
 
 import proxkit.comonads as comonads
 from proxkit.catalog import catalog_instances, catalog_morphisms
-from proxkit.chain import El, Tail, build_chain_frame
+from proxkit.chain import El, Seq, build_chain_frame
 from proxkit.errors import NotComposable, NotStablyCompact
 from proxkit.comonads import (
     adjunction_checks,
@@ -28,7 +28,6 @@ from proxkit.comonads import (
 )
 from proxkit.morphisms import (
     ChainMap,
-    SegRule,
     compose,
     identity_map,
     is_proper,
@@ -246,9 +245,9 @@ def test_coalgebra_morphism_square_iff_proper():
     f = maxp.frame
     B, P0, T = El(1, 0), El(0, 0), El(2, 0)
     w = ChainMap(maxp, maxp, (
-        SegRule(Tail.constant(B), exceptions=((0, P0),)),
-        SegRule(Tail.constant(B)),
-        SegRule(Tail.constant(T)),
+        Seq.constant(B, ((0, P0),)),
+        Seq.constant(B),
+        Seq.constant(T),
     ))
     assert validate_pframemap(w).ok
     assert not is_proper(w)
@@ -257,9 +256,9 @@ def test_coalgebra_morphism_square_iff_proper():
 
     # maps that do not preserve the proximities are rejected outright
     bad = ChainMap(maxp, maxp, (
-        SegRule(Tail.constant(P0)),  # constant under the limit: joins break
-        SegRule(Tail.constant(B)),
-        SegRule(Tail.constant(T)),
+        Seq.constant(P0),  # constant under the limit: joins break
+        Seq.constant(B),
+        Seq.constant(T),
     ))
     assert not validate_pframemap(bad).ok
     rep = check_coalgebra_morphism(bad)

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from proxkit import morphisms
 from proxkit.catalog import catalog_instances, catalog_morphisms
 from proxkit.cli import _generated_frames
-from proxkit.chain import El, Tail, build_chain_frame, lim, succ
-from proxkit.errors import MalformedMap, NotComposable
+from proxkit.chain import El, Seq, build_chain_frame, lim, succ
+from proxkit.errors import InvalidParameter, MalformedMap, NotComposable
 from proxkit.finite import build_finite_frame
 from proxkit.morphisms import (
     ChainMap,
     FiniteMap,
-    SegRule,
     compose,
     enumerate_proxhoms,
     identity_map,
@@ -55,41 +54,51 @@ def test_malformed_maps_rejected():
     with pytest.raises(MalformedMap):
         FiniteMap(d, d, (0, 1, 2, 9))  # value outside the target
     with pytest.raises(MalformedMap):
-        ChainMap(p, p, (SegRule(Tail.affine(0, 1, 0)),))  # missing a rule
+        ChainMap(p, p, (Seq.affine(0, 1, 0),))  # missing a rule
     with pytest.raises(MalformedMap):
         # point segments take a single constant value, no exceptions
         ChainMap(p, p, (
-            SegRule(Tail.affine(0, 1, 0)),
-            SegRule(Tail.constant(p.frame.top), exceptions=((0, p.frame.bot),)),
+            Seq.affine(0, 1, 0),
+            Seq.constant(p.frame.top, ((0, p.frame.bot),)),
         ))
     with pytest.raises(MalformedMap):
         # affine tails cannot land in a finite frame
         ChainMap(p, d, (
-            SegRule(Tail.affine(0, 1, 0)), SegRule(Tail.constant(3)),
+            Seq.affine(0, 1, 0), Seq.constant(3),
         ))
     with pytest.raises(MalformedMap):
         # affine tails must land in an omega block of the target
         ChainMap(p, p, (
-            SegRule(Tail.affine(1, 1, 0)), SegRule(Tail.constant(p.frame.top)),
+            Seq.affine(1, 1, 0), Seq.constant(p.frame.top),
         ))
     with pytest.raises(MalformedMap):
         ChainMap(p, p, (
-            SegRule(Tail.affine(0, 1, 0), exceptions=((-1, p.frame.bot),)),
-            SegRule(Tail.constant(p.frame.top)),
+            Seq.affine(0, 1, 0, ((-1, p.frame.bot),)),
+            Seq.constant(p.frame.top),
+        ))
+
+
+def test_repeated_exception_index_rejected():
+    # a last-wins reading and a first-wins reading would disagree at 0
+    p = k1()
+    with pytest.raises(InvalidParameter):
+        ChainMap(p, p, (
+            Seq.constant(El(0, 5), ((0, El(0, 9)), (0, El(0, 1)))),
+            Seq.constant(p.frame.top),
         ))
 
 
 def test_normalization_drops_redundant_exceptions():
     p = k1()
     f = ChainMap(p, p, (
-        SegRule(Tail.affine(0, 1, 0), exceptions=((3, El(0, 3)), (5, El(0, 9)))),
-        SegRule(Tail.constant(p.frame.top)),
+        Seq.affine(0, 1, 0, ((3, El(0, 3)), (5, El(0, 9)))),
+        Seq.constant(p.frame.top),
     ))
     # the exception at 3 agrees with the tail and must vanish
     assert f.rules[0].exceptions == ((5, El(0, 9)),)
     assert f == ChainMap(p, p, (
-        SegRule(Tail.affine(0, 1, 0), exceptions=((5, El(0, 9)),)),
-        SegRule(Tail.constant(p.frame.top)),
+        Seq.affine(0, 1, 0, ((5, El(0, 9)),)),
+        Seq.constant(p.frame.top),
     ))
 
 
@@ -132,8 +141,8 @@ def test_meet_hom_without_subadditivity_detected():
 def test_non_monotone_chain_map_fails_meet_hom():
     p = k1()
     f = ChainMap(p, p, (
-        SegRule(Tail.affine(0, 1, 0), exceptions=((2, El(0, 9)),)),
-        SegRule(Tail.constant(p.frame.top)),
+        Seq.affine(0, 1, 0, ((2, El(0, 9)),)),
+        Seq.constant(p.frame.top),
     ))
     rep = validate_proxhom(f)
     assert not rep.verdict("meet-hom").ok
@@ -146,10 +155,10 @@ def test_boundary_monotonicity_uses_block_sup():
     p = chain_proximity(build_chain_frame(2), {2})
     f = p.frame
     bad = ChainMap(p, p, (
-        SegRule(Tail.affine(2, 1, 0)),       # S0.n -> S1.n, sup = L2
-        SegRule(Tail.constant(succ(f, 1, 0))),  # L1 -> S1.0 < L2
-        SegRule(Tail.affine(2, 1, 1)),
-        SegRule(Tail.constant(f.top)),
+        Seq.affine(2, 1, 0),       # S0.n -> S1.n, sup = L2
+        Seq.constant(succ(f, 1, 0)),  # L1 -> S1.0 < L2
+        Seq.affine(2, 1, 1),
+        Seq.constant(f.top),
     ))
     assert not validate_proxhom(bad).verdict("meet-hom").ok
 
@@ -211,10 +220,10 @@ def test_star_composition_is_associative_on_catalog():
 def test_plain_composition_is_pointwise(a1, b1, a2, b2, n):
     p = k1()
     top = p.frame.top
-    f = ChainMap(p, p, (SegRule(Tail.affine(0, a1, b1)), SegRule(Tail.constant(top))))
+    f = ChainMap(p, p, (Seq.affine(0, a1, b1), Seq.constant(top)))
     g = ChainMap(p, p, (
-        SegRule(Tail.affine(0, a2, b2), exceptions=((b2 + a2, El(0, b2 + a2)),)),
-        SegRule(Tail.constant(top)),
+        Seq.affine(0, a2, b2, ((b2 + a2, El(0, b2 + a2)),)),
+        Seq.constant(top),
     ))
     gf = compose(g, f)
     x = El(0, n)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from proxkit.catalog import catalog_instances
 from proxkit import proximity
-from proxkit.chain import ElementFamily, Tail, build_chain_frame, lim
+from proxkit.chain import Seq, build_chain_frame, lim
 from proxkit.cli import _generated_frames
 from proxkit.comonads import max_proximity
 from proxkit.errors import InvalidReflexiveSet, MalformedRelation
@@ -201,9 +201,9 @@ def scan_validate_chain(p: ChainProximity) -> AxiomReport:
     for a in reps:
         if p.reflexive(a):
             continue
-        fam = ElementFamily(f, Tail.affine(a.seg - 1, 1, 0))
-        if fam.sup() != a:
-            v = Verdict(FAIL, (f.label(a), f.label(fam.sup())))
+        sup, _ = Seq.affine(a.seg - 1, 1, 0).sup(f.join)
+        if sup != a:
+            v = Verdict(FAIL, (f.label(a), f.label(sup)))
     axioms.append(("approximation", v))
 
     collapse = set(p.reflexive_limits) == set(f.limits())

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxkit.catalog import catalog_instances, catalog_morphisms, load_instance
-from proxkit.chain import El, ElementFamily, Tail, build_chain_frame, lim, succ
+from proxkit.chain import El, Seq, build_chain_frame, lim, succ
 from proxkit.errors import (
+    InvalidParameter,
     NotDirected,
     NotStablyCompact,
     TooLarge,
@@ -21,7 +22,6 @@ from proxkit.roundideal import (
     RFrameData,
     DirFam,
     FinIdeal,
-    JoinFin,
     Prin,
     alpha,
     dir_sup,
@@ -31,7 +31,6 @@ from proxkit.roundideal import (
     is_stably_compact,
     kappa,
     member,
-    normalize,
     retag,
     rframe,
     rmap,
@@ -237,13 +236,13 @@ def test_finite_ideal_join_closes_under_joins():
 def test_dir_sup_of_described_family():
     p = k2()
     f = p.frame
-    fam = DirFam(p, ElementFamily(f, Tail.affine(0, 2, 1)))
+    fam = DirFam(p, Seq.affine(0, 2, 1))
     assert dir_sup(fam) == BelowLim(p, lim(f, 1))
-    const = DirFam(p, ElementFamily(f, Tail.constant(succ(f, 0, 7))))
+    const = DirFam(p, Seq.constant(succ(f, 0, 7)))
     assert dir_sup(const) == Prin(p, succ(f, 0, 7))
     # generators must themselves be round principals
     with pytest.raises(UnsupportedRepresentation):
-        dir_sup(DirFam(p, ElementFamily(f, Tail.constant(lim(f, 1)))))
+        dir_sup(DirFam(p, Seq.constant(lim(f, 1))))
 
 
 def test_dir_sup_of_explicit_lists():
@@ -272,32 +271,27 @@ def test_way_below_between_ideals():
 
 
 def test_normalize_symbolic_terms():
+    # a finite join and the image of a limit ideal reduce to canonical forms
     p = k2()
     f = p.frame
-    t = JoinFin((Prin(p, succ(f, 0, 1)), BelowLim(p, lim(f, 1))))
-    assert normalize(t) == BelowLim(p, lim(f, 1))
+    B1 = BelowLim(p, lim(f, 1))
+    assert ideal_join(Prin(p, succ(f, 0, 1)), B1) == B1
     h = catalog_morphisms()["chain-h"]
-    from proxkit.roundideal import Image
-
-    img = Image(h, BelowLim(h.src, lim(h.src.frame, 1)))
-    assert normalize(img) == Prin(h.dst, h.dst.frame.bot)
-    with pytest.raises(UnsupportedRepresentation):
-        normalize(JoinFin(()))
-    with pytest.raises(UnsupportedRepresentation):
-        normalize("not an ideal term")
+    img = rmap(h, BelowLim(h.src, lim(h.src.frame, 1)))
+    assert img == Prin(h.dst, h.dst.frame.bot)
 
 
-def test_normalize_budget_env(monkeypatch):
+def test_dir_sup_checks_the_described_family():
     p = k2()
     f = p.frame
-    t = Prin(p, succ(f, 0, 1))
-    for _ in range(10):
-        t = JoinFin((t, t))
-    monkeypatch.setenv("PROXKIT_BUDGET", "5")
-    with pytest.raises(UnsupportedRepresentation):
-        normalize(t)
-    monkeypatch.setenv("PROXKIT_BUDGET", "100000")
-    assert normalize(t) == Prin(p, succ(f, 0, 1))
+    with pytest.raises(InvalidParameter):
+        dir_sup(DirFam(p, Seq.constant(El(1, 3))))  # not an element
+    with pytest.raises(InvalidParameter):
+        dir_sup(DirFam(p, Seq.affine(1, 1, 0)))  # tail in a point segment
+    with pytest.raises(InvalidParameter):
+        dir_sup(DirFam(p, Seq.affine(0, 1, -1, ((0, f.bot),))))
+    with pytest.raises(NotDirected):
+        dir_sup(DirFam(p, Seq.constant(f.bot, ((0, succ(f, 1, 0)),))))
 
 
 def test_rmap_on_catalog_morphisms():
