@@ -169,6 +169,8 @@ def parse_morphism(doc: dict, src: Proximity, dst: Proximity) -> Morphism:
     li = 0
     for i, seg in enumerate(src.frame.segments):
         if seg.kind == "omega":
+            if bi >= len(blocks):
+                raise InvalidParameter(f"no entry in 'blocks' for block {seg.label}")
             b = blocks[bi]
             bi += 1
             exc = [(int(k), parse_element(dst, v))
@@ -186,6 +188,8 @@ def parse_morphism(doc: dict, src: Proximity, dst: Proximity) -> Morphism:
                     f"no block below {seg.label} to derive its value from")
             rules.append(Seq.constant(rules[-1].sup(dst.frame.join)[0]))
         else:
+            if li >= len(limits):
+                raise InvalidParameter(f"no entry in 'limits' for {seg.label}")
             rules.append(Seq.constant(parse_element(dst, limits[li])))
             li += 1
     return ChainMap(src, dst, tuple(rules))

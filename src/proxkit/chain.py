@@ -116,14 +116,15 @@ class ChainLikeFrame:
         self.check(a), self.check(b)
         return a < b or (a == b and not self.is_limit(a))
 
-    # -- sampling -----------------------------------------------------
+    # -- representatives ----------------------------------------------
 
     def class_representatives(self, depth: int = 3) -> list[El]:
         """Finitely many elements covering every segment class.
 
         Omega blocks contribute their first `depth` elements; points
-        contribute themselves.  Used by seed-driven sampling and by the
-        per-class listings of reports.
+        contribute themselves.  The per-class law checks pick `depth`
+        from the horizons of the maps they apply; reports list the
+        relations on these elements.
         """
         out: list[El] = []
         for i, s in enumerate(self.segments):

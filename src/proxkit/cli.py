@@ -2,12 +2,14 @@
 
 Subcommands: validate, compactify, laws, search.  Exit codes: 0 all
 checks pass, 1 a mathematical violation was found, 2 usage or input
-error.  Reports are deterministic for a fixed seed and configuration.
+error.  Reports are deterministic: nothing is sampled, so the same
+command prints the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -47,8 +49,6 @@ from .proximity import (
 from .reports import LawReport, law_fail, law_pass
 from .roundideal import rframe, sigma
 
-SAMPLES_MIN, SAMPLES_MAX = 2, 8
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -69,9 +69,6 @@ def main(argv=None) -> int:
     p.add_argument("--suite", choices=("R", "C", "morphisms", "all"), default="all")
     p.add_argument("--instance", default=None,
                    help="catalog name or instance JSON file (default: whole catalog)")
-    p.add_argument("--samples", type=int, default=3,
-                   help=f"per-class sampling depth, {SAMPLES_MIN} to {SAMPLES_MAX}")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("search", help="exhaustive counterexample search on "
                                       "generated finite frames")
@@ -90,7 +87,7 @@ def main(argv=None) -> int:
         if args.cmd == "compactify":
             return cmd_compactify(args.file, args.out)
         if args.cmd == "laws":
-            return cmd_laws(args.suite, args.instance, args.samples, args.seed)
+            return cmd_laws(args.suite, args.instance)
         return cmd_search(args.law, args.max_size)
     except (ProxkitError, OSError, json.JSONDecodeError, KeyError,
             ValueError) as exc:
@@ -187,11 +184,7 @@ def _compact_dot(name: str, rfd) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_laws(suite: str, instance: str | None, samples: int, seed: int) -> int:
-    if not SAMPLES_MIN <= samples <= SAMPLES_MAX:
-        print(f"error: --samples must be between {SAMPLES_MIN} and {SAMPLES_MAX}",
-              file=sys.stderr)
-        return 2
+def cmd_laws(suite: str, instance: str | None) -> int:
     if instance is None:
         insts = catalog_instances()
     else:
@@ -202,39 +195,39 @@ def cmd_laws(suite: str, instance: str | None, samples: int, seed: int) -> int:
     reports: list[LawReport] = []
     if suite in ("R", "all"):
         for prox in insts.values():
-            reports += comonad_laws("R", prox, depth=samples, seed=seed)
-            reports += subcomonad_check(prox, depth=samples, seed=seed)
+            reports += comonad_laws("R", prox)
+            reports += subcomonad_check(prox)
     if suite in ("C", "all"):
         for prox in insts.values():
-            reports += comonad_laws("C", prox, depth=samples, seed=seed)
-            reports.append(kz_check(prox, depth=samples, seed=seed))
-            reports += adjunction_checks(prox, depth=samples, seed=seed)
-            reports.append(doubled_membership_lemma(prox, depth=samples, seed=seed))
-            rfd = rframe(prox)
-            reports.append(max_proximity_agreement(rfd, depth=samples, seed=seed))
-            reports.append(maxrel_contains_wb(prox, depth=samples, seed=seed))
+            reports += comonad_laws("C", prox)
+            reports.append(kz_check(prox))
+            reports += adjunction_checks(prox)
+            reports.append(doubled_membership_lemma(prox))
+            reports.append(max_proximity_agreement(rframe(prox)))
+            reports.append(maxrel_contains_wb(prox))
     if suite in ("morphisms", "all"):
-        reports += _morphism_suite(insts, seed)
+        reports += _morphism_suite(insts)
     for r in reports:
         print(r.dumps())
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _morphism_suite(insts, seed: int) -> list[LawReport]:
+def _morphism_suite(insts) -> list[LawReport]:
     out: list[LawReport] = []
     morphs = {k: v for k, v in catalog_morphisms().items()
               if any(v.src == p for p in insts.values())}
+    ideal_frame_of = functools.cache(rframe)  # one build per proximity
     for name, f in morphs.items():
         inst = f"morphism:{name}"
         if not validate_proxhom(f).ok:
             out.append(law_fail("morphism.valid", inst))
             continue
-        rfd = rframe(f.src)
+        rfd = ideal_frame_of(f.src)
         th = theta(f, rfd)
         ok = validate_pframemap(th).ok and rho(th, rfd) == f
         out.append(law_pass("theta-rho.roundtrip", inst) if ok
                    else law_fail("theta-rho.roundtrip", inst))
-        dst_rfd = rframe(f.dst)
+        dst_rfd = ideal_frame_of(f.dst)
         decomp = compose(sigma_map(dst_rfd),
                          compose(rmap_map(f, rfd, dst_rfd), kappa_map(rfd)))
         out.append(law_pass("decomposition", inst) if decomp == f
@@ -245,14 +238,14 @@ def _morphism_suite(insts, seed: int) -> list[LawReport]:
     for ns, ps in small.items():
         for nd, pd in small.items():
             count, failures = 0, 0
-            rfd = rframe(ps)
+            rfd = ideal_frame_of(ps)
             for f in enumerate_proxhoms(ps, pd):
                 count += 1
                 th = theta(f, rfd)
                 if rho(th, rfd) != f or theta(rho(th, rfd), rfd) != th:
                     failures += 1
             out.append(_count_law("theta-rho.exhaustive", f"{ns}->{nd}",
-                                  count, failures, seed))
+                                  count, failures))
     # star-composition laws across composable catalog pairs
     for n1, f in morphs.items():
         for n2, g in morphs.items():
@@ -263,7 +256,7 @@ def _morphism_suite(insts, seed: int) -> list[LawReport]:
             ok = validate_proxhom(sc).ok
             if validate_pframemap(g).ok:
                 ok = ok and sc == compose(g, f)
-            rfd_L, rfd_M = rframe(f.src), rframe(g.src)
+            rfd_L, rfd_M = ideal_frame_of(f.src), ideal_frame_of(g.src)
             lhs = theta(sc, rfd_L)
             rhs = kleisli_compose(theta(g, rfd_M), theta(f, rfd_L), rfd_L, rfd_M)
             ok = ok and lhs == rhs
@@ -272,11 +265,10 @@ def _morphism_suite(insts, seed: int) -> list[LawReport]:
     return out
 
 
-def _count_law(law, inst, count, failures, seed) -> LawReport:
+def _count_law(law, inst, count, failures) -> LawReport:
     if failures:
-        return law_fail(law, inst, samples=count, seed=seed,
-                        note=f"{failures} failures")
-    return law_pass(law, inst, samples=count, seed=seed)
+        return law_fail(law, inst, samples=count, note=f"{failures} failures")
+    return law_pass(law, inst, samples=count)
 
 
 # -- search -------------------------------------------------------------------

@@ -64,7 +64,6 @@ class LawReport:
     instance: str
     verdict: str  # PASS | FAIL
     samples: int = 0
-    seed: int | None = None
     witness: tuple | None = None
     note: str = ""
 
@@ -79,8 +78,6 @@ class LawReport:
             "verdict": self.verdict,
             "samples": self.samples,
         }
-        if self.seed is not None:
-            out["seed"] = self.seed
         if self.witness is not None:
             out["witness"] = [str(w) for w in self.witness]
         if self.note:
@@ -91,9 +88,9 @@ class LawReport:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def law_pass(law: str, instance: str, samples: int = 0, seed=None, note="") -> LawReport:
-    return LawReport(law, instance, PASS, samples=samples, seed=seed, note=note)
+def law_pass(law: str, instance: str, samples: int = 0, note="") -> LawReport:
+    return LawReport(law, instance, PASS, samples=samples, note=note)
 
 
-def law_fail(law: str, instance: str, witness=None, samples=0, seed=None, note="") -> LawReport:
-    return LawReport(law, instance, FAIL, samples=samples, seed=seed, witness=witness, note=note)
+def law_fail(law: str, instance: str, witness=None, samples=0, note="") -> LawReport:
+    return LawReport(law, instance, FAIL, samples=samples, witness=witness, note=note)

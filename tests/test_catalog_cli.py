@@ -13,6 +13,7 @@ from proxkit.catalog import (
     parse_morphism,
 )
 from proxkit.chain import OMEGA, POINT, ChainLikeFrame, Segment, lim, succ
+import proxkit.cli as cli
 from proxkit.cli import _generated_frames, main
 from proxkit.errors import InvalidParameter, UnknownInstance
 from proxkit.morphisms import enumerate_proxhoms
@@ -96,6 +97,16 @@ def test_parse_morphism_derives_limits_only():
     p = ChainProximity(frame, frozenset())
     with pytest.raises(InvalidParameter):
         parse_morphism({"blocks": [{"tail": "A"}], "limits": "derived"}, p, p)
+
+
+@pytest.mark.parametrize("doc, missing", [
+    ({"blocks": []}, "'blocks' for block S0"),
+    ({"blocks": [{"tail": "S0.0"}], "limits": []}, "'limits' for L1"),
+])
+def test_parse_morphism_rejects_missing_blocks_and_limits(doc, missing):
+    p = catalog_instances()["chain-k1"]
+    with pytest.raises(InvalidParameter, match=missing):
+        parse_morphism(doc, p, p)
 
 
 def test_catalog_is_complete():
@@ -186,7 +197,7 @@ def test_cli_compactify_dot(capsys):
 
 
 def test_cli_laws_deterministic_output(capsys):
-    args = ["laws", "--suite", "R", "--instance", "chain-k2", "--seed", "11"]
+    args = ["laws", "--suite", "R", "--instance", "chain-k2"]
     assert main(args) == 0
     first = capsys.readouterr().out
     assert main(args) == 0
@@ -200,6 +211,13 @@ def test_cli_laws_whole_catalog_is_repeatable(capsys):
     first = capsys.readouterr().out
     assert main(["laws", "--suite", "all"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_cli_morphism_suite_builds_each_ideal_frame_once(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "rframe", lambda p: built.append(p) or rframe(p))
+    assert main(["laws", "--suite", "morphisms"]) == 0
+    assert len(built) == len(set(built)) == 6
 
 
 def test_cli_laws_morphism_suite(capsys):
@@ -285,22 +303,6 @@ def test_cli_search_rejects_max_size_below_two(capsys, law, size):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: --max-size must be at least 2\n"
-
-
-@pytest.mark.parametrize("samples", ["1", "9", "-1"])
-def test_cli_laws_rejects_samples_outside_range(capsys, samples):
-    assert main(["laws", "--suite", "R", "--instance", "two", "--samples", samples]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: --samples must be between 2 and 8\n"
-
-
-def test_cli_laws_accepts_samples_at_the_range_ends(capsys):
-    for samples in ("2", "8"):
-        assert main(["laws", "--suite", "R", "--instance", "two",
-                     "--samples", samples]) == 0
-    assert main(["laws", "--help"]) == 0
-    assert "2 to 8" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("law", ["theta-rho", "star-vs-compose"])

@@ -42,9 +42,10 @@ def commands() -> list[list[str]]:
                  ["compactify", name, "--out", "dot"]]
     for suite in ("R", "C", "morphisms", "all"):
         for inst in (None,) + CATALOG_NAMES:
-            for samples, seed in itertools.product(("2", "5", "8"), ("0", "3")):
-                argv = ["laws", "--suite", suite, "--samples", samples, "--seed", seed]
-                cmds.append(argv + (["--instance", inst] if inst else []))
+            cmds.append(["laws", "--suite", suite]
+                        + (["--instance", inst] if inst else []))
+    # the retired sampling options are refused
+    cmds += [["laws", "--samples", "3"], ["laws", "--seed", "0"]]
     for path in chain_docs():
         cmds += [["validate", path], ["compactify", path],
                  ["laws", "--suite", "all", "--instance", path]]

@@ -1,14 +1,19 @@
+import functools
+import random
+from itertools import combinations
+
 import pytest
 
 import proxkit.comonads as comonads
 from proxkit.catalog import catalog_instances, catalog_morphisms
-from proxkit.chain import El, Seq, build_chain_frame
+from proxkit.chain import POINT, El, Seq, build_chain_frame
 from proxkit.errors import NotComposable, NotStablyCompact
 from proxkit.comonads import (
     adjunction_checks,
     beta_map,
     c_map,
     check_coalgebra_morphism,
+    cmap_of,
     coalgebra_laws,
     coalgebra_structure,
     comonad_laws,
@@ -31,13 +36,14 @@ from proxkit.morphisms import (
     compose,
     identity_map,
     is_proper,
+    kappa_map,
     sigma_map,
     theta,
     validate_pframemap,
 )
-from proxkit.proximity import chain_proximity, validate_proximity
+from proxkit.proximity import FiniteProximity, chain_proximity, validate_proximity
 from proxkit.reports import law_fail, law_pass
-from proxkit.roundideal import rframe, sigma
+from proxkit.roundideal import kappa, rframe, sigma, subideal, way_below_ideals
 
 # instances small enough for the doubled and tripled ideal frames
 LAW_INSTANCES = ("two", "chain3", "diamond", "chain-k1", "chain-k2")
@@ -66,13 +72,13 @@ def test_max_proximity_collapses_on_finite_order_instances():
 
 def test_max_proximity_definitions_agree():
     for name, prox in insts().items():
-        rep = max_proximity_agreement(rframe(prox), seed=7)
+        rep = max_proximity_agreement(rframe(prox))
         assert rep.ok, (name, rep)
 
 
 def test_max_proximity_contains_way_below():
     for name, prox in insts().items():
-        assert maxrel_contains_wb(prox, seed=7).ok, name
+        assert maxrel_contains_wb(prox).ok, name
 
 
 def test_max_proximity_reflexive_limits_track_the_base():
@@ -90,7 +96,7 @@ def test_max_proximity_reflexive_limits_track_the_base():
 def test_comonad_laws_all_pass():
     for name, prox in insts().items():
         for which in ("R", "C"):
-            for rep in comonad_laws(which, prox, seed=3):
+            for rep in comonad_laws(which, prox):
                 assert rep.ok, (name, rep)
 
 
@@ -127,36 +133,37 @@ def test_counit_of_doubled_instance_is_not_injective():
 
 def test_subcomonad_identities():
     for name, prox in insts().items():
-        for rep in subcomonad_check(prox, seed=3):
+        for rep in subcomonad_check(prox):
             assert rep.ok, (name, rep)
 
 
 def test_kz_inequality():
     for name, prox in insts().items():
-        assert kz_check(prox, seed=5).ok, name
+        assert kz_check(prox).ok, name
 
 
 def test_adjunction_inequalities():
     for name, prox in insts().items():
-        for rep in adjunction_checks(prox, seed=5):
+        for rep in adjunction_checks(prox):
             assert rep.ok, (name, rep)
 
 
 def test_doubled_membership():
     for name, prox in insts().items():
-        assert doubled_membership_lemma(prox, seed=5).ok, name
+        assert doubled_membership_lemma(prox).ok, name
 
 
-def nested_doubled_membership(prox, depth=4, seed=0):
+def nested_doubled_membership(prox):
     """Reference: the lemma by a triple loop that recomputes every ideal,
-    join and relation test per (jbar, ibar, kbar)."""
+    join and relation test per (jbar, ibar, kbar), on the lemma's own
+    representatives."""
     inst = describe_instance(prox)
     rfd = rframe(prox)
     maxp = max_proximity(rfd)
     ccfd = rframe(maxp)
     eps_CL = epsilon_map(ccfd)
-    reps_C = comonads._reps(rfd, depth, seed)
-    reps_CC = comonads._reps(ccfd, depth, seed)
+    reps_C = comonads._reps(rfd, (eps_CL,), pairs=True)
+    reps_CC = comonads._reps(ccfd, (eps_CL,), pairs=True)
     member = comonads.member
     samples = 0
     for jbar in reps_CC:
@@ -171,41 +178,197 @@ def nested_doubled_membership(prox, depth=4, seed=0):
             )
             if lhs != rhs:
                 return law_fail("C.doubled-membership", inst,
-                                witness=(repr(jbar), repr(I)), samples=samples,
-                                seed=seed, note="sampled witnesses")
-    return law_pass("C.doubled-membership", inst, samples=samples, seed=seed,
-                    note="sampled witnesses")
+                                witness=(repr(jbar), repr(I)), samples=samples)
+    return law_pass("C.doubled-membership", inst, samples=samples)
+
+
+def chain_instances(k):
+    """Chains with k blocks whose reflexive sets are the top alone, the odd
+    limits and the top, and every limit."""
+    frame = build_chain_frame(k)
+    sets = {frozenset({k}), frozenset(range(1, k + 1, 2)) | {k},
+            frozenset(range(1, k + 1))}
+    return [chain_proximity(frame, r) for r in sorted(sets, key=sorted)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_doubled_membership_matches_nested_loop_on_chains(k):
-    frame = build_chain_frame(k)
-    for refl in ({k}, {1, k}, set(range(1, k + 1))):
-        prox = chain_proximity(frame, refl)
-        for seed in range(4):
-            for depth in range(2, 6):
-                assert (doubled_membership_lemma(prox, depth, seed)
-                        == nested_doubled_membership(prox, depth, seed))
+    for prox in chain_instances(k):
+        assert doubled_membership_lemma(prox) == nested_doubled_membership(prox)
 
 
 def test_doubled_membership_matches_nested_loop_on_finite_catalog():
     for name, prox in catalog_instances().items():
         if name not in ("two", "chain3", "diamond", "cube3"):
             continue
-        assert (doubled_membership_lemma(prox, seed=1)
-                == nested_doubled_membership(prox, seed=1)), name
+        assert doubled_membership_lemma(prox) == nested_doubled_membership(prox), name
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_doubled_membership_witness_is_a_representative(k):
+    # the existential over kbar needs no point outside the representatives:
+    # ej itself, or the successor of a non-reflexive limit, is a witness
+    frame = build_chain_frame(k)
+    for refl in _subsets_with_top(k):
+        prox = chain_proximity(frame, refl)
+        rfd = rframe(prox)
+        maxp = max_proximity(rfd)
+        ccfd = rframe(maxp)
+        eps_CL = epsilon_map(ccfd)
+        reps_C = comonads._reps(rfd, (eps_CL,), pairs=True)
+        ideals = [rfd.ideal_of(i) for i in reps_C]
+        for jbar in comonads._reps(ccfd, (eps_CL,), pairs=True):
+            ej = eps_CL.apply(jbar)
+            w = ej if maxp.reflexive(ej) else rfd.frame.successor_of(ej)
+            assert w in reps_C and maxp.rel(ej, w), (refl, jbar)
+            for I in ideals:
+                if comonads.member(sigma(rfd.ideal_of(ej)), I):
+                    assert comonads.member(sigma(rfd.ideal_of(w)), I)
 
 
 def test_doubled_membership_failure_matches_nested_loop(monkeypatch):
     # membership corrupted to "is the join" breaks the lemma; both loops
-    # must stop at the same (jbar, ibar) with the same sample count
+    # must stop at the same (jbar, ibar) with the same sample count, and
+    # the sampled scan fails too
     monkeypatch.setattr(comonads, "member", lambda b, I: b == sigma(I))
     failed = 0
     for prox in (*insts().values(), chain_proximity(build_chain_frame(3), {3})):
-        got = doubled_membership_lemma(prox, depth=3, seed=2)
-        assert got == nested_doubled_membership(prox, depth=3, seed=2)
+        got = doubled_membership_lemma(prox)
+        assert got == nested_doubled_membership(prox)
+        assert sampled_oracle(prox)(3, 2)["C.doubled-membership"] == got.ok
         failed += not got.ok
     assert failed
+
+
+# -- per-class representatives against the retired sampled scan ---------------
+
+
+def _subsets_with_top(k):
+    for r in range(k):
+        for chosen in combinations(range(1, k), r):
+            yield {*chosen, k}
+
+
+def sampled_reps(rfd, depth, seed):
+    """The representatives the laws were once sampled on: the first
+    `depth` points of each block, plus one index per omega block drawn
+    from random.Random(seed)."""
+    if isinstance(rfd.base, FiniteProximity):
+        return list(rfd.frame.elements())
+    reps = rfd.frame.class_representatives(depth)
+    rng = random.Random(seed)
+    for i, s in enumerate(rfd.frame.segments):
+        if s.kind == "omega":
+            reps.append(El(i, rng.randrange(depth, depth + 40)))
+    return reps
+
+
+def sampled_oracle(prox):
+    """Reference: the per-class laws decided by the retired sampled scan.
+    Returns verdicts(depth, seed) -> {law: ok}; frames and maps are built
+    once."""
+    rfd = rframe(prox)
+    maxp = max_proximity(rfd)
+    ccfd = rframe(maxp)
+    base = rfd.base
+    c = c_map(rfd, ccfd)
+    eps = epsilon_map(ccfd)
+    ceps = cmap_of(epsilon_map(rfd), ccfd, rfd)
+    bk = retag_map(kappa_map(ccfd), maxp, max_proximity(ccfd))
+    leq_C, leq_CC = rfd.frame.leq, ccfd.frame.leq
+    # points and pairs recur across depths and seeds
+    ideal_of = functools.cache(rfd.ideal_of)
+    max_rel, wb_rel = functools.cache(maxp.rel), functools.cache(rfd.wb.rel)
+
+    @functools.cache
+    def agree(i, j):
+        I, J = ideal_of(i), ideal_of(j)
+        by_joins = subideal(I, J) and base.rel(sigma(I), sigma(J))
+        by_wb = subideal(I, J) and way_below_ideals(I, kappa(base, sigma(J)))
+        return by_joins == by_wb == max_rel(i, j)
+
+    def verdicts(depth, seed):
+        member = comonads.member
+        C, CC = sampled_reps(rfd, depth, seed), sampled_reps(ccfd, depth, seed)
+        joins = [sigma(ideal_of(k)) for k in C]
+        ideals = [ideal_of(i) for i in C]
+        landing = [{k for k, x in enumerate(joins) if member(x, I)} for I in ideals]
+        doubled = True
+        for j in CC:
+            ej = eps.apply(j)
+            lhs = [member(sigma(ideal_of(ej)), I) for I in ideals]
+            above = {k for k, kbar in enumerate(C) if max_rel(ej, kbar)}
+            doubled &= lhs == [not above.isdisjoint(land) for land in landing]
+        return {
+            "C.kz": all(leq_C(eps.apply(y), ceps.apply(y)) for y in CC),
+            "adj.c-eps": (all(leq_C(x, eps.apply(c.apply(x))) for x in C)
+                          and all(leq_CC(c.apply(eps.apply(y)), y) for y in CC)),
+            "adj.eps-betakappa": (all(leq_CC(y, bk.apply(eps.apply(y))) for y in CC)
+                                  and all(leq_C(eps.apply(bk.apply(x)), x) for x in C)),
+            "C.doubled-membership": doubled,
+            "maxrel.agreement": all(agree(i, j) for i in C for j in C),
+            "maxrel.contains-wb": all(max_rel(i, j) for i in C for j in C
+                                      if wb_rel(i, j)),
+        }
+    return verdicts
+
+
+def per_class_verdicts(prox):
+    reports = [kz_check(prox), *adjunction_checks(prox),
+               doubled_membership_lemma(prox),
+               max_proximity_agreement(rframe(prox)), maxrel_contains_wb(prox)]
+    return {r.law: r.ok for r in reports}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_per_class_laws_match_sampled_scan(k):
+    for prox in chain_instances(k):
+        got = per_class_verdicts(prox)
+        verdicts = sampled_oracle(prox)
+        for depth in range(2, 9):
+            for seed in range(4):
+                assert verdicts(depth, seed) == got, (prox.reflexive_limits, depth, seed)
+
+
+def test_per_class_laws_match_sampled_scan_on_finite_catalog():
+    for name in ("two", "chain3", "diamond"):
+        prox = insts()[name]
+        assert sampled_oracle(prox)(3, 0) == per_class_verdicts(prox), name
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_law_maps_are_lockstep_past_horizon_zero(k):
+    # the premise of _reps: no exceptions, and every tail is a constant on
+    # a point segment or n -> El(seg, n)
+    frame = build_chain_frame(k)
+    for refl in _subsets_with_top(k):
+        rfd = rframe(chain_proximity(frame, refl))
+        maxp = max_proximity(rfd)
+        ccfd = rframe(maxp)
+        maps = (c_map(rfd, ccfd), epsilon_map(ccfd), sigma_map(rfd),
+                kappa_map(rfd), cmap_of(epsilon_map(rfd), ccfd, rfd),
+                retag_map(kappa_map(ccfd), maxp, max_proximity(ccfd)))
+        for m in maps:
+            for s in m.rules:
+                assert s.horizon() == 0, (refl, m)
+                if s.is_affine:
+                    assert (s.a, s.b) == (1, 0), (refl, m)
+                else:
+                    assert m.dst.frame.segments[s.const.seg].kind == POINT
+
+
+def test_reps_cover_a_late_exception():
+    rfd = k1_rfd()
+    f = ChainMap(rfd.wb, rfd.wb, (
+        Seq.affine(0, 1, 0, ((50, El(0, 51)),)),
+        Seq.constant(El(1, 0)),
+        Seq.constant(El(2, 0)),
+    ))
+    block = [e.n for e in comonads._reps(rfd, (f,)) if e.seg == 0]
+    assert block == list(range(52))
+    pairs = [e.n for e in comonads._reps(rfd, (f,), pairs=True) if e.seg == 0]
+    assert pairs == list(range(53))
+    assert len(comonads._reps(rfd)) == 3  # no maps: one point per block
 
 
 # -- coalgebras ----------------------------------------------------------------
@@ -213,13 +376,13 @@ def test_doubled_membership_failure_matches_nested_loop(monkeypatch):
 
 def test_coalgebra_laws_on_stably_compact_instances():
     for name in ("two", "chain3", "diamond"):
-        for rep in coalgebra_laws(insts()[name], seed=3):
+        for rep in coalgebra_laws(insts()[name]):
             assert rep.ok, (name, rep)
     # ideal frames of chain instances are stably compact even though the
     # bases are not: the point classes cap every limit
     for name in ("chain-k1", "chain-k2"):
         rfd = rframe(insts()[name])
-        for rep in coalgebra_laws(rfd.wb, seed=3):
+        for rep in coalgebra_laws(rfd.wb):
             assert rep.ok, (name, rep)
 
 
@@ -277,7 +440,7 @@ def test_naturality_squares_on_catalog_morphisms():
     from proxkit.comonads import naturality_suite
 
     for name, m in catalog_morphisms().items():
-        reports = naturality_suite(m, seed=3)
+        reports = naturality_suite(m)
         assert reports, name
         for rep in reports:
             assert rep.ok, (name, rep)
