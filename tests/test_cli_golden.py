@@ -12,6 +12,7 @@ import io
 import itertools
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -35,6 +36,59 @@ def chain_docs() -> dict[str, dict]:
     return out
 
 
+# Finite frames as element name -> the set of join-irreducibles below it;
+# the order is inclusion of those sets.
+FRAMES = {
+    "chain4": {"0": "", "p": "p", "q": "pq", "1": "pqr"},
+    "diamond": {"0": "", "a": "a", "b": "b", "1": "ab"},
+    "cube3": {"{" + ",".join(s) + "}": s
+              for r in range(4) for s in itertools.combinations("xyz", r)},
+}
+
+
+def _finite_doc(name, frame, pairs) -> dict:
+    elems = list(FRAMES[frame])
+    leq = [[a, b] for a in elems for b in elems
+           if set(FRAMES[frame][a]) <= set(FRAMES[frame][b])]
+    return {"name": name, "builder": "finite", "elements": elems, "leq": leq,
+            "proximity": {"pairs": [list(p) for p in pairs]}}
+
+
+def _order_pairs(frame) -> list[tuple[str, str]]:
+    return [tuple(p) for p in _finite_doc("", frame, [])["leq"]]
+
+
+def finite_docs() -> dict[str, dict]:
+    """File name -> finite instance document whose relation fails the
+    named axiom: each of the three sublattice notes, every other axiom,
+    and two seeded random relations on the cube that fail several."""
+    def edit(frame, drop=(), add=()):
+        return [p for p in _order_pairs(frame) if p not in drop] + list(add)
+
+    specs = {
+        "finer": ("diamond", edit("diamond", add=[("a", "b")])),
+        "bounds": ("chain4", edit("chain4", drop=[("1", "1")])),
+        "meet": ("cube3", edit("cube3", drop=[("{x}", "{x}")])),
+        "join": ("cube3", edit("cube3", drop=[("{x,y}", "{x,y}")])),
+        "weakening": ("chain4", edit("chain4", drop=[("0", "1")])),
+        "interpolation": ("chain4", edit("chain4", drop=[("p", "p"), ("q", "q")])),
+        "approximation": ("chain4", edit("chain4", drop=[("p", "p")])),
+    }
+    rng = random.Random(8)
+    cube = list(FRAMES["cube3"])
+    bounds = [("{}", "{}"), ("{x,y,z}", "{x,y,z}")]
+    specs["random-sub"] = ("cube3", sorted(set(bounds) | {
+        p for p in _order_pairs("cube3") if rng.random() < 0.8}))
+    specs["random-any"] = ("cube3", sorted(set(bounds) | {
+        (a, b) for a in cube for b in cube if rng.random() < 0.5}))
+    return {f"fin-{tag}.json": _finite_doc(f"fin-{tag}", frame, pairs)
+            for tag, (frame, pairs) in specs.items()}
+
+
+def instance_docs() -> dict[str, dict]:
+    return {**chain_docs(), **finite_docs()}
+
+
 def commands() -> list[list[str]]:
     cmds = []
     for name in CATALOG_NAMES:
@@ -52,6 +106,7 @@ def commands() -> list[list[str]]:
     cmds += [["search", "--law", "collapse", "--max-size", "6"],
              ["search", "--law", "theta-rho", "--max-size", "5"],
              ["search", "--law", "star-vs-compose", "--max-size", "4"]]
+    cmds += [["validate", path] for path in finite_docs()]
     return cmds
 
 
@@ -64,15 +119,15 @@ def run(argv) -> dict:
             "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}
 
 
-def write_chain_docs(directory) -> None:
-    for path, doc in chain_docs().items():
+def write_instance_docs(directory) -> None:
+    for path, doc in instance_docs().items():
         Path(directory, path).write_text(json.dumps(doc))
 
 
 def test_cli_outputs_match_golden(tmp_path, monkeypatch):
     golden = json.loads(GOLDEN.read_text())
     assert [g["argv"] for g in golden] == commands()
-    write_chain_docs(tmp_path)
+    write_instance_docs(tmp_path)
     monkeypatch.chdir(tmp_path)
     mismatched = [g["argv"] for g in golden if run(g["argv"]) != g]
     assert not mismatched, "outputs changed for:\n" + "\n".join(
@@ -83,7 +138,7 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as d:
-        write_chain_docs(d)
+        write_instance_docs(d)
         here = os.getcwd()
         os.chdir(d)
         try:
