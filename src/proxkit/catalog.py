@@ -41,30 +41,69 @@ CATALOG_NAMES = ("two", "chain3", "diamond", "cube3", "chain-k1", "chain-k2")
 
 
 def parse_instance(doc: dict) -> tuple[str, Proximity]:
-    """Parse one instance document into a named proximity frame."""
+    """Parse one instance document into a named proximity frame.  A
+    malformed field raises InvalidParameter naming it and its value."""
     if not isinstance(doc, dict) or "builder" not in doc:
         raise InvalidParameter("instance document needs a 'builder' field")
     builder = doc["builder"]
     name = doc.get("name", builder)
     if builder == "chain":
-        frame = build_chain_frame(int(doc.get("k", 1)), doc.get("names"))
+        k = doc.get("k", 1)
+        if not _is_int(k):
+            raise InvalidParameter(f"field 'k' must be an integer, got {k!r}")
+        names = doc.get("names")
+        frame = build_chain_frame(k, None if names is None else _names(names, "names"))
         refl = doc.get("reflexive", [])
+        if not isinstance(refl, (list, tuple)) or not all(map(_is_int, refl)):
+            raise InvalidParameter(
+                f"field 'reflexive' must be a list of limit indices, got {refl!r}")
         return name, chain_proximity(frame, refl)
-    if builder == "finite":
-        frame = build_finite_frame(list(doc["elements"]),
-                                   [tuple(p) for p in doc.get("leq", [])])
-    elif builder == "downsets":
-        frame = downset_frame(list(doc["elements"]),
-                              [tuple(p) for p in doc.get("leq", [])])
+    if builder in ("finite", "downsets"):
+        build = build_finite_frame if builder == "finite" else downset_frame
+        frame = build(_names(_field(doc, "elements"), "elements"),
+                      _name_pairs(doc.get("leq", []), "leq"))
     elif builder == "topology":
-        frame = open_set_frame(list(doc["points"]), list(doc["opens"]))
+        opens = _field(doc, "opens")
+        if not isinstance(opens, (list, tuple)):
+            raise InvalidParameter(f"field 'opens' must be a list, got {opens!r}")
+        frame = open_set_frame(_names(_field(doc, "points"), "points"),
+                               [_names(o, "opens") for o in opens])
     elif builder == "product":
-        _, left = parse_instance(doc["left"])
-        _, right = parse_instance(doc["right"])
+        _, left = parse_instance(_field(doc, "left"))
+        _, right = parse_instance(_field(doc, "right"))
         return name, product_proximity(left, right)
     else:
         raise InvalidParameter(f"unknown builder {builder!r}")
     return name, _finite_with_proximity(frame, doc.get("proximity", "leq"))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _field(doc: dict, key: str):
+    if key not in doc:
+        raise InvalidParameter(f"instance document needs the field {key!r}")
+    return doc[key]
+
+
+def _names(value, key: str) -> list[str]:
+    if not isinstance(value, (list, tuple)):
+        raise InvalidParameter(f"field {key!r} must be a list of names, got {value!r}")
+    for x in value:
+        if not isinstance(x, str):
+            raise InvalidParameter(f"field {key!r} has a non-name entry {x!r}")
+    return list(value)
+
+
+def _name_pairs(value, key: str) -> list[tuple[str, str]]:
+    if not isinstance(value, (list, tuple)):
+        raise InvalidParameter(f"field {key!r} must be a list of name pairs, got {value!r}")
+    for p in value:
+        if not (isinstance(p, (list, tuple)) and len(p) == 2
+                and all(isinstance(x, str) for x in p)):
+            raise InvalidParameter(f"field {key!r} has an entry {p!r} that is not a name pair")
+    return [tuple(p) for p in value]
 
 
 def _finite_with_proximity(frame, spec) -> FiniteProximity:
@@ -73,8 +112,11 @@ def _finite_with_proximity(frame, spec) -> FiniteProximity:
     if isinstance(spec, dict) and "pairs" in spec:
         n = frame.n
         mat = [[False] * n for _ in range(n)]
-        for a, b in spec["pairs"]:
-            mat[frame.index(a)][frame.index(b)] = True
+        for a, b in _name_pairs(spec["pairs"], "proximity.pairs"):
+            try:
+                mat[frame.index(a)][frame.index(b)] = True
+            except InvalidParameter as exc:
+                raise InvalidParameter(f"field 'proximity.pairs': {exc}") from None
         return FiniteProximity(frame, tuple(tuple(r) for r in mat))
     raise InvalidParameter(f"unknown proximity spec {spec!r}")
 

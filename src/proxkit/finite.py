@@ -3,16 +3,19 @@
 Frames are stored with a precomputed boolean order matrix and full
 meet/join tables, so every lattice operation is a table lookup.  Elements
 are the canonical indices 0..n-1, ordered topologically by leq with ties
-broken by name.  The builders work on "up-rows": up[a] is the int bitmask
-of the elements above a.
+broken by name.  The builders and validators work on "up-rows": up[a] is
+the int bitmask of the elements above a, and down[b] that of the elements
+below b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, compress
 
 from .errors import (
+    InvalidParameter,
     NoBounds,
     NotALattice,
     NotAPoset,
@@ -54,29 +57,41 @@ class FiniteFrame:
         # Every directed set in a finite lattice attains its supremum.
         return self.leq(a, b)
 
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """up[a]: bitmask of the elements above a."""
+        return _row_masks(self.leq_mat)
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """down[b]: bitmask of the elements below b."""
+        return _row_masks(zip(*self.leq_mat))
+
     def index(self, name: str) -> int:
-        return self.names.index(name)
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise InvalidParameter(f"no element named {name!r}") from None
 
     def down_mask(self, a: int) -> int:
         """Bitset of the principal downset of a."""
-        return sum(1 << x for x in self.elements() if self.leq(x, a))
+        return self.down[a]
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs (a, b): a < b with nothing strictly between."""
-        out = []
-        for a in self.elements():
-            for b in self.elements():
-                if a == b or not self.leq(a, b):
-                    continue
-                if not any(
-                    c != a and c != b and self.leq(a, c) and self.leq(c, b)
-                    for c in self.elements()
-                ):
-                    out.append((a, b))
-        return out
+        up, down = self.up, self.down
+        return [(a, b) for a in self.elements() for b in _bits(up[a] & ~(1 << a))
+                if up[a] & down[b] == 1 << a | 1 << b]
 
     def __repr__(self):
         return f"FiniteFrame({list(self.names)})"
+
+
+def _row_masks(rows) -> tuple[int, ...]:
+    """The int bitmask of each boolean row: bit b set iff row[b]."""
+    rows = list(rows)
+    powers = [1 << b for b in range(len(rows))]
+    return tuple(sum(compress(powers, row)) for row in rows)
 
 
 def _bits(mask: int):
@@ -245,15 +260,11 @@ def _inclusion_rows(masks: list[int]) -> list[int]:
     return [sum(1 << j for j, b in enumerate(masks) if a & b == a) for a in masks]
 
 
-def _up_rows(frame: FiniteFrame) -> list[int]:
-    return [sum(1 << b for b, le in enumerate(row) if le) for row in frame.leq_mat]
-
-
 def _product(f: FiniteFrame, g: FiniteFrame) -> tuple[FiniteFrame, list[int]]:
     """The product frame and pos, where pos[a * g.n + b] is the index of
     the pair (a, b)."""
     names = [f"({x},{y})" for x in f.names for y in g.names]
-    uf, ug, m = _up_rows(f), _up_rows(g), g.n
+    uf, ug, m = f.up, g.up, g.n
     up = [sum(ug[b] << a2 * m for a2 in _bits(uf[a]))
           for a in f.elements() for b in g.elements()]
     return _frame_of_rows(names, up)

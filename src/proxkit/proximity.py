@@ -2,11 +2,15 @@
 
 A proximity is a binary relation finer than the order that forms a bounded
 sublattice of L x L, is closed under weakening, interpolates, and
-approximates every element from below.  Finite relations are bit matrices
-and are checked exhaustively; chain relations are described by the set of
-relation-reflexive limit points and are decided by O(#segments) checks,
-one per element class.  The scan over pairs of class representatives that
-these checks replace survives only as a test oracle.
+approximates every element from below.  Finite relations are boolean
+matrices, also held as int bitmask rows and columns; each axiom is decided
+exhaustively by mask operations on those and on the frame's up- and
+down-rows, at most O(n * P) of them for P related pairs, and reports the
+first failing witness of its scan.  Chain relations are described by the
+set of relation-reflexive limit points and are decided by O(#segments)
+checks, one per element class.  The loops over index pairs and over pairs
+of class representatives that these checks replace survive only as test
+oracles.
 
 On a chain every element with an immediate predecessor is forced to be
 relation-reflexive (its set of approximants must attain it), and weakening
@@ -17,11 +21,11 @@ is therefore the full degree of freedom for chain proximities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 
 from .chain import ChainLikeFrame, El
 from .errors import InvalidReflexiveSet, MalformedRelation, TooLarge
-from .finite import FiniteFrame, _product
+from .finite import FiniteFrame, _bits, _product, _row_masks
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, LawReport, Verdict, law_fail, law_pass
 
 
@@ -36,9 +40,19 @@ class FiniteProximity:
     def reflexive(self, a: int) -> bool:
         return self.mat[a][a]
 
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """rows[a]: bitmask of the b with a rel b."""
+        return _row_masks(self.mat)
+
+    @cached_property
+    def cols(self) -> tuple[int, ...]:
+        """cols[b]: bitmask of the a with a rel b."""
+        return _row_masks(zip(*self.mat))
+
     def pairs(self):
-        n = self.frame.n
-        return [(a, b) for a in range(n) for b in range(n) if self.mat[a][b]]
+        """The related pairs in row-major order."""
+        return [(a, b) for a, row in enumerate(self.rows) for b in _bits(row)]
 
     def interpolant(self, a: int, b: int) -> int:
         for c in self.frame.elements():
@@ -147,15 +161,16 @@ def _validate_finite(p: FiniteProximity) -> AxiomReport:
     if len(p.mat) != n or any(len(row) != n for row in p.mat):
         raise MalformedRelation("relation matrix does not match the frame size")
     names = f.names
+    up, down, meet_t, join_t = f.up, f.down, f.meet_t, f.join_t
+    rows, cols = p.rows, p.cols
     axioms: list[tuple[str, Verdict]] = []
 
     v = Verdict(PASS)
     for a in range(n):
-        for b in range(n):
-            if p.mat[a][b] and not f.leq(a, b):
-                v = Verdict(FAIL, (names[a], names[b]), "pair not below the order")
-                break
-        if not v.ok:
+        out = rows[a] & ~up[a]
+        if out:
+            b = _low(out)
+            v = Verdict(FAIL, (names[a], names[b]), "pair not below the order")
             break
     axioms.append(("finer-than-leq", v))
 
@@ -164,40 +179,49 @@ def _validate_finite(p: FiniteProximity) -> AxiomReport:
         missing = names[f.bot] if not p.mat[f.bot][f.bot] else names[f.top]
         v = Verdict(FAIL, (missing, missing), "bounds missing from the relation")
     else:
-        pairs = p.pairs()
-        for (a, b), (c, d) in combinations(pairs, 2):
-            if not p.mat[f.meet(a, c)][f.meet(b, d)]:
-                v = Verdict(FAIL, (names[a], names[b], names[c], names[d]), "meet closure")
-                break
-            if not p.mat[f.join(a, c)][f.join(b, d)]:
-                v = Verdict(FAIL, (names[a], names[b], names[c], names[d]), "join closure")
-                break
-    axioms.append(("sublattice", v))
-
-    v = Verdict(PASS)
-    for b in range(n):
-        for c in range(n):
-            if not p.mat[b][c]:
-                continue
-            for a in range(n):
-                if not f.leq(a, b):
-                    continue
-                for d in range(n):
-                    if f.leq(c, d) and not p.mat[a][d]:
-                        v = Verdict(FAIL, (names[a], names[b], names[c], names[d]))
-                        break
-                if not v.ok:
+        # (a, b) and (c, d) are closed under meets iff meet(b, d) is in
+        # rows[meet(a, c)], i.e. d is in meet_ok(b)[meet(a, c)]; joins alike.
+        # Pairs (a, b) go in row-major order and their partners (c, d)
+        # after them, as in itertools.combinations of the pair list.
+        meet_ok, join_ok = {}, {}
+        col_bits = [list(_bits(m)) for m in cols]
+        for a, b in p.pairs():
+            if b not in meet_ok:
+                meet_ok[b] = _preimage_rows(meet_t[b], col_bits)
+                join_ok[b] = _preimage_rows(join_t[b], col_bits)
+            mb, jb, ma, ja = meet_ok[b], join_ok[b], meet_t[a], join_t[a]
+            for c in range(a, n):
+                ds = rows[c] if c != a else rows[c] & -(2 << b)
+                bad_meet = ds & ~mb[ma[c]]
+                bad = bad_meet | ds & ~jb[ja[c]]
+                if bad:
+                    d = _low(bad)
+                    note = "meet closure" if bad_meet >> d & 1 else "join closure"
+                    v = Verdict(FAIL, (names[a], names[b], names[c], names[d]), note)
                     break
             if not v.ok:
                 break
-        if not v.ok:
+    axioms.append(("sublattice", v))
+
+    # a <= b rel c <= d needs a rel d: every c related from b has up[c]
+    # inside the rows of all a below b
+    v = Verdict(PASS)
+    for b in range(n):
+        common = -1
+        for a in _bits(down[b]):
+            common &= rows[a]
+        c = next((c for c in _bits(rows[b]) if up[c] & ~common), None)
+        if c is not None:
+            a = next(a for a in _bits(down[b]) if up[c] & ~rows[a])
+            d = _low(up[c] & ~rows[a])
+            v = Verdict(FAIL, (names[a], names[b], names[c], names[d]))
             break
     axioms.append(("weakening", v))
 
     v = Verdict(PASS)
     for a in range(n):
-        for b in range(n):
-            if p.mat[a][b] and not any(p.mat[a][c] and p.mat[c][b] for c in range(n)):
+        for b in _bits(rows[a]):
+            if not rows[a] & cols[b]:
                 v = Verdict(FAIL, (names[a], names[b]))
                 break
         if not v.ok:
@@ -207,9 +231,8 @@ def _validate_finite(p: FiniteProximity) -> AxiomReport:
     v = Verdict(PASS)
     for a in range(n):
         j = f.bot
-        for b in range(n):
-            if p.mat[b][a]:
-                j = f.join(j, b)
+        for b in _bits(cols[a]):
+            j = join_t[j][b]
         if j != a:
             v = Verdict(FAIL, (names[a], names[j]), "join of approximants differs")
             break
@@ -217,6 +240,26 @@ def _validate_finite(p: FiniteProximity) -> AxiomReport:
 
     collapse = p.mat == f.leq_mat
     return AxiomReport(tuple(axioms), collapse=collapse)
+
+
+def _low(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _preimage_rows(op_row, col_bits) -> list[int]:
+    """ok[x] = bitmask of the d with op_row[d] in rows[x]: the preimage of
+    each value y under d -> op_row[d], added to every x in col_bits[y]."""
+    n = len(op_row)
+    pre = [0] * n
+    for d, y in enumerate(op_row):
+        pre[y] |= 1 << d
+    ok = [0] * n
+    for y, ds in enumerate(pre):
+        if ds:
+            for x in col_bits[y]:
+                ok[x] |= ds
+    return ok
 
 
 def _validate_chain(p: ChainProximity) -> AxiomReport:

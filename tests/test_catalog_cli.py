@@ -174,6 +174,25 @@ def test_cli_usage_and_input_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"builder": "finite", "elements": 5},
+     "field 'elements' must be a list of names, got 5"),
+    ({"builder": "chain", "k": 2, "reflexive": ["x"]},
+     "field 'reflexive' must be a list of limit indices, got ['x']"),
+    ({"builder": "finite", "elements": ["a", "b"], "leq": [["a", "b"]],
+      "proximity": {"pairs": [["a", "zz"]]}},
+     "field 'proximity.pairs': no element named 'zz'"),
+], ids=["elements-not-a-list", "reflexive-not-indices", "unknown-pair-element"])
+def test_cli_malformed_instance_exits_2(doc, message, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    for argv in (["validate", str(p)], ["compactify", str(p)],
+                 ["laws", "--suite", "all", "--instance", str(p)]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n", argv
+
+
 def test_cli_compactify_json(capsys):
     assert main(["compactify", "chain-k2"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -28,6 +28,7 @@ from proxkit.morphisms import (
     validate_proxhom,
 )
 from proxkit.proximity import FiniteProximity, chain_proximity, order_proximity
+from proxkit.reports import FAIL, PASS, AxiomReport, Verdict
 from proxkit.roundideal import rframe
 
 
@@ -332,6 +333,140 @@ def test_enumeration_validates_only_bounded_meet_preserving_tables(monkeypatch):
             if all(axioms[a].ok for a in ("meet-hom", "zero", "top")):
                 expected.append(table)
         assert sorted(judged) == sorted(expected)
+
+
+# -- finite homomorphism validation against the pair-loop scan -------------
+
+
+def scan_validate_finite_hom(f: FiniteMap, frame_map: bool) -> AxiomReport:
+    """Reference: the former validator, forward loops over every element
+    pair or related-pair pair that keep the last failure found."""
+    sf, df = f.src.frame, f.dst.frame
+    names = sf.names
+    dl = f.dst.label
+    axioms = []
+
+    v = Verdict(PASS)
+    for a in sf.elements():
+        for b in sf.elements():
+            if f.apply(sf.meet(a, b)) != df.meet(f.apply(a), f.apply(b)):
+                v = Verdict(FAIL, (names[a], names[b]), "meets not preserved")
+    axioms.append(("meet-hom", v))
+
+    v = Verdict(PASS) if f.apply(sf.bot) == df.bot else Verdict(
+        FAIL, (names[sf.bot], dl(f.apply(sf.bot))), "bottom not preserved"
+    )
+    axioms.append(("zero", v))
+    v = Verdict(PASS) if f.apply(sf.top) == df.top else Verdict(
+        FAIL, (names[sf.top], dl(f.apply(sf.top))), "top not preserved"
+    )
+    axioms.append(("top", v))
+
+    if frame_map:
+        v = Verdict(PASS)
+        for a in sf.elements():
+            for b in sf.elements():
+                if f.apply(sf.join(a, b)) != df.join(f.apply(a), f.apply(b)):
+                    v = Verdict(FAIL, (names[a], names[b]), "joins not preserved")
+        axioms.append(("join-hom", v))
+        v = Verdict(PASS)
+        for a in sf.elements():
+            for b in sf.elements():
+                if f.src.rel(a, b) and not f.dst.rel(f.apply(a), f.apply(b)):
+                    v = Verdict(FAIL, (names[a], names[b]), "relation not preserved")
+        axioms.append(("preserves-rel", v))
+    else:
+        v = Verdict(PASS)
+        pairs = [(a, b) for a in sf.elements() for b in sf.elements() if f.src.rel(a, b)]
+        for a1, b1 in pairs:
+            for a2, b2 in pairs:
+                lhs = f.apply(sf.join(a1, a2))
+                rhs = df.join(f.apply(b1), f.apply(b2))
+                if not f.dst.rel(lhs, rhs):
+                    v = Verdict(
+                        FAIL, (names[a1], names[b1], names[a2], names[b2]),
+                        "joint subadditivity fails",
+                    )
+        axioms.append(("join-subadditive", v))
+
+        v = Verdict(PASS)
+        for a in sf.elements():
+            j = df.bot
+            for b in sf.elements():
+                if f.src.rel(b, a):
+                    j = df.join(j, f.apply(b))
+            if j != f.apply(a):
+                v = Verdict(FAIL, (names[a], dl(j)), "approximation of values fails")
+        axioms.append(("value-approximation", v))
+    return AxiomReport(tuple(axioms))
+
+
+def _assert_hom_validation_matches_scan(src, dst, tables):
+    failing = 0
+    for table in tables:
+        f = FiniteMap(src, dst, tuple(table))
+        for frame_map in (False, True):
+            report = morphisms._validate_finite_hom(f, frame_map)
+            assert report == scan_validate_finite_hom(f, frame_map), (f, frame_map)
+            failing += not report.ok
+    return failing
+
+
+def test_hom_validation_matches_scan_on_small_frames():
+    # random tables, and the homomorphisms of the underlying orders judged
+    # against unvalidated relations
+    rng = random.Random(11)
+    props = _small_proximities()
+    checked = failing = 0
+    for src, dst in product([p for _, p in props], repeat=2):
+        n, m = src.frame.n, dst.frame.n
+        tables = [[rng.randrange(m) for _ in range(n)] for _ in range(4)]
+        homs = enumerate_proxhoms(order_proximity(src.frame), order_proximity(dst.frame))
+        tables += [h.table for h in rng.sample(homs, min(4, len(homs)))]
+        failing += _assert_hom_validation_matches_scan(src, dst, tables)
+        checked += 2 * len(tables)
+    assert 0 < failing < checked
+
+
+def test_hom_validation_matches_scan_on_larger_frames():
+    rng = random.Random(12)
+    frames = [f for _, f in _generated_frames(8) if f.n > 4]
+    props = [p for f in frames for p in (order_proximity(f), _sub_relation(f, rng))]
+    small = [p for name, p in _small_proximities() if name.startswith(("cube2", "order4"))]
+    for src, dst in product(props, props + small):
+        n, m = src.frame.n, dst.frame.n
+        tables = [[rng.randrange(m) for _ in range(n)] for _ in range(3)]
+        _assert_hom_validation_matches_scan(src, dst, tables)
+
+
+def test_hom_validation_matches_scan_into_chains():
+    rng = random.Random(13)
+    targets = [k1(), chain_proximity(build_chain_frame(2), {2})]
+    for src in [p for _, p in _small_proximities()]:
+        for dst in targets:
+            f = dst.frame
+            pool = [f.bot, f.top] + [succ(f, 0, i) for i in range(3)] + [lim(f, 1)]
+            tables = [[rng.choice(pool) for _ in range(src.frame.n)] for _ in range(6)]
+            tables.append([f.bot] * (src.frame.n - 1) + [f.top])
+            _assert_hom_validation_matches_scan(src, dst, tables)
+
+
+def test_joint_subadditivity_checks_each_unordered_pair_once(monkeypatch):
+    # the axiom is symmetric in its two related pairs, so a passing map
+    # costs P(P + 1) / 2 relation tests for P related pairs, not P**2
+    p = order_proximity(dict(_generated_frames(8))["cube3"])
+    pairs = len(p.pairs())
+    calls = 0
+    rel = FiniteProximity.rel
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return rel(self, a, b)
+
+    monkeypatch.setattr(FiniteProximity, "rel", counting)
+    assert validate_proxhom(identity_map(p)).ok
+    assert calls == pairs * (pairs + 1) // 2
 
 
 # -- theta / rho --------------------------------------------------------------

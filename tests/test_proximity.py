@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -10,7 +11,7 @@ from proxkit.chain import OMEGA, POINT, ChainLikeFrame, Segment, Seq, build_chai
 from proxkit.cli import _generated_frames
 from proxkit.comonads import max_proximity
 from proxkit.errors import InvalidReflexiveSet, MalformedRelation
-from proxkit.finite import build_finite_frame
+from proxkit.finite import build_finite_frame, downset_frame
 from proxkit.proximity import (
     ChainProximity,
     FiniteProximity,
@@ -21,7 +22,7 @@ from proxkit.proximity import (
     validate_proximity,
     well_inside,
 )
-from proxkit.reports import FAIL, SYMBOLIC, AxiomReport, Verdict, law_fail, law_pass
+from proxkit.reports import FAIL, PASS, SYMBOLIC, AxiomReport, Verdict, law_fail, law_pass
 from proxkit.roundideal import rframe
 
 
@@ -386,3 +387,154 @@ def test_collapse_validates_only_weakening_closed_relations(name, validations, m
     report = certify_finite_collapse(frame)
     assert report.ok and report.samples == 2 ** len(_free_pairs(frame))
     assert calls == validations
+
+
+# -- finite validation against the pair-loop scan ----------------------------
+
+
+def scan_validate_finite(p: FiniteProximity) -> AxiomReport:
+    """Reference: the former validator, nested loops over index pairs
+    with the first witness of each axiom in row-major order."""
+    f = p.frame
+    n = f.n
+    names = f.names
+    axioms: list[tuple[str, Verdict]] = []
+
+    v = Verdict(PASS)
+    for a in range(n):
+        for b in range(n):
+            if p.mat[a][b] and not f.leq(a, b):
+                v = Verdict(FAIL, (names[a], names[b]), "pair not below the order")
+                break
+        if not v.ok:
+            break
+    axioms.append(("finer-than-leq", v))
+
+    v = Verdict(PASS)
+    if not p.mat[f.bot][f.bot] or not p.mat[f.top][f.top]:
+        missing = names[f.bot] if not p.mat[f.bot][f.bot] else names[f.top]
+        v = Verdict(FAIL, (missing, missing), "bounds missing from the relation")
+    else:
+        pairs = [(a, b) for a in range(n) for b in range(n) if p.mat[a][b]]
+        for (a, b), (c, d) in combinations(pairs, 2):
+            if not p.mat[f.meet(a, c)][f.meet(b, d)]:
+                v = Verdict(FAIL, (names[a], names[b], names[c], names[d]), "meet closure")
+                break
+            if not p.mat[f.join(a, c)][f.join(b, d)]:
+                v = Verdict(FAIL, (names[a], names[b], names[c], names[d]), "join closure")
+                break
+    axioms.append(("sublattice", v))
+
+    v = Verdict(PASS)
+    for b in range(n):
+        for c in range(n):
+            if not p.mat[b][c]:
+                continue
+            for a in range(n):
+                if not f.leq(a, b):
+                    continue
+                for d in range(n):
+                    if f.leq(c, d) and not p.mat[a][d]:
+                        v = Verdict(FAIL, (names[a], names[b], names[c], names[d]))
+                        break
+                if not v.ok:
+                    break
+            if not v.ok:
+                break
+        if not v.ok:
+            break
+    axioms.append(("weakening", v))
+
+    v = Verdict(PASS)
+    for a in range(n):
+        for b in range(n):
+            if p.mat[a][b] and not any(p.mat[a][c] and p.mat[c][b] for c in range(n)):
+                v = Verdict(FAIL, (names[a], names[b]))
+                break
+        if not v.ok:
+            break
+    axioms.append(("interpolation", v))
+
+    v = Verdict(PASS)
+    for a in range(n):
+        j = f.bot
+        for b in range(n):
+            if p.mat[b][a]:
+                j = f.join(j, b)
+        if j != a:
+            v = Verdict(FAIL, (names[a], names[j]), "join of approximants differs")
+            break
+    axioms.append(("approximation", v))
+
+    return AxiomReport(tuple(axioms), collapse=p.mat == f.leq_mat)
+
+
+def _test_frames():
+    """Chains of 1..8 elements, the cubes 2^0..2^4 and the vee."""
+    out = []
+    for n in range(1, 9):
+        names = [f"c{i}" for i in range(n)]
+        out.append((f"chain{n}", build_finite_frame(names, list(zip(names, names[1:])))))
+    for k in range(5):
+        out.append((f"cube{k}", downset_frame([f"x{i}" for i in range(k)], [])))
+    out.append(("vee", downset_frame(["a", "b", "c"], [("a", "c"), ("b", "c")])))
+    return out
+
+
+def _relation(f, keep):
+    return FiniteProximity(f, tuple(
+        tuple(keep(a, b) for b in range(f.n)) for a in range(f.n)))
+
+
+def _random_relations(f, rng, count):
+    """The order, and `count` random sub- and super-relations of it: half
+    with the two bound pairs, half missing one or both.  Nothing is
+    validated."""
+    bot, top = (f.bot, f.bot), (f.top, f.top)
+    out = [order_proximity(f)]
+    for i in range(count):
+        q = rng.choice((0.3, 0.7, 0.9, 0.97))
+        missing = () if i % 4 < 2 else rng.choice(((bot,), (top,), (bot, top)))
+
+        def keep(a, b):
+            if (a, b) in (bot, top):
+                return (a, b) not in missing
+            if i % 2:
+                return f.leq(a, b) and rng.random() < q
+            return f.leq(a, b) or rng.random() > q
+
+        out.append(_relation(f, keep))
+    return out
+
+
+@pytest.mark.parametrize("name,frame", _test_frames(), ids=[n for n, _ in _test_frames()])
+def test_finite_validation_matches_scan(name, frame):
+    rng = random.Random(name)
+    rels = _random_relations(frame, rng, 120)
+    if frame.n <= 8:
+        # every weakening-closed relation: these reach the later axioms
+        free = _free_pairs(frame)
+        rels += [_candidate(frame, free, bits)
+                 for bits in proximity._weakening_closed(frame, free)]
+    failing = 0
+    for p in rels:
+        report = validate_proximity(p)
+        assert report == scan_validate_finite(p), (name, p.pairs())
+        failing += not report.ok
+    assert 0 < failing < len(rels)
+
+
+@st.composite
+def posets(draw):
+    k = draw(st.integers(1, 4))
+    names = [f"p{i}" for i in range(k)]
+    edges = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                          max_size=5))
+    return downset_frame(names, [(names[i], names[j]) for i, j in edges if i < j])
+
+
+@settings(max_examples=25, deadline=None)
+@given(posets(), st.integers(0, 2 ** 32))
+def test_finite_validation_matches_scan_on_posets(frame, seed):
+    for p in _random_relations(frame, random.Random(seed), 12):
+        assert validate_proximity(p) == scan_validate_finite(p), p.pairs()
