@@ -46,16 +46,15 @@ FRAMES = {
 }
 
 
+def _leq(frame) -> list[tuple[str, str]]:
+    below = FRAMES[frame]
+    return [(a, b) for a in below for b in below if set(below[a]) <= set(below[b])]
+
+
 def _finite_doc(name, frame, pairs) -> dict:
-    elems = list(FRAMES[frame])
-    leq = [[a, b] for a in elems for b in elems
-           if set(FRAMES[frame][a]) <= set(FRAMES[frame][b])]
-    return {"name": name, "builder": "finite", "elements": elems, "leq": leq,
+    return {"name": name, "builder": "finite", "elements": list(FRAMES[frame]),
+            "leq": [list(p) for p in _leq(frame)],
             "proximity": {"pairs": [list(p) for p in pairs]}}
-
-
-def _order_pairs(frame) -> list[tuple[str, str]]:
-    return [tuple(p) for p in _finite_doc("", frame, [])["leq"]]
 
 
 def finite_docs() -> dict[str, dict]:
@@ -63,7 +62,7 @@ def finite_docs() -> dict[str, dict]:
     named axiom: each of the three sublattice notes, every other axiom,
     and two seeded random relations on the cube that fail several."""
     def edit(frame, drop=(), add=()):
-        return [p for p in _order_pairs(frame) if p not in drop] + list(add)
+        return [p for p in _leq(frame) if p not in drop] + list(add)
 
     specs = {
         "finer": ("diamond", edit("diamond", add=[("a", "b")])),
@@ -78,7 +77,7 @@ def finite_docs() -> dict[str, dict]:
     cube = list(FRAMES["cube3"])
     bounds = [("{}", "{}"), ("{x,y,z}", "{x,y,z}")]
     specs["random-sub"] = ("cube3", sorted(set(bounds) | {
-        p for p in _order_pairs("cube3") if rng.random() < 0.8}))
+        p for p in _leq("cube3") if rng.random() < 0.8}))
     specs["random-any"] = ("cube3", sorted(set(bounds) | {
         (a, b) for a in cube for b in cube if rng.random() < 0.5}))
     return {f"fin-{tag}.json": _finite_doc(f"fin-{tag}", frame, pairs)

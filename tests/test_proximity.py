@@ -507,7 +507,10 @@ def _random_relations(f, rng, count):
     return out
 
 
-@pytest.mark.parametrize("name,frame", _test_frames(), ids=[n for n, _ in _test_frames()])
+FINITE_FRAMES = _test_frames()
+
+
+@pytest.mark.parametrize("name,frame", FINITE_FRAMES, ids=[n for n, _ in FINITE_FRAMES])
 def test_finite_validation_matches_scan(name, frame):
     rng = random.Random(name)
     rels = _random_relations(frame, rng, 120)
