@@ -83,7 +83,6 @@ from .comonads import (
     kleisli_compose,
     kz_check,
     m_map,
-    max_proximity,
     max_proximity_agreement,
     maxrel_contains_wb,
     naturality_suite,

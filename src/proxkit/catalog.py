@@ -69,8 +69,7 @@ def parse_instance(doc: dict) -> tuple[str, Proximity]:
         frame = open_set_frame(_names(_field(doc, "points"), "points"),
                                [_names(o, "opens") for o in opens])
     elif builder == "product":
-        _, left = parse_instance(_field(doc, "left"))
-        _, right = parse_instance(_field(doc, "right"))
+        left, right = (_instance_field(doc, key) for key in ("left", "right"))
         return name, product_proximity(left, right)
     else:
         raise InvalidParameter(f"unknown builder {builder!r}")
@@ -85,6 +84,14 @@ def _field(doc: dict, key: str):
     if key not in doc:
         raise InvalidParameter(f"instance document needs the field {key!r}")
     return doc[key]
+
+
+def _instance_field(doc: dict, key: str) -> Proximity:
+    value = _field(doc, key)
+    if not isinstance(value, dict):
+        raise InvalidParameter(
+            f"field {key!r} must be an instance document, got {value!r}")
+    return parse_instance(value)[1]
 
 
 def _names(value, key: str) -> list[str]:

@@ -232,3 +232,27 @@ class Seq:
         for _, v in self.exceptions:
             out = join(out, v)
         return out, True
+
+
+def _seq_problem(seq: Seq, frame) -> str | None:
+    """The first reason why the values of seq are not all elements of
+    frame (a chain or a finite frame), or None.  An affine tail needs a
+    chain frame and must land in one of its omega blocks at an offset
+    b >= 0, so that every value it takes is an element."""
+    values = [v for _, v in seq.exceptions]
+    chain = isinstance(frame, ChainLikeFrame)
+    if seq.is_affine:
+        if not chain:
+            return "affine tails need a chain target"
+        if not (0 <= seq.seg < len(frame.segments)
+                and frame.segments[seq.seg].kind == OMEGA):
+            return "affine tail must land in an omega block"
+        if seq.b < 0:
+            return "affine tail offset must be >= 0"
+    else:
+        values.append(seq.const)
+    for v in values:
+        if not ((isinstance(v, El) and frame.contains(v)) if chain
+                else frame.contains(v)):
+            return f"value {v!r} is not in the target frame"
+    return None

@@ -9,19 +9,17 @@ command prints the same bytes.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
 from .catalog import catalog_instances, catalog_morphisms, load_instance
-from .chain import ChainLikeFrame, El
+from .chain import OMEGA, ChainLikeFrame, El
 from .comonads import (
     adjunction_checks,
     comonad_laws,
     doubled_membership_lemma,
     kleisli_compose,
     kz_check,
-    max_proximity,
     max_proximity_agreement,
     maxrel_contains_wb,
     subcomonad_check,
@@ -119,7 +117,7 @@ def cmd_compactify(path: str, out: str) -> int:
 
 
 def _compact_json(name, prox, rfd) -> dict:
-    maxp = max_proximity(rfd)
+    maxp = rfd.maxp
     if isinstance(prox, FiniteProximity):
         names = rfd.frame.names
         classes = [
@@ -134,17 +132,15 @@ def _compact_json(name, prox, rfd) -> dict:
         reps = None
     else:
         classes = []
-        for s, (kind, payload) in enumerate(rfd.seg_descs):
-            seg = rfd.frame.segments[s]
-            if kind == "prin_block":
-                base = prox.frame.segments[payload].label
+        for seg, ideal in zip(rfd.frame.segments, rfd.segment_ideals):
+            if seg.kind == OMEGA:
+                base = prox.frame.segments[ideal.a.seg].label
                 classes.append({"segment": seg.label, "kind": "omega",
                                 "ideal": f"Prin({base}.n)", "sigma": f"{base}.n"})
             else:
-                e = El(s, 0)
                 classes.append({"segment": seg.label, "kind": "point",
-                                "ideal": repr(rfd.ideal_of(e)),
-                                "sigma": prox.label(sigma(rfd.ideal_of(e)))})
+                                "ideal": repr(ideal),
+                                "sigma": prox.label(sigma(ideal))})
         reps = [rfd.frame.label(e) for e in rfd.frame.class_representatives(2)]
         erps = rfd.frame.class_representatives(2)
         wb = sorted([rfd.frame.label(a), rfd.frame.label(b)]
@@ -166,7 +162,7 @@ def _compact_dot(name: str, rfd) -> str:
     lines = [f'digraph "compactify:{name}" {{', "  rankdir=BT;"]
     nodes: list[str] = []
     for i, s in enumerate(frame.segments):
-        if s.kind == "omega":
+        if s.kind == OMEGA:
             for n in range(3):
                 nid = f"n{i}_{n}"
                 lines.append(f'  {nid} [label="{frame.label(El(i, n))}"];')
@@ -192,31 +188,41 @@ def cmd_laws(suite: str, instance: str | None) -> int:
     if not all(validate_proximity(prox).ok for prox in insts.values()):
         print("error: instance fails the proximity axioms", file=sys.stderr)
         return 1
+    # one ideal frame per proximity, built on first use: each carries the
+    # levels of its R and C towers, and all of them end with this run
+    rfds: dict = {}
+
+    def rfd_of(prox):
+        if prox not in rfds:
+            rfds[prox] = rframe(prox)
+        return rfds[prox]
+
     reports: list[LawReport] = []
     if suite in ("R", "all"):
         for prox in insts.values():
-            reports += comonad_laws("R", prox)
-            reports += subcomonad_check(prox)
+            rfd = rfd_of(prox)
+            reports += comonad_laws("R", rfd)
+            reports += subcomonad_check(rfd)
     if suite in ("C", "all"):
         for prox in insts.values():
-            reports += comonad_laws("C", prox)
-            reports.append(kz_check(prox))
-            reports += adjunction_checks(prox)
-            reports.append(doubled_membership_lemma(prox))
-            reports.append(max_proximity_agreement(rframe(prox)))
-            reports.append(maxrel_contains_wb(prox))
+            rfd = rfd_of(prox)
+            reports += comonad_laws("C", rfd)
+            reports.append(kz_check(rfd))
+            reports += adjunction_checks(rfd)
+            reports.append(doubled_membership_lemma(rfd))
+            reports.append(max_proximity_agreement(rfd))
+            reports.append(maxrel_contains_wb(rfd))
     if suite in ("morphisms", "all"):
-        reports += _morphism_suite(insts)
+        reports += _morphism_suite(insts, rfd_of)
     for r in reports:
         print(r.dumps())
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _morphism_suite(insts) -> list[LawReport]:
+def _morphism_suite(insts, ideal_frame_of) -> list[LawReport]:
     out: list[LawReport] = []
     morphs = {k: v for k, v in catalog_morphisms().items()
               if any(v.src == p for p in insts.values())}
-    ideal_frame_of = functools.cache(rframe)  # one build per proximity
     for name, f in morphs.items():
         inst = f"morphism:{name}"
         if not validate_proxhom(f).ok:

@@ -1,8 +1,9 @@
 """The two comonads on proximity frames and their law harness.
 
 The ideal-frame construction carries two proximities: the way-below
-relation and the maximal proximity (inclusion refined by relating the
-joins).  Re-tagging the carrier between them is the natural map beta.
+relation `RFrameData.wb` and the maximal proximity `RFrameData.maxp`
+(inclusion refined by relating the joins).  Re-tagging the carrier
+between them is the natural map beta.
 Both comultiplications turn out to be the left adjoint of the join map:
 r is alpha for the way-below structure, and the membership rule
 "join of K lies in I" makes c exactly alpha for the maximal structure.
@@ -12,13 +13,17 @@ lemmas are decided per element class: on a chain instance each map they
 apply is a `chain.Seq` per segment, and the exceptions plus one tail point
 per omega block (two for a law over pairs) decide them for every element;
 see `_reps`.
+
+Every law takes the instance's RFrameData and climbs the two comonads'
+towers through its `rr` and `cc` properties, so each ideal frame is built
+once and shared by all the laws that hold the same RFrameData.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .chain import El, Seq
+from .chain import OMEGA, Seq
 from .errors import NotComposable, NotStablyCompact
 from .morphisms import (
     ChainMap,
@@ -34,18 +39,11 @@ from .morphisms import (
     validate_pframemap,
     validate_proxhom,
 )
-from .proximity import (
-    ChainProximity,
-    FiniteProximity,
-    Proximity,
-    order_proximity,
-    validate_proximity,
-)
+from .proximity import FiniteProximity, Proximity, order_proximity
 from .reports import LawReport, law_fail, law_pass
 from .roundideal import (
     BelowLim,
     DirFam,
-    Prin,
     RFrameData,
     dir_sup,
     ideal_frame,
@@ -53,7 +51,6 @@ from .roundideal import (
     kappa,
     member,
     retag,
-    rframe,
     sigma,
     subideal,
     way_below_ideals,
@@ -71,36 +68,11 @@ def describe_instance(prox: Proximity) -> str:
 # -- the maximal proximity --------------------------------------------------
 
 
-def max_proximity(rfd: RFrameData) -> Proximity:
-    """I below J iff I is contained in J and the joins are related."""
-    base = rfd.base
-    if isinstance(base, FiniteProximity):
-        n = rfd.frame.n
-        ideals = [rfd.ideal_of(i) for i in range(n)]
-        mat = tuple(
-            tuple(
-                subideal(ideals[i], ideals[j])
-                and base.rel(sigma(ideals[i]), sigma(ideals[j]))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return FiniteProximity(rfd.frame, mat)
-    # a limit of the ideal frame stands for everything-under-a-base-limit;
-    # its join relates to itself exactly when that base limit does
-    refl = frozenset(
-        El(s, 0)
-        for s, (kind, payload) in enumerate(rfd.seg_descs)
-        if kind == "below" and base.reflexive(payload)
-    )
-    return ChainProximity(rfd.frame, refl)
-
-
 def max_proximity_agreement(rfd: RFrameData) -> LawReport:
     """The two definitions of the maximal proximity agree: relating the
     joins is the same as being way below the approximant ideal of the
     other join."""
-    maxp = max_proximity(rfd)
+    maxp = rfd.maxp
     base = rfd.base
     reps = _reps(rfd, (sigma_map(rfd), kappa_map(rfd)), pairs=True)
     samples = 0
@@ -151,35 +123,29 @@ def retag_map(f: Morphism, new_src: Proximity, new_dst: Proximity) -> Morphism:
 
 def beta_map(rfd: RFrameData) -> Morphism:
     """Carrier identity from the way-below structure to the maximal one."""
-    return retag_map(identity_map(rfd.wb), rfd.wb, max_proximity(rfd))
+    return retag_map(identity_map(rfd.wb), rfd.wb, rfd.maxp)
 
 
 def epsilon_map(rfd: RFrameData) -> Morphism:
     """Counit of the maximal-structure comonad; satisfies epsilon after
     beta = sigma."""
-    return retag_map(sigma_map(rfd), max_proximity(rfd), rfd.base)
+    return retag_map(sigma_map(rfd), rfd.maxp, rfd.base)
 
 
-def r_map(rfd: RFrameData, rrfd: RFrameData | None = None) -> Morphism:
+def r_map(rfd: RFrameData) -> Morphism:
     """I -> its way-below ideal of ideals: alpha on the ideal frame."""
-    if rrfd is None:
-        rrfd = rframe(rfd.wb)
-    return alpha_map(rrfd)
+    return alpha_map(rfd.rr)
 
 
-def c_map(rfd: RFrameData, ccfd: RFrameData | None = None) -> Morphism:
+def c_map(rfd: RFrameData) -> Morphism:
     """Ibar -> {Kbar : join of K in I}: alpha for the maximal structure,
     landing in the ideal frame of the maximal proximity (re-tagged)."""
-    maxp = max_proximity(rfd)
-    if ccfd is None:
-        ccfd = rframe(maxp)
-    return retag_map(alpha_map(ccfd), maxp, max_proximity(ccfd))
+    return retag_map(alpha_map(rfd.cc), rfd.maxp, rfd.cc.maxp)
 
 
-def m_map(rfd: RFrameData, jfd: RFrameData | None = None) -> Morphism:
-    """Inclusion of round ideals into all ideals (carrier-preserving)."""
-    if jfd is None:
-        jfd = ideal_frame(rfd.base.frame)
+def m_map(rfd: RFrameData, jfd: RFrameData) -> Morphism:
+    """Inclusion of round ideals into all ideals (carrier-preserving);
+    jfd is the frame of all ideals, `ideal_frame(rfd.base.frame)`."""
     if isinstance(rfd.base, FiniteProximity):
         table = tuple(
             jfd.el_of(retag(rfd.ideal_of(i), jfd.base))
@@ -187,14 +153,12 @@ def m_map(rfd: RFrameData, jfd: RFrameData | None = None) -> Morphism:
         )
         return FiniteMap(rfd.wb, jfd.wb, table)
     rules = []
-    for kind, payload in rfd.seg_descs:
-        if kind == "prin_block":
-            target = jfd.el_of(Prin(jfd.base, El(payload, 0)))
+    for seg, ideal in zip(rfd.frame.segments, rfd.segment_ideals):
+        target = jfd.el_of(retag(ideal, jfd.base))
+        if seg.kind == OMEGA:  # Prin(El(b, n)) goes to Prin(El(b, n))
             rules.append(Seq.affine(target.seg, 1, 0))
-        elif kind == "prin":
-            rules.append(Seq.constant(jfd.el_of(Prin(jfd.base, payload))))
         else:
-            rules.append(Seq.constant(jfd.el_of(BelowLim(jfd.base, payload))))
+            rules.append(Seq.constant(target))
     return ChainMap(rfd.wb, jfd.wb, tuple(rules))
 
 
@@ -211,7 +175,7 @@ def cmap_of(f: Morphism, src_rfd: RFrameData, dst_rfd: RFrameData) -> Morphism:
     action re-tagged on both ends.  src_rfd/dst_rfd are the ideal frames
     of f's source and target."""
     rf = rmap_map(f, src_rfd, dst_rfd)
-    return retag_map(rf, max_proximity(src_rfd), max_proximity(dst_rfd))
+    return retag_map(rf, src_rfd.maxp, dst_rfd.maxp)
 
 
 def kleisli_compose(v: Morphism, u: Morphism,
@@ -219,18 +183,15 @@ def kleisli_compose(v: Morphism, u: Morphism,
     """v after u in the co-Kleisli sense: v . Ru . r."""
     if u.src != rfd_L.wb or v.src != rfd_M.wb or u.dst != rfd_M.base:
         raise NotComposable("expected u: R(L) -> M and v: R(M) -> N")
-    rrfd_L = rframe(rfd_L.wb)
-    return compose(v, compose(rmap_map(u, rrfd_L, rfd_M), r_map(rfd_L, rrfd_L)))
+    return compose(v, compose(rmap_map(u, rfd_L.rr, rfd_M), r_map(rfd_L)))
 
 
-def coalgebra_structure(prox: Proximity, rfd: RFrameData | None = None) -> Morphism:
+def coalgebra_structure(rfd: RFrameData) -> Morphism:
     """The canonical coalgebra beta after alpha on a stably compact
-    instance."""
-    if not is_stably_compact(prox):
+    instance, the base of rfd."""
+    if not is_stably_compact(rfd.base):
         raise NotStablyCompact("coalgebras exist only over stably compact instances")
-    if rfd is None:
-        rfd = rframe(prox)
-    return retag_map(alpha_map(rfd), prox, max_proximity(rfd))
+    return retag_map(alpha_map(rfd), rfd.base, rfd.maxp)
 
 
 # -- law harness -------------------------------------------------------------
@@ -248,52 +209,45 @@ def _map_eq_law(name, instance, lhs, rhs) -> LawReport:
     return law_fail(name, instance, witness=(repr(lhs), repr(rhs)))
 
 
-def comonad_laws(which: str, prox: Proximity) -> list[LawReport]:
+def comonad_laws(which: str, rfd: RFrameData) -> list[LawReport]:
     """Counit and comultiplication laws, by exact morphism equality."""
-    inst = describe_instance(prox)
-    rfd = rframe(prox)
+    inst = describe_instance(rfd.base)
     if which == "R":
-        rrfd = rframe(rfd.wb)
-        rrrfd = rframe(rrfd.wb)
-        r = r_map(rfd, rrfd)
+        rrfd = rfd.rr
+        r = r_map(rfd)
         ide = identity_map(rfd.wb)
-        out = [
+        return [
             _map_eq_law("R.counit.left", inst,
                         compose(sigma_map(rrfd), r), ide),
             _map_eq_law("R.counit.right", inst,
                         compose(rmap_map(sigma_map(rfd), rrfd, rfd), r), ide),
             _map_eq_law("R.coassoc", inst,
-                        compose(r_map(rrfd, rrrfd), r),
-                        compose(rmap_map(r, rrfd, rrrfd), r)),
+                        compose(r_map(rrfd), r),
+                        compose(rmap_map(r, rrfd, rrfd.rr), r)),
             _map_eq_law("R.idempotent", inst,
                         compose(r, sigma_map(rrfd)), identity_map(rrfd.wb)),
         ]
-        return out
     if which == "C":
-        maxp = max_proximity(rfd)
-        ccfd = rframe(maxp)
-        maxp2 = max_proximity(ccfd)
-        cccfd = rframe(maxp2)
-        c = c_map(rfd, ccfd)
-        eps_L = epsilon_map(rfd)
-        eps_CL = epsilon_map(ccfd)
-        ide = identity_map(maxp)
-        out = [
-            _map_eq_law("C.counit.left", inst, compose(eps_CL, c), ide),
+        ccfd = rfd.cc
+        c = c_map(rfd)
+        ide = identity_map(rfd.maxp)
+        return [
+            _map_eq_law("C.counit.left", inst,
+                        compose(epsilon_map(ccfd), c), ide),
             _map_eq_law("C.counit.right", inst,
-                        compose(cmap_of(eps_L, ccfd, rfd), c), ide),
+                        compose(cmap_of(epsilon_map(rfd), ccfd, rfd), c), ide),
             _map_eq_law("C.coassoc", inst,
-                        compose(c_map(ccfd, cccfd), c),
-                        compose(cmap_of(c, ccfd, cccfd), c)),
+                        compose(c_map(ccfd), c),
+                        compose(cmap_of(c, ccfd, ccfd.cc), c)),
+            _nonprincipal_comult(rfd, c),
         ]
-        out.append(_nonprincipal_comult(prox, rfd, maxp, ccfd, c))
-        return out
     raise NotComposable(f"unknown comonad selector {which!r}")
 
 
-def _nonprincipal_comult(prox, rfd, maxp, ccfd, c) -> LawReport:
+def _nonprincipal_comult(rfd: RFrameData, c: Morphism) -> LawReport:
     """At a limit of the ideal frame, the comultiplication value is the
     non-principal directed union of the principal classes below it."""
+    prox, maxp, ccfd = rfd.base, rfd.maxp, rfd.cc
     inst = describe_instance(prox)
     if isinstance(prox, FiniteProximity):
         return law_pass("C.comult.nonprincipal", inst,
@@ -322,29 +276,27 @@ def _nonprincipal_comult(prox, rfd, maxp, ccfd, c) -> LawReport:
     return law_pass("C.comult.nonprincipal", inst, samples=samples)
 
 
-def coalgebra_laws(prox: Proximity) -> list[LawReport]:
+def coalgebra_laws(rfd: RFrameData) -> list[LawReport]:
+    prox = rfd.base
     inst = describe_instance(prox)
     if not is_stably_compact(prox):
         return [law_fail("coalgebra.exists", inst,
                          note="instance is not stably compact")]
-    rfd = rframe(prox)
-    maxp = max_proximity(rfd)
-    ccfd = rframe(maxp)
-    struct = coalgebra_structure(prox, rfd)
+    struct = coalgebra_structure(rfd)
     return [
         law_pass("coalgebra.exists", inst),
         _map_eq_law("coalgebra.counit", inst,
                     compose(epsilon_map(rfd), struct), identity_map(prox)),
         _map_eq_law("coalgebra.coassoc", inst,
-                    compose(c_map(rfd, ccfd), struct),
-                    compose(cmap_of(struct, rfd, ccfd), struct)),
+                    compose(c_map(rfd), struct),
+                    compose(cmap_of(struct, rfd, rfd.cc), struct)),
     ]
 
 
-def check_coalgebra_morphism(f: Morphism,
-                             src_rfd: RFrameData | None = None,
-                             dst_rfd: RFrameData | None = None) -> LawReport:
-    """The structure square commutes exactly when f preserves way-below."""
+def check_coalgebra_morphism(f: Morphism, src_rfd: RFrameData,
+                             dst_rfd: RFrameData) -> LawReport:
+    """The structure square commutes exactly when f preserves way-below;
+    src_rfd and dst_rfd are the ideal frames of f's source and target."""
     inst = f"{describe_instance(f.src)} -> {describe_instance(f.dst)}"
     if not (is_stably_compact(f.src) and is_stably_compact(f.dst)):
         return law_fail("coalgebra.morphism", inst,
@@ -352,10 +304,6 @@ def check_coalgebra_morphism(f: Morphism,
     if not validate_pframemap(f).ok:
         return law_fail("coalgebra.morphism", inst,
                         note="map does not preserve the proximities")
-    if src_rfd is None:
-        src_rfd = rframe(f.src)
-    if dst_rfd is None:
-        dst_rfd = rframe(f.dst)
     lhs = compose(rmap_map(f, src_rfd, dst_rfd), alpha_map(src_rfd))
     rhs = compose(alpha_map(dst_rfd), f)
     square = lhs == rhs
@@ -367,13 +315,11 @@ def check_coalgebra_morphism(f: Morphism,
                     witness=(repr(lhs), repr(rhs)), note=note)
 
 
-def kz_check(prox: Proximity) -> LawReport:
+def kz_check(rfd: RFrameData) -> LawReport:
     """Lax-idempotence inequality: the counit at the doubled instance sits
     below the functor image of the counit, pointwise."""
-    inst = describe_instance(prox)
-    rfd = rframe(prox)
-    maxp = max_proximity(rfd)
-    ccfd = rframe(maxp)
+    inst = describe_instance(rfd.base)
+    ccfd = rfd.cc
     eps_CL = epsilon_map(ccfd)
     ceps = cmap_of(epsilon_map(rfd), ccfd, rfd)
     frame = rfd.frame
@@ -386,22 +332,15 @@ def kz_check(prox: Proximity) -> LawReport:
     return law_pass("C.kz", inst, samples=samples)
 
 
-def subcomonad_check(prox: Proximity) -> list[LawReport]:
+def subcomonad_check(rfd: RFrameData) -> list[LawReport]:
     """The way-below comonad includes into the maximal one: the counits
     agree through beta and the comultiplications match through doubled
     beta after r."""
-    inst = describe_instance(prox)
-    rfd = rframe(prox)
-    rrfd = rframe(rfd.wb)
-    maxp = max_proximity(rfd)
-    ccfd = rframe(maxp)
+    inst = describe_instance(rfd.base)
     beta = beta_map(rfd)
-    lhs = compose(c_map(rfd, ccfd), beta)
-    rbeta = rmap_map(beta, rrfd, ccfd)
-    rhs = compose(
-        retag_map(rbeta, rbeta.src, max_proximity(ccfd)),
-        r_map(rfd, rrfd),
-    )
+    lhs = compose(c_map(rfd), beta)
+    rbeta = rmap_map(beta, rfd.rr, rfd.cc)
+    rhs = compose(retag_map(rbeta, rbeta.src, rfd.cc.maxp), r_map(rfd))
     return [
         _map_eq_law("sub.comult", inst, lhs, rhs),
         _map_eq_law("sub.counit", inst,
@@ -412,10 +351,11 @@ def subcomonad_check(prox: Proximity) -> list[LawReport]:
 # -- naturality squares ------------------------------------------------------
 
 
-def naturality_suite(f: Morphism) -> list[LawReport]:
-    """The five squares, each run when f belongs to the right class."""
+def naturality_suite(f: Morphism, rfd_L: RFrameData,
+                     rfd_M: RFrameData) -> list[LawReport]:
+    """The five squares, each run when f belongs to the right class;
+    rfd_L and rfd_M are the ideal frames of f's source and target."""
     inst = f"{describe_instance(f.src)} -> {describe_instance(f.dst)}"
-    rfd_L, rfd_M = rframe(f.src), rframe(f.dst)
     rf = rmap_map(f, rfd_L, rfd_M)
     out: list[LawReport] = []
 
@@ -433,24 +373,20 @@ def naturality_suite(f: Morphism) -> list[LawReport]:
             "nat.sigma", inst,
             compose(f, sigma_map(rfd_L)),
             compose(sigma_map(rfd_M), rf)))
-        rrfd_L, rrfd_M = rframe(rfd_L.wb), rframe(rfd_M.wb)
         out.append(_map_eq_law(
             "nat.r", inst,
-            compose(rmap_map(rf, rrfd_L, rrfd_M), r_map(rfd_L, rrfd_L)),
-            compose(r_map(rfd_M, rrfd_M), rf)))
-        maxp_L, maxp_M = max_proximity(rfd_L), max_proximity(rfd_M)
-        cf = retag_map(rf, maxp_L, maxp_M)
+            compose(rmap_map(rf, rfd_L.rr, rfd_M.rr), r_map(rfd_L)),
+            compose(r_map(rfd_M), rf)))
+        cf = retag_map(rf, rfd_L.maxp, rfd_M.maxp)
         out.append(_map_eq_law(
             "nat.beta", inst,
             compose(cf, beta_map(rfd_L)),
             compose(beta_map(rfd_M), rf)))
-        ccfd_L, ccfd_M = rframe(maxp_L), rframe(maxp_M)
-        ccf = retag_map(rmap_map(cf, ccfd_L, ccfd_M),
-                        max_proximity(ccfd_L), max_proximity(ccfd_M))
+        ccf = cmap_of(cf, rfd_L.cc, rfd_M.cc)
         out.append(_map_eq_law(
             "nat.c", inst,
-            compose(ccf, c_map(rfd_L, ccfd_L)),
-            compose(c_map(rfd_M, ccfd_M), cf)))
+            compose(ccf, c_map(rfd_L)),
+            compose(c_map(rfd_M), cf)))
         # the functor image respects the maximal structure
         out.append(_law(
             "nat.maxrel-preserved", inst,
@@ -461,16 +397,14 @@ def naturality_suite(f: Morphism) -> list[LawReport]:
 # -- adjunction and membership lemmas ----------------------------------------
 
 
-def adjunction_checks(prox: Proximity) -> list[LawReport]:
+def adjunction_checks(rfd: RFrameData) -> list[LawReport]:
     """Pointwise inequalities for the adjoint chain: comultiplication,
     the doubled counit, and beta-after-kappa."""
-    inst = describe_instance(prox)
-    rfd = rframe(prox)
-    maxp = max_proximity(rfd)
-    ccfd = rframe(maxp)
-    c = c_map(rfd, ccfd)
+    inst = describe_instance(rfd.base)
+    ccfd = rfd.cc
+    c = c_map(rfd)
     eps_CL = epsilon_map(ccfd)
-    bk = retag_map(kappa_map(ccfd), maxp, max_proximity(ccfd))
+    bk = retag_map(kappa_map(ccfd), rfd.maxp, ccfd.maxp)
     frame_C = rfd.frame
     frame_CC = ccfd.frame
     reps_C = _reps(rfd, (c, eps_CL, bk))
@@ -500,13 +434,11 @@ def adjunction_checks(prox: Proximity) -> list[LawReport]:
     return out
 
 
-def doubled_membership_lemma(prox: Proximity) -> LawReport:
+def doubled_membership_lemma(rfd: RFrameData) -> LawReport:
     """For a doubled ideal J: the counit of the counit lands in I exactly
     when some intermediate class dominates eps(J) and lands in I."""
-    inst = describe_instance(prox)
-    rfd = rframe(prox)
-    maxp = max_proximity(rfd)
-    ccfd = rframe(maxp)
+    inst = describe_instance(rfd.base)
+    maxp, ccfd = rfd.maxp, rfd.cc
     eps_CL = epsilon_map(ccfd)
     # The existential over kbar runs over reps_C only, and loses nothing.
     # If the join of ej lies in I, a witness is ej itself when ej is
@@ -541,11 +473,10 @@ def doubled_membership_lemma(prox: Proximity) -> LawReport:
     return law_pass("C.doubled-membership", inst, samples=samples)
 
 
-def maxrel_contains_wb(prox: Proximity) -> LawReport:
+def maxrel_contains_wb(rfd: RFrameData) -> LawReport:
     """Way-below implies the maximal relation on every pair of ideals."""
-    inst = describe_instance(prox)
-    rfd = rframe(prox)
-    maxp = max_proximity(rfd)
+    inst = describe_instance(rfd.base)
+    maxp = rfd.maxp
     reps = _reps(rfd, pairs=True)
     samples = 0
     for i in reps:
@@ -555,10 +486,3 @@ def maxrel_contains_wb(prox: Proximity) -> LawReport:
                 return law_fail("maxrel.contains-wb", inst,
                                 witness=(repr(i), repr(j)), samples=samples)
     return law_pass("maxrel.contains-wb", inst, samples=samples)
-
-
-def max_proximity_report(prox: Proximity):
-    """The maximal proximity together with its full axiom report."""
-    rfd = rframe(prox)
-    maxp = max_proximity(rfd)
-    return maxp, validate_proximity(maxp)

@@ -44,6 +44,9 @@ class FiniteFrame:
     def elements(self) -> range:
         return range(self.n)
 
+    def contains(self, v) -> bool:
+        return isinstance(v, int) and 0 <= v < len(self.names)
+
     def leq(self, a: int, b: int) -> bool:
         return self.leq_mat[a][b]
 
@@ -195,6 +198,8 @@ def _frame_of_rows(names, up: list[int]) -> tuple[FiniteFrame, list[int]]:
         top=n - 1,
         pseudo=pseudo,
     )
+    # prime the cached row properties with the rows already at hand
+    vars(frame).update(up=tuple(up), down=tuple(down))
     return frame, pos
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import OMEGA, El, Seq
+from .chain import OMEGA, El, Seq, _seq_problem
 from .errors import MalformedMap, NotComposable, NotStablyCompact
 from .finite import _bits
 from .proximity import ChainProximity, FiniteProximity, Proximity
@@ -22,7 +22,6 @@ from .roundideal import (
     RFrameData,
     is_stably_compact,
     kappa,
-    rframe,
     rmap,
     sigma,
 )
@@ -37,8 +36,9 @@ class FiniteMap:
     def __post_init__(self):
         if len(self.table) != self.src.frame.n:
             raise MalformedMap("table length does not match the source frame")
+        contains = self.dst.frame.contains
         for v in self.table:
-            if not _in_target(self.dst, v):
+            if not contains(v):
                 raise MalformedMap(f"value {v!r} is not in the target frame")
 
     def apply(self, x):
@@ -67,22 +67,9 @@ class ChainMap:
         for s, rule in zip(segs, self.rules):
             if s.kind != OMEGA and (rule.exceptions or rule.is_affine):
                 raise MalformedMap("point segments take a single constant value")
-            if rule.is_affine and not isinstance(self.dst, ChainProximity):
-                raise MalformedMap("affine tails need a chain target")
-            for _, v in rule.exceptions:
-                if not _in_target(self.dst, v):
-                    raise MalformedMap(f"value {v!r} is not in the target frame")
-            if not rule.is_affine:
-                if not _in_target(self.dst, rule.const):
-                    raise MalformedMap(
-                        f"value {rule.const!r} is not in the target frame"
-                    )
-            elif (
-                rule.b < 0
-                or not 0 <= rule.seg < len(self.dst.frame.segments)
-                or self.dst.frame.segments[rule.seg].kind != OMEGA
-            ):
-                raise MalformedMap("affine tail must land in an omega block")
+            problem = _seq_problem(rule, self.dst.frame)
+            if problem is not None:
+                raise MalformedMap(problem)
 
     def apply(self, x: El):
         self.src.frame.check(x)
@@ -110,12 +97,6 @@ class ChainMap:
 
     def _lab(self, v):
         return self.dst.label(v)
-
-
-def _in_target(dst: Proximity, v) -> bool:
-    if isinstance(dst, FiniteProximity):
-        return isinstance(v, int) and 0 <= v < dst.frame.n
-    return isinstance(v, El) and dst.frame.contains(v)
 
 
 Morphism = FiniteMap | ChainMap
@@ -419,11 +400,11 @@ def sigma_map(rfd: RFrameData) -> Morphism:
         table = tuple(sigma(rfd.ideal_of(i)) for i in rfd.frame.elements())
         return FiniteMap(rfd.wb, rfd.base, table)
     rules = []
-    for kind, payload in rfd.seg_descs:
-        if kind == "prin_block":
-            rules.append(Seq.affine(payload, 1, 0))
-        else:  # the join of Prin(a) is a, and of BelowLim(l) is l
-            rules.append(Seq.constant(payload))
+    for seg, ideal in zip(rfd.frame.segments, rfd.segment_ideals):
+        if seg.kind == OMEGA:  # Prin(El(b, n)) joins to El(b, n)
+            rules.append(Seq.affine(ideal.a.seg, 1, 0))
+        else:
+            rules.append(Seq.constant(sigma(ideal)))
     return ChainMap(rfd.wb, rfd.base, tuple(rules))
 
 
@@ -463,23 +444,18 @@ def _pointed_ideal_map(rfd: RFrameData, use_wb: bool) -> ChainMap:
     return ChainMap(prox, rfd.wb, tuple(rules))
 
 
-def theta(f: Morphism, rfd: RFrameData | None = None) -> Morphism:
+def theta(f: Morphism, rfd: RFrameData) -> Morphism:
     """Turn a proximity homomorphism into the frame map on round ideals
-    that joins the pushed ideal."""
-    if rfd is None:
-        rfd = rframe(f.src)
+    that joins the pushed ideal.  rfd is the ideal frame of f's source."""
     if isinstance(f, FiniteMap):
         table = tuple(sigma(rmap(f, rfd.ideal_of(i))) for i in rfd.frame.elements())
         return FiniteMap(rfd.wb, f.dst, table)
     rules = []
-    for kind, payload in rfd.seg_descs:
-        if kind == "prin_block":
-            rules.append(f.rules[payload])
-        elif kind == "prin":
-            rules.append(Seq.constant(f.apply(payload)))
-        else:  # below a limit: join of images over the block underneath
-            sup, _ = f.block_sup(payload.seg - 1)
-            rules.append(Seq.constant(sup))
+    for seg, ideal in zip(rfd.frame.segments, rfd.segment_ideals):
+        if seg.kind == OMEGA:  # Prin(El(b, n)) goes to f(El(b, n))
+            rules.append(f.rules[ideal.a.seg])
+        else:
+            rules.append(Seq.constant(sigma(rmap(f, ideal))))
     return ChainMap(rfd.wb, f.dst, tuple(rules))
 
 
@@ -491,13 +467,9 @@ def rho(psi: Morphism, rfd: RFrameData) -> Morphism:
     return compose(psi, kappa_map(rfd))
 
 
-def rmap_map(f: Morphism, src_rfd: RFrameData | None = None,
-             dst_rfd: RFrameData | None = None) -> Morphism:
-    """The ideal-frame functor action on a represented morphism."""
-    if src_rfd is None:
-        src_rfd = rframe(f.src)
-    if dst_rfd is None:
-        dst_rfd = rframe(f.dst)
+def rmap_map(f: Morphism, src_rfd: RFrameData, dst_rfd: RFrameData) -> Morphism:
+    """The ideal-frame functor action on a represented morphism; src_rfd
+    and dst_rfd are the ideal frames of f's source and target."""
     if isinstance(f, FiniteMap):
         table = tuple(
             dst_rfd.el_of(rmap(f, src_rfd.ideal_of(i)))
@@ -505,27 +477,23 @@ def rmap_map(f: Morphism, src_rfd: RFrameData | None = None,
         )
         return FiniteMap(src_rfd.wb, dst_rfd.wb, table)
     rules = []
-    for kind, payload in src_rfd.seg_descs:
-        if kind == "prin_block":
-            rule = f.rules[payload]
-            exc = tuple(
-                (m, dst_rfd.el_of(kappa(f.dst, v))) for m, v in rule.exceptions
-            )
-            if rule.is_affine:
-                # omega values of the target are reflexive, so their
-                # approximant ideals are principal and sit in the matching
-                # block of the target ideal frame
-                probe = dst_rfd.el_of(Prin(f.dst, El(rule.seg, 0)))
-                rules.append(Seq.affine(probe.seg, rule.a, rule.b, exc))
-            else:
-                rules.append(
-                    Seq.constant(dst_rfd.el_of(kappa(f.dst, rule.const)), exc))
-        elif kind == "prin":
-            ideal = rmap(f, Prin(f.src, payload))
-            rules.append(Seq.constant(dst_rfd.el_of(ideal)))
+    for seg, ideal in zip(src_rfd.frame.segments, src_rfd.segment_ideals):
+        if seg.kind != OMEGA:
+            rules.append(Seq.constant(dst_rfd.el_of(rmap(f, ideal))))
+            continue
+        rule = f.rules[ideal.a.seg]
+        exc = tuple(
+            (m, dst_rfd.el_of(kappa(f.dst, v))) for m, v in rule.exceptions
+        )
+        if rule.is_affine:
+            # omega values of the target are reflexive, so their
+            # approximant ideals are principal and sit in the matching
+            # block of the target ideal frame
+            probe = dst_rfd.el_of(Prin(f.dst, El(rule.seg, 0)))
+            rules.append(Seq.affine(probe.seg, rule.a, rule.b, exc))
         else:
-            ideal = rmap(f, BelowLim(f.src, payload))
-            rules.append(Seq.constant(dst_rfd.el_of(ideal)))
+            rules.append(
+                Seq.constant(dst_rfd.el_of(kappa(f.dst, rule.const)), exc))
     return ChainMap(src_rfd.wb, dst_rfd.wb, tuple(rules))
 
 

@@ -10,14 +10,17 @@ and inclusion exact:
 
 The frame of round ideals of a chain instance is again a chain-like frame;
 :func:`rframe` materializes it with a codec between its element codes and
-the ideals they stand for.
+the ideals they stand for.  The frame carries two proximities, the
+way-below relation and the maximal proximity, and the frames of round
+ideals of each, the next levels of the two comonads' towers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .chain import OMEGA, POINT, ChainLikeFrame, El, Segment, Seq
+from .chain import OMEGA, POINT, ChainLikeFrame, El, Segment, Seq, _seq_problem
 from .errors import (
     InvalidParameter,
     NotDirected,
@@ -202,16 +205,9 @@ def _dirfam_sup(prox: ChainProximity, seq: Seq) -> RoundIdeal:
     # union of Prin(seq(n)): the sequence must be a monotone family of
     # frame elements, and each generator must itself be round
     f = prox.frame
-    for _, v in seq.exceptions:
-        f.check(v)
-    if seq.is_affine:
-        if not (0 <= seq.seg < len(f.segments)
-                and f.segments[seq.seg].kind == OMEGA):
-            raise InvalidParameter("affine tail must land in an omega block")
-        if seq.b < 0:
-            raise InvalidParameter("affine tail offset must be >= 0")
-    else:
-        f.check(seq.const)
+    problem = _seq_problem(seq, f)
+    if problem is not None:
+        raise InvalidParameter(problem)
     if seq.descent(f.leq) is not None:
         raise NotDirected("described family is not monotone nondecreasing")
     for v in [v for _, v in seq.exceptions] + [seq.tail(0), seq.tail(1)]:
@@ -278,8 +274,12 @@ def retag(ideal: RoundIdeal, prox: Proximity) -> RoundIdeal:
 
 @dataclass(frozen=True)
 class RFrameData:
-    """The frame of round ideals with its way-below proximity and a codec
-    between frame elements and canonical ideals."""
+    """The frame of round ideals with a codec between frame elements and
+    canonical ideals, and its two proximities: the way-below relation `wb`
+    and the maximal proximity `maxp`.  The frames of round ideals of `wb`
+    and of `maxp` are the properties `rr` and `cc`; each is built on first
+    use and kept for the lifetime of this object, so a run that holds one
+    RFrameData per instance builds each level of both towers once."""
 
     base: Proximity
     frame: FiniteFrame | ChainLikeFrame
@@ -311,6 +311,42 @@ class RFrameData:
             if kind == "prin" and payload == a:
                 return El(s, 0)
         raise UnsupportedRepresentation(f"{ideal!r} is not in the classification")
+
+    @cached_property
+    def segment_ideals(self) -> tuple[RoundIdeal, ...]:
+        """On a chain frame, the ideal of each segment's first element:
+        Prin(El(b, 0)) for the omega block over base block b, else the
+        one ideal of the point."""
+        return tuple(self.ideal_of(El(s, 0)) for s in range(len(self.frame.segments)))
+
+    @cached_property
+    def maxp(self) -> Proximity:
+        """I below J iff I is contained in J and the joins are related."""
+        base = self.base
+        if isinstance(base, FiniteProximity):
+            ideals = [self.ideal_of(i) for i in self.frame.elements()]
+            mat = tuple(
+                tuple(subideal(I, J) and base.rel(sigma(I), sigma(J)) for J in ideals)
+                for I in ideals
+            )
+            return FiniteProximity(self.frame, mat)
+        # a limit of the ideal frame stands for everything under a base
+        # limit; its join relates to itself exactly when that base limit does
+        refl = frozenset(e for e in self.frame.limits()
+                         if base.reflexive(sigma(self.segment_ideals[e.seg])))
+        return ChainProximity(self.frame, refl)
+
+    @cached_property
+    def rr(self) -> "RFrameData":
+        """The frame of round ideals of `wb`: the next level of the
+        way-below comonad's tower."""
+        return rframe(self.wb)
+
+    @cached_property
+    def cc(self) -> "RFrameData":
+        """The frame of round ideals of `maxp`: the next level of the
+        maximal-structure comonad's tower."""
+        return rframe(self.maxp)
 
     def class_ideals(self, depth: int = 3) -> list[RoundIdeal]:
         """One canonical ideal per element class of the ideal frame."""

@@ -12,7 +12,6 @@ from proxkit.comonads import (
     epsilon_map,
     kleisli_compose,
     kz_check,
-    max_proximity,
     max_proximity_agreement,
     maxrel_contains_wb,
     naturality_suite,
@@ -155,16 +154,16 @@ def test_criterion_04_decomposition_law():
 def test_criterion_05_way_below_comonad():
     ok = True
     for name, prox in INSTS.items():
-        for rep in comonad_laws("R", prox):
+        for rep in comonad_laws("R", rframe(prox)):
             ok = ok and rep.ok
     # idempotence: the comultiplication is bijective with the join map as
     # its inverse on both chain classifications
     for name in ("chain-k1", "chain-k2"):
         rfd = rframe(INSTS[name])
-        rrfd = rframe(rfd.wb)
+        rrfd = rfd.rr
         from proxkit.comonads import r_map
 
-        r = r_map(rfd, rrfd)
+        r = r_map(rfd)
         ok = ok and compose(sigma_map(rrfd), r) == identity_map(rfd.wb)
         ok = ok and compose(r, sigma_map(rrfd)) == identity_map(rrfd.wb)
     _conclude(5, "counit and comultiplication laws for the way-below comonad, "
@@ -173,18 +172,16 @@ def test_criterion_05_way_below_comonad():
 
 def test_criterion_06_max_structure_comonad():
     p = INSTS["chain-k1"]
-    reports = comonad_laws("C", p)
+    rfd = rframe(p)
+    reports = comonad_laws("C", rfd)
     ok = all(r.ok for r in reports)
     ok = ok and any(r.law == "C.comult.nonprincipal" and r.ok for r in reports)
     # eps(c(Ibar)) = Ibar for every canonical class
-    rfd = rframe(p)
-    maxp = max_proximity(rfd)
-    ccfd = rframe(maxp)
     from proxkit.comonads import c_map
 
-    c = c_map(rfd, ccfd)
-    eps = epsilon_map(ccfd)
-    ok = ok and compose(eps, c) == identity_map(maxp)
+    c = c_map(rfd)
+    eps = epsilon_map(rfd.cc)
+    ok = ok and compose(eps, c) == identity_map(rfd.maxp)
     _conclude(6, "all diagrams of the maximal-structure comonad on the "
                  "one-limit chain, including the non-principal "
                  "comultiplication", ok)
@@ -192,21 +189,21 @@ def test_criterion_06_max_structure_comonad():
 
 def test_criterion_07_two_relations_separate():
     rfd = rframe(INSTS["chain-k1"])
-    maxp = max_proximity(rfd)
+    maxp = rfd.maxp
     B = El(1, 0)  # the class of everything under the limit
     ok = maxp.rel(B, B) and not rfd.wb.rel(B, B)
     report = validate_proximity(maxp)
     ok = ok and report.ok
     ok = ok and max_proximity_agreement(rfd).ok
-    ok = ok and maxrel_contains_wb(INSTS["chain-k1"]).ok
+    ok = ok and maxrel_contains_wb(rfd).ok
     _conclude(7, "the maximal relation separates from way-below at the limit "
                  "class yet satisfies all axioms", ok)
 
 
 def test_criterion_08_non_idempotence():
     rfd = rframe(INSTS["chain-k1"])
-    ccfd = rframe(max_proximity(rfd))
-    cccfd = rframe(max_proximity(ccfd))
+    ccfd = rfd.cc
+    cccfd = ccfd.cc
     # segment 1 is the first limit class; count what sits strictly above it
     above_c = [s.label for s in ccfd.frame.segments[2:]]
     above_cc = [s.label for s in cccfd.frame.segments[2:]]
@@ -262,7 +259,7 @@ def test_criterion_11_naturality_squares():
     ok = True
     ran = 0
     for name, f in MORPHS.items():
-        for rep in naturality_suite(f):
+        for rep in naturality_suite(f, rframe(f.src), rframe(f.dst)):
             ran += 1
             ok = ok and rep.ok
     _conclude(11, "the naturality squares hold for every catalog morphism of "
@@ -271,13 +268,13 @@ def test_criterion_11_naturality_squares():
 
 def test_criterion_12_coalgebras():
     p1 = INSTS["chain-k1"]
-    reports = coalgebra_laws(p1)
+    rfd = rframe(p1)
+    reports = coalgebra_laws(rfd)
     ok = len(reports) == 1 and not reports[0].ok  # base frame rejected
     ok = ok and not is_stably_compact(p1)
-    rfd = rframe(p1)
-    ok = ok and all(r.ok for r in coalgebra_laws(rfd.wb))
+    ok = ok and all(r.ok for r in coalgebra_laws(rfd.rr))
     # the structure-square criterion agrees with properness both ways
-    maxp = max_proximity(rfd)
+    maxp = rfd.maxp
     fr = maxp.frame
     B, P0, T = El(1, 0), El(0, 0), El(2, 0)
     w = ChainMap(maxp, maxp, (
@@ -286,13 +283,13 @@ def test_criterion_12_coalgebras():
         Seq.constant(T),
     ))
     ok = ok and validate_pframemap(w).ok and not is_proper(w)
-    rep = check_coalgebra_morphism(w)
+    rep = check_coalgebra_morphism(w, rfd.cc, rfd.cc)
     ok = ok and rep.ok and "square=fails; proper=False" in rep.note
-    rep = check_coalgebra_morphism(identity_map(maxp))
+    rep = check_coalgebra_morphism(identity_map(maxp), rfd.cc, rfd.cc)
     ok = ok and rep.ok and "square=holds; proper=True" in rep.note
     # lax idempotence on every catalog instance
     for name, prox in INSTS.items():
-        ok = ok and kz_check(prox).ok
+        ok = ok and kz_check(rframe(prox)).ok
     _conclude(12, "coalgebra existence, laws, the properness criterion, and "
                   "the lax-idempotence inequality", ok)
 

@@ -182,7 +182,10 @@ def test_cli_usage_and_input_errors(capsys):
     ({"builder": "finite", "elements": ["a", "b"], "leq": [["a", "b"]],
       "proximity": {"pairs": [["a", "zz"]]}},
      "field 'proximity.pairs': no element named 'zz'"),
-], ids=["elements-not-a-list", "reflexive-not-indices", "unknown-pair-element"])
+    ({"builder": "product", "left": 3, "right": 4},
+     "field 'left' must be an instance document, got 3"),
+], ids=["elements-not-a-list", "reflexive-not-indices", "unknown-pair-element",
+        "product-factor-not-a-document"])
 def test_cli_malformed_instance_exits_2(doc, message, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
@@ -237,6 +240,27 @@ def test_cli_morphism_suite_builds_each_ideal_frame_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "rframe", lambda p: built.append(p) or rframe(p))
     assert main(["laws", "--suite", "morphisms"]) == 0
     assert len(built) == len(set(built)) == 6
+
+
+@pytest.mark.parametrize("argv, builds", [
+    # six instances, each with R L, R R L, R R R L, C L and C C L
+    (["laws", "--suite", "all"], 30),
+    (["laws", "--suite", "all", "--instance", "chain-k2"], 5),
+], ids=["catalog", "chain-k2"])
+def test_cli_laws_builds_each_ideal_frame_once_per_run(argv, builds, capsys,
+                                                       monkeypatch):
+    import proxkit.roundideal as roundideal
+
+    built = []
+    for name in ("_rframe_finite", "_rframe_chain"):
+        build = getattr(roundideal, name)
+        monkeypatch.setattr(roundideal, name,
+                            lambda p, build=build: built.append(p) or build(p))
+    assert main(argv) == 0
+    assert len(built) == builds
+    # nothing is kept past the run: a second one builds them all again
+    assert main(argv) == 0
+    assert len(built) == 2 * builds
 
 
 def test_cli_laws_morphism_suite(capsys):

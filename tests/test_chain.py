@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +9,13 @@ from proxkit.chain import (
     El,
     Segment,
     Seq,
+    _seq_problem,
     build_chain_frame,
     lim,
     succ,
 )
-from proxkit.errors import InvalidParameter, NotDirected
+from proxkit.errors import InvalidParameter, MalformedMap, NotDirected
+from proxkit.morphisms import ChainMap
 from proxkit.proximity import chain_proximity
 from proxkit.roundideal import DirFam, dir_sup
 
@@ -126,3 +130,23 @@ def test_lattice_ops_agree_with_order(k, i, j):
     assert f.meet(x, y) == (x if i <= j else y)
     assert f.join(x, y) == (y if i <= j else x)
     assert f.leq(x, y) == (i <= j)
+
+
+@pytest.mark.parametrize("seq, problem", [
+    (Seq.constant(El(1, 3)), "value El(1,3) is not in the target frame"),
+    (Seq.constant(El(0, 2), ((1, El(9, 0)),)),
+     "value El(9,0) is not in the target frame"),
+    (Seq.affine(1, 1, 0), "affine tail must land in an omega block"),
+    (Seq.affine(2, 1, 0), "affine tail must land in an omega block"),
+    (Seq.affine(0, 1, -1, ((0, El(0, 0)),)), "affine tail offset must be >= 0"),
+])
+def test_maps_and_families_share_one_target_check(seq, problem):
+    # a chain map's rule and a described family report the same problem,
+    # each with its own exception class
+    p = chain_proximity(build_chain_frame(1), {1})
+    assert _seq_problem(seq, p.frame) == problem
+    with pytest.raises(MalformedMap, match=re.escape(problem)):
+        ChainMap(p, p, (seq, Seq.constant(p.frame.top)))
+    with pytest.raises(InvalidParameter, match=re.escape(problem)):
+        dir_sup(DirFam(p, seq))
+    assert _seq_problem(Seq.affine(0, 2, 1), p.frame) is None

@@ -23,9 +23,7 @@ from proxkit.comonads import (
     kleisli_compose,
     kz_check,
     m_map,
-    max_proximity,
     max_proximity_agreement,
-    max_proximity_report,
     maxrel_contains_wb,
     retag_map,
     r_map,
@@ -43,7 +41,14 @@ from proxkit.morphisms import (
 )
 from proxkit.proximity import FiniteProximity, chain_proximity, validate_proximity
 from proxkit.reports import law_fail, law_pass
-from proxkit.roundideal import kappa, rframe, sigma, subideal, way_below_ideals
+from proxkit.roundideal import (
+    ideal_frame,
+    kappa,
+    rframe,
+    sigma,
+    subideal,
+    way_below_ideals,
+)
 
 # instances small enough for the doubled and tripled ideal frames
 LAW_INSTANCES = ("two", "chain3", "diamond", "chain-k1", "chain-k2")
@@ -60,13 +65,13 @@ def k1_rfd():
 
 def test_max_proximity_is_a_valid_proximity():
     for name, prox in insts().items():
-        maxp, report = max_proximity_report(prox)
+        report = validate_proximity(rframe(prox).maxp)
         assert report.ok, (name, report.failures())
 
 
 def test_max_proximity_collapses_on_finite_order_instances():
     prox = catalog_instances()["diamond"]
-    _, report = max_proximity_report(prox)
+    report = validate_proximity(rframe(prox).maxp)
     assert report.collapse is True  # inclusion refined by <= is just <=
 
 
@@ -78,14 +83,14 @@ def test_max_proximity_definitions_agree():
 
 def test_max_proximity_contains_way_below():
     for name, prox in insts().items():
-        assert maxrel_contains_wb(prox).ok, name
+        assert maxrel_contains_wb(rframe(prox)).ok, name
 
 
 def test_max_proximity_reflexive_limits_track_the_base():
     # chain-k1 base has a reflexive top limit: the class of ideals under
     # it becomes a reflexive limit of the doubled structure
     rfd = k1_rfd()
-    maxp = max_proximity(rfd)
+    maxp = rfd.maxp
     labels = [s.label for s in rfd.frame.segments]
     assert labels == ["P[S0]", "B[L1]", "P[L1]"]
     assert maxp.reflexive_limits == frozenset({El(1, 0)})
@@ -96,61 +101,60 @@ def test_max_proximity_reflexive_limits_track_the_base():
 def test_comonad_laws_all_pass():
     for name, prox in insts().items():
         for which in ("R", "C"):
-            for rep in comonad_laws(which, prox):
+            for rep in comonad_laws(which, rframe(prox)):
                 assert rep.ok, (name, rep)
 
 
 def test_law_names_cover_both_comonads():
-    prox = insts()["chain-k1"]
-    names_r = [r.law for r in comonad_laws("R", prox)]
-    names_c = [r.law for r in comonad_laws("C", prox)]
+    rfd = rframe(insts()["chain-k1"])
+    names_r = [r.law for r in comonad_laws("R", rfd)]
+    names_c = [r.law for r in comonad_laws("C", rfd)]
     assert names_r == ["R.counit.left", "R.counit.right", "R.coassoc",
                        "R.idempotent"]
     assert names_c == ["C.counit.left", "C.counit.right", "C.coassoc",
                        "C.comult.nonprincipal"]
     with pytest.raises(NotComposable):
-        comonad_laws("Q", prox)
+        comonad_laws("Q", rfd)
 
 
 def test_doubling_grows_but_redoubling_stabilizes_nothing():
     # the maximal-structure comonad is not idempotent: doubling the k=1
     # chain instance keeps adding classes at the top
     rfd = k1_rfd()
-    ccfd = rframe(max_proximity(rfd))
+    ccfd = rfd.cc
     labels_c = [s.label for s in ccfd.frame.segments]
     assert labels_c == ["P[P[S0]]", "B[B[L1]]", "P[B[L1]]", "P[P[L1]]"]
-    cccfd = rframe(max_proximity(ccfd))
+    cccfd = ccfd.cc
     assert len(cccfd.frame.segments) == 5  # one more class each round
 
 
 def test_counit_of_doubled_instance_is_not_injective():
     rfd = k1_rfd()
-    ccfd = rframe(max_proximity(rfd))
-    eps = epsilon_map(ccfd)
+    eps = epsilon_map(rfd.cc)
     # both the below-class and the principal class at B[L1] join to B[L1]
     assert eps.apply(El(1, 0)) == eps.apply(El(2, 0)) == El(1, 0)
 
 
 def test_subcomonad_identities():
     for name, prox in insts().items():
-        for rep in subcomonad_check(prox):
+        for rep in subcomonad_check(rframe(prox)):
             assert rep.ok, (name, rep)
 
 
 def test_kz_inequality():
     for name, prox in insts().items():
-        assert kz_check(prox).ok, name
+        assert kz_check(rframe(prox)).ok, name
 
 
 def test_adjunction_inequalities():
     for name, prox in insts().items():
-        for rep in adjunction_checks(prox):
+        for rep in adjunction_checks(rframe(prox)):
             assert rep.ok, (name, rep)
 
 
 def test_doubled_membership():
     for name, prox in insts().items():
-        assert doubled_membership_lemma(prox).ok, name
+        assert doubled_membership_lemma(rframe(prox)).ok, name
 
 
 def nested_doubled_membership(prox):
@@ -159,8 +163,7 @@ def nested_doubled_membership(prox):
     representatives."""
     inst = describe_instance(prox)
     rfd = rframe(prox)
-    maxp = max_proximity(rfd)
-    ccfd = rframe(maxp)
+    maxp, ccfd = rfd.maxp, rfd.cc
     eps_CL = epsilon_map(ccfd)
     reps_C = comonads._reps(rfd, (eps_CL,), pairs=True)
     reps_CC = comonads._reps(ccfd, (eps_CL,), pairs=True)
@@ -194,14 +197,15 @@ def chain_instances(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_doubled_membership_matches_nested_loop_on_chains(k):
     for prox in chain_instances(k):
-        assert doubled_membership_lemma(prox) == nested_doubled_membership(prox)
+        assert doubled_membership_lemma(rframe(prox)) == nested_doubled_membership(prox)
 
 
 def test_doubled_membership_matches_nested_loop_on_finite_catalog():
     for name, prox in catalog_instances().items():
         if name not in ("two", "chain3", "diamond", "cube3"):
             continue
-        assert doubled_membership_lemma(prox) == nested_doubled_membership(prox), name
+        assert (doubled_membership_lemma(rframe(prox))
+                == nested_doubled_membership(prox)), name
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -212,8 +216,7 @@ def test_doubled_membership_witness_is_a_representative(k):
     for refl in _subsets_with_top(k):
         prox = chain_proximity(frame, refl)
         rfd = rframe(prox)
-        maxp = max_proximity(rfd)
-        ccfd = rframe(maxp)
+        maxp, ccfd = rfd.maxp, rfd.cc
         eps_CL = epsilon_map(ccfd)
         reps_C = comonads._reps(rfd, (eps_CL,), pairs=True)
         ideals = [rfd.ideal_of(i) for i in reps_C]
@@ -233,7 +236,7 @@ def test_doubled_membership_failure_matches_nested_loop(monkeypatch):
     monkeypatch.setattr(comonads, "member", lambda b, I: b == sigma(I))
     failed = 0
     for prox in (*insts().values(), chain_proximity(build_chain_frame(3), {3})):
-        got = doubled_membership_lemma(prox)
+        got = doubled_membership_lemma(rframe(prox))
         assert got == nested_doubled_membership(prox)
         assert sampled_oracle(prox)(3, 2)["C.doubled-membership"] == got.ok
         failed += not got.ok
@@ -268,13 +271,12 @@ def sampled_oracle(prox):
     Returns verdicts(depth, seed) -> {law: ok}; frames and maps are built
     once."""
     rfd = rframe(prox)
-    maxp = max_proximity(rfd)
-    ccfd = rframe(maxp)
+    maxp, ccfd = rfd.maxp, rfd.cc
     base = rfd.base
-    c = c_map(rfd, ccfd)
+    c = c_map(rfd)
     eps = epsilon_map(ccfd)
     ceps = cmap_of(epsilon_map(rfd), ccfd, rfd)
-    bk = retag_map(kappa_map(ccfd), maxp, max_proximity(ccfd))
+    bk = retag_map(kappa_map(ccfd), maxp, ccfd.maxp)
     leq_C, leq_CC = rfd.frame.leq, ccfd.frame.leq
     # points and pairs recur across depths and seeds
     ideal_of = functools.cache(rfd.ideal_of)
@@ -314,9 +316,10 @@ def sampled_oracle(prox):
 
 
 def per_class_verdicts(prox):
-    reports = [kz_check(prox), *adjunction_checks(prox),
-               doubled_membership_lemma(prox),
-               max_proximity_agreement(rframe(prox)), maxrel_contains_wb(prox)]
+    rfd = rframe(prox)
+    reports = [kz_check(rfd), *adjunction_checks(rfd),
+               doubled_membership_lemma(rfd),
+               max_proximity_agreement(rfd), maxrel_contains_wb(rfd)]
     return {r.law: r.ok for r in reports}
 
 
@@ -343,11 +346,10 @@ def test_law_maps_are_lockstep_past_horizon_zero(k):
     frame = build_chain_frame(k)
     for refl in _subsets_with_top(k):
         rfd = rframe(chain_proximity(frame, refl))
-        maxp = max_proximity(rfd)
-        ccfd = rframe(maxp)
-        maps = (c_map(rfd, ccfd), epsilon_map(ccfd), sigma_map(rfd),
+        ccfd = rfd.cc
+        maps = (c_map(rfd), epsilon_map(ccfd), sigma_map(rfd),
                 kappa_map(rfd), cmap_of(epsilon_map(rfd), ccfd, rfd),
-                retag_map(kappa_map(ccfd), maxp, max_proximity(ccfd)))
+                retag_map(kappa_map(ccfd), rfd.maxp, ccfd.maxp))
         for m in maps:
             for s in m.rules:
                 assert s.horizon() == 0, (refl, m)
@@ -376,35 +378,37 @@ def test_reps_cover_a_late_exception():
 
 def test_coalgebra_laws_on_stably_compact_instances():
     for name in ("two", "chain3", "diamond"):
-        for rep in coalgebra_laws(insts()[name]):
+        for rep in coalgebra_laws(rframe(insts()[name])):
             assert rep.ok, (name, rep)
     # ideal frames of chain instances are stably compact even though the
     # bases are not: the point classes cap every limit
     for name in ("chain-k1", "chain-k2"):
         rfd = rframe(insts()[name])
-        for rep in coalgebra_laws(rfd.wb):
+        for rep in coalgebra_laws(rfd.rr):
             assert rep.ok, (name, rep)
 
 
 def test_no_coalgebra_without_stable_compactness():
     # every plain chain base tops out at a limit point
     for name in ("chain-k1", "chain-k2"):
-        prox = insts()[name]
-        reps = coalgebra_laws(prox)
+        rfd = rframe(insts()[name])
+        reps = coalgebra_laws(rfd)
         assert len(reps) == 1 and not reps[0].ok
         with pytest.raises(NotStablyCompact):
-            coalgebra_structure(prox)
+            coalgebra_structure(rfd)
 
 
 def test_coalgebra_morphism_square_iff_proper():
     # a proper frame map: the square commutes and the report passes
     prox = insts()["diamond"]
-    rep = check_coalgebra_morphism(identity_map(prox))
+    rfd = rframe(prox)
+    rep = check_coalgebra_morphism(identity_map(prox), rfd, rfd)
     assert rep.ok and "square=holds; proper=True" in rep.note
 
     # a frame map on the doubled k=1 instance that is not proper: it
     # collapses the strictly-increasing tail onto the limit class
-    maxp = max_proximity(k1_rfd())
+    ccfd = k1_rfd().cc
+    maxp = ccfd.base
     f = maxp.frame
     B, P0, T = El(1, 0), El(0, 0), El(2, 0)
     w = ChainMap(maxp, maxp, (
@@ -414,7 +418,7 @@ def test_coalgebra_morphism_square_iff_proper():
     ))
     assert validate_pframemap(w).ok
     assert not is_proper(w)
-    rep = check_coalgebra_morphism(w)
+    rep = check_coalgebra_morphism(w, ccfd, ccfd)
     assert rep.ok and "square=fails; proper=False" in rep.note
 
     # maps that do not preserve the proximities are rejected outright
@@ -424,12 +428,12 @@ def test_coalgebra_morphism_square_iff_proper():
         Seq.constant(T),
     ))
     assert not validate_pframemap(bad).ok
-    rep = check_coalgebra_morphism(bad)
+    rep = check_coalgebra_morphism(bad, ccfd, ccfd)
     assert not rep.ok and "does not preserve" in rep.note
 
     # maps between non-stably-compact instances are rejected too
     g = catalog_morphisms()["k2-g"]
-    rep = check_coalgebra_morphism(g)
+    rep = check_coalgebra_morphism(g, rframe(g.src), rframe(g.dst))
     assert not rep.ok and "stably compact" in rep.note
 
 
@@ -440,7 +444,7 @@ def test_naturality_squares_on_catalog_morphisms():
     from proxkit.comonads import naturality_suite
 
     for name, m in catalog_morphisms().items():
-        reports = naturality_suite(m)
+        reports = naturality_suite(m, rframe(m.src), rframe(m.dst))
         assert reports, name
         for rep in reports:
             assert rep.ok, (name, rep)
@@ -478,7 +482,7 @@ def test_retag_guard_and_beta_epsilon_relation():
 def test_m_map_is_a_frame_map_into_all_ideals():
     for name in ("diamond", "chain-k1", "chain-k2"):
         rfd = rframe(insts()[name])
-        rep = validate_pframemap(m_map(rfd))
+        rep = validate_pframemap(m_map(rfd, ideal_frame(rfd.base.frame)))
         assert rep.ok, (name, rep.failures())
 
 

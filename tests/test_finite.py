@@ -49,6 +49,20 @@ def test_diamond_tables():
     assert f.pseudo[f.top] == f.bot
 
 
+def test_builder_primes_the_order_rows():
+    # the up- and down-rows are handed over by the builder, not re-read
+    # from leq_mat, and they agree with leq_mat
+    for f in (diamond(), product(diamond(), diamond()),
+              downset_frame(["x", "y", "z"], [("x", "y")])):
+        assert {"up", "down"} <= vars(f).keys()
+        n = f.n
+        assert f.up == tuple(sum(1 << b for b in range(n) if f.leq(a, b))
+                             for a in range(n))
+        assert f.down == tuple(sum(1 << a for a in range(n) if f.leq(a, b))
+                               for b in range(n))
+        assert f.contains(n - 1) and not f.contains(n) and not f.contains("0")
+
+
 def test_canonical_element_order_is_stable():
     f1 = build_finite_frame(["1", "0"], [("0", "1")])
     f2 = build_finite_frame(["0", "1"], [("0", "1")])

@@ -9,7 +9,6 @@ from proxkit.catalog import catalog_instances
 from proxkit import proximity
 from proxkit.chain import OMEGA, POINT, ChainLikeFrame, Segment, Seq, build_chain_frame, lim
 from proxkit.cli import _generated_frames
-from proxkit.comonads import max_proximity
 from proxkit.errors import InvalidReflexiveSet, MalformedRelation
 from proxkit.finite import build_finite_frame, downset_frame
 from proxkit.proximity import (
@@ -258,7 +257,7 @@ def test_chain_validation_matches_scan_on_all_layouts():
 def _derived_proximities(p):
     """The way-below and maximal structures on the ideal frame of p."""
     rfd = rframe(p)
-    return rfd.wb, max_proximity(rfd)
+    return rfd.wb, rfd.maxp
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
