@@ -47,6 +47,8 @@ def parse_instance(doc: dict) -> tuple[str, Proximity]:
         raise InvalidParameter("instance document needs a 'builder' field")
     builder = doc["builder"]
     name = doc.get("name", builder)
+    if "name" in doc and not isinstance(name, str):
+        raise InvalidParameter(f"field 'name' must be a string, got {name!r}")
     if builder == "chain":
         k = doc.get("k", 1)
         if not _is_int(k):
@@ -117,14 +119,13 @@ def _finite_with_proximity(frame, spec) -> FiniteProximity:
     if spec == "leq":
         return order_proximity(frame)
     if isinstance(spec, dict) and "pairs" in spec:
-        n = frame.n
-        mat = [[False] * n for _ in range(n)]
+        rows = [0] * frame.n
         for a, b in _name_pairs(spec["pairs"], "proximity.pairs"):
             try:
-                mat[frame.index(a)][frame.index(b)] = True
+                rows[frame.index(a)] |= 1 << frame.index(b)
             except InvalidParameter as exc:
                 raise InvalidParameter(f"field 'proximity.pairs': {exc}") from None
-        return FiniteProximity(frame, tuple(tuple(r) for r in mat))
+        return FiniteProximity(frame, tuple(rows))
     raise InvalidParameter(f"unknown proximity spec {spec!r}")
 
 
@@ -151,7 +152,7 @@ def instance_to_json(name: str, prox: Proximity) -> dict:
             [frame.names[a], frame.names[b]] for a, b in frame.covers()
         ),
     }
-    if prox.mat == frame.leq_mat:
+    if prox.rows == frame.up:
         doc["proximity"] = "leq"
     else:
         doc["proximity"] = {

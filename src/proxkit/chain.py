@@ -144,6 +144,11 @@ def build_chain_frame(k: int, names: list[str] | None = None) -> ChainLikeFrame:
         block = names[i] if names and i < len(names) else f"S{i}"
         segs.append(Segment(OMEGA, block))
         segs.append(Segment(POINT, f"L{i + 1}"))
+    seen: set[str] = set()
+    for seg in segs:
+        if seg.label in seen:
+            raise InvalidParameter(f"duplicate chain label {seg.label!r}")
+        seen.add(seg.label)
     return ChainLikeFrame(tuple(segs))
 
 

@@ -1,18 +1,16 @@
 """Finite frames (= finite distributive lattices) from explicit data.
 
-Frames are stored with a precomputed boolean order matrix and full
-meet/join tables, so every lattice operation is a table lookup.  Elements
+Frames store their order only as int bitmask rows: up[a] is the bitmask
+of the elements above a, and down[b] that of the elements below b.  Full
+meet/join tables make every lattice operation a table lookup.  Elements
 are the canonical indices 0..n-1, ordered topologically by leq with ties
-broken by name.  The builders and validators work on "up-rows": up[a] is
-the int bitmask of the elements above a, and down[b] that of the elements
-below b.
+broken by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, compress
+from itertools import combinations
 
 from .errors import (
     InvalidParameter,
@@ -30,7 +28,8 @@ DISTRIBUTIVITY_SCAN_LIMIT = 64
 @dataclass(frozen=True)
 class FiniteFrame:
     names: tuple[str, ...]
-    leq_mat: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...]  # up[a]: bitmask of the elements above a
+    down: tuple[int, ...]  # down[b]: bitmask of the elements below b
     meet_t: tuple[tuple[int, ...], ...]
     join_t: tuple[tuple[int, ...], ...]
     bot: int
@@ -48,7 +47,7 @@ class FiniteFrame:
         return isinstance(v, int) and 0 <= v < len(self.names)
 
     def leq(self, a: int, b: int) -> bool:
-        return self.leq_mat[a][b]
+        return bool(self.up[a] >> b & 1)
 
     def meet(self, a: int, b: int) -> int:
         return self.meet_t[a][b]
@@ -60,25 +59,11 @@ class FiniteFrame:
         # Every directed set in a finite lattice attains its supremum.
         return self.leq(a, b)
 
-    @cached_property
-    def up(self) -> tuple[int, ...]:
-        """up[a]: bitmask of the elements above a."""
-        return _row_masks(self.leq_mat)
-
-    @cached_property
-    def down(self) -> tuple[int, ...]:
-        """down[b]: bitmask of the elements below b."""
-        return _row_masks(zip(*self.leq_mat))
-
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)
         except ValueError:
             raise InvalidParameter(f"no element named {name!r}") from None
-
-    def down_mask(self, a: int) -> int:
-        """Bitset of the principal downset of a."""
-        return self.down[a]
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs (a, b): a < b with nothing strictly between."""
@@ -90,11 +75,14 @@ class FiniteFrame:
         return f"FiniteFrame({list(self.names)})"
 
 
-def _row_masks(rows) -> tuple[int, ...]:
-    """The int bitmask of each boolean row: bit b set iff row[b]."""
-    rows = list(rows)
-    powers = [1 << b for b in range(len(rows))]
-    return tuple(sum(compress(powers, row)) for row in rows)
+def _transpose(rows, n: int) -> tuple[int, ...]:
+    """The n columns of a relation given by its int rows: bit a of
+    column b is set iff bit b of rows[a] is."""
+    cols = [0] * n
+    for a, row in enumerate(rows):
+        for b in _bits(row):
+            cols[b] |= 1 << a
+    return tuple(cols)
 
 
 def _bits(mask: int):
@@ -141,7 +129,7 @@ def _frame_of_rows(names, up: list[int]) -> tuple[FiniteFrame, list[int]]:
     n = len(names)
     if n == 0:
         raise NoBounds("empty element list")
-    down = [sum(1 << a for a in range(n) if (up[a] >> b) & 1) for b in range(n)]
+    down = _transpose(up, n)
     # canonical order: topological by leq, ties by id
     order = sorted(range(n), key=lambda i: (down[i].bit_count(), names[i]))
     pos = [0] * n
@@ -189,18 +177,16 @@ def _frame_of_rows(names, up: list[int]) -> tuple[FiniteFrame, list[int]]:
     # lattice those x are closed under joins, so a* is the last of them
     pseudo = tuple(max(x for x in range(n) if meet_t[a][x] == 0) for a in range(n))
 
-    frame = FiniteFrame(
+    return FiniteFrame(
         names=names2,
-        leq_mat=tuple(tuple(bool((row >> b) & 1) for b in range(n)) for row in up),
+        up=tuple(up),
+        down=tuple(down),
         meet_t=tuple(map(tuple, meet_t)),
         join_t=tuple(map(tuple, join_t)),
         bot=0,
         top=n - 1,
         pseudo=pseudo,
-    )
-    # prime the cached row properties with the rows already at hand
-    vars(frame).update(up=tuple(up), down=tuple(down))
-    return frame, pos
+    ), pos
 
 
 def build_finite_frame(names: list[str], leq_pairs: list[tuple[str, str]]) -> FiniteFrame:

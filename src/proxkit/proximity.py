@@ -2,9 +2,9 @@
 
 A proximity is a binary relation finer than the order that forms a bounded
 sublattice of L x L, is closed under weakening, interpolates, and
-approximates every element from below.  Finite relations are boolean
-matrices, also held as int bitmask rows and columns; each axiom is decided
-exhaustively by mask operations on those and on the frame's up- and
+approximates every element from below.  Finite relations are stored as
+int bitmask rows, with the columns as a cached transpose; each axiom is
+decided exhaustively by mask operations on those and on the frame's up- and
 down-rows, at most O(n * P) of them for P related pairs, and reports the
 first failing witness of its scan.  Chain relations are described by the
 set of relation-reflexive limit points and are decided by O(#segments)
@@ -25,30 +25,25 @@ from functools import cached_property
 
 from .chain import ChainLikeFrame, El
 from .errors import InvalidReflexiveSet, MalformedRelation, TooLarge
-from .finite import FiniteFrame, _bits, _product, _row_masks
+from .finite import FiniteFrame, _bits, _product, _transpose
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, LawReport, Verdict, law_fail, law_pass
 
 
 @dataclass(frozen=True)
 class FiniteProximity:
     frame: FiniteFrame
-    mat: tuple[tuple[bool, ...], ...]
+    rows: tuple[int, ...]  # rows[a]: bitmask of the b with a rel b
 
     def rel(self, a: int, b: int) -> bool:
-        return self.mat[a][b]
+        return bool(self.rows[a] >> b & 1)
 
     def reflexive(self, a: int) -> bool:
-        return self.mat[a][a]
-
-    @cached_property
-    def rows(self) -> tuple[int, ...]:
-        """rows[a]: bitmask of the b with a rel b."""
-        return _row_masks(self.mat)
+        return self.rel(a, a)
 
     @cached_property
     def cols(self) -> tuple[int, ...]:
         """cols[b]: bitmask of the a with a rel b."""
-        return _row_masks(zip(*self.mat))
+        return _transpose(self.rows, self.frame.n)
 
     def pairs(self):
         """The related pairs in row-major order."""
@@ -100,7 +95,7 @@ Proximity = FiniteProximity | ChainProximity
 def order_proximity(frame) -> Proximity:
     """The order itself as a proximity (always valid)."""
     if isinstance(frame, FiniteFrame):
-        return FiniteProximity(frame, frame.leq_mat)
+        return FiniteProximity(frame, frame.up)
     return ChainProximity(frame, frozenset(frame.limits()))
 
 
@@ -123,12 +118,12 @@ def chain_proximity(frame: ChainLikeFrame, reflexive_blocks) -> ChainProximity:
 def product_proximity(p: FiniteProximity, q: FiniteProximity):
     """Componentwise proximity on the product of two finite frames."""
     pf, pos = _product(p.frame, q.frame)
-    n, m = pf.n, q.frame.n
-    mat = [[False] * n for _ in range(n)]
+    m = q.frame.n
+    rows = [0] * pf.n
     for a1, a2 in p.pairs():
         for b1, b2 in q.pairs():
-            mat[pos[a1 * m + b1]][pos[a2 * m + b2]] = True
-    return FiniteProximity(pf, tuple(tuple(r) for r in mat))
+            rows[pos[a1 * m + b1]] |= 1 << pos[a2 * m + b2]
+    return FiniteProximity(pf, tuple(rows))
 
 
 def well_inside(frame: FiniteFrame):
@@ -137,12 +132,10 @@ def well_inside(frame: FiniteFrame):
     On most finite frames it fails approximation unless it equals the
     order, so it is not certified as a proximity.
     """
-    n = frame.n
-    mat = tuple(
-        tuple(frame.join(frame.pseudo[a], b) == frame.top for b in range(n))
-        for a in range(n)
-    )
-    cand = FiniteProximity(frame, mat)
+    join_t, top = frame.join_t, frame.top
+    rows = tuple(sum(1 << b for b, j in enumerate(join_t[frame.pseudo[a]]) if j == top)
+                 for a in frame.elements())
+    cand = FiniteProximity(frame, rows)
     return cand, validate_proximity(cand)
 
 
@@ -158,11 +151,12 @@ def validate_proximity(prox: Proximity) -> AxiomReport:
 def _validate_finite(p: FiniteProximity) -> AxiomReport:
     f = p.frame
     n = f.n
-    if len(p.mat) != n or any(len(row) != n for row in p.mat):
-        raise MalformedRelation("relation matrix does not match the frame size")
+    rows = p.rows
+    if len(rows) != n or any(row >> n for row in rows):
+        raise MalformedRelation("relation rows do not match the frame size")
     names = f.names
     up, down, meet_t, join_t = f.up, f.down, f.meet_t, f.join_t
-    rows, cols = p.rows, p.cols
+    cols = p.cols
     axioms: list[tuple[str, Verdict]] = []
 
     v = Verdict(PASS)
@@ -175,8 +169,8 @@ def _validate_finite(p: FiniteProximity) -> AxiomReport:
     axioms.append(("finer-than-leq", v))
 
     v = Verdict(PASS)
-    if not p.mat[f.bot][f.bot] or not p.mat[f.top][f.top]:
-        missing = names[f.bot] if not p.mat[f.bot][f.bot] else names[f.top]
+    if not p.reflexive(f.bot) or not p.reflexive(f.top):
+        missing = names[f.bot] if not p.reflexive(f.bot) else names[f.top]
         v = Verdict(FAIL, (missing, missing), "bounds missing from the relation")
     else:
         # (a, b) and (c, d) are closed under meets iff meet(b, d) is in
@@ -238,7 +232,7 @@ def _validate_finite(p: FiniteProximity) -> AxiomReport:
             break
     axioms.append(("approximation", v))
 
-    collapse = p.mat == f.leq_mat
+    collapse = rows == up
     return AxiomReport(tuple(axioms), collapse=collapse)
 
 
@@ -336,22 +330,17 @@ def certify_finite_collapse(frame: FiniteFrame) -> LawReport:
     survivors = 0
     n = frame.n
     for bits in _weakening_closed(frame, free):
-        mat = [[False] * n for _ in range(n)]
-        mat[frame.bot][frame.bot] = True
-        mat[frame.top][frame.top] = True
+        rows = [0] * n
+        rows[frame.bot] |= 1 << frame.bot
+        rows[frame.top] |= 1 << frame.top
         for i, (a, b) in enumerate(free):
             if (bits >> i) & 1:
-                mat[a][b] = True
-        cand = FiniteProximity(frame, tuple(tuple(r) for r in mat))
+                rows[a] |= 1 << b
+        cand = FiniteProximity(frame, tuple(rows))
         if validate_proximity(cand).ok:
             survivors += 1
-            if cand.mat != frame.leq_mat:
-                witness = [
-                    (frame.names[a], frame.names[b])
-                    for a in range(n)
-                    for b in range(n)
-                    if mat[a][b]
-                ]
+            if cand.rows != frame.up:
+                witness = [(frame.names[a], frame.names[b]) for a, b in cand.pairs()]
                 return law_fail(
                     "collapse", instance, witness=tuple(witness),
                     samples=1 << len(free), note="non-order proximity found",

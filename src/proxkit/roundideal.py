@@ -28,7 +28,7 @@ from .errors import (
     TooLarge,
     UnsupportedRepresentation,
 )
-from .finite import FiniteFrame, _frame_of_rows, _inclusion_rows
+from .finite import FiniteFrame, _bits, _frame_of_rows, _inclusion_rows
 from .proximity import ChainProximity, FiniteProximity, Proximity, order_proximity
 
 FINITE_IDEAL_ENUM_LIMIT = 14
@@ -99,8 +99,7 @@ class DirFam:
 def kappa(prox: Proximity, a) -> RoundIdeal:
     """The largest round ideal whose join is a: all approximants of a."""
     if isinstance(prox, FiniteProximity):
-        mask = sum(1 << b for b in prox.frame.elements() if prox.rel(b, a))
-        return FinIdeal(prox, mask)
+        return FinIdeal(prox, prox.cols[a])
     prox.frame.check(a)
     if prox.reflexive(a):
         return Prin(prox, a)
@@ -113,8 +112,7 @@ def alpha(prox: Proximity, a) -> RoundIdeal:
     if not is_stably_compact(prox):
         raise NotStablyCompact("the instance has a non-compact top")
     if isinstance(prox, FiniteProximity):
-        mask = sum(1 << b for b in prox.frame.elements() if prox.frame.leq(b, a))
-        return FinIdeal(prox, mask)
+        return FinIdeal(prox, prox.frame.down[a])
     if prox.frame.is_limit(a):
         return BelowLim(prox, a)
     return Prin(prox, a)
@@ -279,7 +277,8 @@ class RFrameData:
     and the maximal proximity `maxp`.  The frames of round ideals of `wb`
     and of `maxp` are the properties `rr` and `cc`; each is built on first
     use and kept for the lifetime of this object, so a run that holds one
-    RFrameData per instance builds each level of both towers once."""
+    RFrameData per instance builds each level of both towers once.  Where
+    `maxp` is `wb`, as on every finite instance, `cc` is `rr`."""
 
     base: Proximity
     frame: FiniteFrame | ChainLikeFrame
@@ -324,12 +323,13 @@ class RFrameData:
         """I below J iff I is contained in J and the joins are related."""
         base = self.base
         if isinstance(base, FiniteProximity):
-            ideals = [self.ideal_of(i) for i in self.frame.elements()]
-            mat = tuple(
-                tuple(subideal(I, J) and base.rel(sigma(I), sigma(J)) for J in ideals)
-                for I in ideals
-            )
-            return FiniteProximity(self.frame, mat)
+            # the ideal frame is ordered by inclusion, so J contains I iff
+            # J is in up[I]
+            f = self.frame
+            tops = [sigma(self.ideal_of(i)) for i in f.elements()]
+            return FiniteProximity(f, tuple(
+                sum(1 << j for j in _bits(f.up[i]) if base.rel(tops[i], tops[j]))
+                for i in f.elements()))
         # a limit of the ideal frame stands for everything under a base
         # limit; its join relates to itself exactly when that base limit does
         refl = frozenset(e for e in self.frame.limits()
@@ -346,7 +346,7 @@ class RFrameData:
     def cc(self) -> "RFrameData":
         """The frame of round ideals of `maxp`: the next level of the
         maximal-structure comonad's tower."""
-        return rframe(self.maxp)
+        return self.rr if self.maxp == self.wb else rframe(self.maxp)
 
     def class_ideals(self, depth: int = 3) -> list[RoundIdeal]:
         """One canonical ideal per element class of the ideal frame."""
@@ -369,42 +369,18 @@ def _rframe_finite(prox: FiniteProximity) -> RFrameData:
             f"round-ideal enumeration limited to {FINITE_IDEAL_ENUM_LIMIT} elements"
         )
     # A join-closed downset of a finite lattice that contains bot is the
-    # principal downset of its join, so, whatever the relation, no other
-    # mask can pass `_is_round_downset`.
-    masks = [m for m in map(f.down_mask, f.elements()) if _is_round_downset(prox, m)]
-    masks.sort(key=lambda m: (bin(m).count("1"), m))
-    names = []
-    for m in masks:
-        mx = sigma(FinIdeal(prox, m))
-        if m == f.down_mask(mx):
-            names.append(f"dn({f.names[mx]})")
-        else:
-            members = ",".join(f.names[i] for i in f.elements() if (m >> i) & 1)
-            names.append("{" + members + "}")
-    frame, pos = _frame_of_rows(names, _inclusion_rows(masks))
+    # principal downset of its join, so, whatever the relation, the round
+    # ideals are the down[x] in which every member relates to a member.
+    rows = prox.rows
+    xs = [x for x, d in enumerate(f.down) if all(rows[b] & d for b in _bits(d))]
+    masks = [f.down[x] for x in xs]
+    frame, pos = _frame_of_rows([f"dn({f.names[x]})" for x in xs], _inclusion_rows(masks))
     order = [0] * len(masks)
     for i, m in enumerate(masks):
         order[pos[i]] = m
     return RFrameData(
         base=prox, frame=frame, wb=order_proximity(frame), masks=tuple(order)
     )
-
-
-def _is_round_downset(prox: FiniteProximity, mask: int) -> bool:
-    f = prox.frame
-    members = [a for a in f.elements() if (mask >> a) & 1]
-    for a in members:
-        for b in f.elements():
-            if f.leq(b, a) and not (mask >> b) & 1:
-                return False  # not a downset
-    for a in members:
-        for b in members:
-            if not (mask >> f.join(a, b)) & 1:
-                return False  # not join-closed
-    for a in members:
-        if not any(prox.rel(a, b) for b in members):
-            return False  # not round
-    return True
 
 
 def _rframe_chain(prox: ChainProximity) -> RFrameData:

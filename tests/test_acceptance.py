@@ -76,15 +76,16 @@ def test_criterion_01_finite_collapse_certificate():
         valid = 0
         order_valid = False
         for bits in range(1 << len(free)):
-            mat = [[False] * frame.n for _ in range(frame.n)]
-            mat[frame.bot][frame.bot] = mat[frame.top][frame.top] = True
+            rows = [0] * frame.n
+            rows[frame.bot] |= 1 << frame.bot
+            rows[frame.top] |= 1 << frame.top
             for i, (a, b) in enumerate(free):
                 if (bits >> i) & 1:
-                    mat[a][b] = True
-            cand = FiniteProximity(frame, tuple(tuple(r) for r in mat))
+                    rows[a] |= 1 << b
+            cand = FiniteProximity(frame, tuple(rows))
             if validate_proximity(cand).ok:
                 valid += 1
-                order_valid = order_valid or cand.mat == frame.leq_mat
+                order_valid = order_valid or cand.rows == frame.up
         ok = ok and valid == 1 and order_valid
         detail.append(f"{name}:{valid}")
     _conclude(1, "only the order satisfies the axioms on finite catalog frames",

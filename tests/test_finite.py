@@ -50,8 +50,9 @@ def test_diamond_tables():
 
 
 def test_builder_primes_the_order_rows():
-    # the up- and down-rows are handed over by the builder, not re-read
-    # from leq_mat, and they agree with leq_mat
+    # the builder stores the order only as its up- and down-rows; they
+    # agree with leq and with the meet table, the order proximity's
+    # columns are the down-rows, and the predicates return bools
     for f in (diamond(), product(diamond(), diamond()),
               downset_frame(["x", "y", "z"], [("x", "y")])):
         assert {"up", "down"} <= vars(f).keys()
@@ -60,7 +61,15 @@ def test_builder_primes_the_order_rows():
                              for a in range(n))
         assert f.down == tuple(sum(1 << a for a in range(n) if f.leq(a, b))
                                for b in range(n))
+        assert f.up == tuple(sum(1 << b for b in range(n) if f.meet(a, b) == a)
+                             for a in range(n))
         assert f.contains(n - 1) and not f.contains(n) and not f.contains("0")
+        p = order_proximity(f)
+        assert p.cols == f.down
+        for a in range(n):
+            assert type(p.reflexive(a)) is bool
+            for b in range(n):
+                assert type(f.leq(a, b)) is bool and type(p.rel(a, b)) is bool
 
 
 def test_canonical_element_order_is_stable():
@@ -219,6 +228,11 @@ def _oracle_glb(leq, a, b):
     return greatest[0] if greatest else None
 
 
+def _matrix_rows(mat):
+    """The int bitmask rows of a boolean matrix: bit b of row a is mat[a][b]."""
+    return tuple(sum(1 << b for b, x in enumerate(row) if x) for row in mat)
+
+
 def oracle_frame(names, leq_pairs):
     if len(set(names)) != len(names):
         raise NotAPoset("duplicate element ids")
@@ -261,7 +275,8 @@ def oracle_frame(names, leq_pairs):
         pseudo.append(best)
     return FiniteFrame(
         names=names2,
-        leq_mat=tuple(tuple(row) for row in leq),
+        up=_matrix_rows(leq),
+        down=_matrix_rows(zip(*leq)),
         meet_t=tuple(tuple(row) for row in meet_t),
         join_t=tuple(tuple(row) for row in join_t),
         bot=bots[0],
@@ -328,7 +343,7 @@ def oracle_product_proximity(p, q):
     for a1, a2 in p.pairs():
         for b1, b2 in q.pairs():
             mat[pos[_pair(p.frame, q.frame, a1, b1)]][pos[_pair(p.frame, q.frame, a2, b2)]] = True
-    return FiniteProximity(pf, tuple(map(tuple, mat)))
+    return FiniteProximity(pf, _matrix_rows(mat))
 
 
 def oracle_rframe_masks(prox):
@@ -352,7 +367,7 @@ def oracle_rframe_masks(prox):
         for b in f.elements():
             if (m >> b) & 1:
                 mx = f.join(mx, b)
-        if m == f.down_mask(mx):
+        if m == sum(1 << b for b in f.elements() if f.leq(b, mx)):
             names.append(f"dn({f.names[mx]})")
         else:
             names.append("{" + ",".join(f.names[i] for i in f.elements() if (m >> i) & 1) + "}")
@@ -462,7 +477,7 @@ def rframe_tables(prox):
 def test_oracle_round_ideal_frames():
     finite = [p for p in catalog_instances().values() if isinstance(p, FiniteProximity)]
     two = order_proximity(build_finite_frame(["0", "1"], [("0", "1")]))
-    empty = FiniteProximity(two.frame, ((False, False), (False, False)))
+    empty = FiniteProximity(two.frame, (0, 0))
     # "a" sorts before "a!", but "dn(a!)" before "dn(a)"
     names = build_finite_frame(["0", "a", "a!", "1"],
                                [("0", "a"), ("0", "a!"), ("a", "1"), ("a!", "1")])

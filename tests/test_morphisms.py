@@ -278,7 +278,8 @@ def scan_enumerate_proxhoms(src, dst):
 def _sub_relation(frame, rng):
     """A random sub-relation of leq, not validated."""
     return FiniteProximity(frame, tuple(
-        tuple(le and rng.random() < 0.6 for le in row) for row in frame.leq_mat))
+        sum(1 << b for b in frame.elements() if frame.leq(a, b) and rng.random() < 0.6)
+        for a in frame.elements()))
 
 
 def _small_proximities():
@@ -288,7 +289,7 @@ def _small_proximities():
     frames = [("one", build_finite_frame(["0"], []))] + _generated_frames(4)
     out = []
     for name, f in frames:
-        empty = tuple((False,) * f.n for _ in range(f.n))
+        empty = (0,) * f.n
         out += [(name, order_proximity(f)), (f"{name}:empty", FiniteProximity(f, empty)),
                 (f"{name}:r1", _sub_relation(f, rng)), (f"{name}:r2", _sub_relation(f, rng))]
     return out

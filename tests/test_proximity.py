@@ -44,9 +44,7 @@ def test_axiom4_failure_has_witness_m():
     # drop (m, m) from the order: m is no longer the join of its approximants
     f = three_chain()
     m = f.index("m")
-    mat = [list(row) for row in f.leq_mat]
-    mat[m][m] = False
-    cand = FiniteProximity(f, tuple(tuple(r) for r in mat))
+    cand = _relation(f, lambda a, b: f.leq(a, b) and (a, b) != (m, m))
     report = validate_proximity(cand)
     assert not report.ok
     assert "m" in report.verdict("approximation").witness
@@ -54,12 +52,10 @@ def test_axiom4_failure_has_witness_m():
 
 def test_weakening_failure_detected():
     f = three_chain()
-    mat = [[False] * 3 for _ in range(3)]
     z, m, t = f.index("0"), f.index("m"), f.index("1")
-    for pair in ((z, z), (t, t), (m, t), (m, m)):
-        mat[pair[0]][pair[1]] = True
+    pairs = ((z, z), (t, t), (m, t), (m, m))
     # (m,t) present but (0,t) missing: weakening 0 <= m rel t <= 1 fails
-    cand = FiniteProximity(f, tuple(tuple(r) for r in mat))
+    cand = _relation(f, lambda a, b: (a, b) in pairs)
     report = validate_proximity(cand)
     assert not report.verdict("weakening").ok
 
@@ -142,13 +138,10 @@ def test_sampled_subrelations_of_3chain_valid_iff_order(bits):
         if f.leq(a, b) and (a, b) not in ((f.bot, f.bot), (f.top, f.top))
     ]
     assert len(free) == 4
-    mat = [[False] * 3 for _ in range(3)]
-    mat[f.bot][f.bot] = mat[f.top][f.top] = True
-    for i, (a, b) in enumerate(free):
-        if (bits >> i) & 1:
-            mat[a][b] = True
-    cand = FiniteProximity(f, tuple(tuple(r) for r in mat))
-    assert validate_proximity(cand).ok == (cand.mat == f.leq_mat)
+    chosen = [(f.bot, f.bot), (f.top, f.top)]
+    chosen += [pair for i, pair in enumerate(free) if (bits >> i) & 1]
+    cand = _relation(f, lambda a, b: (a, b) in chosen)
+    assert validate_proximity(cand).ok == (cand.rows == f.up)
 
 
 # -- chain validation against the representative scan -----------------------
@@ -300,12 +293,13 @@ def _free_pairs(f):
 
 
 def _candidate(f, free, bits):
-    mat = [[False] * f.n for _ in range(f.n)]
-    mat[f.bot][f.bot] = mat[f.top][f.top] = True
+    rows = [0] * f.n
+    rows[f.bot] |= 1 << f.bot
+    rows[f.top] |= 1 << f.top
     for i, (a, b) in enumerate(free):
         if (bits >> i) & 1:
-            mat[a][b] = True
-    return FiniteProximity(f, tuple(tuple(r) for r in mat))
+            rows[a] |= 1 << b
+    return FiniteProximity(f, tuple(rows))
 
 
 def scan_certify_finite_collapse(frame):
@@ -318,7 +312,7 @@ def scan_certify_finite_collapse(frame):
         cand = _candidate(frame, free, bits)
         if proximity.validate_proximity(cand).ok:
             survivors += 1
-            if cand.mat != frame.leq_mat:
+            if cand.rows != frame.up:
                 return law_fail("collapse", instance, witness=tuple(
                     (frame.names[a], frame.names[b]) for a, b in cand.pairs()),
                     samples=1 << len(free), note="non-order proximity found")
@@ -397,12 +391,13 @@ def scan_validate_finite(p: FiniteProximity) -> AxiomReport:
     f = p.frame
     n = f.n
     names = f.names
+    mat = [[p.rel(a, b) for b in range(n)] for a in range(n)]
     axioms: list[tuple[str, Verdict]] = []
 
     v = Verdict(PASS)
     for a in range(n):
         for b in range(n):
-            if p.mat[a][b] and not f.leq(a, b):
+            if mat[a][b] and not f.leq(a, b):
                 v = Verdict(FAIL, (names[a], names[b]), "pair not below the order")
                 break
         if not v.ok:
@@ -410,16 +405,16 @@ def scan_validate_finite(p: FiniteProximity) -> AxiomReport:
     axioms.append(("finer-than-leq", v))
 
     v = Verdict(PASS)
-    if not p.mat[f.bot][f.bot] or not p.mat[f.top][f.top]:
-        missing = names[f.bot] if not p.mat[f.bot][f.bot] else names[f.top]
+    if not mat[f.bot][f.bot] or not mat[f.top][f.top]:
+        missing = names[f.bot] if not mat[f.bot][f.bot] else names[f.top]
         v = Verdict(FAIL, (missing, missing), "bounds missing from the relation")
     else:
-        pairs = [(a, b) for a in range(n) for b in range(n) if p.mat[a][b]]
+        pairs = [(a, b) for a in range(n) for b in range(n) if mat[a][b]]
         for (a, b), (c, d) in combinations(pairs, 2):
-            if not p.mat[f.meet(a, c)][f.meet(b, d)]:
+            if not mat[f.meet(a, c)][f.meet(b, d)]:
                 v = Verdict(FAIL, (names[a], names[b], names[c], names[d]), "meet closure")
                 break
-            if not p.mat[f.join(a, c)][f.join(b, d)]:
+            if not mat[f.join(a, c)][f.join(b, d)]:
                 v = Verdict(FAIL, (names[a], names[b], names[c], names[d]), "join closure")
                 break
     axioms.append(("sublattice", v))
@@ -427,13 +422,13 @@ def scan_validate_finite(p: FiniteProximity) -> AxiomReport:
     v = Verdict(PASS)
     for b in range(n):
         for c in range(n):
-            if not p.mat[b][c]:
+            if not mat[b][c]:
                 continue
             for a in range(n):
                 if not f.leq(a, b):
                     continue
                 for d in range(n):
-                    if f.leq(c, d) and not p.mat[a][d]:
+                    if f.leq(c, d) and not mat[a][d]:
                         v = Verdict(FAIL, (names[a], names[b], names[c], names[d]))
                         break
                 if not v.ok:
@@ -447,7 +442,7 @@ def scan_validate_finite(p: FiniteProximity) -> AxiomReport:
     v = Verdict(PASS)
     for a in range(n):
         for b in range(n):
-            if p.mat[a][b] and not any(p.mat[a][c] and p.mat[c][b] for c in range(n)):
+            if mat[a][b] and not any(mat[a][c] and mat[c][b] for c in range(n)):
                 v = Verdict(FAIL, (names[a], names[b]))
                 break
         if not v.ok:
@@ -458,14 +453,15 @@ def scan_validate_finite(p: FiniteProximity) -> AxiomReport:
     for a in range(n):
         j = f.bot
         for b in range(n):
-            if p.mat[b][a]:
+            if mat[b][a]:
                 j = f.join(j, b)
         if j != a:
             v = Verdict(FAIL, (names[a], names[j]), "join of approximants differs")
             break
     axioms.append(("approximation", v))
 
-    return AxiomReport(tuple(axioms), collapse=p.mat == f.leq_mat)
+    leq = [[f.leq(a, b) for b in range(n)] for a in range(n)]
+    return AxiomReport(tuple(axioms), collapse=mat == leq)
 
 
 def _test_frames():
@@ -481,8 +477,9 @@ def _test_frames():
 
 
 def _relation(f, keep):
+    """The relation {(a, b) : keep(a, b)} on the frame f."""
     return FiniteProximity(f, tuple(
-        tuple(keep(a, b) for b in range(f.n)) for a in range(f.n)))
+        sum(1 << b for b in range(f.n) if keep(a, b)) for a in range(f.n)))
 
 
 def _random_relations(f, rng, count):

@@ -37,7 +37,6 @@ from proxkit.roundideal import (
     sigma,
     subideal,
     way_below_ideals,
-    _is_round_downset,
 )
 
 
@@ -83,6 +82,25 @@ def test_finite_rframe_matches_brute_enumeration():
         assert sorted(rfd.masks) == brute_round_downsets(prox), name
 
 
+def _is_round_downset(prox: FiniteProximity, mask: int) -> bool:
+    """Whether mask is a join-closed downset in which every member
+    relates to a member, checked from the definition."""
+    f = prox.frame
+    members = [a for a in f.elements() if (mask >> a) & 1]
+    for a in members:
+        for b in f.elements():
+            if f.leq(b, a) and not (mask >> b) & 1:
+                return False  # not a downset
+    for a in members:
+        for b in members:
+            if not (mask >> f.join(a, b)) & 1:
+                return False  # not join-closed
+    for a in members:
+        if not any(prox.rel(a, b) for b in members):
+            return False  # not round
+    return True
+
+
 def scan_rframe_finite(prox):
     """The former construction: every one of the 2^n masks that contains
     bot is put to _is_round_downset."""
@@ -93,7 +111,7 @@ def scan_rframe_finite(prox):
     names = []
     for m in masks:
         mx = sigma(FinIdeal(prox, m))
-        if m == f.down_mask(mx):
+        if m == f.down[mx]:
             names.append(f"dn({f.names[mx]})")
         else:
             members = ",".join(f.names[i] for i in f.elements() if (m >> i) & 1)
@@ -130,14 +148,14 @@ def test_finite_rframe_matches_full_mask_scan(name, frame):
     # the order, the empty relation (no round ideals, so no frame) and
     # random sub-relations of leq, none of them validated
     rng = random.Random(name)
-    proxes = [order_proximity(frame),
-              FiniteProximity(frame, tuple((False,) * frame.n for _ in frame.elements()))]
+    proxes = [order_proximity(frame), FiniteProximity(frame, (0,) * frame.n)]
     for _ in range(3 if frame.n <= 8 else 1):
         proxes.append(FiniteProximity(frame, tuple(
-            tuple(le and rng.random() < 0.7 for le in row) for row in frame.leq_mat)))
+            sum(1 << b for b in frame.elements() if frame.leq(a, b) and rng.random() < 0.7)
+            for a in frame.elements())))
     for prox in proxes:
         assert (_rframe_or_error(rframe, prox)
-                == _rframe_or_error(scan_rframe_finite, prox)), prox.mat
+                == _rframe_or_error(scan_rframe_finite, prox)), prox.pairs()
 
 
 def test_ideal_frame_of_diamond_is_diamond_again():
@@ -225,12 +243,12 @@ def test_lattice_of_chain_ideals():
 def test_finite_ideal_join_closes_under_joins():
     prox = diamond_prox()
     f = prox.frame
-    da = FinIdeal(prox, f.down_mask(f.index("a")))
-    db = FinIdeal(prox, f.down_mask(f.index("b")))
+    da = FinIdeal(prox, f.down[f.index("a")])
+    db = FinIdeal(prox, f.down[f.index("b")])
     j = ideal_join(da, db)
     assert member(f.top, j)  # a v b = 1 must be swept in
-    assert j.mask == f.down_mask(f.top)
-    assert ideal_meet(da, db).mask == f.down_mask(f.bot)
+    assert j.mask == f.down[f.top]
+    assert ideal_meet(da, db).mask == f.down[f.bot]
 
 
 def test_dir_sup_of_described_family():
@@ -248,9 +266,9 @@ def test_dir_sup_of_described_family():
 def test_dir_sup_of_explicit_lists():
     prox = diamond_prox()
     f = prox.frame
-    da = FinIdeal(prox, f.down_mask(f.index("a")))
-    db = FinIdeal(prox, f.down_mask(f.index("b")))
-    d1 = FinIdeal(prox, f.down_mask(f.top))
+    da = FinIdeal(prox, f.down[f.index("a")])
+    db = FinIdeal(prox, f.down[f.index("b")])
+    d1 = FinIdeal(prox, f.down[f.top])
     assert dir_sup([da, d1, db]) == d1
     with pytest.raises(NotDirected):
         dir_sup([da, db])  # no bound inside the family
