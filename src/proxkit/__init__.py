@@ -32,15 +32,12 @@ from .proximity import (
 )
 from .roundideal import (
     BelowLim,
-    DirFam,
     FinIdeal,
     Prin,
     RFrameData,
     alpha,
     dir_sup,
     ideal_frame,
-    ideal_join,
-    ideal_meet,
     is_stably_compact,
     kappa,
     member,
@@ -55,6 +52,7 @@ from .morphisms import (
     FiniteMap,
     Morphism,
     alpha_map,
+    block_map,
     compose,
     enumerate_proxhoms,
     identity_map,

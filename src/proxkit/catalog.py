@@ -88,12 +88,16 @@ def _field(doc: dict, key: str):
     return doc[key]
 
 
-def _instance_field(doc: dict, key: str) -> Proximity:
+def _instance_field(doc: dict, key: str) -> FiniteProximity:
     value = _field(doc, key)
     if not isinstance(value, dict):
         raise InvalidParameter(
             f"field {key!r} must be an instance document, got {value!r}")
-    return parse_instance(value)[1]
+    prox = parse_instance(value)[1]
+    if not isinstance(prox, FiniteProximity):
+        raise InvalidParameter(
+            f"field {key!r} must be a finite instance document, got {value!r}")
+    return prox
 
 
 def _names(value, key: str) -> list[str]:

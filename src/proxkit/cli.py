@@ -117,20 +117,16 @@ def cmd_compactify(path: str, out: str) -> int:
 
 
 def _compact_json(name, prox, rfd) -> dict:
-    maxp = rfd.maxp
+    doc = {"instance": name}
     if isinstance(prox, FiniteProximity):
-        names = rfd.frame.names
-        classes = [
-            {"element": names[i], "ideal": repr(rfd.ideal_of(i)),
-             "sigma": prox.frame.names[sigma(rfd.ideal_of(i))]}
-            for i in rfd.frame.elements()
+        reps = list(rfd.frame.elements())
+        doc["classification"] = [
+            {"element": rfd.wb.label(i), "ideal": repr(rfd.ideal_of(i)),
+             "sigma": prox.label(sigma(rfd.ideal_of(i)))}
+            for i in reps
         ]
-        wb = sorted([names[a], names[b]] for a in rfd.frame.elements()
-                    for b in rfd.frame.elements() if rfd.wb.rel(a, b))
-        mx = sorted([names[a], names[b]] for a in rfd.frame.elements()
-                    for b in rfd.frame.elements() if maxp.rel(a, b))
-        reps = None
     else:
+        reps = rfd.frame.class_representatives(2)
         classes = []
         for seg, ideal in zip(rfd.frame.segments, rfd.segment_ideals):
             if seg.kind == OMEGA:
@@ -141,17 +137,12 @@ def _compact_json(name, prox, rfd) -> dict:
                 classes.append({"segment": seg.label, "kind": "point",
                                 "ideal": repr(ideal),
                                 "sigma": prox.label(sigma(ideal))})
-        reps = [rfd.frame.label(e) for e in rfd.frame.class_representatives(2)]
-        erps = rfd.frame.class_representatives(2)
-        wb = sorted([rfd.frame.label(a), rfd.frame.label(b)]
-                    for a in erps for b in erps if rfd.wb.rel(a, b))
-        mx = sorted([rfd.frame.label(a), rfd.frame.label(b)]
-                    for a in erps for b in erps if maxp.rel(a, b))
-    doc = {"instance": name, "classification": classes,
-           "way_below_on_representatives": wb,
-           "max_rel_on_representatives": mx}
-    if reps is not None:
-        doc["representatives"] = reps
+        doc["classification"] = classes
+        doc["representatives"] = [rfd.wb.label(e) for e in reps]
+    for key, rel in (("way_below_on_representatives", rfd.wb.rel),
+                     ("max_rel_on_representatives", rfd.maxp.rel)):
+        doc[key] = sorted([rfd.wb.label(a), rfd.wb.label(b)]
+                          for a in reps for b in reps if rel(a, b))
     return doc
 
 
@@ -243,13 +234,7 @@ def _morphism_suite(insts, ideal_frame_of) -> list[LawReport]:
              if isinstance(v, FiniteProximity) and v.frame.n <= 4}
     for ns, ps in small.items():
         for nd, pd in small.items():
-            count, failures = 0, 0
-            rfd = ideal_frame_of(ps)
-            for f in enumerate_proxhoms(ps, pd):
-                count += 1
-                th = theta(f, rfd)
-                if rho(th, rfd) != f or theta(rho(th, rfd), rfd) != th:
-                    failures += 1
+            count, failures = _theta_rho_counts(ps, pd, ideal_frame_of(ps))
             out.append(_count_law("theta-rho.exhaustive", f"{ns}->{nd}",
                                   count, failures))
     # star-composition laws across composable catalog pairs
@@ -269,6 +254,13 @@ def _morphism_suite(insts, ideal_frame_of) -> list[LawReport]:
             out.append(law_pass("kleisli.functor", inst) if ok
                        else law_fail("kleisli.functor", inst))
     return out
+
+
+def _theta_rho_counts(ps, pd, rfd) -> tuple[int, int]:
+    """The proximity homomorphisms ps -> pd, counted, and how many of them
+    rho(theta(f)) does not give back; rfd is the ideal frame of ps."""
+    homs = enumerate_proxhoms(ps, pd)
+    return len(homs), sum(rho(theta(f, rfd), rfd) != f for f in homs)
 
 
 def _count_law(law, inst, count, failures) -> LawReport:
@@ -330,11 +322,7 @@ def cmd_search(law: str, max_size: int) -> int:
         for ns, ps in small:
             rfd = rframe(ps)
             for nd, pd in small:
-                count = bad = 0
-                for f in enumerate_proxhoms(ps, pd):
-                    count += 1
-                    if rho(theta(f, rfd), rfd) != f:
-                        bad += 1
+                count, bad = _theta_rho_counts(ps, pd, rfd)
                 print(json.dumps({"pair": f"{ns}->{nd}", "homs": count,
                                   "failures": bad}, sort_keys=True))
                 failures += bad

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .chain import OMEGA, Seq
+from .chain import Seq
 from .errors import NotComposable, NotStablyCompact
 from .morphisms import (
-    ChainMap,
-    FiniteMap,
     Morphism,
+    _ideal_at,
     alpha_map,
+    block_map,
     compose,
     identity_map,
     is_proper,
@@ -43,7 +43,6 @@ from .proximity import FiniteProximity, Proximity, order_proximity
 from .reports import LawReport, law_fail, law_pass
 from .roundideal import (
     BelowLim,
-    DirFam,
     RFrameData,
     dir_sup,
     ideal_frame,
@@ -146,20 +145,8 @@ def c_map(rfd: RFrameData) -> Morphism:
 def m_map(rfd: RFrameData, jfd: RFrameData) -> Morphism:
     """Inclusion of round ideals into all ideals (carrier-preserving);
     jfd is the frame of all ideals, `ideal_frame(rfd.base.frame)`."""
-    if isinstance(rfd.base, FiniteProximity):
-        table = tuple(
-            jfd.el_of(retag(rfd.ideal_of(i), jfd.base))
-            for i in rfd.frame.elements()
-        )
-        return FiniteMap(rfd.wb, jfd.wb, table)
-    rules = []
-    for seg, ideal in zip(rfd.frame.segments, rfd.segment_ideals):
-        target = jfd.el_of(retag(ideal, jfd.base))
-        if seg.kind == OMEGA:  # Prin(El(b, n)) goes to Prin(El(b, n))
-            rules.append(Seq.affine(target.seg, 1, 0))
-        else:
-            rules.append(Seq.constant(target))
-    return ChainMap(rfd.wb, jfd.wb, tuple(rules))
+    ideal_at = _ideal_at(rfd)
+    return block_map(rfd.wb, jfd.wb, lambda e: jfd.el_of(retag(ideal_at(e), jfd.base)))
 
 
 def order_retag(f: Morphism) -> Morphism:
@@ -264,7 +251,7 @@ def _nonprincipal_comult(rfd: RFrameData, c: Morphism) -> LawReport:
             return law_fail("C.comult.nonprincipal", inst,
                             witness=(repr(got), repr(expected)), samples=samples)
         # the same ideal as an explicit directed union of principals
-        union = dir_sup(DirFam(maxp, Seq.affine(b.seg - 1, 1, 0)))
+        union = dir_sup(maxp, Seq.affine(b.seg - 1, 1, 0))
         if union != expected:
             return law_fail("C.comult.nonprincipal", inst,
                             witness=(repr(union), repr(expected)),

@@ -205,17 +205,27 @@ def downset_frame(names: list[str], leq_pairs: list[tuple[str, str]]) -> FiniteF
     n = len(names)
     if n > 16:
         raise TooLarge("downset enumeration limited to posets of 16 elements")
-    # extend the downsets of a down-closed prefix of a linear extension
-    # by the next element x wherever everything strictly below x is in
-    downs = [0]
-    for x in sorted(range(n), key=lambda i: -up[i].bit_count()):
-        below = sum(1 << a for a in range(n) if a != x and (up[a] >> x) & 1)
-        downs += [d | 1 << x for d in downs if not below & ~d]
-    return _frame_of_masks(names, downs)
+    downs = _downsets([d & ~(1 << x) for x, d in enumerate(_transpose(up, n))])
+    return _frame_of_masks(_set_names(names, downs), downs)[0]
+
+
+def _downsets(below: list[int], start: int = 0) -> list[int]:
+    """The downsets that contain the downset `start`, of the order in
+    which below[i] is the bitmask of the elements strictly below i.  The
+    downsets of a down-closed prefix of a linear extension are extended by
+    the next element wherever everything strictly below it is in."""
+    downs = [start]
+    for i in sorted(range(len(below)), key=lambda i: below[i].bit_count()):
+        if not start >> i & 1:
+            downs += [d | 1 << i for d in downs if not below[i] & ~d]
+    return downs
 
 
 def open_set_frame(points: list[str], opens: list[list[str]]) -> FiniteFrame:
     """The frame of open sets of a finite topology, ordered by inclusion."""
+    dups = sorted({p for p in points if points.count(p) > 1})
+    if dups:
+        raise InvalidParameter("duplicate point ids: " + ", ".join(map(repr, dups)))
     idx = {p: i for i, p in enumerate(points)}
     masks = []
     for o in opens:
@@ -235,20 +245,24 @@ def open_set_frame(points: list[str], opens: list[list[str]]) -> FiniteFrame:
             raise NotATopology((a, b), "union")
         if a & b not in mask_set:
             raise NotATopology((a, b), "intersection")
-    return _frame_of_masks(points, masks)
+    return _frame_of_masks(_set_names(points, masks), masks)[0]
 
 
-def _frame_of_masks(base_names: list[str], masks: list[int]) -> FiniteFrame:
-    def name(mask):
-        members = [base_names[i] for i in range(len(base_names)) if (mask >> i) & 1]
-        return "{" + ",".join(sorted(members)) + "}"
-
-    return _frame_of_rows([name(m) for m in masks], _inclusion_rows(masks))[0]
+def _set_names(points: list[str], masks: list[int]) -> list[str]:
+    """Each bitset over points named by its members, as {p,q}."""
+    return ["{" + ",".join(sorted(points[i] for i in _bits(m))) + "}" for m in masks]
 
 
-def _inclusion_rows(masks: list[int]) -> list[int]:
-    """Up-rows of a family of distinct bitsets ordered by inclusion."""
-    return [sum(1 << j for j, b in enumerate(masks) if a & b == a) for a in masks]
+def _frame_of_masks(names, masks: list[int]) -> tuple[FiniteFrame, tuple[int, ...]]:
+    """The frame of a family of distinct bitsets ordered by inclusion,
+    names[i] naming masks[i].  Returns the frame and the masks in its
+    canonical order."""
+    up = [sum(1 << j for j, b in enumerate(masks) if a & b == a) for a in masks]
+    frame, pos = _frame_of_rows(names, up)
+    order = [0] * len(masks)
+    for m, p in zip(masks, pos):
+        order[p] = m
+    return frame, tuple(order)
 
 
 def _product(f: FiniteFrame, g: FiniteFrame) -> tuple[FiniteFrame, list[int]]:

@@ -17,9 +17,9 @@ from .finite import _bits
 from .proximity import ChainProximity, FiniteProximity, Proximity
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, Verdict
 from .roundideal import (
-    BelowLim,
     Prin,
     RFrameData,
+    alpha,
     is_stably_compact,
     kappa,
     rmap,
@@ -102,16 +102,22 @@ class ChainMap:
 Morphism = FiniteMap | ChainMap
 
 
-def identity_map(prox: Proximity) -> Morphism:
-    if isinstance(prox, FiniteProximity):
-        return FiniteMap(prox, prox, tuple(prox.frame.elements()))
+def block_map(src: Proximity, dst: Proximity, at) -> Morphism:
+    """The map a -> at(a).  On a finite source it is the table of at.  On
+    a chain at is called only at the first element El(i, 0) of each
+    segment: an omega block goes onto the omega block holding that value,
+    n -> n, and a point goes to its value."""
+    if isinstance(src, FiniteProximity):
+        return FiniteMap(src, dst, tuple(map(at, src.frame.elements())))
     rules = []
-    for i, s in enumerate(prox.frame.segments):
-        if s.kind == OMEGA:
-            rules.append(Seq.affine(i, 1, 0))
-        else:
-            rules.append(Seq.constant(El(i, 0)))
-    return ChainMap(prox, prox, tuple(rules))
+    for i, s in enumerate(src.frame.segments):
+        v = at(El(i, 0))
+        rules.append(Seq.affine(v.seg, 1, 0) if s.kind == OMEGA else Seq.constant(v))
+    return ChainMap(src, dst, tuple(rules))
+
+
+def identity_map(prox: Proximity) -> Morphism:
+    return block_map(prox, prox, lambda a: a)
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -394,54 +400,30 @@ def _validate_chain_hom(f: ChainMap, frame_map: bool) -> AxiomReport:
 # -- theta / rho ------------------------------------------------------------
 
 
+def _ideal_at(rfd: RFrameData):
+    """e -> the ideal of e, on a chain read from the cached ideals of the
+    segments' first elements, the only elements block_map asks for."""
+    if isinstance(rfd.base, FiniteProximity):
+        return rfd.ideal_of
+    return lambda e: rfd.segment_ideals[e.seg]
+
+
 def sigma_map(rfd: RFrameData) -> Morphism:
     """The join map from the ideal frame back to the base, as a morphism."""
-    if isinstance(rfd.base, FiniteProximity):
-        table = tuple(sigma(rfd.ideal_of(i)) for i in rfd.frame.elements())
-        return FiniteMap(rfd.wb, rfd.base, table)
-    rules = []
-    for seg, ideal in zip(rfd.frame.segments, rfd.segment_ideals):
-        if seg.kind == OMEGA:  # Prin(El(b, n)) joins to El(b, n)
-            rules.append(Seq.affine(ideal.a.seg, 1, 0))
-        else:
-            rules.append(Seq.constant(sigma(ideal)))
-    return ChainMap(rfd.wb, rfd.base, tuple(rules))
+    ideal_at = _ideal_at(rfd)
+    return block_map(rfd.wb, rfd.base, lambda e: sigma(ideal_at(e)))
 
 
 def kappa_map(rfd: RFrameData) -> Morphism:
     """a -> its ideal of approximants, as a morphism into the ideal frame."""
-    prox = rfd.base
-    if isinstance(prox, FiniteProximity):
-        table = tuple(rfd.el_of(kappa(prox, a)) for a in prox.frame.elements())
-        return FiniteMap(prox, rfd.wb, table)
-    return _pointed_ideal_map(rfd, use_wb=False)
+    return block_map(rfd.base, rfd.wb, lambda a: rfd.el_of(kappa(rfd.base, a)))
 
 
 def alpha_map(rfd: RFrameData) -> Morphism:
     """a -> its way-below ideal; only on stably compact instances."""
     if not is_stably_compact(rfd.base):
         raise NotStablyCompact("left adjoint needs a stably compact base")
-    prox = rfd.base
-    if isinstance(prox, FiniteProximity):
-        table = tuple(rfd.el_of(kappa(prox, a)) for a in prox.frame.elements())
-        return FiniteMap(prox, rfd.wb, table)
-    return _pointed_ideal_map(rfd, use_wb=True)
-
-
-def _pointed_ideal_map(rfd: RFrameData, use_wb: bool) -> ChainMap:
-    prox = rfd.base
-    frame = prox.frame
-    rules = []
-    for i, s in enumerate(frame.segments):
-        e = El(i, 0)
-        if s.kind == OMEGA:
-            target = rfd.el_of(Prin(prox, e))
-            rules.append(Seq.affine(target.seg, 1, 0))
-        else:
-            refl = (not frame.is_limit(e)) if use_wb else prox.reflexive(e)
-            ideal = Prin(prox, e) if refl else BelowLim(prox, e)
-            rules.append(Seq.constant(rfd.el_of(ideal)))
-    return ChainMap(prox, rfd.wb, tuple(rules))
+    return block_map(rfd.base, rfd.wb, lambda a: rfd.el_of(alpha(rfd.base, a)))
 
 
 def theta(f: Morphism, rfd: RFrameData) -> Morphism:

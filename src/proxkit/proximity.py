@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .chain import ChainLikeFrame, El
 from .errors import InvalidReflexiveSet, MalformedRelation, TooLarge
-from .finite import FiniteFrame, _bits, _product, _transpose
+from .finite import FiniteFrame, _bits, _downsets, _product, _transpose
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, LawReport, Verdict, law_fail, law_pass
 
 
@@ -358,9 +358,7 @@ def _weakening_closed(frame: FiniteFrame, free) -> list[int]:
 
     These are the downsets of the pair order (a,d) <= (b,c) iff a <= b and
     c <= d that contain the pairs below (bot,bot) and (top,top), i.e. every
-    (bot,d) and (a,top).  As in `downset_frame`, the downsets of a
-    down-closed prefix of a linear extension are extended by the next pair
-    wherever everything strictly below it is in.
+    (bot,d) and (a,top).
     """
     leq = frame.leq
     below = [
@@ -370,8 +368,4 @@ def _weakening_closed(frame: FiniteFrame, free) -> list[int]:
     ]
     forced = sum(1 << i for i, (a, d) in enumerate(free)
                  if a == frame.bot or d == frame.top)
-    downs = [forced]
-    for i in sorted(range(len(free)), key=lambda i: below[i].bit_count()):
-        if not (forced >> i) & 1:
-            downs += [d | 1 << i for d in downs if not below[i] & ~d]
-    return sorted(downs)
+    return sorted(_downsets(below, forced))

@@ -12,7 +12,11 @@ The frame of round ideals of a chain instance is again a chain-like frame;
 :func:`rframe` materializes it with a codec between its element codes and
 the ideals they stand for.  The frame carries two proximities, the
 way-below relation and the maximal proximity, and the frames of round
-ideals of each, the next levels of the two comonads' towers.
+ideals of each, the next levels of the two comonads' towers.  Ideals have
+no lattice operations of their own: the join and meet of two round ideals
+are those of that frame, reached through ``RFrameData.el_of`` and
+``ideal_of``.  The one supremum taken here is :func:`dir_sup`'s, of a
+directed family of principal ideals on a chain described by a ``Seq``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .errors import (
     TooLarge,
     UnsupportedRepresentation,
 )
-from .finite import FiniteFrame, _bits, _frame_of_rows, _inclusion_rows
+from .finite import FiniteFrame, _bits, _frame_of_masks
 from .proximity import ChainProximity, FiniteProximity, Proximity, order_proximity
 
 FINITE_IDEAL_ENUM_LIMIT = 14
@@ -80,17 +84,6 @@ class BelowLim:
 
 
 RoundIdeal = FinIdeal | Prin | BelowLim
-
-
-# -- described directed families --------------------------------------------
-
-
-@dataclass(frozen=True)
-class DirFam:
-    """The directed family of principal ideals Prin(seq(n)), n = 0, 1, ..."""
-
-    prox: ChainProximity
-    seq: Seq
 
 
 # -- the core maps ----------------------------------------------------------
@@ -150,58 +143,10 @@ def subideal(i: RoundIdeal, j: RoundIdeal) -> bool:
     return i.lim <= j.lim
 
 
-def ideal_meet(i: RoundIdeal, j: RoundIdeal) -> RoundIdeal:
-    if isinstance(i, FinIdeal):
-        return FinIdeal(i.prox, i.mask & j.mask)
-    return i if subideal(i, j) else j  # chain ideals are totally ordered
-
-
-def ideal_join(i: RoundIdeal, j: RoundIdeal) -> RoundIdeal:
-    if isinstance(i, FinIdeal):
-        f = i.prox.frame
-        mask = 0
-        for a in f.elements():
-            if (i.mask >> a) & 1:
-                for b in f.elements():
-                    if (j.mask >> b) & 1:
-                        mask |= 1 << f.join(a, b)
-        return FinIdeal(i.prox, mask)
-    return j if subideal(i, j) else i
-
-
-def dir_sup(family) -> RoundIdeal:
-    """Supremum of a finitely-described directed family of round ideals.
-
-    Accepts either an explicit list of canonical ideals (which must be
-    directed) or a DirFam term.
-    """
-    if isinstance(family, DirFam):
-        return _dirfam_sup(family.prox, family.seq)
-    items = list(family)
-    if not items:
-        raise NotDirected("empty family")
-    if isinstance(items[0], FinIdeal):
-        for i in items:
-            for j in items:
-                if not any(subideal(i, k) and subideal(j, k) for k in items):
-                    raise NotDirected(f"no bound for {i!r}, {j!r} within the family")
-        top = items[0]
-        for i in items[1:]:
-            if subideal(top, i):
-                top = i
-            elif not subideal(i, top):
-                raise NotDirected("family has no maximum")
-        return top
-    out = items[0]
-    for i in items[1:]:  # chain ideals are totally ordered
-        if subideal(out, i):
-            out = i
-    return out
-
-
-def _dirfam_sup(prox: ChainProximity, seq: Seq) -> RoundIdeal:
-    # union of Prin(seq(n)): the sequence must be a monotone family of
-    # frame elements, and each generator must itself be round
+def dir_sup(prox: ChainProximity, seq: Seq) -> RoundIdeal:
+    """Supremum of the described directed family of principal ideals
+    Prin(seq(n)), n = 0, 1, ...: the sequence must be a monotone family
+    of frame elements, and each generator must itself be round."""
     f = prox.frame
     problem = _seq_problem(seq, f)
     if problem is not None:
@@ -348,12 +293,6 @@ class RFrameData:
         maximal-structure comonad's tower."""
         return self.rr if self.maxp == self.wb else rframe(self.maxp)
 
-    def class_ideals(self, depth: int = 3) -> list[RoundIdeal]:
-        """One canonical ideal per element class of the ideal frame."""
-        if isinstance(self.base, FiniteProximity):
-            return [FinIdeal(self.base, m) for m in self.masks]
-        return [self.ideal_of(e) for e in self.frame.class_representatives(depth)]
-
 
 def rframe(prox: Proximity) -> RFrameData:
     """Materialize the frame of round ideals of a validated proximity."""
@@ -373,14 +312,9 @@ def _rframe_finite(prox: FiniteProximity) -> RFrameData:
     # ideals are the down[x] in which every member relates to a member.
     rows = prox.rows
     xs = [x for x, d in enumerate(f.down) if all(rows[b] & d for b in _bits(d))]
-    masks = [f.down[x] for x in xs]
-    frame, pos = _frame_of_rows([f"dn({f.names[x]})" for x in xs], _inclusion_rows(masks))
-    order = [0] * len(masks)
-    for i, m in enumerate(masks):
-        order[pos[i]] = m
-    return RFrameData(
-        base=prox, frame=frame, wb=order_proximity(frame), masks=tuple(order)
-    )
+    frame, masks = _frame_of_masks([f"dn({f.names[x]})" for x in xs],
+                                   [f.down[x] for x in xs])
+    return RFrameData(base=prox, frame=frame, wb=order_proximity(frame), masks=masks)
 
 
 def _rframe_chain(prox: ChainProximity) -> RFrameData:

@@ -190,9 +190,16 @@ def test_cli_usage_and_input_errors(capsys):
      "duplicate chain label 'A'"),
     ({"builder": "chain", "k": 2, "names": ["S1"], "reflexive": [2]},
      "duplicate chain label 'S1'"),
+    ({"builder": "product", "left": {"builder": "chain", "reflexive": [1]},
+      "right": {"builder": "finite", "elements": ["0"]}},
+     "field 'left' must be a finite instance document, "
+     "got {'builder': 'chain', 'reflexive': [1]}"),
+    ({"builder": "topology", "points": ["p", "p"], "opens": [[], ["p"]]},
+     "duplicate point ids: 'p'"),
 ], ids=["elements-not-a-list", "reflexive-not-indices", "unknown-pair-element",
         "product-factor-not-a-document", "name-not-a-string", "repeated-block-label",
-        "block-label-repeats-a-default"])
+        "block-label-repeats-a-default", "product-factor-a-chain",
+        "repeated-topology-point"])
 def test_cli_malformed_instance_exits_2(doc, message, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))

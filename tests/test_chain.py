@@ -17,7 +17,7 @@ from proxkit.chain import (
 from proxkit.errors import InvalidParameter, MalformedMap, NotDirected
 from proxkit.morphisms import ChainMap
 from proxkit.proximity import chain_proximity
-from proxkit.roundideal import DirFam, dir_sup
+from proxkit.roundideal import dir_sup
 
 
 def test_element_order_is_lexicographic():
@@ -85,7 +85,7 @@ def test_family_rejects_non_monotone():
     fam = Seq.affine(0, 1, 0, ((1, succ(f, 0, 9)),))
     assert fam.descent(f.leq) == 1
     with pytest.raises(NotDirected):
-        dir_sup(DirFam(chain_proximity(f, {1}), fam))
+        dir_sup(chain_proximity(f, {1}), fam)
 
 
 def test_affine_tail_needs_positive_slope():
@@ -148,5 +148,5 @@ def test_maps_and_families_share_one_target_check(seq, problem):
     with pytest.raises(MalformedMap, match=re.escape(problem)):
         ChainMap(p, p, (seq, Seq.constant(p.frame.top)))
     with pytest.raises(InvalidParameter, match=re.escape(problem)):
-        dir_sup(DirFam(p, seq))
+        dir_sup(p, seq)
     assert _seq_problem(Seq.affine(0, 2, 1), p.frame) is None

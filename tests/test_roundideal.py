@@ -15,19 +15,16 @@ from proxkit.errors import (
 )
 from proxkit.cli import _generated_frames
 from proxkit.errors import ProxkitError
-from proxkit.finite import _frame_of_rows, _inclusion_rows, build_finite_frame, downset_frame
+from proxkit.finite import _frame_of_masks, build_finite_frame, downset_frame
 from proxkit.proximity import FiniteProximity, chain_proximity, order_proximity
 from proxkit.roundideal import (
     BelowLim,
     RFrameData,
-    DirFam,
     FinIdeal,
     Prin,
     alpha,
     dir_sup,
     ideal_frame,
-    ideal_join,
-    ideal_meet,
     is_stably_compact,
     kappa,
     member,
@@ -116,13 +113,8 @@ def scan_rframe_finite(prox):
         else:
             members = ",".join(f.names[i] for i in f.elements() if (m >> i) & 1)
             names.append("{" + members + "}")
-    frame, pos = _frame_of_rows(names, _inclusion_rows(masks))
-    order = [0] * len(masks)
-    for i, m in enumerate(masks):
-        order[pos[i]] = m
-    return RFrameData(
-        base=prox, frame=frame, wb=order_proximity(frame), masks=tuple(order)
-    )
+    frame, masks = _frame_of_masks(names, masks)
+    return RFrameData(base=prox, frame=frame, wb=order_proximity(frame), masks=masks)
 
 
 def _rframe_or_error(build, prox):
@@ -230,50 +222,54 @@ def test_membership_and_inclusion_probes():
             assert subideal(i, j) == expect, (i, j)
 
 
+def _frame_lattice(rfd, x, y):
+    """The join and the meet of two round ideals in their ideal frame,
+    as ideals."""
+    a, b = rfd.el_of(x), rfd.el_of(y)
+    return rfd.ideal_of(rfd.frame.join(a, b)), rfd.ideal_of(rfd.frame.meet(a, b))
+
+
 def test_lattice_of_chain_ideals():
     p = k2()
     f = p.frame
+    rfd = rframe(p)
     a, b = Prin(p, succ(f, 0, 2)), Prin(p, succ(f, 0, 5))
-    assert ideal_join(a, b) == b and ideal_meet(a, b) == a
+    assert _frame_lattice(rfd, a, b) == (b, a)
     B1 = BelowLim(p, lim(f, 1))
-    assert ideal_join(a, B1) == B1 and ideal_meet(a, B1) == a
-    assert ideal_join(B1, Prin(p, lim(f, 2))) == Prin(p, lim(f, 2))
+    assert _frame_lattice(rfd, a, B1) == (B1, a)
+    assert _frame_lattice(rfd, B1, Prin(p, lim(f, 2)))[0] == Prin(p, lim(f, 2))
 
 
 def test_finite_ideal_join_closes_under_joins():
     prox = diamond_prox()
     f = prox.frame
+    rfd = rframe(prox)
     da = FinIdeal(prox, f.down[f.index("a")])
     db = FinIdeal(prox, f.down[f.index("b")])
-    j = ideal_join(da, db)
+    j, m = _frame_lattice(rfd, da, db)
     assert member(f.top, j)  # a v b = 1 must be swept in
     assert j.mask == f.down[f.top]
-    assert ideal_meet(da, db).mask == f.down[f.bot]
+    assert m.mask == f.down[f.bot]
+    # least above both and greatest below both, among all round ideals,
+    # and the frame order on codes is inclusion
+    ideals = [rfd.ideal_of(e) for e in rfd.frame.elements()]
+    for z in ideals:
+        if subideal(da, z) and subideal(db, z):
+            assert subideal(j, z)
+        if subideal(z, da) and subideal(z, db):
+            assert subideal(z, m)
+        for w in ideals:
+            assert rfd.frame.leq(rfd.el_of(z), rfd.el_of(w)) == subideal(z, w)
 
 
 def test_dir_sup_of_described_family():
     p = k2()
     f = p.frame
-    fam = DirFam(p, Seq.affine(0, 2, 1))
-    assert dir_sup(fam) == BelowLim(p, lim(f, 1))
-    const = DirFam(p, Seq.constant(succ(f, 0, 7)))
-    assert dir_sup(const) == Prin(p, succ(f, 0, 7))
+    assert dir_sup(p, Seq.affine(0, 2, 1)) == BelowLim(p, lim(f, 1))
+    assert dir_sup(p, Seq.constant(succ(f, 0, 7))) == Prin(p, succ(f, 0, 7))
     # generators must themselves be round principals
     with pytest.raises(UnsupportedRepresentation):
-        dir_sup(DirFam(p, Seq.constant(lim(f, 1))))
-
-
-def test_dir_sup_of_explicit_lists():
-    prox = diamond_prox()
-    f = prox.frame
-    da = FinIdeal(prox, f.down[f.index("a")])
-    db = FinIdeal(prox, f.down[f.index("b")])
-    d1 = FinIdeal(prox, f.down[f.top])
-    assert dir_sup([da, d1, db]) == d1
-    with pytest.raises(NotDirected):
-        dir_sup([da, db])  # no bound inside the family
-    with pytest.raises(NotDirected):
-        dir_sup([])
+        dir_sup(p, Seq.constant(lim(f, 1)))
 
 
 def test_way_below_between_ideals():
@@ -293,7 +289,7 @@ def test_normalize_symbolic_terms():
     p = k2()
     f = p.frame
     B1 = BelowLim(p, lim(f, 1))
-    assert ideal_join(Prin(p, succ(f, 0, 1)), B1) == B1
+    assert _frame_lattice(rframe(p), Prin(p, succ(f, 0, 1)), B1)[0] == B1
     h = catalog_morphisms()["chain-h"]
     img = rmap(h, BelowLim(h.src, lim(h.src.frame, 1)))
     assert img == Prin(h.dst, h.dst.frame.bot)
@@ -303,13 +299,13 @@ def test_dir_sup_checks_the_described_family():
     p = k2()
     f = p.frame
     with pytest.raises(InvalidParameter):
-        dir_sup(DirFam(p, Seq.constant(El(1, 3))))  # not an element
+        dir_sup(p, Seq.constant(El(1, 3)))  # not an element
     with pytest.raises(InvalidParameter):
-        dir_sup(DirFam(p, Seq.affine(1, 1, 0)))  # tail in a point segment
+        dir_sup(p, Seq.affine(1, 1, 0))  # tail in a point segment
     with pytest.raises(InvalidParameter):
-        dir_sup(DirFam(p, Seq.affine(0, 1, -1, ((0, f.bot),))))
+        dir_sup(p, Seq.affine(0, 1, -1, ((0, f.bot),)))
     with pytest.raises(NotDirected):
-        dir_sup(DirFam(p, Seq.constant(f.bot, ((0, succ(f, 1, 0)),))))
+        dir_sup(p, Seq.constant(f.bot, ((0, succ(f, 1, 0)),)))
 
 
 def test_rmap_on_catalog_morphisms():
@@ -355,8 +351,8 @@ def test_codec_roundtrip_and_window_oracle():
         p = k2(reflexive)
         f = p.frame
         rfd = rframe(p)
-        for i in rfd.class_ideals():
-            assert rfd.ideal_of(rfd.el_of(i)) == i
+        for e in rfd.frame.class_representatives():
+            assert rfd.el_of(rfd.ideal_of(e)) == e
         # every reflexive window element is classified as a principal,
         # every limit contributes a below-ideal, and nothing else exists
         window = [succ(f, 0, n) for n in range(8)] + [
@@ -392,13 +388,27 @@ def test_retag_preserves_carrier():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 20), st.integers(0, 20), st.booleans(), st.booleans())
-def test_chain_ideal_lattice_laws(i, j, bi, bj):
+@given(st.integers(0, 1), st.integers(0, 20), st.booleans(),
+       st.integers(0, 1), st.integers(0, 20), st.booleans())
+def test_chain_ideal_lattice_laws(bi, i, li, bj, j, lj):
     p = k2((1, 2))
     f = p.frame
-    x = BelowLim(p, lim(f, 1)) if bi else Prin(p, succ(f, 0, i))
-    y = BelowLim(p, lim(f, 2)) if bj else Prin(p, succ(f, 1, j))
-    assert subideal(ideal_meet(x, y), x) and subideal(ideal_meet(x, y), y)
-    assert subideal(x, ideal_join(x, y)) and subideal(y, ideal_join(x, y))
-    assert ideal_join(x, y) in (x, y) and ideal_meet(x, y) in (x, y)
-    assert subideal(x, y) == (ideal_join(x, y) == y)
+    rfd = rframe(p)
+
+    def ideal(block, n, below):
+        return BelowLim(p, lim(f, block + 1)) if below else Prin(p, succ(f, block, n))
+
+    x, y = ideal(bi, i, li), ideal(bj, j, lj)
+    join, meet = _frame_lattice(rfd, x, y)
+    assert subideal(x, join) and subideal(y, join)
+    assert subideal(meet, x) and subideal(meet, y)
+    # least above both and greatest below both, among a window of ideals
+    window = [ideal(b, n, False) for b in range(2) for n in range(22)]
+    window += [ideal(b, 0, True) for b in range(2)] + [Prin(p, L) for L in f.limits()]
+    for z in window:
+        if subideal(x, z) and subideal(y, z):
+            assert subideal(join, z)
+        if subideal(z, x) and subideal(z, y):
+            assert subideal(z, meet)
+    assert rfd.frame.leq(rfd.el_of(x), rfd.el_of(y)) == subideal(x, y)
+    assert subideal(x, y) == (join == y)
