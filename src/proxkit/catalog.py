@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from importlib import resources
 
 from .chain import El, Seq, build_chain_frame, lim, succ
@@ -59,6 +60,10 @@ def parse_instance(doc: dict) -> tuple[str, Proximity]:
         if not isinstance(refl, (list, tuple)) or not all(map(_is_int, refl)):
             raise InvalidParameter(
                 f"field 'reflexive' must be a list of limit indices, got {refl!r}")
+        repeated = sorted(i for i, c in Counter(refl).items() if c > 1)
+        if repeated:
+            raise InvalidParameter(
+                f"field 'reflexive' repeats the limit indices {repeated}")
         return name, chain_proximity(frame, refl)
     if builder in ("finite", "downsets"):
         build = build_finite_frame if builder == "finite" else downset_frame

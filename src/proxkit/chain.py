@@ -11,6 +11,7 @@ layouts.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import InvalidParameter, MalformedMap
@@ -122,9 +123,9 @@ class ChainLikeFrame:
         """Finitely many elements covering every segment class.
 
         Omega blocks contribute their first `depth` elements; points
-        contribute themselves.  The per-class law checks pick `depth`
-        from the horizons of the maps they apply; reports list the
-        relations on these elements.
+        contribute themselves.  The list is in chain order.  The
+        per-class law checks pick `depth` from the horizons of the maps
+        they apply; reports list the relations on these elements.
         """
         out: list[El] = []
         for i, s in enumerate(self.segments):
@@ -133,6 +134,20 @@ class ChainLikeFrame:
             else:
                 out.append(El(i, 0))
         return out
+
+
+def _check_sorted(vals, what: str) -> None:
+    """Raise unless vals never descend: the row masks below bisect them."""
+    for a, b in zip(vals, vals[1:]):
+        if b < a:
+            raise InvalidParameter(f"{what} are not in chain order: {b!r} after {a!r}")
+
+
+def _above(vals, x, inclusive: bool) -> int:
+    """Mask of the positions q of the sorted vals with vals[q] > x, or
+    vals[q] == x when inclusive: one suffix, found by one bisection."""
+    start = (bisect_left if inclusive else bisect_right)(vals, x)
+    return (1 << len(vals)) - (1 << start)
 
 
 def build_chain_frame(k: int, names: list[str] | None = None) -> ChainLikeFrame:

@@ -25,7 +25,7 @@ from .comonads import (
     subcomonad_check,
 )
 from .errors import ProxkitError
-from .finite import build_finite_frame, downset_frame, hasse_dot
+from .finite import _bits, build_finite_frame, downset_frame, hasse_dot
 from .morphisms import (
     compose,
     enumerate_proxhoms,
@@ -139,10 +139,12 @@ def _compact_json(name, prox, rfd) -> dict:
                                 "sigma": prox.label(sigma(ideal))})
         doc["classification"] = classes
         doc["representatives"] = [rfd.wb.label(e) for e in reps]
-    for key, rel in (("way_below_on_representatives", rfd.wb.rel),
-                     ("max_rel_on_representatives", rfd.maxp.rel)):
-        doc[key] = sorted([rfd.wb.label(a), rfd.wb.label(b)]
-                          for a in reps for b in reps if rel(a, b))
+    labels = [rfd.wb.label(e) for e in reps]
+    for key, prox in (("way_below_on_representatives", rfd.wb),
+                      ("max_rel_on_representatives", rfd.maxp)):
+        doc[key] = sorted([labels[p], labels[q]]
+                          for p, row in enumerate(prox.rows_on(reps, reps))
+                          for q in _bits(row))
     return doc
 
 

@@ -14,17 +14,33 @@ apply is a `chain.Seq` per segment, and the exceptions plus one tail point
 per omega block (two for a law over pairs) decide them for every element;
 see `_reps`.
 
+The three pair laws (the two maximal-relation checks and the doubled
+membership lemma) are decided on int bitmask rows over the
+representatives: bit q of row p says how the pair (p, q) compares.  On a
+finite frame a relation row is the proximity's own row.  On a chain the
+representatives come in chain order, a relation row is one suffix found
+by one bisection, and a membership row needs a `member` test only at the
+ideals whose join is the element; the order facts this rests on (sorted
+joins, nested ideals) are checked once per list.  A law fails at the
+lowest set bit b of its first nonzero "bad" row a, and reports the
+a * n + b + 1 pairs that a row-major scan would have checked by then as
+`samples`; a pass reports all of them.
+
 Every law takes the instance's RFrameData and climbs the two comonads'
 towers through its `rr` and `cc` properties, so each ideal frame is built
-once and shared by all the laws that hold the same RFrameData.
+once and shared by all the laws that hold the same RFrameData.  The
+structure maps (sigma, kappa, alpha, r, c, epsilon, beta) are kept on the
+RFrameData they are built from, in the same way.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 
-from .chain import Seq
-from .errors import NotComposable, NotStablyCompact
+from .chain import ChainLikeFrame, Seq, _above, _check_sorted
+from .errors import InvalidParameter, NotComposable, NotStablyCompact
+from .finite import _bits, _transpose
 from .morphisms import (
     Morphism,
     _ideal_at,
@@ -39,7 +55,7 @@ from .morphisms import (
     validate_pframemap,
     validate_proxhom,
 )
-from .proximity import FiniteProximity, Proximity, order_proximity
+from .proximity import FiniteProximity, Proximity, _low, order_proximity
 from .reports import LawReport, law_fail, law_pass
 from .roundideal import (
     BelowLim,
@@ -48,6 +64,7 @@ from .roundideal import (
     ideal_frame,
     is_stably_compact,
     kappa,
+    kept_on_rframe,
     member,
     retag,
     sigma,
@@ -71,29 +88,23 @@ def max_proximity_agreement(rfd: RFrameData) -> LawReport:
     """The two definitions of the maximal proximity agree: relating the
     joins is the same as being way below the approximant ideal of the
     other join."""
-    maxp = rfd.maxp
     base = rfd.base
     reps = _reps(rfd, (sigma_map(rfd), kappa_map(rfd)), pairs=True)
-    samples = 0
-    for i in reps:
-        for j in reps:
-            samples += 1
-            I, J = rfd.ideal_of(i), rfd.ideal_of(j)
-            by_joins = subideal(I, J) and base.rel(sigma(I), sigma(J))
-            by_wb = subideal(I, J) and way_below_ideals(I, kappa(base, sigma(J)))
-            tagged = maxp.rel(i, j)
-            if not (by_joins == by_wb == tagged):
-                return law_fail(
-                    "maxrel.agreement", describe_instance(base),
-                    witness=(repr(I), repr(J)), samples=samples,
-                )
-    return law_pass("maxrel.agreement", describe_instance(base),
-                    samples=samples)
+    ideals = [rfd.ideal_of(r) for r in reps]
+    tops = [sigma(I) for I in ideals]
+    sub = _inclusion_rows(rfd, reps, ideals)
+    by_joins = [s & r for s, r in zip(sub, base.rows_on(tops, tops))]
+    by_wb = [s & r for s, r in zip(sub, _way_below_kappa_rows(base, ideals, tops))]
+    tagged = rfd.maxp.rows_on(reps, reps)
+    bad = [(j ^ t) | (w ^ t) for j, w, t in zip(by_joins, by_wb, tagged)]
+    return _pair_law("maxrel.agreement", describe_instance(base), bad, len(reps),
+                     lambda a, b: (repr(ideals[a]), repr(ideals[b])))
 
 
 def _reps(rfd: RFrameData, maps=(), pairs: bool = False) -> list:
     """Elements of rfd's frame on which a law applying `maps` is decided
-    exactly: every element of a finite frame; on a chain, the first h + 1
+    exactly, in index order on a finite frame and in chain order on a
+    chain: every element of a finite frame; on a chain, the first h + 1
     points of each omega block (h + 2 for a law over pairs) and each point
     segment, where h is the largest horizon of the maps' rules.
 
@@ -103,6 +114,12 @@ def _reps(rfd: RFrameData, maps=(), pairs: bool = False) -> list:
     with n, and a comparison depends only on the element classes and, for
     two points of one block, on how their indices compare: index h covers
     a pointwise law, and h, h + 1 give i < j, i = j and i > j for pairs.
+
+    A pair law is decided on one bitmask row per representative, bit q of
+    row p standing for the pair (reps[p], reps[q]); on a chain each row
+    is found by bisecting this sorted list.
+    Its `samples` counts pairs in row-major order: all of them on a pass,
+    and a * n + b + 1 at a first failure (a, b) with n pairs a row.
     """
     if isinstance(rfd.base, FiniteProximity):
         return list(rfd.frame.elements())
@@ -120,22 +137,26 @@ def retag_map(f: Morphism, new_src: Proximity, new_dst: Proximity) -> Morphism:
     return replace(f, src=new_src, dst=new_dst)
 
 
+@kept_on_rframe
 def beta_map(rfd: RFrameData) -> Morphism:
     """Carrier identity from the way-below structure to the maximal one."""
     return retag_map(identity_map(rfd.wb), rfd.wb, rfd.maxp)
 
 
+@kept_on_rframe
 def epsilon_map(rfd: RFrameData) -> Morphism:
     """Counit of the maximal-structure comonad; satisfies epsilon after
     beta = sigma."""
     return retag_map(sigma_map(rfd), rfd.maxp, rfd.base)
 
 
+@kept_on_rframe
 def r_map(rfd: RFrameData) -> Morphism:
     """I -> its way-below ideal of ideals: alpha on the ideal frame."""
     return alpha_map(rfd.rr)
 
 
+@kept_on_rframe
 def c_map(rfd: RFrameData) -> Morphism:
     """Ibar -> {Kbar : join of K in I}: alpha for the maximal structure,
     landing in the ideal frame of the maximal proximity (re-tagged)."""
@@ -439,37 +460,104 @@ def doubled_membership_lemma(rfd: RFrameData) -> LawReport:
     # under that of kbar.
     reps_C = _reps(rfd, (eps_CL,), pairs=True)
     reps_CC = _reps(ccfd, (eps_CL,), pairs=True)
-    # per ibar: its ideal I and the kbar (by index) whose joins land in I
-    joins_C = [sigma(rfd.ideal_of(kbar)) for kbar in reps_C]
-    ideals = []
-    for ibar in reps_C:
-        I = rfd.ideal_of(ibar)
-        ideals.append((I, {k for k, x in enumerate(joins_C) if member(x, I)}))
-    samples = 0
-    for jbar in reps_CC:
-        ej = eps_CL.apply(jbar)  # an element of the ideal frame
-        ej_join = sigma(rfd.ideal_of(ej))
-        above = {k for k, kbar in enumerate(reps_C) if maxp.rel(ej, kbar)}
-        for I, landing in ideals:
-            samples += 1
-            lhs = member(ej_join, I)
-            rhs = not above.isdisjoint(landing)
-            if lhs != rhs:
-                return law_fail("C.doubled-membership", inst,
-                                witness=(repr(jbar), repr(I)), samples=samples)
-    return law_pass("C.doubled-membership", inst, samples=samples)
+    ideals = [rfd.ideal_of(i) for i in reps_C]
+    joins = [sigma(I) for I in ideals]
+    ejs = [eps_CL.apply(j) for j in reps_CC]  # elements of the ideal frame
+    # row u over the ibar: does the join of ej lie in I?
+    lhs = _holder_rows(rfd.base, [sigma(rfd.ideal_of(ej)) for ej in ejs], ideals, joins)
+    # landing[k]: the ibar whose I holds the join of kbar; above[u]: the
+    # kbar that ej is maxp-below.  The right side of row u is the union
+    # of landing[k] over the k in above[u].
+    landing = _holder_rows(rfd.base, joins, ideals, joins)
+    above = maxp.rows_on(ejs, reps_C)
+    if isinstance(maxp, FiniteProximity):
+        rhs = [_union(landing, a) for a in above]
+    else:
+        # each row of a chain relation is a suffix, so its union is a
+        # running union taken from the end
+        tail = [0] * (len(landing) + 1)
+        for k in range(len(landing) - 1, -1, -1):
+            tail[k] = tail[k + 1] | landing[k]
+        rhs = [tail[_low(a)] if a else 0 for a in above]
+    bad = [x ^ y for x, y in zip(lhs, rhs)]
+    return _pair_law("C.doubled-membership", inst, bad, len(reps_C),
+                     lambda u, t: (repr(reps_CC[u]), repr(ideals[t])))
 
 
 def maxrel_contains_wb(rfd: RFrameData) -> LawReport:
     """Way-below implies the maximal relation on every pair of ideals."""
-    inst = describe_instance(rfd.base)
-    maxp = rfd.maxp
     reps = _reps(rfd, pairs=True)
-    samples = 0
-    for i in reps:
-        for j in reps:
-            samples += 1
-            if rfd.wb.rel(i, j) and not maxp.rel(i, j):
-                return law_fail("maxrel.contains-wb", inst,
-                                witness=(repr(i), repr(j)), samples=samples)
-    return law_pass("maxrel.contains-wb", inst, samples=samples)
+    bad = [w & ~m for w, m in zip(rfd.wb.rows_on(reps, reps),
+                                  rfd.maxp.rows_on(reps, reps))]
+    return _pair_law("maxrel.contains-wb", describe_instance(rfd.base), bad,
+                     len(reps), lambda a, b: (repr(reps[a]), repr(reps[b])))
+
+
+# -- rows over representatives -------------------------------------------------
+
+
+def _pair_law(name: str, instance: str, bad: list[int], n: int,
+              witness) -> LawReport:
+    """Pass, or fail at the first set bit of the rows `bad` in row-major
+    order: bit b of row a marks a failing pair, witness(a, b) names it,
+    and a pair scan over a, then b, would have stopped there after
+    a * n + b + 1 checks."""
+    for a, row in enumerate(bad):
+        if row:
+            b = _low(row)
+            return law_fail(name, instance, witness=witness(a, b),
+                            samples=a * n + b + 1)
+    return law_pass(name, instance, samples=len(bad) * n)
+
+
+def _inclusion_rows(rfd: RFrameData, reps: list, ideals: list) -> list[int]:
+    """Row p: the q with ideals[p] contained in ideals[q], the ideals of
+    reps.  The ideal frame is ordered by inclusion, so these are its order
+    rows; on a chain that needs the ideals of the sorted reps to grow
+    strictly, which is checked here."""
+    if isinstance(rfd.frame, ChainLikeFrame):
+        for I, J in zip(ideals, ideals[1:]):
+            if not subideal(I, J) or subideal(J, I):
+                raise InvalidParameter(
+                    f"ideals of the representatives are not nested: {J!r} after {I!r}")
+    return order_proximity(rfd.frame).rows_on(reps, reps)
+
+
+def _way_below_kappa_rows(base: Proximity, ideals: list, tops: list) -> list[int]:
+    """Row p: the q with ideals[p] way below kappa(tops[q]), the ideal of
+    approximants of tops[q]; tops[p] is the join of ideals[p]."""
+    if isinstance(base, FiniteProximity):
+        # I << J means that J holds the join of I, and kappa(b) is
+        # column b of the relation
+        return base.rows_on(tops, tops)
+    # kappa(b) holds everything under b and nothing over it, so on a
+    # chain I << kappa(b) when its join is under b, fails when it is over
+    # b, and only b = the join of I needs a test
+    _check_sorted(tops, "joins of the representatives")
+    return [_above(tops, x, way_below_ideals(I, kappa(base, x)))
+            for I, x in zip(ideals, tops)]
+
+
+def _holder_rows(base: Proximity, xs: list, ideals: list, tops: list) -> list[int]:
+    """Row p: the t with xs[p] a member of ideals[t]; tops[t] is the join
+    of ideals[t]."""
+    if isinstance(base, FiniteProximity):
+        cols = _transpose([I.mask for I in ideals], base.frame.n)
+        return [cols[x] for x in xs]
+    # a round ideal of a chain holds everything under its join and
+    # nothing over it, so only the ideals whose join is x need a test
+    _check_sorted(tops, "joins of the representatives")
+    out = []
+    for x in xs:
+        lo, hi = bisect_left(tops, x), bisect_right(tops, x)
+        out.append(_above(tops, x, False)
+                   | sum(1 << t for t in range(lo, hi) if member(x, ideals[t])))
+    return out
+
+
+def _union(rows: list[int], sel: int) -> int:
+    """The union of rows[k] over the k in sel."""
+    out = 0
+    for k in _bits(sel):
+        out |= rows[k]
+    return out

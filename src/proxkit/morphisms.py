@@ -22,6 +22,7 @@ from .roundideal import (
     alpha,
     is_stably_compact,
     kappa,
+    kept_on_rframe,
     rmap,
     sigma,
 )
@@ -408,17 +409,20 @@ def _ideal_at(rfd: RFrameData):
     return lambda e: rfd.segment_ideals[e.seg]
 
 
+@kept_on_rframe
 def sigma_map(rfd: RFrameData) -> Morphism:
     """The join map from the ideal frame back to the base, as a morphism."""
     ideal_at = _ideal_at(rfd)
     return block_map(rfd.wb, rfd.base, lambda e: sigma(ideal_at(e)))
 
 
+@kept_on_rframe
 def kappa_map(rfd: RFrameData) -> Morphism:
     """a -> its ideal of approximants, as a morphism into the ideal frame."""
     return block_map(rfd.base, rfd.wb, lambda a: rfd.el_of(kappa(rfd.base, a)))
 
 
+@kept_on_rframe
 def alpha_map(rfd: RFrameData) -> Morphism:
     """a -> its way-below ideal; only on stably compact instances."""
     if not is_stably_compact(rfd.base):

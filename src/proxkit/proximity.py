@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chain import ChainLikeFrame, El
+from .chain import ChainLikeFrame, El, _above, _check_sorted
 from .errors import InvalidReflexiveSet, MalformedRelation, TooLarge
 from .finite import FiniteFrame, _bits, _downsets, _product, _transpose
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, LawReport, Verdict, law_fail, law_pass
@@ -44,6 +44,20 @@ class FiniteProximity:
     def cols(self) -> tuple[int, ...]:
         """cols[b]: bitmask of the a with a rel b."""
         return _transpose(self.rows, self.frame.n)
+
+    def rows_on(self, xs, vals) -> list[int]:
+        """Row p: the mask of the q with rel(xs[p], vals[q]), that is the
+        relation row of xs[p] read through the positions of vals."""
+        at = [0] * self.frame.n
+        for q, v in enumerate(vals):
+            at[v] |= 1 << q
+        out = []
+        for x in xs:
+            row = 0
+            for b in _bits(self.rows[x]):
+                row |= at[b]
+            out.append(row)
+        return out
 
     def pairs(self):
         """The related pairs in row-major order."""
@@ -78,6 +92,12 @@ class ChainProximity:
 
     def reflexive(self, a: El) -> bool:
         return not self.frame.is_limit(a) or a in self.reflexive_limits
+
+    def rows_on(self, xs, vals) -> list[int]:
+        """Row p: the mask of the q with rel(xs[p], vals[q]).  Over vals
+        in chain order each row is one suffix, found by one bisection."""
+        _check_sorted(vals, "relation row values")
+        return [_above(vals, x, self.reflexive(x)) for x in xs]
 
     def interpolant(self, a: El, b: El) -> El:
         if self.reflexive(a):

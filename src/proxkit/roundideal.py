@@ -21,8 +21,8 @@ directed family of principal ideals on a chain described by a ``Seq``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, wraps
 
 from .chain import OMEGA, POINT, ChainLikeFrame, El, Segment, Seq, _seq_problem
 from .errors import (
@@ -223,7 +223,9 @@ class RFrameData:
     and of `maxp` are the properties `rr` and `cc`; each is built on first
     use and kept for the lifetime of this object, so a run that holds one
     RFrameData per instance builds each level of both towers once.  Where
-    `maxp` is `wb`, as on every finite instance, `cc` is `rr`."""
+    `maxp` is `wb`, as on every finite instance, `cc` is `rr`.  The
+    structure maps built from it (sigma, kappa, alpha, r, c, epsilon,
+    beta) are kept in `maps` the same way; see `kept_on_rframe`."""
 
     base: Proximity
     frame: FiniteFrame | ChainLikeFrame
@@ -232,6 +234,8 @@ class RFrameData:
     seg_descs: tuple = ()
     # finite codec: ideal bitmask per element index
     masks: tuple[int, ...] = ()
+    # the structure maps built from this object, by builder name
+    maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ideal_of(self, el) -> RoundIdeal:
         if isinstance(self.base, FiniteProximity):
@@ -244,17 +248,25 @@ class RFrameData:
         return BelowLim(self.base, payload)
 
     def el_of(self, ideal: RoundIdeal):
+        codes = self._codes
         if isinstance(ideal, FinIdeal):
-            return self.masks.index(ideal.mask)
-        if isinstance(ideal, BelowLim):
-            return El(self.seg_descs.index(("below", ideal.lim)), 0)
-        a = ideal.a
-        for s, (kind, payload) in enumerate(self.seg_descs):
-            if kind == "prin_block" and payload == a.seg:
-                return El(s, a.n)
-            if kind == "prin" and payload == a:
-                return El(s, 0)
+            if ideal.mask in codes:
+                return codes[ideal.mask]
+        elif isinstance(ideal, BelowLim):
+            if ("below", ideal.lim) in codes:
+                return El(codes["below", ideal.lim], 0)
+        elif ("prin", ideal.a) in codes:
+            return El(codes["prin", ideal.a], 0)
+        elif ("prin_block", ideal.a.seg) in codes:
+            return El(codes["prin_block", ideal.a.seg], ideal.a.n)
         raise UnsupportedRepresentation(f"{ideal!r} is not in the classification")
+
+    @cached_property
+    def _codes(self) -> dict:
+        """The inverse of the codec: element of each ideal mask on a
+        finite frame, segment of each descriptor on a chain."""
+        keys = self.masks if isinstance(self.base, FiniteProximity) else self.seg_descs
+        return {key: i for i, key in enumerate(keys)}
 
     @cached_property
     def segment_ideals(self) -> tuple[RoundIdeal, ...]:
@@ -292,6 +304,20 @@ class RFrameData:
         """The frame of round ideals of `maxp`: the next level of the
         maximal-structure comonad's tower."""
         return self.rr if self.maxp == self.wb else rframe(self.maxp)
+
+
+def kept_on_rframe(build):
+    """Make build(rfd), a structure map of one RFrameData, run once per
+    RFrameData: the map is kept in rfd.maps and returned on later calls."""
+    name = build.__name__
+
+    @wraps(build)
+    def kept(rfd: RFrameData):
+        if name not in rfd.maps:
+            rfd.maps[name] = build(rfd)
+        return rfd.maps[name]
+
+    return kept
 
 
 def rframe(prox: Proximity) -> RFrameData:

@@ -196,10 +196,12 @@ def test_cli_usage_and_input_errors(capsys):
      "got {'builder': 'chain', 'reflexive': [1]}"),
     ({"builder": "topology", "points": ["p", "p"], "opens": [[], ["p"]]},
      "duplicate point ids: 'p'"),
+    ({"builder": "chain", "k": 2, "reflexive": [2, 2]},
+     "field 'reflexive' repeats the limit indices [2]"),
 ], ids=["elements-not-a-list", "reflexive-not-indices", "unknown-pair-element",
         "product-factor-not-a-document", "name-not-a-string", "repeated-block-label",
         "block-label-repeats-a-default", "product-factor-a-chain",
-        "repeated-topology-point"])
+        "repeated-topology-point", "repeated-reflexive-index"])
 def test_cli_malformed_instance_exits_2(doc, message, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
