@@ -15,6 +15,7 @@ import sys
 from .catalog import catalog_instances, catalog_morphisms, load_instance
 from .chain import OMEGA, ChainLikeFrame, El
 from .comonads import (
+    _reps,
     adjunction_checks,
     comonad_laws,
     doubled_membership_lemma,
@@ -118,15 +119,15 @@ def cmd_compactify(path: str, out: str) -> int:
 
 def _compact_json(name, prox, rfd) -> dict:
     doc = {"instance": name}
+    reps = _reps(rfd, pairs=True)
+    labels = [rfd.wb.label(e) for e in reps]
     if isinstance(prox, FiniteProximity):
-        reps = list(rfd.frame.elements())
         doc["classification"] = [
             {"element": rfd.wb.label(i), "ideal": repr(rfd.ideal_of(i)),
              "sigma": prox.label(sigma(rfd.ideal_of(i)))}
             for i in reps
         ]
     else:
-        reps = rfd.frame.class_representatives(2)
         classes = []
         for seg, ideal in zip(rfd.frame.segments, rfd.segment_ideals):
             if seg.kind == OMEGA:
@@ -138,12 +139,11 @@ def _compact_json(name, prox, rfd) -> dict:
                                 "ideal": repr(ideal),
                                 "sigma": prox.label(sigma(ideal))})
         doc["classification"] = classes
-        doc["representatives"] = [rfd.wb.label(e) for e in reps]
-    labels = [rfd.wb.label(e) for e in reps]
-    for key, prox in (("way_below_on_representatives", rfd.wb),
-                      ("max_rel_on_representatives", rfd.maxp)):
+        doc["representatives"] = labels
+    for key, rel in (("way_below_on_representatives", rfd.wb),
+                     ("max_rel_on_representatives", rfd.maxp)):
         doc[key] = sorted([labels[p], labels[q]]
-                          for p, row in enumerate(prox.rows_on(reps, reps))
+                          for p, row in enumerate(rel.rows_on(reps, reps))
                           for q in _bits(row))
     return doc
 

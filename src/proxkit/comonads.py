@@ -21,10 +21,11 @@ finite frame a relation row is the proximity's own row.  On a chain the
 representatives come in chain order, a relation row is one suffix found
 by one bisection, and a membership row needs a `member` test only at the
 ideals whose join is the element; the order facts this rests on (sorted
-joins, nested ideals) are checked once per list.  A law fails at the
-lowest set bit b of its first nonzero "bad" row a, and reports the
-a * n + b + 1 pairs that a row-major scan would have checked by then as
-`samples`; a pass reports all of them.
+representatives and joins, nested ideals) are checked once per list,
+where it is built.  A law fails at the lowest set bit b of its first
+nonzero "bad" row a, and reports the a * n + b + 1 pairs that a
+row-major scan would have checked by then as `samples`; a pass reports
+all of them.
 
 Every law takes the instance's RFrameData and climbs the two comonads'
 towers through its `rr` and `cc` properties, so each ideal frame is built
@@ -40,7 +41,7 @@ from dataclasses import replace
 
 from .chain import ChainLikeFrame, Seq, _above, _check_sorted
 from .errors import InvalidParameter, NotComposable, NotStablyCompact
-from .finite import _bits, _transpose
+from .finite import _transpose, _union
 from .morphisms import (
     Morphism,
     _ideal_at,
@@ -91,10 +92,11 @@ def max_proximity_agreement(rfd: RFrameData) -> LawReport:
     base = rfd.base
     reps = _reps(rfd, (sigma_map(rfd), kappa_map(rfd)), pairs=True)
     ideals = [rfd.ideal_of(r) for r in reps]
-    tops = [sigma(I) for I in ideals]
+    tops = _joins(rfd, ideals)
     sub = _inclusion_rows(rfd, reps, ideals)
-    by_joins = [s & r for s, r in zip(sub, base.rows_on(tops, tops))]
-    by_wb = [s & r for s, r in zip(sub, _way_below_kappa_rows(base, ideals, tops))]
+    rel = base.rows_on(tops, tops)
+    by_joins = [s & r for s, r in zip(sub, rel)]
+    by_wb = [s & r for s, r in zip(sub, _way_below_kappa_rows(base, ideals, tops, rel))]
     tagged = rfd.maxp.rows_on(reps, reps)
     bad = [(j ^ t) | (w ^ t) for j, w, t in zip(by_joins, by_wb, tagged)]
     return _pair_law("maxrel.agreement", describe_instance(base), bad, len(reps),
@@ -117,14 +119,16 @@ def _reps(rfd: RFrameData, maps=(), pairs: bool = False) -> list:
 
     A pair law is decided on one bitmask row per representative, bit q of
     row p standing for the pair (reps[p], reps[q]); on a chain each row
-    is found by bisecting this sorted list.
+    is found by bisecting this sorted list, whose order is checked here.
     Its `samples` counts pairs in row-major order: all of them on a pass,
     and a * n + b + 1 at a first failure (a, b) with n pairs a row.
     """
     if isinstance(rfd.base, FiniteProximity):
         return list(rfd.frame.elements())
     h = max((s.horizon() for m in maps for s in m.rules), default=0)
-    return rfd.frame.class_representatives(h + 1 + pairs)
+    reps = rfd.frame.class_representatives(h + 1 + pairs)
+    _check_sorted(reps, "representatives")
+    return reps
 
 
 # -- natural transformation components, as represented morphisms ------------
@@ -461,7 +465,7 @@ def doubled_membership_lemma(rfd: RFrameData) -> LawReport:
     reps_C = _reps(rfd, (eps_CL,), pairs=True)
     reps_CC = _reps(ccfd, (eps_CL,), pairs=True)
     ideals = [rfd.ideal_of(i) for i in reps_C]
-    joins = [sigma(I) for I in ideals]
+    joins = _joins(rfd, ideals)
     ejs = [eps_CL.apply(j) for j in reps_CC]  # elements of the ideal frame
     # row u over the ibar: does the join of ej lie in I?
     lhs = _holder_rows(rfd.base, [sigma(rfd.ideal_of(ej)) for ej in ejs], ideals, joins)
@@ -510,6 +514,16 @@ def _pair_law(name: str, instance: str, bad: list[int], n: int,
     return law_pass(name, instance, samples=len(bad) * n)
 
 
+def _joins(rfd: RFrameData, ideals: list) -> list:
+    """The joins of ideals, the ideals of sorted representatives.  On a
+    chain the rows below bisect this list, so its chain order is checked
+    here, once."""
+    tops = [sigma(I) for I in ideals]
+    if isinstance(rfd.frame, ChainLikeFrame):
+        _check_sorted(tops, "joins of the representatives")
+    return tops
+
+
 def _inclusion_rows(rfd: RFrameData, reps: list, ideals: list) -> list[int]:
     """Row p: the q with ideals[p] contained in ideals[q], the ideals of
     reps.  The ideal frame is ordered by inclusion, so these are its order
@@ -523,30 +537,30 @@ def _inclusion_rows(rfd: RFrameData, reps: list, ideals: list) -> list[int]:
     return order_proximity(rfd.frame).rows_on(reps, reps)
 
 
-def _way_below_kappa_rows(base: Proximity, ideals: list, tops: list) -> list[int]:
+def _way_below_kappa_rows(base: Proximity, ideals: list, tops: list,
+                          rel: list[int]) -> list[int]:
     """Row p: the q with ideals[p] way below kappa(tops[q]), the ideal of
-    approximants of tops[q]; tops[p] is the join of ideals[p]."""
+    approximants of tops[q]; tops[p] is the join of ideals[p], and rel is
+    base.rows_on(tops, tops)."""
     if isinstance(base, FiniteProximity):
         # I << J means that J holds the join of I, and kappa(b) is
         # column b of the relation
-        return base.rows_on(tops, tops)
+        return rel
     # kappa(b) holds everything under b and nothing over it, so on a
     # chain I << kappa(b) when its join is under b, fails when it is over
     # b, and only b = the join of I needs a test
-    _check_sorted(tops, "joins of the representatives")
     return [_above(tops, x, way_below_ideals(I, kappa(base, x)))
             for I, x in zip(ideals, tops)]
 
 
 def _holder_rows(base: Proximity, xs: list, ideals: list, tops: list) -> list[int]:
     """Row p: the t with xs[p] a member of ideals[t]; tops[t] is the join
-    of ideals[t]."""
+    of ideals[t], in chain order on a chain (see `_joins`)."""
     if isinstance(base, FiniteProximity):
         cols = _transpose([I.mask for I in ideals], base.frame.n)
         return [cols[x] for x in xs]
     # a round ideal of a chain holds everything under its join and
     # nothing over it, so only the ideals whose join is x need a test
-    _check_sorted(tops, "joins of the representatives")
     out = []
     for x in xs:
         lo, hi = bisect_left(tops, x), bisect_right(tops, x)
@@ -554,10 +568,3 @@ def _holder_rows(base: Proximity, xs: list, ideals: list, tops: list) -> list[in
                    | sum(1 << t for t in range(lo, hi) if member(x, ideals[t])))
     return out
 
-
-def _union(rows: list[int], sel: int) -> int:
-    """The union of rows[k] over the k in sel."""
-    out = 0
-    for k in _bits(sel):
-        out |= rows[k]
-    return out

@@ -93,6 +93,14 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _union(rows, sel: int) -> int:
+    """The union of rows[k] over the set bits k of sel."""
+    out = 0
+    for k in _bits(sel):
+        out |= rows[k]
+    return out
+
+
 def _order_rows(names: list[str], leq_pairs) -> list[int]:
     """Closed up-rows of the order generated by leq_pairs: bit b of
     up[a] is set iff names[a] <= names[b].  Raises NotAPoset on duplicate

@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chain import ChainLikeFrame, El, _above, _check_sorted
+from .chain import ChainLikeFrame, El, _above
 from .errors import InvalidReflexiveSet, MalformedRelation, TooLarge
-from .finite import FiniteFrame, _bits, _downsets, _product, _transpose
+from .finite import FiniteFrame, _bits, _downsets, _product, _transpose, _union
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, LawReport, Verdict, law_fail, law_pass
 
 
@@ -51,13 +51,7 @@ class FiniteProximity:
         at = [0] * self.frame.n
         for q, v in enumerate(vals):
             at[v] |= 1 << q
-        out = []
-        for x in xs:
-            row = 0
-            for b in _bits(self.rows[x]):
-                row |= at[b]
-            out.append(row)
-        return out
+        return [_union(at, self.rows[x]) for x in xs]
 
     def pairs(self):
         """The related pairs in row-major order."""
@@ -94,9 +88,9 @@ class ChainProximity:
         return not self.frame.is_limit(a) or a in self.reflexive_limits
 
     def rows_on(self, xs, vals) -> list[int]:
-        """Row p: the mask of the q with rel(xs[p], vals[q]).  Over vals
-        in chain order each row is one suffix, found by one bisection."""
-        _check_sorted(vals, "relation row values")
+        """Row p: the mask of the q with rel(xs[p], vals[q]).  vals must
+        be in chain order, as the representatives are; then each row is
+        one suffix, found by one bisection."""
         return [_above(vals, x, self.reflexive(x)) for x in xs]
 
     def interpolant(self, a: El, b: El) -> El:

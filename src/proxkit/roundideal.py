@@ -234,7 +234,7 @@ class RFrameData:
     seg_descs: tuple = ()
     # finite codec: ideal bitmask per element index
     masks: tuple[int, ...] = ()
-    # the structure maps built from this object, by builder name
+    # the structure maps built from this object, by builder function
     maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ideal_of(self, el) -> RoundIdeal:
@@ -309,13 +309,11 @@ class RFrameData:
 def kept_on_rframe(build):
     """Make build(rfd), a structure map of one RFrameData, run once per
     RFrameData: the map is kept in rfd.maps and returned on later calls."""
-    name = build.__name__
-
     @wraps(build)
     def kept(rfd: RFrameData):
-        if name not in rfd.maps:
-            rfd.maps[name] = build(rfd)
-        return rfd.maps[name]
+        if build not in rfd.maps:
+            rfd.maps[build] = build(rfd)
+        return rfd.maps[build]
 
     return kept
 

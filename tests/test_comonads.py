@@ -44,6 +44,7 @@ from proxkit.reports import law_fail, law_pass
 from proxkit.roundideal import (
     ideal_frame,
     kappa,
+    member,
     rframe,
     sigma,
     subideal,
@@ -228,6 +229,31 @@ def test_doubled_membership_witness_is_a_representative(k):
                     assert comonads.member(sigma(rfd.ideal_of(w)), I)
 
 
+def test_doubled_membership_failure_matches_nested_loop(monkeypatch):
+    # membership corrupted at the join itself (a principal ideal loses its
+    # generator, the ideal under a limit gains the limit) breaks the lemma
+    # on every chain with a limit that is not reflexive.  The rows still
+    # read it: they test membership only at the join, and under it
+    # everything is in, over it nothing.  Both loops must stop at the same
+    # (jbar, ibar) with the same sample count, and the sampled scan must
+    # give the same verdict.  With every limit reflexive, as in chain-k1
+    # and one chain of each k, no membership of that shape breaks the
+    # lemma, so those pass and must agree as well.
+    monkeypatch.setattr(comonads, "member",
+                        lambda b, I: member(b, I) != (b == sigma(I)))
+    cases = [insts()["chain-k1"], insts()["chain-k2"],
+             *(prox for k in (1, 2, 3) for prox in chain_instances(k))]
+    failed = 0
+    for prox in cases:
+        got = doubled_membership_lemma(rframe(prox))
+        assert got == nested_doubled_membership(rframe(prox))
+        assert sampled_oracle(rframe(prox))(3, 2)["C.doubled-membership"] == got.ok
+        all_reflexive = prox.reflexive_limits == frozenset(prox.frame.limits())
+        assert got.ok == all_reflexive, prox.reflexive_limits
+        failed += not got.ok
+    assert failed
+
+
 def _flipped_maxp(prox):
     """rframe(prox) with the maximal relation's pair (a, b) flipped, for
     each pair of a finite instance."""
@@ -239,31 +265,30 @@ def _flipped_maxp(prox):
         yield rfd
 
 
-def test_doubled_membership_failure_matches_nested_loop():
-    # a maximal relation with one pair flipped breaks the lemma on some
-    # finite instances; the lemma's rows and the nested loop must stop at
-    # the same (jbar, ibar) with the same sample count, and the sampled
-    # scan fails too.  Flips whose doubled frame cannot be built are left
-    # out, and so is the sampled scan where it cannot build its other maps.
-    # The chain instance keeps its relation and passes.
-    failed = 0
-    cases = [rframe(chain_proximity(build_chain_frame(3), {3}))]
-    for prox in insts().values():
-        if isinstance(prox, FiniteProximity):
-            cases += _flipped_maxp(prox)
-    for rfd in cases:
-        try:
-            expected = nested_doubled_membership(rfd)
-        except ProxkitError:
+def _outcome(law, rfd):
+    """law(rfd), or the type of the error it raises."""
+    try:
+        return law(rfd)
+    except ProxkitError as exc:
+        return type(exc)
+
+
+def test_doubled_membership_failure_matches_nested_loop_on_finite_catalog():
+    # a finite frame's rows read ideal masks, not `member`, so here the
+    # lemma is broken by flipping one pair of the maximal relation.  The
+    # lemma and the nested loop must report alike on every flip, or both
+    # raise the same error where the flipped relation has no doubled frame
+    # (two flips of diamond).
+    failed = raised = 0
+    for name, prox in insts().items():
+        if not isinstance(prox, FiniteProximity):
             continue
-        got = doubled_membership_lemma(rfd)
-        assert got == expected
-        try:
-            assert sampled_oracle(rfd)(3, 2)["C.doubled-membership"] == got.ok
-        except ProxkitError:
-            pass
-        failed += not got.ok
-    assert failed
+        for rfd in _flipped_maxp(prox):
+            got = _outcome(doubled_membership_lemma, rfd)
+            assert got == _outcome(nested_doubled_membership, rfd), name
+            failed += getattr(got, "ok", True) is False
+            raised += isinstance(got, type)
+    assert failed and raised == 2, (failed, raised)
 
 
 # -- per-class representatives against the retired sampled scan ---------------

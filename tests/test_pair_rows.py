@@ -205,13 +205,18 @@ def test_pair_laws_match_the_scans_on_the_tampered_finite_catalog():
     assert all(failed.values()), failed
 
 
-def test_rows_refuse_representatives_out_of_chain_order():
+def test_rows_refuse_representatives_out_of_chain_order(monkeypatch):
     prox = chain_proximity(build_chain_frame(2), [2])
     rfd = rframe(prox)
     reps = rfd.frame.class_representatives(2)
-    with pytest.raises(ProxkitError, match="not in chain order"):
-        rfd.maxp.rows_on(reps, reps[::-1])
     ideals = [rfd.ideal_of(e) for e in reps[::-1]]
+    with pytest.raises(ProxkitError, match="not in chain order"):
+        comonads._joins(rfd, ideals)
+    with monkeypatch.context() as m:
+        m.setattr(type(rfd.frame), "class_representatives",
+                  lambda self, depth: reps[::-1])
+        with pytest.raises(ProxkitError, match="not in chain order"):
+            _reps(rfd, pairs=True)
     with pytest.raises(ProxkitError, match="not nested"):
         comonads._inclusion_rows(rfd, reps[::-1], ideals)
 
