@@ -22,7 +22,7 @@ import json
 from collections import Counter
 from importlib import resources
 
-from .chain import El, Seq, build_chain_frame, lim, succ
+from .chain import OMEGA, POINT, El, Seq, build_chain_frame, lim, succ
 from .errors import InvalidParameter, UnknownInstance
 from .finite import build_finite_frame, downset_frame, open_set_frame
 from .morphisms import ChainMap, FiniteMap, Morphism, identity_map
@@ -54,8 +54,11 @@ def parse_instance(doc: dict) -> tuple[str, Proximity]:
         k = doc.get("k", 1)
         if not _is_int(k):
             raise InvalidParameter(f"field 'k' must be an integer, got {k!r}")
-        names = doc.get("names")
-        frame = build_chain_frame(k, None if names is None else _names(names, "names"))
+        names = None if "names" not in doc else _names(doc["names"], "names")
+        frame = build_chain_frame(k, names)
+        if names is not None and len(names) > k:
+            raise InvalidParameter(
+                f"field 'names' has {len(names)} block names for k = {k} blocks")
         refl = doc.get("reflexive", [])
         if not isinstance(refl, (list, tuple)) or not all(map(_is_int, refl)):
             raise InvalidParameter(
@@ -207,10 +210,10 @@ def parse_element(prox: Proximity, s: str):
         return prox.frame.index(s)
     frame = prox.frame
     for i, seg in enumerate(frame.segments):
-        if seg.kind == "point" and seg.label == s:
+        if seg.kind == POINT and seg.label == s:
             return El(i, 0)
         prefix = seg.label + "."
-        if seg.kind == "omega" and s.startswith(prefix):
+        if seg.kind == OMEGA and s.startswith(prefix):
             return frame.check(El(i, int(s[len(prefix):])))
     raise InvalidParameter(f"no element named {s!r}")
 
@@ -227,7 +230,7 @@ def parse_morphism(doc: dict, src: Proximity, dst: Proximity) -> Morphism:
     bi = 0
     li = 0
     for i, seg in enumerate(src.frame.segments):
-        if seg.kind == "omega":
+        if seg.kind == OMEGA:
             if bi >= len(blocks):
                 raise InvalidParameter(f"no entry in 'blocks' for block {seg.label}")
             b = blocks[bi]

@@ -44,7 +44,6 @@ from .errors import InvalidParameter, NotComposable, NotStablyCompact
 from .finite import _transpose, _union
 from .morphisms import (
     Morphism,
-    _ideal_at,
     alpha_map,
     block_map,
     compose,
@@ -170,8 +169,8 @@ def c_map(rfd: RFrameData) -> Morphism:
 def m_map(rfd: RFrameData, jfd: RFrameData) -> Morphism:
     """Inclusion of round ideals into all ideals (carrier-preserving);
     jfd is the frame of all ideals, `ideal_frame(rfd.base.frame)`."""
-    ideal_at = _ideal_at(rfd)
-    return block_map(rfd.wb, jfd.wb, lambda e: jfd.el_of(retag(ideal_at(e), jfd.base)))
+    return block_map(rfd.wb, jfd.wb,
+                     lambda e: jfd.el_of(retag(rfd.ideal_of(e), jfd.base)))
 
 
 def order_retag(f: Morphism) -> Morphism:

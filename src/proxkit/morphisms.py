@@ -103,18 +103,25 @@ class ChainMap:
 Morphism = FiniteMap | ChainMap
 
 
+def _segment_map(src: Proximity, dst: Proximity, at, block_rule) -> Morphism:
+    """The map a -> at(a).  On a finite source it is the table of at.  On
+    a chain at is called only at the first element El(i, 0) of each point
+    segment, and each omega segment takes the rule block_rule(El(i, 0))."""
+    if isinstance(src, FiniteProximity):
+        return FiniteMap(src, dst, tuple(map(at, src.frame.elements())))
+    rules = []
+    for i, s in enumerate(src.frame.segments):
+        e = El(i, 0)
+        rules.append(block_rule(e) if s.kind == OMEGA else Seq.constant(at(e)))
+    return ChainMap(src, dst, tuple(rules))
+
+
 def block_map(src: Proximity, dst: Proximity, at) -> Morphism:
     """The map a -> at(a).  On a finite source it is the table of at.  On
     a chain at is called only at the first element El(i, 0) of each
     segment: an omega block goes onto the omega block holding that value,
     n -> n, and a point goes to its value."""
-    if isinstance(src, FiniteProximity):
-        return FiniteMap(src, dst, tuple(map(at, src.frame.elements())))
-    rules = []
-    for i, s in enumerate(src.frame.segments):
-        v = at(El(i, 0))
-        rules.append(Seq.affine(v.seg, 1, 0) if s.kind == OMEGA else Seq.constant(v))
-    return ChainMap(src, dst, tuple(rules))
+    return _segment_map(src, dst, at, lambda e: Seq.affine(at(e).seg, 1, 0))
 
 
 def identity_map(prox: Proximity) -> Morphism:
@@ -401,19 +408,10 @@ def _validate_chain_hom(f: ChainMap, frame_map: bool) -> AxiomReport:
 # -- theta / rho ------------------------------------------------------------
 
 
-def _ideal_at(rfd: RFrameData):
-    """e -> the ideal of e, on a chain read from the cached ideals of the
-    segments' first elements, the only elements block_map asks for."""
-    if isinstance(rfd.base, FiniteProximity):
-        return rfd.ideal_of
-    return lambda e: rfd.segment_ideals[e.seg]
-
-
 @kept_on_rframe
 def sigma_map(rfd: RFrameData) -> Morphism:
     """The join map from the ideal frame back to the base, as a morphism."""
-    ideal_at = _ideal_at(rfd)
-    return block_map(rfd.wb, rfd.base, lambda e: sigma(ideal_at(e)))
+    return block_map(rfd.wb, rfd.base, lambda e: sigma(rfd.ideal_of(e)))
 
 
 @kept_on_rframe
@@ -432,17 +430,11 @@ def alpha_map(rfd: RFrameData) -> Morphism:
 
 def theta(f: Morphism, rfd: RFrameData) -> Morphism:
     """Turn a proximity homomorphism into the frame map on round ideals
-    that joins the pushed ideal.  rfd is the ideal frame of f's source."""
-    if isinstance(f, FiniteMap):
-        table = tuple(sigma(rmap(f, rfd.ideal_of(i))) for i in rfd.frame.elements())
-        return FiniteMap(rfd.wb, f.dst, table)
-    rules = []
-    for seg, ideal in zip(rfd.frame.segments, rfd.segment_ideals):
-        if seg.kind == OMEGA:  # Prin(El(b, n)) goes to f(El(b, n))
-            rules.append(f.rules[ideal.a.seg])
-        else:
-            rules.append(Seq.constant(sigma(rmap(f, ideal))))
-    return ChainMap(rfd.wb, f.dst, tuple(rules))
+    that joins the pushed ideal.  rfd is the ideal frame of f's source;
+    Prin(El(b, n)) goes to f(El(b, n)), so an omega segment takes f's
+    rule for base block b."""
+    return _segment_map(rfd.wb, f.dst, lambda e: sigma(rmap(f, rfd.ideal_of(e))),
+                        lambda e: f.rules[rfd.ideal_of(e).a.seg])
 
 
 def rho(psi: Morphism, rfd: RFrameData) -> Morphism:
@@ -456,18 +448,8 @@ def rho(psi: Morphism, rfd: RFrameData) -> Morphism:
 def rmap_map(f: Morphism, src_rfd: RFrameData, dst_rfd: RFrameData) -> Morphism:
     """The ideal-frame functor action on a represented morphism; src_rfd
     and dst_rfd are the ideal frames of f's source and target."""
-    if isinstance(f, FiniteMap):
-        table = tuple(
-            dst_rfd.el_of(rmap(f, src_rfd.ideal_of(i)))
-            for i in src_rfd.frame.elements()
-        )
-        return FiniteMap(src_rfd.wb, dst_rfd.wb, table)
-    rules = []
-    for seg, ideal in zip(src_rfd.frame.segments, src_rfd.segment_ideals):
-        if seg.kind != OMEGA:
-            rules.append(Seq.constant(dst_rfd.el_of(rmap(f, ideal))))
-            continue
-        rule = f.rules[ideal.a.seg]
+    def block_rule(e):
+        rule = f.rules[src_rfd.ideal_of(e).a.seg]
         exc = tuple(
             (m, dst_rfd.el_of(kappa(f.dst, v))) for m, v in rule.exceptions
         )
@@ -476,11 +458,12 @@ def rmap_map(f: Morphism, src_rfd: RFrameData, dst_rfd: RFrameData) -> Morphism:
             # approximant ideals are principal and sit in the matching
             # block of the target ideal frame
             probe = dst_rfd.el_of(Prin(f.dst, El(rule.seg, 0)))
-            rules.append(Seq.affine(probe.seg, rule.a, rule.b, exc))
-        else:
-            rules.append(
-                Seq.constant(dst_rfd.el_of(kappa(f.dst, rule.const)), exc))
-    return ChainMap(src_rfd.wb, dst_rfd.wb, tuple(rules))
+            return Seq.affine(probe.seg, rule.a, rule.b, exc)
+        return Seq.constant(dst_rfd.el_of(kappa(f.dst, rule.const)), exc)
+
+    return _segment_map(src_rfd.wb, dst_rfd.wb,
+                        lambda e: dst_rfd.el_of(rmap(f, src_rfd.ideal_of(e))),
+                        block_rule)
 
 
 # -- exhaustive enumeration (finite frames) ---------------------------------

@@ -8,15 +8,17 @@ and inclusion exact:
 * chain frames: ``Prin(a)`` for a relation-reflexive element, or
   ``BelowLim(l)`` for everything strictly under a limit point.
 
-The frame of round ideals of a chain instance is again a chain-like frame;
-:func:`rframe` materializes it with a codec between its element codes and
-the ideals they stand for.  The frame carries two proximities, the
-way-below relation and the maximal proximity, and the frames of round
-ideals of each, the next levels of the two comonads' towers.  Ideals have
-no lattice operations of their own: the join and meet of two round ideals
-are those of that frame, reached through ``RFrameData.el_of`` and
-``ideal_of``.  The one supremum taken here is :func:`dir_sup`'s, of a
-directed family of principal ideals on a chain described by a ``Seq``.
+The frame of round ideals of a chain instance is again a chain-like frame.
+:func:`rframe` materializes it with ``RFrameData.ideals``, the canonical
+ideal of each element of a finite ideal frame or of the first element of
+each chain segment; ``ideal_of`` reads it and ``el_of`` inverts it.  The
+frame carries two proximities, the way-below relation and the maximal
+proximity, and the frames of round ideals of each, the next levels of the
+two comonads' towers.  Ideals have no lattice operations of their own: the
+join and meet of two round ideals are those of that frame, reached through
+``el_of`` and ``ideal_of``.  The one supremum taken here is
+:func:`dir_sup`'s, of a directed family of principal ideals on a chain
+described by a ``Seq``.
 """
 
 from __future__ import annotations
@@ -217,63 +219,46 @@ def retag(ideal: RoundIdeal, prox: Proximity) -> RoundIdeal:
 
 @dataclass(frozen=True)
 class RFrameData:
-    """The frame of round ideals with a codec between frame elements and
-    canonical ideals, and its two proximities: the way-below relation `wb`
-    and the maximal proximity `maxp`.  The frames of round ideals of `wb`
-    and of `maxp` are the properties `rr` and `cc`; each is built on first
-    use and kept for the lifetime of this object, so a run that holds one
-    RFrameData per instance builds each level of both towers once.  Where
-    `maxp` is `wb`, as on every finite instance, `cc` is `rr`.  The
-    structure maps built from it (sigma, kappa, alpha, r, c, epsilon,
-    beta) are kept in `maps` the same way; see `kept_on_rframe`."""
+    """The frame of round ideals, the canonical ideal each of its
+    elements stands for, and its two proximities: the way-below relation
+    `wb` and the maximal proximity `maxp`.  The frames of round ideals of
+    `wb` and of `maxp` are the properties `rr` and `cc`; each is built on
+    first use and kept for the lifetime of this object, so a run that
+    holds one RFrameData per instance builds each level of both towers
+    once.  Where `maxp` is `wb`, as on every finite instance, `cc` is
+    `rr`.  The structure maps built from it (sigma, kappa, alpha, r, c,
+    epsilon, beta) are kept in `maps` the same way; see `kept_on_rframe`."""
 
     base: Proximity
     frame: FiniteFrame | ChainLikeFrame
     wb: Proximity
-    # chain codec: one descriptor per new segment
-    seg_descs: tuple = ()
-    # finite codec: ideal bitmask per element index
-    masks: tuple[int, ...] = ()
+    # the ideal of each element of a finite frame; on a chain, of the first
+    # element El(i, 0) of each segment i: Prin(El(b, 0)) for the omega
+    # block over base block b, else the point's Prin or BelowLim
+    ideals: tuple[RoundIdeal, ...]
     # the structure maps built from this object, by builder function
     maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ideal_of(self, el) -> RoundIdeal:
         if isinstance(self.base, FiniteProximity):
-            return FinIdeal(self.base, self.masks[el])
-        kind, payload = self.seg_descs[el.seg]
-        if kind == "prin_block":
-            return Prin(self.base, El(payload, el.n))
-        if kind == "prin":
-            return Prin(self.base, payload)
-        return BelowLim(self.base, payload)
+            return self.ideals[el]
+        ideal = self.ideals[el.seg]
+        if el.n == 0 or self.frame.segments[el.seg].kind != OMEGA:
+            return ideal
+        return Prin(self.base, El(ideal.a.seg, el.n))
 
     def el_of(self, ideal: RoundIdeal):
-        codes = self._codes
-        if isinstance(ideal, FinIdeal):
-            if ideal.mask in codes:
-                return codes[ideal.mask]
-        elif isinstance(ideal, BelowLim):
-            if ("below", ideal.lim) in codes:
-                return El(codes["below", ideal.lim], 0)
-        elif ("prin", ideal.a) in codes:
-            return El(codes["prin", ideal.a], 0)
-        elif ("prin_block", ideal.a.seg) in codes:
-            return El(codes["prin_block", ideal.a.seg], ideal.a.n)
-        raise UnsupportedRepresentation(f"{ideal!r} is not in the classification")
+        key, n = _code_key(ideal)
+        s = self._codes.get(key)
+        if s is None:
+            raise UnsupportedRepresentation(f"{ideal!r} is not in the classification")
+        return s if n is None else El(s, n)
 
     @cached_property
     def _codes(self) -> dict:
-        """The inverse of the codec: element of each ideal mask on a
-        finite frame, segment of each descriptor on a chain."""
-        keys = self.masks if isinstance(self.base, FiniteProximity) else self.seg_descs
-        return {key: i for i, key in enumerate(keys)}
-
-    @cached_property
-    def segment_ideals(self) -> tuple[RoundIdeal, ...]:
-        """On a chain frame, the ideal of each segment's first element:
-        Prin(El(b, 0)) for the omega block over base block b, else the
-        one ideal of the point."""
-        return tuple(self.ideal_of(El(s, 0)) for s in range(len(self.frame.segments)))
+        """The inverse of `ideals`: the element, or on a chain the
+        segment, of each ideal, keyed as `_code_key` keys it."""
+        return {_code_key(ideal)[0]: i for i, ideal in enumerate(self.ideals)}
 
     @cached_property
     def maxp(self) -> Proximity:
@@ -283,14 +268,14 @@ class RFrameData:
             # the ideal frame is ordered by inclusion, so J contains I iff
             # J is in up[I]
             f = self.frame
-            tops = [sigma(self.ideal_of(i)) for i in f.elements()]
+            tops = [sigma(ideal) for ideal in self.ideals]
             return FiniteProximity(f, tuple(
                 sum(1 << j for j in _bits(f.up[i]) if base.rel(tops[i], tops[j]))
                 for i in f.elements()))
         # a limit of the ideal frame stands for everything under a base
         # limit; its join relates to itself exactly when that base limit does
         refl = frozenset(e for e in self.frame.limits()
-                         if base.reflexive(sigma(self.segment_ideals[e.seg])))
+                         if base.reflexive(sigma(self.ideals[e.seg])))
         return ChainProximity(self.frame, refl)
 
     @cached_property
@@ -304,6 +289,19 @@ class RFrameData:
         """The frame of round ideals of `maxp`: the next level of the
         maximal-structure comonad's tower."""
         return self.rr if self.maxp == self.wb else rframe(self.maxp)
+
+
+def _code_key(ideal: RoundIdeal):
+    """(key, n): the key of ideal in RFrameData._codes, which does not
+    hash the proximity, and where ideal sits in its segment.  A finite
+    ideal is keyed by its mask and has no n.  A chain ideal is keyed by
+    its kind and the base segment of its element, so Prin(El(b, n)) sits
+    n steps into the segment of Prin(El(b, 0))."""
+    if isinstance(ideal, FinIdeal):
+        return ideal.mask, None
+    if isinstance(ideal, Prin):
+        return (Prin, ideal.a.seg), ideal.a.n
+    return (BelowLim, ideal.lim.seg), 0
 
 
 def kept_on_rframe(build):
@@ -338,13 +336,14 @@ def _rframe_finite(prox: FiniteProximity) -> RFrameData:
     xs = [x for x, d in enumerate(f.down) if all(rows[b] & d for b in _bits(d))]
     frame, masks = _frame_of_masks([f"dn({f.names[x]})" for x in xs],
                                    [f.down[x] for x in xs])
-    return RFrameData(base=prox, frame=frame, wb=order_proximity(frame), masks=masks)
+    return RFrameData(base=prox, frame=frame, wb=order_proximity(frame),
+                      ideals=tuple(FinIdeal(prox, m) for m in masks))
 
 
 def _rframe_chain(prox: ChainProximity) -> RFrameData:
     f = prox.frame
     segs: list[Segment] = []
-    descs: list[tuple] = []
+    ideals: list[RoundIdeal] = []
     for i, s in enumerate(f.segments):
         e = El(i, 0)
         if s.kind == OMEGA:
@@ -353,21 +352,21 @@ def _rframe_chain(prox: ChainProximity) -> RFrameData:
                     "omega block directly after an omega block is unsupported"
                 )
             segs.append(Segment(OMEGA, f"P[{s.label}]"))
-            descs.append(("prin_block", i))
+            ideals.append(Prin(prox, e))
         elif f.is_limit(e):
             segs.append(Segment(POINT, f"B[{s.label}]"))
-            descs.append(("below", e))
+            ideals.append(BelowLim(prox, e))
             if e in prox.reflexive_limits:
                 segs.append(Segment(POINT, f"P[{s.label}]"))
-                descs.append(("prin", e))
+                ideals.append(Prin(prox, e))
         else:
             segs.append(Segment(POINT, f"P[{s.label}]"))
-            descs.append(("prin", e))
+            ideals.append(Prin(prox, e))
     frame = ChainLikeFrame(tuple(segs))
     # the way-below relation has no reflexive limit points: each new limit
     # is a BelowLim ideal, never bounded by one of its own members
     wb = ChainProximity(frame, frozenset())
-    return RFrameData(base=prox, frame=frame, wb=wb, seg_descs=tuple(descs))
+    return RFrameData(base=prox, frame=frame, wb=wb, ideals=tuple(ideals))
 
 
 def ideal_frame(frame) -> RFrameData:

@@ -198,10 +198,12 @@ def test_cli_usage_and_input_errors(capsys):
      "duplicate point ids: 'p'"),
     ({"builder": "chain", "k": 2, "reflexive": [2, 2]},
      "field 'reflexive' repeats the limit indices [2]"),
+    ({"builder": "chain", "k": 2, "names": ["A", "B", "C"], "reflexive": [2]},
+     "field 'names' has 3 block names for k = 2 blocks"),
 ], ids=["elements-not-a-list", "reflexive-not-indices", "unknown-pair-element",
         "product-factor-not-a-document", "name-not-a-string", "repeated-block-label",
         "block-label-repeats-a-default", "product-factor-a-chain",
-        "repeated-topology-point", "repeated-reflexive-index"])
+        "repeated-topology-point", "repeated-reflexive-index", "more-names-than-blocks"])
 def test_cli_malformed_instance_exits_2(doc, message, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))

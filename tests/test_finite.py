@@ -471,7 +471,7 @@ def test_oracle_product_proximity():
 
 def rframe_tables(prox):
     r = rframe(prox)
-    return r.frame, r.masks
+    return r.frame, tuple(i.mask for i in r.ideals)
 
 
 def test_oracle_round_ideal_frames():

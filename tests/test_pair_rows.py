@@ -18,7 +18,7 @@ import pytest
 import proxkit.comonads as comonads
 import proxkit.roundideal as roundideal
 from proxkit.catalog import catalog_instances
-from proxkit.chain import El, build_chain_frame
+from proxkit.chain import OMEGA, El, build_chain_frame
 from proxkit.cli import _compact_json
 from proxkit.comonads import (
     _reps,
@@ -35,6 +35,7 @@ from proxkit.reports import law_fail, law_pass
 from proxkit.roundideal import (
     BelowLim,
     FinIdeal,
+    Prin,
     kappa,
     member,
     rframe,
@@ -115,17 +116,19 @@ LAWS = [
 
 
 def scan_el_of(rfd, ideal):
-    """The inverse codec as a scan of the segment descriptors."""
+    """The inverse codec as a scan of the stored ideals."""
     if isinstance(ideal, FinIdeal):
-        return rfd.masks.index(ideal.mask)
-    if isinstance(ideal, BelowLim):
-        return El(rfd.seg_descs.index(("below", ideal.lim)), 0)
-    a = ideal.a
-    for s, (kind, payload) in enumerate(rfd.seg_descs):
-        if kind == "prin_block" and payload == a.seg:
-            return El(s, a.n)
-        if kind == "prin" and payload == a:
-            return El(s, 0)
+        return [i.mask for i in rfd.ideals].index(ideal.mask)
+    for s, stored in enumerate(rfd.ideals):
+        if isinstance(ideal, BelowLim):
+            if isinstance(stored, BelowLim) and stored.lim == ideal.lim:
+                return El(s, 0)
+        elif isinstance(stored, Prin):
+            a = ideal.a
+            if rfd.frame.segments[s].kind == OMEGA and stored.a.seg == a.seg:
+                return El(s, a.n)
+            if stored.a == a:
+                return El(s, 0)
     raise UnsupportedRepresentation(f"{ideal!r} is not in the classification")
 
 

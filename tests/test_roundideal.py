@@ -76,7 +76,7 @@ def test_finite_rframe_matches_brute_enumeration():
     for name in ("two", "chain3", "diamond", "cube3"):
         _, prox = load_instance(name)
         rfd = rframe(prox)
-        assert sorted(rfd.masks) == brute_round_downsets(prox), name
+        assert sorted(i.mask for i in rfd.ideals) == brute_round_downsets(prox), name
 
 
 def _is_round_downset(prox: FiniteProximity, mask: int) -> bool:
@@ -114,7 +114,8 @@ def scan_rframe_finite(prox):
             members = ",".join(f.names[i] for i in f.elements() if (m >> i) & 1)
             names.append("{" + members + "}")
     frame, masks = _frame_of_masks(names, masks)
-    return RFrameData(base=prox, frame=frame, wb=order_proximity(frame), masks=masks)
+    return RFrameData(base=prox, frame=frame, wb=order_proximity(frame),
+                      ideals=tuple(FinIdeal(prox, m) for m in masks))
 
 
 def _rframe_or_error(build, prox):
