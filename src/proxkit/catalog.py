@@ -55,10 +55,10 @@ def parse_instance(doc: dict) -> tuple[str, Proximity]:
         if not _is_int(k):
             raise InvalidParameter(f"field 'k' must be an integer, got {k!r}")
         names = None if "names" not in doc else _names(doc["names"], "names")
-        frame = build_chain_frame(k, names)
         if names is not None and len(names) > k:
             raise InvalidParameter(
                 f"field 'names' has {len(names)} block names for k = {k} blocks")
+        frame = build_chain_frame(k, names)
         refl = doc.get("reflexive", [])
         if not isinstance(refl, (list, tuple)) or not all(map(_is_int, refl)):
             raise InvalidParameter(

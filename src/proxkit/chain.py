@@ -154,6 +154,8 @@ def build_chain_frame(k: int, names: list[str] | None = None) -> ChainLikeFrame:
     """k omega blocks, each capped by a limit point; top is the last limit."""
     if k < 1:
         raise InvalidParameter(f"block count must be >= 1, got {k}")
+    if names is not None and len(names) > k:
+        raise InvalidParameter(f"{len(names)} block names for k = {k} blocks")
     segs: list[Segment] = []
     for i in range(k):
         block = names[i] if names and i < len(names) else f"S{i}"
@@ -199,6 +201,9 @@ class Seq:
     exceptions: tuple[tuple[int, object], ...] = ()
 
     def __post_init__(self):
+        if not self.exceptions:
+            # nothing to check, drop or sort: both constructors pass a tuple
+            return
         idx = [m for m, _ in self.exceptions]
         if len(set(idx)) != len(idx):
             raise InvalidParameter("repeated exception index")
@@ -259,7 +264,6 @@ def _seq_problem(seq: Seq, frame) -> str | None:
     frame (a chain or a finite frame), or None.  An affine tail needs a
     chain frame and must land in one of its omega blocks at an offset
     b >= 0, so that every value it takes is an element."""
-    values = [v for _, v in seq.exceptions]
     chain = isinstance(frame, ChainLikeFrame)
     if seq.is_affine:
         if not chain:
@@ -269,10 +273,13 @@ def _seq_problem(seq: Seq, frame) -> str | None:
             return "affine tail must land in an omega block"
         if seq.b < 0:
             return "affine tail offset must be >= 0"
-    else:
-        values.append(seq.const)
-    for v in values:
-        if not ((isinstance(v, El) and frame.contains(v)) if chain
-                else frame.contains(v)):
+    for _, v in seq.exceptions:
+        if not _in_frame(v, frame, chain):
             return f"value {v!r} is not in the target frame"
+    if not (seq.is_affine or _in_frame(seq.const, frame, chain)):
+        return f"value {seq.const!r} is not in the target frame"
     return None
+
+
+def _in_frame(v, frame, chain: bool) -> bool:
+    return (isinstance(v, El) and frame.contains(v)) if chain else frame.contains(v)

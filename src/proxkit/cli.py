@@ -9,6 +9,7 @@ command prints the same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -49,7 +50,10 @@ from .reports import LawReport, law_fail, law_pass
 from .roundideal import rframe, sigma
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and kept for
+    the process: it holds no input, so every call may share it."""
     parser = argparse.ArgumentParser(
         prog="proxkit",
         description="proximity frames, their stable compactifications, "
@@ -74,9 +78,12 @@ def main(argv=None) -> int:
     p.add_argument("--law", choices=("collapse", "theta-rho", "star-vs-compose"),
                    required=True)
     p.add_argument("--max-size", type=int, default=5)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

@@ -248,6 +248,12 @@ class RFrameData:
         return Prin(self.base, El(ideal.a.seg, el.n))
 
     def el_of(self, ideal: RoundIdeal):
+        # the codes below do not key the proximity, so check it here; the
+        # identity test passes almost every call without comparing frames
+        if ideal.prox is not self.base and ideal.prox != self.base:
+            raise UnsupportedRepresentation(
+                f"{ideal!r} is not in the classification: "
+                f"it is a round ideal of another proximity")
         key, n = _code_key(ideal)
         s = self._codes.get(key)
         if s is None:

@@ -251,8 +251,10 @@ def assert_theta_and_rmap_agree(f, src_rfd, dst_rfd):
 
 def assert_codecs_agree(rfd, ideals):
     """ideal_of agrees with the old codec on every element or segment
-    start, and el_of on those ideals and on `ideals`, refusals included;
-    returns the number of refusals seen."""
+    start, and el_of on those ideals and on the ideals of rfd.base among
+    `ideals`, refusals included; el_of refuses every other ideal, which
+    the old codec looked up by its code alone.  Returns the number of
+    refusals seen."""
     old = OldCodec(rfd.base)
     if old.finite:
         els = list(rfd.frame.elements())
@@ -265,7 +267,12 @@ def assert_codecs_agree(rfd, ideals):
     refused = 0
     for ideal in ideals:
         new = outcome(rfd.el_of, ideal)
-        assert new == outcome(old.el_of, ideal), ideal
+        if ideal.prox != rfd.base:
+            assert new == (UnsupportedRepresentation,
+                           f"{ideal!r} is not in the classification: "
+                           f"it is a round ideal of another proximity"), ideal
+        else:
+            assert new == outcome(old.el_of, ideal), ideal
         if isinstance(new, tuple):
             assert new[0] is UnsupportedRepresentation
             refused += 1

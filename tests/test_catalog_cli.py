@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -172,6 +173,37 @@ def test_cli_usage_and_input_errors(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["laws", "--suite", "bogus"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["laws", "--samples", "3"], 2),
+    (["-h"], 0),
+], ids=["usage-error", "help"])
+def test_cli_builds_its_parser_once_per_process(argv, code, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    assert main(argv) == code
+    first = capsys.readouterr()
+    assert (first.err if code else first.out).startswith("usage: proxkit ")
+    # the first call builds the parser and its four subcommand parsers
+    assert built == ["proxkit", "proxkit validate", "proxkit compactify",
+                     "proxkit laws", "proxkit search"]
+    # later calls, also after another command, build none and print the
+    # same bytes as the first
+    assert main(argv) == code
+    assert capsys.readouterr() == first
+    assert main(["validate", "two"]) == 0
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr() == first
+    assert len(built) == 5
 
 
 @pytest.mark.parametrize("doc, message", [

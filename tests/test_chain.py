@@ -31,6 +31,11 @@ def test_build_chain_frame_shape():
     assert f.top == El(3, 0)
     assert f.label(succ(f, 1, 4)) == "S1.4"
     assert f.label(lim(f, 2)) == "L2"
+    # names label the blocks in order, and a name past the k-th is refused
+    assert [s.label for s in build_chain_frame(2, ["A"]).segments] == [
+        "A", "L1", "S1", "L2"]
+    with pytest.raises(InvalidParameter, match="^3 block names for k = 2 blocks$"):
+        build_chain_frame(2, ["A", "B", "C"])
 
 
 def test_limits_and_successors():
@@ -139,11 +144,19 @@ def test_lattice_ops_agree_with_order(k, i, j):
     (Seq.affine(1, 1, 0), "affine tail must land in an omega block"),
     (Seq.affine(2, 1, 0), "affine tail must land in an omega block"),
     (Seq.affine(0, 1, -1, ((0, El(0, 0)),)), "affine tail offset must be >= 0"),
+    # the constant and an exception are both outside: the exception first
+    (Seq.constant(El(1, 3), ((2, El(5, 0)),)),
+     "value El(5,0) is not in the target frame"),
 ])
 def test_maps_and_families_share_one_target_check(seq, problem):
     # a chain map's rule and a described family report the same problem,
     # each with its own exception class
     p = chain_proximity(build_chain_frame(1), {1})
+    # an exception that agrees with the tail is dropped, also when the
+    # value is outside the frame
+    for v in (El(0, 2), El(1, 3)):
+        assert Seq.constant(v, ((0, v),)) == Seq.constant(v)
+        assert Seq.constant(v, ((0, v),)).exceptions == ()
     assert _seq_problem(seq, p.frame) == problem
     with pytest.raises(MalformedMap, match=re.escape(problem)):
         ChainMap(p, p, (seq, Seq.constant(p.frame.top)))

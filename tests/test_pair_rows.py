@@ -276,6 +276,20 @@ def test_el_of_refuses_an_ideal_outside_the_classification():
     fin = rframe(catalog_instances()["diamond"])
     with pytest.raises(UnsupportedRepresentation, match="not in the classification"):
         fin.el_of(FinIdeal(fin.base, 0))
+    # the ideals of another proximity are refused, also where their codes
+    # name an element or a segment of this frame
+    two = catalog_instances()["two"]
+    for frame_data, ideal in ((rfd, BelowLim(other, El(1, 0))),
+                              (rfd, Prin(other, El(0, 9))),
+                              (fin, FinIdeal(two, 1))):
+        with pytest.raises(UnsupportedRepresentation,
+                           match="it is a round ideal of another proximity"):
+            frame_data.el_of(ideal)
+    # an equal proximity that is another object is the same proximity
+    same = chain_proximity(build_chain_frame(1), [1])
+    assert same is not rfd.base
+    assert rfd.el_of(BelowLim(same, El(1, 0))) == El(1, 0)
+    assert rfd.el_of(Prin(same, El(0, 9))) == El(0, 9)
 
 
 # -- work grows linearly in k ----------------------------------------------------
