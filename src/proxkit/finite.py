@@ -5,11 +5,19 @@ of the elements above a, and down[b] that of the elements below b.  Full
 meet/join tables make every lattice operation a table lookup.  Elements
 are the canonical indices 0..n-1, ordered topologically by leq with ties
 broken by name.
+
+Distributivity is decided by Birkhoff's theorem: a finite lattice is
+distributive exactly when it has as many elements as its poset of
+join-irreducibles has downsets, and that count is read off the rows.
+The O(n^3) scan of every triple runs only when the count says no, to
+find the first failing triple for the `NotDistributive` witness.  Frames
+over DISTRIBUTIVITY_SCAN_LIMIT elements are refused as soon as their
+size is known, before any table is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .errors import (
@@ -131,12 +139,13 @@ def _frame_of_rows(names, up: list[int]) -> tuple[FiniteFrame, list[int]]:
     """Validate the poset with closed up-rows `up` as a finite frame and
     derive all tables.  Returns the frame and pos, where pos[i] is the
     canonical index of input element i.  Raises NotAPoset, NoBounds,
-    NotALattice, TooLarge or NotDistributive."""
+    TooLarge, NotALattice or NotDistributive."""
     if len(set(names)) != len(names):
         raise NotAPoset("duplicate element ids")
     n = len(names)
     if n == 0:
         raise NoBounds("empty element list")
+    _check_size(n)
     down = _transpose(up, n)
     # canonical order: topological by leq, ties by id
     order = sorted(range(n), key=lambda i: (down[i].bit_count(), names[i]))
@@ -169,17 +178,8 @@ def _frame_of_rows(names, up: list[int]) -> tuple[FiniteFrame, list[int]]:
             meet_t[a][b] = meet_t[b][a] = m
             join_t[a][b] = join_t[b][a] = j
 
-    if n > DISTRIBUTIVITY_SCAN_LIMIT:
-        raise TooLarge(
-            f"distributivity scan rejects frames over {DISTRIBUTIVITY_SCAN_LIMIT} elements"
-        )
-    for a in range(n):
-        ma = meet_t[a]
-        for b in range(n):
-            jb, jab = join_t[b], join_t[ma[b]]
-            for c in range(n):
-                if ma[jb[c]] != jab[ma[c]]:
-                    raise NotDistributive((names2[a], names2[b], names2[c]))
+    if not _distributive(down):
+        raise NotDistributive(_distributivity_witness(names2, meet_t, join_t))
 
     # pseudocomplement a* = largest x with x /\ a = 0; in a distributive
     # lattice those x are closed under joins, so a* is the last of them
@@ -197,11 +197,51 @@ def _frame_of_rows(names, up: list[int]) -> tuple[FiniteFrame, list[int]]:
     ), pos
 
 
+def _check_size(n: int) -> None:
+    """Refuse a frame of n elements before its O(n^2) tables are built."""
+    if n > DISTRIBUTIVITY_SCAN_LIMIT:
+        raise TooLarge(
+            f"distributivity scan rejects frames over {DISTRIBUTIVITY_SCAN_LIMIT} elements"
+        )
+
+
+def _distributive(down) -> bool:
+    """Whether the finite lattice with canonical down-rows `down` is
+    distributive, by Birkhoff's theorem.  x |-> the join-irreducibles below
+    x embeds any finite lattice into the downsets of its poset J of
+    join-irreducibles, and is onto exactly when the lattice is
+    distributive; so it is distributive iff J has n downsets.  J is the
+    set of x != bot whose strict downset is principal, generated by its
+    highest element t.  The count stops once it passes n."""
+    n = len(down)
+    below = [d & ~(1 << x) for x, d in enumerate(down)]
+    irreducible = sum(1 << x for x in range(1, n)
+                      if below[x] == down[below[x].bit_length() - 1])
+    # the elements outside J start out in every downset, so only J's count
+    return len(_downsets(below, ((1 << n) - 1) & ~irreducible, limit=n)) == n
+
+
+def _distributivity_witness(names, meet_t, join_t):
+    """The names of the first triple (a, b, c), in the order of an
+    O(n^3) scan, at which meet(a, join(b, c)) differs from
+    join(meet(a, b), meet(a, c)); None if there is none."""
+    n = len(names)
+    for a in range(n):
+        ma = meet_t[a]
+        for b in range(n):
+            jb, jab = join_t[b], join_t[ma[b]]
+            for c in range(n):
+                if ma[jb[c]] != jab[ma[c]]:
+                    return names[a], names[b], names[c]
+    return None
+
+
 def build_finite_frame(names: list[str], leq_pairs: list[tuple[str, str]]) -> FiniteFrame:
     """Validate (names, leq_pairs) as a finite frame and derive all tables.
 
     leq_pairs may be any generating set; the reflexive-transitive closure
-    is taken.  Raises NotAPoset, NotALattice, NotDistributive or NoBounds.
+    is taken.  Raises NotAPoset, NoBounds, TooLarge, NotALattice or
+    NotDistributive.
     """
     up = _order_rows(names, leq_pairs) if names else []
     return _frame_of_rows(names, up)[0]
@@ -213,19 +253,24 @@ def downset_frame(names: list[str], leq_pairs: list[tuple[str, str]]) -> FiniteF
     n = len(names)
     if n > 16:
         raise TooLarge("downset enumeration limited to posets of 16 elements")
-    downs = _downsets([d & ~(1 << x) for x, d in enumerate(_transpose(up, n))])
+    downs = _downsets([d & ~(1 << x) for x, d in enumerate(_transpose(up, n))],
+                      limit=DISTRIBUTIVITY_SCAN_LIMIT)
+    _check_size(len(downs))
     return _frame_of_masks(_set_names(names, downs), downs)[0]
 
 
-def _downsets(below: list[int], start: int = 0) -> list[int]:
+def _downsets(below: list[int], start: int = 0, limit: int | None = None) -> list[int]:
     """The downsets that contain the downset `start`, of the order in
     which below[i] is the bitmask of the elements strictly below i.  The
     downsets of a down-closed prefix of a linear extension are extended by
-    the next element wherever everything strictly below it is in."""
+    the next element wherever everything strictly below it is in.  Once
+    there are more than `limit` of them, the unfinished list is returned."""
     downs = [start]
     for i in sorted(range(len(below)), key=lambda i: below[i].bit_count()):
         if not start >> i & 1:
             downs += [d | 1 << i for d in downs if not below[i] & ~d]
+            if limit is not None and len(downs) > limit:
+                break
     return downs
 
 
@@ -265,12 +310,25 @@ def _frame_of_masks(names, masks: list[int]) -> tuple[FiniteFrame, tuple[int, ..
     """The frame of a family of distinct bitsets ordered by inclusion,
     names[i] naming masks[i].  Returns the frame and the masks in its
     canonical order."""
+    _check_size(len(masks))
     up = [sum(1 << j for j, b in enumerate(masks) if a & b == a) for a in masks]
     frame, pos = _frame_of_rows(names, up)
     order = [0] * len(masks)
     for m, p in zip(masks, pos):
         order[p] = m
     return frame, tuple(order)
+
+
+def _renamed(frame: FiniteFrame, names: tuple[str, ...]) -> FiniteFrame | None:
+    """The frame with element i renamed names[i] and every table kept, if
+    the new names keep the canonical order; else None.  Elements are in
+    order of the size of their downset, ties by name, and a renaming can
+    flip a tie: "a" sorts before "a!", but "dn(a!)" before "dn(a)"."""
+    sizes = [d.bit_count() for d in frame.down]
+    for i in range(1, frame.n):
+        if sizes[i - 1] == sizes[i] and names[i - 1] > names[i]:
+            return None
+    return replace(frame, names=names)
 
 
 def _product(f: FiniteFrame, g: FiniteFrame) -> tuple[FiniteFrame, list[int]]:

@@ -19,6 +19,12 @@ join and meet of two round ideals are those of that frame, reached through
 ``el_of`` and ``ideal_of``.  The one supremum taken here is
 :func:`dir_sup`'s, of a directed family of principal ideals on a chain
 described by a ``Seq``.
+
+On a finite frame the round ideals are principal downsets.  When all of
+them are round, as for every valid finite proximity by the collapse
+theorem, the ideal frame is the base frame itself with its elements
+renamed ``dn(x)``, and no table is rebuilt; only other relations, or a
+renaming that would reorder two elements, build it from the masks.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .errors import (
     TooLarge,
     UnsupportedRepresentation,
 )
-from .finite import FiniteFrame, _bits, _frame_of_masks
+from .finite import FiniteFrame, _bits, _frame_of_masks, _renamed
 from .proximity import ChainProximity, FiniteProximity, Proximity, order_proximity
 
 FINITE_IDEAL_ENUM_LIMIT = 14
@@ -330,6 +336,10 @@ def rframe(prox: Proximity) -> RFrameData:
 
 
 def _rframe_finite(prox: FiniteProximity) -> RFrameData:
+    """The ideal frame of a finite proximity: the base frame renamed when
+    every principal downset is round and the names keep the canonical
+    order, else the frame of the round principal downsets, built from
+    their masks."""
     f = prox.frame
     if f.n > FINITE_IDEAL_ENUM_LIMIT:
         raise TooLarge(
@@ -340,8 +350,15 @@ def _rframe_finite(prox: FiniteProximity) -> RFrameData:
     # ideals are the down[x] in which every member relates to a member.
     rows = prox.rows
     xs = [x for x, d in enumerate(f.down) if all(rows[b] & d for b in _bits(d))]
-    frame, masks = _frame_of_masks([f"dn({f.names[x]})" for x in xs],
-                                   [f.down[x] for x in xs])
+    names = [f"dn({f.names[x]})" for x in xs]
+    # When every principal downset is round, as for every valid proximity
+    # by the collapse theorem, x -> down[x] is an order isomorphism onto
+    # the ideal frame: it is the base frame renamed, if the names allow.
+    frame = _renamed(f, tuple(names)) if len(xs) == f.n else None
+    if frame is not None:
+        masks = f.down
+    else:
+        frame, masks = _frame_of_masks(names, [f.down[x] for x in xs])
     return RFrameData(base=prox, frame=frame, wb=order_proximity(frame),
                       ideals=tuple(FinIdeal(prox, m) for m in masks))
 

@@ -168,6 +168,19 @@ def test_cli_laws_refuses_instance_failing_the_axioms(suite, tmp_path, capsys):
     assert err == "error: instance fails the proximity axioms\n"
 
 
+def test_cli_validate_refuses_a_large_downset_frame_by_its_size(tmp_path, capsys):
+    # the 12-point antichain has 4,096 downsets; the cap ends the listing
+    # of them once it passes 64, before any table is built
+    doc = {"name": "anti12", "builder": "downsets",
+           "elements": [f"x{i}" for i in range(12)], "leq": []}
+    p = tmp_path / "anti12.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: distributivity scan rejects frames over 64 elements\n"
+
+
 def test_cli_usage_and_input_errors(capsys):
     assert main(["validate", "no-such-instance"]) == 2
     assert "error:" in capsys.readouterr().err

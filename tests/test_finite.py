@@ -18,9 +18,12 @@ from proxkit.errors import (
     ProxkitError,
     TooLarge,
 )
+from proxkit import finite
 from proxkit.finite import (
     DISTRIBUTIVITY_SCAN_LIMIT,
     FiniteFrame,
+    _distributive,
+    _distributivity_witness,
     build_finite_frame,
     downset_frame,
     hasse_dot,
@@ -240,6 +243,11 @@ def oracle_frame(names, leq_pairs):
     if n == 0:
         raise NoBounds("empty element list")
     rel = _oracle_closure(names, leq_pairs)
+    # the size cap is checked as soon as the poset is known
+    if n > DISTRIBUTIVITY_SCAN_LIMIT:
+        raise TooLarge(
+            f"distributivity scan rejects frames over {DISTRIBUTIVITY_SCAN_LIMIT} elements"
+        )
     order = sorted(range(n), key=lambda i: (sum(rel[j][i] for j in range(n)), names[i]))
     names2 = tuple(names[i] for i in order)
     leq = [[rel[a][b] for b in order] for a in order]
@@ -257,10 +265,6 @@ def oracle_frame(names, leq_pairs):
             if j is None:
                 raise NotALattice(f"no join for ({names2[a]},{names2[b]})")
             meet_t[a][b], join_t[a][b] = m, j
-    if n > DISTRIBUTIVITY_SCAN_LIMIT:
-        raise TooLarge(
-            f"distributivity scan rejects frames over {DISTRIBUTIVITY_SCAN_LIMIT} elements"
-        )
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -429,6 +433,12 @@ def test_oracle_named_lattices():
     assert_same(downset_frame, oracle_downset_frame, [], [])
     # a downset frame over the distributivity scan limit
     assert_same(downset_frame, oracle_downset_frame, list("abcdefg"), [])
+    # a non-lattice over the limit: refused for its size before its joins
+    # are looked at
+    big = [f"e{i:02}" for i in range(63)]
+    bowtie_over = (bowtie[0] + big, bowtie[1] + [("1", e) for e in big])
+    assert outcome(build_finite_frame, *bowtie_over)[0] == "TooLarge"
+    assert_same(build_finite_frame, oracle_frame, *bowtie_over)
 
 
 def test_oracle_open_sets():
@@ -509,3 +519,121 @@ def test_oracle_generating_relations(rel):
     names, pairs = rel
     assert_same(build_finite_frame, oracle_frame, names, pairs)
     assert_same(downset_frame, oracle_downset_frame, names, pairs)
+
+
+# -- Birkhoff's count against the distributivity scan --------------------------
+
+
+def birkhoff_and_scan(names, pairs):
+    """(Birkhoff's verdict, the scan's witness) on the lattice built from
+    (names, pairs), or None if building it fails before distributivity
+    is decided.  The frame is built with the count recorded and the
+    verdict forced to yes, so that the scan gets the tables of any
+    lattice."""
+    verdicts = []
+
+    def recording(down):
+        verdicts.append(_distributive(down))
+        return True
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finite, "_distributive", recording)
+        try:
+            f = build_finite_frame(names, pairs)
+        except ProxkitError:
+            return None
+    return verdicts[0], _distributivity_witness(f.names, f.meet_t, f.join_t)
+
+
+def assert_birkhoff_agrees(names, pairs):
+    """Birkhoff's count says yes exactly when the scan finds no triple,
+    and a refused lattice is refused with the scan's witness."""
+    decided = birkhoff_and_scan(names, pairs)
+    if decided is None:
+        return None
+    distributive, witness = decided
+    assert distributive == (witness is None), (names, pairs)
+    if not distributive:
+        with pytest.raises(NotDistributive) as exc:
+            build_finite_frame(names, pairs)
+        assert exc.value.witness == witness
+    return distributive
+
+
+def _bounded(names, pairs):
+    """The poset with a new bottom and top adjoined."""
+    return (["bot", "top"] + names,
+            pairs + [("bot", x) for x in names] + [(x, "top") for x in names])
+
+
+def test_birkhoff_agrees_with_the_scan_on_named_lattices():
+    n5 = (["0", "a", "b", "c", "1"],
+          [("0", "a"), ("0", "c"), ("a", "b"), ("b", "1"), ("c", "1")])
+    m3 = _bounded(["a", "b", "c"], [])
+    # M3 with a chain under one atom, N5 with an atom doubled, M4, and
+    # the bounded 2 + 2, which holds an N5
+    m3_tail = _bounded(["a0", "a", "b", "c"], [("a0", "a")])
+    n5_wide = _bounded(["a", "b", "c", "d"], [("a", "b"), ("d", "b")])
+    m4 = _bounded(list("abcd"), [])
+    two_two = _bounded(list("abcd"), [("a", "b"), ("c", "d")])
+    square = _bounded(["a", "b"], [])
+    grid = ([f"{i}{j}" for i in range(3) for j in range(2)],
+            [(f"{i}0", f"{i}1") for i in range(3)]
+            + [(f"{i}{j}", f"{i + 1}{j}") for i in range(2) for j in range(2)])
+    for names, pairs in (n5, m3, m3_tail, n5_wide, m4, two_two):
+        assert assert_birkhoff_agrees(names, pairs) is False
+        assert assert_birkhoff_agrees(names[::-1], pairs[::-1]) is False
+    for names, pairs in (square, grid, (["0"], [])):
+        assert assert_birkhoff_agrees(names, pairs) is True
+
+
+def test_birkhoff_agrees_with_the_scan_on_cubes():
+    for k in range(7):
+        f = downset_frame([f"x{i}" for i in range(k)], [])
+        assert _distributive(f.down)
+        assert _distributivity_witness(f.names, f.meet_t, f.join_t) is None
+
+
+def test_birkhoff_count_stops_past_n():
+    # M_k has k + 2 elements but its k atoms have 2**k downsets; the
+    # count stops once it passes n
+    counted = []
+    downsets = finite._downsets
+
+    def recording(below, start=0, limit=None):
+        counted.append(len(downsets(below, start, limit)))
+        return downsets(below, start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finite, "_downsets", recording)
+        assert birkhoff_and_scan(*_bounded([f"a{i}" for i in range(10)], []))[0] is False
+    assert counted and counted[0] <= 2 * 12
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_posets())
+def test_birkhoff_agrees_with_the_scan_on_posets(poset):
+    names, pairs = poset
+    assert_birkhoff_agrees(names, pairs)
+    assert_birkhoff_agrees(*_bounded(names, pairs))
+    f = downset_frame(names, pairs)
+    assert _distributive(f.down)
+    assert _distributivity_witness(f.names, f.meet_t, f.join_t) is None
+
+
+def test_size_cap_is_checked_before_the_downsets_are_listed():
+    # the 16-point antichain has 65,536 downsets; the enumeration stops
+    # once it passes the cap, and no table is built
+    listed = []
+    downsets = finite._downsets
+
+    def recording(below, start=0, limit=None):
+        listed.append(downsets(below, start, limit))
+        return listed[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finite, "_downsets", recording)
+        mp.setattr(finite, "_frame_of_rows", None)
+        with pytest.raises(TooLarge, match="over 64 elements"):
+            downset_frame([f"x{i}" for i in range(16)], [])
+    assert DISTRIBUTIVITY_SCAN_LIMIT < len(listed[0]) <= 2 * DISTRIBUTIVITY_SCAN_LIMIT

@@ -523,6 +523,14 @@ def test_finite_validation_matches_scan(name, frame):
     assert 0 < failing < len(rels)
 
 
+@pytest.mark.parametrize("name,frame", FINITE_FRAMES, ids=[n for n, _ in FINITE_FRAMES])
+def test_order_report_matches_the_mask_scan(name, frame):
+    # the order is accepted without a scan; the scan accepts it too
+    p = order_proximity(frame)
+    assert validate_proximity(p) == proximity._scan_finite(p)
+    assert validate_proximity(p).ok and validate_proximity(p).collapse
+
+
 @st.composite
 def posets(draw):
     k = draw(st.integers(1, 4))

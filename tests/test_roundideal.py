@@ -16,6 +16,7 @@ from proxkit.errors import (
 from proxkit.cli import _generated_frames
 from proxkit.errors import ProxkitError
 from proxkit.finite import _frame_of_masks, build_finite_frame, downset_frame
+from proxkit import roundideal
 from proxkit.proximity import FiniteProximity, chain_proximity, order_proximity
 from proxkit.roundideal import (
     BelowLim,
@@ -125,11 +126,18 @@ def _rframe_or_error(build, prox):
         return type(exc), str(exc)
 
 
+def _tie_flipping_diamond():
+    # "a" sorts before "a!", but "dn(a!)" before "dn(a)"
+    return build_finite_frame(["0", "a", "a!", "1"],
+                              [("0", "a"), ("0", "a!"), ("a", "1"), ("a!", "1")])
+
+
 def _oracle_frames():
     frames = dict(_generated_frames(12))
     frames.update((k, v.frame) for k, v in catalog_instances().items()
                   if isinstance(v, FiniteProximity))
     frames["poset"] = downset_frame(list("pqrs"), [("p", "q"), ("p", "r")])
+    frames["flip"] = _tie_flipping_diamond()
     return frames
 
 
@@ -149,6 +157,34 @@ def test_finite_rframe_matches_full_mask_scan(name, frame):
     for prox in proxes:
         assert (_rframe_or_error(rframe, prox)
                 == _rframe_or_error(scan_rframe_finite, prox)), prox.pairs()
+
+
+def test_renamed_tower_matches_full_mask_scan(monkeypatch):
+    # every level of the tower over an order is the base frame renamed,
+    # unless the renaming flips a tie of the canonical order; then the
+    # frame is built from the masks, as the scan builds it
+    built = []
+    frame_of_masks = roundideal._frame_of_masks
+
+    def recording(names, masks):
+        built.append(names)
+        return frame_of_masks(names, masks)
+
+    monkeypatch.setattr(roundideal, "_frame_of_masks", recording)
+    frames = dict(_generated_frames(12), flip=_tie_flipping_diamond())
+    rebuilt = {}
+    for name, frame in frames.items():
+        built.clear()
+        prox = order_proximity(frame)
+        for _ in range(3):
+            rfd = rframe(prox)
+            assert rfd == scan_rframe_finite(prox), (name, prox.frame.names)
+            prox = rfd.wb
+        rebuilt[name] = len(built)
+    # the flipping diamond falls back once, at its first level; its ideal
+    # frame names dn(a!) first and renames safely from then on
+    assert rebuilt == dict.fromkeys(frames, 0) | {"flip": 1}
+    assert rframe(order_proximity(frames["flip"])).frame.names[1:3] == ("dn(a!)", "dn(a)")
 
 
 def test_ideal_frame_of_diamond_is_diamond_again():
