@@ -79,6 +79,7 @@ from .comonads import (
     doubled_membership_lemma,
     epsilon_map,
     kleisli_compose,
+    kleisli_lift,
     kz_check,
     m_map,
     max_proximity_agreement,

@@ -37,12 +37,13 @@ RFrameData they are built from, in the same way.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import replace
 
 from .chain import ChainLikeFrame, Seq, _above, _check_sorted
 from .errors import InvalidParameter, NotComposable, NotStablyCompact
 from .finite import _transpose, _union
 from .morphisms import (
+    ChainMap,
+    FiniteMap,
     Morphism,
     alpha_map,
     block_map,
@@ -67,7 +68,6 @@ from .roundideal import (
     kept_on_rframe,
     member,
     retag,
-    sigma,
     subideal,
     way_below_ideals,
 )
@@ -91,7 +91,7 @@ def max_proximity_agreement(rfd: RFrameData) -> LawReport:
     base = rfd.base
     reps = _reps(rfd, (sigma_map(rfd), kappa_map(rfd)), pairs=True)
     ideals = [rfd.ideal_of(r) for r in reps]
-    tops = _joins(rfd, ideals)
+    tops = _joins(rfd, reps)
     sub = _inclusion_rows(rfd, reps, ideals)
     rel = base.rows_on(tops, tops)
     by_joins = [s & r for s, r in zip(sub, rel)]
@@ -137,7 +137,9 @@ def retag_map(f: Morphism, new_src: Proximity, new_dst: Proximity) -> Morphism:
     """Same carrier map between re-tagged proximities."""
     if f.src.frame != new_src.frame or f.dst.frame != new_dst.frame:
         raise NotComposable("re-tag must keep both carrier frames")
-    return replace(f, src=new_src, dst=new_dst)
+    if isinstance(f, FiniteMap):
+        return FiniteMap._unchecked(new_src, new_dst, f.table)
+    return ChainMap._unchecked(new_src, new_dst, f.rules)
 
 
 @kept_on_rframe
@@ -189,12 +191,20 @@ def cmap_of(f: Morphism, src_rfd: RFrameData, dst_rfd: RFrameData) -> Morphism:
     return retag_map(rf, src_rfd.maxp, dst_rfd.maxp)
 
 
+def kleisli_lift(u: Morphism, rfd_L: RFrameData, rfd_M: RFrameData) -> Morphism:
+    """The lift Ru . r: R(L) -> R(M) of u: R(L) -> M, which every co-Kleisli
+    composite v after u applies before v."""
+    if u.src != rfd_L.wb or u.dst != rfd_M.base:
+        raise NotComposable("expected u: R(L) -> M")
+    return compose(rmap_map(u, rfd_L.rr, rfd_M), r_map(rfd_L))
+
+
 def kleisli_compose(v: Morphism, u: Morphism,
                     rfd_L: RFrameData, rfd_M: RFrameData) -> Morphism:
     """v after u in the co-Kleisli sense: v . Ru . r."""
     if u.src != rfd_L.wb or v.src != rfd_M.wb or u.dst != rfd_M.base:
         raise NotComposable("expected u: R(L) -> M and v: R(M) -> N")
-    return compose(v, compose(rmap_map(u, rfd_L.rr, rfd_M), r_map(rfd_L)))
+    return compose(v, kleisli_lift(u, rfd_L, rfd_M))
 
 
 def coalgebra_structure(rfd: RFrameData) -> Morphism:
@@ -464,10 +474,10 @@ def doubled_membership_lemma(rfd: RFrameData) -> LawReport:
     reps_C = _reps(rfd, (eps_CL,), pairs=True)
     reps_CC = _reps(ccfd, (eps_CL,), pairs=True)
     ideals = [rfd.ideal_of(i) for i in reps_C]
-    joins = _joins(rfd, ideals)
+    joins = _joins(rfd, reps_C)
     ejs = [eps_CL.apply(j) for j in reps_CC]  # elements of the ideal frame
     # row u over the ibar: does the join of ej lie in I?
-    lhs = _holder_rows(rfd.base, [sigma(rfd.ideal_of(ej)) for ej in ejs], ideals, joins)
+    lhs = _holder_rows(rfd.base, [rfd.join_of(ej) for ej in ejs], ideals, joins)
     # landing[k]: the ibar whose I holds the join of kbar; above[u]: the
     # kbar that ej is maxp-below.  The right side of row u is the union
     # of landing[k] over the k in above[u].
@@ -513,11 +523,11 @@ def _pair_law(name: str, instance: str, bad: list[int], n: int,
     return law_pass(name, instance, samples=len(bad) * n)
 
 
-def _joins(rfd: RFrameData, ideals: list) -> list:
-    """The joins of ideals, the ideals of sorted representatives.  On a
-    chain the rows below bisect this list, so its chain order is checked
-    here, once."""
-    tops = [sigma(I) for I in ideals]
+def _joins(rfd: RFrameData, reps: list) -> list:
+    """The joins of the ideals of sorted representatives, read off the
+    kept joins.  On a chain the rows below bisect this list, so its chain
+    order is checked here, once."""
+    tops = list(map(rfd.join_of, reps))
     if isinstance(rfd.frame, ChainLikeFrame):
         _check_sorted(tops, "joins of the representatives")
     return tops

@@ -5,6 +5,21 @@ Finite-source maps are full tables.  Chain-source maps carry one
 eventually-affine tail (or a constant).  A Seq is normalized on
 construction, so map equality is a normal-form comparison and the
 identities checked by the law harness are exact, not sampled.
+
+The public constructors `FiniteMap(...)` and `ChainMap(...)` check their
+input: one value or rule per source element or segment, every value in
+the target frame, constants on point segments, and affine tails landing
+in an omega block.  The internal builders (`compose`, `star_compose`,
+`enumerate_proxhoms`, `block_map` and its segment loop, which gives the
+identity, sigma, kappa, alpha, theta and R(f), and the re-tagging in
+`comonads`) take their values from maps or ideal frames that already lie
+in the target, and build through the private `_unchecked` constructors,
+which skip those checks.
+
+On a finite source theta reads the joins kept on the ideal frame,
+`RFrameData.joins`, and the joins of approximants kept on the target,
+`FiniteProximity.sups`: theta(f) sends the ideal I_e to
+sups[f(joins[e])], the join of kappa(f(join of I_e)).
 """
 
 from __future__ import annotations
@@ -81,6 +96,17 @@ class ChainMap:
             if problem is not None:
                 raise MalformedMap(problem)
 
+    @classmethod
+    def _unchecked(cls, src: ChainProximity, dst: Proximity,
+                   rules: tuple) -> "ChainMap":
+        """A map whose rules the caller built, one per source segment and
+        a constant on each point segment, from values already in the
+        target frame; the checks of the public constructor, kept for
+        parsed input, are skipped."""
+        f = object.__new__(cls)
+        f.__dict__.update(src=src, dst=dst, rules=rules)
+        return f
+
     def apply(self, x: El):
         self.src.frame.check(x)
         return self.rules[x.seg].value(x.n)
@@ -117,12 +143,12 @@ def _segment_map(src: Proximity, dst: Proximity, at, block_rule) -> Morphism:
     a chain at is called only at the first element El(i, 0) of each point
     segment, and each omega segment takes the rule block_rule(El(i, 0))."""
     if isinstance(src, FiniteProximity):
-        return FiniteMap(src, dst, tuple(map(at, src.frame.elements())))
+        return FiniteMap._unchecked(src, dst, tuple(map(at, src.frame.elements())))
     rules = []
     for i, s in enumerate(src.frame.segments):
         e = El(i, 0)
         rules.append(block_rule(e) if s.kind == OMEGA else Seq.constant(at(e)))
-    return ChainMap(src, dst, tuple(rules))
+    return ChainMap._unchecked(src, dst, tuple(rules))
 
 
 def block_map(src: Proximity, dst: Proximity, at) -> Morphism:
@@ -161,7 +187,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
             rules.append(Seq.affine(grule.seg, grule.a * a, grule.a * b + grule.b, exc))
         else:
             rules.append(Seq.constant(grule.const, exc))
-    return ChainMap(f.src, g.dst, tuple(rules))
+    return ChainMap._unchecked(f.src, g.dst, tuple(rules))
 
 
 def star_compose(g: Morphism, f: Morphism) -> Morphism:
@@ -174,13 +200,13 @@ def star_compose(g: Morphism, f: Morphism) -> Morphism:
         raise NotComposable("codomain of f must be the domain of g")
     comp = compose(g, f)
     if isinstance(f, FiniteMap):
-        p, frame = f.src, f.src.frame
+        # column a of the relation holds the approximants of a
+        values, bot, join = comp.table, g.dst.frame.bot, g.dst.frame.join
         table = []
-        for a in frame.elements():
-            j = g.dst.frame.bot
-            for b in frame.elements():
-                if p.rel(b, a):
-                    j = g.dst.frame.join(j, comp.apply(b))
+        for col in f.src.cols:
+            j = bot
+            for b in _bits(col):
+                j = join(j, values[b])
             table.append(j)
         return FiniteMap._unchecked(f.src, g.dst, tuple(table))
     rules = list(comp.rules)
@@ -191,7 +217,7 @@ def star_compose(g: Morphism, f: Morphism) -> Morphism:
         # non-reflexive limit: the approximants are the block below it
         sup, _ = comp.block_sup(i - 1)
         rules[i] = Seq.constant(sup)
-    return ChainMap(f.src, g.dst, tuple(rules))
+    return ChainMap._unchecked(f.src, g.dst, tuple(rules))
 
 
 # -- validators -------------------------------------------------------------
@@ -436,7 +462,7 @@ def _validate_chain_hom(f: ChainMap, frame_map: bool) -> AxiomReport:
 @kept_on_rframe
 def sigma_map(rfd: RFrameData) -> Morphism:
     """The join map from the ideal frame back to the base, as a morphism."""
-    return block_map(rfd.wb, rfd.base, lambda e: sigma(rfd.ideal_of(e)))
+    return block_map(rfd.wb, rfd.base, rfd.join_of)
 
 
 @kept_on_rframe
@@ -457,7 +483,13 @@ def theta(f: Morphism, rfd: RFrameData) -> Morphism:
     """Turn a proximity homomorphism into the frame map on round ideals
     that joins the pushed ideal.  rfd is the ideal frame of f's source;
     Prin(El(b, n)) goes to f(El(b, n)), so an omega segment takes f's
-    rule for base block b."""
+    rule for base block b.  On a finite source and target the ideal I_e
+    goes to the join of the approximants of f(join of I_e), read off the
+    kept joins of both ends."""
+    if isinstance(f, FiniteMap) and isinstance(f.dst, FiniteProximity):
+        sups, table = f.dst.sups, f.table
+        return FiniteMap._unchecked(rfd.wb, f.dst,
+                                    tuple(sups[table[j]] for j in rfd.joins))
     return _segment_map(rfd.wb, f.dst, lambda e: sigma(rmap(f, rfd.ideal_of(e))),
                         lambda e: f.rules[rfd.ideal_of(e).a.seg])
 

@@ -49,6 +49,19 @@ class FiniteProximity:
         """cols[b]: bitmask of the a with a rel b."""
         return _transpose(self.rows, self.frame.n)
 
+    @cached_property
+    def sups(self) -> tuple:
+        """sups[b]: the join of the approximants of b, column b of the
+        relation; b itself whenever the relation approximates b."""
+        join_t, bot = self.frame.join_t, self.frame.bot
+        out = []
+        for col in self.cols:
+            j = bot
+            for a in _bits(col):
+                j = join_t[j][a]
+            out.append(j)
+        return tuple(out)
+
     def rows_on(self, xs, vals) -> list[int]:
         """Row p: the mask of the q with rel(xs[p], vals[q]), that is the
         relation row of xs[p] read through the positions of vals."""

@@ -123,10 +123,9 @@ def sigma(ideal: RoundIdeal):
     """The join of a canonical ideal."""
     if isinstance(ideal, FinIdeal):
         f = ideal.prox.frame
-        j = f.bot
-        for b in f.elements():
-            if (ideal.mask >> b) & 1:
-                j = f.join(j, b)
+        j, join = f.bot, f.join
+        for b in _bits(ideal.mask):
+            j = join(j, b)
         return j
     if isinstance(ideal, Prin):
         return ideal.a
@@ -232,7 +231,8 @@ class RFrameData:
     first use and kept for the lifetime of this object, so a run that
     holds one RFrameData per instance builds each level of both towers
     once.  Where `maxp` is `wb`, as on every finite instance, `cc` is
-    `rr`.  The structure maps built from it (sigma, kappa, alpha, r, c,
+    `rr`.  `joins`, sigma of each of `ideals`, is also taken on first use
+    and kept.  The structure maps built from it (sigma, kappa, alpha, r, c,
     epsilon, beta) are kept in `maps` the same way; see `kept_on_rframe`."""
 
     base: Proximity
@@ -266,6 +266,20 @@ class RFrameData:
             raise UnsupportedRepresentation(f"{ideal!r} is not in the classification")
         return s if n is None else El(s, n)
 
+    def join_of(self, el):
+        """sigma(ideal_of(el)), read off the kept joins."""
+        if isinstance(self.base, FiniteProximity):
+            return self.joins[el]
+        if el.n == 0 or self.frame.segments[el.seg].kind != OMEGA:
+            return self.joins[el.seg]
+        return El(self.joins[el.seg].seg, el.n)
+
+    @cached_property
+    def joins(self) -> tuple:
+        """sigma of each of `ideals`, taken once: on a chain the join of
+        Prin(El(b, 0)) at an omega segment, El(b, 0)."""
+        return tuple(map(sigma, self.ideals))
+
     @cached_property
     def _codes(self) -> dict:
         """The inverse of `ideals`: the element, or on a chain the
@@ -279,15 +293,14 @@ class RFrameData:
         if isinstance(base, FiniteProximity):
             # the ideal frame is ordered by inclusion, so J contains I iff
             # J is in up[I]
-            f = self.frame
-            tops = [sigma(ideal) for ideal in self.ideals]
+            f, tops = self.frame, self.joins
             return FiniteProximity(f, tuple(
                 sum(1 << j for j in _bits(f.up[i]) if base.rel(tops[i], tops[j]))
                 for i in f.elements()))
         # a limit of the ideal frame stands for everything under a base
         # limit; its join relates to itself exactly when that base limit does
         refl = frozenset(e for e in self.frame.limits()
-                         if base.reflexive(sigma(self.ideals[e.seg])))
+                         if base.reflexive(self.joins[e.seg]))
         return ChainProximity(self.frame, refl)
 
     @cached_property

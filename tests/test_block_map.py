@@ -117,6 +117,27 @@ class OldCodec:
 # -- the old builders ------------------------------------------------------------
 
 
+def old_sigma(ideal):
+    """The join of an ideal as it was taken: on a finite frame, over every
+    element, in index order, that the mask holds."""
+    if not isinstance(ideal, FinIdeal):
+        return sigma(ideal)
+    f = ideal.prox.frame
+    j = f.bot
+    for b in f.elements():
+        if (ideal.mask >> b) & 1:
+            j = f.join(j, b)
+    return j
+
+
+def old_rmap(f, ideal):
+    """rmap with the old join: a finite ideal goes to the approximants of
+    f at its join."""
+    if isinstance(ideal, FinIdeal):
+        return kappa(f.dst, f.apply(old_sigma(ideal)))
+    return rmap(f, ideal)
+
+
 def old_identity_map(prox):
     if isinstance(prox, FiniteProximity):
         return FiniteMap(prox, prox, tuple(prox.frame.elements()))
@@ -132,7 +153,7 @@ def old_identity_map(prox):
 def old_sigma_map(rfd):
     old = OldCodec(rfd.base)
     if old.finite:
-        table = tuple(sigma(old.ideal_of(i)) for i in rfd.frame.elements())
+        table = tuple(old_sigma(old.ideal_of(i)) for i in rfd.frame.elements())
         return FiniteMap(rfd.wb, rfd.base, table)
     rules = []
     for seg, ideal in zip(rfd.frame.segments, old.segment_ideals()):
@@ -185,14 +206,15 @@ def old_m_map(rfd, jfd):
 def old_theta(f, rfd):
     old = OldCodec(rfd.base)
     if isinstance(f, FiniteMap):
-        table = tuple(sigma(rmap(f, old.ideal_of(i))) for i in rfd.frame.elements())
+        table = tuple(old_sigma(old_rmap(f, old.ideal_of(i)))
+                      for i in rfd.frame.elements())
         return FiniteMap(rfd.wb, f.dst, table)
     rules = []
     for seg, ideal in zip(rfd.frame.segments, old.segment_ideals()):
         if seg.kind == OMEGA:  # Prin(El(b, n)) goes to f(El(b, n))
             rules.append(f.rules[ideal.a.seg])
         else:
-            rules.append(Seq.constant(sigma(rmap(f, ideal))))
+            rules.append(Seq.constant(old_sigma(rmap(f, ideal))))
     return ChainMap(rfd.wb, f.dst, tuple(rules))
 
 
@@ -200,7 +222,7 @@ def old_rmap_map(f, src_rfd, dst_rfd):
     src, dst = OldCodec(src_rfd.base), OldCodec(dst_rfd.base)
     if isinstance(f, FiniteMap):
         table = tuple(
-            dst.el_of(rmap(f, src.ideal_of(i))) for i in src_rfd.frame.elements()
+            dst.el_of(old_rmap(f, src.ideal_of(i))) for i in src_rfd.frame.elements()
         )
         return FiniteMap(src_rfd.wb, dst_rfd.wb, table)
     rules = []
@@ -353,6 +375,16 @@ def test_theta_and_rmap_match_the_old_loops_on_chain_towers(doc):
         assert_theta_and_rmap_agree(sigma_map(rfd), rfd.rr, rfd)
         if is_stably_compact(rfd.base):
             assert_theta_and_rmap_agree(alpha_map(rfd), rfd, rfd.rr)
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_theta_and_rmap_match_the_old_loops_on_finite_towers(name):
+    # theta on a finite source reads the kept joins of both ends
+    for rfd in _tower(catalog_instances()[name]):
+        assert_theta_and_rmap_agree(identity_map(rfd.base), rfd, rfd)
+        assert_theta_and_rmap_agree(kappa_map(rfd), rfd, rfd.rr)
+        assert_theta_and_rmap_agree(sigma_map(rfd), rfd.rr, rfd)
+        assert_theta_and_rmap_agree(alpha_map(rfd), rfd, rfd.rr)
 
 
 @pytest.mark.parametrize("name", list(catalog_morphisms()))

@@ -13,11 +13,11 @@ from proxkit.catalog import (
     parse_instance,
     parse_morphism,
 )
-from proxkit.chain import OMEGA, POINT, ChainLikeFrame, Segment, lim, succ
+from proxkit.chain import OMEGA, POINT, ChainLikeFrame, Segment, Seq, lim, succ
 import proxkit.cli as cli
 from proxkit.cli import _generated_frames, main
 from proxkit.errors import InvalidParameter, UnknownInstance
-from proxkit.morphisms import enumerate_proxhoms
+from proxkit.morphisms import ChainMap, enumerate_proxhoms, validate_proxhom
 from proxkit.proximity import ChainProximity
 from proxkit.roundideal import rframe
 
@@ -424,3 +424,52 @@ def test_cli_search_reports_skipped_frames(capsys, law):
         for name in ("order5", "vee")
     )
     assert capsys.readouterr().out == skips + small
+
+
+def test_kleisli_functor_fails_a_pair_with_an_invalid_factor_without_theta(
+        monkeypatch, capsys):
+    """A catalog with one map on chain-k1 that moves the bottom: every
+    composable pair with it as a factor fails kleisli.functor with a note
+    naming it, and theta is never built from it or from a composite with
+    it, while every other report stays as the catalog's own run prints."""
+    p1 = catalog_instances()["chain-k1"]
+    f1 = p1.frame
+    bad = ChainMap(p1, p1, (Seq.constant(succ(f1, 0, 1)), Seq.constant(lim(f1, 1))))
+    assert not validate_proxhom(bad).ok
+    assert main(["laws", "--suite", "morphisms"]) == 0
+    catalog_lines = capsys.readouterr().out.splitlines()
+
+    catalog = catalog_morphisms()
+    monkeypatch.setattr(cli, "catalog_morphisms",
+                        lambda: {**catalog, "chain-bad": bad})
+    theta_args = []
+    real_theta = cli.theta
+
+    def theta(f, rfd):
+        theta_args.append(f)
+        return real_theta(f, rfd)
+
+    monkeypatch.setattr(cli, "theta", theta)
+    assert main(["laws", "--suite", "morphisms"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    reports = [json.loads(line) for line in lines]
+
+    k1 = [n for n, m in catalog.items() if m.src == p1] + ["chain-bad"]
+    with_bad = {f"{n2}*{n1}" for n1 in k1 for n2 in k1 if "chain-bad" in (n1, n2)}
+    assert len(with_bad) == 2 * len(k1) - 1 == 9
+    flagged = [r for r in reports if r["instance"] in with_bad]
+    assert {r["instance"] for r in flagged} == with_bad
+    assert all(r == {"law": "kleisli.functor", "instance": r["instance"],
+                     "verdict": "fail", "samples": 0,
+                     "note": "invalid factor: chain-bad"} for r in flagged)
+    assert {"law": "morphism.valid", "instance": "morphism:chain-bad",
+            "verdict": "fail", "samples": 0} in reports
+    # the catalog's own reports come out unchanged and in the same order
+    rest = [line for line, r in zip(lines, reports)
+            if r["instance"] not in with_bad | {"morphism:chain-bad"}]
+    assert rest == catalog_lines
+    # theta never saw the invalid map, nor a star-composite with it as a
+    # factor: each such composite has chain-k1 as its source
+    assert all(f is not bad for f in theta_args)
+    k1_star = [m for m in theta_args if m.src == p1 and m.dst == p1]
+    assert len(k1_star) == len(k1) - 1 + (len(k1) - 1) ** 2

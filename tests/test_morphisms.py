@@ -534,6 +534,55 @@ def test_builders_give_the_maps_the_checked_constructor_gives():
     assert built > 1000
 
 
+def scan_star_compose(g, f):
+    """The former finite star composition: at each a, the join of g(f(b))
+    over every b of the frame with b rel a, one `rel` call per pair."""
+    comp = compose(g, f)
+    p, frame = f.src, f.src.frame
+    table = []
+    for a in frame.elements():
+        j = g.dst.frame.bot
+        for b in frame.elements():
+            if p.rel(b, a):
+                j = g.dst.frame.join(j, comp.apply(b))
+        table.append(j)
+    return FiniteMap(f.src, g.dst, tuple(table))
+
+
+def test_star_compose_over_columns_matches_scan_on_enumerated_pairs():
+    proxes = [order_proximity(f) for _, f in _generated_frames(4)]
+    proxes += [p for p in catalog_instances().values()
+               if isinstance(p, FiniteProximity) and p.frame.n <= 4]
+    homs = {(i, j): enumerate_proxhoms(p, q)
+            for i, p in enumerate(proxes) for j, q in enumerate(proxes)}
+    pairs = 0
+    for (i, j), fs in homs.items():
+        for k in range(len(proxes)):
+            for f in fs:
+                for g in homs[j, k]:
+                    assert star_compose(g, f) == scan_star_compose(g, f)
+                    pairs += 1
+    assert pairs > 1000
+
+
+def test_star_compose_over_columns_matches_scan_on_non_order_relations():
+    # star_compose does not validate: on any relation the join runs over
+    # the column of a, which here is not the downset of a
+    rng = random.Random(11)
+    props = _small_proximities()
+    tampered = 0
+    for _, p in props:
+        for _, q in props:
+            if p.cols == p.frame.down:
+                continue
+            tampered += 1
+            for _ in range(3):
+                f = FiniteMap(p, q, tuple(rng.randrange(q.frame.n) for _ in range(p.frame.n)))
+                g = FiniteMap(q, p, tuple(rng.randrange(p.frame.n) for _ in range(q.frame.n)))
+                assert star_compose(g, f) == scan_star_compose(g, f)
+    assert tampered > 100
+
+
 # -- theta / rho --------------------------------------------------------------
 
 

@@ -214,7 +214,7 @@ def test_rows_refuse_representatives_out_of_chain_order(monkeypatch):
     reps = rfd.frame.class_representatives(2)
     ideals = [rfd.ideal_of(e) for e in reps[::-1]]
     with pytest.raises(ProxkitError, match="not in chain order"):
-        comonads._joins(rfd, ideals)
+        comonads._joins(rfd, reps[::-1])
     with monkeypatch.context() as m:
         m.setattr(type(rfd.frame), "class_representatives",
                   lambda self, depth: reps[::-1])

@@ -299,6 +299,55 @@ def test_finite_ideal_join_closes_under_joins():
             assert rfd.frame.leq(rfd.el_of(z), rfd.el_of(w)) == subideal(z, w)
 
 
+def _mask_join(frame, mask):
+    """The join in frame of the elements whose bits mask sets, taken over
+    the whole carrier in index order."""
+    j = frame.bot
+    for b in frame.elements():
+        if mask >> b & 1:
+            j = frame.join(j, b)
+    return j
+
+
+def test_kept_joins_and_sups_are_the_joins_they_stand_for():
+    """RFrameData.joins is sigma of each kept ideal, join_of is sigma of
+    ideal_of, and FiniteProximity.sups is the join of each column of the
+    relation, on every catalog instance and the first two levels of both
+    of its towers."""
+    levels = 0
+    for prox in catalog_instances().values():
+        rfd = rframe(prox)
+        for level in (rfd, rfd.rr, rfd.cc, rfd.rr.rr, rfd.cc.cc):
+            levels += 1
+            base = level.base
+            assert level.joins == tuple(sigma(I) for I in level.ideals)
+            if isinstance(base, FiniteProximity):
+                els = list(level.frame.elements())
+                assert level.joins == tuple(_mask_join(base.frame, I.mask)
+                                            for I in level.ideals)
+            else:
+                els = level.frame.class_representatives(3)
+            for e in els:
+                assert level.join_of(e) == sigma(level.ideal_of(e))
+            for p in (base, level.wb, level.maxp):
+                if isinstance(p, FiniteProximity):
+                    assert p.sups == tuple(_mask_join(p.frame, col) for col in p.cols)
+    assert levels == 5 * len(catalog_instances())
+
+
+def test_sups_read_the_relation_not_the_order():
+    # on the empty relation every column is empty, so every sup is bottom;
+    # on a relation missing (a, a) for an atom a, a's sup drops to bottom
+    frame = diamond_prox().frame
+    assert FiniteProximity(frame, (0,) * frame.n).sups == (frame.bot,) * frame.n
+    a = frame.names.index("a")
+    rows = tuple(r & ~(1 << a) if x == a else r for x, r in enumerate(frame.up))
+    sups = FiniteProximity(frame, rows).sups
+    assert sups[a] == frame.bot
+    assert [sups[x] for x in frame.elements() if x != a] == [
+        x for x in frame.elements() if x != a]
+
+
 def test_dir_sup_of_described_family():
     p = k2()
     f = p.frame

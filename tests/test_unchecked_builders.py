@@ -1,0 +1,158 @@
+"""Differential oracle for the unchecked map builders.
+
+`compose`, `star_compose`, `enumerate_proxhoms`, `block_map`'s segment
+loop (the identity, sigma, kappa, alpha, r, c, m and R(f)), theta and
+`retag_map` build their maps through `FiniteMap._unchecked` and
+`ChainMap._unchecked`, which skip the checks of the public constructors.
+Every map they build while the law suites run, on the catalog, on the
+levels of each catalog instance's `rr`/`cc` towers and on the 15 chain
+layouts with k <= 4 whose top is reflexive, must pass those checks: the
+public constructor accepts its table or rules and gives an equal map.  A
+builder made to leave its target frame fails here.
+"""
+
+import sys
+
+import pytest
+
+from proxkit import cli
+from proxkit.catalog import catalog_instances
+from proxkit.chain import El, build_chain_frame
+from proxkit.comonads import (
+    adjunction_checks,
+    coalgebra_laws,
+    comonad_laws,
+    doubled_membership_lemma,
+    kleisli_lift,
+    kz_check,
+    m_map,
+    max_proximity_agreement,
+    naturality_suite,
+    subcomonad_check,
+)
+from proxkit.errors import MalformedMap
+from proxkit.morphisms import (
+    ChainMap,
+    FiniteMap,
+    identity_map,
+    kappa_map,
+    rmap_map,
+    sigma_map,
+    theta,
+)
+from proxkit.proximity import FiniteProximity, chain_proximity
+from proxkit.roundideal import RFrameData, ideal_frame, is_stably_compact, rframe
+from test_cli_golden import chain_docs
+
+# the functions that call the unchecked constructors; enumerate_proxhoms
+# builds its tables in its nested `extend`
+BUILDERS = {"compose", "star_compose", "extend", "_segment_map", "theta", "retag_map"}
+
+LAYOUTS = {path: doc for path, doc in chain_docs().items()
+           if doc["k"] in doc["reflexive"]}
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """(caller, map) for every map the unchecked constructors return."""
+    out = []
+    for cls in (FiniteMap, ChainMap):
+        def record(src, dst, values, real=cls._unchecked):
+            h = real(src, dst, values)
+            out.append((sys._getframe(1).f_code.co_name, h))
+            return h
+
+        monkeypatch.setattr(cls, "_unchecked", staticmethod(record))
+    return out
+
+
+def assert_checked(built):
+    """Each built map through its public constructor, which raises
+    MalformedMap on a value outside the target or a misshapen rule."""
+    for caller, h in built:
+        if isinstance(h, FiniteMap):
+            again = FiniteMap(h.src, h.dst, h.table)
+        else:
+            again = ChainMap(h.src, h.dst, h.rules)
+        assert again == h, caller
+
+
+def run_suites(rfd):
+    """The R, C, coalgebra and naturality laws on rfd, the maps between
+    its tower levels, and theta and the co-Kleisli lift of its structure
+    maps."""
+    comonad_laws("R", rfd)
+    comonad_laws("C", rfd)
+    subcomonad_check(rfd)
+    kz_check(rfd)
+    adjunction_checks(rfd)
+    doubled_membership_lemma(rfd)
+    max_proximity_agreement(rfd)
+    if is_stably_compact(rfd.base):
+        coalgebra_laws(rfd)
+    m_map(rfd, ideal_frame(rfd.base.frame))
+    naturality_suite(identity_map(rfd.base), rfd, rfd)
+    th = theta(kappa_map(rfd), rfd)
+    kleisli_lift(th, rfd, rfd.rr)
+    rmap_map(sigma_map(rfd), rfd.rr, rfd)
+
+
+def test_catalog_maps_pass_the_public_checks(built, capsys):
+    assert cli.main(["laws", "--suite", "all"]) == 0
+    capsys.readouterr()
+    for prox in catalog_instances().values():
+        rfd = rframe(prox)
+        for level in (rfd, rfd.rr, rfd.cc):
+            run_suites(level)
+    assert {caller for caller, _ in built} == BUILDERS
+    assert len(built) > 1000
+    assert_checked(built)
+
+
+@pytest.mark.parametrize("doc", LAYOUTS.values(), ids=list(LAYOUTS))
+def test_chain_layout_maps_pass_the_public_checks(doc, built):
+    prox = chain_proximity(build_chain_frame(doc["k"]), doc["reflexive"])
+    rfd = rframe(prox)
+    for level in (rfd, rfd.rr, rfd.cc):
+        run_suites(level)
+    # theta on a chain source goes through the segment loop
+    chain_builders = BUILDERS - {"extend", "star_compose", "theta"}
+    assert {caller for caller, _ in built} == chain_builders
+    assert_checked(built)
+
+
+def test_there_are_fifteen_reflexive_top_layouts():
+    assert len(LAYOUTS) == 15
+
+
+@pytest.mark.parametrize("name, message", [
+    ("diamond", "value 100 is not in the target frame"),
+    # the omega block's rule is checked before the limit's value
+    ("chain-k1", "affine tail must land in an omega block"),
+])
+def test_a_builder_leaving_the_target_fails_the_check(name, message, built,
+                                                       monkeypatch):
+    # el_of, read by kappa's segment loop, made to answer past the end of
+    # the ideal frame
+    real = RFrameData.el_of
+
+    def shifted(self, ideal):
+        e = real(self, ideal)
+        return e + 100 if isinstance(e, int) else El(e.seg + 100, e.n)
+
+    monkeypatch.setattr(RFrameData, "el_of", shifted)
+    kappa_map(rframe(catalog_instances()[name]))
+    assert [caller for caller, _ in built] == ["_segment_map"]
+    with pytest.raises(MalformedMap, match=f"^{message}$"):
+        assert_checked(built)
+
+
+def test_finite_theta_leaving_the_target_fails_the_check(built, monkeypatch):
+    # the kept sups made to name an element the target does not have
+    monkeypatch.setattr(FiniteProximity, "sups",
+                        property(lambda self: (self.frame.n,) * self.frame.n))
+    prox = catalog_instances()["diamond"]
+    theta(identity_map(prox), rframe(prox))
+    assert [caller for caller, _ in built][-1] == "theta"
+    with pytest.raises(MalformedMap, match="is not in the target frame"):
+        assert_checked(built)
