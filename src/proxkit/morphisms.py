@@ -482,10 +482,13 @@ def alpha_map(rfd: RFrameData) -> Morphism:
 def theta(f: Morphism, rfd: RFrameData) -> Morphism:
     """Turn a proximity homomorphism into the frame map on round ideals
     that joins the pushed ideal.  rfd is the ideal frame of f's source;
-    Prin(El(b, n)) goes to f(El(b, n)), so an omega segment takes f's
-    rule for base block b.  On a finite source and target the ideal I_e
+    the ideal frame of another proximity is refused.  Prin(El(b, n)) goes
+    to f(El(b, n)), so an omega segment takes f's rule for base block b.
+    On a finite source and target the ideal I_e
     goes to the join of the approximants of f(join of I_e), read off the
     kept joins of both ends."""
+    if rfd.base is not f.src and rfd.base != f.src:
+        raise NotComposable("f is not defined on the base of the given ideal frame")
     if isinstance(f, FiniteMap) and isinstance(f.dst, FiniteProximity):
         sups, table = f.dst.sups, f.table
         return FiniteMap._unchecked(rfd.wb, f.dst,

@@ -11,10 +11,9 @@ mask operations on its rows and columns and on the frame's up- and
 down-rows, at most O(n * P) of them for P related pairs; each axiom
 reports the first failing witness of its scan.  Chain relations are
 described by the set of relation-reflexive limit points and are decided
-by O(#segments) checks, one per element class.  The loops over index
-pairs and over pairs of class representatives that these checks replace
-survive only as test oracles, and the finite mask scan as the oracle of
-the order's report.
+by O(#segments) checks, one per element class.  The tests check both
+against `tests/reference.py`, which loops over each axiom's quantifiers,
+and the order's report against the finite mask scan.
 
 On a chain every element with an immediate predecessor is forced to be
 relation-reflexive (its set of approximants must attain it), and weakening
@@ -311,8 +310,9 @@ def _validate_chain(p: ChainProximity) -> AxiomReport:
 
     The relation is "a < b, or a = b and a is reflexive", and every
     element except a limit outside `reflexive_limits` is reflexive.  The
-    other axioms hold by the arguments in the notes.  A scan over pairs
-    of class representatives survives only as a test oracle.
+    other axioms hold by the arguments in the notes.  The tests compare
+    the verdicts with the axioms' quantifier loops in `tests/reference.py`,
+    run on a window of points of the chain.
     """
     f = p.frame
     axioms: list[tuple[str, Verdict]] = []

@@ -1,8 +1,6 @@
 """Acceptance suite: one criterion per test, printing one pass/fail line
 each (run with -s or read captured output on failure)."""
 
-import pytest
-
 from proxkit.catalog import catalog_instances, catalog_morphisms
 from proxkit.chain import El, Seq, build_chain_frame, lim, succ
 from proxkit.comonads import (
@@ -31,12 +29,7 @@ from proxkit.morphisms import (
     validate_pframemap,
     validate_proxhom,
 )
-from proxkit.proximity import (
-    FiniteProximity,
-    chain_proximity,
-    order_proximity,
-    validate_proximity,
-)
+from proxkit.proximity import FiniteProximity, chain_proximity, validate_proximity
 from proxkit.roundideal import (
     BelowLim,
     Prin,

@@ -1,303 +1,105 @@
-"""Differential oracles for `morphisms.block_map`, θ, R(f) and the ideal
-codec `RFrameData.ideals`.
+"""`morphisms.block_map`, θ, R(f) and the ideal codec `RFrameData.ideals`
+against the definitions in `reference`.
 
 The identity, the join map sigma, the approximant map kappa, the left
 adjoint alpha and the inclusion m of round ideals into all ideals are
-all built by `block_map`, and θ and R(f) by its segment loop.  The
-builders they replaced are kept here, segment by segment as they were,
-over the codec they read: a bitmask per element of a finite ideal frame,
-and a tagged descriptor per segment of a chain one.  Both must give
-equal maps and equal codec answers on every chain layout of the golden
-CLI set whose top is reflexive, on the levels of its ideal-frame towers,
-on the catalog, and on every proximity homomorphism between the small
-finite catalog frames.
+all built by `block_map`, and θ and R(f) by its segment loop.  Each must
+send every point of the reference window to the value the definition
+gives, through the codec, which must list the round ideals in inclusion
+order: on every chain layout of the golden CLI set whose top is
+reflexive, on the levels of its ideal-frame towers, on the catalog, and
+on every proximity homomorphism between the small finite catalog frames.
 """
 
 import pytest
 
+import reference as ref
 from proxkit.catalog import catalog_instances, catalog_morphisms
-from proxkit.chain import OMEGA, El, Seq, build_chain_frame
+from proxkit.chain import El, build_chain_frame
 from proxkit.comonads import m_map
-from proxkit.errors import NotStablyCompact, ProxkitError, UnsupportedRepresentation
-from proxkit.finite import _bits, _frame_of_masks
+from proxkit.errors import NotComposable, NotStablyCompact, UnsupportedRepresentation
 from proxkit.morphisms import (
-    ChainMap,
     FiniteMap,
     alpha_map,
     enumerate_proxhoms,
     identity_map,
     kappa_map,
+    rho,
     rmap_map,
     sigma_map,
     theta,
 )
 from proxkit.proximity import FiniteProximity, chain_proximity, order_proximity
-from proxkit.roundideal import (
-    BelowLim,
-    FinIdeal,
-    Prin,
-    ideal_frame,
-    is_stably_compact,
-    kappa,
-    retag,
-    rframe,
-    rmap,
-    sigma,
-)
+from proxkit.roundideal import BelowLim, FinIdeal, Prin, ideal_frame, is_stably_compact, rframe
 from test_cli_golden import chain_docs
 
 
-# -- the old codec ---------------------------------------------------------------
+def assert_map(m, src, dst, value, *maps):
+    """m is the map src -> dst sending each point x of the window to
+    value(x, depth)."""
+    assert (m.src, m.dst) == (src, dst)
+    depth = ref.depth_for(m, *maps)
+    for x in ref.points(src.frame, depth):
+        assert m.apply(x) == value(x, depth), (m, x)
 
 
-def old_masks(prox):
-    """The ideal mask of each element, in the order `_frame_of_masks`
-    gives the ideal frame's elements."""
-    f, rows = prox.frame, prox.rows
-    xs = [x for x, d in enumerate(f.down) if all(rows[b] & d for b in _bits(d))]
-    return _frame_of_masks([f"dn({f.names[x]})" for x in xs],
-                           [f.down[x] for x in xs])[1]
+def ideal(rfd, x, depth):
+    return ref.codec(rfd.base, rfd.frame, depth)[x]
 
 
-def old_descs(prox):
-    """One descriptor per segment of the chain ideal frame."""
-    f = prox.frame
-    descs = []
-    for i, s in enumerate(f.segments):
-        e = El(i, 0)
-        if s.kind == OMEGA:
-            descs.append(("prin_block", i))
-        elif f.is_limit(e):
-            descs.append(("below", e))
-            if e in prox.reflexive_limits:
-                descs.append(("prin", e))
-        else:
-            descs.append(("prin", e))
-    return tuple(descs)
-
-
-class OldCodec:
-    """The codec of the ideal frame of `base` as it was: `ideal_of` reads
-    the masks or descriptors, and `el_of` inverts them through a dict."""
-
-    def __init__(self, base):
-        self.base = base
-        self.finite = isinstance(base, FiniteProximity)
-        self.keys = old_masks(base) if self.finite else old_descs(base)
-        self.codes = {key: i for i, key in enumerate(self.keys)}
-
-    def ideal_of(self, el):
-        if self.finite:
-            return FinIdeal(self.base, self.keys[el])
-        kind, payload = self.keys[el.seg]
-        if kind == "prin_block":
-            return Prin(self.base, El(payload, el.n))
-        if kind == "prin":
-            return Prin(self.base, payload)
-        return BelowLim(self.base, payload)
-
-    def el_of(self, ideal):
-        codes = self.codes
-        if isinstance(ideal, FinIdeal):
-            if ideal.mask in codes:
-                return codes[ideal.mask]
-        elif isinstance(ideal, BelowLim):
-            if ("below", ideal.lim) in codes:
-                return El(codes["below", ideal.lim], 0)
-        elif ("prin", ideal.a) in codes:
-            return El(codes["prin", ideal.a], 0)
-        elif ("prin_block", ideal.a.seg) in codes:
-            return El(codes["prin_block", ideal.a.seg], ideal.a.n)
-        raise UnsupportedRepresentation(f"{ideal!r} is not in the classification")
-
-    def segment_ideals(self):
-        return tuple(self.ideal_of(El(s, 0)) for s in range(len(self.keys)))
-
-
-# -- the old builders ------------------------------------------------------------
-
-
-def old_sigma(ideal):
-    """The join of an ideal as it was taken: on a finite frame, over every
-    element, in index order, that the mask holds."""
-    if not isinstance(ideal, FinIdeal):
-        return sigma(ideal)
-    f = ideal.prox.frame
-    j = f.bot
-    for b in f.elements():
-        if (ideal.mask >> b) & 1:
-            j = f.join(j, b)
-    return j
-
-
-def old_rmap(f, ideal):
-    """rmap with the old join: a finite ideal goes to the approximants of
-    f at its join."""
-    if isinstance(ideal, FinIdeal):
-        return kappa(f.dst, f.apply(old_sigma(ideal)))
-    return rmap(f, ideal)
-
-
-def old_identity_map(prox):
-    if isinstance(prox, FiniteProximity):
-        return FiniteMap(prox, prox, tuple(prox.frame.elements()))
-    rules = []
-    for i, s in enumerate(prox.frame.segments):
-        if s.kind == OMEGA:
-            rules.append(Seq.affine(i, 1, 0))
-        else:
-            rules.append(Seq.constant(El(i, 0)))
-    return ChainMap(prox, prox, tuple(rules))
-
-
-def old_sigma_map(rfd):
-    old = OldCodec(rfd.base)
-    if old.finite:
-        table = tuple(old_sigma(old.ideal_of(i)) for i in rfd.frame.elements())
-        return FiniteMap(rfd.wb, rfd.base, table)
-    rules = []
-    for seg, ideal in zip(rfd.frame.segments, old.segment_ideals()):
-        if seg.kind == OMEGA:  # Prin(El(b, n)) joins to El(b, n)
-            rules.append(Seq.affine(ideal.a.seg, 1, 0))
-        else:
-            rules.append(Seq.constant(sigma(ideal)))
-    return ChainMap(rfd.wb, rfd.base, tuple(rules))
-
-
-def old_pointed_ideal_map(rfd, use_wb):
-    """kappa_map (use_wb=False) and alpha_map (use_wb=True) as they were."""
-    prox = rfd.base
-    old = OldCodec(prox)
-    if old.finite:
-        table = tuple(old.el_of(kappa(prox, a)) for a in prox.frame.elements())
-        return FiniteMap(prox, rfd.wb, table)
-    frame = prox.frame
-    rules = []
-    for i, s in enumerate(frame.segments):
-        e = El(i, 0)
-        if s.kind == OMEGA:
-            target = old.el_of(Prin(prox, e))
-            rules.append(Seq.affine(target.seg, 1, 0))
-        else:
-            refl = (not frame.is_limit(e)) if use_wb else prox.reflexive(e)
-            ideal = Prin(prox, e) if refl else BelowLim(prox, e)
-            rules.append(Seq.constant(old.el_of(ideal)))
-    return ChainMap(prox, rfd.wb, tuple(rules))
-
-
-def old_m_map(rfd, jfd):
-    old, jold = OldCodec(rfd.base), OldCodec(jfd.base)
-    if old.finite:
-        table = tuple(
-            jold.el_of(retag(old.ideal_of(i), jfd.base))
-            for i in rfd.frame.elements()
-        )
-        return FiniteMap(rfd.wb, jfd.wb, table)
-    rules = []
-    for seg, ideal in zip(rfd.frame.segments, old.segment_ideals()):
-        target = jold.el_of(retag(ideal, jfd.base))
-        if seg.kind == OMEGA:  # Prin(El(b, n)) goes to Prin(El(b, n))
-            rules.append(Seq.affine(target.seg, 1, 0))
-        else:
-            rules.append(Seq.constant(target))
-    return ChainMap(rfd.wb, jfd.wb, tuple(rules))
-
-
-def old_theta(f, rfd):
-    old = OldCodec(rfd.base)
-    if isinstance(f, FiniteMap):
-        table = tuple(old_sigma(old_rmap(f, old.ideal_of(i)))
-                      for i in rfd.frame.elements())
-        return FiniteMap(rfd.wb, f.dst, table)
-    rules = []
-    for seg, ideal in zip(rfd.frame.segments, old.segment_ideals()):
-        if seg.kind == OMEGA:  # Prin(El(b, n)) goes to f(El(b, n))
-            rules.append(f.rules[ideal.a.seg])
-        else:
-            rules.append(Seq.constant(old_sigma(rmap(f, ideal))))
-    return ChainMap(rfd.wb, f.dst, tuple(rules))
-
-
-def old_rmap_map(f, src_rfd, dst_rfd):
-    src, dst = OldCodec(src_rfd.base), OldCodec(dst_rfd.base)
-    if isinstance(f, FiniteMap):
-        table = tuple(
-            dst.el_of(old_rmap(f, src.ideal_of(i))) for i in src_rfd.frame.elements()
-        )
-        return FiniteMap(src_rfd.wb, dst_rfd.wb, table)
-    rules = []
-    for seg, ideal in zip(src_rfd.frame.segments, src.segment_ideals()):
-        if seg.kind != OMEGA:
-            rules.append(Seq.constant(dst.el_of(rmap(f, ideal))))
-            continue
-        rule = f.rules[ideal.a.seg]
-        exc = tuple((m, dst.el_of(kappa(f.dst, v))) for m, v in rule.exceptions)
-        if rule.is_affine:
-            probe = dst.el_of(Prin(f.dst, El(rule.seg, 0)))
-            rules.append(Seq.affine(probe.seg, rule.a, rule.b, exc))
-        else:
-            rules.append(Seq.constant(dst.el_of(kappa(f.dst, rule.const)), exc))
-    return ChainMap(src_rfd.wb, dst_rfd.wb, tuple(rules))
-
-
-# -- comparisons -----------------------------------------------------------------
-
-
-def outcome(fn, *args):
-    """fn(*args), or the type and message of the ProxkitError it raises."""
-    try:
-        return fn(*args)
-    except ProxkitError as exc:
-        return type(exc), str(exc)
+def point(rfd, i):
+    return ref.element(rfd.base, rfd.frame, i)
 
 
 def assert_block_maps_agree(rfd):
     """Every block_map builder on rfd, its base and its way-below
-    proximity equals the builder it replaced."""
-    for prox in (rfd.base, rfd.wb, rfd.maxp):
-        assert identity_map(prox) == old_identity_map(prox)
-    assert sigma_map(rfd) == old_sigma_map(rfd)
-    assert kappa_map(rfd) == old_pointed_ideal_map(rfd, use_wb=False)
-    if is_stably_compact(rfd.base):
-        assert alpha_map(rfd) == old_pointed_ideal_map(rfd, use_wb=True)
-    jfd = ideal_frame(rfd.base.frame)
-    assert m_map(rfd, jfd) == old_m_map(rfd, jfd)
+    proximity is the map the definition gives."""
+    base = rfd.base
+    for prox in (base, rfd.wb, rfd.maxp):
+        assert_map(identity_map(prox), prox, prox, lambda x, d: x)
+    assert_map(sigma_map(rfd), rfd.wb, base, lambda x, d: ref.sup(ideal(rfd, x, d)))
+    assert_map(kappa_map(rfd), base, rfd.wb,
+               lambda a, d: point(rfd, ref.approximants(base, a)))
+    if is_stably_compact(base):
+        assert_map(alpha_map(rfd), base, rfd.wb,
+                   lambda a, d: point(rfd, ref.way_below_set(base, a)))
+    jfd = ideal_frame(base.frame)
+    assert_map(m_map(rfd, jfd), rfd.wb, jfd.wb,
+               lambda x, d: point(jfd, ref.as_ideal_of(ideal(rfd, x, d), jfd.base)))
 
 
 def assert_theta_and_rmap_agree(f, src_rfd, dst_rfd):
-    """θ and R(f) equal the loops they replaced, or fail alike."""
-    assert outcome(theta, f, src_rfd) == outcome(old_theta, f, src_rfd)
-    assert (outcome(rmap_map, f, src_rfd, dst_rfd)
-            == outcome(old_rmap_map, f, src_rfd, dst_rfd))
+    """θ(f), R(f) and ρ(θ(f)) are the maps the definitions give."""
+    t = theta(f, src_rfd)
+    assert_map(t, src_rfd.wb, f.dst,
+               lambda x, d: ref.theta(f, ideal(src_rfd, x, d), d), f)
+    assert_map(rmap_map(f, src_rfd, dst_rfd), src_rfd.wb, dst_rfd.wb,
+               lambda x, d: point(dst_rfd, ref.image(f, ideal(src_rfd, x, d), d)), f)
+    assert_map(rho(t, src_rfd), f.src, f.dst,
+               lambda a, d: ref.theta(f, ref.approximants(f.src, a), d), f)
 
 
-def assert_codecs_agree(rfd, ideals):
-    """ideal_of agrees with the old codec on every element or segment
-    start, and el_of on those ideals and on the ideals of rfd.base among
-    `ideals`, refusals included; el_of refuses every other ideal, which
-    the old codec looked up by its code alone.  Returns the number of
-    refusals seen."""
-    old = OldCodec(rfd.base)
-    if old.finite:
-        els = list(rfd.frame.elements())
-    else:
-        els = [El(s, n) for s, seg in enumerate(rfd.frame.segments)
-               for n in ((0, 1, 7) if seg.kind == OMEGA else (0,))]
-    for e in els:
-        assert rfd.ideal_of(e) == old.ideal_of(e)
-        assert rfd.el_of(rfd.ideal_of(e)) == old.el_of(rfd.ideal_of(e)) == e
+def assert_codec_agrees(rfd, ideals):
+    """ideal_of and el_of agree with the reference codec on every point of
+    the window, and way-below on the ideal frame is the definition's;
+    el_of refuses every ideal of `ideals` that the codec lacks, and every
+    ideal of another proximity.  Returns the number of refusals."""
+    codec = ref.codec(rfd.base, rfd.frame, 8)
+    for x, i in codec.items():
+        assert rfd.ideal_of(x) == i and rfd.el_of(i) == x
+        for y, j in codec.items():
+            assert rfd.wb.rel(x, y) == ref.way_below(i, j), (i, j)
     refused = 0
-    for ideal in ideals:
-        new = outcome(rfd.el_of, ideal)
-        if ideal.prox != rfd.base:
-            assert new == (UnsupportedRepresentation,
-                           f"{ideal!r} is not in the classification: "
-                           f"it is a round ideal of another proximity"), ideal
-        else:
-            assert new == outcome(old.el_of, ideal), ideal
-        if isinstance(new, tuple):
-            assert new[0] is UnsupportedRepresentation
-            refused += 1
+    for i in ideals:
+        x = ref.element(rfd.base, rfd.frame, i) if i.prox == rfd.base else None
+        if x is not None:
+            assert rfd.el_of(i) == x
+            continue
+        message = ("it is a round ideal of another proximity" if i.prox != rfd.base
+                   else "not in the classification$")
+        with pytest.raises(UnsupportedRepresentation, match=message):
+            rfd.el_of(i)
+        refused += 1
     return refused
 
 
@@ -343,15 +145,15 @@ def test_codec_matches_the_old_chain_codec(doc):
     refused = 0
     for rfd in _tower(prox):
         base, frame = rfd.base, rfd.base.frame
-        reps = frame.class_representatives(3)
+        points = ref.points(frame, 3)
         # Prin at a limit that base leaves non-reflexive is not round, so
         # the order proximity builds it; el_of refuses it
         order = order_proximity(frame)
-        ideals = [kappa(base, a) for a in reps]
+        ideals = [ref.approximants(base, a) for a in points]
         ideals += [BelowLim(base, e) for e in frame.limits()]
-        ideals += [Prin(order, a) for a in reps]
+        ideals += [Prin(order, a) for a in points]
         ideals.append(FinIdeal(fin, 1))
-        refused += assert_codecs_agree(rfd, ideals)
+        refused += assert_codec_agrees(rfd, ideals)
     assert refused >= 5
 
 
@@ -363,7 +165,7 @@ def test_codec_matches_the_old_finite_codec(name):
         ideals = [FinIdeal(base, m) for m in range(1 << base.frame.n)]
         ideals.append(Prin(chain, El(0, 3)))
         # every mask without bot, and the chain ideal, is refused
-        assert assert_codecs_agree(rfd, ideals) >= (1 << (base.frame.n - 1)) + 1
+        assert assert_codec_agrees(rfd, ideals) >= (1 << (base.frame.n - 1)) + 1
 
 
 @pytest.mark.parametrize("doc", CHAIN_DOCS.values(), ids=list(CHAIN_DOCS))
@@ -403,3 +205,21 @@ def test_theta_and_rmap_match_the_old_loops_on_enumerated_maps():
                 assert_theta_and_rmap_agree(f, rframe(src), rframe(dst))
                 count += 1
     assert count > len(small) ** 2
+    # into the diamond without (a, a), whose columns still grow with the
+    # order: theta reads the join of a's approximants, which is 0
+    diamond = catalog_instances()["diamond"].frame
+    a = diamond.index("a")
+    weak = FiniteProximity(diamond, tuple(r & ~(1 << a) if x == a else r
+                                          for x, r in enumerate(diamond.up)))
+    for src in small:
+        for f in enumerate_proxhoms(src, order_proximity(diamond)):
+            g, rfd = FiniteMap(src, weak, f.table), rframe(src)
+            assert_map(theta(g, rfd), rfd.wb, weak, lambda x, d: ref.theta(g, ideal(rfd, x, d), d))
+
+
+@pytest.mark.parametrize("src,other", [("diamond", "chain3"), ("chain3", "diamond"),
+                                       ("two", "cube3"), ("chain-k1", "chain-k2")])
+def test_theta_refuses_the_ideal_frame_of_another_proximity(src, other):
+    insts = catalog_instances()
+    with pytest.raises(NotComposable, match="not defined on the base of the given ideal frame"):
+        theta(identity_map(insts[src]), rframe(insts[other]))

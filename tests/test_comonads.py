@@ -1,10 +1,9 @@
-import functools
-import random
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
 import proxkit.comonads as comonads
+import reference as ref
 from proxkit.catalog import catalog_instances, catalog_morphisms
 from proxkit.chain import POINT, El, Seq, build_chain_frame
 from proxkit.errors import NotComposable, NotStablyCompact, ProxkitError
@@ -26,7 +25,6 @@ from proxkit.comonads import (
     max_proximity_agreement,
     maxrel_contains_wb,
     retag_map,
-    r_map,
     subcomonad_check,
 )
 from proxkit.morphisms import (
@@ -40,16 +38,8 @@ from proxkit.morphisms import (
     validate_pframemap,
 )
 from proxkit.proximity import FiniteProximity, chain_proximity, validate_proximity
-from proxkit.reports import law_fail, law_pass
-from proxkit.roundideal import (
-    ideal_frame,
-    kappa,
-    member,
-    rframe,
-    sigma,
-    subideal,
-    way_below_ideals,
-)
+from proxkit.roundideal import ideal_frame, member, rframe, sigma
+from test_pair_rows import reference_report
 
 # instances small enough for the doubled and tripled ideal frames
 LAW_INSTANCES = ("two", "chain3", "diamond", "chain-k1", "chain-k2")
@@ -158,63 +148,25 @@ def test_doubled_membership():
         assert doubled_membership_lemma(rframe(prox)).ok, name
 
 
-def nested_doubled_membership(rfd):
-    """Reference: the lemma by a triple loop that recomputes every ideal,
-    join and relation test per (jbar, ibar, kbar), on the lemma's own
-    representatives."""
-    inst = describe_instance(rfd.base)
-    maxp, ccfd = rfd.maxp, rfd.cc
-    eps_CL = epsilon_map(ccfd)
-    reps_C = comonads._reps(rfd, (eps_CL,), pairs=True)
-    reps_CC = comonads._reps(ccfd, (eps_CL,), pairs=True)
-    member = comonads.member
-    samples = 0
-    for jbar in reps_CC:
-        for ibar in reps_C:
-            samples += 1
-            I = rfd.ideal_of(ibar)
-            ej = eps_CL.apply(jbar)
-            lhs = member(sigma(rfd.ideal_of(ej)), I)
-            rhs = any(
-                maxp.rel(ej, kbar) and member(sigma(rfd.ideal_of(kbar)), I)
-                for kbar in reps_C
-            )
-            if lhs != rhs:
-                return law_fail("C.doubled-membership", inst,
-                                witness=(repr(jbar), repr(I)), samples=samples)
-    return law_pass("C.doubled-membership", inst, samples=samples)
-
-
-def chain_instances(k):
-    """Chains with k blocks whose reflexive sets are the top alone, the odd
-    limits and the top, and every limit."""
-    frame = build_chain_frame(k)
-    sets = {frozenset({k}), frozenset(range(1, k + 1, 2)) | {k},
-            frozenset(range(1, k + 1))}
-    return [chain_proximity(frame, r) for r in sorted(sets, key=sorted)]
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_doubled_membership_matches_nested_loop_on_chains(k):
-    for prox in chain_instances(k):
-        assert doubled_membership_lemma(rframe(prox)) == nested_doubled_membership(rframe(prox))
+    for prox in ref.chain_instances(k):
+        assert (doubled_membership_lemma(rframe(prox))
+                == reference_report(doubled_membership_lemma, rframe(prox)))
 
 
 def test_doubled_membership_matches_nested_loop_on_finite_catalog():
-    for name, prox in catalog_instances().items():
-        if name not in ("two", "chain3", "diamond", "cube3"):
-            continue
+    for name in ("two", "chain3", "diamond", "cube3"):
+        prox = catalog_instances()[name]
         assert (doubled_membership_lemma(rframe(prox))
-                == nested_doubled_membership(rframe(prox))), name
+                == reference_report(doubled_membership_lemma, rframe(prox))), name
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_doubled_membership_witness_is_a_representative(k):
     # the existential over kbar needs no point outside the representatives:
     # ej itself, or the successor of a non-reflexive limit, is a witness
-    frame = build_chain_frame(k)
-    for refl in _subsets_with_top(k):
-        prox = chain_proximity(frame, refl)
+    for prox in with_top(k):
         rfd = rframe(prox)
         maxp, ccfd = rfd.maxp, rfd.cc
         eps_CL = epsilon_map(ccfd)
@@ -223,7 +175,7 @@ def test_doubled_membership_witness_is_a_representative(k):
         for jbar in comonads._reps(ccfd, (eps_CL,), pairs=True):
             ej = eps_CL.apply(jbar)
             w = ej if maxp.reflexive(ej) else rfd.frame.successor_of(ej)
-            assert w in reps_C and maxp.rel(ej, w), (refl, jbar)
+            assert w in reps_C and maxp.rel(ej, w), (prox, jbar)
             for I in ideals:
                 if comonads.member(sigma(rfd.ideal_of(ej)), I):
                     assert comonads.member(sigma(rfd.ideal_of(w)), I)
@@ -234,20 +186,21 @@ def test_doubled_membership_failure_matches_nested_loop(monkeypatch):
     # generator, the ideal under a limit gains the limit) breaks the lemma
     # on every chain with a limit that is not reflexive.  The rows still
     # read it: they test membership only at the join, and under it
-    # everything is in, over it nothing.  Both loops must stop at the same
-    # (jbar, ibar) with the same sample count, and the sampled scan must
-    # give the same verdict.  With every limit reflexive, as in chain-k1
+    # everything is in, over it nothing.  The lemma must stop at the
+    # (jbar, ibar) where the reference, under the same corrupted
+    # membership, finds its first violation.  With every limit reflexive, as in chain-k1
     # and one chain of each k, no membership of that shape breaks the
     # lemma, so those pass and must agree as well.
     monkeypatch.setattr(comonads, "member",
                         lambda b, I: member(b, I) != (b == sigma(I)))
     cases = [insts()["chain-k1"], insts()["chain-k2"],
-             *(prox for k in (1, 2, 3) for prox in chain_instances(k))]
+             *(prox for k in (1, 2, 3) for prox in ref.chain_instances(k))]
     failed = 0
     for prox in cases:
         got = doubled_membership_lemma(rframe(prox))
-        assert got == nested_doubled_membership(rframe(prox))
-        assert sampled_oracle(rframe(prox))(3, 2)["C.doubled-membership"] == got.ok
+        assert got == reference_report(
+            doubled_membership_lemma, rframe(prox),
+            contains=lambda I, b: ref.contains(I, b) != (b == ref.sup(I)))
         all_reflexive = prox.reflexive_limits == frozenset(prox.frame.limits())
         assert got.ok == all_reflexive, prox.reflexive_limits
         failed += not got.ok
@@ -265,10 +218,10 @@ def _flipped_maxp(prox):
         yield rfd
 
 
-def _outcome(law, rfd):
-    """law(rfd), or the type of the error it raises."""
+def _outcome(law, *args):
+    """law(*args), or the type of the error it raises."""
     try:
-        return law(rfd)
+        return law(*args)
     except ProxkitError as exc:
         return type(exc)
 
@@ -276,7 +229,7 @@ def _outcome(law, rfd):
 def test_doubled_membership_failure_matches_nested_loop_on_finite_catalog():
     # a finite frame's rows read ideal masks, not `member`, so here the
     # lemma is broken by flipping one pair of the maximal relation.  The
-    # lemma and the nested loop must report alike on every flip, or both
+    # lemma and the reference must report alike on every flip, or both
     # raise the same error where the flipped relation has no doubled frame
     # (two flips of diamond).
     failed = raised = 0
@@ -285,81 +238,29 @@ def test_doubled_membership_failure_matches_nested_loop_on_finite_catalog():
             continue
         for rfd in _flipped_maxp(prox):
             got = _outcome(doubled_membership_lemma, rfd)
-            assert got == _outcome(nested_doubled_membership, rfd), name
+            assert got == _outcome(reference_report, doubled_membership_lemma, rfd), name
             failed += getattr(got, "ok", True) is False
             raised += isinstance(got, type)
     assert failed and raised == 2, (failed, raised)
 
 
-# -- per-class representatives against the retired sampled scan ---------------
+# -- per-class representatives against the reference window ---------------------
 
 
-def _subsets_with_top(k):
-    for r in range(k):
-        for chosen in combinations(range(1, k), r):
-            yield {*chosen, k}
+def with_top(k):
+    """The chains of k blocks with every reflexive set holding the top."""
+    return [p for p in ref.reflexive_subsets(build_chain_frame(k))
+            if p.reflexive(p.frame.top)]
 
 
-def sampled_reps(rfd, depth, seed):
-    """The representatives the laws were once sampled on: the first
-    `depth` points of each block, plus one index per omega block drawn
-    from random.Random(seed)."""
-    if isinstance(rfd.base, FiniteProximity):
-        return list(rfd.frame.elements())
-    reps = rfd.frame.class_representatives(depth)
-    rng = random.Random(seed)
-    for i, s in enumerate(rfd.frame.segments):
-        if s.kind == "omega":
-            reps.append(El(i, rng.randrange(depth, depth + 40)))
-    return reps
-
-
-def sampled_oracle(rfd):
-    """Reference: the per-class laws decided by the retired sampled scan
-    on the ideal frame rfd.  Returns verdicts(depth, seed) -> {law: ok};
-    frames and maps are built once."""
-    maxp, ccfd = rfd.maxp, rfd.cc
-    base = rfd.base
-    c = c_map(rfd)
-    eps = epsilon_map(ccfd)
-    ceps = cmap_of(epsilon_map(rfd), ccfd, rfd)
-    bk = retag_map(kappa_map(ccfd), maxp, ccfd.maxp)
-    leq_C, leq_CC = rfd.frame.leq, ccfd.frame.leq
-    # points and pairs recur across depths and seeds
-    ideal_of = functools.cache(rfd.ideal_of)
-    max_rel, wb_rel = functools.cache(maxp.rel), functools.cache(rfd.wb.rel)
-
-    @functools.cache
-    def agree(i, j):
-        I, J = ideal_of(i), ideal_of(j)
-        by_joins = subideal(I, J) and base.rel(sigma(I), sigma(J))
-        by_wb = subideal(I, J) and way_below_ideals(I, kappa(base, sigma(J)))
-        return by_joins == by_wb == max_rel(i, j)
-
-    def verdicts(depth, seed):
-        member = comonads.member
-        C, CC = sampled_reps(rfd, depth, seed), sampled_reps(ccfd, depth, seed)
-        joins = [sigma(ideal_of(k)) for k in C]
-        ideals = [ideal_of(i) for i in C]
-        landing = [{k for k, x in enumerate(joins) if member(x, I)} for I in ideals]
-        doubled = True
-        for j in CC:
-            ej = eps.apply(j)
-            lhs = [member(sigma(ideal_of(ej)), I) for I in ideals]
-            above = {k for k, kbar in enumerate(C) if max_rel(ej, kbar)}
-            doubled &= lhs == [not above.isdisjoint(land) for land in landing]
-        return {
-            "C.kz": all(leq_C(eps.apply(y), ceps.apply(y)) for y in CC),
-            "adj.c-eps": (all(leq_C(x, eps.apply(c.apply(x))) for x in C)
-                          and all(leq_CC(c.apply(eps.apply(y)), y) for y in CC)),
-            "adj.eps-betakappa": (all(leq_CC(y, bk.apply(eps.apply(y))) for y in CC)
-                                  and all(leq_C(eps.apply(bk.apply(x)), x) for x in C)),
-            "C.doubled-membership": doubled,
-            "maxrel.agreement": all(agree(i, j) for i in C for j in C),
-            "maxrel.contains-wb": all(max_rel(i, j) for i in C for j in C
-                                      if wb_rel(i, j)),
-        }
-    return verdicts
+def reference_verdicts(prox):
+    """The per-class laws on the ideal frame of prox at every point of
+    the reference window past the horizon of the maps they apply."""
+    rfd = rframe(prox)
+    ccfd = rfd.cc
+    maps = (c_map(rfd), epsilon_map(ccfd), cmap_of(epsilon_map(rfd), ccfd, rfd),
+            retag_map(kappa_map(ccfd), rfd.maxp, ccfd.maxp))
+    return ref.class_laws(rfd, *maps, ref.depth_for(*maps))
 
 
 def per_class_verdicts(prox):
@@ -372,36 +273,31 @@ def per_class_verdicts(prox):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_per_class_laws_match_sampled_scan(k):
-    for prox in chain_instances(k):
-        got = per_class_verdicts(prox)
-        verdicts = sampled_oracle(rframe(prox))
-        for depth in range(2, 9):
-            for seed in range(4):
-                assert verdicts(depth, seed) == got, (prox.reflexive_limits, depth, seed)
+    for prox in ref.chain_instances(k):
+        assert reference_verdicts(prox) == per_class_verdicts(prox), prox.reflexive_limits
 
 
 def test_per_class_laws_match_sampled_scan_on_finite_catalog():
     for name in ("two", "chain3", "diamond"):
         prox = insts()[name]
-        assert sampled_oracle(rframe(prox))(3, 0) == per_class_verdicts(prox), name
+        assert reference_verdicts(prox) == per_class_verdicts(prox), name
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_law_maps_are_lockstep_past_horizon_zero(k):
     # the premise of _reps: no exceptions, and every tail is a constant on
     # a point segment or n -> El(seg, n)
-    frame = build_chain_frame(k)
-    for refl in _subsets_with_top(k):
-        rfd = rframe(chain_proximity(frame, refl))
+    for prox in with_top(k):
+        rfd = rframe(prox)
         ccfd = rfd.cc
         maps = (c_map(rfd), epsilon_map(ccfd), sigma_map(rfd),
                 kappa_map(rfd), cmap_of(epsilon_map(rfd), ccfd, rfd),
                 retag_map(kappa_map(ccfd), rfd.maxp, ccfd.maxp))
         for m in maps:
             for s in m.rules:
-                assert s.horizon() == 0, (refl, m)
+                assert s.horizon() == 0, (prox, m)
                 if s.is_affine:
-                    assert (s.a, s.b) == (1, 0), (refl, m)
+                    assert (s.a, s.b) == (1, 0), (prox, m)
                 else:
                     assert m.dst.frame.segments[s.const.seg].kind == POINT
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxkit
+import reference as ref
 from proxkit.catalog import catalog_instances
 from proxkit.errors import (
     NoBounds,
@@ -31,17 +32,10 @@ from proxkit.finite import (
     product,
 )
 from proxkit.proximity import FiniteProximity, order_proximity, product_proximity
-from proxkit.roundideal import FINITE_IDEAL_ENUM_LIMIT, rframe
-
-
-def diamond():
-    return build_finite_frame(
-        ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
-    )
 
 
 def test_diamond_tables():
-    f = diamond()
+    f = ref.diamond()
     a, b = f.index("a"), f.index("b")
     assert f.meet(a, b) == f.bot
     assert f.join(a, b) == f.top
@@ -56,7 +50,7 @@ def test_builder_primes_the_order_rows():
     # the builder stores the order only as its up- and down-rows; they
     # agree with leq and with the meet table, the order proximity's
     # columns are the down-rows, and the predicates return bools
-    for f in (diamond(), product(diamond(), diamond()),
+    for f in (ref.diamond(), product(ref.diamond(), ref.diamond()),
               downset_frame(["x", "y", "z"], [("x", "y")])):
         assert {"up", "down"} <= vars(f).keys()
         n = f.n
@@ -144,7 +138,7 @@ def test_product_of_two_chains_is_grid():
 
 
 def test_hasse_dot_deterministic_covers_only():
-    f = diamond()
+    f = ref.diamond()
     dot = hasse_dot(f, "diamond")
     assert dot == hasse_dot(f, "diamond")
     assert dot.count("->") == 4  # covering edges only, not 0 -> 1
@@ -193,9 +187,8 @@ def test_import_does_not_load_numpy():
 #
 # The scan construction that the up-row builder replaced: a boolean matrix
 # closure, least-upper-bound and greatest-lower-bound scans over all
-# elements, a fold of joins for the pseudocomplement, and products and
-# ideal frames built from name-string pair lists.  The row builder must give
-# equal frames, or an exception of the same type with the same message.
+# elements, a fold of joins for the pseudocomplement, and products built
+# from name-string pair lists.  The row builder must give equal frames, or an exception of the same type with the same message.
 
 
 def _oracle_closure(names, leq_pairs):
@@ -350,41 +343,6 @@ def oracle_product_proximity(p, q):
     return FiniteProximity(pf, _matrix_rows(mat))
 
 
-def oracle_rframe_masks(prox):
-    """(frame, masks in frame order) of the round ideals of a finite
-    proximity, by exhaustive scan and name lookup."""
-    f = prox.frame
-    masks = []
-    for mask in range(1, 1 << f.n):
-        members = [a for a in f.elements() if (mask >> a) & 1]
-        if (
-            (mask >> f.bot) & 1
-            and all((mask >> b) & 1 for a in members for b in f.elements() if f.leq(b, a))
-            and all((mask >> f.join(a, b)) & 1 for a in members for b in members)
-            and all(any(prox.rel(a, b) for b in members) for a in members)
-        ):
-            masks.append(mask)
-    masks.sort(key=lambda m: (bin(m).count("1"), m))
-    names = []
-    for m in masks:
-        mx = f.bot
-        for b in f.elements():
-            if (m >> b) & 1:
-                mx = f.join(mx, b)
-        if m == sum(1 << b for b in f.elements() if f.leq(b, mx)):
-            names.append(f"dn({f.names[mx]})")
-        else:
-            names.append("{" + ",".join(f.names[i] for i in f.elements() if (m >> i) & 1) + "}")
-    pairs = [
-        (names[i], names[j])
-        for i, mi in enumerate(masks)
-        for j, mj in enumerate(masks)
-        if i != j and mi & mj == mi
-    ]
-    frame = oracle_frame(names, pairs)
-    return frame, tuple(masks[names.index(nm)] for nm in frame.names)
-
-
 def outcome(build, *args):
     try:
         return build(*args)
@@ -450,18 +408,11 @@ def test_oracle_open_sets():
         assert_same(open_set_frame, oracle_open_set_frame, points, opens)
 
 
-def _small_frames():
-    return [
-        build_finite_frame(["0"], []),
-        build_finite_frame(["0", "1"], [("0", "1")]),
-        build_finite_frame(["b", "m", "t"], [("b", "m"), ("m", "t")]),
-        downset_frame(["x", "y"], []),
-        downset_frame(["a", "b", "c"], [("a", "c"), ("b", "c")]),
-    ]
+SMALL_FRAMES = [f for _, f in ref.chains((1, 2, 3)) + ref.cubes((2,)) + [ref.vee()]]
 
 
 def test_oracle_products():
-    frames = _small_frames()
+    frames = SMALL_FRAMES
     for f in frames:
         for g in frames:
             assert product(f, g) == oracle_product(f, g)
@@ -473,28 +424,10 @@ def test_oracle_products():
 
 def test_oracle_product_proximity():
     finite = [p for p in catalog_instances().values() if isinstance(p, FiniteProximity)]
-    proxes = [order_proximity(f) for f in _small_frames()[:3]] + finite[:3]
+    proxes = [order_proximity(f) for f in SMALL_FRAMES[:3]] + finite[:3]
     for p in proxes:
         for q in proxes:
             assert product_proximity(p, q) == oracle_product_proximity(p, q)
-
-
-def rframe_tables(prox):
-    r = rframe(prox)
-    return r.frame, tuple(i.mask for i in r.ideals)
-
-
-def test_oracle_round_ideal_frames():
-    finite = [p for p in catalog_instances().values() if isinstance(p, FiniteProximity)]
-    two = order_proximity(build_finite_frame(["0", "1"], [("0", "1")]))
-    empty = FiniteProximity(two.frame, (0, 0))
-    # "a" sorts before "a!", but "dn(a!)" before "dn(a)"
-    names = build_finite_frame(["0", "a", "a!", "1"],
-                               [("0", "a"), ("0", "a!"), ("a", "1"), ("a!", "1")])
-    proxes = finite + [order_proximity(f) for f in _small_frames() + [names]] + [empty]
-    for prox in proxes:
-        assert prox.frame.n <= FINITE_IDEAL_ENUM_LIMIT
-        assert_same(rframe_tables, oracle_rframe_masks, prox)
 
 
 @settings(max_examples=80, deadline=None)

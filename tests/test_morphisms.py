@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from proxkit import morphisms
 from proxkit.catalog import catalog_instances, catalog_morphisms
 from proxkit.cli import _generated_frames
 from proxkit.chain import El, Seq, build_chain_frame, lim, succ
 from proxkit.errors import InvalidParameter, MalformedMap, NotComposable
-from proxkit.finite import build_finite_frame
 from proxkit.morphisms import (
     ChainMap,
     FiniteMap,
@@ -28,7 +28,6 @@ from proxkit.morphisms import (
     validate_proxhom,
 )
 from proxkit.proximity import FiniteProximity, chain_proximity, order_proximity
-from proxkit.reports import FAIL, PASS, AxiomReport, Verdict
 from proxkit.roundideal import rframe
 
 
@@ -36,20 +35,12 @@ def k1():
     return chain_proximity(build_chain_frame(1), {1})
 
 
-def diamond_prox():
-    return order_proximity(
-        build_finite_frame(
-            ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
-        )
-    )
-
-
 # -- construction and validation ---------------------------------------------
 
 
 def test_malformed_maps_rejected():
     p = k1()
-    d = diamond_prox()
+    d = order_proximity(ref.diamond())
     with pytest.raises(MalformedMap):
         FiniteMap(d, d, (0, 1, 2))  # wrong table length
     with pytest.raises(MalformedMap):
@@ -128,7 +119,7 @@ def test_catalog_morphisms_validator_profile():
 
 
 def test_meet_hom_without_subadditivity_detected():
-    d = diamond_prox()
+    d = order_proximity(ref.diamond())
     f = d.frame
     tbl = [f.bot] * f.n
     tbl[f.top] = f.top
@@ -255,53 +246,20 @@ def test_enumerated_homomorphism_counts():
 
 
 def test_enumerated_homomorphisms_closed_under_star():
-    d = diamond_prox()
+    d = order_proximity(ref.diamond())
     homs = enumerate_proxhoms(d, d)
     for f in homs:
         for g in homs:
             assert star_compose(g, f) in homs
 
 
-def scan_enumerate_proxhoms(src, dst):
-    """The former enumeration: all m**n tables in code order, each judged
-    by validate_proxhom."""
-    n, m = src.frame.n, dst.frame.n
-    out = []
-    for code in range(m**n):
-        table = [(code // m**i) % m for i in range(n)]
-        f = FiniteMap(src, dst, tuple(table))
-        if validate_proxhom(f).ok:
-            out.append(f)
-    return out
-
-
-def _sub_relation(frame, rng):
-    """A random sub-relation of leq, not validated."""
-    return FiniteProximity(frame, tuple(
-        sum(1 << b for b in frame.elements() if frame.leq(a, b) and rng.random() < 0.6)
-        for a in frame.elements()))
-
-
-def _small_proximities():
-    """Frames of up to 4 elements, the one-point frame among them, each
-    with its order, the empty relation and two random sub-relations."""
-    rng = random.Random(7)
-    frames = [("one", build_finite_frame(["0"], []))] + _generated_frames(4)
-    out = []
-    for name, f in frames:
-        empty = (0,) * f.n
-        out += [(name, order_proximity(f)), (f"{name}:empty", FiniteProximity(f, empty)),
-                (f"{name}:r1", _sub_relation(f, rng)), (f"{name}:r2", _sub_relation(f, rng))]
-    return out
-
-
 def test_enumeration_matches_full_scan_on_small_frames():
     # relations are not validated: the pruning must not depend on them
-    props = _small_proximities()
+    props = ref.small_proximities()
     found = 0
     for (ns, src), (nd, dst) in product(props, props):
         homs = enumerate_proxhoms(src, dst)
-        assert homs == scan_enumerate_proxhoms(src, dst), (ns, nd)
+        assert homs == ref.proxhoms(src, dst), (ns, nd)
         found += len(homs)
     assert found > 0
 
@@ -310,9 +268,9 @@ def test_enumeration_matches_full_scan_on_catalog():
     insts = {k: v for k, v in catalog_instances().items()
              if isinstance(v, FiniteProximity)}
     for (ns, src), (nd, dst) in product(insts.items(), insts.items()):
-        # the scan of cube3 into chain3 alone is 3**8 tables and seconds
+        # the reference for cube3 into chain3 alone is 3**8 tables and seconds
         if dst.frame.n ** src.frame.n <= 4096:
-            assert enumerate_proxhoms(src, dst) == scan_enumerate_proxhoms(src, dst), (ns, nd)
+            assert enumerate_proxhoms(src, dst) == ref.proxhoms(src, dst), (ns, nd)
 
 
 def test_enumeration_validates_only_bounded_meet_preserving_tables(monkeypatch):
@@ -324,7 +282,7 @@ def test_enumeration_validates_only_bounded_meet_preserving_tables(monkeypatch):
         return validate(f)
 
     monkeypatch.setattr(morphisms, "validate_proxhom", recording)
-    orders = [p for name, p in _small_proximities() if ":" not in name]
+    orders = [p for name, p in ref.small_proximities() if ":" not in name]
     for p, q in product(orders, orders):
         judged.clear()
         enumerate_proxhoms(p, q)
@@ -336,79 +294,17 @@ def test_enumeration_validates_only_bounded_meet_preserving_tables(monkeypatch):
         assert sorted(judged) == sorted(expected)
 
 
-# -- finite homomorphism validation against the pair-loop scan -------------
+# -- finite homomorphism validation against the reference ---------------------
 
 
-def scan_validate_finite_hom(f: FiniteMap, frame_map: bool) -> AxiomReport:
-    """Reference: the former validator, forward loops over every element
-    pair or related-pair pair that keep the last failure found."""
-    sf, df = f.src.frame, f.dst.frame
-    names = sf.names
-    dl = f.dst.label
-    axioms = []
-
-    v = Verdict(PASS)
-    for a in sf.elements():
-        for b in sf.elements():
-            if f.apply(sf.meet(a, b)) != df.meet(f.apply(a), f.apply(b)):
-                v = Verdict(FAIL, (names[a], names[b]), "meets not preserved")
-    axioms.append(("meet-hom", v))
-
-    v = Verdict(PASS) if f.apply(sf.bot) == df.bot else Verdict(
-        FAIL, (names[sf.bot], dl(f.apply(sf.bot))), "bottom not preserved"
-    )
-    axioms.append(("zero", v))
-    v = Verdict(PASS) if f.apply(sf.top) == df.top else Verdict(
-        FAIL, (names[sf.top], dl(f.apply(sf.top))), "top not preserved"
-    )
-    axioms.append(("top", v))
-
-    if frame_map:
-        v = Verdict(PASS)
-        for a in sf.elements():
-            for b in sf.elements():
-                if f.apply(sf.join(a, b)) != df.join(f.apply(a), f.apply(b)):
-                    v = Verdict(FAIL, (names[a], names[b]), "joins not preserved")
-        axioms.append(("join-hom", v))
-        v = Verdict(PASS)
-        for a in sf.elements():
-            for b in sf.elements():
-                if f.src.rel(a, b) and not f.dst.rel(f.apply(a), f.apply(b)):
-                    v = Verdict(FAIL, (names[a], names[b]), "relation not preserved")
-        axioms.append(("preserves-rel", v))
-    else:
-        v = Verdict(PASS)
-        pairs = [(a, b) for a in sf.elements() for b in sf.elements() if f.src.rel(a, b)]
-        for a1, b1 in pairs:
-            for a2, b2 in pairs:
-                lhs = f.apply(sf.join(a1, a2))
-                rhs = df.join(f.apply(b1), f.apply(b2))
-                if not f.dst.rel(lhs, rhs):
-                    v = Verdict(
-                        FAIL, (names[a1], names[b1], names[a2], names[b2]),
-                        "joint subadditivity fails",
-                    )
-        axioms.append(("join-subadditive", v))
-
-        v = Verdict(PASS)
-        for a in sf.elements():
-            j = df.bot
-            for b in sf.elements():
-                if f.src.rel(b, a):
-                    j = df.join(j, f.apply(b))
-            if j != f.apply(a):
-                v = Verdict(FAIL, (names[a], dl(j)), "approximation of values fails")
-        axioms.append(("value-approximation", v))
-    return AxiomReport(tuple(axioms))
-
-
-def _assert_hom_validation_matches_scan(src, dst, tables):
+def _assert_hom_validation_matches_reference(src, dst, tables):
     failing = 0
     for table in tables:
         f = FiniteMap(src, dst, tuple(table))
         for frame_map in (False, True):
             report = morphisms._validate_finite_hom(f, frame_map)
-            assert report == scan_validate_finite_hom(f, frame_map), (f, frame_map)
+            expected = ref.report(ref.hom_violations(f, frame_map), last=True)
+            assert report == expected, (f, frame_map)
             failing += not report.ok
     return failing
 
@@ -417,14 +313,14 @@ def test_hom_validation_matches_scan_on_small_frames():
     # random tables, and the homomorphisms of the underlying orders judged
     # against unvalidated relations
     rng = random.Random(11)
-    props = _small_proximities()
+    props = ref.small_proximities()
     checked = failing = 0
     for src, dst in product([p for _, p in props], repeat=2):
         n, m = src.frame.n, dst.frame.n
         tables = [[rng.randrange(m) for _ in range(n)] for _ in range(4)]
         homs = enumerate_proxhoms(order_proximity(src.frame), order_proximity(dst.frame))
         tables += [h.table for h in rng.sample(homs, min(4, len(homs)))]
-        failing += _assert_hom_validation_matches_scan(src, dst, tables)
+        failing += _assert_hom_validation_matches_reference(src, dst, tables)
         checked += 2 * len(tables)
     assert 0 < failing < checked
 
@@ -432,24 +328,24 @@ def test_hom_validation_matches_scan_on_small_frames():
 def test_hom_validation_matches_scan_on_larger_frames():
     rng = random.Random(12)
     frames = [f for _, f in _generated_frames(8) if f.n > 4]
-    props = [p for f in frames for p in (order_proximity(f), _sub_relation(f, rng))]
-    small = [p for name, p in _small_proximities() if name.startswith(("cube2", "order4"))]
+    props = [p for f in frames for p in (order_proximity(f), ref.sub_relation(f, rng))]
+    small = [p for name, p in ref.small_proximities() if name.startswith(("cube2", "chain4"))]
     for src, dst in product(props, props + small):
         n, m = src.frame.n, dst.frame.n
         tables = [[rng.randrange(m) for _ in range(n)] for _ in range(3)]
-        _assert_hom_validation_matches_scan(src, dst, tables)
+        _assert_hom_validation_matches_reference(src, dst, tables)
 
 
 def test_hom_validation_matches_scan_into_chains():
     rng = random.Random(13)
     targets = [k1(), chain_proximity(build_chain_frame(2), {2})]
-    for src in [p for _, p in _small_proximities()]:
+    for src in [p for _, p in ref.small_proximities()]:
         for dst in targets:
             f = dst.frame
             pool = [f.bot, f.top] + [succ(f, 0, i) for i in range(3)] + [lim(f, 1)]
             tables = [[rng.choice(pool) for _ in range(src.frame.n)] for _ in range(6)]
             tables.append([f.bot] * (src.frame.n - 1) + [f.top])
-            _assert_hom_validation_matches_scan(src, dst, tables)
+            _assert_hom_validation_matches_reference(src, dst, tables)
 
 
 def _count_rel_calls(monkeypatch):
@@ -495,11 +391,11 @@ def test_lattice_hom_path_matches_scan_on_every_table_between_orders():
     # every table between the orders of at most 4 elements, valid or not;
     # among them tables that preserve meets but not joins, where the
     # scans find the witness
-    orders = [p for name, p in _small_proximities() if ":" not in name]
+    orders = [p for name, p in ref.small_proximities() if ":" not in name]
     meets_not_joins = 0
     for src, dst in product(orders, orders):
         tables = list(product(range(dst.frame.n), repeat=src.frame.n))
-        _assert_hom_validation_matches_scan(src, dst, tables)
+        _assert_hom_validation_matches_reference(src, dst, tables)
         for table in tables:
             axioms = dict(validate_proxhom(FiniteMap(src, dst, table)).axioms)
             if axioms["meet-hom"].ok and not axioms["join-subadditive"].ok:
@@ -534,21 +430,6 @@ def test_builders_give_the_maps_the_checked_constructor_gives():
     assert built > 1000
 
 
-def scan_star_compose(g, f):
-    """The former finite star composition: at each a, the join of g(f(b))
-    over every b of the frame with b rel a, one `rel` call per pair."""
-    comp = compose(g, f)
-    p, frame = f.src, f.src.frame
-    table = []
-    for a in frame.elements():
-        j = g.dst.frame.bot
-        for b in frame.elements():
-            if p.rel(b, a):
-                j = g.dst.frame.join(j, comp.apply(b))
-        table.append(j)
-    return FiniteMap(f.src, g.dst, tuple(table))
-
-
 def test_star_compose_over_columns_matches_scan_on_enumerated_pairs():
     proxes = [order_proximity(f) for _, f in _generated_frames(4)]
     proxes += [p for p in catalog_instances().values()
@@ -560,7 +441,7 @@ def test_star_compose_over_columns_matches_scan_on_enumerated_pairs():
         for k in range(len(proxes)):
             for f in fs:
                 for g in homs[j, k]:
-                    assert star_compose(g, f) == scan_star_compose(g, f)
+                    assert star_compose(g, f) == ref.star_compose(g, f)
                     pairs += 1
     assert pairs > 1000
 
@@ -569,7 +450,7 @@ def test_star_compose_over_columns_matches_scan_on_non_order_relations():
     # star_compose does not validate: on any relation the join runs over
     # the column of a, which here is not the downset of a
     rng = random.Random(11)
-    props = _small_proximities()
+    props = ref.small_proximities()
     tampered = 0
     for _, p in props:
         for _, q in props:
@@ -579,7 +460,7 @@ def test_star_compose_over_columns_matches_scan_on_non_order_relations():
             for _ in range(3):
                 f = FiniteMap(p, q, tuple(rng.randrange(q.frame.n) for _ in range(p.frame.n)))
                 g = FiniteMap(q, p, tuple(rng.randrange(p.frame.n) for _ in range(q.frame.n)))
-                assert star_compose(g, f) == scan_star_compose(g, f)
+                assert star_compose(g, f) == ref.star_compose(g, f)
     assert tampered > 100
 
 

@@ -1,13 +1,14 @@
-"""Differential oracles for the pair laws decided on bitmask rows.
+"""The pair laws decided on bitmask rows, against the definitions.
 
 `max_proximity_agreement`, `maxrel_contains_wb` and
 `doubled_membership_lemma` build int rows over the representatives and
-report the first set bit of the first nonzero "bad" row.  The pair scans
-they replaced are kept here and must give the same `LawReport`, field for
-field, also where the law fails: the RFrameData is fed a tampered maximal
-or way-below relation.  The compactify relation lists and the inverse
-codec `RFrameData.el_of` are checked against their old scans as well, and
-the number of primitive calls the pair laws make must grow linearly in k.
+report the first set bit of the first nonzero "bad" row.  The reference
+evaluates each law at every pair of points of a deeper window; its first
+violating pair must be the report's witness, counted at its place among
+the law's representatives, also where the law fails: the RFrameData is fed
+a tampered maximal or way-below relation.  The compactify relation lists
+and the inverse codec `RFrameData.el_of` are checked as well, and the
+number of primitive calls the pair laws make must grow linearly in k.
 """
 
 from dataclasses import replace
@@ -17,8 +18,9 @@ import pytest
 
 import proxkit.comonads as comonads
 import proxkit.roundideal as roundideal
+import reference as ref
 from proxkit.catalog import catalog_instances
-from proxkit.chain import OMEGA, El, build_chain_frame
+from proxkit.chain import El, build_chain_frame
 from proxkit.cli import _compact_json
 from proxkit.comonads import (
     _reps,
@@ -32,107 +34,42 @@ from proxkit.errors import ProxkitError, UnsupportedRepresentation
 from proxkit.morphisms import kappa_map, sigma_map
 from proxkit.proximity import ChainProximity, FiniteProximity, chain_proximity
 from proxkit.reports import law_fail, law_pass
-from proxkit.roundideal import (
-    BelowLim,
-    FinIdeal,
-    Prin,
-    kappa,
-    member,
-    rframe,
-    sigma,
-    subideal,
-    way_below_ideals,
-)
+from proxkit.roundideal import BelowLim, FinIdeal, Prin, rframe, way_below_ideals
 
 from test_block_map import CHAIN_DOCS, _tower
 
 FINITE_NAMES = ("two", "chain3", "diamond", "cube3")
+LAWS = (max_proximity_agreement, doubled_membership_lemma, maxrel_contains_wb)
 
 
-# -- the pair scans, as they were ----------------------------------------------
-
-
-def scan_max_proximity_agreement(rfd):
-    maxp = rfd.maxp
+def reference_report(law, rfd, **kw):
+    """The report of `law` on rfd as the reference finds it: its first
+    violating pair in a window deeper than the law's representatives,
+    which must hold the pair, and the pairs a row-major scan of those
+    representatives checks up to it."""
     base = rfd.base
-    reps = _reps(rfd, (sigma_map(rfd), kappa_map(rfd)), pairs=True)
-    samples = 0
-    for i in reps:
-        for j in reps:
-            samples += 1
-            I, J = rfd.ideal_of(i), rfd.ideal_of(j)
-            by_joins = subideal(I, J) and base.rel(sigma(I), sigma(J))
-            by_wb = subideal(I, J) and way_below_ideals(I, kappa(base, sigma(J)))
-            tagged = maxp.rel(i, j)
-            if not (by_joins == by_wb == tagged):
-                return law_fail("maxrel.agreement", describe_instance(base),
-                                witness=(repr(I), repr(J)), samples=samples)
-    return law_pass("maxrel.agreement", describe_instance(base), samples=samples)
-
-
-def scan_doubled_membership_lemma(rfd):
-    inst = describe_instance(rfd.base)
-    maxp, ccfd = rfd.maxp, rfd.cc
-    eps_CL = epsilon_map(ccfd)
-    reps_C = _reps(rfd, (eps_CL,), pairs=True)
-    reps_CC = _reps(ccfd, (eps_CL,), pairs=True)
-    joins_C = [sigma(rfd.ideal_of(kbar)) for kbar in reps_C]
-    ideals = []
-    for ibar in reps_C:
-        I = rfd.ideal_of(ibar)
-        ideals.append((I, {k for k, x in enumerate(joins_C) if member(x, I)}))
-    samples = 0
-    for jbar in reps_CC:
-        ej = eps_CL.apply(jbar)
-        ej_join = sigma(rfd.ideal_of(ej))
-        above = {k for k, kbar in enumerate(reps_C) if maxp.rel(ej, kbar)}
-        for I, landing in ideals:
-            samples += 1
-            if member(ej_join, I) != (not above.isdisjoint(landing)):
-                return law_fail("C.doubled-membership", inst,
-                                witness=(repr(jbar), repr(I)), samples=samples)
-    return law_pass("C.doubled-membership", inst, samples=samples)
-
-
-def scan_maxrel_contains_wb(rfd):
-    inst = describe_instance(rfd.base)
-    maxp = rfd.maxp
-    reps = _reps(rfd, pairs=True)
-    samples = 0
-    for i in reps:
-        for j in reps:
-            samples += 1
-            if rfd.wb.rel(i, j) and not maxp.rel(i, j):
-                return law_fail("maxrel.contains-wb", inst,
-                                witness=(repr(i), repr(j)), samples=samples)
-    return law_pass("maxrel.contains-wb", inst, samples=samples)
-
-
-LAWS = [
-    (max_proximity_agreement, scan_max_proximity_agreement),
-    (doubled_membership_lemma, scan_doubled_membership_lemma),
-    (maxrel_contains_wb, scan_maxrel_contains_wb),
-]
-
-
-def scan_el_of(rfd, ideal):
-    """The inverse codec as a scan of the stored ideals."""
-    if isinstance(ideal, FinIdeal):
-        return [i.mask for i in rfd.ideals].index(ideal.mask)
-    for s, stored in enumerate(rfd.ideals):
-        if isinstance(ideal, BelowLim):
-            if isinstance(stored, BelowLim) and stored.lim == ideal.lim:
-                return El(s, 0)
-        elif isinstance(stored, Prin):
-            a = ideal.a
-            if rfd.frame.segments[s].kind == OMEGA and stored.a.seg == a.seg:
-                return El(s, a.n)
-            if stored.a == a:
-                return El(s, 0)
-    raise UnsupportedRepresentation(f"{ideal!r} is not in the classification")
-
-
-# -- tampered ideal frames -------------------------------------------------------
+    if law is doubled_membership_lemma:
+        maps = (epsilon_map(rfd.cc),)
+        rows, cols = _reps(rfd.cc, maps, pairs=True), _reps(rfd, maps, pairs=True)
+        name, found = "C.doubled-membership", ref.doubled_membership
+    else:
+        maps = (sigma_map(rfd), kappa_map(rfd)) if law is max_proximity_agreement else ()
+        rows = cols = _reps(rfd, maps, pairs=True)
+        name, found = ((("maxrel.agreement", ref.maxrel_agreement) if maps
+                        else ("maxrel.contains-wb", ref.maxrel_contains_wb)))
+    depth = ref.depth_for(*maps)
+    first = next(found(rfd, depth, **kw), None)
+    inst = describe_instance(base)
+    if first is None:
+        return law_pass(name, inst, samples=len(rows) * len(cols))
+    x, y = first
+    ideals = ref.codec(base, rfd.frame, depth)
+    if name == "maxrel.agreement":
+        x, y = ideals[x], ideals[y]
+    elif name == "C.doubled-membership":
+        y = ideals[y]
+    return law_fail(name, inst, witness=(repr(x), repr(y)),
+                    samples=rows.index(first[0]) * len(cols) + cols.index(first[1]) + 1)
 
 
 def tampered(prox, maxp=None, wb=None):
@@ -168,28 +105,28 @@ def finite_tamperings(prox):
             yield {key: FiniteProximity(rfd.frame, flipped)}
 
 
-def outcome(law, rfd):
+def outcome(law, *args):
     try:
-        return law(rfd)
+        return law(*args)
     except ProxkitError as exc:
         return type(exc)
 
 
 def assert_rows_match_scans(prox, tamperings):
-    """Each law on each tampered frame gives the scan's report; returns
-    the number of failing reports per law."""
-    failed = {rows.__name__: 0 for rows, _ in LAWS}
+    """Each law on each tampered frame gives the reference's report;
+    returns the number of failing reports per law."""
+    failed = {law.__name__: 0 for law in LAWS}
     for change in tamperings:
-        for rows, scan in LAWS:
-            expected = outcome(scan, tampered(prox, **change))
-            assert outcome(rows, tampered(prox, **change)) == expected, (
-                describe_instance(prox), change, rows.__name__)
-            failed[rows.__name__] += getattr(expected, "ok", True) is False
+        for law in LAWS:
+            expected = outcome(reference_report, law, tampered(prox, **change))
+            assert outcome(law, tampered(prox, **change)) == expected, (
+                describe_instance(prox), change, law.__name__)
+            failed[law.__name__] += getattr(expected, "ok", True) is False
     return failed
 
 
 def test_pair_laws_match_the_scans_on_tampered_chains():
-    failed = {rows.__name__: 0 for rows, _ in LAWS}
+    failed = {law.__name__: 0 for law in LAWS}
     for doc in CHAIN_DOCS.values():
         prox = chain_proximity(build_chain_frame(doc["k"]), doc["reflexive"])
         for law, count in assert_rows_match_scans(prox, chain_tamperings(prox)).items():
@@ -200,7 +137,7 @@ def test_pair_laws_match_the_scans_on_tampered_chains():
 
 
 def test_pair_laws_match_the_scans_on_the_tampered_finite_catalog():
-    failed = {rows.__name__: 0 for rows, _ in LAWS}
+    failed = {law.__name__: 0 for law in LAWS}
     for name in FINITE_NAMES:
         prox = catalog_instances()[name]
         for law, count in assert_rows_match_scans(prox, finite_tamperings(prox)).items():
@@ -256,16 +193,10 @@ def test_compact_json_lists_the_scanned_relations():
 def test_el_of_matches_the_descriptor_scan(doc):
     prox = chain_proximity(build_chain_frame(doc["k"]), doc["reflexive"])
     for rfd in _tower(prox):
-        frame = rfd.frame
-        codes = [El(s, n) for s, seg in enumerate(frame.segments)
-                 for n in ((0, 1, 7) if seg.kind == "omega" else (0,))]
-        for e in codes:
-            ideal = rfd.ideal_of(e)
-            assert rfd.el_of(ideal) == scan_el_of(rfd, ideal) == e
         base = rfd.base
-        for a in base.frame.class_representatives(3):
-            ideal = kappa(base, a)
-            assert rfd.el_of(ideal) == scan_el_of(rfd, ideal)
+        for a in ref.points(base.frame, 8):
+            ideal = ref.approximants(base, a)
+            assert rfd.el_of(ideal) == ref.element(base, rfd.frame, ideal)
 
 
 def test_el_of_refuses_an_ideal_outside_the_classification():
@@ -315,7 +246,7 @@ def test_pair_laws_make_linearly_many_primitive_calls(monkeypatch):
         rfd = rframe(prox)
         rfd.cc
         calls[0] = 0
-        for law, _ in LAWS:
+        for law in LAWS:
             assert law(rfd).ok
         return calls[0]
 

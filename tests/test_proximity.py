@@ -1,13 +1,13 @@
 import random
-from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from proxkit.catalog import catalog_instances
 from proxkit import proximity
-from proxkit.chain import OMEGA, POINT, ChainLikeFrame, Segment, Seq, build_chain_frame, lim
+from proxkit.chain import Seq, build_chain_frame, lim
 from proxkit.cli import _generated_frames
 from proxkit.errors import InvalidReflexiveSet, MalformedRelation
 from proxkit.finite import build_finite_frame, downset_frame
@@ -21,7 +21,7 @@ from proxkit.proximity import (
     validate_proximity,
     well_inside,
 )
-from proxkit.reports import FAIL, PASS, SYMBOLIC, AxiomReport, Verdict, law_fail, law_pass
+from proxkit.reports import SYMBOLIC, AxiomReport
 from proxkit.roundideal import rframe
 
 
@@ -71,10 +71,7 @@ def test_well_inside_on_3chain_fails_approximation():
 def test_well_inside_on_complemented_frame_is_order():
     # the diamond is 2 x 2, every element is complemented, and the
     # well-inside relation collapses to the order
-    f = build_finite_frame(
-        ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
-    )
-    cand, report = well_inside(f)
+    cand, report = well_inside(ref.diamond())
     assert report.ok and report.collapse
 
 
@@ -144,124 +141,53 @@ def test_sampled_subrelations_of_3chain_valid_iff_order(bits):
     assert validate_proximity(cand).ok == (cand.rows == f.up)
 
 
-# -- chain validation against the representative scan -----------------------
+# -- chain validation against the reference ------------------------------------
 
 
-def scan_validate_chain(p: ChainProximity) -> AxiomReport:
-    """Reference: every axiom tested on all tuples of class representatives
-    (quartic in their number), keeping the last failure found.  The
-    representatives are listed in chain order and meets and joins of them
-    are representatives, so the scans run on their positions and look the
-    relation up in one table."""
-    f = p.frame
-    reps = f.class_representatives(depth=3)
-    idx = range(len(reps))
-    rel = [[p.rel(a, b) for b in reps] for a in reps]
-    pairs = [(a, b) for a in idx for b in idx if rel[a][b]]
-
-    def labels(*xs):
-        return tuple(f.label(reps[x]) for x in xs)
-
-    axioms = []
-
-    v = Verdict(SYMBOLIC, note="relation is strict pairs plus reflexive classes")
-    for a, b in pairs:
-        if not f.leq(reps[a], reps[b]):
-            v = Verdict(FAIL, labels(a, b))
-    axioms.append(("finer-than-leq", v))
-
-    if not p.reflexive(f.top):
-        v = Verdict(FAIL, (f.label(f.top), f.label(f.top)), "top pair missing")
-    else:
-        v = Verdict(SYMBOLIC, note="min/max closure per reflexivity class")
-        for (a, b) in pairs:
-            for (c, d) in pairs:
-                if not rel[min(a, c)][min(b, d)] or not rel[max(a, c)][max(b, d)]:
-                    v = Verdict(FAIL, labels(a, b, c, d))
-    axioms.append(("sublattice", v))
-
-    v = Verdict(SYMBOLIC, note="fails only at a=d non-reflexive, impossible")
-    for (b, c) in pairs:
-        for a in range(b + 1):
-            for d in range(c, len(reps)):
-                if not rel[a][d]:
-                    v = Verdict(FAIL, labels(a, b, c, d))
-    axioms.append(("weakening", v))
-
-    pairs = [(reps[a], reps[b]) for a, b in pairs]
-    v = Verdict(SYMBOLIC, note="witness: a itself, or the successor of a")
-    for (a, b) in pairs:
-        c = p.interpolant(a, b)
-        if not (p.rel(a, c) and p.rel(c, b)):
-            v = Verdict(FAIL, (f.label(a), f.label(b)))
-    axioms.append(("interpolation", v))
-
-    v = Verdict(SYMBOLIC, note="suprema computed from the tail rule")
-    for a in reps:
-        if p.reflexive(a):
-            continue
-        sup, _ = Seq.affine(a.seg - 1, 1, 0).sup(f.join)
-        if sup != a:
-            v = Verdict(FAIL, (f.label(a), f.label(sup)))
-    axioms.append(("approximation", v))
-
-    collapse = set(p.reflexive_limits) == set(f.limits())
-    return AxiomReport(tuple(axioms), collapse=collapse)
-
-
-def _reflexive_subsets(frame):
-    lims = frame.limits()
-    for r in range(len(lims) + 1):
-        for chosen in combinations(lims, r):
-            yield ChainProximity(frame, frozenset(chosen))
+def assert_chain_report_matches(p):
+    """Each axiom passes, symbolically, or fails with the witness of the
+    reference's first violation in its window, and the collapse flags
+    agree."""
+    got, want = validate_proximity(p), ref.proximity_report(p)
+    assert ([(a, v.ok, v.witness) for a, v in got.axioms]
+            == [(a, v.ok, v.witness) for a, v in want.axioms]), p
+    assert all(v.status == SYMBOLIC for _, v in got.axioms if v.ok)
+    assert got.collapse == want.collapse
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_chain_validation_matches_scan_on_all_reflexive_sets(k):
     # subsets without the top included: those fail the sublattice axiom
-    for p in _reflexive_subsets(build_chain_frame(k)):
-        assert validate_proximity(p) == scan_validate_chain(p), p.reflexive_limits
-
-
-def _layouts(max_segments):
-    """Every chain frame of at most `max_segments` omega or point segments
-    (the last a point)."""
-    for n in range(1, max_segments + 1):
-        for kinds in product((OMEGA, POINT), repeat=n - 1):
-            yield ChainLikeFrame(tuple(
-                Segment(kind, f"s{i}") for i, kind in enumerate(kinds + (POINT,))))
+    for p in ref.reflexive_subsets(build_chain_frame(k)):
+        assert_chain_report_matches(p)
 
 
 def test_chain_validation_matches_scan_on_all_layouts():
     # interpolation and approximation cannot fail on any layout: the
     # successor of a limit is never a limit, and each limit is the
     # supremum of the block below it
-    proxs = [p for f in _layouts(6) for p in _reflexive_subsets(f)]
+    proxs = [p for f in ref.layouts(6) for p in ref.reflexive_subsets(f)]
     assert len(proxs) == 364
     for p in proxs:
         f = p.frame
-        assert validate_proximity(p) == scan_validate_chain(p), p
+        assert_chain_report_matches(p)
         assert all(Seq.affine(a.seg - 1, 1, 0).sup(f.join)[0] == a
                    for a in f.limits())
         assert all(not f.is_limit(f.successor_of(a))
                    for a in f.limits() if a != f.top)
 
 
-def _derived_proximities(p):
-    """The way-below and maximal structures on the ideal frame of p."""
-    rfd = rframe(p)
-    return rfd.wb, rfd.maxp
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_chain_validation_matches_scan_on_ideal_frames(k):
     frame = build_chain_frame(k)
-    for p in _reflexive_subsets(frame):
+    for p in ref.reflexive_subsets(frame):
         if not p.reflexive(frame.top):
             continue
-        for q in _derived_proximities(p):
-            for q2 in (q, *_derived_proximities(q)):
-                assert validate_proximity(q2) == scan_validate_chain(q2), q2
+        # the way-below and maximal structures on its ideal frame, and on
+        # the ideal frames of those
+        for q in (rframe(p).wb, rframe(p).maxp):
+            for q2 in (q, rframe(q).wb, rframe(q).maxp):
+                assert_chain_report_matches(q2)
 
 
 @pytest.mark.parametrize("k", [8, 64])
@@ -282,45 +208,7 @@ def test_chain_validation_work_is_linear_in_segments(k, monkeypatch):
     assert 0 < calls <= 4 * len(frame.segments)
 
 
-# -- collapse certificate against the full scan ------------------------------
-
-
-def _free_pairs(f):
-    return [
-        (a, b) for a in f.elements() for b in f.elements()
-        if f.leq(a, b) and (a, b) not in ((f.bot, f.bot), (f.top, f.top))
-    ]
-
-
-def _candidate(f, free, bits):
-    rows = [0] * f.n
-    rows[f.bot] |= 1 << f.bot
-    rows[f.top] |= 1 << f.top
-    for i, (a, b) in enumerate(free):
-        if (bits >> i) & 1:
-            rows[a] |= 1 << b
-    return FiniteProximity(f, tuple(rows))
-
-
-def scan_certify_finite_collapse(frame):
-    """The former certificate: every one of the 2^|free| sub-relations of
-    leq with the two bound pairs, validated in increasing mask order."""
-    instance = f"finite:{','.join(frame.names)}"
-    free = _free_pairs(frame)
-    survivors = 0
-    for bits in range(1 << len(free)):
-        cand = _candidate(frame, free, bits)
-        if proximity.validate_proximity(cand).ok:
-            survivors += 1
-            if cand.rows != frame.up:
-                return law_fail("collapse", instance, witness=tuple(
-                    (frame.names[a], frame.names[b]) for a, b in cand.pairs()),
-                    samples=1 << len(free), note="non-order proximity found")
-    if survivors != 1:
-        return law_fail("collapse", instance, samples=1 << len(free),
-                        note="the order itself did not survive")
-    return law_pass("collapse", instance, samples=1 << len(free),
-                    note="only the order satisfies the axioms")
+# -- collapse certificate against the reference ---------------------------------
 
 
 SMALL_FRAMES = [(name, f) for name, f in _generated_frames(5)]
@@ -328,17 +216,18 @@ SMALL_FRAMES = [(name, f) for name, f in _generated_frames(5)]
 
 @pytest.mark.parametrize("name,frame", SMALL_FRAMES, ids=[n for n, _ in SMALL_FRAMES])
 def test_collapse_certificate_matches_full_scan(name, frame):
-    assert certify_finite_collapse(frame) == scan_certify_finite_collapse(frame)
+    assert certify_finite_collapse(frame) == ref.certify_collapse(frame)
 
 
 @pytest.mark.parametrize("name,frame", SMALL_FRAMES, ids=[n for n, _ in SMALL_FRAMES])
 def test_collapse_candidates_are_the_masks_passing_weakening(name, frame):
     # every mask the certificate skips fails the weakening axiom, and every
     # one it generates passes it
-    free = _free_pairs(frame)
+    free = ref.free_pairs(frame)
     closed = [
         bits for bits in range(1 << len(free))
-        if dict(validate_proximity(_candidate(frame, free, bits)).axioms)["weakening"].ok
+        if not next(dict(ref.proximity_violations(ref.candidate(frame, free, bits)))
+                    ["weakening"], None)
     ]
     assert proximity._weakening_closed(frame, free) == closed
 
@@ -346,7 +235,7 @@ def test_collapse_candidates_are_the_masks_passing_weakening(name, frame):
 def test_collapse_reports_the_first_survivor_of_the_scan(monkeypatch):
     # under a validator that ignores interpolation and approximation,
     # non-order relations survive; the certificate must name the same
-    # first one as the scan
+    # first one as the reference under the same axioms
     validate = proximity.validate_proximity
 
     def looser(p):
@@ -359,7 +248,8 @@ def test_collapse_reports_the_first_survivor_of_the_scan(monkeypatch):
     witnessed = []
     for name, frame in SMALL_FRAMES:
         report = certify_finite_collapse(frame)
-        assert report == scan_certify_finite_collapse(frame), name
+        assert report == ref.certify_collapse(
+            frame, [a for a in ref.AXIOMS if a not in ("interpolation", "approximation")]), name
         if report.witness:
             witnessed.append(name)
     assert witnessed == ["order3", "order4", "order5", "cube2", "vee"]
@@ -378,102 +268,11 @@ def test_collapse_validates_only_weakening_closed_relations(name, validations, m
 
     monkeypatch.setattr(proximity, "validate_proximity", counting)
     report = certify_finite_collapse(frame)
-    assert report.ok and report.samples == 2 ** len(_free_pairs(frame))
+    assert report.ok and report.samples == 2 ** len(ref.free_pairs(frame))
     assert calls == validations
 
 
-# -- finite validation against the pair-loop scan ----------------------------
-
-
-def scan_validate_finite(p: FiniteProximity) -> AxiomReport:
-    """Reference: the former validator, nested loops over index pairs
-    with the first witness of each axiom in row-major order."""
-    f = p.frame
-    n = f.n
-    names = f.names
-    mat = [[p.rel(a, b) for b in range(n)] for a in range(n)]
-    axioms: list[tuple[str, Verdict]] = []
-
-    v = Verdict(PASS)
-    for a in range(n):
-        for b in range(n):
-            if mat[a][b] and not f.leq(a, b):
-                v = Verdict(FAIL, (names[a], names[b]), "pair not below the order")
-                break
-        if not v.ok:
-            break
-    axioms.append(("finer-than-leq", v))
-
-    v = Verdict(PASS)
-    if not mat[f.bot][f.bot] or not mat[f.top][f.top]:
-        missing = names[f.bot] if not mat[f.bot][f.bot] else names[f.top]
-        v = Verdict(FAIL, (missing, missing), "bounds missing from the relation")
-    else:
-        pairs = [(a, b) for a in range(n) for b in range(n) if mat[a][b]]
-        for (a, b), (c, d) in combinations(pairs, 2):
-            if not mat[f.meet(a, c)][f.meet(b, d)]:
-                v = Verdict(FAIL, (names[a], names[b], names[c], names[d]), "meet closure")
-                break
-            if not mat[f.join(a, c)][f.join(b, d)]:
-                v = Verdict(FAIL, (names[a], names[b], names[c], names[d]), "join closure")
-                break
-    axioms.append(("sublattice", v))
-
-    v = Verdict(PASS)
-    for b in range(n):
-        for c in range(n):
-            if not mat[b][c]:
-                continue
-            for a in range(n):
-                if not f.leq(a, b):
-                    continue
-                for d in range(n):
-                    if f.leq(c, d) and not mat[a][d]:
-                        v = Verdict(FAIL, (names[a], names[b], names[c], names[d]))
-                        break
-                if not v.ok:
-                    break
-            if not v.ok:
-                break
-        if not v.ok:
-            break
-    axioms.append(("weakening", v))
-
-    v = Verdict(PASS)
-    for a in range(n):
-        for b in range(n):
-            if mat[a][b] and not any(mat[a][c] and mat[c][b] for c in range(n)):
-                v = Verdict(FAIL, (names[a], names[b]))
-                break
-        if not v.ok:
-            break
-    axioms.append(("interpolation", v))
-
-    v = Verdict(PASS)
-    for a in range(n):
-        j = f.bot
-        for b in range(n):
-            if mat[b][a]:
-                j = f.join(j, b)
-        if j != a:
-            v = Verdict(FAIL, (names[a], names[j]), "join of approximants differs")
-            break
-    axioms.append(("approximation", v))
-
-    leq = [[f.leq(a, b) for b in range(n)] for a in range(n)]
-    return AxiomReport(tuple(axioms), collapse=mat == leq)
-
-
-def _test_frames():
-    """Chains of 1..8 elements, the cubes 2^0..2^4 and the vee."""
-    out = []
-    for n in range(1, 9):
-        names = [f"c{i}" for i in range(n)]
-        out.append((f"chain{n}", build_finite_frame(names, list(zip(names, names[1:])))))
-    for k in range(5):
-        out.append((f"cube{k}", downset_frame([f"x{i}" for i in range(k)], [])))
-    out.append(("vee", downset_frame(["a", "b", "c"], [("a", "c"), ("b", "c")])))
-    return out
+# -- finite validation against the reference ------------------------------------
 
 
 def _relation(f, keep):
@@ -503,7 +302,7 @@ def _random_relations(f, rng, count):
     return out
 
 
-FINITE_FRAMES = _test_frames()
+FINITE_FRAMES = ref.chains(range(1, 9)) + ref.cubes(range(5)) + [ref.vee()]
 
 
 @pytest.mark.parametrize("name,frame", FINITE_FRAMES, ids=[n for n, _ in FINITE_FRAMES])
@@ -512,13 +311,13 @@ def test_finite_validation_matches_scan(name, frame):
     rels = _random_relations(frame, rng, 120)
     if frame.n <= 8:
         # every weakening-closed relation: these reach the later axioms
-        free = _free_pairs(frame)
-        rels += [_candidate(frame, free, bits)
+        free = ref.free_pairs(frame)
+        rels += [ref.candidate(frame, free, bits)
                  for bits in proximity._weakening_closed(frame, free)]
     failing = 0
     for p in rels:
         report = validate_proximity(p)
-        assert report == scan_validate_finite(p), (name, p.pairs())
+        assert report == ref.proximity_report(p), (name, p.pairs())
         failing += not report.ok
     assert 0 < failing < len(rels)
 
@@ -544,4 +343,4 @@ def posets(draw):
 @given(posets(), st.integers(0, 2 ** 32))
 def test_finite_validation_matches_scan_on_posets(frame, seed):
     for p in _random_relations(frame, random.Random(seed), 12):
-        assert validate_proximity(p) == scan_validate_finite(p), p.pairs()
+        assert validate_proximity(p) == ref.proximity_report(p), p.pairs()

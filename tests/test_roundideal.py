@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from proxkit.catalog import catalog_instances, catalog_morphisms, load_instance
 from proxkit.chain import El, Seq, build_chain_frame, lim, succ
 from proxkit.errors import (
@@ -13,14 +14,12 @@ from proxkit.errors import (
     TooLarge,
     UnsupportedRepresentation,
 )
-from proxkit.cli import _generated_frames
 from proxkit.errors import ProxkitError
-from proxkit.finite import _frame_of_masks, build_finite_frame, downset_frame
+from proxkit.finite import downset_frame
 from proxkit import roundideal
 from proxkit.proximity import FiniteProximity, chain_proximity, order_proximity
 from proxkit.roundideal import (
     BelowLim,
-    RFrameData,
     FinIdeal,
     Prin,
     alpha,
@@ -38,110 +37,41 @@ from proxkit.roundideal import (
 )
 
 
-def diamond_prox():
-    return order_proximity(
-        build_finite_frame(
-            ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]
-        )
-    )
-
-
 def k2(reflexive=(2,)):
     f = build_chain_frame(2)
     return chain_proximity(f, set(reflexive))
 
 
-# -- independent oracle for the finite case ---------------------------------
-
-
-def brute_round_downsets(prox):
-    """Re-derive the set of round ideals directly from the definition,
-    without going through rframe's internal predicate."""
-    f = prox.frame
-    out = []
-    for mask in range(1, 1 << f.n):
-        mem = [a for a in f.elements() if (mask >> a) & 1]
-        if f.bot not in mem:
-            continue
-        down = all(
-            (mask >> b) & 1 for a in mem for b in f.elements() if f.leq(b, a)
-        )
-        joined = all((mask >> f.join(a, b)) & 1 for a in mem for b in mem)
-        round_ = all(any(prox.rel(a, b) for b in mem) for a in mem)
-        if down and joined and round_:
-            out.append(mask)
-    return sorted(out)
+# -- the finite case against the reference -------------------------------------
 
 
 def test_finite_rframe_matches_brute_enumeration():
     for name in ("two", "chain3", "diamond", "cube3"):
         _, prox = load_instance(name)
         rfd = rframe(prox)
-        assert sorted(i.mask for i in rfd.ideals) == brute_round_downsets(prox), name
+        assert sorted(i.mask for i in rfd.ideals) == sorted(ref.ideal_frame(prox)[1]), name
 
 
-def _is_round_downset(prox: FiniteProximity, mask: int) -> bool:
-    """Whether mask is a join-closed downset in which every member
-    relates to a member, checked from the definition."""
-    f = prox.frame
-    members = [a for a in f.elements() if (mask >> a) & 1]
-    for a in members:
-        for b in f.elements():
-            if f.leq(b, a) and not (mask >> b) & 1:
-                return False  # not a downset
-    for a in members:
-        for b in members:
-            if not (mask >> f.join(a, b)) & 1:
-                return False  # not join-closed
-    for a in members:
-        if not any(prox.rel(a, b) for b in members):
-            return False  # not round
-    return True
-
-
-def scan_rframe_finite(prox):
-    """The former construction: every one of the 2^n masks that contains
-    bot is put to _is_round_downset."""
-    f = prox.frame
-    masks = [m for m in range(1, 1 << f.n)
-             if (m >> f.bot) & 1 and _is_round_downset(prox, m)]
-    masks.sort(key=lambda m: (bin(m).count("1"), m))
-    names = []
-    for m in masks:
-        mx = sigma(FinIdeal(prox, m))
-        if m == f.down[mx]:
-            names.append(f"dn({f.names[mx]})")
-        else:
-            members = ",".join(f.names[i] for i in f.elements() if (m >> i) & 1)
-            names.append("{" + members + "}")
-    frame, masks = _frame_of_masks(names, masks)
-    return RFrameData(base=prox, frame=frame, wb=order_proximity(frame),
-                      ideals=tuple(FinIdeal(prox, m) for m in masks))
-
-
-def _rframe_or_error(build, prox):
+def _outcome(build, prox):
     try:
         return build(prox)
     except ProxkitError as exc:
         return type(exc), str(exc)
 
 
-def _tie_flipping_diamond():
-    # "a" sorts before "a!", but "dn(a!)" before "dn(a)"
-    return build_finite_frame(["0", "a", "a!", "1"],
-                              [("0", "a"), ("0", "a!"), ("a", "1"), ("a!", "1")])
+def _rframe_tables(prox, rfd=None):
+    """The frame of rframe(prox) and the ideal mask of each element; its
+    way-below relation is the frame's order, every ideal being compact."""
+    rfd = rfd or rframe(prox)
+    assert rfd.base is prox and rfd.wb == FiniteProximity(rfd.frame, rfd.frame.up)
+    return rfd.frame, tuple(i.mask for i in rfd.ideals)
 
 
-def _oracle_frames():
-    frames = dict(_generated_frames(12))
-    frames.update((k, v.frame) for k, v in catalog_instances().items()
-                  if isinstance(v, FiniteProximity))
-    frames["poset"] = downset_frame(list("pqrs"), [("p", "q"), ("p", "r")])
-    frames["flip"] = _tie_flipping_diamond()
-    return frames
-
-
-ORACLE_FRAMES = _oracle_frames()
+GENERATED = dict(ref.chains(range(1, 13), "order") + ref.cubes((1, 2, 3)) + [ref.vee()])
+ORACLE_FRAMES = GENERATED | {k: v.frame for k, v in catalog_instances().items()
+                             if isinstance(v, FiniteProximity)} | {
+    "poset": downset_frame(list("pqrs"), [("p", "q"), ("p", "r")]),
+    "flip": ref.diamond("a", "a!")}
 
 
 @pytest.mark.parametrize("name,frame", ORACLE_FRAMES.items(), ids=list(ORACLE_FRAMES))
@@ -151,18 +81,15 @@ def test_finite_rframe_matches_full_mask_scan(name, frame):
     rng = random.Random(name)
     proxes = [order_proximity(frame), FiniteProximity(frame, (0,) * frame.n)]
     for _ in range(3 if frame.n <= 8 else 1):
-        proxes.append(FiniteProximity(frame, tuple(
-            sum(1 << b for b in frame.elements() if frame.leq(a, b) and rng.random() < 0.7)
-            for a in frame.elements())))
+        proxes.append(ref.sub_relation(frame, rng, keep=0.7))
     for prox in proxes:
-        assert (_rframe_or_error(rframe, prox)
-                == _rframe_or_error(scan_rframe_finite, prox)), prox.pairs()
+        assert _outcome(_rframe_tables, prox) == _outcome(ref.ideal_frame, prox), prox.pairs()
 
 
 def test_renamed_tower_matches_full_mask_scan(monkeypatch):
     # every level of the tower over an order is the base frame renamed,
     # unless the renaming flips a tie of the canonical order; then the
-    # frame is built from the masks, as the scan builds it
+    # frame is built from the masks, as the reference builds it
     built = []
     frame_of_masks = roundideal._frame_of_masks
 
@@ -171,14 +98,14 @@ def test_renamed_tower_matches_full_mask_scan(monkeypatch):
         return frame_of_masks(names, masks)
 
     monkeypatch.setattr(roundideal, "_frame_of_masks", recording)
-    frames = dict(_generated_frames(12), flip=_tie_flipping_diamond())
+    frames = GENERATED | {"flip": ref.diamond("a", "a!")}
     rebuilt = {}
     for name, frame in frames.items():
         built.clear()
         prox = order_proximity(frame)
         for _ in range(3):
             rfd = rframe(prox)
-            assert rfd == scan_rframe_finite(prox), (name, prox.frame.names)
+            assert _rframe_tables(prox, rfd) == ref.ideal_frame(prox), (name, prox.frame.names)
             prox = rfd.wb
         rebuilt[name] = len(built)
     # the flipping diamond falls back once, at its first level; its ideal
@@ -188,7 +115,7 @@ def test_renamed_tower_matches_full_mask_scan(monkeypatch):
 
 
 def test_ideal_frame_of_diamond_is_diamond_again():
-    prox = diamond_prox()
+    prox = order_proximity(ref.diamond())
     rfd = ideal_frame(prox.frame)
     assert rfd.frame.n == 4
     # sigma is an order isomorphism onto the original frame
@@ -229,7 +156,7 @@ def test_kappa_case_split_on_chain():
 
 
 def test_kappa_on_finite_frame_is_approximant_set():
-    prox = diamond_prox()
+    prox = order_proximity(ref.diamond())
     f = prox.frame
     i = kappa(prox, f.index("a"))
     assert [b for b in f.elements() if member(b, i)] == sorted(
@@ -278,7 +205,7 @@ def test_lattice_of_chain_ideals():
 
 
 def test_finite_ideal_join_closes_under_joins():
-    prox = diamond_prox()
+    prox = order_proximity(ref.diamond())
     f = prox.frame
     rfd = rframe(prox)
     da = FinIdeal(prox, f.down[f.index("a")])
@@ -338,7 +265,7 @@ def test_kept_joins_and_sups_are_the_joins_they_stand_for():
 def test_sups_read_the_relation_not_the_order():
     # on the empty relation every column is empty, so every sup is bottom;
     # on a relation missing (a, a) for an atom a, a's sup drops to bottom
-    frame = diamond_prox().frame
+    frame = order_proximity(ref.diamond()).frame
     assert FiniteProximity(frame, (0,) * frame.n).sups == (frame.bot,) * frame.n
     a = frame.names.index("a")
     rows = tuple(r & ~(1 << a) if x == a else r for x, r in enumerate(frame.up))
@@ -418,7 +345,7 @@ def test_stable_compactness_and_alpha():
         alpha(base, base.frame.bot)
     rfd = rframe(base)
     assert is_stably_compact(rfd.wb)  # ideal frame caps the chain by a point
-    assert is_stably_compact(diamond_prox())
+    assert is_stably_compact(order_proximity(ref.diamond()))
 
 
 def test_alpha_is_left_adjoint_to_sigma():

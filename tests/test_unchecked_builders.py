@@ -42,14 +42,11 @@ from proxkit.morphisms import (
 )
 from proxkit.proximity import FiniteProximity, chain_proximity
 from proxkit.roundideal import RFrameData, ideal_frame, is_stably_compact, rframe
-from test_cli_golden import chain_docs
+from test_block_map import CHAIN_DOCS as LAYOUTS
 
 # the functions that call the unchecked constructors; enumerate_proxhoms
 # builds its tables in its nested `extend`
 BUILDERS = {"compose", "star_compose", "extend", "_segment_map", "theta", "retag_map"}
-
-LAYOUTS = {path: doc for path, doc in chain_docs().items()
-           if doc["k"] in doc["reflexive"]}
 
 
 @pytest.fixture
