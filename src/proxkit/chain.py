@@ -7,12 +7,19 @@ codes.  The user-facing family built by :func:`build_chain_frame` consists
 of k omega blocks, each capped by a limit point; frames of round ideals
 computed elsewhere reuse the same representation with different segment
 layouts.
+
+Element codes :class:`El` and eventually-affine sequences :class:`Seq`
+are immutable tuples, so construction, hashing and comparison run in C:
+they hash and compare structurally, and the tuple order of codes is the
+chain order.  A plain tuple is not an element: frames and map checks
+test for :class:`El`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameter, MalformedMap
 
@@ -20,12 +27,12 @@ OMEGA = "omega"
 POINT = "point"
 
 
-@dataclass(frozen=True, order=True)
-class El:
+class El(NamedTuple):
     """Element code: segment index plus position inside the segment.
 
-    Point segments only carry position 0.  Lexicographic comparison of
-    (seg, n) is exactly the chain order.
+    Point segments only carry position 0.  An El is an immutable tuple
+    (seg, n), so it hashes and compares structurally, and tuple order is
+    exactly the chain order.
     """
 
     seg: int
@@ -182,46 +189,58 @@ def lim(frame: ChainLikeFrame, i: int) -> El:
 # -- eventually-affine sequences -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Seq:
+class _SeqFields(NamedTuple):
+    const: object
+    seg: int
+    a: int
+    b: int
+    exceptions: tuple[tuple[int, object], ...]
+
+
+class Seq(_SeqFields):
     """Sequence n -> value: finitely many (index, value) exceptions, then a
     tail that is the constant `const` or, when the slope `a` is >= 1,
     n -> El(seg, a*n + b).
 
     This describes a map out of one omega block (or, with no exceptions
     and a constant tail, out of a point), and a monotone family of frame
-    elements.  Construction sorts the exceptions by index and drops those
-    that agree with the tail, so equal sequences compare equal.
+    elements.  A Seq is an immutable tuple (const, seg, a, b, exceptions)
+    that hashes and compares structurally.  Construction refuses repeated
+    and negative exception indices, sorts the exceptions by index and
+    drops those that agree with the tail, so equal sequences compare
+    equal.
     """
 
-    const: object = None
-    seg: int = 0
-    a: int = 0
-    b: int = 0
-    exceptions: tuple[tuple[int, object], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.exceptions:
-            # nothing to check, drop or sort: both constructors pass a tuple
-            return
-        idx = [m for m, _ in self.exceptions]
-        if len(set(idx)) != len(idx):
-            raise InvalidParameter("repeated exception index")
-        if any(m < 0 for m in idx):
-            raise MalformedMap("negative exception index")
-        exc = sorted((e for e in self.exceptions if e[1] != self.tail(e[0])),
-                     key=lambda e: e[0])
-        object.__setattr__(self, "exceptions", tuple(exc))
+    def __new__(cls, const=None, seg=0, a=0, b=0, exceptions=()):
+        if exceptions:
+            exc = tuple(exceptions)
+            idx = [m for m, _ in exc]
+            if len(set(idx)) != len(idx):
+                raise InvalidParameter("repeated exception index")
+            if any(m < 0 for m in idx):
+                raise MalformedMap("negative exception index")
+            if a:
+                kept = (e for e in exc if e[1] != El(seg, a * e[0] + b))
+            else:
+                kept = (e for e in exc if e[1] != const)
+            exceptions = tuple(sorted(kept, key=lambda e: e[0]))
+        return tuple.__new__(cls, (const, seg, a, b, exceptions or ()))
 
     @staticmethod
     def constant(v, exceptions=()) -> "Seq":
-        return Seq(const=v, exceptions=tuple(exceptions))
+        if exceptions:
+            return Seq(const=v, exceptions=exceptions)
+        return tuple.__new__(Seq, (v, 0, 0, 0, ()))
 
     @staticmethod
     def affine(seg: int, a: int, b: int, exceptions=()) -> "Seq":
         if a < 1:
             raise InvalidParameter("affine tail needs slope >= 1; use constant")
-        return Seq(seg=seg, a=a, b=b, exceptions=tuple(exceptions))
+        if exceptions:
+            return Seq(seg=seg, a=a, b=b, exceptions=exceptions)
+        return tuple.__new__(Seq, (None, seg, a, b, ()))
 
     @property
     def is_affine(self) -> bool:

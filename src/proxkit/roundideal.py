@@ -8,6 +8,17 @@ and inclusion exact:
 * chain frames: ``Prin(a)`` for a relation-reflexive element, or
   ``BelowLim(l)`` for everything strictly under a limit point.
 
+``Prin`` and ``BelowLim`` are distinct dataclasses, so the two never
+compare equal, even at the same point.  Their constructors check that
+the ideal is round: ``Prin`` that a is an element relating to itself,
+``BelowLim`` that l is a limit.  The builders that decide this themselves
+skip the re-check through ``_unchecked``: :func:`kappa` after its
+reflexivity test, :func:`alpha` after its element check and limit test,
+``RFrameData.ideal_of`` on the shifted element of an omega segment, which
+it checks is an element and which relates to itself as every omega
+element does, and the chain ideal frames of :func:`rframe`.
+:func:`dir_sup`, :func:`retag` and every other caller keep the checks.
+
 The frame of round ideals of a chain instance is again a chain-like frame.
 :func:`rframe` materializes it with ``RFrameData.ideals``, the canonical
 ideal of each element of a finite ideal frame or of the first element of
@@ -72,6 +83,15 @@ class Prin:
                 f"principal ideal at non-reflexive {self.prox.label(self.a)} is not round"
             )
 
+    @classmethod
+    def _unchecked(cls, prox: ChainProximity, a: El) -> "Prin":
+        """The principal ideal at an element a of prox's frame that the
+        caller has found reflexive; the checks of the public constructor
+        are skipped."""
+        ideal = object.__new__(cls)
+        ideal.__dict__.update(prox=prox, a=a)
+        return ideal
+
     def __repr__(self):
         return f"Prin({self.prox.label(self.a)})"
 
@@ -86,6 +106,15 @@ class BelowLim:
             raise UnsupportedRepresentation(
                 f"{self.prox.label(self.lim)} is not a limit point"
             )
+
+    @classmethod
+    def _unchecked(cls, prox: ChainProximity, lim: El) -> "BelowLim":
+        """The ideal under a point lim that the caller has found to be a
+        limit of prox's frame; the check of the public constructor is
+        skipped."""
+        ideal = object.__new__(cls)
+        ideal.__dict__.update(prox=prox, lim=lim)
+        return ideal
 
     def __repr__(self):
         return f"Below({self.prox.label(self.lim)})"
@@ -102,9 +131,10 @@ def kappa(prox: Proximity, a) -> RoundIdeal:
     if isinstance(prox, FiniteProximity):
         return FinIdeal(prox, prox.cols[a])
     prox.frame.check(a)
+    # only a limit can fail to relate to itself
     if prox.reflexive(a):
-        return Prin(prox, a)
-    return BelowLim(prox, a)
+        return Prin._unchecked(prox, a)
+    return BelowLim._unchecked(prox, a)
 
 
 def alpha(prox: Proximity, a) -> RoundIdeal:
@@ -114,9 +144,11 @@ def alpha(prox: Proximity, a) -> RoundIdeal:
         raise NotStablyCompact("the instance has a non-compact top")
     if isinstance(prox, FiniteProximity):
         return FinIdeal(prox, prox.frame.down[a])
+    prox.frame.check(a)
     if prox.frame.is_limit(a):
-        return BelowLim(prox, a)
-    return Prin(prox, a)
+        return BelowLim._unchecked(prox, a)
+    # every element but a limit relates to itself
+    return Prin._unchecked(prox, a)
 
 
 def sigma(ideal: RoundIdeal):
@@ -251,7 +283,9 @@ class RFrameData:
         ideal = self.ideals[el.seg]
         if el.n == 0 or self.frame.segments[el.seg].kind != OMEGA:
             return ideal
-        return Prin(self.base, El(ideal.a.seg, el.n))
+        # an omega element of the base relates to itself
+        return Prin._unchecked(self.base,
+                               self.base.frame.check(El(ideal.a.seg, el.n)))
 
     def el_of(self, ideal: RoundIdeal):
         # the codes below do not key the proximity, so check it here; the
@@ -380,6 +414,8 @@ def _rframe_chain(prox: ChainProximity) -> RFrameData:
     f = prox.frame
     segs: list[Segment] = []
     ideals: list[RoundIdeal] = []
+    # every element but a limit outside reflexive_limits relates to itself,
+    # so each ideal below is round as built
     for i, s in enumerate(f.segments):
         e = El(i, 0)
         if s.kind == OMEGA:
@@ -388,16 +424,16 @@ def _rframe_chain(prox: ChainProximity) -> RFrameData:
                     "omega block directly after an omega block is unsupported"
                 )
             segs.append(Segment(OMEGA, f"P[{s.label}]"))
-            ideals.append(Prin(prox, e))
+            ideals.append(Prin._unchecked(prox, e))
         elif f.is_limit(e):
             segs.append(Segment(POINT, f"B[{s.label}]"))
-            ideals.append(BelowLim(prox, e))
+            ideals.append(BelowLim._unchecked(prox, e))
             if e in prox.reflexive_limits:
                 segs.append(Segment(POINT, f"P[{s.label}]"))
-                ideals.append(Prin(prox, e))
+                ideals.append(Prin._unchecked(prox, e))
         else:
             segs.append(Segment(POINT, f"P[{s.label}]"))
-            ideals.append(Prin(prox, e))
+            ideals.append(Prin._unchecked(prox, e))
     frame = ChainLikeFrame(tuple(segs))
     # the way-below relation has no reflexive limit points: each new limit
     # is a BelowLim ideal, never bounded by one of its own members

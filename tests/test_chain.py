@@ -94,7 +94,8 @@ def test_family_rejects_non_monotone():
 
 
 def test_affine_tail_needs_positive_slope():
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter,
+                       match="^affine tail needs slope >= 1; use constant$"):
         Seq.affine(0, 0, 3)
 
 
@@ -112,10 +113,75 @@ def test_seq_normal_form():
 
 
 def test_seq_rejects_repeated_index():
-    with pytest.raises(InvalidParameter):
-        Seq.constant(El(0, 5), ((0, El(0, 9)), (0, El(0, 1))))
-    with pytest.raises(InvalidParameter):
-        Seq.affine(0, 1, 0, ((2, El(0, 2)), (2, El(0, 2))))
+    for build in (lambda: Seq.constant(El(0, 5), ((0, El(0, 9)), (0, El(0, 1)))),
+                  lambda: Seq.affine(0, 1, 0, ((2, El(0, 2)), (2, El(0, 2)))),
+                  lambda: Seq(seg=0, a=1, exceptions=[(2, El(0, 2)), (2, El(0, 2))]),
+                  # a repeated index is found before a negative one
+                  lambda: Seq.constant(El(0, 5), ((-1, El(0, 9)), (-1, El(0, 1))))):
+        with pytest.raises(InvalidParameter, match="^repeated exception index$"):
+            build()
+
+
+def test_seq_rejects_negative_index():
+    for exc in (((-1, El(0, 0)),), ((3, El(0, 9)), (-2, El(0, 1)))):
+        with pytest.raises(MalformedMap, match="^negative exception index$"):
+            Seq.affine(0, 1, 0, exc)
+        with pytest.raises(MalformedMap, match="^negative exception index$"):
+            Seq.constant(El(0, 5), exc)
+
+
+def test_el_is_a_tuple_in_chain_order():
+    els = [El(seg, n) for seg in range(3) for n in range(3)]
+    assert sorted(reversed(els)) == els
+    assert all((x < y) == ((x.seg, x.n) < (y.seg, y.n)) for x in els for y in els)
+    assert El(1, 0) == El(seg=1, n=0) == (1, 0)
+    assert hash(El(1, 0)) == hash(El(1, 0)) == hash((1, 0))
+    assert len({El(1, 0), El(1, 0), El(0, 1)}) == 2
+    assert El(0, 7) != El(0, 8) and El(0, 7) != El(7, 0)
+    assert repr(El(1, 0)) == "El(1,0)"
+    assert str(El(12, 345)) == "El(12,345)"
+
+
+def test_a_plain_tuple_is_not_a_chain_value():
+    p = chain_proximity(build_chain_frame(1), {1})
+    top = Seq.constant(p.frame.top)
+    # (0, 1) is the code of El(0, 1), but only an El is a chain element
+    for seq in (Seq.constant((0, 1)), Seq.constant(El(0, 2), ((0, (0, 1)),))):
+        assert _seq_problem(seq, p.frame) == "value (0, 1) is not in the target frame"
+        with pytest.raises(MalformedMap, match=re.escape("value (0, 1) is not")):
+            ChainMap(p, p, (seq, top))
+    assert ChainMap(p, p, (Seq.constant(El(0, 1)), top)).apply(El(0, 4)) == El(0, 1)
+
+
+@pytest.mark.parametrize("built, keyword", [
+    (Seq.constant(El(0, 4)), Seq(const=El(0, 4))),
+    (Seq.constant(3), Seq(const=3)),
+    (Seq.constant(El(0, 4), ()), Seq(El(0, 4), 0, 0, 0, ())),
+    (Seq.constant(El(0, 4), ((1, El(0, 2)),)),
+     Seq(const=El(0, 4), exceptions=[(1, El(0, 2))])),
+    (Seq.affine(2, 1, 0), Seq(seg=2, a=1, b=0)),
+    (Seq.affine(0, 3, 2, ((0, El(0, 0)), (1, El(0, 5)))),
+     Seq(seg=0, a=3, b=2, exceptions=((0, El(0, 0)),))),
+], ids=["constant", "finite-constant", "positional", "constant-exception",
+        "affine", "affine-exception"])
+def test_seq_builders_equal_and_hash_like_keyword_construction(built, keyword):
+    assert type(built) is type(keyword) is Seq
+    assert built == keyword and hash(built) == hash(keyword)
+    assert (built.const, built.seg, built.a, built.b, built.exceptions) == tuple(keyword)
+    assert isinstance(built.exceptions, tuple)
+    assert repr(built) == repr(keyword)
+    assert len({built, keyword}) == 1
+
+
+def test_seq_fields_and_repr():
+    s = Seq.affine(0, 2, 1, [(0, El(0, 0))])
+    assert (s.const, s.seg, s.a, s.b) == (None, 0, 2, 1)
+    assert s.exceptions == ((0, El(0, 0)),)
+    assert repr(s) == "Seq(const=None, seg=0, a=2, b=1, exceptions=((0, El(0,0)),))"
+    assert repr(Seq.constant(El(1, 0))) == (
+        "Seq(const=El(1,0), seg=0, a=0, b=0, exceptions=())")
+    assert Seq.constant(El(0, 1)) != Seq.constant(El(0, 2))
+    assert Seq.constant(El(0, 1)) != Seq.affine(0, 1, 1)
 
 
 @settings(max_examples=80, deadline=None)

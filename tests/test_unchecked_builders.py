@@ -9,15 +9,25 @@ levels of each catalog instance's `rr`/`cc` towers and on the 15 chain
 layouts with k <= 4 whose top is reflexive, must pass those checks: the
 public constructor accepts its table or rules and gives an equal map.  A
 builder made to leave its target frame fails here.
+
+`kappa`, `alpha`, `RFrameData.ideal_of` and the chain ideal frames build
+their round ideals through `Prin._unchecked` and `BelowLim._unchecked`
+once they have decided roundness themselves.  On the same 15 layouts and
+their towers, each ideal they give must equal the one the definitions in
+`reference` build through the checked constructors, and an element
+outside the frame must still be refused as the checked constructor
+refuses it.
 """
 
+import re
 import sys
 
 import pytest
 
+import reference as ref
 from proxkit import cli
 from proxkit.catalog import catalog_instances
-from proxkit.chain import El, build_chain_frame
+from proxkit.chain import OMEGA, El, build_chain_frame
 from proxkit.comonads import (
     adjunction_checks,
     coalgebra_laws,
@@ -30,7 +40,7 @@ from proxkit.comonads import (
     naturality_suite,
     subcomonad_check,
 )
-from proxkit.errors import MalformedMap
+from proxkit.errors import InvalidParameter, MalformedMap, NotStablyCompact
 from proxkit.morphisms import (
     ChainMap,
     FiniteMap,
@@ -41,7 +51,16 @@ from proxkit.morphisms import (
     theta,
 )
 from proxkit.proximity import FiniteProximity, chain_proximity
-from proxkit.roundideal import RFrameData, ideal_frame, is_stably_compact, rframe
+from proxkit.roundideal import (
+    BelowLim,
+    Prin,
+    RFrameData,
+    alpha,
+    ideal_frame,
+    is_stably_compact,
+    kappa,
+    rframe,
+)
 from test_block_map import CHAIN_DOCS as LAYOUTS
 
 # the functions that call the unchecked constructors; enumerate_proxhoms
@@ -153,3 +172,77 @@ def test_finite_theta_leaving_the_target_fails_the_check(built, monkeypatch):
     assert [caller for caller, _ in built][-1] == "theta"
     with pytest.raises(MalformedMap, match="is not in the target frame"):
         assert_checked(built)
+
+
+# -- ideals built without the checks of Prin and BelowLim -----------------------
+
+
+def layout_levels(doc):
+    """The ideal frames of a layout: its own and the next level of each
+    tower."""
+    rfd = rframe(chain_proximity(build_chain_frame(doc["k"]), doc["reflexive"]))
+    return rfd, rfd.rr, rfd.cc
+
+
+def outside(frame):
+    """Codes that are not elements of frame: past the last segment, a
+    negative position, and position 1 of the top point."""
+    past = len(frame.segments)
+    return [El(past, 0), El(past + 5, 0), El(past + 5, 2), El(0, -1),
+            El(frame.top.seg, 1)]
+
+
+def assert_refused_as_checked(build, prox, e):
+    """build(prox, e) raises what the checked Prin(prox, e) raises."""
+    with pytest.raises(InvalidParameter) as checked:
+        Prin(prox, e)
+    with pytest.raises(type(checked.value), match=f"^{re.escape(str(checked.value))}$"):
+        build(prox, e)
+
+
+@pytest.mark.parametrize("doc", LAYOUTS.values(), ids=list(LAYOUTS))
+def test_unchecked_ideals_equal_the_checked_ones(doc):
+    for rfd in layout_levels(doc):
+        for prox in (rfd.base, rfd.wb, rfd.maxp):
+            compact = is_stably_compact(prox)
+            for a in ref.points(prox.frame):
+                got, want = kappa(prox, a), ref.approximants(prox, a)
+                assert got == want and hash(got) == hash(want), (prox, a)
+                if compact:
+                    got, want = alpha(prox, a), ref.way_below_set(prox, a)
+                    assert got == want and hash(got) == hash(want), (prox, a)
+            if not compact:
+                with pytest.raises(NotStablyCompact):
+                    alpha(prox, prox.frame.bot)
+        for x, want in ref.codec(rfd.base, rfd.frame).items():
+            assert rfd.ideal_of(x) == want, (rfd.frame, x)
+        assert rfd.ideals == tuple(ref.codec(rfd.base, rfd.frame, 1).values())
+
+
+@pytest.mark.parametrize("doc", LAYOUTS.values(), ids=list(LAYOUTS))
+def test_unchecked_ideals_refuse_codes_outside_the_frame(doc):
+    for rfd in layout_levels(doc):
+        for prox in (rfd.base, rfd.wb, rfd.maxp):
+            for e in outside(prox.frame):
+                assert_refused_as_checked(kappa, prox, e)
+                if is_stably_compact(prox):
+                    assert_refused_as_checked(alpha, prox, e)
+        # a negative position in an omega segment shifts the base element
+        # of its first ideal out of the base frame
+        for i, seg in enumerate(rfd.frame.segments):
+            if seg.kind == OMEGA:
+                b = rfd.ideal_of(El(i, 0)).a.seg
+                assert_refused_as_checked(lambda p, e: rfd.ideal_of(El(i, -1)),
+                                          rfd.base, El(b, -1))
+
+
+@pytest.mark.parametrize("doc", LAYOUTS.values(), ids=list(LAYOUTS))
+def test_a_principal_ideal_never_equals_the_ideal_under_its_limit(doc):
+    for rfd in layout_levels(doc):
+        prox = rfd.base
+        for e in prox.reflexive_limits:
+            prin, below = kappa(prox, e), BelowLim(prox, e)
+            assert prin == Prin(prox, e) and prin != below
+            assert Prin(prox, e) != BelowLim(prox, e)
+            assert rfd.ideal_of(rfd.el_of(below)) == below
+            assert rfd.el_of(prin) > rfd.el_of(below)
