@@ -28,7 +28,7 @@ from .proximity import (
     order_proximity,
     product_proximity,
     validate_proximity,
-    well_inside,
+    way_below_proximity,
 )
 from .roundideal import (
     BelowLim,
@@ -93,7 +93,6 @@ from .catalog import (
     CATALOG_NAMES,
     catalog_instances,
     catalog_morphisms,
-    instance_to_json,
     load_instance,
     parse_element,
     parse_instance,

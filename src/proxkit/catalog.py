@@ -141,40 +141,6 @@ def _finite_with_proximity(frame, spec) -> FiniteProximity:
     raise InvalidParameter(f"unknown proximity spec {spec!r}")
 
 
-def instance_to_json(name: str, prox: Proximity) -> dict:
-    """Serialize in the builder-normalized shape; parse-then-print is
-    idempotent."""
-    if isinstance(prox, ChainProximity):
-        frame = prox.frame
-        lims = frame.limits()
-        return {
-            "name": name,
-            "builder": "chain",
-            "k": len(lims),
-            "reflexive": sorted(
-                i + 1 for i, e in enumerate(lims) if e in prox.reflexive_limits
-            ),
-        }
-    frame = prox.frame
-    doc = {
-        "name": name,
-        "builder": "finite",
-        "elements": list(frame.names),
-        "leq": sorted(
-            [frame.names[a], frame.names[b]] for a, b in frame.covers()
-        ),
-    }
-    if prox.rows == frame.up:
-        doc["proximity"] = "leq"
-    else:
-        doc["proximity"] = {
-            "pairs": sorted(
-                [frame.names[a], frame.names[b]] for a, b in prox.pairs()
-            )
-        }
-    return doc
-
-
 def load_instance(name_or_path: str) -> tuple[str, Proximity]:
     """A catalog name, or a path to an instance JSON file."""
     if name_or_path in CATALOG_NAMES:

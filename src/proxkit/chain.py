@@ -119,11 +119,6 @@ class ChainLikeFrame:
             return El(e.seg + 1, 0)
         return None
 
-    def way_below(self, a: El, b: El) -> bool:
-        """a << b on a chain: a <= b, excluding limit b with a = b."""
-        self.check(a), self.check(b)
-        return a < b or (a == b and not self.is_limit(a))
-
     # -- representatives ----------------------------------------------
 
     def class_representatives(self, depth: int = 3) -> list[El]:

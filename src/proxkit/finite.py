@@ -42,7 +42,6 @@ class FiniteFrame:
     join_t: tuple[tuple[int, ...], ...]
     bot: int
     top: int
-    pseudo: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -62,10 +61,6 @@ class FiniteFrame:
 
     def join(self, a: int, b: int) -> int:
         return self.join_t[a][b]
-
-    def way_below(self, a: int, b: int) -> bool:
-        # Every directed set in a finite lattice attains its supremum.
-        return self.leq(a, b)
 
     def index(self, name: str) -> int:
         try:
@@ -99,6 +94,15 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _join_over(frame, mask: int, values=None):
+    """The join in frame, finite or a chain, of values[b], or of b itself
+    when values is None, over the set bits b of mask."""
+    j, join = frame.bot, frame.join
+    for b in _bits(mask):
+        j = join(j, b if values is None else values[b])
+    return j
 
 
 def _union(rows, sel: int) -> int:
@@ -181,10 +185,6 @@ def _frame_of_rows(names, up: list[int]) -> tuple[FiniteFrame, list[int]]:
     if not _distributive(down):
         raise NotDistributive(_distributivity_witness(names2, meet_t, join_t))
 
-    # pseudocomplement a* = largest x with x /\ a = 0; in a distributive
-    # lattice those x are closed under joins, so a* is the last of them
-    pseudo = tuple(max(x for x in range(n) if meet_t[a][x] == 0) for a in range(n))
-
     return FiniteFrame(
         names=names2,
         up=tuple(up),
@@ -193,7 +193,6 @@ def _frame_of_rows(names, up: list[int]) -> tuple[FiniteFrame, list[int]]:
         join_t=tuple(map(tuple, join_t)),
         bot=0,
         top=n - 1,
-        pseudo=pseudo,
     ), pos
 
 

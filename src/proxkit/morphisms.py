@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from .chain import OMEGA, El, Seq, _seq_problem
 from .errors import MalformedMap, NotComposable, NotStablyCompact
-from .finite import _bits
-from .proximity import ChainProximity, FiniteProximity, Proximity
+from .finite import _join_over
+from .proximity import ChainProximity, FiniteProximity, Proximity, way_below_proximity
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, Verdict
 from .roundideal import (
     Prin,
@@ -201,14 +201,9 @@ def star_compose(g: Morphism, f: Morphism) -> Morphism:
     comp = compose(g, f)
     if isinstance(f, FiniteMap):
         # column a of the relation holds the approximants of a
-        values, bot, join = comp.table, g.dst.frame.bot, g.dst.frame.join
-        table = []
-        for col in f.src.cols:
-            j = bot
-            for b in _bits(col):
-                j = join(j, values[b])
-            table.append(j)
-        return FiniteMap._unchecked(f.src, g.dst, tuple(table))
+        frame, values = g.dst.frame, comp.table
+        return FiniteMap._unchecked(f.src, g.dst, tuple(
+            _join_over(frame, col, values) for col in f.src.cols))
     rules = list(comp.rules)
     for i, s in enumerate(f.src.frame.segments):
         e = El(i, 0)
@@ -240,20 +235,21 @@ def validate_pframemap(f: Morphism) -> AxiomReport:
 
 
 def is_proper(f: Morphism) -> bool:
-    """Whether the map preserves the way-below relation."""
+    """Whether the map, assumed monotone, preserves the way-below relation."""
+    src, dst = way_below_proximity(f.src.frame), way_below_proximity(f.dst.frame)
     if isinstance(f, FiniteMap):
-        return all(
-            f.dst.frame.way_below(f.apply(a), f.apply(b))
-            for a in f.src.frame.elements()
-            for b in f.src.frame.elements()
-            if f.src.frame.way_below(a, b)
-        )
-    src_refl = lambda x: not f.src.frame.is_limit(x)
-    if isinstance(f.dst, ChainProximity):
-        dst_refl = lambda v: not f.dst.frame.is_limit(v)
-    else:
-        dst_refl = lambda v: True
-    return _chain_preserves(f, src_refl, dst_refl) is None
+        return _finite_preserves(f, src, dst) is None
+    return _chain_preserves(f, src, dst) is None
+
+
+def _finite_preserves(f: FiniteMap, src: FiniteProximity, dst: Proximity):
+    """The last pair of src, row-major, whose images dst does not relate,
+    or None."""
+    table, drel = f.table, dst.rel
+    for a, b in reversed(src.pairs()):
+        if not drel(table[a], table[b]):
+            return a, b
+    return None
 
 
 def _validate_finite_hom(f: FiniteMap, frame_map: bool) -> AxiomReport:
@@ -309,11 +305,9 @@ def _validate_finite_hom(f: FiniteMap, frame_map: bool) -> AxiomReport:
         v = Verdict(PASS) if w is None else Verdict(
             FAIL, (names[w[0]], names[w[1]]), "joins not preserved")
         axioms.append(("join-hom", v))
-        v = Verdict(PASS)
-        for a, b in reversed(f.src.pairs()):
-            if not drel(table[a], table[b]):
-                v = Verdict(FAIL, (names[a], names[b]), "relation not preserved")
-                break
+        w = _finite_preserves(f, f.src, f.dst)
+        v = Verdict(PASS) if w is None else Verdict(
+            FAIL, (names[w[0]], names[w[1]]), "relation not preserved")
         axioms.append(("preserves-rel", v))
     elif (meets_kept and isinstance(f.dst, FiniteProximity)
           and f.src.rows == sf.up and f.dst.rows == df.up
@@ -342,9 +336,7 @@ def _validate_finite_hom(f: FiniteMap, frame_map: bool) -> AxiomReport:
         v = Verdict(PASS)
         cols = f.src.cols
         for a in back:
-            j = df.bot
-            for b in _bits(cols[a]):
-                j = djoin(j, table[b])
+            j = _join_over(df, cols[a], table)
             if j != table[a]:
                 v = Verdict(FAIL, (names[a], dl(j)), "approximation of values fails")
                 break
@@ -375,10 +367,10 @@ def _chain_monotone(f: ChainMap):
     return None
 
 
-def _chain_preserves(f: ChainMap, src_refl, dst_refl):
-    """Witness element if f fails to map the relation with the given
-    reflexivity profile into the target one; assumes f monotone."""
-    frame = f.src.frame
+def _chain_preserves(f: ChainMap, src: ChainProximity, dst: Proximity):
+    """Witness element if f fails to map the relation src on its frame
+    into the relation dst on its target's; assumes f monotone."""
+    frame, src_refl, dst_refl = f.src.frame, src.reflexive, dst.reflexive
     for i, s in enumerate(frame.segments):
         rule = f.rules[i]
         e = El(i, 0)
@@ -425,34 +417,27 @@ def _validate_chain_hom(f: ChainMap, frame_map: bool) -> AxiomReport:
     )
     axioms.append(("top", v))
 
-    if isinstance(f.dst, ChainProximity):
-        dst_refl = f.dst.reflexive
-    else:
-        dst_refl = lambda x: f.dst.rel(x, x)
-    w = _chain_preserves(f, f.src.reflexive, dst_refl)
+    w = _chain_preserves(f, f.src, f.dst)
     name = "preserves-rel" if frame_map else "join-subadditive"
     if w is None:
         axioms.append((name, Verdict(SYMBOLIC, note="relation mapped per class")))
     else:
         axioms.append((name, Verdict(FAIL, (frame.label(w),))))
 
-    # value behaviour at limit points
+    # value behaviour at limit points; a reflexive one approximates itself
     if frame_map:
-        v = Verdict(SYMBOLIC, note="described directed joins preserved")
-        for ell in frame.limits():
-            sup, _ = f.block_sup(ell.seg - 1)
-            if f.apply(ell) != sup:
-                v = Verdict(FAIL, (frame.label(ell),), "directed join not preserved")
-        axioms.append(("directed-joins", v))
+        name, note, fails = ("directed-joins", "described directed joins preserved",
+                             "directed join not preserved")
     else:
-        v = Verdict(SYMBOLIC, note="approximation checked per limit class")
-        for ell in frame.limits():
-            if f.src.reflexive(ell):
-                continue  # the element approximates itself
+        name, note, fails = ("value-approximation", "approximation checked per limit class",
+                             "value not approximated")
+    v = Verdict(SYMBOLIC, note=note)
+    for ell in frame.limits():
+        if frame_map or not f.src.reflexive(ell):
             sup, _ = f.block_sup(ell.seg - 1)
             if f.apply(ell) != sup:
-                v = Verdict(FAIL, (frame.label(ell),), "value not approximated")
-        axioms.append(("value-approximation", v))
+                v = Verdict(FAIL, (frame.label(ell),), fails)
+    axioms.append((name, v))
     return AxiomReport(tuple(axioms))
 
 

@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .chain import ChainLikeFrame, El, _above
 from .errors import InvalidReflexiveSet, MalformedRelation, TooLarge
-from .finite import FiniteFrame, _bits, _downsets, _product, _transpose, _union
+from .finite import FiniteFrame, _bits, _downsets, _join_over, _product, _transpose, _union
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, LawReport, Verdict, law_fail, law_pass
 
 
@@ -52,14 +52,7 @@ class FiniteProximity:
     def sups(self) -> tuple:
         """sups[b]: the join of the approximants of b, column b of the
         relation; b itself whenever the relation approximates b."""
-        join_t, bot = self.frame.join_t, self.frame.bot
-        out = []
-        for col in self.cols:
-            j = bot
-            for a in _bits(col):
-                j = join_t[j][a]
-            out.append(j)
-        return tuple(out)
+        return tuple(_join_over(self.frame, col) for col in self.cols)
 
     def rows_on(self, xs, vals) -> list[int]:
         """Row p: the mask of the q with rel(xs[p], vals[q]), that is the
@@ -72,12 +65,6 @@ class FiniteProximity:
     def pairs(self):
         """The related pairs in row-major order."""
         return [(a, b) for a, row in enumerate(self.rows) for b in _bits(row)]
-
-    def interpolant(self, a: int, b: int) -> int:
-        for c in self.frame.elements():
-            if self.rel(a, c) and self.rel(c, b):
-                return c
-        raise MalformedRelation(f"no interpolant for ({a},{b})")
 
     def label(self, a: int) -> str:
         return self.frame.names[a]
@@ -109,12 +96,6 @@ class ChainProximity:
         one suffix, found by one bisection."""
         return [_above(vals, x, self.reflexive(x)) for x in xs]
 
-    def interpolant(self, a: El, b: El) -> El:
-        if self.reflexive(a):
-            return a
-        # a is a non-reflexive limit and a < b; its successor works
-        return self.frame.successor_of(a)
-
     def label(self, a: El) -> str:
         return self.frame.label(a)
 
@@ -127,6 +108,16 @@ def order_proximity(frame) -> Proximity:
     if isinstance(frame, FiniteFrame):
         return FiniteProximity(frame, frame.up)
     return ChainProximity(frame, frozenset(frame.limits()))
+
+
+def way_below_proximity(frame) -> Proximity:
+    """The way-below relation as a proximity.  Every directed set of a
+    finite lattice attains its supremum, so on a finite frame it is the
+    order; on a chain it is the order less the pair (l, l) at each limit
+    l, the supremum of the block below it."""
+    if isinstance(frame, FiniteFrame):
+        return order_proximity(frame)
+    return ChainProximity(frame, frozenset())
 
 
 def chain_proximity(frame: ChainLikeFrame, reflexive_blocks) -> ChainProximity:
@@ -154,19 +145,6 @@ def product_proximity(p: FiniteProximity, q: FiniteProximity):
         for b1, b2 in q.pairs():
             rows[pos[a1 * m + b1]] |= 1 << pos[a2 * m + b2]
     return FiniteProximity(pf, tuple(rows))
-
-
-def well_inside(frame: FiniteFrame):
-    """The relation a* v b = 1, returned as a candidate with its report.
-
-    On most finite frames it fails approximation unless it equals the
-    order, so it is not certified as a proximity.
-    """
-    join_t, top = frame.join_t, frame.top
-    rows = tuple(sum(1 << b for b, j in enumerate(join_t[frame.pseudo[a]]) if j == top)
-                 for a in frame.elements())
-    cand = FiniteProximity(frame, rows)
-    return cand, validate_proximity(cand)
 
 
 # -- axiom checking --------------------------------------------------------
@@ -263,10 +241,7 @@ def _scan_finite(p: FiniteProximity) -> AxiomReport:
     axioms.append(("interpolation", v))
 
     v = Verdict(PASS)
-    for a in range(n):
-        j = f.bot
-        for b in _bits(cols[a]):
-            j = join_t[j][b]
+    for a, j in enumerate(p.sups):
         if j != a:
             v = Verdict(FAIL, (names[a], names[j]), "join of approximants differs")
             break

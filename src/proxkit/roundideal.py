@@ -51,8 +51,14 @@ from .errors import (
     TooLarge,
     UnsupportedRepresentation,
 )
-from .finite import FiniteFrame, _bits, _frame_of_masks, _renamed
-from .proximity import ChainProximity, FiniteProximity, Proximity, order_proximity
+from .finite import FiniteFrame, _bits, _frame_of_masks, _join_over, _renamed
+from .proximity import (
+    ChainProximity,
+    FiniteProximity,
+    Proximity,
+    order_proximity,
+    way_below_proximity,
+)
 
 FINITE_IDEAL_ENUM_LIMIT = 14
 
@@ -154,11 +160,7 @@ def alpha(prox: Proximity, a) -> RoundIdeal:
 def sigma(ideal: RoundIdeal):
     """The join of a canonical ideal."""
     if isinstance(ideal, FinIdeal):
-        f = ideal.prox.frame
-        j, join = f.bot, f.join
-        for b in _bits(ideal.mask):
-            j = join(j, b)
-        return j
+        return _join_over(ideal.prox.frame, ideal.mask)
     if isinstance(ideal, Prin):
         return ideal.a
     return ideal.lim  # sup of everything strictly below a limit
@@ -406,7 +408,7 @@ def _rframe_finite(prox: FiniteProximity) -> RFrameData:
         masks = f.down
     else:
         frame, masks = _frame_of_masks(names, [f.down[x] for x in xs])
-    return RFrameData(base=prox, frame=frame, wb=order_proximity(frame),
+    return RFrameData(base=prox, frame=frame, wb=way_below_proximity(frame),
                       ideals=tuple(FinIdeal(prox, m) for m in masks))
 
 
@@ -435,10 +437,8 @@ def _rframe_chain(prox: ChainProximity) -> RFrameData:
             segs.append(Segment(POINT, f"P[{s.label}]"))
             ideals.append(Prin._unchecked(prox, e))
     frame = ChainLikeFrame(tuple(segs))
-    # the way-below relation has no reflexive limit points: each new limit
-    # is a BelowLim ideal, never bounded by one of its own members
-    wb = ChainProximity(frame, frozenset())
-    return RFrameData(base=prox, frame=frame, wb=wb, ideals=tuple(ideals))
+    return RFrameData(base=prox, frame=frame, wb=way_below_proximity(frame),
+                      ideals=tuple(ideals))
 
 
 def ideal_frame(frame) -> RFrameData:

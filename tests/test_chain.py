@@ -16,7 +16,7 @@ from proxkit.chain import (
 )
 from proxkit.errors import InvalidParameter, MalformedMap, NotDirected
 from proxkit.morphisms import ChainMap
-from proxkit.proximity import chain_proximity
+from proxkit.proximity import chain_proximity, way_below_proximity
 from proxkit.roundideal import dir_sup
 
 
@@ -50,9 +50,10 @@ def test_limits_and_successors():
 def test_way_below_excludes_limit_reflexivity():
     f = build_chain_frame(1)
     a, L = succ(f, 0, 2), lim(f, 1)
-    assert f.way_below(a, a)
-    assert f.way_below(a, L)
-    assert not f.way_below(L, L)
+    wb = way_below_proximity(f)
+    assert wb.rel(a, a)
+    assert wb.rel(a, L)
+    assert not wb.rel(L, L)
 
 
 def test_frame_needs_point_top():

@@ -40,10 +40,6 @@ def test_diamond_tables():
     assert f.meet(a, b) == f.bot
     assert f.join(a, b) == f.top
     assert f.leq(f.bot, a) and not f.leq(a, b)
-    # pseudocomplement: a* = largest x with x /\ a = 0
-    assert f.pseudo[a] == b
-    assert f.pseudo[f.bot] == f.top
-    assert f.pseudo[f.top] == f.bot
 
 
 def test_builder_primes_the_order_rows():
@@ -263,13 +259,6 @@ def oracle_frame(names, leq_pairs):
             for c in range(n):
                 if meet_t[a][join_t[b][c]] != join_t[meet_t[a][b]][meet_t[a][c]]:
                     raise NotDistributive((names2[a], names2[b], names2[c]))
-    pseudo = []
-    for a in range(n):
-        xs = [x for x in range(n) if meet_t[x][a] == bots[0]]
-        best = xs[0]
-        for x in xs[1:]:
-            best = join_t[best][x]
-        pseudo.append(best)
     return FiniteFrame(
         names=names2,
         up=_matrix_rows(leq),
@@ -278,7 +267,6 @@ def oracle_frame(names, leq_pairs):
         join_t=tuple(tuple(row) for row in join_t),
         bot=bots[0],
         top=tops[0],
-        pseudo=tuple(pseudo),
     )
 
 
