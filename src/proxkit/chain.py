@@ -74,7 +74,7 @@ class ChainLikeFrame:
 
     def check(self, e: El) -> El:
         if not self.contains(e):
-            raise InvalidParameter(f"{e} is not an element of this chain")
+            raise _not_an_element(e)
         return e
 
     @property
@@ -102,7 +102,13 @@ class ChainLikeFrame:
 
     def is_limit(self, e: El) -> bool:
         """True when e is the supremum of the strictly smaller elements."""
-        return e.n == 0 and e.seg > 0 and self.segments[e.seg - 1].kind == OMEGA
+        seg, n = e
+        segs = self.segments
+        if n == 0 and 0 < seg < len(segs):
+            return segs[seg - 1].kind == OMEGA
+        if n == 0 and seg == 0 or n > 0 and 0 <= seg < len(segs) and segs[seg].kind == OMEGA:
+            return False
+        raise _not_an_element(e)
 
     def limits(self) -> list[El]:
         return [
@@ -136,6 +142,11 @@ class ChainLikeFrame:
             else:
                 out.append(El(i, 0))
         return out
+
+
+def _not_an_element(e) -> InvalidParameter:
+    """The error for a code e that is not an element of the chain."""
+    return InvalidParameter(f"{e} is not an element of this chain")
 
 
 def _check_sorted(vals, what: str) -> None:

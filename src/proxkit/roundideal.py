@@ -13,7 +13,8 @@ compare equal, even at the same point.  Their constructors check that
 the ideal is round: ``Prin`` that a is an element relating to itself,
 ``BelowLim`` that l is a limit.  The builders that decide this themselves
 skip the re-check through ``_unchecked``: :func:`kappa` after its
-reflexivity test, :func:`alpha` after its element check and limit test,
+reflexivity test and :func:`alpha` after its limit test, both of which
+refuse a code that is not an element,
 ``RFrameData.ideal_of`` on the shifted element of an omega segment, which
 it checks is an element and which relates to itself as every omega
 element does, and the chain ideal frames of :func:`rframe`.
@@ -43,7 +44,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 
-from .chain import OMEGA, POINT, ChainLikeFrame, El, Segment, Seq, _seq_problem
+from .chain import (
+    OMEGA,
+    POINT,
+    ChainLikeFrame,
+    El,
+    Segment,
+    Seq,
+    _not_an_element,
+    _seq_problem,
+)
 from .errors import (
     InvalidParameter,
     NotDirected,
@@ -136,8 +146,8 @@ def kappa(prox: Proximity, a) -> RoundIdeal:
     """The largest round ideal whose join is a: all approximants of a."""
     if isinstance(prox, FiniteProximity):
         return FinIdeal(prox, prox.cols[a])
-    prox.frame.check(a)
-    # only a limit can fail to relate to itself
+    # only a limit can fail to relate to itself; a code that is not an
+    # element is refused by the limit test under reflexive
     if prox.reflexive(a):
         return Prin._unchecked(prox, a)
     return BelowLim._unchecked(prox, a)
@@ -150,8 +160,7 @@ def alpha(prox: Proximity, a) -> RoundIdeal:
         raise NotStablyCompact("the instance has a non-compact top")
     if isinstance(prox, FiniteProximity):
         return FinIdeal(prox, prox.frame.down[a])
-    prox.frame.check(a)
-    if prox.frame.is_limit(a):
+    if prox.frame.is_limit(a):  # refuses a code that is not an element
         return BelowLim._unchecked(prox, a)
     # every element but a limit relates to itself
     return Prin._unchecked(prox, a)
@@ -282,12 +291,16 @@ class RFrameData:
     def ideal_of(self, el) -> RoundIdeal:
         if isinstance(self.base, FiniteProximity):
             return self.ideals[el]
-        ideal = self.ideals[el.seg]
-        if el.n == 0 or self.frame.segments[el.seg].kind != OMEGA:
-            return ideal
-        # an omega element of the base relates to itself
-        return Prin._unchecked(self.base,
-                               self.base.frame.check(El(ideal.a.seg, el.n)))
+        seg, n = el
+        segs = self.frame.segments
+        if n == 0 and 0 <= seg < len(segs):
+            return self.ideals[seg]
+        if 0 <= seg < len(segs) and segs[seg].kind == OMEGA:
+            # an omega element of the base relates to itself; a negative n
+            # is refused as the base code it shifts to
+            base = self.base
+            return Prin._unchecked(base, base.frame.check(El(self.ideals[seg].a.seg, n)))
+        raise _not_an_element(el)
 
     def el_of(self, ideal: RoundIdeal):
         # the codes below do not key the proximity, so check it here; the
@@ -306,9 +319,13 @@ class RFrameData:
         """sigma(ideal_of(el)), read off the kept joins."""
         if isinstance(self.base, FiniteProximity):
             return self.joins[el]
-        if el.n == 0 or self.frame.segments[el.seg].kind != OMEGA:
-            return self.joins[el.seg]
-        return El(self.joins[el.seg].seg, el.n)
+        seg, n = el
+        segs = self.frame.segments
+        if n == 0 and 0 <= seg < len(segs):
+            return self.joins[seg]
+        if n > 0 and 0 <= seg < len(segs) and segs[seg].kind == OMEGA:
+            return El(self.joins[seg].seg, n)
+        raise _not_an_element(el)
 
     @cached_property
     def joins(self) -> tuple:

@@ -56,6 +56,16 @@ def test_way_below_excludes_limit_reflexivity():
     assert not wb.rel(L, L)
 
 
+@pytest.mark.parametrize("call", ["is_limit", "reflexive"])
+@pytest.mark.parametrize("code", [El(9, 0), El(2, 0), El(-1, 0), El(1, 5), El(0, -1)])
+def test_limit_and_reflexivity_refuse_codes_outside_the_chain(call, code):
+    f = build_chain_frame(1)  # S0 and L1
+    test = f.is_limit if call == "is_limit" else chain_proximity(f, {1}).reflexive
+    with pytest.raises(InvalidParameter,
+                       match=f"^{re.escape(repr(code))} is not an element of this chain$"):
+        test(code)
+
+
 def test_frame_needs_point_top():
     with pytest.raises(InvalidParameter):
         ChainLikeFrame((Segment("omega", "S"),))

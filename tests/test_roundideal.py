@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -425,3 +426,15 @@ def test_chain_ideal_lattice_laws(bi, i, li, bj, j, lj):
             assert subideal(z, meet)
     assert rfd.frame.leq(rfd.el_of(x), rfd.el_of(y)) == subideal(x, y)
     assert subideal(x, y) == (join == y)
+
+
+@pytest.mark.parametrize("call", ["ideal_of", "join_of"])
+@pytest.mark.parametrize("code", [El(1, 5), El(-1, 0), El(9, 0), El(2, 1), El(0, -1)])
+def test_ideal_frame_refuses_codes_outside_it(call, code):
+    # the ideal frame of chain-k1 has the segments P[S0], B[L1] and P[L1]:
+    # a position past 0 in a point, a segment before the first or past the
+    # last, and a negative position are not elements
+    rfd = rframe(catalog_instances()["chain-k1"])
+    message = f"^{re.escape(repr(code))} is not an element of this chain$"
+    with pytest.raises(InvalidParameter, match=message):
+        getattr(rfd, call)(code)
