@@ -206,6 +206,25 @@ def star_compose(g, f) -> FiniteMap:
         for a in src.frame.elements()))
 
 
+def way_below_in(frame, a, b) -> bool:
+    """a << b: every directed set whose join is at least b has a member at
+    least a.  A directed set of a finite lattice has a greatest element, so
+    there a << b iff a <= b; on a chain too, except that a limit, the join
+    of what lies under it, is not way below itself."""
+    if isinstance(frame, FiniteFrame):
+        return frame.leq(a, b)
+    return frame.leq(a, b) and not (a == b and frame.is_limit(a))
+
+
+def proper(f) -> bool:
+    """Whether f(a) << f(b) for every a << b: over every element of a
+    finite source, and over the window points of a chain."""
+    src, dst, v = f.src.frame, f.dst.frame, f.apply
+    els = points(src, depth_for(f))
+    return all(way_below_in(dst, v(a), v(b))
+               for a in els for b in els if way_below_in(src, a, b))
+
+
 # -- validators ---------------------------------------------------------------
 
 

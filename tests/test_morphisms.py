@@ -14,6 +14,7 @@ from proxkit.errors import InvalidParameter, MalformedMap, NotComposable
 from proxkit.morphisms import (
     ChainMap,
     FiniteMap,
+    alpha_map,
     compose,
     enumerate_proxhoms,
     identity_map,
@@ -28,7 +29,7 @@ from proxkit.morphisms import (
     validate_proxhom,
 )
 from proxkit.proximity import FiniteProximity, chain_proximity, order_proximity
-from proxkit.roundideal import rframe
+from proxkit.roundideal import is_stably_compact, rframe
 
 
 def k1():
@@ -116,6 +117,29 @@ def test_catalog_morphisms_validator_profile():
     for name, (pfm, proper) in profile.items():
         assert validate_pframemap(ms[name]).ok == pfm, name
         assert is_proper(ms[name]) == proper, name
+
+
+def test_is_proper_matches_the_definition():
+    # every homomorphism between the search frames of at most 4 elements
+    # and from them into chain-k1 at its window points, theta of each
+    # catalog morphism, and sigma, kappa and alpha on the levels of the 15
+    # layouts with k <= 4 whose top is reflexive
+    orders = [order_proximity(f) for _, f in _generated_frames(4)]
+    maps = [h for src, dst in product(orders, repeat=2) for h in enumerate_proxhoms(src, dst)]
+    p = k1()
+    maps += [f for src in orders for t in product(ref.points(p.frame), repeat=src.frame.n)
+             for f in [FiniteMap(src, p, t)] if validate_proxhom(f).ok]
+    maps += [theta(f, rframe(f.src)) for f in catalog_morphisms().values()]
+    layouts = [p for k in range(1, 5) for p in ref.reflexive_subsets(build_chain_frame(k))
+               if p.reflexive(p.frame.top)]
+    assert len(layouts) == 15
+    for rfd in (level for p in layouts for r in [rframe(p)] for level in (r, r.rr, r.cc)):
+        maps += [sigma_map(rfd), kappa_map(rfd)]
+        if is_stably_compact(rfd.base):
+            maps.append(alpha_map(rfd))
+    verdicts = [is_proper(f) for f in maps]
+    assert verdicts == [ref.proper(f) for f in maps]
+    assert True in verdicts and False in verdicts
 
 
 def test_meet_hom_without_subadditivity_detected():
