@@ -13,6 +13,9 @@ The O(n^3) scan of every triple runs only when the count says no, to
 find the first failing triple for the `NotDistributive` witness.  Frames
 over DISTRIBUTIVITY_SCAN_LIMIT elements are refused as soon as their
 size is known, before any table is built.
+
+Every join over the set bits of a mask, such as the join of an element's
+approximants, is taken by `_join_over`, in a finite frame or a chain.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ which skip those checks.
 On a finite source theta reads the joins kept on the ideal frame,
 `RFrameData.joins`, and the joins of approximants kept on the target,
 `FiniteProximity.sups`: theta(f) sends the ideal I_e to
-sups[f(joins[e])], the join of kappa(f(join of I_e)).
+sups[f(joins[e])], the join of kappa(f(join of I_e)).  `is_proper` is
+the preserves-rel check run on the way-below proximities of both frames.
 """
 
 from __future__ import annotations

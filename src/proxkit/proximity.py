@@ -19,6 +19,9 @@ On a chain every element with an immediate predecessor is forced to be
 relation-reflexive (its set of approximants must attain it), and weakening
 then forces every strict pair into the relation.  The reflexive-limit set
 is therefore the full degree of freedom for chain proximities.
+
+`way_below_proximity` gives the way-below relation of a frame as a
+proximity, for the ideal frames of `rframe` and for `is_proper`.
 """
 
 from __future__ import annotations
