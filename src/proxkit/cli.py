@@ -27,7 +27,7 @@ from .comonads import (
     subcomonad_check,
 )
 from .errors import ProxkitError
-from .finite import _bits, build_finite_frame, downset_frame, hasse_dot
+from .finite import build_finite_frame, downset_frame, hasse_dot
 from .morphisms import (
     compose,
     enumerate_proxhoms,
@@ -46,7 +46,7 @@ from .proximity import (
     order_proximity,
     validate_proximity,
 )
-from .reports import LawReport, law_fail, law_pass
+from .reports import LawReport, document, law_fail, law_pass, line
 from .roundideal import rframe
 
 
@@ -106,7 +106,7 @@ def cmd_validate(path: str) -> int:
     report = validate_proximity(prox)
     doc = report.to_json()
     doc["instance"] = name
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(document(doc))
     return 0 if report.ok else 1
 
 
@@ -120,7 +120,7 @@ def cmd_compactify(path: str, out: str) -> int:
     if out == "dot":
         print(_compact_dot(name, rfd), end="")
         return 0
-    print(json.dumps(_compact_json(name, prox, rfd), sort_keys=True, indent=2))
+    print(document(_compact_json(name, prox, rfd)))
     return 0
 
 
@@ -146,11 +146,14 @@ def _compact_json(name, prox, rfd) -> dict:
                             "ideal": shown, "sigma": join})
         doc["classification"] = classes
         doc["representatives"] = labels
+    # the labels are distinct, so pairs scanned in label order come out
+    # sorted as the report lists them
+    order = sorted(range(len(reps)), key=labels.__getitem__)
     for key, rel in (("way_below_on_representatives", rfd.wb),
                      ("max_rel_on_representatives", rfd.maxp)):
-        doc[key] = sorted([labels[p], labels[q]]
-                          for p, row in enumerate(rel.rows_on(reps, reps))
-                          for q in _bits(row))
+        rows = rel.rows_on(reps, reps)
+        doc[key] = [[labels[p], labels[q]]
+                    for p in order for q in order if rows[p] >> q & 1]
     return doc
 
 
@@ -321,7 +324,7 @@ def cmd_search(law: str, max_size: int) -> int:
             report = certify_finite_collapse(frame)
             doc = report.to_json()
             doc["frame"] = name
-            print(json.dumps(doc, sort_keys=True))
+            print(line(doc))
             failures += 0 if report.ok else 1
         return 0 if failures == 0 else 1
     # pairs of frames are searched only up to SEARCH_PAIR_LIMIT elements,
@@ -333,9 +336,8 @@ def cmd_search(law: str, max_size: int) -> int:
     small = []
     for name, frame in frames:
         if frame.n > SEARCH_PAIR_LIMIT:
-            print(json.dumps({"frame": name,
-                              "skipped": f"over {SEARCH_PAIR_LIMIT} elements"},
-                             sort_keys=True))
+            print(line({"frame": name,
+                        "skipped": f"over {SEARCH_PAIR_LIMIT} elements"}))
         else:
             small.append((name, order_proximity(frame)))
     if law == "theta-rho":
@@ -343,8 +345,8 @@ def cmd_search(law: str, max_size: int) -> int:
             rfd = rframe(ps)
             for nd, pd in small:
                 count, bad = _theta_rho_counts(ps, pd, rfd)
-                print(json.dumps({"pair": f"{ns}->{nd}", "homs": count,
-                                  "failures": bad}, sort_keys=True))
+                print(line({"pair": f"{ns}->{nd}", "homs": count,
+                            "failures": bad}))
                 failures += bad
         return 0 if failures == 0 else 1
     # star-vs-compose: on finite frames the order is the only proximity,
@@ -357,14 +359,14 @@ def cmd_search(law: str, max_size: int) -> int:
                 for g in endos[nd]:
                     if star_compose(g, f) != compose(g, f):
                         failures += 1
-                        print(json.dumps({"witness": [repr(f), repr(g)]}))
+                        print(line({"witness": [repr(f), repr(g)]}))
     if failures == 0:
-        print(json.dumps({
+        print(line({
             "result": "no finite witness",
             "note": "finite proximities collapse to the order, making every "
                     "homomorphism join-preserving; see the chain-k2 catalog "
                     "morphisms k2-f, k2-g for the infinite witness",
-        }, sort_keys=True))
+        }))
         return 0
     return 1
 
