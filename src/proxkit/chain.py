@@ -86,8 +86,14 @@ class ChainLikeFrame:
         return El(len(self.segments) - 1, 0)
 
     def label(self, e: El) -> str:
-        s = self.segments[e.seg]
-        return s.label if s.kind == POINT else f"{s.label}.{e.n}"
+        seg, n = e
+        if 0 <= seg < len(self.segments):
+            s = self.segments[seg]
+            if s.kind == OMEGA and n >= 0:
+                return f"{s.label}.{n}"
+            if n == 0:
+                return s.label
+        raise _not_an_element(e)
 
     # -- order and lattice ops ----------------------------------------
 
@@ -119,11 +125,14 @@ class ChainLikeFrame:
 
     def successor_of(self, e: El) -> El | None:
         """The immediate successor, or None for the top element."""
-        if self.segments[e.seg].kind == OMEGA:
-            return El(e.seg, e.n + 1)
-        if e.seg + 1 < len(self.segments):
-            return El(e.seg + 1, 0)
-        return None
+        seg, n = e
+        segs = self.segments
+        if 0 <= seg < len(segs):
+            if segs[seg].kind == OMEGA and n >= 0:
+                return El(seg, n + 1)
+            if n == 0:
+                return El(seg + 1, 0) if seg + 1 < len(segs) else None
+        raise _not_an_element(e)
 
     # -- representatives ----------------------------------------------
 

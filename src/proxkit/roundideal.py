@@ -290,7 +290,9 @@ class RFrameData:
 
     def ideal_of(self, el) -> RoundIdeal:
         if isinstance(self.base, FiniteProximity):
-            return self.ideals[el]
+            if 0 <= el < len(self.ideals):
+                return self.ideals[el]
+            raise _not_in_frame(el)
         seg, n = el
         segs = self.frame.segments
         if n == 0 and 0 <= seg < len(segs):
@@ -318,7 +320,9 @@ class RFrameData:
     def join_of(self, el):
         """sigma(ideal_of(el)), read off the kept joins."""
         if isinstance(self.base, FiniteProximity):
-            return self.joins[el]
+            if 0 <= el < len(self.ideals):
+                return self.joins[el]
+            raise _not_in_frame(el)
         seg, n = el
         segs = self.frame.segments
         if n == 0 and 0 <= seg < len(segs):
@@ -367,6 +371,12 @@ class RFrameData:
         """The frame of round ideals of `maxp`: the next level of the
         maximal-structure comonad's tower."""
         return self.rr if self.maxp == self.wb else rframe(self.maxp)
+
+
+def _not_in_frame(el) -> InvalidParameter:
+    """The error for a code el that is not an element of a finite ideal
+    frame."""
+    return InvalidParameter(f"{el!r} is not an element of this frame")
 
 
 def _code_key(ideal: RoundIdeal):

@@ -56,14 +56,21 @@ def test_way_below_excludes_limit_reflexivity():
     assert not wb.rel(L, L)
 
 
-@pytest.mark.parametrize("call", ["is_limit", "reflexive"])
+@pytest.mark.parametrize("call", ["is_limit", "reflexive", "label", "successor_of"])
 @pytest.mark.parametrize("code", [El(9, 0), El(2, 0), El(-1, 0), El(1, 5), El(0, -1)])
 def test_limit_and_reflexivity_refuse_codes_outside_the_chain(call, code):
     f = build_chain_frame(1)  # S0 and L1
-    test = f.is_limit if call == "is_limit" else chain_proximity(f, {1}).reflexive
+    test = chain_proximity(f, {1}).reflexive if call == "reflexive" else getattr(f, call)
     with pytest.raises(InvalidParameter,
                        match=f"^{re.escape(repr(code))} is not an element of this chain$"):
         test(code)
+
+
+def test_label_and_successor_on_the_elements():
+    f = build_chain_frame(1)
+    assert [f.label(e) for e in (El(0, 0), El(0, 7), El(1, 0))] == ["S0.0", "S0.7", "L1"]
+    assert f.successor_of(El(0, 7)) == El(0, 8)
+    assert f.successor_of(El(1, 0)) is None
 
 
 def test_frame_needs_point_top():

@@ -438,3 +438,13 @@ def test_ideal_frame_refuses_codes_outside_it(call, code):
     message = f"^{re.escape(repr(code))} is not an element of this chain$"
     with pytest.raises(InvalidParameter, match=message):
         getattr(rfd, call)(code)
+
+
+@pytest.mark.parametrize("call", ["ideal_of", "join_of"])
+@pytest.mark.parametrize("code", [-1, -4, 4, 9])
+def test_finite_ideal_frame_refuses_codes_outside_it(call, code):
+    # the ideal frame of the diamond has the elements 0..3; a negative
+    # code would otherwise wrap round to the end of the kept ideals
+    rfd = rframe(catalog_instances()["diamond"])
+    with pytest.raises(InvalidParameter, match=f"^{code} is not an element of this frame$"):
+        getattr(rfd, call)(code)
