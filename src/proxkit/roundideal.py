@@ -290,9 +290,11 @@ class RFrameData:
 
     def ideal_of(self, el) -> RoundIdeal:
         if isinstance(self.base, FiniteProximity):
-            if 0 <= el < len(self.ideals):
+            if type(el) is int and 0 <= el < len(self.ideals):
                 return self.ideals[el]
             raise _not_in_frame(el)
+        if type(el) is not El:
+            raise _not_an_element(el)
         seg, n = el
         segs = self.frame.segments
         if n == 0 and 0 <= seg < len(segs):
@@ -320,9 +322,11 @@ class RFrameData:
     def join_of(self, el):
         """sigma(ideal_of(el)), read off the kept joins."""
         if isinstance(self.base, FiniteProximity):
-            if 0 <= el < len(self.ideals):
+            if type(el) is int and 0 <= el < len(self.ideals):
                 return self.joins[el]
             raise _not_in_frame(el)
+        if type(el) is not El:
+            raise _not_an_element(el)
         seg, n = el
         segs = self.frame.segments
         if n == 0 and 0 <= seg < len(segs):

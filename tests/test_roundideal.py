@@ -429,11 +429,13 @@ def test_chain_ideal_lattice_laws(bi, i, li, bj, j, lj):
 
 
 @pytest.mark.parametrize("call", ["ideal_of", "join_of"])
-@pytest.mark.parametrize("code", [El(1, 5), El(-1, 0), El(9, 0), El(2, 1), El(0, -1)])
+@pytest.mark.parametrize("code", [El(1, 5), El(-1, 0), El(9, 0), El(2, 1), El(0, -1),
+                                  1, (0, 0), True])
 def test_ideal_frame_refuses_codes_outside_it(call, code):
     # the ideal frame of chain-k1 has the segments P[S0], B[L1] and P[L1]:
     # a position past 0 in a point, a segment before the first or past the
-    # last, and a negative position are not elements
+    # last, and a negative position are not elements, and neither is a
+    # code that is not an El, even a plain tuple equal to one
     rfd = rframe(catalog_instances()["chain-k1"])
     message = f"^{re.escape(repr(code))} is not an element of this chain$"
     with pytest.raises(InvalidParameter, match=message):
@@ -441,10 +443,13 @@ def test_ideal_frame_refuses_codes_outside_it(call, code):
 
 
 @pytest.mark.parametrize("call", ["ideal_of", "join_of"])
-@pytest.mark.parametrize("code", [-1, -4, 4, 9])
+@pytest.mark.parametrize("code", [-1, -4, 4, 9, True, False, 1.0, El(0, 0)])
 def test_finite_ideal_frame_refuses_codes_outside_it(call, code):
     # the ideal frame of the diamond has the elements 0..3; a negative
-    # code would otherwise wrap round to the end of the kept ideals
+    # code would otherwise wrap round to the end of the kept ideals, and a
+    # bool, a float or a chain code is not an element even where it
+    # compares equal to one
     rfd = rframe(catalog_instances()["diamond"])
-    with pytest.raises(InvalidParameter, match=f"^{code} is not an element of this frame$"):
+    message = f"^{re.escape(repr(code))} is not an element of this frame$"
+    with pytest.raises(InvalidParameter, match=message):
         getattr(rfd, call)(code)
