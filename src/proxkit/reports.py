@@ -100,9 +100,6 @@ class AxiomReport:
             out["collapse"] = self.collapse
         return out
 
-    def dumps(self) -> str:
-        return document(self.to_json())
-
 
 @dataclass(frozen=True)
 class LawReport:

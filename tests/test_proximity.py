@@ -20,7 +20,7 @@ from proxkit.proximity import (
     product_proximity,
     validate_proximity,
 )
-from proxkit.reports import SYMBOLIC, AxiomReport
+from proxkit.reports import SYMBOLIC, AxiomReport, document
 from proxkit.roundideal import rframe
 
 
@@ -105,7 +105,7 @@ def test_collapse_certificates():
         (["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]),
     ]:
         report = certify_finite_collapse(build_finite_frame(names, pairs))
-        assert report.ok, report.dumps()
+        assert report.ok, document(report.to_json())
 
 
 @settings(max_examples=40, deadline=None)
