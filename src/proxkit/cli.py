@@ -330,9 +330,10 @@ def cmd_search(law: str, max_size: int) -> int:
     # pairs of frames are searched only up to SEARCH_PAIR_LIMIT elements,
     # and each larger frame gets a skip record.  enumerate_proxhoms prunes
     # depth-first, but star-vs-compose pairs every homomorphism with every
-    # endomorphism of its target: 0.22, 1.1 and 15.6 s of process time
-    # on one Xeon core at limits 5, 6 and 7.  One work budget for all the
-    # searches, counting the work done, is meant to replace the limit.
+    # endomorphism of its target: 0.23, 0.60 and 7.7 s of process time,
+    # start-up included, on one Xeon core at limits 5, 6 and 7.  One work
+    # budget for all the searches, counting the work done, is meant to
+    # replace the limit.
     small = []
     for name, frame in frames:
         if frame.n > SEARCH_PAIR_LIMIT:
@@ -351,12 +352,14 @@ def cmd_search(law: str, max_size: int) -> int:
         return 0 if failures == 0 else 1
     # star-vs-compose: on finite frames the order is the only proximity,
     # so every valid homomorphism preserves joins and the compositions
-    # agree; the genuine witness needs the two-block chain instance
-    endos = {nd: enumerate_proxhoms(pd, pd) for nd, pd in small}
-    for ns, ps in small:
-        for nd, pd in small:
-            for f in enumerate_proxhoms(ps, pd):
-                for g in endos[nd]:
+    # agree; the genuine witness needs the two-block chain instance.  Each
+    # ordered pair is enumerated once, and a target's endomorphisms are
+    # its diagonal entry.
+    homs = {(ns, nd): enumerate_proxhoms(ps, pd) for ns, ps in small for nd, pd in small}
+    for ns, _ in small:
+        for nd, _ in small:
+            for f in homs[ns, nd]:
+                for g in homs[nd, nd]:
                     if star_compose(g, f) != compose(g, f):
                         failures += 1
                         print(line({"witness": [repr(f), repr(g)]}))

@@ -14,13 +14,19 @@ find the first failing triple for the `NotDistributive` witness.  Frames
 over DISTRIBUTIVITY_SCAN_LIMIT elements are refused as soon as their
 size is known, before any table is built.
 
-Every join over the set bits of a mask, such as the join of an element's
-approximants, is taken by `_join_over`, in a finite frame or a chain.
+Every join over a set of indices, such as the join of an element's
+approximants, is taken by `_join_over`, in a finite frame through the
+rows of its join table, or in a chain.  A frame keeps, once asked, its
+`triangle`: (a, b, meet, join) for every b <= a in backward row-major
+order, which the homomorphism validators of `morphisms` scan by table
+lookup.  Kept tables are cached on the frame they describe and go with
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -65,6 +71,15 @@ class FiniteFrame:
     def join(self, a: int, b: int) -> int:
         return self.join_t[a][b]
 
+    @cached_property
+    def triangle(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(a, b, meet(a, b), join(a, b)) for every b <= a, a from the top
+        index down and b from a down: a backward row-major scan of a
+        symmetric condition meets its last failing pair first."""
+        meet_t, join_t = self.meet_t, self.join_t
+        return tuple((a, b, meet_t[a][b], join_t[a][b])
+                     for a in range(self.n - 1, -1, -1) for b in range(a, -1, -1))
+
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -99,12 +114,23 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _join_over(frame, mask: int, values=None):
+def _join_over(frame, idx, values=None):
     """The join in frame, finite or a chain, of values[b], or of b itself
-    when values is None, over the set bits b of mask."""
-    j, join = frame.bot, frame.join
-    for b in _bits(mask):
-        j = join(j, b if values is None else values[b])
+    when values is None, over the indices b in idx; on a finite frame
+    through the rows of its join table."""
+    j = frame.bot
+    if not isinstance(frame, FiniteFrame):
+        join = frame.join
+        for b in idx:
+            j = join(j, b if values is None else values[b])
+        return j
+    join_t = frame.join_t
+    if values is None:
+        for b in idx:
+            j = join_t[j][b]
+    else:
+        for b in idx:
+            j = join_t[j][values[b]]
     return j
 
 

@@ -16,6 +16,18 @@ identity, sigma, kappa, alpha, theta and R(f), and the re-tagging in
 in the target, and build through the private `_unchecked` constructors,
 which skip those checks.
 
+Finite maps are composed and validated by table lookup.  `compose`
+indexes g's table, or asks g on a chain.  `star_compose` joins over the
+index tuples of the source relation's columns, kept on the proximity as
+`FiniteProximity.col_bits`, through the join table of a finite target.
+The meet and join checks of the validators scan the source frame's kept
+`FiniteFrame.triangle` and read the target's meet and join tables; a
+chain target answers through its `meet` and `join`.  `enumerate_proxhoms`
+builds each element's meet constraints and allowed values once per call
+and tests a candidate against a row of the target's meet table.  These
+tables are cached on the frame or proximity they describe, so they last
+as long as it does.
+
 On a finite source theta reads the joins kept on the ideal frame,
 `RFrameData.joins`, and the joins of approximants kept on the target,
 `FiniteProximity.sups`: theta(f) sends the ideal I_e to
@@ -29,7 +41,7 @@ from dataclasses import dataclass
 
 from .chain import OMEGA, El, Seq, _seq_problem
 from .errors import MalformedMap, NotComposable, NotStablyCompact
-from .finite import _join_over
+from .finite import FiniteFrame, _join_over
 from .proximity import ChainProximity, FiniteProximity, Proximity, way_below_proximity
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, Verdict
 from .roundideal import (
@@ -169,7 +181,8 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     if f.dst != g.src:
         raise NotComposable("codomain of f must be the domain of g")
     if isinstance(f, FiniteMap):
-        return FiniteMap._unchecked(f.src, g.dst, tuple(g.apply(v) for v in f.table))
+        at = g.table.__getitem__ if isinstance(g, FiniteMap) else g.apply
+        return FiniteMap._unchecked(f.src, g.dst, tuple(map(at, f.table)))
     rules = []
     for rule in f.rules:
         exc = [(m, g.apply(v)) for m, v in rule.exceptions]
@@ -204,7 +217,7 @@ def star_compose(g: Morphism, f: Morphism) -> Morphism:
         # column a of the relation holds the approximants of a
         frame, values = g.dst.frame, comp.table
         return FiniteMap._unchecked(f.src, g.dst, tuple(
-            _join_over(frame, col, values) for col in f.src.cols))
+            _join_over(frame, col, values) for col in f.src.col_bits))
     rules = list(comp.rules)
     for i, s in enumerate(f.src.frame.segments):
         e = El(i, 0)
@@ -253,13 +266,17 @@ def _finite_preserves(f: FiniteMap, src: FiniteProximity, dst: Proximity):
     return None
 
 
+# one shared passing verdict: the validator below returns many reports
+_PASSED = Verdict(PASS)
+
+
 def _validate_finite_hom(f: FiniteMap, frame_map: bool) -> AxiomReport:
     """Each failing axiom reports its last witness in row-major order, of
     element pairs (a, b) or of pairs of related pairs.  The scans run
     backwards and stop at the first failure.  The meet, join and joint
     subadditivity conditions are symmetric in their two arguments, so the
     last failing pair has its second index at most its first, and only
-    those are scanned.
+    those are scanned: meets and joins along the source's `triangle`.
 
     Between two order proximities, which by the collapse theorem are all
     the valid finite ones, a meet-preserving map that also preserves
@@ -268,55 +285,43 @@ def _validate_finite_hom(f: FiniteMap, frame_map: bool) -> AxiomReport:
     elements below a being f(a).  That is decided in O(n^2) table
     lookups; only when it fails do the two scans below run."""
     sf, df = f.src.frame, f.dst.frame
-    n = sf.n
     names = sf.names
     dl = f.dst.label
-    table, meet_t, join_t = f.table, sf.meet_t, sf.join_t
-    dmeet, djoin, drel = df.meet, df.join, f.dst.rel
-    back = range(n - 1, -1, -1)
+    table, join_t = f.table, sf.join_t
+    djoin, drel = df.join, f.dst.rel
     axioms = []
 
-    def last_pair(fails):
-        for a in back:
-            for b in range(a, -1, -1):
-                if fails(a, b):
-                    return a, b
-        return None
-
-    w = last_pair(lambda a, b: table[meet_t[a][b]] != dmeet(table[a], table[b]))
+    w = _last_unkept(f, 2)
     meets_kept = w is None
-    v = Verdict(PASS) if meets_kept else Verdict(
+    v = _PASSED if meets_kept else Verdict(
         FAIL, (names[w[0]], names[w[1]]), "meets not preserved")
     axioms.append(("meet-hom", v))
 
-    v = Verdict(PASS) if table[sf.bot] == df.bot else Verdict(
+    v = _PASSED if table[sf.bot] == df.bot else Verdict(
         FAIL, (names[sf.bot], dl(table[sf.bot])), "bottom not preserved"
     )
     axioms.append(("zero", v))
-    v = Verdict(PASS) if table[sf.top] == df.top else Verdict(
+    v = _PASSED if table[sf.top] == df.top else Verdict(
         FAIL, (names[sf.top], dl(table[sf.top])), "top not preserved"
     )
     axioms.append(("top", v))
 
-    def breaks_join(a, b):
-        return table[join_t[a][b]] != djoin(table[a], table[b])
-
     if frame_map:
-        w = last_pair(breaks_join)
-        v = Verdict(PASS) if w is None else Verdict(
+        w = _last_unkept(f, 3)
+        v = _PASSED if w is None else Verdict(
             FAIL, (names[w[0]], names[w[1]]), "joins not preserved")
         axioms.append(("join-hom", v))
         w = _finite_preserves(f, f.src, f.dst)
-        v = Verdict(PASS) if w is None else Verdict(
+        v = _PASSED if w is None else Verdict(
             FAIL, (names[w[0]], names[w[1]]), "relation not preserved")
         axioms.append(("preserves-rel", v))
     elif (meets_kept and isinstance(f.dst, FiniteProximity)
           and f.src.rows == sf.up and f.dst.rows == df.up
-          and last_pair(breaks_join) is None):
-        axioms += [("join-subadditive", Verdict(PASS)),
-                   ("value-approximation", Verdict(PASS))]
+          and _last_unkept(f, 3) is None):
+        axioms += [("join-subadditive", _PASSED),
+                   ("value-approximation", _PASSED)]
     else:
-        v = Verdict(PASS)
+        v = _PASSED
         pairs = f.src.pairs()
         images = [table[b] for _, b in pairs]
         for i in range(len(pairs) - 1, -1, -1):
@@ -334,15 +339,35 @@ def _validate_finite_hom(f: FiniteMap, frame_map: bool) -> AxiomReport:
                 break
         axioms.append(("join-subadditive", v))
 
-        v = Verdict(PASS)
-        cols = f.src.cols
-        for a in back:
+        v = _PASSED
+        cols = f.src.col_bits
+        for a in range(sf.n - 1, -1, -1):
             j = _join_over(df, cols[a], table)
             if j != table[a]:
                 v = Verdict(FAIL, (names[a], dl(j)), "approximation of values fails")
                 break
         axioms.append(("value-approximation", v))
     return AxiomReport(tuple(axioms))
+
+
+def _last_unkept(f: FiniteMap, k: int):
+    """The first pair (a, b) of the source's `triangle`, so the last in
+    row-major order with b <= a, at which f(op(a, b)) differs from
+    op(f(a), f(b)), or None; op is the meet for k = 2 and the join for
+    k = 3, the columns of the triangle that hold them.  A finite target
+    answers op from its table, a chain from its method."""
+    table, df = f.table, f.dst.frame
+    if isinstance(df, FiniteFrame):
+        op_t = df.meet_t if k == 2 else df.join_t
+        for t in f.src.frame.triangle:
+            if table[t[k]] != op_t[table[t[0]]][table[t[1]]]:
+                return t[:2]
+        return None
+    op = df.meet if k == 2 else df.join
+    for t in f.src.frame.triangle:
+        if table[t[k]] != op(table[t[0]], table[t[1]]):
+            return t[:2]
+    return None
 
 
 def _chain_monotone(f: ChainMap):
@@ -528,6 +553,12 @@ def enumerate_proxhoms(src: FiniteProximity, dst: FiniteProximity) -> list[Finit
     """
     sf, df = src.frame, dst.frame
     n, m = sf.n, df.n
+    meet_t, dmeet_t = sf.meet_t, df.meet_t
+    # per element a: the pairs (meet(a, b), b) for b < a, and the values
+    # the bounds leave it
+    meets = [tuple((meet_t[a][b], b) for b in range(a)) for a in range(n)]
+    allowed = [[v for v in range(m) if (a != sf.bot or v == df.bot)
+                and (a != sf.top or v == df.top)] for a in range(n)]
     out = []
     table = [0] * n
 
@@ -537,11 +568,9 @@ def enumerate_proxhoms(src: FiniteProximity, dst: FiniteProximity) -> list[Finit
             if validate_proxhom(f).ok:
                 out.append(f)
             return
-        meets = [(sf.meet(a, b), b) for b in range(a)]
-        for v in range(m):
-            if a == sf.bot and v != df.bot or a == sf.top and v != df.top:
-                continue
-            if all(table[c] == df.meet(v, table[b]) for c, b in meets):
+        for v in allowed[a]:
+            row = dmeet_t[v]
+            if all(table[c] == row[table[b]] for c, b in meets[a]):
                 table[a] = v
                 extend(a + 1)
 

@@ -52,10 +52,15 @@ class FiniteProximity:
         return _transpose(self.rows, self.frame.n)
 
     @cached_property
+    def col_bits(self) -> tuple[tuple[int, ...], ...]:
+        """col_bits[b]: the a with a rel b, in increasing order."""
+        return tuple(tuple(_bits(col)) for col in self.cols)
+
+    @cached_property
     def sups(self) -> tuple:
         """sups[b]: the join of the approximants of b, column b of the
         relation; b itself whenever the relation approximates b."""
-        return tuple(_join_over(self.frame, col) for col in self.cols)
+        return tuple(_join_over(self.frame, col) for col in self.col_bits)
 
     def rows_on(self, xs, vals) -> list[int]:
         """Row p: the mask of the q with rel(xs[p], vals[q]), that is the
@@ -199,7 +204,7 @@ def _scan_finite(p: FiniteProximity) -> AxiomReport:
         # Pairs (a, b) go in row-major order and their partners (c, d)
         # after them, as in itertools.combinations of the pair list.
         meet_ok, join_ok = {}, {}
-        col_bits = [list(_bits(m)) for m in cols]
+        col_bits = p.col_bits
         for a, b in p.pairs():
             if b not in meet_ok:
                 meet_ok[b] = _preimage_rows(meet_t[b], col_bits)

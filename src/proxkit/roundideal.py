@@ -169,7 +169,7 @@ def alpha(prox: Proximity, a) -> RoundIdeal:
 def sigma(ideal: RoundIdeal):
     """The join of a canonical ideal."""
     if isinstance(ideal, FinIdeal):
-        return _join_over(ideal.prox.frame, ideal.mask)
+        return _join_over(ideal.prox.frame, _bits(ideal.mask))
     if isinstance(ideal, Prin):
         return ideal.a
     return ideal.lim  # sup of everything strictly below a limit

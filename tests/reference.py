@@ -332,6 +332,24 @@ def proxhoms(src: FiniteProximity, dst: FiniteProximity) -> list[FiniteMap]:
             if not any(next(found, None) for _, found in hom_violations(f, False))]
 
 
+def join_irreducibles(frame: FiniteFrame) -> list:
+    """The x other than the bottom that are the join of no two elements
+    both different from x."""
+    els = list(frame.elements())
+    return [x for x in els if x != frame.bot
+            and not any(frame.join(a, b) == x for a in els for b in els if x not in (a, b))]
+
+
+def lattice_hom_count(src: FiniteFrame, dst: FiniteFrame) -> int:
+    """The bounded lattice homomorphisms src -> dst between two finite
+    distributive lattices, counted by Birkhoff duality: the order-preserving
+    maps from the join-irreducibles of dst to those of src."""
+    js, jd = join_irreducibles(src), join_irreducibles(dst)
+    below = [(i, j) for i, x in enumerate(jd) for j, y in enumerate(jd) if dst.leq(x, y)]
+    return sum(all(src.leq(h[i], h[j]) for i, j in below)
+               for h in product(js, repeat=len(jd)))
+
+
 def free_pairs(f: FiniteFrame) -> list:
     """The pairs of leq other than (0, 0) and (1, 1)."""
     return [(a, b) for a in f.elements() for b in f.elements()

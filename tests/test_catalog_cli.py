@@ -16,8 +16,8 @@ from proxkit.chain import OMEGA, POINT, ChainLikeFrame, Segment, Seq, lim, succ
 import proxkit.cli as cli
 from proxkit.cli import _generated_frames, main
 from proxkit.errors import InvalidParameter, UnknownInstance
-from proxkit.morphisms import ChainMap, enumerate_proxhoms, validate_proxhom
-from proxkit.proximity import ChainProximity
+from proxkit.morphisms import ChainMap, enumerate_proxhoms, star_compose, validate_proxhom
+from proxkit.proximity import ChainProximity, order_proximity
 from proxkit.roundideal import rframe
 
 
@@ -351,7 +351,7 @@ def test_cli_search_star_vs_compose(capsys):
     assert "k2-f" in doc["note"]
 
 
-def test_cli_search_star_vs_compose_enumerates_endomorphisms_once(capsys, monkeypatch):
+def test_cli_search_star_vs_compose_enumerates_each_ordered_pair_once(capsys, monkeypatch):
     from proxkit import cli
 
     calls = []
@@ -362,9 +362,30 @@ def test_cli_search_star_vs_compose_enumerates_endomorphisms_once(capsys, monkey
 
     monkeypatch.setattr(cli, "enumerate_proxhoms", counting)
     assert main(["search", "--law", "star-vs-compose", "--max-size", "4"]) == 0
-    # five frames: one call per (source, target) pair, and one per target
-    # for its endomorphisms
-    assert len(calls) == 5 * 5 + 5
+    # five frames: one call per ordered (source, target) pair; each
+    # target's endomorphisms are the homomorphisms of its diagonal pair
+    assert len(calls) == 5 * 5
+    assert len(set(calls)) == 5 * 5
+
+
+def test_cli_search_star_vs_compose_pairs_each_hom_with_its_targets_endomorphisms(
+        capsys, monkeypatch):
+    def pair(g, f):
+        return (f.src.frame.names, f.dst.frame.names, f.table,
+                g.src.frame.names, g.dst.frame.names, g.table)
+
+    compared = []
+
+    def recording(g, f):
+        compared.append(pair(g, f))
+        return star_compose(g, f)
+
+    monkeypatch.setattr(cli, "star_compose", recording)
+    assert main(["search", "--law", "star-vs-compose", "--max-size", "4"]) == 0
+    proxes = [order_proximity(f) for _, f in _generated_frames(4)]
+    assert compared == [pair(g, f) for p in proxes for q in proxes
+                        for f in enumerate_proxhoms(p, q) for g in enumerate_proxhoms(q, q)]
+    assert len(compared) > 100
 
 
 def test_cli_search_collapse_covers_order6(capsys):

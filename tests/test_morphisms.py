@@ -269,6 +269,20 @@ def test_enumerated_homomorphism_counts():
             assert validate_proxhom(f).ok
 
 
+def test_enumeration_counts_the_lattice_homomorphisms_by_birkhoff_duality():
+    # between order proximities, which by the collapse theorem are all the
+    # valid finite ones, a homomorphism is a bounded lattice homomorphism:
+    # joint subadditivity on (a, a) and (b, b) gives f(a v b) <= f(a) v f(b).
+    # The comparison with every table below stops at 4 elements.
+    proxes = [(name, order_proximity(f)) for name, f in _generated_frames(6)]
+    found = 0
+    for (ns, p), (nd, q) in product(proxes, proxes):
+        count = len(enumerate_proxhoms(p, q))
+        assert count == ref.lattice_hom_count(p.frame, q.frame), (ns, nd)
+        found += count
+    assert found == 715
+
+
 def test_enumerated_homomorphisms_closed_under_star():
     d = order_proximity(ref.diamond())
     homs = enumerate_proxhoms(d, d)
@@ -370,6 +384,43 @@ def test_hom_validation_matches_scan_into_chains():
             tables = [[rng.choice(pool) for _ in range(src.frame.n)] for _ in range(6)]
             tables.append([f.bot] * (src.frame.n - 1) + [f.top])
             _assert_hom_validation_matches_reference(src, dst, tables)
+
+
+def test_finite_maps_into_a_chain_compose_and_validate_as_the_reference():
+    # a finite map into a chain has no target tables: compose reads a
+    # finite g's table or asks a chain g, star_compose joins in the chain,
+    # and the validators take the chain's meet and join
+    rng = random.Random(14)
+    chain = k1()
+    cf = chain.frame
+    pool = [cf.bot, cf.top] + [succ(cf, 0, i) for i in range(3)] + [lim(cf, 1)]
+    chain_maps = [identity_map(chain),
+                  ChainMap(chain, chain, (Seq.affine(0, 2, 1), Seq.constant(cf.top))),
+                  ChainMap(chain, chain, (Seq.constant(succ(cf, 0, 2)), Seq.constant(cf.top)))]
+    props = ref.small_proximities()
+    orders = [q for name, q in props if ":" not in name]
+    built = []
+    for (_, p), q in product(props, orders):
+        n, m = p.frame.n, q.frame.n
+        # all but the bottom onto the top: a homomorphism from a chain q
+        to_top = tuple(cf.bot if x == q.frame.bot else cf.top for x in q.frame.elements())
+        for g in [FiniteMap(q, chain, to_top),
+                  FiniteMap(q, chain, tuple(rng.choice(pool) for _ in range(m)))]:
+            for f in [FiniteMap(p, q, tuple(rng.randrange(m) for _ in range(n))),
+                      FiniteMap(p, q, tuple(m - 1 if x else 0 for x in range(n)))]:
+                built.append((g, f))
+        f = FiniteMap(p, chain, tuple(rng.choice(pool) for _ in range(n)))
+        built += [(g, f) for g in chain_maps]
+    passed = 0
+    for g, f in built:
+        gf, sc = compose(g, f), star_compose(g, f)
+        assert gf.table == tuple(g.apply(f.apply(a)) for a in f.src.frame.elements())
+        assert sc == ref.star_compose(g, f)
+        for h in (gf, sc):
+            assert validate_proxhom(h) == ref.report(ref.hom_violations(h, False), last=True)
+            assert validate_pframemap(h) == ref.report(ref.hom_violations(h, True), last=True)
+            passed += validate_proxhom(h).ok
+    assert 0 < passed < 2 * len(built)
 
 
 def _count_rel_calls(monkeypatch):
