@@ -20,7 +20,7 @@ from proxkit.proximity import (
     product_proximity,
     validate_proximity,
 )
-from proxkit.reports import SYMBOLIC, AxiomReport, document
+from proxkit.reports import SYMBOLIC, document
 from proxkit.roundideal import rframe
 
 
@@ -217,18 +217,13 @@ def test_collapse_candidates_are_the_masks_passing_weakening(name, frame):
 
 
 def test_collapse_reports_the_first_survivor_of_the_scan(monkeypatch):
-    # under a validator that ignores interpolation and approximation,
-    # non-order relations survive; the certificate must name the same
-    # first one as the reference under the same axioms
-    validate = proximity.validate_proximity
-
-    def looser(p):
-        report = validate(p)
-        kept = tuple((a, v) for a, v in report.axioms
-                     if a not in ("interpolation", "approximation"))
-        return AxiomReport(kept, collapse=report.collapse)
-
-    monkeypatch.setattr(proximity, "validate_proximity", looser)
+    # when the decision ignores interpolation and approximation, non-order
+    # relations survive; the certificate must name the same first one as
+    # the reference under the same axioms
+    dropped = (proximity._interpolation, proximity._approximation)
+    looser = tuple(c for c in proximity._CHEAPEST_FIRST if c not in dropped)
+    assert len(looser) == 3
+    monkeypatch.setattr(proximity, "_CHEAPEST_FIRST", looser)
     witnessed = []
     for name, frame in SMALL_FRAMES:
         report = certify_finite_collapse(frame)
@@ -243,14 +238,18 @@ def test_collapse_reports_the_first_survivor_of_the_scan(monkeypatch):
 def test_collapse_validates_only_weakening_closed_relations(name, validations, monkeypatch):
     frame = dict(SMALL_FRAMES)[name]
     calls = 0
-    validate = proximity.validate_proximity
+    holds = proximity._holds
 
     def counting(p):
         nonlocal calls
         calls += 1
-        return validate(p)
+        return holds(p)
 
-    monkeypatch.setattr(proximity, "validate_proximity", counting)
+    def refused(p):
+        raise AssertionError("a candidate went through the full validator")
+
+    monkeypatch.setattr(proximity, "_holds", counting)
+    monkeypatch.setattr(proximity, "validate_proximity", refused)
     report = certify_finite_collapse(frame)
     assert report.ok and report.samples == 2 ** len(ref.free_pairs(frame))
     assert calls == validations
@@ -304,6 +303,31 @@ def test_finite_validation_matches_scan(name, frame):
         assert report == ref.proximity_report(p), (name, p.pairs())
         failing += not report.ok
     assert 0 < failing < len(rels)
+
+
+@pytest.mark.parametrize("name,frame", FINITE_FRAMES, ids=[n for n, _ in FINITE_FRAMES])
+def test_axiom_checks_and_cheapest_first_decision_match_the_report(name, frame):
+    # the relations of test_finite_validation_matches_scan: each axiom's
+    # check gives the report's verdict and the reference's, and the
+    # decision that stops at the first failing check agrees with the report
+    rng = random.Random(name)
+    rels = _random_relations(frame, rng, 120)
+    if frame.n <= 8:
+        free = ref.free_pairs(frame)
+        rels += [ref.candidate(frame, free, bits)
+                 for bits in proximity._weakening_closed(frame, free)]
+    assert [a for a, _ in proximity._AXIOM_CHECKS] == list(ref.AXIOMS)
+    assert len(proximity._CHEAPEST_FIRST) == 5
+    assert set(proximity._CHEAPEST_FIRST) == {c for _, c in proximity._AXIOM_CHECKS}
+    decided = set()
+    for p in rels:
+        report, expected = validate_proximity(p), ref.proximity_report(p)
+        assert proximity._holds(p) == report.ok, (name, p.pairs())
+        decided.add(report.ok)
+        for axiom, check in proximity._AXIOM_CHECKS:
+            assert check(p) == report.verdict(axiom) == expected.verdict(axiom), (
+                name, axiom, p.pairs())
+    assert decided == {True, False}
 
 
 @pytest.mark.parametrize("name,frame", FINITE_FRAMES, ids=[n for n, _ in FINITE_FRAMES])
