@@ -60,7 +60,8 @@ class FiniteFrame:
         return range(self.n)
 
     def contains(self, v) -> bool:
-        return isinstance(v, int) and 0 <= v < len(self.names)
+        """Whether v is an element index; a bool is not one."""
+        return type(v) is int and 0 <= v < len(self.names)
 
     def leq(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)

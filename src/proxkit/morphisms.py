@@ -17,9 +17,11 @@ in the target, and build through the private `_unchecked` constructors,
 which skip those checks.
 
 Finite maps are composed and validated by table lookup.  `compose`
-indexes g's table, or asks g on a chain.  `star_compose` joins over the
-index tuples of the source relation's columns, kept on the proximity as
-`FiniteProximity.col_bits`, through the join table of a finite target.
+indexes g's table, or asks g on a chain.  `star_compose` reads the same
+composite table and joins it over the index tuples of the source
+relation's columns, kept on the proximity as `FiniteProximity.col_bits`,
+through the join table of a finite target, without building the plain
+composite map.
 The meet and join checks of the validators scan the source frame's kept
 `FiniteFrame.triangle` and read the target's meet and join tables; a
 chain target answers through its `meet` and `join`.  `enumerate_proxhoms`
@@ -181,8 +183,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     if f.dst != g.src:
         raise NotComposable("codomain of f must be the domain of g")
     if isinstance(f, FiniteMap):
-        at = g.table.__getitem__ if isinstance(g, FiniteMap) else g.apply
-        return FiniteMap._unchecked(f.src, g.dst, tuple(map(at, f.table)))
+        return FiniteMap._unchecked(f.src, g.dst, _composite(g, f))
     rules = []
     for rule in f.rules:
         exc = [(m, g.apply(v)) for m, v in rule.exceptions]
@@ -204,20 +205,30 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     return ChainMap._unchecked(f.src, g.dst, tuple(rules))
 
 
+def _composite(g: Morphism, f: FiniteMap) -> tuple:
+    """The table a -> g(f(a)) of a composable pair with a finite source:
+    g's table indexed at f's values, or g asked on a chain."""
+    at = g.table.__getitem__ if isinstance(g, FiniteMap) else g.apply
+    return tuple(map(at, f.table))
+
+
 def star_compose(g: Morphism, f: Morphism) -> Morphism:
     """Composition in the proximity-homomorphism category: the value at a
     is the join of g(f(b)) over the approximants b of a.
 
     Coincides with plain composition everywhere except at source elements
-    that do not approximate themselves."""
+    that do not approximate themselves.  On a finite source the join runs
+    over the composite table itself, so no plain composite map is built;
+    on a chain the plain composite's rules are patched at the
+    non-reflexive limits."""
     if f.dst != g.src:
         raise NotComposable("codomain of f must be the domain of g")
-    comp = compose(g, f)
     if isinstance(f, FiniteMap):
         # column a of the relation holds the approximants of a
-        frame, values = g.dst.frame, comp.table
+        frame, values = g.dst.frame, _composite(g, f)
         return FiniteMap._unchecked(f.src, g.dst, tuple(
             _join_over(frame, col, values) for col in f.src.col_bits))
+    comp = compose(g, f)
     rules = list(comp.rules)
     for i, s in enumerate(f.src.frame.segments):
         e = El(i, 0)

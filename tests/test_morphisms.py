@@ -71,6 +71,15 @@ def test_malformed_maps_rejected():
         ))
 
 
+def test_bool_values_are_not_finite_elements():
+    # True == 1, but a table holding it is not a table of element indices
+    d = order_proximity(ref.diamond())
+    assert d.frame.contains(1) and not d.frame.contains(True)
+    assert not d.frame.contains(False)
+    with pytest.raises(MalformedMap):
+        FiniteMap(d, d, (0, True, 2, 3))
+
+
 def test_repeated_exception_index_rejected():
     # a last-wins reading and a first-wins reading would disagree at 0
     p = k1()
