@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InvalidParameter, MalformedMap
@@ -68,7 +69,8 @@ class ChainLikeFrame:
     # -- carrier ------------------------------------------------------
 
     def contains(self, e: El) -> bool:
-        if not (0 <= e.seg < len(self.segments)) or e.n < 0:
+        """Whether e is an El naming an element; a plain tuple is not one."""
+        if type(e) is not El or not (0 <= e.seg < len(self.segments)) or e.n < 0:
             return False
         return self.segments[e.seg].kind == OMEGA or e.n == 0
 
@@ -86,14 +88,9 @@ class ChainLikeFrame:
         return El(len(self.segments) - 1, 0)
 
     def label(self, e: El) -> str:
-        seg, n = e
-        if 0 <= seg < len(self.segments):
-            s = self.segments[seg]
-            if s.kind == OMEGA and n >= 0:
-                return f"{s.label}.{n}"
-            if n == 0:
-                return s.label
-        raise _not_an_element(e)
+        seg, n = self.check(e)
+        s = self.segments[seg]
+        return f"{s.label}.{n}" if s.kind == OMEGA else s.label
 
     # -- order and lattice ops ----------------------------------------
 
@@ -108,6 +105,8 @@ class ChainLikeFrame:
 
     def is_limit(self, e: El) -> bool:
         """True when e is the supremum of the strictly smaller elements."""
+        if type(e) is not El:
+            raise _not_an_element(e)
         seg, n = e
         segs = self.segments
         if n == 0 and 0 < seg < len(segs):
@@ -125,14 +124,15 @@ class ChainLikeFrame:
 
     def successor_of(self, e: El) -> El | None:
         """The immediate successor, or None for the top element."""
-        seg, n = e
-        segs = self.segments
-        if 0 <= seg < len(segs):
-            if segs[seg].kind == OMEGA and n >= 0:
-                return El(seg, n + 1)
-            if n == 0:
-                return El(seg + 1, 0) if seg + 1 < len(segs) else None
-        raise _not_an_element(e)
+        seg, n = self.check(e)
+        if self.segments[seg].kind == OMEGA:
+            return El(seg, n + 1)
+        return El(seg + 1, 0) if seg + 1 < len(self.segments) else None
+
+    @cached_property
+    def starts(self) -> tuple[El, ...]:
+        """The first element of each segment, where a segment-wise map is given."""
+        return tuple(El(i, 0) for i in range(len(self.segments)))
 
     # -- representatives ----------------------------------------------
 

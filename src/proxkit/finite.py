@@ -59,6 +59,9 @@ class FiniteFrame:
     def elements(self) -> range:
         return range(self.n)
 
+    # a map out of a finite frame is given at every element, its table
+    starts = property(elements)
+
     def contains(self, v) -> bool:
         """Whether v is an element index; a bool is not one."""
         return type(v) is int and 0 <= v < len(self.names)

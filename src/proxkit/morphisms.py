@@ -10,18 +10,22 @@ The public constructors `FiniteMap(...)` and `ChainMap(...)` check their
 input: one value or rule per source element or segment, every value in
 the target frame, constants on point segments, and affine tails landing
 in an omega block.  The internal builders (`compose`, `star_compose`,
-`enumerate_proxhoms`, `block_map` and its segment loop, which gives the
-identity, sigma, kappa, alpha, theta and R(f), and the re-tagging in
+`enumerate_proxhoms`, `_block_map`, `_image_map` and the re-tagging in
 `comonads`) take their values from maps or ideal frames that already lie
 in the target, and build through the private `_unchecked` constructors,
 which skip those checks.
 
-Finite maps are composed and validated by table lookup.  `compose`
-indexes g's table, or asks g on a chain.  `star_compose` reads the same
-composite table and joins it over the index tuples of the source
-relation's columns, kept on the proximity as `FiniteProximity.col_bits`,
-through the join table of a finite target, without building the plain
-composite map.
+`_block_map` builds the identity, sigma, kappa and alpha from their
+values at a frame's `starts`: the starts themselves, and the `joins`
+and kappa and alpha code tables kept on the ideal frame.  theta and R(f)
+are one pass of `_image_map` over f's table or rules.  `compose` indexes
+g's table, or reads g's rules at f's values without re-checking them,
+and a chain rule n -> (s, n) of f takes g's rule for block s as it
+stands.  Finite maps are validated by table lookup.  `star_compose`
+reads the same composite table and joins it over the index tuples of
+the source relation's columns, kept on the proximity as
+`FiniteProximity.col_bits`, through the join table of a finite target,
+without building the plain composite map.
 The meet and join checks of the validators scan the source frame's kept
 `FiniteFrame.triangle` and read the target's meet and join tables; a
 chain target answers through its `meet` and `join`.  `enumerate_proxhoms`
@@ -30,10 +34,9 @@ and tests a candidate against a row of the target's meet table.  These
 tables are cached on the frame or proximity they describe, so they last
 as long as it does.
 
-On a finite source theta reads the joins kept on the ideal frame,
-`RFrameData.joins`, and the joins of approximants kept on the target,
-`FiniteProximity.sups`: theta(f) sends the ideal I_e to
-sups[f(joins[e])], the join of kappa(f(join of I_e)).  `is_proper` is
+On a finite target theta reads the joins of approximants kept as
+`FiniteProximity.sups`: theta(f) sends the ideal I_e of a finite source
+to sups[f(joins[e])], the join of kappa(f(join of I_e)).  `is_proper` is
 the preserves-rel check run on the way-below proximities of both frames.
 """
 
@@ -42,20 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import OMEGA, El, Seq, _seq_problem
-from .errors import MalformedMap, NotComposable, NotStablyCompact
+from .errors import MalformedMap, NotComposable, NotStablyCompact, UnsupportedRepresentation
 from .finite import FiniteFrame, _join_over
 from .proximity import ChainProximity, FiniteProximity, Proximity, way_below_proximity
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, Verdict
-from .roundideal import (
-    Prin,
-    RFrameData,
-    alpha,
-    is_stably_compact,
-    kappa,
-    kept_on_rframe,
-    rmap,
-    sigma,
-)
+from .roundideal import BelowLim, RFrameData, is_stably_compact, kept_on_rframe
 
 
 @dataclass(frozen=True)
@@ -153,45 +147,46 @@ class ChainMap:
 Morphism = FiniteMap | ChainMap
 
 
-def _segment_map(src: Proximity, dst: Proximity, at, block_rule) -> Morphism:
-    """The map a -> at(a).  On a finite source it is the table of at.  On
-    a chain at is called only at the first element El(i, 0) of each point
-    segment, and each omega segment takes the rule block_rule(El(i, 0))."""
+def _block_map(src: Proximity, dst: Proximity, values) -> Morphism:
+    """The map with the given values at the `starts` of src's frame: its
+    table on a finite source; on a chain an omega block goes onto the
+    omega block holding its value, n -> n, and a point to its value."""
     if isinstance(src, FiniteProximity):
-        return FiniteMap._unchecked(src, dst, tuple(map(at, src.frame.elements())))
-    rules = []
-    for i, s in enumerate(src.frame.segments):
-        e = El(i, 0)
-        rules.append(block_rule(e) if s.kind == OMEGA else Seq.constant(at(e)))
-    return ChainMap._unchecked(src, dst, tuple(rules))
+        return FiniteMap._unchecked(src, dst, tuple(values))
+    return ChainMap._unchecked(src, dst, tuple(
+        Seq.affine(v.seg, 1, 0) if s.kind == OMEGA else Seq.constant(v)
+        for s, v in zip(src.frame.segments, values)))
 
 
 def block_map(src: Proximity, dst: Proximity, at) -> Morphism:
-    """The map a -> at(a).  On a finite source it is the table of at.  On
-    a chain at is called only at the first element El(i, 0) of each
-    segment: an omega block goes onto the omega block holding that value,
-    n -> n, and a point goes to its value."""
-    return _segment_map(src, dst, at, lambda e: Seq.affine(at(e).seg, 1, 0))
+    """The map a -> at(a), with at asked only at the `starts` of src's
+    frame: on a chain each segment's El(i, 0), its omega blocks n -> n."""
+    return _block_map(src, dst, map(at, src.frame.starts))
 
 
 def identity_map(prox: Proximity) -> Morphism:
-    return block_map(prox, prox, lambda a: a)
+    return _block_map(prox, prox, prox.frame.starts)
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
     """Plain pointwise composition, exact on representations."""
-    if f.dst != g.src:
+    if f.dst is not g.src and f.dst != g.src:
         raise NotComposable("codomain of f must be the domain of g")
     if isinstance(f, FiniteMap):
         return FiniteMap._unchecked(f.src, g.dst, _composite(g, f))
+    at = _reader(g)
     rules = []
     for rule in f.rules:
-        exc = [(m, g.apply(v)) for m, v in rule.exceptions]
+        exc = [(m, at(v)) for m, v in rule.exceptions]
         if not rule.is_affine:
-            rules.append(Seq.constant(g.apply(rule.const), exc))
+            rules.append(Seq.constant(at(rule.const), exc))
             continue
         a, b = rule.a, rule.b
         grule = g.rules[rule.seg]
+        if a == 1 and not b and not exc:
+            # n -> (seg, n) takes g's own rule, already in normal form
+            rules.append(grule)
+            continue
         taken = {m for m, _ in exc}
         for m, w in grule.exceptions:
             if m >= b and (m - b) % a == 0:
@@ -206,10 +201,17 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 
 
 def _composite(g: Morphism, f: FiniteMap) -> tuple:
-    """The table a -> g(f(a)) of a composable pair with a finite source:
-    g's table indexed at f's values, or g asked on a chain."""
-    at = g.table.__getitem__ if isinstance(g, FiniteMap) else g.apply
-    return tuple(map(at, f.table))
+    """The table a -> g(f(a)) of a composable pair with a finite source."""
+    return tuple(map(_reader(g), f.table))
+
+
+def _reader(g: Morphism):
+    """v -> g(v) for values in g's source: g's table indexed, or the rule
+    of v's segment read without the element check of `ChainMap.apply`."""
+    if isinstance(g, FiniteMap):
+        return g.table.__getitem__
+    rules = g.rules
+    return lambda v: rules[v.seg].value(v.n)
 
 
 def star_compose(g: Morphism, f: Morphism) -> Morphism:
@@ -246,17 +248,19 @@ def star_compose(g: Morphism, f: Morphism) -> Morphism:
 def validate_proxhom(f: Morphism) -> AxiomReport:
     """Meet-semilattice map with f(0)=0, f(1)=1, joint subadditivity on
     related pairs, and exact approximation of every value."""
-    if isinstance(f, FiniteMap):
-        return _validate_finite_hom(f, frame_map=False)
-    return _validate_chain_hom(f, frame_map=False)
+    return _validate_hom(f, frame_map=False)
 
 
 def validate_pframemap(f: Morphism) -> AxiomReport:
     """Frame homomorphism (finite and described directed joins) that
     preserves the proximities; use is_proper for the way-below flag."""
+    return _validate_hom(f, frame_map=True)
+
+
+def _validate_hom(f: Morphism, frame_map: bool) -> AxiomReport:
     if isinstance(f, FiniteMap):
-        return _validate_finite_hom(f, frame_map=True)
-    return _validate_chain_hom(f, frame_map=True)
+        return _validate_finite_hom(f, frame_map)
+    return _validate_chain_hom(f, frame_map)
 
 
 def is_proper(f: Morphism) -> bool:
@@ -484,13 +488,13 @@ def _validate_chain_hom(f: ChainMap, frame_map: bool) -> AxiomReport:
 @kept_on_rframe
 def sigma_map(rfd: RFrameData) -> Morphism:
     """The join map from the ideal frame back to the base, as a morphism."""
-    return block_map(rfd.wb, rfd.base, rfd.join_of)
+    return _block_map(rfd.wb, rfd.base, rfd.joins)
 
 
 @kept_on_rframe
 def kappa_map(rfd: RFrameData) -> Morphism:
     """a -> its ideal of approximants, as a morphism into the ideal frame."""
-    return block_map(rfd.base, rfd.wb, lambda a: rfd.el_of(kappa(rfd.base, a)))
+    return _block_map(rfd.base, rfd.wb, rfd.kappa_codes)
 
 
 @kept_on_rframe
@@ -498,25 +502,20 @@ def alpha_map(rfd: RFrameData) -> Morphism:
     """a -> its way-below ideal; only on stably compact instances."""
     if not is_stably_compact(rfd.base):
         raise NotStablyCompact("left adjoint needs a stably compact base")
-    return block_map(rfd.base, rfd.wb, lambda a: rfd.el_of(alpha(rfd.base, a)))
+    return _block_map(rfd.base, rfd.wb, rfd.alpha_codes)
 
 
 def theta(f: Morphism, rfd: RFrameData) -> Morphism:
     """Turn a proximity homomorphism into the frame map on round ideals
     that joins the pushed ideal.  rfd is the ideal frame of f's source;
-    the ideal frame of another proximity is refused.  Prin(El(b, n)) goes
-    to f(El(b, n)), so an omega segment takes f's rule for base block b.
-    On a finite source and target the ideal I_e
-    goes to the join of the approximants of f(join of I_e), read off the
-    kept joins of both ends."""
+    the ideal frame of another proximity is refused.  The ideal I goes to
+    the join of the approximants of f(join of I): the kept `sups` of a
+    finite target, and on a chain that value itself."""
     if rfd.base is not f.src and rfd.base != f.src:
         raise NotComposable("f is not defined on the base of the given ideal frame")
-    if isinstance(f, FiniteMap) and isinstance(f.dst, FiniteProximity):
-        sups, table = f.dst.sups, f.table
-        return FiniteMap._unchecked(rfd.wb, f.dst,
-                                    tuple(sups[table[j]] for j in rfd.joins))
-    return _segment_map(rfd.wb, f.dst, lambda e: sigma(rmap(f, rfd.ideal_of(e))),
-                        lambda e: f.rules[rfd.ideal_of(e).a.seg])
+    # on a chain kappa(v) has join v, as the ideal under a limit v has
+    sup = f.dst.sups.__getitem__ if isinstance(f.dst, FiniteProximity) else (lambda v: v)
+    return _image_map(f, rfd, f.dst, sup, sup)
 
 
 def rho(psi: Morphism, rfd: RFrameData) -> Morphism:
@@ -529,23 +528,40 @@ def rho(psi: Morphism, rfd: RFrameData) -> Morphism:
 
 def rmap_map(f: Morphism, src_rfd: RFrameData, dst_rfd: RFrameData) -> Morphism:
     """The ideal-frame functor action on a represented morphism; src_rfd
-    and dst_rfd are the ideal frames of f's source and target."""
-    def block_rule(e):
-        rule = f.rules[src_rfd.ideal_of(e).a.seg]
-        exc = tuple(
-            (m, dst_rfd.el_of(kappa(f.dst, v))) for m, v in rule.exceptions
-        )
-        if rule.is_affine:
-            # omega values of the target are reflexive, so their
-            # approximant ideals are principal and sit in the matching
-            # block of the target ideal frame
-            probe = dst_rfd.el_of(Prin(f.dst, El(rule.seg, 0)))
-            return Seq.affine(probe.seg, rule.a, rule.b, exc)
-        return Seq.constant(dst_rfd.el_of(kappa(f.dst, rule.const)), exc)
+    and dst_rfd are the ideal frames of f's source and target, and those
+    of other proximities are refused.  I goes to kappa(f(join of I))."""
+    if src_rfd.base is not f.src and src_rfd.base != f.src:
+        raise NotComposable("f is not defined on the base of the given ideal frame")
+    if dst_rfd.base is not f.dst and dst_rfd.base != f.dst:
+        raise UnsupportedRepresentation(
+            "the ideals of f's values are not in the classification: "
+            "each is a round ideal of another proximity")
+    return _image_map(f, src_rfd, dst_rfd.wb, dst_rfd.kappa_of,
+                      lambda v: dst_rfd.el_of(BelowLim(f.dst, v)))
 
-    return _segment_map(src_rfd.wb, dst_rfd.wb,
-                        lambda e: dst_rfd.el_of(rmap(f, src_rfd.ideal_of(e))),
-                        block_rule)
+
+def _image_map(f: Morphism, rfd: RFrameData, dst: Proximity, code, below) -> Morphism:
+    """The map on rfd.wb, the ideal frame of f's source, that sends the
+    ideal I to code(f(join of I)), or to below(l) where f sends the block
+    under I's limit onto a block under the limit l; code must send each
+    omega block n -> n onto one.  On a chain Prin(El(j, 0))'s segment
+    reads f's rule for segment j through code."""
+    if isinstance(f, FiniteMap):
+        table = f.table
+        return FiniteMap._unchecked(rfd.wb, dst, tuple(code(table[j]) for j in rfd.joins))
+    rules = []
+    for ideal in rfd.ideals:
+        if type(ideal) is BelowLim:
+            sup, attained = f.block_sup(ideal.lim.seg - 1)
+            rules.append(Seq.constant(code(sup) if attained else below(sup)))
+            continue
+        rule = f.rules[ideal.a.seg]
+        exc = [(m, code(v)) for m, v in rule.exceptions]
+        if rule.is_affine:
+            rules.append(Seq.affine(code(El(rule.seg, 0)).seg, rule.a, rule.b, exc))
+        else:
+            rules.append(Seq.constant(code(rule.const), exc))
+    return ChainMap._unchecked(rfd.wb, dst, tuple(rules))
 
 
 # -- exhaustive enumeration (finite frames) ---------------------------------

@@ -30,7 +30,10 @@ two comonads' towers.  Ideals have no lattice operations of their own: the
 join and meet of two round ideals are those of that frame, reached through
 ``el_of`` and ``ideal_of``.  The one supremum taken here is
 :func:`dir_sup`'s, of a directed family of principal ideals on a chain
-described by a ``Seq``.
+described by a ``Seq``.  The join map has kappa as its right adjoint
+and, on a stably compact base, alpha as its left: kappa(a) is the
+largest round ideal with join a and alpha(a) the least, so their code
+tables, kept on the frame with the joins, are read off the joins.
 
 On a finite frame the round ideals are principal downsets.  When all of
 them are round, as for every valid finite proximity by the collapse
@@ -321,25 +324,39 @@ class RFrameData:
 
     def join_of(self, el):
         """sigma(ideal_of(el)), read off the kept joins."""
-        if isinstance(self.base, FiniteProximity):
-            if type(el) is int and 0 <= el < len(self.ideals):
-                return self.joins[el]
-            raise _not_in_frame(el)
-        if type(el) is not El:
-            raise _not_an_element(el)
-        seg, n = el
-        segs = self.frame.segments
-        if n == 0 and 0 <= seg < len(segs):
-            return self.joins[seg]
-        if n > 0 and 0 <= seg < len(segs) and segs[seg].kind == OMEGA:
-            return El(self.joins[seg].seg, n)
-        raise _not_an_element(el)
+        return _read(self.joins, self.frame, el)
+
+    def kappa_of(self, a):
+        """el_of(kappa(a)) for an element a of the base, from `kappa_codes`."""
+        return _read(self.kappa_codes, self.base.frame, a)
 
     @cached_property
     def joins(self) -> tuple:
         """sigma of each of `ideals`, taken once: on a chain the join of
         Prin(El(b, 0)) at an omega segment, El(b, 0)."""
         return tuple(map(sigma, self.ideals))
+
+    @cached_property
+    def kappa_codes(self) -> tuple:
+        """el_of(kappa(a)) at each of the base frame's `starts`, taken once:
+        the last element with join a.  On a chain, where that is El(s, 0)
+        for segment j, kappa sends El(j, n) to El(s, n)."""
+        return self._last_with_join(range(len(self.ideals)))
+
+    @cached_property
+    def alpha_codes(self) -> tuple:
+        """el_of(alpha(a)) at the same points, on a stably compact base:
+        the first element with join a."""
+        return self._last_with_join(reversed(range(len(self.ideals))))
+
+    def _last_with_join(self, order) -> tuple:
+        """At each start a of the base, the last element in order with join a."""
+        starts, joins = self.frame.starts, self.joins
+        at = {joins[i]: starts[i] for i in order}
+        try:
+            return tuple(map(at.__getitem__, self.base.frame.starts))
+        except KeyError as e:  # the base relation is not a proximity
+            raise UnsupportedRepresentation(f"no round ideal has join {e}") from None
 
     @cached_property
     def _codes(self) -> dict:
@@ -381,6 +398,19 @@ def _not_in_frame(el) -> InvalidParameter:
     """The error for a code el that is not an element of a finite ideal
     frame."""
     return InvalidParameter(f"{el!r} is not an element of this frame")
+
+
+def _read(table: tuple, frame, el):
+    """The value at an element el of frame of a map kept as `table`, its
+    values at the `starts` of frame: on a chain the value at the start of
+    el's segment, moved n places along an omega block."""
+    if isinstance(frame, FiniteFrame):
+        if frame.contains(el):
+            return table[el]
+        raise _not_in_frame(el)
+    if frame.contains(el):
+        return table[el.seg] if el.n == 0 else El(table[el.seg].seg, el.n)
+    raise _not_an_element(el)
 
 
 def _code_key(ideal: RoundIdeal):

@@ -1,14 +1,18 @@
-"""`morphisms.block_map`, θ, R(f) and the ideal codec `RFrameData.ideals`
+"""The structure maps, θ, R(f) and the ideal codec `RFrameData.ideals`
 against the definitions in `reference`.
 
 The identity, the join map sigma, the approximant map kappa, the left
 adjoint alpha and the inclusion m of round ideals into all ideals are
-all built by `block_map`, and θ and R(f) by its segment loop.  Each must
-send every point of the reference window to the value the definition
-gives, through the codec, which must list the round ideals in inclusion
-order: on every chain layout of the golden CLI set whose top is
-reflexive, on the levels of its ideal-frame towers, on the catalog, and
-on every proximity homomorphism between the small finite catalog frames.
+all built by `morphisms._block_map` from values kept at the segment
+starts (kappa and alpha from the code tables `RFrameData.kappa_codes`
+and `alpha_codes`), and θ and R(f) by one pass of `_image_map` over f's
+rules.  Each must send every point of the reference window to the value
+the definition gives, through the codec, which must list the round
+ideals in inclusion order: on every chain layout of the golden CLI set
+whose top is reflexive, on the levels of its ideal-frame towers, on the
+catalog, and on every proximity homomorphism between the small finite
+catalog frames.  `rmap_map` refuses the ideal frames of other
+proximities, as θ does.
 """
 
 import pytest
@@ -223,3 +227,40 @@ def test_theta_refuses_the_ideal_frame_of_another_proximity(src, other):
     insts = catalog_instances()
     with pytest.raises(NotComposable, match="not defined on the base of the given ideal frame"):
         theta(identity_map(insts[src]), rframe(insts[other]))
+
+
+# the pairs of catalog instances whose frames differ, and chain-k2 with
+# chain-k1, whose ideal frame has as many segments as its own
+OTHER_FRAMES = [("two", "chain3"), ("chain3", "diamond"), ("diamond", "two"),
+                ("chain-k1", "chain-k2"), ("chain-k2", "chain-k1"), ("diamond", "chain-k1")]
+
+
+@pytest.mark.parametrize("src,other", OTHER_FRAMES)
+def test_rmap_refuses_the_ideal_frame_of_another_source(src, other):
+    insts = catalog_instances()
+    f = identity_map(insts[src])
+    with pytest.raises(NotComposable,
+                       match="^f is not defined on the base of the given ideal frame$"):
+        rmap_map(f, rframe(insts[other]), rframe(insts[src]))
+
+
+@pytest.mark.parametrize("src,other", OTHER_FRAMES)
+def test_rmap_refuses_the_ideal_frame_of_another_target(src, other):
+    insts = catalog_instances()
+    f = identity_map(insts[src])
+    with pytest.raises(UnsupportedRepresentation,
+                       match="is a round ideal of another proximity$"):
+        rmap_map(f, rframe(insts[src]), rframe(insts[other]))
+
+
+def test_code_tables_refuse_a_base_that_does_not_approximate():
+    # the diamond without (a, a): no round ideal has join a, so neither
+    # kappa(a) nor alpha(a) is an element of the ideal frame
+    diamond = catalog_instances()["diamond"].frame
+    a = diamond.index("a")
+    weak = FiniteProximity(diamond, tuple(r & ~(1 << a) if x == a else r
+                                          for x, r in enumerate(diamond.up)))
+    rfd = rframe(weak)
+    for build in (kappa_map, alpha_map):
+        with pytest.raises(UnsupportedRepresentation, match=f"^no round ideal has join {a}$"):
+            build(rfd)

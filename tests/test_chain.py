@@ -66,6 +66,23 @@ def test_limit_and_reflexivity_refuse_codes_outside_the_chain(call, code):
         test(code)
 
 
+@pytest.mark.parametrize("code", [(1, 0), (0, 0), 3, True, None, "L1"],
+                         ids=["tuple", "bot-tuple", "int", "bool", "none", "str"])
+def test_codes_that_are_not_an_el_are_not_elements(code):
+    # the plain tuple (1, 0) equals El(1, 0), the limit L1, but only an El
+    # is an element
+    f = build_chain_frame(1)
+    assert not f.contains(code)
+    refuse = (f.check, f.is_limit, f.label, f.successor_of,
+              chain_proximity(f, {1}).reflexive)
+    for call in refuse:
+        with pytest.raises(InvalidParameter,
+                           match=f"^{re.escape(str(code))} is not an element of this chain$"):
+            call(code)
+    if isinstance(code, tuple):
+        assert f.contains(El(*code))
+
+
 def test_label_and_successor_on_the_elements():
     f = build_chain_frame(1)
     assert [f.label(e) for e in (El(0, 0), El(0, 7), El(1, 0))] == ["S0.0", "S0.7", "L1"]

@@ -9,7 +9,7 @@ import reference as ref
 from proxkit import morphisms
 from proxkit.catalog import catalog_instances, catalog_morphisms
 from proxkit.cli import _generated_frames
-from proxkit.chain import El, Seq, build_chain_frame, lim, succ
+from proxkit.chain import OMEGA, El, Seq, build_chain_frame, lim, succ
 from proxkit.errors import InvalidParameter, MalformedMap, NotComposable
 from proxkit.morphisms import (
     ChainMap,
@@ -30,6 +30,7 @@ from proxkit.morphisms import (
 )
 from proxkit.proximity import FiniteProximity, chain_proximity, order_proximity
 from proxkit.roundideal import is_stably_compact, rframe
+from test_block_map import CHAIN_DOCS
 
 
 def k1():
@@ -254,6 +255,45 @@ def test_plain_composition_is_pointwise(a1, b1, a2, b2, n):
     x = El(0, n)
     assert gf.apply(x) == g.apply(f.apply(x))
     assert gf.apply(top) == g.apply(f.apply(top))
+
+
+def random_rule(rng, frame, i):
+    """A rule for segment i of frame into frame: a constant on a point;
+    on an omega block n -> (i, n), or an affine tail of slope 1-3 and
+    offset 0-2 onto a random block, or a constant, each with up to two
+    exceptions."""
+    values = ref.points(frame, 4)
+    if frame.segments[i].kind != OMEGA:
+        return Seq.constant(rng.choice(values))
+    exc = [(m, rng.choice(values)) for m in rng.sample(range(5), rng.randrange(3))]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Seq.affine(i, 1, 0, exc if rng.random() < 0.3 else ())
+    if kind == 1:
+        blocks = [j for j, s in enumerate(frame.segments) if s.kind == OMEGA]
+        return Seq.affine(rng.choice(blocks), rng.randint(1, 3), rng.randrange(3), exc)
+    return Seq.constant(rng.choice(values), exc)
+
+
+@pytest.mark.parametrize("doc", CHAIN_DOCS.values(), ids=list(CHAIN_DOCS))
+def test_chain_composition_is_pointwise_on_the_reference_window(doc):
+    prox = chain_proximity(build_chain_frame(doc["k"]), doc["reflexive"])
+    frame, rng = prox.frame, random.Random(f"compose:{doc['k']}:{doc['reflexive']}")
+    segs = range(len(frame.segments))
+    identity_rules = 0
+    for _ in range(40):
+        f = ChainMap(prox, prox, tuple(random_rule(rng, frame, i) for i in segs))
+        g = ChainMap(prox, prox, tuple(random_rule(rng, frame, i) for i in segs))
+        gf = compose(g, f)
+        assert ChainMap(prox, prox, gf.rules) == gf
+        for x in ref.points(frame, ref.depth_for(f, g)):
+            assert gf.apply(x) == g.apply(f.apply(x)), (f, g, x)
+        # f's rule n -> (i, n) gives g's own rule for segment i
+        for i in segs:
+            if f.rules[i] == Seq.affine(i, 1, 0):
+                assert gf.rules[i] is g.rules[i]
+                identity_rules += 1
+    assert identity_rules >= 5
 
 
 # -- enumeration as an oracle -------------------------------------------------

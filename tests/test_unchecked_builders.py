@@ -1,9 +1,11 @@
 """Differential oracle for the unchecked map builders.
 
-`compose`, `star_compose`, `enumerate_proxhoms`, `block_map`'s segment
-loop (the identity, sigma, kappa, alpha, r, c, m and R(f)), theta and
-`retag_map` build their maps through `FiniteMap._unchecked` and
-`ChainMap._unchecked`, which skip the checks of the public constructors.
+`compose`, `star_compose`, `enumerate_proxhoms`, `_block_map` (the
+identity, sigma, kappa, alpha, r, c and m, from their values at the
+starts of the source frame), `_image_map` (theta and R(f), from one pass
+over f's rules) and `retag_map` build their maps through
+`FiniteMap._unchecked` and `ChainMap._unchecked`, which skip the checks
+of the public constructors.
 Every map they build while the law suites run, on the catalog, on the
 levels of each catalog instance's `rr`/`cc` towers and on the 15 chain
 layouts with k <= 4 whose top is reflexive, must pass those checks: the
@@ -65,7 +67,7 @@ from test_block_map import CHAIN_DOCS as LAYOUTS
 
 # the functions that call the unchecked constructors; enumerate_proxhoms
 # builds its tables in its nested `extend`
-BUILDERS = {"compose", "star_compose", "extend", "_segment_map", "theta", "retag_map"}
+BUILDERS = {"compose", "star_compose", "extend", "_block_map", "_image_map", "retag_map"}
 
 
 @pytest.fixture
@@ -131,8 +133,7 @@ def test_chain_layout_maps_pass_the_public_checks(doc, built):
     rfd = rframe(prox)
     for level in (rfd, rfd.rr, rfd.cc):
         run_suites(level)
-    # theta on a chain source goes through the segment loop
-    chain_builders = BUILDERS - {"extend", "star_compose", "theta"}
+    chain_builders = BUILDERS - {"extend", "star_compose"}
     assert {caller for caller, _ in built} == chain_builders
     assert_checked(built)
 
@@ -148,17 +149,17 @@ def test_there_are_fifteen_reflexive_top_layouts():
 ])
 def test_a_builder_leaving_the_target_fails_the_check(name, message, built,
                                                        monkeypatch):
-    # el_of, read by kappa's segment loop, made to answer past the end of
-    # the ideal frame
-    real = RFrameData.el_of
+    # the kappa table, the values kappa's builder writes, made to name
+    # codes past the end of the ideal frame
+    real = RFrameData.kappa_codes.func
 
-    def shifted(self, ideal):
-        e = real(self, ideal)
-        return e + 100 if isinstance(e, int) else El(e.seg + 100, e.n)
+    def shifted(self):
+        return tuple(e + 100 if isinstance(e, int) else El(e.seg + 100, e.n)
+                     for e in real(self))
 
-    monkeypatch.setattr(RFrameData, "el_of", shifted)
+    monkeypatch.setattr(RFrameData, "kappa_codes", property(shifted))
     kappa_map(rframe(catalog_instances()[name]))
-    assert [caller for caller, _ in built] == ["_segment_map"]
+    assert [caller for caller, _ in built] == ["_block_map"]
     with pytest.raises(MalformedMap, match=f"^{message}$"):
         assert_checked(built)
 
@@ -169,7 +170,7 @@ def test_finite_theta_leaving_the_target_fails_the_check(built, monkeypatch):
                         property(lambda self: (self.frame.n,) * self.frame.n))
     prox = catalog_instances()["diamond"]
     theta(identity_map(prox), rframe(prox))
-    assert [caller for caller, _ in built][-1] == "theta"
+    assert [caller for caller, _ in built][-1] == "_image_map"
     with pytest.raises(MalformedMap, match="is not in the target frame"):
         assert_checked(built)
 
