@@ -35,14 +35,12 @@ from .roundideal import (
     FinIdeal,
     Prin,
     RFrameData,
-    alpha,
     dir_sup,
     ideal_frame,
     is_stably_compact,
     kappa,
     member,
     rframe,
-    rmap,
     sigma,
     subideal,
     way_below_ideals,

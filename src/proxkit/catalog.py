@@ -22,7 +22,7 @@ import json
 from collections import Counter
 from importlib import resources
 
-from .chain import OMEGA, POINT, El, Seq, build_chain_frame, lim, succ
+from .chain import OMEGA, El, Seq, build_chain_frame, lim, succ
 from .errors import InvalidParameter, UnknownInstance
 from .finite import build_finite_frame, downset_frame, open_set_frame
 from .morphisms import ChainMap, FiniteMap, Morphism, identity_map
@@ -172,16 +172,8 @@ def catalog_instances() -> dict[str, Proximity]:
 
 
 def parse_element(prox: Proximity, s: str):
-    if isinstance(prox, FiniteProximity):
-        return prox.frame.index(s)
-    frame = prox.frame
-    for i, seg in enumerate(frame.segments):
-        if seg.kind == POINT and seg.label == s:
-            return El(i, 0)
-        prefix = seg.label + "."
-        if seg.kind == OMEGA and s.startswith(prefix):
-            return frame.check(El(i, int(s[len(prefix):])))
-    raise InvalidParameter(f"no element named {s!r}")
+    """The element of prox's frame named s."""
+    return prox.frame.index(s)
 
 
 def parse_morphism(doc: dict, src: Proximity, dst: Proximity) -> Morphism:
@@ -227,12 +219,17 @@ def parse_morphism(doc: dict, src: Proximity, dst: Proximity) -> Morphism:
 
 
 def catalog_morphisms() -> dict[str, Morphism]:
-    """The named maps exercised by the law suites.
+    """A fresh dict of the catalog's (shared, immutable) named maps."""
+    return dict(_catalog_morphisms())
 
-    On the one-block chain: identity, doubling, a shift that fixes bottom,
-    and the join-breaking collapse h.  On the two-block chain: the pair
-    witnessing that star-composition differs from plain composition.
-    """
+
+@functools.cache
+def _catalog_morphisms() -> tuple[tuple[str, Morphism], ...]:
+    """The named maps exercised by the law suites, built and checked once
+    per process.  On the one-block chain: identity, doubling, a shift that
+    fixes bottom, and the join-breaking collapse h.  On the two-block
+    chain: the pair witnessing that star-composition differs from plain
+    composition."""
     insts = catalog_instances()
     p1: ChainProximity = insts["chain-k1"]
     p2: ChainProximity = insts["chain-k2"]
@@ -269,4 +266,4 @@ def catalog_morphisms() -> dict[str, Morphism]:
     }
     for name in ("two", "chain3", "diamond", "cube3"):
         out[f"{name}-id"] = identity_map(insts[name])
-    return out
+    return tuple(out.items())

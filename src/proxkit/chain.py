@@ -11,8 +11,10 @@ layouts.
 Element codes :class:`El` and eventually-affine sequences :class:`Seq`
 are immutable tuples, so construction, hashing and comparison run in C:
 they hash and compare structurally, and the tuple order of codes is the
-chain order.  A plain tuple is not an element: frames and map checks
-test for :class:`El`.
+chain order.  A plain tuple is not an element: `contains` tests for
+:class:`El`.  A finite frame has the same carrier methods; a map out of a
+chain is kept by its values at the segment `starts`, and `read` moves
+them along an omega block.
 """
 
 from __future__ import annotations
@@ -87,6 +89,24 @@ class ChainLikeFrame:
     def top(self) -> El:
         return El(len(self.segments) - 1, 0)
 
+    def index(self, label: str) -> El:
+        """The element labelled `label`: a point's label, or an omega
+        block's label, a dot and a position."""
+        for i, seg in enumerate(self.segments):
+            if seg.kind == POINT and seg.label == label:
+                return El(i, 0)
+            prefix = seg.label + "."
+            if seg.kind == OMEGA and type(label) is str and label.startswith(prefix):
+                return self.check(El(i, int(label[len(prefix):])))
+        raise InvalidParameter(f"no element named {label!r}")
+
+    def read(self, table: tuple, e: El):
+        """The value at e of a map kept as `table`, its values at `starts`:
+        the value at the start of e's segment, moved n places along an
+        omega block."""
+        seg, n = self.check(e)
+        return table[seg] if n == 0 else El(table[seg].seg, n)
+
     def label(self, e: El) -> str:
         seg, n = self.check(e)
         s = self.segments[seg]
@@ -102,6 +122,13 @@ class ChainLikeFrame:
 
     def join(self, a: El, b: El) -> El:
         return max(a, b)
+
+    def join_over(self, idx, values=None) -> El:
+        """The join of values[b], or of b when values is None, over b in idx."""
+        j, join = self.bot, self.join
+        for b in idx:
+            j = join(j, b if values is None else values[b])
+        return j
 
     def is_limit(self, e: El) -> bool:
         """True when e is the supremum of the strictly smaller elements."""
@@ -298,9 +325,8 @@ def _seq_problem(seq: Seq, frame) -> str | None:
     frame (a chain or a finite frame), or None.  An affine tail needs a
     chain frame and must land in one of its omega blocks at an offset
     b >= 0, so that every value it takes is an element."""
-    chain = isinstance(frame, ChainLikeFrame)
     if seq.is_affine:
-        if not chain:
+        if not isinstance(frame, ChainLikeFrame):
             return "affine tails need a chain target"
         if not (0 <= seq.seg < len(frame.segments)
                 and frame.segments[seq.seg].kind == OMEGA):
@@ -308,12 +334,8 @@ def _seq_problem(seq: Seq, frame) -> str | None:
         if seq.b < 0:
             return "affine tail offset must be >= 0"
     for _, v in seq.exceptions:
-        if not _in_frame(v, frame, chain):
+        if not frame.contains(v):
             return f"value {v!r} is not in the target frame"
-    if not (seq.is_affine or _in_frame(seq.const, frame, chain)):
+    if not (seq.is_affine or frame.contains(seq.const)):
         return f"value {seq.const!r} is not in the target frame"
     return None
-
-
-def _in_frame(v, frame, chain: bool) -> bool:
-    return (isinstance(v, El) and frame.contains(v)) if chain else frame.contains(v)

@@ -104,10 +104,10 @@ def max_proximity_agreement(rfd: RFrameData) -> LawReport:
 
 def _reps(rfd: RFrameData, maps=(), pairs: bool = False) -> list:
     """Elements of rfd's frame on which a law applying `maps` is decided
-    exactly, in index order on a finite frame and in chain order on a
-    chain: every element of a finite frame; on a chain, the first h + 1
-    points of each omega block (h + 2 for a law over pairs) and each point
-    segment, where h is the largest horizon of the maps' rules.
+    exactly, in order: `class_representatives` at depth h + 1 (h + 2 for
+    a law over pairs), h the largest `horizon` of the maps: every element
+    of a finite frame, and on a chain the first h + 1 (or h + 2) points of
+    each omega block and each point segment.
 
     Every tail of the maps the laws apply (alpha, kappa, sigma, the
     counits and their functor images) is a constant on a point segment or
@@ -122,9 +122,7 @@ def _reps(rfd: RFrameData, maps=(), pairs: bool = False) -> list:
     Its `samples` counts pairs in row-major order: all of them on a pass,
     and a * n + b + 1 at a first failure (a, b) with n pairs a row.
     """
-    if isinstance(rfd.base, FiniteProximity):
-        return list(rfd.frame.elements())
-    h = max((s.horizon() for m in maps for s in m.rules), default=0)
+    h = max((m.horizon() for m in maps), default=0)
     reps = rfd.frame.class_representatives(h + 1 + pairs)
     _check_sorted(reps, "representatives")
     return reps

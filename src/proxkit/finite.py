@@ -14,13 +14,15 @@ find the first failing triple for the `NotDistributive` witness.  Frames
 over DISTRIBUTIVITY_SCAN_LIMIT elements are refused as soon as their
 size is known, before any table is built.
 
-Every join over a set of indices, such as the join of an element's
-approximants, is taken by `_join_over`, in a finite frame through the
-rows of its join table, or in a chain.  A frame keeps, once asked, its
-`triangle`: (a, b, meet, join) for every b <= a in backward row-major
-order, which the homomorphism validators of `morphisms` scan by table
-lookup.  Kept tables are cached on the frame they describe and go with
-it.
+A finite frame has the carrier methods of a chain frame (`check`,
+`read`, `join_over`, `is_limit`, `limits`, `class_representatives`):
+every element is a start and its own class, and none is a limit.  Every
+join over a set of indices, such as the join of an element's
+approximants, is taken by `join_over` through the rows of the join table.
+A frame keeps, once asked, its `triangle`: (a, b, meet, join) for every
+b <= a in backward row-major order, which the homomorphism validators of
+`morphisms` scan by table lookup.  Kept tables are cached on the frame
+they describe and go with it.
 """
 
 from __future__ import annotations
@@ -65,6 +67,39 @@ class FiniteFrame:
     def contains(self, v) -> bool:
         """Whether v is an element index; a bool is not one."""
         return type(v) is int and 0 <= v < len(self.names)
+
+    def check(self, v) -> int:
+        if not self.contains(v):
+            raise InvalidParameter(f"{v!r} is not an element of this frame")
+        return v
+
+    def read(self, table: tuple, v):
+        """The value at v of a map kept as `table`, its values at `starts`."""
+        return table[self.check(v)]
+
+    def is_limit(self, v) -> bool:
+        """False: a finite frame has no limits."""
+        self.check(v)
+        return False
+
+    def limits(self) -> list:
+        return []
+
+    def class_representatives(self, depth: int = 3) -> list[int]:
+        """Every element: each is its own class."""
+        return list(self.elements())
+
+    def join_over(self, idx, values=None) -> int:
+        """The join of values[b], or of b itself when values is None, over
+        the indices b in idx, through the rows of the join table."""
+        j, join_t = self.bot, self.join_t
+        if values is None:
+            for b in idx:
+                j = join_t[j][b]
+        else:
+            for b in idx:
+                j = join_t[j][values[b]]
+        return j
 
     def leq(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
@@ -116,26 +151,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _join_over(frame, idx, values=None):
-    """The join in frame, finite or a chain, of values[b], or of b itself
-    when values is None, over the indices b in idx; on a finite frame
-    through the rows of its join table."""
-    j = frame.bot
-    if not isinstance(frame, FiniteFrame):
-        join = frame.join
-        for b in idx:
-            j = join(j, b if values is None else values[b])
-        return j
-    join_t = frame.join_t
-    if values is None:
-        for b in idx:
-            j = join_t[j][b]
-    else:
-        for b in idx:
-            j = join_t[j][values[b]]
-    return j
 
 
 def _union(rows, sel: int) -> int:

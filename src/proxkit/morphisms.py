@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 from .chain import OMEGA, El, Seq, _seq_problem
 from .errors import MalformedMap, NotComposable, NotStablyCompact, UnsupportedRepresentation
-from .finite import FiniteFrame, _join_over
+from .finite import FiniteFrame
 from .proximity import ChainProximity, FiniteProximity, Proximity, way_below_proximity
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, Verdict
 from .roundideal import BelowLim, RFrameData, is_stably_compact, kept_on_rframe
@@ -77,6 +77,10 @@ class FiniteMap:
 
     def apply(self, x):
         return self.table[x]
+
+    def horizon(self) -> int:
+        """0: a table has no tail to reach."""
+        return 0
 
     def __repr__(self):
         names = self.src.frame.names
@@ -119,6 +123,10 @@ class ChainMap:
     def apply(self, x: El):
         self.src.frame.check(x)
         return self.rules[x.seg].value(x.n)
+
+    def horizon(self) -> int:
+        """The largest horizon of the rules: past it every rule is its tail."""
+        return max(rule.horizon() for rule in self.rules)
 
     def block_sup(self, seg: int):
         """(supremum of the map over an omega segment, attained?)."""
@@ -229,7 +237,7 @@ def star_compose(g: Morphism, f: Morphism) -> Morphism:
         # column a of the relation holds the approximants of a
         frame, values = g.dst.frame, _composite(g, f)
         return FiniteMap._unchecked(f.src, g.dst, tuple(
-            _join_over(frame, col, values) for col in f.src.col_bits))
+            frame.join_over(col, values) for col in f.src.col_bits))
     comp = compose(g, f)
     rules = list(comp.rules)
     for i, s in enumerate(f.src.frame.segments):
@@ -357,7 +365,7 @@ def _validate_finite_hom(f: FiniteMap, frame_map: bool) -> AxiomReport:
         v = _PASSED
         cols = f.src.col_bits
         for a in range(sf.n - 1, -1, -1):
-            j = _join_over(df, cols[a], table)
+            j = df.join_over(cols[a], table)
             if j != table[a]:
                 v = Verdict(FAIL, (names[a], dl(j)), "approximation of values fails")
                 break

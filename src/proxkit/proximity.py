@@ -34,7 +34,7 @@ from functools import cached_property
 
 from .chain import ChainLikeFrame, El, _above
 from .errors import InvalidReflexiveSet, MalformedRelation, TooLarge
-from .finite import FiniteFrame, _bits, _downsets, _join_over, _product, _transpose, _union
+from .finite import FiniteFrame, _bits, _downsets, _product, _transpose, _union
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, LawReport, Verdict, law_fail, law_pass
 
 
@@ -63,7 +63,7 @@ class FiniteProximity:
     def sups(self) -> tuple:
         """sups[b]: the join of the approximants of b, column b of the
         relation; b itself whenever the relation approximates b."""
-        return tuple(_join_over(self.frame, col) for col in self.col_bits)
+        return tuple(map(self.frame.join_over, self.col_bits))
 
     def rows_on(self, xs, vals) -> list[int]:
         """Row p: the mask of the q with rel(xs[p], vals[q]), that is the

@@ -13,8 +13,7 @@ compare equal, even at the same point.  Their constructors check that
 the ideal is round: ``Prin`` that a is an element relating to itself,
 ``BelowLim`` that l is a limit.  The builders that decide this themselves
 skip the re-check through ``_unchecked``: :func:`kappa` after its
-reflexivity test and :func:`alpha` after its limit test, both of which
-refuse a code that is not an element,
+reflexivity test, which refuses a code that is not an element,
 ``RFrameData.ideal_of`` on the shifted element of an omega segment, which
 it checks is an element and which relates to itself as every omega
 element does, and the chain ideal frames of :func:`rframe`.
@@ -33,7 +32,9 @@ join and meet of two round ideals are those of that frame, reached through
 described by a ``Seq``.  The join map has kappa as its right adjoint
 and, on a stably compact base, alpha as its left: kappa(a) is the
 largest round ideal with join a and alpha(a) the least, so their code
-tables, kept on the frame with the joins, are read off the joins.
+tables, kept on the frame with the joins, are read off the joins.  The
+maps alpha and R(f) on ideals are `alpha_map` and `rmap_map` of
+`morphisms`; the ideal of a value is `ideal_of` it.
 
 On a finite frame the round ideals are principal downsets.  When all of
 them are round, as for every valid finite proximity by the collapse
@@ -54,17 +55,15 @@ from .chain import (
     El,
     Segment,
     Seq,
-    _not_an_element,
     _seq_problem,
 )
 from .errors import (
     InvalidParameter,
     NotDirected,
-    NotStablyCompact,
     TooLarge,
     UnsupportedRepresentation,
 )
-from .finite import FiniteFrame, _bits, _frame_of_masks, _join_over, _renamed
+from .finite import FiniteFrame, _bits, _frame_of_masks, _renamed
 from .proximity import (
     ChainProximity,
     FiniteProximity,
@@ -156,23 +155,10 @@ def kappa(prox: Proximity, a) -> RoundIdeal:
     return BelowLim._unchecked(prox, a)
 
 
-def alpha(prox: Proximity, a) -> RoundIdeal:
-    """Left adjoint of the join map on a stably compact instance:
-    the way-below approximants of a."""
-    if not is_stably_compact(prox):
-        raise NotStablyCompact("the instance has a non-compact top")
-    if isinstance(prox, FiniteProximity):
-        return FinIdeal(prox, prox.frame.down[a])
-    if prox.frame.is_limit(a):  # refuses a code that is not an element
-        return BelowLim._unchecked(prox, a)
-    # every element but a limit relates to itself
-    return Prin._unchecked(prox, a)
-
-
 def sigma(ideal: RoundIdeal):
     """The join of a canonical ideal."""
     if isinstance(ideal, FinIdeal):
-        return _join_over(ideal.prox.frame, _bits(ideal.mask))
+        return ideal.prox.frame.join_over(_bits(ideal.mask))
     if isinstance(ideal, Prin):
         return ideal.a
     return ideal.lim  # sup of everything strictly below a limit
@@ -227,31 +213,10 @@ def way_below_ideals(i: RoundIdeal, j: RoundIdeal) -> bool:
     return i.lim < j.lim
 
 
-def rmap(f, ideal: RoundIdeal) -> RoundIdeal:
-    """Functor action on ideals: all approximants of images of members.
-
-    `f` is any validated monotone morphism exposing apply() and
-    block_sup(); the result is computed by pushing the canonical
-    description through f and normalizing.
-    """
-    dst = f.dst
-    if isinstance(ideal, FinIdeal):
-        return kappa(dst, f.apply(sigma(ideal)))
-    if isinstance(ideal, Prin):
-        return kappa(dst, f.apply(ideal.a))
-    block = ideal.lim.seg - 1
-    sup, attained = f.block_sup(block)
-    if attained:
-        return kappa(dst, sup)
-    return BelowLim(dst, sup)
-
-
 def is_stably_compact(prox: Proximity) -> bool:
     """Every element is the join of its way-below set and the top is
-    compact; finite instances always qualify.  On a chain each limit is
-    the supremum of the block below it, so only a limit top fails."""
-    if isinstance(prox, FiniteProximity):
-        return True
+    compact.  On a chain each limit is the supremum of the block below it,
+    so only a limit top fails; a finite frame has no limits."""
     return not prox.frame.is_limit(prox.frame.top)
 
 
@@ -292,22 +257,15 @@ class RFrameData:
     maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ideal_of(self, el) -> RoundIdeal:
-        if isinstance(self.base, FiniteProximity):
-            if type(el) is int and 0 <= el < len(self.ideals):
-                return self.ideals[el]
-            raise _not_in_frame(el)
-        if type(el) is not El:
-            raise _not_an_element(el)
-        seg, n = el
-        segs = self.frame.segments
-        if n == 0 and 0 <= seg < len(segs):
-            return self.ideals[seg]
-        if 0 <= seg < len(segs) and segs[seg].kind == OMEGA:
-            # an omega element of the base relates to itself; a negative n
-            # is refused as the base code it shifts to
+        if type(el) is El and el.n and self.frame.contains(El(el.seg, 1)):
+            # El(i, 1) is an element only in an omega segment i, where
+            # El(i, n) is Prin of the base element n places along from its
+            # start's, which relates to itself; a negative n is refused as
+            # the base code it shifts to
             base = self.base
-            return Prin._unchecked(base, base.frame.check(El(self.ideals[seg].a.seg, n)))
-        raise _not_an_element(el)
+            return Prin._unchecked(
+                base, base.frame.check(El(self.ideals[el.seg].a.seg, el.n)))
+        return self.frame.read(self.ideals, el)
 
     def el_of(self, ideal: RoundIdeal):
         # the codes below do not key the proximity, so check it here; the
@@ -324,11 +282,11 @@ class RFrameData:
 
     def join_of(self, el):
         """sigma(ideal_of(el)), read off the kept joins."""
-        return _read(self.joins, self.frame, el)
+        return self.frame.read(self.joins, el)
 
     def kappa_of(self, a):
         """el_of(kappa(a)) for an element a of the base, from `kappa_codes`."""
-        return _read(self.kappa_codes, self.base.frame, a)
+        return self.base.frame.read(self.kappa_codes, a)
 
     @cached_property
     def joins(self) -> tuple:
@@ -392,25 +350,6 @@ class RFrameData:
         """The frame of round ideals of `maxp`: the next level of the
         maximal-structure comonad's tower."""
         return self.rr if self.maxp == self.wb else rframe(self.maxp)
-
-
-def _not_in_frame(el) -> InvalidParameter:
-    """The error for a code el that is not an element of a finite ideal
-    frame."""
-    return InvalidParameter(f"{el!r} is not an element of this frame")
-
-
-def _read(table: tuple, frame, el):
-    """The value at an element el of frame of a map kept as `table`, its
-    values at the `starts` of frame: on a chain the value at the start of
-    el's segment, moved n places along an omega block."""
-    if isinstance(frame, FiniteFrame):
-        if frame.contains(el):
-            return table[el]
-        raise _not_in_frame(el)
-    if frame.contains(el):
-        return table[el.seg] if el.n == 0 else El(table[el.seg].seg, el.n)
-    raise _not_an_element(el)
 
 
 def _code_key(ideal: RoundIdeal):

@@ -18,12 +18,12 @@ from proxkit.errors import (
 from proxkit.errors import ProxkitError
 from proxkit.finite import downset_frame
 from proxkit import roundideal
+from proxkit.morphisms import alpha_map, rmap_map
 from proxkit.proximity import FiniteProximity, chain_proximity, order_proximity
 from proxkit.roundideal import (
     BelowLim,
     FinIdeal,
     Prin,
-    alpha,
     dir_sup,
     ideal_frame,
     is_stably_compact,
@@ -31,7 +31,6 @@ from proxkit.roundideal import (
     member,
     retag,
     rframe,
-    rmap,
     sigma,
     subideal,
     way_below_ideals,
@@ -305,7 +304,7 @@ def test_normalize_symbolic_terms():
     B1 = BelowLim(p, lim(f, 1))
     assert _frame_lattice(rframe(p), Prin(p, succ(f, 0, 1)), B1)[0] == B1
     h = catalog_morphisms()["chain-h"]
-    img = rmap(h, BelowLim(h.src, lim(h.src.frame, 1)))
+    img = _rmap(h, BelowLim(h.src, lim(h.src.frame, 1)))
     assert img == Prin(h.dst, h.dst.frame.bot)
 
 
@@ -322,31 +321,54 @@ def test_dir_sup_checks_the_described_family():
         dir_sup(p, Seq.constant(f.bot, ((0, succ(f, 1, 0)),)))
 
 
+def _rmap(f, ideal):
+    """R(f)(ideal), the round ideal of f's target that rmap_map sends the
+    element of ideal to, read back through ideal_of."""
+    src, dst = rframe(f.src), rframe(f.dst)
+    return dst.ideal_of(rmap_map(f, src, dst).apply(src.el_of(ideal)))
+
+
+def _alpha(rfd, a):
+    """alpha(a), the way-below ideal of a in rfd's base, read back from
+    alpha_map through ideal_of."""
+    return rfd.ideal_of(alpha_map(rfd).apply(a))
+
+
 def test_rmap_on_catalog_morphisms():
     ms = catalog_morphisms()
     h = ms["chain-h"]
     f = h.src.frame
     # h collapses the first block to bottom: the ideal below L1 lands on
     # the principal ideal at bottom
-    assert rmap(h, BelowLim(h.src, lim(f, 1))) == Prin(h.dst, f.bot)
+    assert _rmap(h, BelowLim(h.src, lim(f, 1))) == Prin(h.dst, f.bot)
     dbl = ms["chain-double"]
-    assert rmap(dbl, Prin(dbl.src, succ(f, 0, 3))) == Prin(
+    assert _rmap(dbl, Prin(dbl.src, succ(f, 0, 3))) == Prin(
         dbl.dst, succ(f, 0, 6)
     )
     # doubling never attains the limit, so the ideal stays non-principal
-    assert rmap(dbl, BelowLim(dbl.src, lim(f, 1))) == BelowLim(
+    assert _rmap(dbl, BelowLim(dbl.src, lim(f, 1))) == BelowLim(
         dbl.dst, lim(f, 1)
     )
+    # every catalog morphism on every ideal of a window of its source
+    # agrees with the image computed from the definition
+    for name, m in ms.items():
+        depth = ref.depth_for(m)
+        for ideal in ref.codec(m.src, rframe(m.src).frame, depth).values():
+            assert _rmap(m, ideal) == ref.image(m, ideal, depth), (name, ideal)
 
 
 def test_stable_compactness_and_alpha():
     base = chain_proximity(build_chain_frame(1), {1})
     assert not is_stably_compact(base)  # top of the base frame is a limit
     with pytest.raises(NotStablyCompact):
-        alpha(base, base.frame.bot)
+        alpha_map(rframe(base))
     rfd = rframe(base)
     assert is_stably_compact(rfd.wb)  # ideal frame caps the chain by a point
     assert is_stably_compact(order_proximity(ref.diamond()))
+    # on a finite base alpha(a) is the downset of a
+    rfd = rframe(order_proximity(ref.diamond()))
+    for a in rfd.base.frame.elements():
+        assert _alpha(rfd, a) == ref.way_below_set(rfd.base, a)
 
 
 def test_alpha_is_left_adjoint_to_sigma():
@@ -354,10 +376,11 @@ def test_alpha_is_left_adjoint_to_sigma():
     wb = rfd.wb
     f = wb.frame
     elems = [succ(f, 0, n) for n in range(5)] + [e for e in f.limits()] + [f.top]
-    ideals = [alpha(wb, e) for e in elems] + [kappa(wb, e) for e in elems]
+    ideals = [_alpha(rfd.rr, e) for e in elems] + [kappa(wb, e) for e in elems]
     for a in elems:
+        assert _alpha(rfd.rr, a) == ref.way_below_set(wb, a), a
         for i in ideals:
-            assert subideal(alpha(wb, a), i) == f.leq(a, sigma(i)), (a, i)
+            assert subideal(_alpha(rfd.rr, a), i) == f.leq(a, sigma(i)), (a, i)
 
 
 def test_codec_roundtrip_and_window_oracle():

@@ -12,13 +12,14 @@ layouts with k <= 4 whose top is reflexive, must pass those checks: the
 public constructor accepts its table or rules and gives an equal map.  A
 builder made to leave its target frame fails here.
 
-`kappa`, `alpha`, `RFrameData.ideal_of` and the chain ideal frames build
-their round ideals through `Prin._unchecked` and `BelowLim._unchecked`
-once they have decided roundness themselves.  On the same 15 layouts and
-their towers, each ideal they give must equal the one the definitions in
-`reference` build through the checked constructors, and an element
-outside the frame must still be refused as the checked constructor
-refuses it.
+`kappa`, `RFrameData.ideal_of` and the chain ideal frames build their
+round ideals through `Prin._unchecked` and `BelowLim._unchecked` once
+they have decided roundness themselves.  On the same 15 layouts and
+their towers, each ideal they give, and each ideal that `alpha_map`
+sends an element to, read back through `ideal_of`, must equal the one
+the definitions in `reference` build through the checked constructors,
+and an element outside the frame must still be refused as the checked
+constructor refuses it.
 """
 
 import re
@@ -46,6 +47,7 @@ from proxkit.errors import InvalidParameter, MalformedMap, NotStablyCompact
 from proxkit.morphisms import (
     ChainMap,
     FiniteMap,
+    alpha_map,
     identity_map,
     kappa_map,
     rmap_map,
@@ -57,7 +59,6 @@ from proxkit.roundideal import (
     BelowLim,
     Prin,
     RFrameData,
-    alpha,
     ideal_frame,
     is_stably_compact,
     kappa,
@@ -193,6 +194,11 @@ def outside(frame):
             El(frame.top.seg, 1)]
 
 
+def over_levels(rfd):
+    """(prox, its frame of round ideals) for the base, wb and maxp of rfd."""
+    return (rfd.base, rfd), (rfd.wb, rfd.rr), (rfd.maxp, rfd.cc)
+
+
 def assert_refused_as_checked(build, prox, e):
     """build(prox, e) raises what the checked Prin(prox, e) raises."""
     with pytest.raises(InvalidParameter) as checked:
@@ -204,17 +210,18 @@ def assert_refused_as_checked(build, prox, e):
 @pytest.mark.parametrize("doc", LAYOUTS.values(), ids=list(LAYOUTS))
 def test_unchecked_ideals_equal_the_checked_ones(doc):
     for rfd in layout_levels(doc):
-        for prox in (rfd.base, rfd.wb, rfd.maxp):
+        for prox, ideals in over_levels(rfd):
             compact = is_stably_compact(prox)
+            alpha = alpha_map(ideals) if compact else None
             for a in ref.points(prox.frame):
                 got, want = kappa(prox, a), ref.approximants(prox, a)
                 assert got == want and hash(got) == hash(want), (prox, a)
                 if compact:
-                    got, want = alpha(prox, a), ref.way_below_set(prox, a)
+                    got, want = ideals.ideal_of(alpha.apply(a)), ref.way_below_set(prox, a)
                     assert got == want and hash(got) == hash(want), (prox, a)
             if not compact:
                 with pytest.raises(NotStablyCompact):
-                    alpha(prox, prox.frame.bot)
+                    alpha_map(ideals)
         for x, want in ref.codec(rfd.base, rfd.frame).items():
             assert rfd.ideal_of(x) == want, (rfd.frame, x)
         assert rfd.ideals == tuple(ref.codec(rfd.base, rfd.frame, 1).values())
@@ -223,11 +230,12 @@ def test_unchecked_ideals_equal_the_checked_ones(doc):
 @pytest.mark.parametrize("doc", LAYOUTS.values(), ids=list(LAYOUTS))
 def test_unchecked_ideals_refuse_codes_outside_the_frame(doc):
     for rfd in layout_levels(doc):
-        for prox in (rfd.base, rfd.wb, rfd.maxp):
+        for prox, ideals in over_levels(rfd):
             for e in outside(prox.frame):
                 assert_refused_as_checked(kappa, prox, e)
                 if is_stably_compact(prox):
-                    assert_refused_as_checked(alpha, prox, e)
+                    assert_refused_as_checked(
+                        lambda p, e: alpha_map(ideals).apply(e), prox, e)
         # a negative position in an omega segment shifts the base element
         # of its first ideal out of the base frame
         for i, seg in enumerate(rfd.frame.segments):
