@@ -97,7 +97,10 @@ class ChainLikeFrame:
                 return El(i, 0)
             prefix = seg.label + "."
             if seg.kind == OMEGA and type(label) is str and label.startswith(prefix):
-                return self.check(El(i, int(label[len(prefix):])))
+                # only the positions `label` prints: no sign, space or leading 0
+                pos = label[len(prefix):]
+                if pos.isascii() and pos.isdigit() and str(int(pos)) == pos:
+                    return El(i, int(pos))
         raise InvalidParameter(f"no element named {label!r}")
 
     def read(self, table: tuple, e: El):

@@ -30,6 +30,7 @@ from .errors import ProxkitError
 from .finite import build_finite_frame, downset_frame, hasse_dot
 from .morphisms import (
     _composite,
+    _star_table,
     compose,
     enumerate_proxhoms,
     kappa_map,
@@ -331,7 +332,7 @@ def cmd_search(law: str, max_size: int) -> int:
     # pairs of frames are searched only up to SEARCH_PAIR_LIMIT elements,
     # and each larger frame gets a skip record.  enumerate_proxhoms prunes
     # depth-first, but star-vs-compose pairs every homomorphism with every
-    # endomorphism of its target: 0.13, 0.27 and 2.7 s of process time,
+    # endomorphism of its target: 0.14, 0.22 and 1.6 s of process time,
     # start-up included, on one Xeon core at limits 5, 6 and 7.  One work
     # budget for all the searches, counting the work done, is meant to
     # replace the limit.
@@ -356,14 +357,15 @@ def cmd_search(law: str, max_size: int) -> int:
     # agree; the genuine witness needs the two-block chain instance.  Each
     # ordered pair is enumerated once, and a target's endomorphisms are
     # its diagonal entry.  Both maps run from f's source to g's target,
-    # so they agree when their tables do: the star composite is compared
-    # with the plain composite table, and no plain composite map is built.
+    # so they agree when their tables do: the star table is read off the
+    # plain composite table, and no map is built for either.
     homs = {(ns, nd): enumerate_proxhoms(ps, pd) for ns, ps in small for nd, pd in small}
     for ns, _ in small:
         for nd, _ in small:
             for f in homs[ns, nd]:
                 for g in homs[nd, nd]:
-                    if star_compose(g, f).table != _composite(g, f):
+                    composite = _composite(g, f)
+                    if _star_table(g, f, composite) != composite:
                         failures += 1
                         print(line({"witness": [repr(f), repr(g)]}))
     if failures == 0:

@@ -21,18 +21,19 @@ and kappa and alpha code tables kept on the ideal frame.  theta and R(f)
 are one pass of `_image_map` over f's table or rules.  `compose` indexes
 g's table, or reads g's rules at f's values without re-checking them,
 and a chain rule n -> (s, n) of f takes g's rule for block s as it
-stands.  Finite maps are validated by table lookup.  `star_compose`
-reads the same composite table and joins it over the index tuples of
-the source relation's columns, kept on the proximity as
-`FiniteProximity.col_bits`, through the join table of a finite target,
-without building the plain composite map.
+stands.  Finite maps are validated by table lookup.  `_star_table`
+joins a composite table over the index tuples of the source relation's
+columns, kept as `FiniteProximity.col_bits`, through the join table of
+a finite target: `star_compose` and the star-vs-compose search read it
+off the plain composite table, and build no plain composite map.
 The meet and join checks of the validators scan the source frame's kept
 `FiniteFrame.triangle` and read the target's meet and join tables; a
 chain target answers through its `meet` and `join`.  `enumerate_proxhoms`
-builds each element's meet constraints and allowed values once per call
-and tests a candidate against a row of the target's meet table.  These
-tables are cached on the frame or proximity they describe, so they last
-as long as it does.
+tests a candidate against a row of the target's meet table; between two
+orders (`FiniteProximity.is_order`) it forces the value of every
+join-reducible element and judges no complete table.  These tables are
+cached on the frame or proximity they describe, so they last as long as
+it does.
 
 On a finite target theta reads the joins of approximants kept as
 `FiniteProximity.sups`: theta(f) sends the ideal I_e of a finite source
@@ -234,10 +235,7 @@ def star_compose(g: Morphism, f: Morphism) -> Morphism:
     if f.dst != g.src:
         raise NotComposable("codomain of f must be the domain of g")
     if isinstance(f, FiniteMap):
-        # column a of the relation holds the approximants of a
-        frame, values = g.dst.frame, _composite(g, f)
-        return FiniteMap._unchecked(f.src, g.dst, tuple(
-            frame.join_over(col, values) for col in f.src.col_bits))
+        return FiniteMap._unchecked(f.src, g.dst, _star_table(g, f, _composite(g, f)))
     comp = compose(g, f)
     rules = list(comp.rules)
     for i, s in enumerate(f.src.frame.segments):
@@ -248,6 +246,12 @@ def star_compose(g: Morphism, f: Morphism) -> Morphism:
         sup, _ = comp.block_sup(i - 1)
         rules[i] = Seq.constant(sup)
     return ChainMap._unchecked(f.src, g.dst, tuple(rules))
+
+
+def _star_table(g: Morphism, f: FiniteMap, composite: tuple) -> tuple:
+    """g * f's table: at a, the join of the composite table over a's approximants."""
+    join_over = g.dst.frame.join_over
+    return tuple(join_over(col, composite) for col in f.src.col_bits)
 
 
 # -- validators -------------------------------------------------------------
@@ -339,7 +343,7 @@ def _validate_finite_hom(f: FiniteMap, frame_map: bool) -> AxiomReport:
             FAIL, (names[w[0]], names[w[1]]), "relation not preserved")
         axioms.append(("preserves-rel", v))
     elif (meets_kept and isinstance(f.dst, FiniteProximity)
-          and f.src.rows == sf.up and f.dst.rows == df.up
+          and f.src.is_order and f.dst.is_order
           and _last_unkept(f, 3) is None):
         axioms += [("join-subadditive", _PASSED),
                    ("value-approximation", _PASSED)]
@@ -583,27 +587,45 @@ def enumerate_proxhoms(src: FiniteProximity, dst: FiniteProximity) -> list[Finit
     extension of the source, so meet(a, b) is assigned for every b < a.
     A branch is cut as soon as f(bot) != bot, f(top) != top or
     f(meet(a, b)) != meet(f(a), f(b)): every completion would fail the
-    zero, top or meet-hom axiom, whatever the relations are.  Every
-    complete table is judged by validate_proxhom.
+    zero, top or meet-hom axiom, whatever the relations are.  Unless both
+    relations are the order, every complete table is judged by
+    validate_proxhom.
+
+    Between two orders, by the collapse theorem the valid finite
+    proximities, the homomorphisms are the bounded lattice homomorphisms:
+    subadditivity on (x, x), (y, y) gives f(x v y) <= f(x) v f(y).  There
+    a join-reducible c takes the forced value f(x) v f(y) for one pair
+    x, y < c with join c, and every complete table is accepted.  One pair
+    is enough on a distributive lattice: if f keeps meets and the joins
+    below c, and c = u v v too, then f(x) = f((x ^ u) v (x ^ v)) <=
+    f(u) v f(v), and so is f(y).
     """
     sf, df = src.frame, dst.frame
     n, m = sf.n, df.n
-    meet_t, dmeet_t = sf.meet_t, df.meet_t
+    meet_t, dmeet_t, djoin_t = sf.meet_t, df.meet_t, df.join_t
     # per element a: the pairs (meet(a, b), b) for b < a, and the values
     # the bounds leave it
     meets = [tuple((meet_t[a][b], b) for b in range(a)) for a in range(n)]
     allowed = [[v for v in range(m) if (a != sf.bot or v == df.bot)
                 and (a != sf.top or v == df.top)] for a in range(n)]
+    orders = src.is_order and dst.is_order
+    # between orders, per join-reducible c: a pair below c with join c
+    parts = {c: (x, y) for x, y, _, c in sf.triangle if c not in (x, y)} if orders else {}
     out = []
     table = [0] * n
 
     def extend(a: int):
         if a == n:
             f = FiniteMap._unchecked(src, dst, tuple(table))
-            if validate_proxhom(f).ok:
+            if orders or validate_proxhom(f).ok:
                 out.append(f)
             return
-        for v in allowed[a]:
+        vals = allowed[a]
+        if a in parts:
+            x, y = parts[a]
+            v = djoin_t[table[x]][table[y]]
+            vals = (v,) if v in vals else ()
+        for v in vals:
             row = dmeet_t[v]
             if all(table[c] == row[table[b]] for c, b in meets[a]):
                 table[a] = v

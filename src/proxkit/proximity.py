@@ -50,6 +50,11 @@ class FiniteProximity:
         return self.rel(a, a)
 
     @cached_property
+    def is_order(self) -> bool:
+        """Whether the relation is the order, the one valid finite proximity."""
+        return self.rows == self.frame.up
+
+    @cached_property
     def cols(self) -> tuple[int, ...]:
         """cols[b]: bitmask of the a with a rel b."""
         return _transpose(self.rows, self.frame.n)
@@ -168,12 +173,10 @@ def validate_proximity(prox: Proximity) -> AxiomReport:
 
 
 def _validate_finite(p: FiniteProximity) -> AxiomReport:
-    f = p.frame
-    n = f.n
-    rows = p.rows
-    if len(rows) != n or any(row >> n for row in rows):
+    n = p.frame.n
+    if len(p.rows) != n or any(row >> n for row in p.rows):
         raise MalformedRelation("relation rows do not match the frame size")
-    if rows == f.up:
+    if p.is_order:
         return _ORDER_REPORT
     return _scan_finite(p)
 
@@ -182,14 +185,14 @@ def _scan_finite(p: FiniteProximity) -> AxiomReport:
     """The report of every axiom check, in report order; each check is a
     mask scan that stops at its first failure."""
     axioms = tuple((axiom, check(p)) for axiom, check in _AXIOM_CHECKS)
-    return AxiomReport(axioms, collapse=p.rows == p.frame.up)
+    return AxiomReport(axioms, collapse=p.is_order)
 
 
 def _holds(p: FiniteProximity) -> bool:
     """Whether a relation with well-formed rows is a proximity: the order
     is, and any other relation must pass every axiom check, run cheapest
     first, up to the first failure."""
-    return p.rows == p.frame.up or all(check(p).ok for check in _CHEAPEST_FIRST)
+    return p.is_order or all(check(p).ok for check in _CHEAPEST_FIRST)
 
 
 def _finer_than_leq(p: FiniteProximity) -> Verdict:
@@ -392,7 +395,7 @@ def certify_finite_collapse(frame: FiniteFrame) -> LawReport:
         cand = FiniteProximity(frame, tuple(rows))
         if _holds(cand):
             survivors += 1
-            if cand.rows != frame.up:
+            if not cand.is_order:
                 witness = [(frame.names[a], frame.names[b]) for a, b in cand.pairs()]
                 return law_fail(
                     "collapse", instance, witness=tuple(witness),

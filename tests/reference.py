@@ -15,7 +15,7 @@ The input generators of the differential tests live here too.
 
 import random
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from proxkit.chain import OMEGA, POINT, ChainLikeFrame, El, Segment, build_chain_frame
 from proxkit.finite import FiniteFrame, build_finite_frame, downset_frame
@@ -490,6 +490,36 @@ def small_proximities() -> list:
         out += [(name, FiniteProximity(f, f.up)), (f"{name}:empty", FiniteProximity(f, (0,) * f.n)),
                 (f"{name}:r1", sub_relation(f, rng)), (f"{name}:r2", sub_relation(f, rng))]
     return out
+
+
+def posets(max_points) -> list:
+    """One poset of each isomorphism class with at most max_points points,
+    as (names, strict pairs).  Every poset has a labelling with i < j for
+    each pair (i, j), so the transitive sets of such pairs reach every
+    class; each class is given by its least sorted pair list over all
+    relabellings."""
+    out = []
+    for n in range(max_points + 1):
+        names = [f"p{i}" for i in range(n)]
+        pairs = list(combinations(range(n), 2))
+        seen = set()
+        for bits in range(1 << len(pairs)):
+            rel = {pq for k, pq in enumerate(pairs) if bits >> k & 1}
+            if any((a, c) not in rel for a, b in rel for b2, c in rel if b == b2):
+                continue
+            key = min(tuple(sorted((s[a], s[b]) for a, b in rel))
+                      for s in permutations(range(n)))
+            if key not in seen:
+                seen.add(key)
+                out.append((names, [(names[a], names[b]) for a, b in key]))
+    return out
+
+
+def downset_lattices(max_points) -> list:
+    """The downset lattice of each poset of `posets(max_points)`: by
+    Birkhoff's theorem every finite distributive lattice whose poset of
+    join-irreducibles has at most max_points points, once each."""
+    return [downset_frame(names, pairs) for names, pairs in posets(max_points)]
 
 
 def layouts(max_segments):

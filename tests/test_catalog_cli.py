@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import pytest
 
@@ -12,12 +13,12 @@ from proxkit.catalog import (
     parse_instance,
     parse_morphism,
 )
-from proxkit.chain import OMEGA, POINT, ChainLikeFrame, Segment, Seq, lim, succ
+from proxkit.chain import OMEGA, POINT, ChainLikeFrame, Segment, Seq, build_chain_frame, lim, succ
 import proxkit.cli as cli
 from proxkit.cli import _generated_frames, main
 from proxkit.errors import InvalidParameter, UnknownInstance
-from proxkit.morphisms import ChainMap, enumerate_proxhoms, star_compose, validate_proxhom
-from proxkit.proximity import ChainProximity, order_proximity
+from proxkit.morphisms import ChainMap, enumerate_proxhoms, validate_proxhom
+from proxkit.proximity import ChainProximity, chain_proximity, order_proximity
 from proxkit.roundideal import rframe
 
 
@@ -56,6 +57,15 @@ def test_parse_element_labels():
     assert parse_element(p, "L1") == lim(p.frame, 1)
     with pytest.raises(InvalidParameter):
         parse_element(p, "L9")
+
+
+@pytest.mark.parametrize("label", ["S0.+3", "S0. 3", "S0.03", "S0.1_0", "S0.x"])
+def test_chain_labels_that_label_never_prints_are_refused(label):
+    frame = build_chain_frame(1)
+    prox = chain_proximity(frame, {1})
+    for read in (frame.index, lambda s: parse_element(prox, s)):
+        with pytest.raises(InvalidParameter, match=f"^no element named {re.escape(repr(label))}$"):
+            read(label)
 
 
 def test_parse_morphism_documents():
@@ -375,12 +385,13 @@ def test_cli_search_star_vs_compose_pairs_each_hom_with_its_targets_endomorphism
                 g.src.frame.names, g.dst.frame.names, g.table)
 
     compared = []
+    star_table = cli._star_table
 
-    def recording(g, f):
+    def recording(g, f, composite):
         compared.append(pair(g, f))
-        return star_compose(g, f)
+        return star_table(g, f, composite)
 
-    monkeypatch.setattr(cli, "star_compose", recording)
+    monkeypatch.setattr(cli, "_star_table", recording)
     assert main(["search", "--law", "star-vs-compose", "--max-size", "4"]) == 0
     proxes = [order_proximity(f) for _, f in _generated_frames(4)]
     assert compared == [pair(g, f) for p in proxes for q in proxes
