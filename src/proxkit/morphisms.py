@@ -29,8 +29,8 @@ off the plain composite table, and build no plain composite map.
 The meet and join checks of the validators scan the source frame's kept
 `FiniteFrame.triangle` and read the target's meet and join tables; a
 chain target answers through its `meet` and `join`.  `enumerate_proxhoms`
-tests a candidate against a row of the target's meet table; between two
-orders (`FiniteProximity.is_order`) it forces the value of every
+takes two orders (`FiniteProximity.is_order`) only, tests a candidate
+against a row of the target's meet table, forces the value of every
 join-reducible element and judges no complete table.  These tables are
 cached on the frame or proximity they describe, so they last as long as
 it does.
@@ -587,19 +587,20 @@ def enumerate_proxhoms(src: FiniteProximity, dst: FiniteProximity) -> list[Finit
     extension of the source, so meet(a, b) is assigned for every b < a.
     A branch is cut as soon as f(bot) != bot, f(top) != top or
     f(meet(a, b)) != meet(f(a), f(b)): every completion would fail the
-    zero, top or meet-hom axiom, whatever the relations are.  Unless both
-    relations are the order, every complete table is judged by
-    validate_proxhom.
+    zero, top or meet-hom axiom.
 
-    Between two orders, by the collapse theorem the valid finite
-    proximities, the homomorphisms are the bounded lattice homomorphisms:
-    subadditivity on (x, x), (y, y) gives f(x v y) <= f(x) v f(y).  There
-    a join-reducible c takes the forced value f(x) v f(y) for one pair
-    x, y < c with join c, and every complete table is accepted.  One pair
-    is enough on a distributive lattice: if f keeps meets and the joins
-    below c, and c = u v v too, then f(x) = f((x ^ u) v (x ^ v)) <=
-    f(u) v f(v), and so is f(y).
+    By the finite collapse theorem the order is the only finite
+    proximity, so any other relation is refused before the search.
+    Between two orders the homomorphisms are the bounded lattice
+    homomorphisms: subadditivity on (x, x), (y, y) gives
+    f(x v y) <= f(x) v f(y).  So a join-reducible c takes the forced
+    value f(x) v f(y) for one pair x, y < c with join c, and every
+    complete table is accepted.  One pair is enough on a distributive
+    lattice: if f keeps meets and the joins below c, and c = u v v too,
+    then f(x) = f((x ^ u) v (x ^ v)) <= f(u) v f(v), and so is f(y).
     """
+    src.require_order()
+    dst.require_order()
     sf, df = src.frame, dst.frame
     n, m = sf.n, df.n
     meet_t, dmeet_t, djoin_t = sf.meet_t, df.meet_t, df.join_t
@@ -608,17 +609,14 @@ def enumerate_proxhoms(src: FiniteProximity, dst: FiniteProximity) -> list[Finit
     meets = [tuple((meet_t[a][b], b) for b in range(a)) for a in range(n)]
     allowed = [[v for v in range(m) if (a != sf.bot or v == df.bot)
                 and (a != sf.top or v == df.top)] for a in range(n)]
-    orders = src.is_order and dst.is_order
-    # between orders, per join-reducible c: a pair below c with join c
-    parts = {c: (x, y) for x, y, _, c in sf.triangle if c not in (x, y)} if orders else {}
+    # per join-reducible c: a pair below c with join c
+    parts = {c: (x, y) for x, y, _, c in sf.triangle if c not in (x, y)}
     out = []
     table = [0] * n
 
     def extend(a: int):
         if a == n:
-            f = FiniteMap._unchecked(src, dst, tuple(table))
-            if orders or validate_proxhom(f).ok:
-                out.append(f)
+            out.append(FiniteMap._unchecked(src, dst, tuple(table)))
             return
         vals = allowed[a]
         if a in parts:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .chain import ChainLikeFrame, El, _above
-from .errors import InvalidReflexiveSet, MalformedRelation, TooLarge
+from .errors import InvalidReflexiveSet, MalformedRelation, TooLarge, UnsupportedRepresentation
 from .finite import FiniteFrame, _bits, _downsets, _product, _transpose, _union
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, LawReport, Verdict, law_fail, law_pass
 
@@ -53,6 +53,13 @@ class FiniteProximity:
     def is_order(self) -> bool:
         """Whether the relation is the order, the one valid finite proximity."""
         return self.rows == self.frame.up
+
+    def require_order(self) -> None:
+        """Refuse, before work that holds only for proximities, a relation
+        other than the order, the one finite proximity."""
+        if not self.is_order:
+            raise UnsupportedRepresentation("by the finite collapse theorem the order is "
+                                            "the only finite proximity, and this relation is not")
 
     @cached_property
     def cols(self) -> tuple[int, ...]:

@@ -36,11 +36,11 @@ tables, kept on the frame with the joins, are read off the joins.  The
 maps alpha and R(f) on ideals are `alpha_map` and `rmap_map` of
 `morphisms`; the ideal of a value is `ideal_of` it.
 
-On a finite frame the round ideals are principal downsets.  When all of
-them are round, as for every valid finite proximity by the collapse
-theorem, the ideal frame is the base frame itself with its elements
-renamed ``dn(x)``, and no table is rebuilt; only other relations, or a
-renaming that would reorder two elements, build it from the masks.
+On a finite frame the order is the only proximity, by the finite
+collapse theorem, and :func:`rframe` refuses any other relation.  Its
+ideal frame is the base frame with its elements renamed ``dn(x)``, and no
+table is rebuilt; only a renaming that would reorder two elements builds
+it from the masks.
 """
 
 from __future__ import annotations
@@ -311,10 +311,7 @@ class RFrameData:
         """At each start a of the base, the last element in order with join a."""
         starts, joins = self.frame.starts, self.joins
         at = {joins[i]: starts[i] for i in order}
-        try:
-            return tuple(map(at.__getitem__, self.base.frame.starts))
-        except KeyError as e:  # the base relation is not a proximity
-            raise UnsupportedRepresentation(f"no round ideal has join {e}") from None
+        return tuple(map(at.__getitem__, self.base.frame.starts))
 
     @cached_property
     def _codes(self) -> dict:
@@ -378,36 +375,27 @@ def kept_on_rframe(build):
 
 
 def rframe(prox: Proximity) -> RFrameData:
-    """Materialize the frame of round ideals of a validated proximity."""
+    """Materialize the frame of round ideals of a validated proximity; a
+    finite relation other than the order is refused."""
     if isinstance(prox, FiniteProximity):
         return _rframe_finite(prox)
     return _rframe_chain(prox)
 
 
 def _rframe_finite(prox: FiniteProximity) -> RFrameData:
-    """The ideal frame of a finite proximity: the base frame renamed when
-    every principal downset is round and the names keep the canonical
-    order, else the frame of the round principal downsets, built from
-    their masks."""
+    """The ideal frame of the order, the one finite proximity: x -> down[x]
+    is an order isomorphism onto it, so it is the base frame renamed dn(x),
+    or built from the masks where the new names reorder two elements."""
+    prox.require_order()
     f = prox.frame
     if f.n > FINITE_IDEAL_ENUM_LIMIT:
         raise TooLarge(
             f"round-ideal enumeration limited to {FINITE_IDEAL_ENUM_LIMIT} elements"
         )
-    # A join-closed downset of a finite lattice that contains bot is the
-    # principal downset of its join, so, whatever the relation, the round
-    # ideals are the down[x] in which every member relates to a member.
-    rows = prox.rows
-    xs = [x for x, d in enumerate(f.down) if all(rows[b] & d for b in _bits(d))]
-    names = [f"dn({f.names[x]})" for x in xs]
-    # When every principal downset is round, as for every valid proximity
-    # by the collapse theorem, x -> down[x] is an order isomorphism onto
-    # the ideal frame: it is the base frame renamed, if the names allow.
-    frame = _renamed(f, tuple(names)) if len(xs) == f.n else None
-    if frame is not None:
-        masks = f.down
-    else:
-        frame, masks = _frame_of_masks(names, [f.down[x] for x in xs])
+    names = tuple(f"dn({x})" for x in f.names)
+    frame, masks = _renamed(f, names), f.down
+    if frame is None:
+        frame, masks = _frame_of_masks(names, masks)
     return RFrameData(base=prox, frame=frame, wb=way_below_proximity(frame),
                       ideals=tuple(FinIdeal(prox, m) for m in masks))
 

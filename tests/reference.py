@@ -419,12 +419,13 @@ def doubled_membership(rfd, depth=DEPTH, contains=contains):
     """The pairs (jbar, ibar), row-major over the doubled frame's points
     and the ideal frame's, at which the join of eps(J) lies in I but no
     kbar that eps(J) is maxp-below has its join in I, or the other way
-    round; eps(J) is the join of J."""
+    round; eps(J) is the join of J, a round ideal of the doubled frame's
+    own base, which is rfd.maxp unless a test replaced that."""
     ideals = codec(rfd.base, rfd.frame, depth)
     joins = {k: sup(K) for k, K in ideals.items()}
     # landing[i]: the kbar whose join lies in I
     landing = {i: {k for k in ideals if contains(I, joins[k])} for i, I in ideals.items()}
-    for jbar, J in codec(rfd.maxp, rfd.cc.frame, depth).items():
+    for jbar, J in codec(rfd.cc.base, rfd.cc.frame, depth).items():
         ej = sup(J)
         above = {k for k in ideals if rfd.maxp.rel(ej, k)}
         for ibar, held in landing.items():

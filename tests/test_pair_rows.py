@@ -74,13 +74,18 @@ def reference_report(law, rfd, **kw):
 
 def tampered(prox, maxp=None, wb=None):
     """rframe(prox) with its maximal relation, its way-below relation or
-    both replaced; a fresh object each time, so nothing built from the
-    true relations is kept on it."""
+    both replaced; a fresh object each time, so nothing else built from
+    the true relations is kept on it.  On a finite instance the doubled
+    frame `cc` is the true one: rframe refuses a tampered relation, which
+    is not the order."""
     rfd = rframe(prox)
+    cc = rfd.cc if isinstance(prox, FiniteProximity) else None
     if wb is not None:
         rfd = replace(rfd, wb=wb)
     if maxp is not None:
         vars(rfd)["maxp"] = maxp
+    if cc is not None:
+        vars(rfd)["cc"] = cc
     return rfd
 
 

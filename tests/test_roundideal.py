@@ -15,7 +15,6 @@ from proxkit.errors import (
     TooLarge,
     UnsupportedRepresentation,
 )
-from proxkit.errors import ProxkitError
 from proxkit.finite import downset_frame
 from proxkit import roundideal
 from proxkit.morphisms import alpha_map, rmap_map
@@ -52,13 +51,6 @@ def test_finite_rframe_matches_brute_enumeration():
         assert sorted(i.mask for i in rfd.ideals) == sorted(ref.ideal_frame(prox)[1]), name
 
 
-def _outcome(build, prox):
-    try:
-        return build(prox)
-    except ProxkitError as exc:
-        return type(exc), str(exc)
-
-
 def _rframe_tables(prox, rfd=None):
     """The frame of rframe(prox) and the ideal mask of each element; its
     way-below relation is the frame's order, every ideal being compact."""
@@ -76,14 +68,19 @@ ORACLE_FRAMES = GENERATED | {k: v.frame for k, v in catalog_instances().items()
 
 @pytest.mark.parametrize("name,frame", ORACLE_FRAMES.items(), ids=list(ORACLE_FRAMES))
 def test_finite_rframe_matches_full_mask_scan(name, frame):
-    # the order, the empty relation (no round ideals, so no frame) and
-    # random sub-relations of leq, none of them validated
+    # the order against the reference; the empty relation and random
+    # sub-relations of leq are no proximity unless they are the order, by
+    # the finite collapse theorem, and rframe refuses them at once
     rng = random.Random(name)
     proxes = [order_proximity(frame), FiniteProximity(frame, (0,) * frame.n)]
     for _ in range(3 if frame.n <= 8 else 1):
         proxes.append(ref.sub_relation(frame, rng, keep=0.7))
     for prox in proxes:
-        assert _outcome(_rframe_tables, prox) == _outcome(ref.ideal_frame, prox), prox.pairs()
+        if prox.is_order:
+            assert _rframe_tables(prox) == ref.ideal_frame(prox), name
+        else:
+            with pytest.raises(UnsupportedRepresentation, match="finite collapse theorem"):
+                rframe(prox)
 
 
 def test_renamed_tower_matches_full_mask_scan(monkeypatch):
@@ -114,6 +111,23 @@ def test_renamed_tower_matches_full_mask_scan(monkeypatch):
     assert rframe(order_proximity(frames["flip"])).frame.names[1:3] == ("dn(a!)", "dn(a)")
 
 
+def test_finite_towers_are_the_order_at_every_level():
+    # the collapse theorem at work: on the downset lattice of each poset
+    # with at most 4 points that the size cap lets through (all but the
+    # 16-element cube4), the way-below and maximal proximities of each
+    # level of both towers are the order, and each level's ideals are the
+    # principal downsets of its base, each once
+    lattices = [f for f in ref.downset_lattices(4) if f.n <= 14]
+    assert len(lattices) == 24
+    for frame in lattices:
+        rfd = rframe(order_proximity(frame))
+        for level in (rfd, rfd.rr, rfd.rr.rr, rfd.cc, rfd.cc.cc):
+            assert level.wb.is_order and level.maxp.is_order, frame
+            down = level.base.frame.down
+            assert sorted(level.joins) == list(level.base.frame.elements()), frame
+            assert [i.mask for i in level.ideals] == [down[j] for j in level.joins], frame
+
+
 def test_ideal_frame_of_diamond_is_diamond_again():
     prox = order_proximity(ref.diamond())
     rfd = ideal_frame(prox.frame)
@@ -128,8 +142,12 @@ def test_ideal_frame_of_diamond_is_diamond_again():
 
 
 def test_finite_enum_size_cap():
+    cube4 = downset_frame(list("wxyz"), [])
     with pytest.raises(TooLarge):
-        rframe(order_proximity(downset_frame(list("wxyz"), [])))
+        rframe(order_proximity(cube4))
+    # the collapse gate comes first: any other relation is refused as such
+    with pytest.raises(UnsupportedRepresentation, match="finite collapse theorem"):
+        rframe(FiniteProximity(cube4, (0,) * cube4.n))
 
 
 # -- canonical forms on chains ----------------------------------------------
