@@ -19,12 +19,16 @@ them along an omega block.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InvalidParameter, MalformedMap
+
+# the cap on the digits int() reads and str() writes, 0 for none (none before 3.10.7)
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 OMEGA = "omega"
 POINT = "point"
@@ -97,9 +101,11 @@ class ChainLikeFrame:
                 return El(i, 0)
             prefix = seg.label + "."
             if seg.kind == OMEGA and type(label) is str and label.startswith(prefix):
-                # only the positions `label` prints: no sign, space or leading 0
+                # only the positions `label` prints: no sign, space or
+                # leading 0, and no more digits than str() writes for an int
                 pos = label[len(prefix):]
-                if pos.isascii() and pos.isdigit() and str(int(pos)) == pos:
+                if (pos.isascii() and pos.isdigit() and (pos == "0" or pos[0] != "0")
+                        and not 0 < _max_str_digits() < len(pos)):
                     return El(i, int(pos))
         raise InvalidParameter(f"no element named {label!r}")
 

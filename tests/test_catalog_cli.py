@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import sys
 
 import pytest
 
@@ -13,7 +14,17 @@ from proxkit.catalog import (
     parse_instance,
     parse_morphism,
 )
-from proxkit.chain import OMEGA, POINT, ChainLikeFrame, Segment, Seq, build_chain_frame, lim, succ
+from proxkit.chain import (
+    OMEGA,
+    POINT,
+    ChainLikeFrame,
+    El,
+    Segment,
+    Seq,
+    build_chain_frame,
+    lim,
+    succ,
+)
 import proxkit.cli as cli
 from proxkit.cli import _generated_frames, main
 from proxkit.errors import InvalidParameter, UnknownInstance
@@ -66,6 +77,20 @@ def test_chain_labels_that_label_never_prints_are_refused(label):
     for read in (frame.index, lambda s: parse_element(prox, s)):
         with pytest.raises(InvalidParameter, match=f"^no element named {re.escape(repr(label))}$"):
             read(label)
+
+
+def test_chain_positions_longer_than_str_writes_are_refused():
+    # str() writes an int of at most the interpreter's digit cap, 4300 by
+    # default, so a longer position is no label, and it is refused before
+    # int() reads it
+    frame = build_chain_frame(1)
+    cap = sys.get_int_max_str_digits()
+    assert 0 < cap < 5000
+    longest = El(0, int("1" * cap))
+    assert frame.index(frame.label(longest)) == longest
+    for label in ("S0." + "1" * (cap + 1), "S0." + "1" * 5000):
+        with pytest.raises(InvalidParameter, match=f"^no element named {re.escape(repr(label))}$"):
+            frame.index(label)
 
 
 def test_parse_morphism_documents():
