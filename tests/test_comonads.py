@@ -149,13 +149,13 @@ def test_doubled_membership():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_doubled_membership_matches_nested_loop_on_chains(k):
+def test_doubled_membership_matches_reference_on_chains(k):
     for prox in ref.chain_instances(k):
         assert (doubled_membership_lemma(rframe(prox))
                 == reference_report(doubled_membership_lemma, rframe(prox)))
 
 
-def test_doubled_membership_matches_nested_loop_on_finite_catalog():
+def test_doubled_membership_matches_reference_on_finite_catalog():
     for name in ("two", "chain3", "diamond", "cube3"):
         prox = catalog_instances()[name]
         assert (doubled_membership_lemma(rframe(prox))
@@ -181,7 +181,7 @@ def test_doubled_membership_witness_is_a_representative(k):
                     assert comonads.member(sigma(rfd.ideal_of(w)), I)
 
 
-def test_doubled_membership_failure_matches_nested_loop(monkeypatch):
+def test_doubled_membership_failure_matches_reference(monkeypatch):
     # membership corrupted at the join itself (a principal ideal loses its
     # generator, the ideal under a limit gains the limit) breaks the lemma
     # on every chain with a limit that is not reflexive.  The rows still
@@ -220,7 +220,7 @@ def _flipped_maxp(prox):
         yield rfd
 
 
-def test_doubled_membership_failure_matches_nested_loop_on_finite_catalog():
+def test_doubled_membership_failure_matches_reference_on_finite_catalog():
     # a finite frame's rows read ideal masks, not `member`, so here the
     # lemma is broken by flipping one pair of the maximal relation.  The
     # lemma and the reference must report alike on every flip.
