@@ -22,7 +22,7 @@ import json
 from collections import Counter
 from importlib import resources
 
-from .chain import OMEGA, El, Seq, build_chain_frame, lim, succ
+from .chain import OMEGA, El, Seq, _max_str_digits, build_chain_frame, lim, succ
 from .errors import InvalidParameter, UnknownInstance
 from .finite import build_finite_frame, downset_frame, open_set_frame
 from .morphisms import ChainMap, FiniteMap, Morphism, identity_map
@@ -177,30 +177,36 @@ def parse_element(prox: Proximity, s: str):
 
 
 def parse_morphism(doc: dict, src: Proximity, dst: Proximity) -> Morphism:
-    if "table" in doc:
+    """A table on a finite source, blocks on a chain.  A malformed field
+    raises InvalidParameter naming it and its value."""
+    if isinstance(src, FiniteProximity):
         table = [0] * src.frame.n
-        for k, v in doc["table"].items():
+        for k, v in _doc_field(doc, "table", dict, "an object").items():
             table[src.frame.index(k)] = parse_element(dst, v)
         return FiniteMap(src, dst, tuple(table))
-    blocks = doc["blocks"]
+    blocks = _doc_field(doc, "blocks", list, "a list")
     limits = doc.get("limits", "derived")
+    if limits != "derived":
+        limits = _doc_field(doc, "limits", list, '"derived" or a list')
     rules: list[Seq] = []
-    bi = 0
-    li = 0
+    bi = li = 0
     for i, seg in enumerate(src.frame.segments):
         if seg.kind == OMEGA:
             if bi >= len(blocks):
                 raise InvalidParameter(f"no entry in 'blocks' for block {seg.label}")
             b = blocks[bi]
             bi += 1
-            exc = [(int(k), parse_element(dst, v))
-                   for k, v in b.get("exceptions", {}).items()]
-            t = b["tail"]
+            t = _doc_field(b, "tail", (str, dict), "an element or an object")
+            exceptions = _doc_field(b, "exceptions", dict, "an object") if "exceptions" in b else {}
+            exc = [(_position(k), parse_element(dst, v)) for k, v in exceptions.items()]
             if isinstance(t, str):
                 rules.append(Seq.constant(parse_element(dst, t), exc))
-            else:
-                rules.append(Seq.affine(2 * int(t["block"]), int(t.get("a", 1)),
-                                        int(t.get("b", 0)), exc))
+                continue
+            at = (t.get("block"), t.get("a", 1), t.get("b", 0))
+            if not all(map(_is_int, at)):
+                raise InvalidParameter(
+                    f"field 'tail' needs the integers 'block', 'a' and 'b', got {t!r}")
+            rules.append(Seq.affine(2 * at[0], at[1], at[2], exc))
         elif limits == "derived":
             # the limit value is forced by the supremum of the block below
             if not src.frame.is_limit(El(i, 0)):
@@ -213,6 +219,23 @@ def parse_morphism(doc: dict, src: Proximity, dst: Proximity) -> Morphism:
             rules.append(Seq.constant(parse_element(dst, limits[li])))
             li += 1
     return ChainMap(src, dst, tuple(rules))
+
+
+def _doc_field(doc, key: str, kind, what: str):
+    """doc[key], which must be `what`: a value of kind."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise InvalidParameter(f"morphism document needs the field {key!r}, got {doc!r}")
+    if not isinstance(doc[key], kind):
+        raise InvalidParameter(f"field {key!r} must be {what}, got {doc[key]!r}")
+    return doc[key]
+
+
+def _position(key: str) -> int:
+    """An exception key: the digits of a position, no more than int() reads."""
+    if (type(key) is not str or not (key.isascii() and key.isdigit())
+            or 0 < _max_str_digits() < len(key)):
+        raise InvalidParameter(f"field 'exceptions' has a key {key!r} that is not a position")
+    return int(key)
 
 
 # -- the named morphism catalog ----------------------------------------------

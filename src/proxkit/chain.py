@@ -194,11 +194,12 @@ def _not_an_element(e) -> InvalidParameter:
     return InvalidParameter(f"{e} is not an element of this chain")
 
 
-def _check_sorted(vals, what: str) -> None:
-    """Raise unless vals never descend: the row masks below bisect them."""
+def _check_sorted(vals, what: str):
+    """vals, unless they descend: the row masks below bisect them."""
     for a, b in zip(vals, vals[1:]):
         if b < a:
             raise InvalidParameter(f"{what} are not in chain order: {b!r} after {a!r}")
+    return vals
 
 
 def _above(vals, x, inclusive: bool) -> int:

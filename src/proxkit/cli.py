@@ -194,12 +194,7 @@ def cmd_laws(suite: str, instance: str | None) -> int:
         return 1
     # one ideal frame per proximity, built on first use: each carries the
     # levels of its R and C towers, and all of them end with this run
-    rfds: dict = {}
-
-    def rfd_of(prox):
-        if prox not in rfds:
-            rfds[prox] = rframe(prox)
-        return rfds[prox]
+    rfd_of = functools.cache(rframe)
 
     reports: list[LawReport] = []
     if suite in ("R", "all"):

@@ -3,10 +3,10 @@
 The ideal-frame construction carries two proximities: the way-below
 relation `RFrameData.wb` and the maximal proximity `RFrameData.maxp`
 (inclusion refined by relating the joins).  Re-tagging the carrier
-between them is the natural map beta.
-Both comultiplications turn out to be the left adjoint of the join map:
-r is alpha for the way-below structure, and the membership rule
-"join of K lies in I" makes c exactly alpha for the maximal structure.
+between them is the natural map beta.  Both comultiplications turn out
+to be the left adjoint of the join map: r is alpha for the way-below
+structure, and the membership rule "join of K lies in I" makes c
+exactly alpha for the maximal structure.
 Identities between maps are decided by normal-form equality of
 represented morphisms.  The pointwise inequalities and the membership
 lemmas are decided per element class: on a chain instance each map they
@@ -16,16 +16,11 @@ see `_reps`.
 
 The three pair laws (the two maximal-relation checks and the doubled
 membership lemma) are decided on int bitmask rows over the
-representatives: bit q of row p says how the pair (p, q) compares.  On a
-finite frame a relation row is the proximity's own row.  On a chain the
-representatives come in chain order, a relation row is one suffix found
-by one bisection, and a membership row needs a `member` test only at the
-ideals whose join is the element; the order facts this rests on (sorted
-representatives and joins, nested ideals) are checked once per list,
-where it is built.  A law fails at the lowest set bit b of its first
-nonzero "bad" row a, and reports the a * n + b + 1 pairs that a
-row-major scan would have checked by then as `samples`; a pass reports
-all of them.
+representatives, which the ideal frame builds for its kind: bit q of
+row p says how the pair (p, q) compares.  A law fails at the lowest set
+bit b of its first nonzero "bad" row a, and reports the a * n + b + 1
+pairs that a row-major scan would have checked by then as `samples`; a
+pass reports all of them.
 
 Every law takes the instance's RFrameData and climbs the two comonads'
 towers through its `rr` and `cc` properties, so each ideal frame is built
@@ -36,11 +31,8 @@ RFrameData they are built from, in the same way.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
-from .chain import ChainLikeFrame, Seq, _above, _check_sorted
-from .errors import InvalidParameter, NotComposable, NotStablyCompact
-from .finite import _transpose, _union
+from .chain import Seq, _check_sorted
+from .errors import NotComposable, NotStablyCompact
 from .morphisms import (
     ChainMap,
     FiniteMap,
@@ -56,7 +48,7 @@ from .morphisms import (
     validate_pframemap,
     validate_proxhom,
 )
-from .proximity import FiniteProximity, Proximity, _low, order_proximity
+from .proximity import FiniteProximity, Proximity, _low
 from .reports import LawReport, law_fail, law_pass
 from .roundideal import (
     BelowLim,
@@ -64,12 +56,9 @@ from .roundideal import (
     dir_sup,
     ideal_frame,
     is_stably_compact,
-    kappa,
     kept_on_rframe,
     member,
     retag,
-    subideal,
-    way_below_ideals,
 )
 
 
@@ -91,11 +80,11 @@ def max_proximity_agreement(rfd: RFrameData) -> LawReport:
     base = rfd.base
     reps = _reps(rfd, (sigma_map(rfd), kappa_map(rfd)), pairs=True)
     ideals = [rfd.ideal_of(r) for r in reps]
-    tops = _joins(rfd, reps)
-    sub = _inclusion_rows(rfd, reps, ideals)
+    tops = rfd.joins_on(reps)
+    sub = rfd.inclusion_rows(reps, ideals)
     rel = base.rows_on(tops, tops)
     by_joins = [s & r for s, r in zip(sub, rel)]
-    by_wb = [s & r for s, r in zip(sub, _way_below_kappa_rows(base, ideals, tops, rel))]
+    by_wb = [s & r for s, r in zip(sub, rfd.way_below_kappa_rows(ideals, tops, rel))]
     tagged = rfd.maxp.rows_on(reps, reps)
     bad = [(j ^ t) | (w ^ t) for j, w, t in zip(by_joins, by_wb, tagged)]
     return _pair_law("maxrel.agreement", describe_instance(base), bad, len(reps),
@@ -115,17 +104,10 @@ def _reps(rfd: RFrameData, maps=(), pairs: bool = False) -> list:
     with n, and a comparison depends only on the element classes and, for
     two points of one block, on how their indices compare: index h covers
     a pointwise law, and h, h + 1 give i < j, i = j and i > j for pairs.
-
-    A pair law is decided on one bitmask row per representative, bit q of
-    row p standing for the pair (reps[p], reps[q]); on a chain each row
-    is found by bisecting this sorted list, whose order is checked here.
-    Its `samples` counts pairs in row-major order: all of them on a pass,
-    and a * n + b + 1 at a first failure (a, b) with n pairs a row.
+    Pair-law rows on a chain bisect this list, so its order is checked here.
     """
     h = max((m.horizon() for m in maps), default=0)
-    reps = rfd.frame.class_representatives(h + 1 + pairs)
-    _check_sorted(reps, "representatives")
-    return reps
+    return _check_sorted(rfd.frame.class_representatives(h + 1 + pairs), "representatives")
 
 
 # -- natural transformation components, as represented morphisms ------------
@@ -171,14 +153,6 @@ def m_map(rfd: RFrameData, jfd: RFrameData) -> Morphism:
     jfd is the frame of all ideals, `ideal_frame(rfd.base.frame)`."""
     return block_map(rfd.wb, jfd.wb,
                      lambda e: jfd.el_of(retag(rfd.ideal_of(e), jfd.base)))
-
-
-def order_retag(f: Morphism) -> Morphism:
-    """The same carrier map between the order proximities (for the
-    all-ideals functor action)."""
-    return retag_map(
-        f, order_proximity(f.src.frame), order_proximity(f.dst.frame)
-    )
 
 
 def cmap_of(f: Morphism, src_rfd: RFrameData, dst_rfd: RFrameData) -> Morphism:
@@ -265,20 +239,18 @@ def comonad_laws(which: str, rfd: RFrameData) -> list[LawReport]:
 
 def _nonprincipal_comult(rfd: RFrameData, c: Morphism) -> LawReport:
     """At a limit of the ideal frame, the comultiplication value is the
-    non-principal directed union of the principal classes below it."""
-    prox, maxp, ccfd = rfd.base, rfd.maxp, rfd.cc
-    inst = describe_instance(prox)
-    if isinstance(prox, FiniteProximity):
-        return law_pass("C.comult.nonprincipal", inst,
-                        note="no limit classes on a finite instance")
+    non-principal directed union of the principal classes below it.  An
+    ideal frame without limits has no omega block, as its base has none,
+    so the instance is finite."""
+    maxp, ccfd = rfd.maxp, rfd.cc
+    inst = describe_instance(rfd.base)
     limits = rfd.frame.limits()
     if not limits:
-        return law_pass("C.comult.nonprincipal", inst, note="no limit classes")
-    samples = 0
-    for b in limits:
+        return law_pass("C.comult.nonprincipal", inst,
+                        note="no limit classes on a finite instance")
+    for samples, b in enumerate(limits, 1):
         got = ccfd.ideal_of(c.apply(b))
         expected = BelowLim(maxp, b)
-        samples += 1
         if got != expected:
             return law_fail("C.comult.nonprincipal", inst,
                             witness=(repr(got), repr(expected)), samples=samples)
@@ -286,13 +258,12 @@ def _nonprincipal_comult(rfd: RFrameData, c: Morphism) -> LawReport:
         union = dir_sup(maxp, Seq.affine(b.seg - 1, 1, 0))
         if union != expected:
             return law_fail("C.comult.nonprincipal", inst,
-                            witness=(repr(union), repr(expected)),
-                            samples=samples)
+                            witness=(repr(union), repr(expected)), samples=samples)
         if member(b, got):
             return law_fail("C.comult.nonprincipal", inst,
                             witness=(repr(b),), samples=samples,
                             note="value is principal but must not be")
-    return law_pass("C.comult.nonprincipal", inst, samples=samples)
+    return law_pass("C.comult.nonprincipal", inst, samples=len(limits))
 
 
 def coalgebra_laws(rfd: RFrameData) -> list[LawReport]:
@@ -341,8 +312,7 @@ def kz_check(rfd: RFrameData) -> LawReport:
     ccfd = rfd.cc
     eps_CL = epsilon_map(ccfd)
     ceps = cmap_of(epsilon_map(rfd), ccfd, rfd)
-    frame = rfd.frame
-    leq = frame.leq
+    leq = rfd.frame.leq
     samples = 0
     for x in _reps(ccfd, (eps_CL, ceps)):
         samples += 1
@@ -381,7 +351,7 @@ def naturality_suite(f: Morphism, rfd_L: RFrameData,
     if validate_proxhom(f).ok:
         jfd_L = ideal_frame(f.src.frame)
         jfd_M = ideal_frame(f.dst.frame)
-        jf = rmap_map(order_retag(f), jfd_L, jfd_M)
+        jf = rmap_map(retag_map(f, jfd_L.base, jfd_M.base), jfd_L, jfd_M)
         out.append(_map_eq_law(
             "nat.m", inst,
             compose(jf, m_map(rfd_L, jfd_L)),
@@ -428,7 +398,6 @@ def adjunction_checks(rfd: RFrameData) -> list[LawReport]:
     frame_CC = ccfd.frame
     reps_C = _reps(rfd, (c, eps_CL, bk))
     reps_CC = _reps(ccfd, (c, eps_CL, bk))
-    out = []
     samples = 0
     ok1 = ok2 = True
     w1 = w2 = None
@@ -448,9 +417,8 @@ def adjunction_checks(rfd: RFrameData) -> list[LawReport]:
         samples += 1
         if not frame_C.leq(eps_CL.apply(bk.apply(x)), x):
             ok2, w2 = False, (repr(x),)
-    out.append(_law("adj.c-eps", inst, ok1, witness=w1, samples=samples))
-    out.append(_law("adj.eps-betakappa", inst, ok2, witness=w2, samples=samples))
-    return out
+    return [_law("adj.c-eps", inst, ok1, witness=w1, samples=samples),
+            _law("adj.eps-betakappa", inst, ok2, witness=w2, samples=samples)]
 
 
 def doubled_membership_lemma(rfd: RFrameData) -> LawReport:
@@ -472,24 +440,15 @@ def doubled_membership_lemma(rfd: RFrameData) -> LawReport:
     reps_C = _reps(rfd, (eps_CL,), pairs=True)
     reps_CC = _reps(ccfd, (eps_CL,), pairs=True)
     ideals = [rfd.ideal_of(i) for i in reps_C]
-    joins = _joins(rfd, reps_C)
+    joins = rfd.joins_on(reps_C)
     ejs = [eps_CL.apply(j) for j in reps_CC]  # elements of the ideal frame
     # row u over the ibar: does the join of ej lie in I?
-    lhs = _holder_rows(rfd.base, [rfd.join_of(ej) for ej in ejs], ideals, joins)
+    lhs = rfd.holder_rows([rfd.join_of(ej) for ej in ejs], ideals, joins)
     # landing[k]: the ibar whose I holds the join of kbar; above[u]: the
     # kbar that ej is maxp-below.  The right side of row u is the union
     # of landing[k] over the k in above[u].
-    landing = _holder_rows(rfd.base, joins, ideals, joins)
-    above = maxp.rows_on(ejs, reps_C)
-    if isinstance(maxp, FiniteProximity):
-        rhs = [_union(landing, a) for a in above]
-    else:
-        # each row of a chain relation is a suffix, so its union is a
-        # running union taken from the end
-        tail = [0] * (len(landing) + 1)
-        for k in range(len(landing) - 1, -1, -1):
-            tail[k] = tail[k + 1] | landing[k]
-        rhs = [tail[_low(a)] if a else 0 for a in above]
+    landing = rfd.holder_rows(joins, ideals, joins)
+    rhs = rfd.union_over(landing, maxp.rows_on(ejs, reps_C))
     bad = [x ^ y for x, y in zip(lhs, rhs)]
     return _pair_law("C.doubled-membership", inst, bad, len(reps_C),
                      lambda u, t: (repr(reps_CC[u]), repr(ideals[t])))
@@ -519,59 +478,3 @@ def _pair_law(name: str, instance: str, bad: list[int], n: int,
             return law_fail(name, instance, witness=witness(a, b),
                             samples=a * n + b + 1)
     return law_pass(name, instance, samples=len(bad) * n)
-
-
-def _joins(rfd: RFrameData, reps: list) -> list:
-    """The joins of the ideals of sorted representatives, read off the
-    kept joins.  On a chain the rows below bisect this list, so its chain
-    order is checked here, once."""
-    tops = list(map(rfd.join_of, reps))
-    if isinstance(rfd.frame, ChainLikeFrame):
-        _check_sorted(tops, "joins of the representatives")
-    return tops
-
-
-def _inclusion_rows(rfd: RFrameData, reps: list, ideals: list) -> list[int]:
-    """Row p: the q with ideals[p] contained in ideals[q], the ideals of
-    reps.  The ideal frame is ordered by inclusion, so these are its order
-    rows; on a chain that needs the ideals of the sorted reps to grow
-    strictly, which is checked here."""
-    if isinstance(rfd.frame, ChainLikeFrame):
-        for I, J in zip(ideals, ideals[1:]):
-            if not subideal(I, J) or subideal(J, I):
-                raise InvalidParameter(
-                    f"ideals of the representatives are not nested: {J!r} after {I!r}")
-    return order_proximity(rfd.frame).rows_on(reps, reps)
-
-
-def _way_below_kappa_rows(base: Proximity, ideals: list, tops: list,
-                          rel: list[int]) -> list[int]:
-    """Row p: the q with ideals[p] way below kappa(tops[q]), the ideal of
-    approximants of tops[q]; tops[p] is the join of ideals[p], and rel is
-    base.rows_on(tops, tops)."""
-    if isinstance(base, FiniteProximity):
-        # I << J means that J holds the join of I, and kappa(b) is
-        # column b of the relation
-        return rel
-    # kappa(b) holds everything under b and nothing over it, so on a
-    # chain I << kappa(b) when its join is under b, fails when it is over
-    # b, and only b = the join of I needs a test
-    return [_above(tops, x, way_below_ideals(I, kappa(base, x)))
-            for I, x in zip(ideals, tops)]
-
-
-def _holder_rows(base: Proximity, xs: list, ideals: list, tops: list) -> list[int]:
-    """Row p: the t with xs[p] a member of ideals[t]; tops[t] is the join
-    of ideals[t], in chain order on a chain (see `_joins`)."""
-    if isinstance(base, FiniteProximity):
-        cols = _transpose([I.mask for I in ideals], base.frame.n)
-        return [cols[x] for x in xs]
-    # a round ideal of a chain holds everything under its join and
-    # nothing over it, so only the ideals whose join is x need a test
-    out = []
-    for x in xs:
-        lo, hi = bisect_left(tops, x), bisect_right(tops, x)
-        out.append(_above(tops, x, False)
-                   | sum(1 << t for t in range(lo, hi) if member(x, ideals[t])))
-    return out
-

@@ -27,13 +27,12 @@ columns, kept as `FiniteProximity.col_bits`, through the join table of
 a finite target: `star_compose` and the star-vs-compose search read it
 off the plain composite table, and build no plain composite map.
 The meet and join checks of the validators scan the source frame's kept
-`FiniteFrame.triangle` and read the target's meet and join tables; a
-chain target answers through its `meet` and `join`.  `enumerate_proxhoms`
-takes two orders (`FiniteProximity.is_order`) only, tests a candidate
-against a row of the target's meet table, forces the value of every
-join-reducible element and judges no complete table.  These tables are
-cached on the frame or proximity they describe, so they last as long as
-it does.
+`FiniteFrame.triangle` and ask the target frame's `meet` and `join`.
+`enumerate_proxhoms` takes two orders (`FiniteProximity.is_order`)
+only, tests a free value against a row of the target's meet table,
+forces the value of every join-reducible element and judges no
+complete table.  These tables are cached on the frame or proximity they
+describe, so they last as long as it does.
 
 On a finite target theta reads the joins of approximants kept as
 `FiniteProximity.sups`: theta(f) sends the ideal I_e of a finite source
@@ -47,7 +46,6 @@ from dataclasses import dataclass
 
 from .chain import OMEGA, El, Seq, _seq_problem
 from .errors import MalformedMap, NotComposable, NotStablyCompact, UnsupportedRepresentation
-from .finite import FiniteFrame
 from .proximity import ChainProximity, FiniteProximity, Proximity, way_below_proximity
 from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, Verdict
 from .roundideal import BelowLim, RFrameData, is_stably_compact, kept_on_rframe
@@ -305,8 +303,8 @@ def _validate_finite_hom(f: FiniteMap, frame_map: bool) -> AxiomReport:
     last failing pair has its second index at most its first, and only
     those are scanned: meets and joins along the source's `triangle`.
 
-    Between two order proximities, which by the collapse theorem are all
-    the valid finite ones, a meet-preserving map that also preserves
+    Between two order proximities (on a finite frame, by the collapse
+    theorem, the only valid ones), a meet-preserving map that also preserves
     joins passes joint subadditivity, f(a1 v a2) <= f(b1 v b2) =
     f(b1) v f(b2), and value approximation, the join of f over the
     elements below a being f(a).  That is decided in O(n^2) table
@@ -342,9 +340,7 @@ def _validate_finite_hom(f: FiniteMap, frame_map: bool) -> AxiomReport:
         v = _PASSED if w is None else Verdict(
             FAIL, (names[w[0]], names[w[1]]), "relation not preserved")
         axioms.append(("preserves-rel", v))
-    elif (meets_kept and isinstance(f.dst, FiniteProximity)
-          and f.src.is_order and f.dst.is_order
-          and _last_unkept(f, 3) is None):
+    elif meets_kept and f.src.is_order and f.dst.is_order and _last_unkept(f, 3) is None:
         axioms += [("join-subadditive", _PASSED),
                    ("value-approximation", _PASSED)]
     else:
@@ -380,16 +376,9 @@ def _validate_finite_hom(f: FiniteMap, frame_map: bool) -> AxiomReport:
 def _last_unkept(f: FiniteMap, k: int):
     """The first pair (a, b) of the source's `triangle`, so the last in
     row-major order with b <= a, at which f(op(a, b)) differs from
-    op(f(a), f(b)), or None; op is the meet for k = 2 and the join for
-    k = 3, the columns of the triangle that hold them.  A finite target
-    answers op from its table, a chain from its method."""
+    op(f(a), f(b)), or None; op is the target's meet for k = 2 and its
+    join for k = 3, the columns of the triangle that hold them."""
     table, df = f.table, f.dst.frame
-    if isinstance(df, FiniteFrame):
-        op_t = df.meet_t if k == 2 else df.join_t
-        for t in f.src.frame.triangle:
-            if table[t[k]] != op_t[table[t[0]]][table[t[1]]]:
-                return t[:2]
-        return None
     op = df.meet if k == 2 else df.join
     for t in f.src.frame.triangle:
         if table[t[k]] != op(table[t[0]], table[t[1]]):
@@ -598,19 +587,23 @@ def enumerate_proxhoms(src: FiniteProximity, dst: FiniteProximity) -> list[Finit
     complete table is accepted.  One pair is enough on a distributive
     lattice: if f keeps meets and the joins below c, and c = u v v too,
     then f(x) = f((x ^ u) v (x ^ v)) <= f(u) v f(v), and so is f(y).
+    A forced value needs no meet test either: for b before c, c ^ b =
+    (x ^ b) v (y ^ b) is a join below c, so f(c ^ b) = (f(x) ^ f(b)) v
+    (f(y) ^ f(b)), which is f(c) ^ f(b) as the target is distributive.
     """
     src.require_order()
     dst.require_order()
     sf, df = src.frame, dst.frame
     n, m = sf.n, df.n
     meet_t, dmeet_t, djoin_t = sf.meet_t, df.meet_t, df.join_t
-    # per element a: the pairs (meet(a, b), b) for b < a, and the values
-    # the bounds leave it
-    meets = [tuple((meet_t[a][b], b) for b in range(a)) for a in range(n)]
-    allowed = [[v for v in range(m) if (a != sf.bot or v == df.bot)
-                and (a != sf.top or v == df.top)] for a in range(n)]
     # per join-reducible c: a pair below c with join c
     parts = {c: (x, y) for x, y, _, c in sf.triangle if c not in (x, y)}
+    # per element a: the pairs (meet(a, b), b) for b < a, none where a is
+    # forced, and the values the bounds leave it
+    meets = [() if a in parts else tuple((meet_t[a][b], b) for b in range(a))
+             for a in range(n)]
+    allowed = [[v for v in range(m) if (a != sf.bot or v == df.bot)
+                and (a != sf.top or v == df.top)] for a in range(n)]
     out = []
     table = [0] * n
 

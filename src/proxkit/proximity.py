@@ -113,6 +113,11 @@ class ChainProximity:
     def reflexive(self, a: El) -> bool:
         return not self.frame.is_limit(a) or a in self.reflexive_limits
 
+    @property
+    def is_order(self) -> bool:
+        """Whether the relation is the order: every limit relates to itself."""
+        return len(self.reflexive_limits) == len(self.frame.limits())
+
     def rows_on(self, xs, vals) -> list[int]:
         """Row p: the mask of the q with rel(xs[p], vals[q]).  vals must
         be in chain order, as the representatives are; then each row is

@@ -14,7 +14,7 @@ the ideal is round: ``Prin`` that a is an element relating to itself,
 ``BelowLim`` that l is a limit.  The builders that decide this themselves
 skip the re-check through ``_unchecked``: :func:`kappa` after its
 reflexivity test, which refuses a code that is not an element,
-``RFrameData.ideal_of`` on the shifted element of an omega segment, which
+``ChainRFrame.ideal_of`` on the shifted element of an omega segment, which
 it checks is an element and which relates to itself as every omega
 element does, and the chain ideal frames of :func:`rframe`.
 :func:`dir_sup`, :func:`retag` and every other caller keep the checks.
@@ -35,16 +35,11 @@ largest round ideal with join a and alpha(a) the least, so their code
 tables, kept on the frame with the joins, are read off the joins.  The
 maps alpha and R(f) on ideals are `alpha_map` and `rmap_map` of
 `morphisms`; the ideal of a value is `ideal_of` it.
-
-On a finite frame the order is the only proximity, by the finite
-collapse theorem, and :func:`rframe` refuses any other relation.  Its
-ideal frame is the base frame with its elements renamed ``dn(x)``, and no
-table is rebuilt; only a renaming that would reorder two elements builds
-it from the masks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 
@@ -55,6 +50,8 @@ from .chain import (
     El,
     Segment,
     Seq,
+    _above,
+    _check_sorted,
     _seq_problem,
 )
 from .errors import (
@@ -63,11 +60,12 @@ from .errors import (
     TooLarge,
     UnsupportedRepresentation,
 )
-from .finite import FiniteFrame, _bits, _frame_of_masks, _renamed
+from .finite import FiniteFrame, _bits, _frame_of_masks, _renamed, _transpose, _union
 from .proximity import (
     ChainProximity,
     FiniteProximity,
     Proximity,
+    _low,
     order_proximity,
     way_below_proximity,
 )
@@ -244,7 +242,10 @@ class RFrameData:
     once.  Where `maxp` is `wb`, as on every finite instance, `cc` is
     `rr`.  `joins`, sigma of each of `ideals`, is also taken on first use
     and kept.  The structure maps built from it (sigma, kappa, alpha, r, c,
-    epsilon, beta) are kept in `maps` the same way; see `kept_on_rframe`."""
+    epsilon, beta) are kept in `maps` the same way; see `kept_on_rframe`.
+
+    `rframe` builds a `FiniteRFrame` or a `ChainRFrame`: each kind has
+    its own `maxp` and builds the int rows of the pair laws of `comonads`."""
 
     base: Proximity
     frame: FiniteFrame | ChainLikeFrame
@@ -257,14 +258,6 @@ class RFrameData:
     maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ideal_of(self, el) -> RoundIdeal:
-        if type(el) is El and el.n and self.frame.contains(El(el.seg, 1)):
-            # El(i, 1) is an element only in an omega segment i, where
-            # El(i, n) is Prin of the base element n places along from its
-            # start's, which relates to itself; a negative n is refused as
-            # the base code it shifts to
-            base = self.base
-            return Prin._unchecked(
-                base, base.frame.check(El(self.ideals[el.seg].a.seg, el.n)))
         return self.frame.read(self.ideals, el)
 
     def el_of(self, ideal: RoundIdeal):
@@ -319,22 +312,14 @@ class RFrameData:
         segment, of each ideal, keyed as `_code_key` keys it."""
         return {_code_key(ideal)[0]: i for i, ideal in enumerate(self.ideals)}
 
-    @cached_property
-    def maxp(self) -> Proximity:
-        """I below J iff I is contained in J and the joins are related."""
-        base = self.base
-        if isinstance(base, FiniteProximity):
-            # the ideal frame is ordered by inclusion, so J contains I iff
-            # J is in up[I]
-            f, tops = self.frame, self.joins
-            return FiniteProximity(f, tuple(
-                sum(1 << j for j in _bits(f.up[i]) if base.rel(tops[i], tops[j]))
-                for i in f.elements()))
-        # a limit of the ideal frame stands for everything under a base
-        # limit; its join relates to itself exactly when that base limit does
-        refl = frozenset(e for e in self.frame.limits()
-                         if base.reflexive(self.joins[e.seg]))
-        return ChainProximity(self.frame, refl)
+    def joins_on(self, reps) -> list:
+        """The joins of the ideals of reps, read off the kept joins."""
+        return list(map(self.join_of, reps))
+
+    def inclusion_rows(self, reps, ideals) -> list[int]:
+        """Row p: the q with ideals[p] contained in ideals[q], the ideals
+        of reps: the order rows of the ideal frame, which inclusion orders."""
+        return order_proximity(self.frame).rows_on(reps, reps)
 
     @cached_property
     def rr(self) -> "RFrameData":
@@ -347,6 +332,100 @@ class RFrameData:
         """The frame of round ideals of `maxp`: the next level of the
         maximal-structure comonad's tower."""
         return self.rr if self.maxp == self.wb else rframe(self.maxp)
+
+
+class FiniteRFrame(RFrameData):
+    """The ideal frame of a finite order.  Its rows are read off the
+    ideal masks and the base relation, so each pair law is computed from
+    the ideals; rows taken from the order would assert it instead."""
+
+    @cached_property
+    def maxp(self) -> FiniteProximity:
+        """I below J iff I is contained in J, so J is in up[I], and the
+        joins are related."""
+        base, f, tops = self.base, self.frame, self.joins
+        return FiniteProximity(f, tuple(
+            sum(1 << j for j in _bits(f.up[i]) if base.rel(tops[i], tops[j]))
+            for i in f.elements()))
+
+    def way_below_kappa_rows(self, ideals, tops, rel) -> list[int]:
+        """Row p: the q with ideals[p], whose join is tops[p], way below
+        kappa(tops[q]): rel, base.rows_on(tops, tops), as I << J means that
+        J holds the join of I, and kappa(b) is column b of the relation."""
+        return rel
+
+    def holder_rows(self, xs, ideals, tops) -> list[int]:
+        """Row p: the t with xs[p] a member of ideals[t], whose joins are tops."""
+        cols = _transpose([I.mask for I in ideals], self.base.frame.n)
+        return [cols[x] for x in xs]
+
+    def union_over(self, rows, sels) -> list[int]:
+        """For each mask in sels, the union of rows[k] over its set bits k."""
+        return [_union(rows, sel) for sel in sels]
+
+
+class ChainRFrame(RFrameData):
+    """The ideal frame of a chain proximity, again a chain-like frame.  Its
+    rows run over representatives in chain order: a relation row is one
+    suffix found by one bisection, and a membership row tests `member` only
+    at the ideals whose join is the element.  The order facts this needs
+    (sorted representatives and joins, nested ideals) are checked once per
+    list, where it is built."""
+
+    def ideal_of(self, el) -> RoundIdeal:
+        if type(el) is El and el.n and self.frame.contains(El(el.seg, 1)):
+            # El(i, 1) is an element only in an omega segment i, where
+            # El(i, n) is Prin of the base element n places along from its
+            # start's, which relates to itself; a negative n is refused as
+            # the base code it shifts to
+            base = self.base
+            return Prin._unchecked(
+                base, base.frame.check(El(self.ideals[el.seg].a.seg, el.n)))
+        return super().ideal_of(el)
+
+    @cached_property
+    def maxp(self) -> ChainProximity:
+        """I below J iff I is contained in J and the joins are related: a
+        limit of the ideal frame stands for everything under a base limit,
+        and its join relates to itself exactly when that base limit does."""
+        refl = frozenset(e for e in self.frame.limits()
+                         if self.base.reflexive(self.joins[e.seg]))
+        return ChainProximity(self.frame, refl)
+
+    def joins_on(self, reps) -> list:
+        return _check_sorted(super().joins_on(reps), "joins of the representatives")
+
+    def inclusion_rows(self, reps, ideals) -> list[int]:
+        for I, J in zip(ideals, ideals[1:]):
+            if not subideal(I, J) or subideal(J, I):
+                raise InvalidParameter(
+                    f"ideals of the representatives are not nested: {J!r} after {I!r}")
+        return super().inclusion_rows(reps, ideals)
+
+    def way_below_kappa_rows(self, ideals, tops, rel) -> list[int]:
+        # kappa(b) holds everything under b and nothing over it, so
+        # I << kappa(b) when its join is under b, fails when it is over b,
+        # and only b = the join of I needs a test
+        return [_above(tops, x, way_below_ideals(I, kappa(self.base, x)))
+                for I, x in zip(ideals, tops)]
+
+    def holder_rows(self, xs, ideals, tops) -> list[int]:
+        # a round ideal of a chain holds everything under its join and
+        # nothing over it, so only the ideals whose join is x need a test
+        out = []
+        for x in xs:
+            lo, hi = bisect_left(tops, x), bisect_right(tops, x)
+            out.append(_above(tops, x, False)
+                       | sum(1 << t for t in range(lo, hi) if member(x, ideals[t])))
+        return out
+
+    def union_over(self, rows, sels) -> list[int]:
+        # each selection is a row of a chain relation, a suffix, so its
+        # union is a running union taken from the end
+        tail = [0] * (len(rows) + 1)
+        for k in range(len(rows) - 1, -1, -1):
+            tail[k] = tail[k + 1] | rows[k]
+        return [tail[_low(sel)] if sel else 0 for sel in sels]
 
 
 def _code_key(ideal: RoundIdeal):
@@ -382,7 +461,7 @@ def rframe(prox: Proximity) -> RFrameData:
     return _rframe_chain(prox)
 
 
-def _rframe_finite(prox: FiniteProximity) -> RFrameData:
+def _rframe_finite(prox: FiniteProximity) -> FiniteRFrame:
     """The ideal frame of the order, the one finite proximity: x -> down[x]
     is an order isomorphism onto it, so it is the base frame renamed dn(x),
     or built from the masks where the new names reorder two elements."""
@@ -396,11 +475,11 @@ def _rframe_finite(prox: FiniteProximity) -> RFrameData:
     frame, masks = _renamed(f, names), f.down
     if frame is None:
         frame, masks = _frame_of_masks(names, masks)
-    return RFrameData(base=prox, frame=frame, wb=way_below_proximity(frame),
-                      ideals=tuple(FinIdeal(prox, m) for m in masks))
+    return FiniteRFrame(base=prox, frame=frame, wb=way_below_proximity(frame),
+                        ideals=tuple(FinIdeal(prox, m) for m in masks))
 
 
-def _rframe_chain(prox: ChainProximity) -> RFrameData:
+def _rframe_chain(prox: ChainProximity) -> ChainRFrame:
     f = prox.frame
     segs: list[Segment] = []
     ideals: list[RoundIdeal] = []
@@ -425,8 +504,8 @@ def _rframe_chain(prox: ChainProximity) -> RFrameData:
             segs.append(Segment(POINT, f"P[{s.label}]"))
             ideals.append(Prin._unchecked(prox, e))
     frame = ChainLikeFrame(tuple(segs))
-    return RFrameData(base=prox, frame=frame, wb=way_below_proximity(frame),
-                      ideals=tuple(ideals))
+    return ChainRFrame(base=prox, frame=frame, wb=way_below_proximity(frame),
+                       ideals=tuple(ideals))
 
 
 def ideal_frame(frame) -> RFrameData:

@@ -136,6 +136,29 @@ def test_parse_morphism_rejects_missing_blocks_and_limits(doc, missing):
         parse_morphism(doc, p, p)
 
 
+@pytest.mark.parametrize("source, doc, field", [
+    ("chain-k1", {"blocks": [{"exceptions": {"x": "S0.0"}, "tail": {"block": 0}}]},
+     "'exceptions'"),
+    ("chain-k1", {"blocks": [{"exceptions": {"1" * 5000: "S0.0"}, "tail": {"block": 0}}]},
+     "'exceptions'"),
+    ("chain-k1", {"blocks": [{"exceptions": [], "tail": {"block": 0}}]}, "'exceptions'"),
+    ("chain-k1", {"blocks": [{"tail": {"block": "y"}}]}, "'tail'"),
+    ("chain-k1", {"blocks": [{"tail": {"block": 0, "a": 1.7}}]}, "'tail'"),
+    ("chain-k1", {"blocks": [{"tail": 5}]}, "'tail'"),
+    ("chain-k1", {"blocks": [5]}, "'tail'"),
+    ("chain-k1", {"blocks": [{"tail": {"block": 0}}], "limits": 5}, "'limits'"),
+    ("chain-k1", {"blocks": {}}, "'blocks'"),
+    ("chain-k1", {"table": {"S0.0": "S0.0"}}, "'blocks'"),
+    ("chain-k1", {}, "'blocks'"),
+    ("diamond", {"blocks": []}, "'table'"),
+    ("diamond", {"table": []}, "'table'"),
+])
+def test_parse_morphism_names_the_malformed_field(source, doc, field):
+    p = catalog_instances()[source]
+    with pytest.raises(InvalidParameter, match=f"field {field}"):
+        parse_morphism(doc, p, p)
+
+
 def test_catalog_is_complete():
     assert set(catalog_instances()) == set(CATALOG_NAMES)
     ms = catalog_morphisms()

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 import proxkit.comonads as comonads
+import proxkit.roundideal as roundideal
 import reference as ref
 from proxkit.catalog import catalog_instances, catalog_morphisms
 from proxkit.chain import POINT, El, Seq, build_chain_frame
@@ -191,7 +192,7 @@ def test_doubled_membership_failure_matches_reference(monkeypatch):
     # membership, finds its first violation.  With every limit reflexive, as in chain-k1
     # and one chain of each k, no membership of that shape breaks the
     # lemma, so those pass and must agree as well.
-    monkeypatch.setattr(comonads, "member",
+    monkeypatch.setattr(roundideal, "member",
                         lambda b, I: member(b, I) != (b == sigma(I)))
     cases = [insts()["chain-k1"], insts()["chain-k2"],
              *(prox for k in (1, 2, 3) for prox in ref.chain_instances(k))]

@@ -156,14 +156,18 @@ def test_rows_refuse_representatives_out_of_chain_order(monkeypatch):
     reps = rfd.frame.class_representatives(2)
     ideals = [rfd.ideal_of(e) for e in reps[::-1]]
     with pytest.raises(ProxkitError, match="not in chain order"):
-        comonads._joins(rfd, reps[::-1])
+        rfd.joins_on(reps[::-1])
     with monkeypatch.context() as m:
         m.setattr(type(rfd.frame), "class_representatives",
                   lambda self, depth: reps[::-1])
         with pytest.raises(ProxkitError, match="not in chain order"):
             _reps(rfd, pairs=True)
     with pytest.raises(ProxkitError, match="not nested"):
-        comonads._inclusion_rows(rfd, reps[::-1], ideals)
+        rfd.inclusion_rows(reps[::-1], ideals)
+    # in order but not strictly growing: one ideal listed twice
+    twice = reps[:2] + reps[1:]
+    with pytest.raises(ProxkitError, match="not nested"):
+        rfd.inclusion_rows(twice, [rfd.ideal_of(e) for e in twice])
 
 
 # -- compactify's relation lists -------------------------------------------------
@@ -242,7 +246,7 @@ def test_pair_laws_make_linearly_many_primitive_calls(monkeypatch):
 
     for mod in (comonads, roundideal):
         monkeypatch.setattr(mod, "member", counted(roundideal.member))
-    monkeypatch.setattr(comonads, "way_below_ideals", counted(way_below_ideals))
+    monkeypatch.setattr(roundideal, "way_below_ideals", counted(way_below_ideals))
     monkeypatch.setattr(ChainProximity, "rel", counted(ChainProximity.rel))
 
     def count(k):
