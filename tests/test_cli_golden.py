@@ -1,9 +1,17 @@
-"""Golden CLI outputs: exit code and SHA-256 of stdout and stderr for a
-fixed command set, checked in as ``cli_golden.json``.
+"""Golden CLI outputs for a fixed command set, checked in as text under
+``golden/``: one file per command holding its stdout, named by
+`stdout_file`, and ``golden/index.json``, the argv, exit code and stderr
+of each command in order.
 
 A refactor that must keep every report byte-identical is checked by this
-test alone.  After an intended output change, regenerate the file with
-``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
+test alone: it compares bytes.  After an intended output change,
+regenerate the files with ``PYTHONPATH=src python tests/test_cli_golden.py``
+and review the diff, which shows each changed report line by line.
+
+``cli_golden.json`` keeps the SHA-256 hashes that this file set replaced;
+`test_stored_outputs_hash_to_the_retired_golden_hashes` shows that the
+text holds the same bytes.  It is not regenerated, so the first intended
+output change deletes it with that test.
 """
 
 import contextlib
@@ -19,7 +27,9 @@ from pathlib import Path
 from proxkit.catalog import CATALOG_NAMES
 from proxkit.cli import main
 
-GOLDEN = Path(__file__).with_name("cli_golden.json")
+GOLDEN = Path(__file__).with_name("golden")
+INDEX = GOLDEN / "index.json"
+HASHES = Path(__file__).with_name("cli_golden.json")
 
 
 def chain_docs() -> dict[str, dict]:
@@ -109,13 +119,18 @@ def commands() -> list[list[str]]:
     return cmds
 
 
-def run(argv) -> dict:
+def stdout_file(argv) -> str:
+    """The name of the golden file holding the stdout of argv."""
+    return "_".join(a.lstrip("-") for a in argv) + ".out"
+
+
+def run(argv) -> tuple[dict, bytes]:
+    """The index record of argv (argv, exit code, stderr) and its stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return {"argv": list(argv), "exit": code,
-            "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-            "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}
+    return ({"argv": list(argv), "exit": code, "stderr": err.getvalue()},
+            out.getvalue().encode())
 
 
 def write_instance_docs(directory) -> None:
@@ -124,13 +139,31 @@ def write_instance_docs(directory) -> None:
 
 
 def test_cli_outputs_match_golden(tmp_path, monkeypatch):
-    golden = json.loads(GOLDEN.read_text())
-    assert [g["argv"] for g in golden] == commands()
+    index = json.loads(INDEX.read_text())
+    assert [g["argv"] for g in index] == commands()
     write_instance_docs(tmp_path)
     monkeypatch.chdir(tmp_path)
-    mismatched = [g["argv"] for g in golden if run(g["argv"]) != g]
+    mismatched = [g["argv"] for g in index
+                  if run(g["argv"]) != (g, (GOLDEN / stdout_file(g["argv"])).read_bytes())]
     assert not mismatched, "outputs changed for:\n" + "\n".join(
         " ".join(argv) for argv in mismatched)
+
+
+def test_golden_files_are_one_per_command():
+    names = [stdout_file(argv) for argv in commands()]
+    assert len({n.casefold() for n in names}) == len(names)
+    assert sorted(p.name for p in GOLDEN.glob("*.out")) == sorted(names)
+
+
+def test_stored_outputs_hash_to_the_retired_golden_hashes():
+    index = json.loads(INDEX.read_text())
+    hashes = json.loads(HASHES.read_text())
+    assert [g["argv"] for g in hashes] == [g["argv"] for g in index]
+    for g, h in zip(index, hashes):
+        stdout = (GOLDEN / stdout_file(g["argv"])).read_bytes()
+        assert (g["exit"], hashlib.sha256(stdout).hexdigest(),
+                hashlib.sha256(g["stderr"].encode()).hexdigest()) == (
+            h["exit"], h["stdout"], h["stderr"]), g["argv"]
 
 
 if __name__ == "__main__":
@@ -141,8 +174,13 @@ if __name__ == "__main__":
         here = os.getcwd()
         os.chdir(d)
         try:
-            records = [run(argv) for argv in commands()]
+            results = [run(argv) for argv in commands()]
         finally:
             os.chdir(here)
-    GOLDEN.write_text("[\n" + ",\n".join(map(json.dumps, records)) + "\n]\n")
-    print(f"wrote {len(records)} records to {GOLDEN}", file=sys.stderr)
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in GOLDEN.glob("*.out"):
+        stale.unlink()
+    for record, stdout in results:
+        (GOLDEN / stdout_file(record["argv"])).write_bytes(stdout)
+    INDEX.write_text("[\n" + ",\n".join(json.dumps(r) for r, _ in results) + "\n]\n")
+    print(f"wrote {len(results)} commands to {GOLDEN}", file=sys.stderr)
