@@ -264,12 +264,12 @@ def per_class_verdicts(prox):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
-def test_per_class_laws_match_sampled_scan(k):
+def test_per_class_laws_match_reference(k):
     for prox in ref.chain_instances(k):
         assert reference_verdicts(prox) == per_class_verdicts(prox), prox.reflexive_limits
 
 
-def test_per_class_laws_match_sampled_scan_on_finite_catalog():
+def test_per_class_laws_match_reference_on_finite_catalog():
     for name in ("two", "chain3", "diamond"):
         prox = insts()[name]
         assert reference_verdicts(prox) == per_class_verdicts(prox), name
