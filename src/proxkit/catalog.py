@@ -177,13 +177,17 @@ def parse_element(prox: Proximity, s: str):
 
 
 def parse_morphism(doc: dict, src: Proximity, dst: Proximity) -> Morphism:
-    """A table on a finite source, blocks on a chain.  A malformed field
-    raises InvalidParameter naming it and its value."""
+    """A table on a finite source, giving a value to every source element,
+    or blocks on a chain.  A malformed field raises InvalidParameter
+    naming it and its value, or the elements a table leaves out."""
     if isinstance(src, FiniteProximity):
-        table = [0] * src.frame.n
-        for k, v in _doc_field(doc, "table", dict, "an object").items():
-            table[src.frame.index(k)] = parse_element(dst, v)
-        return FiniteMap(src, dst, tuple(table))
+        f = src.frame
+        table = {f.index(k): parse_element(dst, v)
+                 for k, v in _doc_field(doc, "table", dict, "an object").items()}
+        if len(table) < f.n:
+            missing = ", ".join(f.names[x] for x in f.elements() if x not in table)
+            raise InvalidParameter(f"field 'table' has no value for {missing}")
+        return FiniteMap(src, dst, tuple(map(table.__getitem__, f.elements())))
     blocks = _doc_field(doc, "blocks", list, "a list")
     limits = doc.get("limits", "derived")
     if limits != "derived":

@@ -152,6 +152,8 @@ def test_parse_morphism_rejects_missing_blocks_and_limits(doc, missing):
     ("chain-k1", {}, "'blocks'"),
     ("diamond", {"blocks": []}, "'table'"),
     ("diamond", {"table": []}, "'table'"),
+    ("diamond", {"table": {"1": "1"}}, "'table' has no value for 0, a, b"),
+    ("diamond", {"table": {}}, "'table' has no value for 0, a, b, 1"),
 ])
 def test_parse_morphism_names_the_malformed_field(source, doc, field):
     p = catalog_instances()[source]
