@@ -19,28 +19,32 @@ it checks is an element and which relates to itself as every omega
 element does, and the chain ideal frames of :func:`rframe`.
 :func:`dir_sup`, :func:`retag` and every other caller keep the checks.
 
-The frame of round ideals of a chain instance is again a chain-like frame.
-:func:`rframe` materializes it with ``RFrameData.ideals``, the canonical
-ideal of each element of a finite ideal frame or of the first element of
-each chain segment; ``ideal_of`` reads it and ``el_of`` inverts it.  The
-frame carries two proximities, the way-below relation and the maximal
-proximity, and the frames of round ideals of each, the next levels of the
-two comonads' towers.  Ideals have no lattice operations of their own: the
-join and meet of two round ideals are those of that frame, reached through
-``el_of`` and ``ideal_of``.  The one supremum taken here is
-:func:`dir_sup`'s, of a directed family of principal ideals on a chain
-described by a ``Seq``.  The join map has kappa as its right adjoint
-and, on a stably compact base, alpha as its left: kappa(a) is the
-largest round ideal with join a and alpha(a) the least, so their code
-tables, kept on the frame with the joins, are read off the joins.  The
-maps alpha and R(f) on ideals are `alpha_map` and `rmap_map` of
-`morphisms`; the ideal of a value is `ideal_of` it.
+The frame of round ideals of a chain instance is again a chain-like
+frame.  :func:`rframe` materializes it with ``RFrameData.ideals``, the
+canonical ideal of each element of a finite ideal frame or of the first
+element of each chain segment; ``ideal_of`` reads it, and ``el_of``
+inverts it at the join: an ideal's element is the last with its join, or
+for ``BelowLim`` the first, if that element's ideal is it.  A round ideal
+holds a member above I exactly when it holds the join of I, so inclusion
+and way-below are decided at the join too.  The frame carries two
+proximities, the way-below relation and the maximal proximity, and the
+frames of round ideals of each, the next levels of the two comonads'
+towers.  Ideals have no lattice operations of their own: the join and meet
+of two round ideals are those of that frame, reached through ``el_of`` and
+``ideal_of``.  The one supremum taken here is :func:`dir_sup`'s, of a
+directed family of principal ideals on a chain described by a ``Seq``.  The
+join map has kappa as its right adjoint and, on a stably compact base,
+alpha as its left: kappa(a) is the largest round ideal with join a and
+alpha(a) the least, so their code tables, kept on the frame with the
+joins, are read off the joins.  The maps alpha and R(f) on ideals are
+`alpha_map` and `rmap_map` of `morphisms`; the ideal of a value is
+`ideal_of` it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, wraps
 
 from .chain import (
@@ -171,13 +175,9 @@ def member(b, ideal: RoundIdeal) -> bool:
 
 
 def subideal(i: RoundIdeal, j: RoundIdeal) -> bool:
-    if isinstance(i, FinIdeal) and isinstance(j, FinIdeal):
-        return i.mask & j.mask == i.mask
-    if isinstance(i, Prin):
-        return member(i.a, j)
-    if isinstance(j, Prin):
-        return i.lim <= j.a
-    return i.lim <= j.lim
+    """i is contained in j, for round ideals of one proximity: j holds the
+    join of i, or i is j: BelowLim(l) does not hold its join l."""
+    return member(sigma(i), j) or i == j
 
 
 def dir_sup(prox: ChainProximity, seq: Seq) -> RoundIdeal:
@@ -200,15 +200,9 @@ def dir_sup(prox: ChainProximity, seq: Seq) -> RoundIdeal:
 
 
 def way_below_ideals(i: RoundIdeal, j: RoundIdeal) -> bool:
-    """i << j in the frame of round ideals: some member of j bounds i."""
-    if isinstance(i, FinIdeal):
-        return member(sigma(i), j)
-    if isinstance(j, Prin):
-        return i.a <= j.a if isinstance(i, Prin) else i.lim <= j.a
-    # j = BelowLim(l): need a member strictly under the limit bounding i
-    if isinstance(i, Prin):
-        return i.a < j.lim
-    return i.lim < j.lim
+    """i << j in the frame of round ideals: some member of j bounds i, so
+    j holds the join of i, as j is a join-closed downset."""
+    return member(sigma(i), j)
 
 
 def is_stably_compact(prox: Proximity) -> bool:
@@ -220,12 +214,9 @@ def is_stably_compact(prox: Proximity) -> bool:
 
 def retag(ideal: RoundIdeal, prox: Proximity) -> RoundIdeal:
     """The same set of elements viewed as an ideal of another proximity on
-    the same frame (only legal when it stays round there)."""
-    if isinstance(ideal, FinIdeal):
-        return FinIdeal(prox, ideal.mask)
-    if isinstance(ideal, Prin):
-        return Prin(prox, ideal.a)
-    return BelowLim(prox, ideal.lim)
+    the same frame (only legal when it stays round there), built by the
+    checked constructor of its kind."""
+    return replace(ideal, prox=prox)
 
 
 # -- the frame of round ideals ---------------------------------------------
@@ -261,17 +252,18 @@ class RFrameData:
         return self.frame.read(self.ideals, el)
 
     def el_of(self, ideal: RoundIdeal):
-        # the codes below do not key the proximity, so check it here; the
+        # the code tables do not key the proximity, so check it here; the
         # identity test passes almost every call without comparing frames
         if ideal.prox is not self.base and ideal.prox != self.base:
             raise UnsupportedRepresentation(
                 f"{ideal!r} is not in the classification: "
                 f"it is a round ideal of another proximity")
-        key, n = _code_key(ideal)
-        s = self._codes.get(key)
-        if s is None:
+        # BelowLim(l) is the first element with join l, any other ideal the last
+        codes = self.alpha_codes if type(ideal) is BelowLim else self.kappa_codes
+        el = self.base.frame.read(codes, sigma(ideal))
+        if self.ideal_of(el) != ideal:
             raise UnsupportedRepresentation(f"{ideal!r} is not in the classification")
-        return s if n is None else El(s, n)
+        return el
 
     def join_of(self, el):
         """sigma(ideal_of(el)), read off the kept joins."""
@@ -305,12 +297,6 @@ class RFrameData:
         starts, joins = self.frame.starts, self.joins
         at = {joins[i]: starts[i] for i in order}
         return tuple(map(at.__getitem__, self.base.frame.starts))
-
-    @cached_property
-    def _codes(self) -> dict:
-        """The inverse of `ideals`: the element, or on a chain the
-        segment, of each ideal, keyed as `_code_key` keys it."""
-        return {_code_key(ideal)[0]: i for i, ideal in enumerate(self.ideals)}
 
     def joins_on(self, reps) -> list:
         """The joins of the ideals of reps, read off the kept joins."""
@@ -426,19 +412,6 @@ class ChainRFrame(RFrameData):
         for k in range(len(rows) - 1, -1, -1):
             tail[k] = tail[k + 1] | rows[k]
         return [tail[_low(sel)] if sel else 0 for sel in sels]
-
-
-def _code_key(ideal: RoundIdeal):
-    """(key, n): the key of ideal in RFrameData._codes, which does not
-    hash the proximity, and where ideal sits in its segment.  A finite
-    ideal is keyed by its mask and has no n.  A chain ideal is keyed by
-    its kind and the base segment of its element, so Prin(El(b, n)) sits
-    n steps into the segment of Prin(El(b, 0))."""
-    if isinstance(ideal, FinIdeal):
-        return ideal.mask, None
-    if isinstance(ideal, Prin):
-        return (Prin, ideal.a.seg), ideal.a.n
-    return (BelowLim, ideal.lim.seg), 0
 
 
 def kept_on_rframe(build):

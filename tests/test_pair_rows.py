@@ -216,6 +216,10 @@ def test_el_of_refuses_an_ideal_outside_the_classification():
     fin = rframe(catalog_instances()["diamond"])
     with pytest.raises(UnsupportedRepresentation, match="not in the classification"):
         fin.el_of(FinIdeal(fin.base, 0))
+    # {0, a, b} has the join 1, but it is not dn(1)
+    f = fin.base.frame
+    with pytest.raises(UnsupportedRepresentation, match="not in the classification"):
+        fin.el_of(FinIdeal(fin.base, f.down[f.index("a")] | f.down[f.index("b")]))
     # the ideals of another proximity are refused, also where their codes
     # name an element or a segment of this frame
     two = catalog_instances()["two"]

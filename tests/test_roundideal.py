@@ -315,6 +315,20 @@ def test_way_below_between_ideals():
     assert way_below_ideals(B1, Prin(p, lim(f, 2)))
 
 
+def test_ideal_comparisons_match_reference():
+    """Inclusion and way-below on every ordered pair of the round ideals
+    of each chain instance with k <= 3, and of the order on the downset
+    lattice of each poset with at most 3 points."""
+    proxes = [p for k in (1, 2, 3) for p in ref.chain_instances(k)]
+    proxes += [order_proximity(f) for f in ref.downset_lattices(3)]
+    for p in proxes:
+        ideals = list(ref.codec(p, rframe(p).frame).values())
+        for i in ideals:
+            for j in ideals:
+                assert subideal(i, j) == ref.subset(i, j), (i, j)
+                assert way_below_ideals(i, j) == ref.way_below(i, j), (i, j)
+
+
 def test_normalize_symbolic_terms():
     # a finite join and the image of a limit ideal reduce to canonical forms
     p = k2()
