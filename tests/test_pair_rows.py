@@ -117,7 +117,7 @@ def outcome(law, *args):
         return type(exc)
 
 
-def assert_rows_match_scans(prox, tamperings):
+def assert_rows_match_reference(prox, tamperings):
     """Each law on each tampered frame gives the reference's report;
     returns the number of failing reports per law."""
     failed = {law.__name__: 0 for law in LAWS}
@@ -130,22 +130,22 @@ def assert_rows_match_scans(prox, tamperings):
     return failed
 
 
-def test_pair_laws_match_the_scans_on_tampered_chains():
+def test_pair_laws_match_the_reference_on_tampered_chains():
     failed = {law.__name__: 0 for law in LAWS}
     for doc in CHAIN_DOCS.values():
         prox = chain_proximity(build_chain_frame(doc["k"]), doc["reflexive"])
-        for law, count in assert_rows_match_scans(prox, chain_tamperings(prox)).items():
+        for law, count in assert_rows_match_reference(prox, chain_tamperings(prox)).items():
             failed[law] += count
     # a chain relation keeps every strict pair, which is all the lemma
     # needs, so only the two maximal-relation laws fail here
     assert failed["max_proximity_agreement"] and failed["maxrel_contains_wb"]
 
 
-def test_pair_laws_match_the_scans_on_the_tampered_finite_catalog():
+def test_pair_laws_match_the_reference_on_the_tampered_finite_catalog():
     failed = {law.__name__: 0 for law in LAWS}
     for name in FINITE_NAMES:
         prox = catalog_instances()[name]
-        for law, count in assert_rows_match_scans(prox, finite_tamperings(prox)).items():
+        for law, count in assert_rows_match_reference(prox, finite_tamperings(prox)).items():
             failed[law] += count
     assert all(failed.values()), failed
 
