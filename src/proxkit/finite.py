@@ -1,28 +1,26 @@
 """Finite frames (= finite distributive lattices) from explicit data.
 
 Frames store their order only as int bitmask rows: up[a] is the bitmask
-of the elements above a, and down[b] that of the elements below b.  Full
-meet/join tables make every lattice operation a table lookup.  Elements
-are the canonical indices 0..n-1, ordered topologically by leq with ties
-broken by name.
+of the elements above a, and down[b] that of the elements below b.
+Elements are the canonical indices 0..n-1, ordered by downset size (a
+linear extension of leq), ties broken by name.
 
-Distributivity is decided by Birkhoff's theorem: a finite lattice is
-distributive exactly when it has as many elements as its poset of
-join-irreducibles has downsets, and that count is read off the rows.
-The O(n^3) scan of every triple runs only when the count says no, to
-find the first failing triple for the `NotDistributive` witness.  Frames
-over DISTRIBUTIVITY_SCAN_LIMIT elements are refused as soon as their
-size is known, before any table is built.
+By Birkhoff's theorem a finite distributive lattice is the ring of
+downsets of its poset J of join-irreducibles.  A ring of sets (downsets,
+open sets) is built from its point columns with no lattice check.  An
+explicit poset passes one test: x |-> the elements of J below x is an
+order isomorphism onto the downsets of J.  Only a poset that fails it
+is scanned, for the first pair with no join (`NotALattice`) and then the
+first non-distributive triple (`NotDistributive`).  Frames over
+FINITE_FRAME_LIMIT elements are refused as soon as their size is known.
 
 A finite frame has the carrier methods of a chain frame (`check`,
 `read`, `join_over`, `is_limit`, `limits`, `class_representatives`):
-every element is a start and its own class, and none is a limit.  Every
-join over a set of indices, such as the join of an element's
-approximants, is taken by `join_over` through the rows of the join table.
-A frame keeps, once asked, its `triangle`: (a, b, meet, join) for every
-b <= a in backward row-major order, which the homomorphism validators of
-`morphisms` scan by table lookup.  Kept tables are cached on the frame
-they describe and go with it.
+every element is a start and its own class, and none is a limit.  Its
+tables are built on first use and cached on the frame: meet and join
+(the highest common lower and lowest common upper bound), which
+`join_over` folds, and the `triangle` (a, b, meet, join) for every b <= a
+that the homomorphism validators of `morphisms` scan.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from .errors import (
     TooLarge,
 )
 
-DISTRIBUTIVITY_SCAN_LIMIT = 64
+FINITE_FRAME_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -49,8 +47,6 @@ class FiniteFrame:
     names: tuple[str, ...]
     up: tuple[int, ...]  # up[a]: bitmask of the elements above a
     down: tuple[int, ...]  # down[b]: bitmask of the elements below b
-    meet_t: tuple[tuple[int, ...], ...]
-    join_t: tuple[tuple[int, ...], ...]
     bot: int
     top: int
 
@@ -111,6 +107,19 @@ class FiniteFrame:
         return self.join_t[a][b]
 
     @cached_property
+    def meet_t(self) -> tuple[tuple[int, ...], ...]:
+        """meet_t[a][b]: the highest common lower bound of a and b."""
+        down = self.down
+        return tuple(tuple((da & db).bit_length() - 1 for db in down) for da in down)
+
+    @cached_property
+    def join_t(self) -> tuple[tuple[int, ...], ...]:
+        """join_t[a][b]: the lowest common upper bound of a and b."""
+        up = self.up
+        return tuple(tuple((ua & ub & -(ua & ub)).bit_length() - 1 for ub in up)
+                     for ua in up)
+
+    @cached_property
     def triangle(self) -> tuple[tuple[int, int, int, int], ...]:
         """(a, b, meet(a, b), join(a, b)) for every b <= a, a from the top
         index down and b from a down: a backward row-major scan of a
@@ -140,8 +149,11 @@ def _transpose(rows, n: int) -> tuple[int, ...]:
     column b is set iff bit b of rows[a] is."""
     cols = [0] * n
     for a, row in enumerate(rows):
-        for b in _bits(row):
-            cols[b] |= 1 << a
+        bit = 1 << a
+        while row:  # the loop of _bits, inline in the hot helpers
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
     return tuple(cols)
 
 
@@ -156,9 +168,20 @@ def _bits(mask: int):
 def _union(rows, sel: int) -> int:
     """The union of rows[k] over the set bits k of sel."""
     out = 0
-    for k in _bits(sel):
-        out |= rows[k]
+    while sel:
+        low = sel & -sel
+        out |= rows[low.bit_length() - 1]
+        sel ^= low
     return out
+
+
+def _intersection(rows, sel: int, full: int) -> int:
+    """The intersection of rows[k] over the set bits k of sel, inside full."""
+    while sel:
+        low = sel & -sel
+        full &= rows[low.bit_length() - 1]
+        sel ^= low
+    return full
 
 
 def _order_rows(names: list[str], leq_pairs) -> list[int]:
@@ -188,84 +211,71 @@ def _order_rows(names: list[str], leq_pairs) -> list[int]:
 
 
 def _frame_of_rows(names, up: list[int]) -> tuple[FiniteFrame, list[int]]:
-    """Validate the poset with closed up-rows `up` as a finite frame and
-    derive all tables.  Returns the frame and pos, where pos[i] is the
-    canonical index of input element i.  Raises NotAPoset, NoBounds,
-    TooLarge, NotALattice or NotDistributive."""
+    """The finite frame of the poset with closed up-rows `up`, and pos,
+    where pos[i] is the canonical index of input element i.  Raises
+    NotAPoset, NoBounds, TooLarge, NotALattice or NotDistributive."""
     if len(set(names)) != len(names):
         raise NotAPoset("duplicate element ids")
     n = len(names)
     if n == 0:
         raise NoBounds("empty element list")
     _check_size(n)
+    # canonical order: topological by leq, ties by id; the columns of the
+    # permuted up-rows, taken in the new order, are the new down-rows
     down = _transpose(up, n)
-    # canonical order: topological by leq, ties by id
     order = sorted(range(n), key=lambda i: (down[i].bit_count(), names[i]))
-    pos = [0] * n
-    for i, old in enumerate(order):
-        pos[old] = i
-    names2 = tuple(names[i] for i in order)
-    up = [sum(1 << pos[b] for b in _bits(up[a])) for a in order]
-    down = [sum(1 << pos[b] for b in _bits(down[a])) for a in order]
-
-    # a bottom, if any, comes first and a top last in a linear extension
-    full = (1 << n) - 1
+    cols = _transpose([up[a] for a in order], n)
+    down = tuple(cols[a] for a in order)
+    up = _transpose(down, n)
+    names = tuple(names[i] for i in order)
+    full = (1 << n) - 1  # a bottom comes first and a top last, if any
     if up[0] != full or down[-1] != full:
         raise NoBounds("frame needs a global bottom and top")
-
-    # In a linear extension the least upper bound, if any, is the lowest
-    # common upper bound, and the greatest lower bound the highest common
-    # lower bound.  Only joins need checking: if a and b have no meet, two
-    # maximal common lower bounds below them have no join, and that pair
-    # comes first in the scan.
-    meet_t = [[0] * n for _ in range(n)]
-    join_t = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            m = (down[a] & down[b]).bit_length() - 1
-            upper = up[a] & up[b]
-            j = (upper & -upper).bit_length() - 1
-            if upper & ~up[j]:
-                raise NotALattice(f"no join for ({names2[a]},{names2[b]})")
-            meet_t[a][b] = meet_t[b][a] = m
-            join_t[a][b] = join_t[b][a] = j
-
-    if not _distributive(down):
-        raise NotDistributive(_distributivity_witness(names2, meet_t, join_t))
-
-    return FiniteFrame(
-        names=names2,
-        up=tuple(up),
-        down=tuple(down),
-        meet_t=tuple(map(tuple, meet_t)),
-        join_t=tuple(map(tuple, join_t)),
-        bot=0,
-        top=n - 1,
-    ), pos
+    frame = FiniteFrame(names=names, up=up, down=down, bot=0, top=n - 1)
+    if not _birkhoff(up, down):
+        _join_scan(names, up)
+        raise NotDistributive(_distributivity_witness(names, frame.meet_t, frame.join_t))
+    return frame, sorted(range(n), key=order.__getitem__)  # order's inverse
 
 
 def _check_size(n: int) -> None:
-    """Refuse a frame of n elements before its O(n^2) tables are built."""
-    if n > DISTRIBUTIVITY_SCAN_LIMIT:
-        raise TooLarge(
-            f"distributivity scan rejects frames over {DISTRIBUTIVITY_SCAN_LIMIT} elements"
-        )
+    if n > FINITE_FRAME_LIMIT:
+        raise TooLarge(f"finite frames are limited to {FINITE_FRAME_LIMIT} elements")
 
 
-def _distributive(down) -> bool:
-    """Whether the finite lattice with canonical down-rows `down` is
-    distributive, by Birkhoff's theorem.  x |-> the join-irreducibles below
-    x embeds any finite lattice into the downsets of its poset J of
-    join-irreducibles, and is onto exactly when the lattice is
-    distributive; so it is distributive iff J has n downsets.  J is the
-    set of x != bot whose strict downset is principal, generated by its
-    highest element t.  The count stops once it passes n."""
-    n = len(down)
+def _irreducibles(down) -> int:
+    """The bitmask of the join-irreducibles of a poset with canonical
+    down-rows and bottom 0: the x != 0 whose strict downset is principal,
+    generated by its highest element."""
     below = [d & ~(1 << x) for x, d in enumerate(down)]
-    irreducible = sum(1 << x for x in range(1, n)
-                      if below[x] == down[below[x].bit_length() - 1])
+    return sum(1 << x for x in range(1, len(down))
+               if below[x] == down[below[x].bit_length() - 1])
+
+
+def _birkhoff(up, down) -> bool:
+    """Whether the bounded poset with canonical rows is a distributive
+    lattice, by Birkhoff: with J the join-irreducibles, J has n downsets
+    (the count stops past n), and up[x] is the meet of up[j] over the j in
+    x's mask down[x] & J.  Then x |-> its mask is one to one and reflects
+    the order, so it is an order isomorphism onto the downsets of J; every
+    distributive lattice passes."""
+    n, irr = len(down), _irreducibles(down)
+    full = (1 << n) - 1
+    below = [d & ~(1 << x) for x, d in enumerate(down)]
     # the elements outside J start out in every downset, so only J's count
-    return len(_downsets(below, ((1 << n) - 1) & ~irreducible, limit=n)) == n
+    return (len(_downsets(below, full & ~irr, limit=n)) == n
+            and all(_intersection(up, d & irr, full) == up[x] for x, d in enumerate(down)))
+
+
+def _join_scan(names, up) -> None:
+    """Raise NotALattice at the first pair a <= b in row-major order whose
+    lowest common upper bound is not below all the others.  Where a meet
+    is missing, an earlier pair has no join."""
+    for a in range(len(up)):
+        for b in range(a, len(up)):
+            upper = up[a] & up[b]
+            if upper & ~up[(upper & -upper).bit_length() - 1]:
+                raise NotALattice(f"no join for ({names[a]},{names[b]})")
 
 
 def _distributivity_witness(names, meet_t, join_t):
@@ -284,7 +294,7 @@ def _distributivity_witness(names, meet_t, join_t):
 
 
 def build_finite_frame(names: list[str], leq_pairs: list[tuple[str, str]]) -> FiniteFrame:
-    """Validate (names, leq_pairs) as a finite frame and derive all tables.
+    """Validate (names, leq_pairs) as a finite frame.
 
     leq_pairs may be any generating set; the reflexive-transitive closure
     is taken.  Raises NotAPoset, NoBounds, TooLarge, NotALattice or
@@ -301,9 +311,9 @@ def downset_frame(names: list[str], leq_pairs: list[tuple[str, str]]) -> FiniteF
     if n > 16:
         raise TooLarge("downset enumeration limited to posets of 16 elements")
     downs = _downsets([d & ~(1 << x) for x, d in enumerate(_transpose(up, n))],
-                      limit=DISTRIBUTIVITY_SCAN_LIMIT)
+                      limit=FINITE_FRAME_LIMIT)
     _check_size(len(downs))
-    return _frame_of_masks(_set_names(names, downs), downs)[0]
+    return _ring_of_sets(_set_names(names, downs), downs)[0]
 
 
 def _downsets(below: list[int], start: int = 0, limit: int | None = None) -> list[int]:
@@ -345,7 +355,8 @@ def open_set_frame(points: list[str], opens: list[list[str]]) -> FiniteFrame:
             raise NotATopology((a, b), "union")
         if a & b not in mask_set:
             raise NotATopology((a, b), "intersection")
-    return _frame_of_masks(_set_names(points, masks), masks)[0]
+    _check_size(len(masks))
+    return _ring_of_sets(_set_names(points, masks), masks)[0]
 
 
 def _set_names(points: list[str], masks: list[int]) -> list[str]:
@@ -353,29 +364,43 @@ def _set_names(points: list[str], masks: list[int]) -> list[str]:
     return ["{" + ",".join(sorted(points[i] for i in _bits(m))) + "}" for m in masks]
 
 
-def _frame_of_masks(names, masks: list[int]) -> tuple[FiniteFrame, tuple[int, ...]]:
-    """The frame of a family of distinct bitsets ordered by inclusion,
-    names[i] naming masks[i].  Returns the frame and the masks in its
-    canonical order."""
-    _check_size(len(masks))
-    up = [sum(1 << j for j, b in enumerate(masks) if a & b == a) for a in masks]
-    frame, pos = _frame_of_rows(names, up)
-    order = [0] * len(masks)
-    for m, p in zip(masks, pos):
-        order[p] = m
-    return frame, tuple(order)
+def _ring_of_sets(names, masks: list[int]) -> tuple[FiniteFrame, list[int]]:
+    """The frame of distinct bitsets `masks`, among them the empty set,
+    closed under union and intersection and ordered by inclusion, names[i]
+    naming masks[i]; and order[i], the input index of canonical element i.
+    A ring of sets is a distributive lattice with meet and join its
+    intersection and union: only the names are checked."""
+    if len(set(names)) != len(names):
+        raise NotAPoset("duplicate element ids")
+    down = _inclusion_rows(masks)[1]
+    order = sorted(range(len(masks)), key=lambda i: (down[i].bit_count(), names[i]))
+    up, down = _inclusion_rows([masks[i] for i in order])
+    return FiniteFrame(names=tuple(names[i] for i in order), up=up, down=down,
+                       bot=0, top=len(masks) - 1), order
+
+
+def _inclusion_rows(masks: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The inclusion rows of a ring of sets, read off its k point columns
+    in O(n*k): the sets above a hold every point of a, and the sets below
+    b no point of the largest set, top, outside b."""
+    top, full = max(masks), (1 << len(masks)) - 1
+    cols = _transpose(masks, top.bit_length())
+    return (tuple(_intersection(cols, a, full) for a in masks),
+            tuple(full & ~_union(cols, top & ~b) for b in masks))
 
 
 def _renamed(frame: FiniteFrame, names: tuple[str, ...]) -> FiniteFrame | None:
-    """The frame with element i renamed names[i] and every table kept, if
-    the new names keep the canonical order; else None.  Elements are in
-    order of the size of their downset, ties by name, and a renaming can
-    flip a tie: "a" sorts before "a!", but "dn(a!)" before "dn(a)"."""
+    """The frame with element i renamed names[i] and the tables built so
+    far kept, if the new names keep the canonical order (downset size, then
+    name); else None.  A renaming can flip a tie: "a" sorts before "a!",
+    but "dn(a!)" before "dn(a)"."""
     sizes = [d.bit_count() for d in frame.down]
     for i in range(1, frame.n):
         if sizes[i - 1] == sizes[i] and names[i - 1] > names[i]:
             return None
-    return replace(frame, names=names)
+    renamed = replace(frame, names=names)  # the tables hold indices only
+    vars(renamed).update((k, v) for k, v in vars(frame).items() if k not in vars(renamed))
+    return renamed
 
 
 def _product(f: FiniteFrame, g: FiniteFrame) -> tuple[FiniteFrame, list[int]]:

@@ -64,7 +64,7 @@ from .errors import (
     TooLarge,
     UnsupportedRepresentation,
 )
-from .finite import FiniteFrame, _bits, _frame_of_masks, _renamed, _transpose, _union
+from .finite import FiniteFrame, _bits, _irreducibles, _renamed, _ring_of_sets, _transpose, _union
 from .proximity import (
     ChainProximity,
     FiniteProximity,
@@ -436,8 +436,10 @@ def rframe(prox: Proximity) -> RFrameData:
 
 def _rframe_finite(prox: FiniteProximity) -> FiniteRFrame:
     """The ideal frame of the order, the one finite proximity: x -> down[x]
-    is an order isomorphism onto it, so it is the base frame renamed dn(x),
-    or built from the masks where the new names reorder two elements."""
+    is an order isomorphism onto it, so it is the base frame renamed dn(x).
+    Where the new names reorder two elements it is built as the ring of
+    the sets down[x] & J, J the join-irreducibles: these are join-prime in
+    a distributive lattice, so the sets are closed under union."""
     prox.require_order()
     f = prox.frame
     if f.n > FINITE_IDEAL_ENUM_LIMIT:
@@ -447,7 +449,9 @@ def _rframe_finite(prox: FiniteProximity) -> FiniteRFrame:
     names = tuple(f"dn({x})" for x in f.names)
     frame, masks = _renamed(f, names), f.down
     if frame is None:
-        frame, masks = _frame_of_masks(names, masks)
+        irr = _irreducibles(f.down)
+        frame, order = _ring_of_sets(names, [d & irr for d in f.down])
+        masks = [f.down[x] for x in order]
     return FiniteRFrame(base=prox, frame=frame, wb=way_below_proximity(frame),
                         ideals=tuple(FinIdeal(prox, m) for m in masks))
 

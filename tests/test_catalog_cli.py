@@ -229,7 +229,7 @@ def test_cli_validate_refuses_a_large_downset_frame_by_its_size(tmp_path, capsys
     assert main(["validate", str(p)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: distributivity scan rejects frames over 64 elements\n"
+    assert err == "error: finite frames are limited to 64 elements\n"
 
 
 def test_cli_usage_and_input_errors(capsys):

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import proxkit
 import reference as ref
-from proxkit.catalog import catalog_instances
+from proxkit.catalog import catalog_instances, load_instance
 from proxkit.errors import (
     NoBounds,
     NotALattice,
@@ -21,9 +22,8 @@ from proxkit.errors import (
 )
 from proxkit import finite
 from proxkit.finite import (
-    DISTRIBUTIVITY_SCAN_LIMIT,
+    FINITE_FRAME_LIMIT,
     FiniteFrame,
-    _distributive,
     _distributivity_witness,
     build_finite_frame,
     downset_frame,
@@ -31,7 +31,12 @@ from proxkit.finite import (
     open_set_frame,
     product,
 )
-from proxkit.proximity import FiniteProximity, order_proximity, product_proximity
+from proxkit.proximity import (
+    FiniteProximity,
+    order_proximity,
+    product_proximity,
+    validate_proximity,
+)
 
 
 def test_diamond_tables():
@@ -233,10 +238,8 @@ def oracle_frame(names, leq_pairs):
         raise NoBounds("empty element list")
     rel = _oracle_closure(names, leq_pairs)
     # the size cap is checked as soon as the poset is known
-    if n > DISTRIBUTIVITY_SCAN_LIMIT:
-        raise TooLarge(
-            f"distributivity scan rejects frames over {DISTRIBUTIVITY_SCAN_LIMIT} elements"
-        )
+    if n > FINITE_FRAME_LIMIT:
+        raise TooLarge(f"finite frames are limited to {FINITE_FRAME_LIMIT} elements")
     order = sorted(range(n), key=lambda i: (sum(rel[j][i] for j in range(n)), names[i]))
     names2 = tuple(names[i] for i in order)
     leq = [[rel[a][b] for b in order] for a in order]
@@ -259,15 +262,16 @@ def oracle_frame(names, leq_pairs):
             for c in range(n):
                 if meet_t[a][join_t[b][c]] != join_t[meet_t[a][b]][meet_t[a][c]]:
                     raise NotDistributive((names2[a], names2[b], names2[c]))
-    return FiniteFrame(
+    frame = FiniteFrame(
         names=names2,
         up=_matrix_rows(leq),
         down=_matrix_rows(zip(*leq)),
-        meet_t=tuple(tuple(row) for row in meet_t),
-        join_t=tuple(tuple(row) for row in join_t),
         bot=bots[0],
         top=tops[0],
     )
+    # the brute-force tables, kept where the frame keeps its own
+    vars(frame).update(meet_t=tuple(map(tuple, meet_t)), join_t=tuple(map(tuple, join_t)))
+    return frame
 
 
 def _oracle_frame_of_masks(base_names, masks):
@@ -339,7 +343,12 @@ def outcome(build, *args):
 
 
 def assert_same(build, oracle, *args):
-    assert outcome(build, *args) == outcome(oracle, *args)
+    """The same frame with the same tables, or the same exception; the
+    oracle's tables are its brute-force ones."""
+    got, expected = outcome(build, *args), outcome(oracle, *args)
+    assert got == expected
+    if isinstance(expected, FiniteFrame):
+        assert got.meet_t == expected.meet_t and got.join_t == expected.join_t
 
 
 def test_oracle_shuffled_chains():
@@ -349,17 +358,16 @@ def test_oracle_shuffled_chains():
         covers = list(zip(names, names[1:]))
         rng.shuffle(names)
         rng.shuffle(covers)
+        assert_same(build_finite_frame, oracle_frame, names, covers)
         f = build_finite_frame(names, covers)
-        assert f == oracle_frame(names, covers)
         assert f.names == tuple(sorted(names, key=lambda nm: int(nm[1:])))
 
 
 def test_oracle_cubes():
     for k in range(7):
         names = [f"x{i}" for i in range(k)]
-        f = downset_frame(names, [])
-        assert f.n == 2 ** k
-        assert f == oracle_downset_frame(names, [])
+        assert downset_frame(names, []).n == 2 ** k
+        assert_same(downset_frame, oracle_downset_frame, names, [])
 
 
 def test_oracle_named_lattices():
@@ -370,14 +378,23 @@ def test_oracle_named_lattices():
     bowtie = (["0", "a", "b", "c", "d", "1"],
               [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
                ("b", "d"), ("c", "1"), ("d", "1")])
-    for names, pairs in (n5, m3, bowtie):
+    # a and b have the minimal upper bounds c and d.  The join-irreducibles
+    # a < e < f, e < c and b have 8 downsets, one for each element, and each
+    # element has its own set of them below it, but d is not below c,
+    # although the irreducibles below d, a and b, are below c
+    uneven = (["0", "a", "b", "c", "d", "e", "f", "1"],
+              [("0", "a"), ("0", "b"), ("a", "e"), ("e", "c"), ("e", "f"),
+               ("b", "c"), ("a", "d"), ("b", "d"), ("c", "1"), ("d", "1"), ("f", "1")])
+    for names, pairs in (n5, m3, bowtie, uneven):
         assert not isinstance(outcome(build_finite_frame, names, pairs), FiniteFrame)
         assert_same(build_finite_frame, oracle_frame, names, pairs)
         assert_same(build_finite_frame, oracle_frame, names[::-1], pairs[::-1])
     assert_same(build_finite_frame, oracle_frame, [], [])
     assert_same(build_finite_frame, oracle_frame, [], [("a", "b")])
     assert_same(downset_frame, oracle_downset_frame, [], [])
-    # a downset frame over the distributivity scan limit
+    # two downsets both named {a,b}
+    assert_same(downset_frame, oracle_downset_frame, ["a", "b", "a,b"], [])
+    # a downset frame over the size limit
     assert_same(downset_frame, oracle_downset_frame, list("abcdefg"), [])
     # a non-lattice over the limit: refused for its size before its joins
     # are looked at
@@ -403,7 +420,7 @@ def test_oracle_products():
     frames = SMALL_FRAMES
     for f in frames:
         for g in frames:
-            assert product(f, g) == oracle_product(f, g)
+            assert_same(product, oracle_product, f, g)
     # names that collide in the product
     f = build_finite_frame(["a", "a,b"], [("a", "a,b")])
     g = build_finite_frame(["b,c", "c"], [("b,c", "c")])
@@ -442,23 +459,53 @@ def test_oracle_generating_relations(rel):
     assert_same(downset_frame, oracle_downset_frame, names, pairs)
 
 
+def test_oracle_downset_lattices_and_their_covers():
+    # every poset of at most 5 points: its downset frame, and the same
+    # lattice given to the explicit builder by its covering pairs, with
+    # its names shuffled among its elements
+    rng = random.Random(5)
+    for names, pairs in ref.posets(5):
+        assert_same(downset_frame, oracle_downset_frame, names, pairs)
+        lattice = downset_frame(names, pairs)
+        shuffled = list(lattice.names)
+        rng.shuffle(shuffled)
+        covers = [(shuffled[a], shuffled[b]) for a, b in lattice.covers()]
+        rng.shuffle(covers)
+        assert_same(build_finite_frame, oracle_frame, shuffled, covers)
+
+
+def test_validate_builds_no_meet_or_join_table(tmp_path):
+    docs = [{"builder": "downsets", "elements": ["x", "y", "z"], "leq": [["x", "y"]]},
+            {"builder": "finite", "elements": ["0", "a", "b", "1"],
+             "leq": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]},
+            {"builder": "topology", "points": ["p", "q"], "opens": [[], ["p"], ["p", "q"]]}]
+    for doc in docs:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        prox = load_instance(str(path))[1]
+        assert validate_proximity(prox).ok
+        assert not {"meet_t", "join_t"} & vars(prox.frame).keys(), doc
+
+
 # -- Birkhoff's count against the distributivity scan --------------------------
 
 
 def birkhoff_and_scan(names, pairs):
     """(Birkhoff's verdict, the scan's witness) on the lattice built from
     (names, pairs), or None if building it fails before distributivity
-    is decided.  The frame is built with the count recorded and the
-    verdict forced to yes, so that the scan gets the tables of any
-    lattice."""
+    is decided.  The frame is built with the verdict recorded and forced
+    to yes once the join scan has passed, so that the scan gets the
+    tables of any lattice."""
     verdicts = []
+    birkhoff = finite._birkhoff
 
-    def recording(down):
-        verdicts.append(_distributive(down))
+    def recording(up, down):
+        verdicts.append(birkhoff(up, down))
+        finite._join_scan(range(len(up)), up)
         return True
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(finite, "_distributive", recording)
+        mp.setattr(finite, "_birkhoff", recording)
         try:
             f = build_finite_frame(names, pairs)
         except ProxkitError:
@@ -487,31 +534,65 @@ def _bounded(names, pairs):
             pairs + [("bot", x) for x in names] + [(x, "top") for x in names])
 
 
-def test_birkhoff_agrees_with_the_scan_on_named_lattices():
+def non_distributive_lattices():
+    """N5 and M3, M3 with a chain under one atom, N5 with an atom doubled,
+    M4, and the bounded 2 + 2, which holds an N5."""
     n5 = (["0", "a", "b", "c", "1"],
           [("0", "a"), ("0", "c"), ("a", "b"), ("b", "1"), ("c", "1")])
-    m3 = _bounded(["a", "b", "c"], [])
-    # M3 with a chain under one atom, N5 with an atom doubled, M4, and
-    # the bounded 2 + 2, which holds an N5
-    m3_tail = _bounded(["a0", "a", "b", "c"], [("a0", "a")])
-    n5_wide = _bounded(["a", "b", "c", "d"], [("a", "b"), ("d", "b")])
-    m4 = _bounded(list("abcd"), [])
-    two_two = _bounded(list("abcd"), [("a", "b"), ("c", "d")])
+    return [n5, _bounded(["a", "b", "c"], []),
+            _bounded(["a0", "a", "b", "c"], [("a0", "a")]),
+            _bounded(["a", "b", "c", "d"], [("a", "b"), ("d", "b")]),
+            _bounded(list("abcd"), []),
+            _bounded(list("abcd"), [("a", "b"), ("c", "d")])]
+
+
+def test_birkhoff_agrees_with_the_scan_on_named_lattices():
     square = _bounded(["a", "b"], [])
     grid = ([f"{i}{j}" for i in range(3) for j in range(2)],
             [(f"{i}0", f"{i}1") for i in range(3)]
             + [(f"{i}{j}", f"{i + 1}{j}") for i in range(2) for j in range(2)])
-    for names, pairs in (n5, m3, m3_tail, n5_wide, m4, two_two):
+    for names, pairs in non_distributive_lattices():
         assert assert_birkhoff_agrees(names, pairs) is False
         assert assert_birkhoff_agrees(names[::-1], pairs[::-1]) is False
     for names, pairs in (square, grid, (["0"], [])):
         assert assert_birkhoff_agrees(names, pairs) is True
 
 
+def test_valid_frames_run_no_scan():
+    # Birkhoff's test passes every valid frame, so neither scan runs ...
+    def scan(*args):
+        raise AssertionError("a scan ran on a valid frame")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finite, "_join_scan", scan)
+        mp.setattr(finite, "_distributivity_witness", scan)
+        for names, pairs in ref.posets(4):
+            lattice = downset_frame(names, pairs)
+            covers = [(lattice.names[a], lattice.names[b]) for a, b in lattice.covers()]
+            assert build_finite_frame(list(lattice.names), covers) == lattice
+        for f in SMALL_FRAMES:
+            for g in SMALL_FRAMES:
+                product(f, g)
+        open_set_frame(["p", "q"], [[], ["p"], ["p", "q"]])
+    # ... and with the test forced to say no, the scans find the witness
+    # of each non-lattice and non-distributive lattice
+    bowtie = (["0", "a", "b", "c", "d", "1"],
+              [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
+               ("b", "d"), ("c", "1"), ("d", "1")])
+    failing = non_distributive_lattices() + [bowtie]
+    expected = [outcome(build_finite_frame, *poset) for poset in failing]
+    assert [e[0] for e in expected] == ["NotDistributive"] * 6 + ["NotALattice"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finite, "_birkhoff", lambda up, down: False)
+        for poset, before in zip(failing, expected):
+            assert outcome(build_finite_frame, *poset) == before
+            assert_same(build_finite_frame, oracle_frame, *poset)
+
+
 def test_birkhoff_agrees_with_the_scan_on_cubes():
     for k in range(7):
         f = downset_frame([f"x{i}" for i in range(k)], [])
-        assert _distributive(f.down)
+        assert finite._birkhoff(f.up, f.down)
         assert _distributivity_witness(f.names, f.meet_t, f.join_t) is None
 
 
@@ -538,7 +619,7 @@ def test_birkhoff_agrees_with_the_scan_on_posets(poset):
     assert_birkhoff_agrees(names, pairs)
     assert_birkhoff_agrees(*_bounded(names, pairs))
     f = downset_frame(names, pairs)
-    assert _distributive(f.down)
+    assert finite._birkhoff(f.up, f.down)
     assert _distributivity_witness(f.names, f.meet_t, f.join_t) is None
 
 
@@ -554,7 +635,7 @@ def test_size_cap_is_checked_before_the_downsets_are_listed():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(finite, "_downsets", recording)
-        mp.setattr(finite, "_frame_of_rows", None)
-        with pytest.raises(TooLarge, match="over 64 elements"):
+        mp.setattr(finite, "_ring_of_sets", None)
+        with pytest.raises(TooLarge, match="limited to 64 elements"):
             downset_frame([f"x{i}" for i in range(16)], [])
-    assert DISTRIBUTIVITY_SCAN_LIMIT < len(listed[0]) <= 2 * DISTRIBUTIVITY_SCAN_LIMIT
+    assert FINITE_FRAME_LIMIT < len(listed[0]) <= 2 * FINITE_FRAME_LIMIT

@@ -88,13 +88,13 @@ def test_renamed_tower_matches_full_mask_scan(monkeypatch):
     # unless the renaming flips a tie of the canonical order; then the
     # frame is built from the masks, as the reference builds it
     built = []
-    frame_of_masks = roundideal._frame_of_masks
+    ring_of_sets = roundideal._ring_of_sets
 
     def recording(names, masks):
         built.append(names)
-        return frame_of_masks(names, masks)
+        return ring_of_sets(names, masks)
 
-    monkeypatch.setattr(roundideal, "_frame_of_masks", recording)
+    monkeypatch.setattr(roundideal, "_ring_of_sets", recording)
     frames = GENERATED | {"flip": ref.diamond("a", "a!")}
     rebuilt = {}
     for name, frame in frames.items():
@@ -109,6 +109,11 @@ def test_renamed_tower_matches_full_mask_scan(monkeypatch):
     # frame names dn(a!) first and renames safely from then on
     assert rebuilt == dict.fromkeys(frames, 0) | {"flip": 1}
     assert rframe(order_proximity(frames["flip"])).frame.names[1:3] == ("dn(a!)", "dn(a)")
+    # a renamed frame keeps the tables its base has built
+    base = ref.diamond()
+    tables = base.meet_t, base.join_t
+    renamed = rframe(order_proximity(base)).frame
+    assert renamed.meet_t is tables[0] and renamed.join_t is tables[1]
 
 
 def test_finite_towers_are_the_order_at_every_level():
