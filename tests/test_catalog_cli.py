@@ -31,6 +31,7 @@ from proxkit.errors import InvalidParameter, UnknownInstance
 from proxkit.morphisms import ChainMap, enumerate_proxhoms, validate_proxhom
 from proxkit.proximity import ChainProximity, chain_proximity, order_proximity
 from proxkit.roundideal import rframe
+from test_cli_golden import finite_docs
 
 
 # -- codecs --------------------------------------------------------------------
@@ -217,6 +218,42 @@ def test_cli_laws_refuses_instance_failing_the_axioms(suite, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: instance fails the proximity axioms\n"
+
+
+def test_cli_compactify_refuses_an_instance_failing_the_axioms(tmp_path, capsys):
+    # the golden instance whose relation drops (p, p): p is not the join
+    # of its approximants
+    p = tmp_path / "fin-approximation.json"
+    p.write_text(json.dumps(finite_docs()["fin-approximation.json"]))
+    assert main(["compactify", str(p)]) == 1
+    assert capsys.readouterr() == ("", "error: instance fails the proximity axioms\n")
+
+
+def test_cli_product_document_is_its_explicit_product_frame(tmp_path, capsys):
+    # the product of two finite factors reports as the same frame given
+    # element by element, named by pairs and ordered componentwise
+    two = {"builder": "finite", "elements": ["0", "1"], "leq": [["0", "1"]]}
+    chain3 = {"builder": "finite", "elements": ["0", "m", "1"],
+              "leq": [["0", "m"], ["m", "1"]]}
+    pairs = [(x, y) for x in two["elements"] for y in chain3["elements"]]
+    below = [("0", "0"), ("0", "1"), ("1", "1"), ("0", "m"), ("m", "m"), ("m", "1")]
+    explicit = {"name": "prod", "builder": "finite",
+                "elements": [f"({x},{y})" for x, y in pairs],
+                "leq": [[f"({a},{b})", f"({c},{d})"] for a, b in pairs for c, d in pairs
+                        if (a, c) in below and (b, d) in below]}
+    docs = {"product": {"name": "prod", "builder": "product", "left": two, "right": chain3},
+            "explicit": explicit}
+    outputs = {}
+    for key, doc in docs.items():
+        p = tmp_path / f"{key}.json"
+        p.write_text(json.dumps(doc))
+        outputs[key] = []
+        for argv in (["validate", str(p)], ["compactify", str(p)]):
+            outputs[key].append((main(argv), capsys.readouterr()))
+    assert outputs["product"] == outputs["explicit"]
+    assert [code for code, _ in outputs["product"]] == [0, 0]
+    assert json.loads(outputs["product"][0][1].out)["ok"] is True
+    assert len(json.loads(outputs["product"][1][1].out)["classification"]) == 6
 
 
 def test_cli_validate_refuses_a_large_downset_frame_by_its_size(tmp_path, capsys):
@@ -461,6 +498,15 @@ def test_cli_search_collapse_covers_order6(capsys):
         assert l["verdict"] == "pass"
         assert l["samples"] == 2 ** (comparable - 2)
     assert lines[4]["samples"] == 2 ** 19
+
+
+def test_cli_search_collapse_stops_at_order7_over_budget(capsys):
+    # order7 has 26 free pairs: five records, then the budget refuses it
+    assert main(["search", "--law", "collapse", "--max-size", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert [json.loads(l)["frame"] for l in out.splitlines()] == [
+        "order2", "order3", "order4", "order5", "order6"]
+    assert err == "error: relation search space 2^26 is over budget\n"
 
 
 def test_cli_search_theta_rho_builds_each_ideal_frame_once(capsys, monkeypatch):

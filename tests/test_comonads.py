@@ -30,6 +30,7 @@ from proxkit.comonads import (
 )
 from proxkit.morphisms import (
     ChainMap,
+    FiniteMap,
     compose,
     identity_map,
     is_proper,
@@ -426,3 +427,97 @@ def test_describe_instance_strings():
     assert d == "finite:0,1,a,b" or d.startswith("finite:")
     c = describe_instance(insts()["chain-k2"])
     assert c.startswith("chain:[") and "R=[L2]" in c
+
+
+# -- failing reports ------------------------------------------------------------
+
+
+def _sunk(m):
+    """m with every value sent to the bottom of its target: a broken
+    structure map of the same kind, source and target."""
+    bot = m.dst.frame.bot
+    if isinstance(m, FiniteMap):
+        return FiniteMap._unchecked(m.src, m.dst, (bot,) * len(m.table))
+    return ChainMap._unchecked(m.src, m.dst, tuple(Seq.constant(bot) for _ in m.rules))
+
+
+def _sink(monkeypatch, name):
+    """Replace the structure map `name` of the law harness by its sunk copy."""
+    build = getattr(comonads, name)
+    monkeypatch.setattr(comonads, name, lambda *args: _sunk(build(*args)))
+
+
+def _report(r):
+    return r.law, r.verdict, r.witness, r.samples
+
+
+def _harness_class_laws(rfd):
+    """reference.class_laws on the maps the harness applies, looked up
+    through the module, so that a sunk map is the one compared."""
+    ccfd = rfd.cc
+    maps = (comonads.c_map(rfd), comonads.epsilon_map(ccfd),
+            comonads.cmap_of(comonads.epsilon_map(rfd), ccfd, rfd),
+            retag_map(comonads.kappa_map(ccfd), rfd.maxp, ccfd.maxp))
+    return ref.class_laws(rfd, *maps, ref.depth_for(*maps))
+
+
+def test_map_equality_law_reports_both_maps_when_it_fails(monkeypatch):
+    # r sunk to the bottom: sigma after r sends 1 to 0, not to itself
+    _sink(monkeypatch, "r_map")
+    reports = comonad_laws("R", rframe(insts()["two"]))
+    assert [r.ok for r in reports] == [False, False, True, False]
+    assert _report(reports[0]) == (
+        "R.counit.left", "fail",
+        ("FiniteMap{dn(0)->dn(0), dn(1)->dn(0)}", "FiniteMap{dn(0)->dn(0), dn(1)->dn(1)}"), 0)
+
+
+@pytest.mark.parametrize("name, witness, samples", [
+    ("two", ("1",), 2), ("diamond", ("1",), 2),
+    ("chain-k1", ("El(1,0)",), 2), ("chain-k2", ("El(1,0)",), 2)])
+def test_kz_reports_its_first_failing_representative(name, witness, samples, monkeypatch):
+    # the functor image of the counit sunk to the bottom: the first
+    # representative the counit sends above the bottom fails
+    _sink(monkeypatch, "cmap_of")
+    rfd = rframe(insts()[name])
+    report = kz_check(rfd)
+    assert _report(report) == ("C.kz", "fail", witness, samples)
+    assert _harness_class_laws(rfd)["C.kz"] is False
+
+
+@pytest.mark.parametrize("sunk, law, name, witness, samples", [
+    ("c_map", "adj.c-eps", "two", ("1",), 6),
+    ("c_map", "adj.c-eps", "chain-k1", ("El(2,0)",), 10),
+    ("c_map", "adj.c-eps", "chain-k2", ("El(4,0)",), 16),
+    ("kappa_map", "adj.eps-betakappa", "diamond", ("3",), 12),
+    ("kappa_map", "adj.eps-betakappa", "chain-k1", ("El(3,0)",), 10),
+    ("kappa_map", "adj.eps-betakappa", "chain-k2", ("El(5,0)",), 16)])
+def test_adjunction_reports_its_last_failing_representative(sunk, law, name, witness,
+                                                            samples, monkeypatch):
+    # c sunk breaks only the first inequality pair, kappa only the second;
+    # the witness is the last failing element and samples counts every check
+    _sink(monkeypatch, sunk)
+    rfd = rframe(insts()[name])
+    reports = {r.law: r for r in adjunction_checks(rfd)}
+    assert _report(reports[law]) == (law, "fail", witness, samples)
+    assert [r.ok for r in reports.values()] == [law != "adj.c-eps", law == "adj.c-eps"]
+    expected = _harness_class_laws(rfd)
+    assert {r: expected[r] for r in reports} == {r: reports[r].ok for r in reports}
+
+
+@pytest.mark.parametrize("name", ["chain-k1", "chain-k2"])
+def test_nonprincipal_comultiplication_reports_the_first_limit(name, monkeypatch):
+    # c sunk to the bottom sends the first limit L1 to a principal ideal
+    _sink(monkeypatch, "c_map")
+    reports = comonad_laws("C", rframe(insts()[name]))
+    assert _report(reports[-1]) == (
+        "C.comult.nonprincipal", "fail", ("Prin(P[S0].0)", "Below(B[L1])"), 1)
+
+
+def test_nonprincipal_comultiplication_checks_the_directed_union(monkeypatch):
+    # the union of the principal classes below L1 taken as the constant
+    # family at its first class: a principal ideal, not the one under L1
+    monkeypatch.setattr(comonads, "dir_sup",
+                        lambda p, seq: roundideal.dir_sup(p, Seq.constant(seq.value(0))))
+    report = comonad_laws("C", rframe(insts()["chain-k2"]))[-1]
+    assert _report(report) == (
+        "C.comult.nonprincipal", "fail", ("Prin(P[S0].0)", "Below(B[L1])"), 1)

@@ -30,6 +30,7 @@ from proxkit.morphisms import (
     validate_proxhom,
 )
 from proxkit.proximity import FiniteProximity, chain_proximity, order_proximity
+from proxkit.reports import FAIL, PASS, SYMBOLIC, Verdict
 from proxkit.roundideal import is_stably_compact, rframe
 from test_block_map import CHAIN_DOCS
 
@@ -174,6 +175,39 @@ def test_non_monotone_chain_map_fails_meet_hom():
     rep = validate_proxhom(f)
     assert not rep.verdict("meet-hom").ok
     assert rep.verdict("meet-hom").witness == ("S0.2", "S0.3")
+
+
+def test_point_segment_above_the_next_block_fails_meet_hom():
+    # L1 -> L2, but the block after it starts at S1.0 < L2
+    p = chain_proximity(build_chain_frame(2), {2})
+    top = p.frame.top
+    f = ChainMap(p, p, (Seq.affine(0, 1, 0), Seq.constant(top),
+                        Seq.affine(2, 1, 0), Seq.constant(top)))
+    assert validate_proxhom(f).axioms == (
+        ("meet-hom", Verdict(FAIL, ("L1", "S1.0"), "not monotone")),)
+
+
+def test_omega_exception_on_a_non_reflexive_limit_fails_the_relation():
+    # S0.0 -> S0.0, S0.1 -> L1, S0.n -> S1.n after: S0.0 < S0.1 are
+    # related, but L1 is not reflexive, so (S0.1, S0.1) maps outside it
+    p = chain_proximity(build_chain_frame(2), {2})
+    top = p.frame.top
+    f = ChainMap(p, p, (Seq.affine(2, 1, 0, ((0, El(0, 0)), (1, El(1, 0)))),
+                        Seq.constant(top), Seq.constant(top), Seq.constant(top)))
+    assert validate_proxhom(f).verdict("join-subadditive") == Verdict(FAIL, ("S0.1",))
+
+
+def test_reflexive_limit_onto_a_non_reflexive_one_fails_preserves_rel():
+    # the identity carrier from R = {L1, L2} to R = {L2}: (L1, L1) is
+    # related in the source only
+    frame = build_chain_frame(2)
+    src, dst = chain_proximity(frame, {1, 2}), chain_proximity(frame, {2})
+    f = ChainMap(src, dst, (Seq.affine(0, 1, 0), Seq.constant(El(1, 0)),
+                            Seq.affine(2, 1, 0), Seq.constant(frame.top)))
+    assert [(name, v.status) for name, v in validate_pframemap(f).axioms] == [
+        ("meet-hom", SYMBOLIC), ("zero", PASS), ("top", PASS),
+        ("preserves-rel", FAIL), ("directed-joins", SYMBOLIC)]
+    assert validate_pframemap(f).verdict("preserves-rel") == Verdict(FAIL, ("L1",))
 
 
 def test_boundary_monotonicity_uses_block_sup():
