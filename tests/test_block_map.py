@@ -184,7 +184,7 @@ def test_theta_and_rmap_match_the_old_loops_on_chain_towers(doc):
 
 
 @pytest.mark.parametrize("name", FINITE)
-def test_theta_and_rmap_match_the_old_loops_on_finite_towers(name):
+def test_theta_and_rmap_match_the_reference_on_finite_towers(name):
     # theta on a finite source reads the kept joins of both ends
     for rfd in _tower(catalog_instances()[name]):
         assert_theta_and_rmap_agree(identity_map(rfd.base), rfd, rfd)
@@ -199,7 +199,7 @@ def test_theta_and_rmap_match_the_old_loops_on_catalog_morphisms(name):
     assert_theta_and_rmap_agree(f, rframe(f.src), rframe(f.dst))
 
 
-def test_theta_and_rmap_match_the_old_loops_on_enumerated_maps():
+def test_theta_and_rmap_match_the_reference_on_enumerated_maps():
     small = [catalog_instances()[name] for name in FINITE]
     small = [p for p in small if p.frame.n <= 4]
     count = 0
