@@ -57,7 +57,6 @@ from .roundideal import (
     ideal_frame,
     is_stably_compact,
     kept_on_rframe,
-    member,
     retag,
 )
 
@@ -259,10 +258,6 @@ def _nonprincipal_comult(rfd: RFrameData, c: Morphism) -> LawReport:
         if union != expected:
             return law_fail("C.comult.nonprincipal", inst,
                             witness=(repr(union), repr(expected)), samples=samples)
-        if member(b, got):
-            return law_fail("C.comult.nonprincipal", inst,
-                            witness=(repr(b),), samples=samples,
-                            note="value is principal but must not be")
     return law_pass("C.comult.nonprincipal", inst, samples=len(limits))
 
 

@@ -11,8 +11,10 @@ open sets) is built from its point columns with no lattice check.  An
 explicit poset passes one test: x |-> the elements of J below x is an
 order isomorphism onto the downsets of J.  Only a poset that fails it
 is scanned, for the first pair with no join (`NotALattice`) and then the
-first non-distributive triple (`NotDistributive`).  Frames over
-FINITE_FRAME_LIMIT elements are refused as soon as their size is known.
+first non-distributive triple (`NotDistributive`).  FINITE_FRAME_LIMIT
+is the one size limit: each builder checks it before any per-pair work,
+with the size it knows (elements, distinct opens, pairs of a product,
+and for downsets n + 1 and then their count).
 
 A finite frame has the carrier methods of a chain frame (`check`,
 `read`, `join_over`, `is_limit`, `limits`, `class_representatives`):
@@ -184,10 +186,10 @@ def _intersection(rows, sel: int, full: int) -> int:
     return full
 
 
-def _order_rows(names: list[str], leq_pairs) -> list[int]:
-    """Closed up-rows of the order generated by leq_pairs: bit b of
-    up[a] is set iff names[a] <= names[b].  Raises NotAPoset on duplicate
-    ids, unlisted ids and cycles."""
+def _order_rows(names: list[str], leq_pairs) -> tuple[int, ...]:
+    """Closed down-rows of the order generated by leq_pairs: bit a of
+    down[b] is set iff names[a] <= names[b].  Raises NotAPoset on
+    duplicate ids, unlisted ids and cycles."""
     if len(set(names)) != len(names):
         raise NotAPoset("duplicate element ids")
     n = len(names)
@@ -203,30 +205,33 @@ def _order_rows(names: list[str], leq_pairs) -> list[int]:
         for i in range(n):
             if up[i] & bit:
                 up[i] |= row
+    # a is on a cycle iff something else is both above and below it.  The
+    # first such a has all its cycle partners above it, so the lowest of
+    # them makes the pair a row-major scan of a < b meets first
+    down = _transpose(up, n)
     for a in range(n):
-        for b in range(a + 1, n):
-            if (up[a] >> b) & 1 and (up[b] >> a) & 1:
-                raise NotAPoset(f"cycle through {names[a]} and {names[b]}")
-    return up
+        cycle = up[a] & down[a] & ~(1 << a)
+        if cycle:
+            raise NotAPoset(f"cycle through {names[a]} and {names[next(_bits(cycle))]}")
+    return down
 
 
-def _frame_of_rows(names, up: list[int]) -> tuple[FiniteFrame, list[int]]:
-    """The finite frame of the poset with closed up-rows `up`, and pos,
-    where pos[i] is the canonical index of input element i.  Raises
-    NotAPoset, NoBounds, TooLarge, NotALattice or NotDistributive."""
+def _frame_of_rows(names, down) -> tuple[FiniteFrame, list[int]]:
+    """The finite frame of the poset with closed down-rows `down`, and pos,
+    where pos[i] is the canonical index of input element i.  The caller
+    has checked the size.  Raises NotAPoset, NoBounds, NotALattice or
+    NotDistributive."""
     if len(set(names)) != len(names):
         raise NotAPoset("duplicate element ids")
     n = len(names)
     if n == 0:
         raise NoBounds("empty element list")
-    _check_size(n)
     # canonical order: topological by leq, ties by id; the columns of the
-    # permuted up-rows, taken in the new order, are the new down-rows
-    down = _transpose(up, n)
+    # permuted down-rows, taken in the new order, are the new up-rows
     order = sorted(range(n), key=lambda i: (down[i].bit_count(), names[i]))
-    cols = _transpose([up[a] for a in order], n)
-    down = tuple(cols[a] for a in order)
-    up = _transpose(down, n)
+    cols = _transpose([down[a] for a in order], n)
+    up = tuple(cols[a] for a in order)
+    down = _transpose(up, n)
     names = tuple(names[i] for i in order)
     full = (1 << n) - 1  # a bottom comes first and a top last, if any
     if up[0] != full or down[-1] != full:
@@ -297,20 +302,20 @@ def build_finite_frame(names: list[str], leq_pairs: list[tuple[str, str]]) -> Fi
     """Validate (names, leq_pairs) as a finite frame.
 
     leq_pairs may be any generating set; the reflexive-transitive closure
-    is taken.  Raises NotAPoset, NoBounds, TooLarge, NotALattice or
+    is taken.  Raises TooLarge, NotAPoset, NoBounds, NotALattice or
     NotDistributive.
     """
-    up = _order_rows(names, leq_pairs) if names else []
-    return _frame_of_rows(names, up)[0]
+    _check_size(len(names))
+    down = _order_rows(names, leq_pairs) if names else ()
+    return _frame_of_rows(names, down)[0]
 
 
 def downset_frame(names: list[str], leq_pairs: list[tuple[str, str]]) -> FiniteFrame:
-    """The frame of downsets of a finite poset, ordered by inclusion."""
-    up = _order_rows(names, leq_pairs)
-    n = len(names)
-    if n > 16:
-        raise TooLarge("downset enumeration limited to posets of 16 elements")
-    downs = _downsets([d & ~(1 << x) for x, d in enumerate(_transpose(up, n))],
+    """The frame of downsets of a finite poset, ordered by inclusion.  The
+    n points have at least n + 1 downsets, the empty one and the n
+    principal ones, so that bound is checked before the closure."""
+    _check_size(len(names) + 1)
+    downs = _downsets([d & ~(1 << x) for x, d in enumerate(_order_rows(names, leq_pairs))],
                       limit=FINITE_FRAME_LIMIT)
     _check_size(len(downs))
     return _ring_of_sets(_set_names(names, downs), downs)[0]
@@ -346,6 +351,7 @@ def open_set_frame(points: list[str], opens: list[list[str]]) -> FiniteFrame:
             m |= 1 << idx[p]
         masks.append(m)
     masks = sorted(set(masks))
+    _check_size(len(masks))
     full = (1 << len(points)) - 1
     if 0 not in masks or full not in masks:
         raise NotATopology(("empty set", "whole space"), "bounds")
@@ -355,7 +361,6 @@ def open_set_frame(points: list[str], opens: list[list[str]]) -> FiniteFrame:
             raise NotATopology((a, b), "union")
         if a & b not in mask_set:
             raise NotATopology((a, b), "intersection")
-    _check_size(len(masks))
     return _ring_of_sets(_set_names(points, masks), masks)[0]
 
 
@@ -406,11 +411,12 @@ def _renamed(frame: FiniteFrame, names: tuple[str, ...]) -> FiniteFrame | None:
 def _product(f: FiniteFrame, g: FiniteFrame) -> tuple[FiniteFrame, list[int]]:
     """The product frame and pos, where pos[a * g.n + b] is the index of
     the pair (a, b)."""
+    _check_size(f.n * g.n)
     names = [f"({x},{y})" for x in f.names for y in g.names]
-    uf, ug, m = f.up, g.up, g.n
-    up = [sum(ug[b] << a2 * m for a2 in _bits(uf[a]))
-          for a in f.elements() for b in g.elements()]
-    return _frame_of_rows(names, up)
+    df, dg, m = f.down, g.down, g.n
+    down = [sum(dg[b] << a2 * m for a2 in _bits(df[a]))
+            for a in f.elements() for b in g.elements()]
+    return _frame_of_rows(names, down)
 
 
 def product(f: FiniteFrame, g: FiniteFrame) -> FiniteFrame:

@@ -365,8 +365,7 @@ def _validate_chain(p: ChainProximity) -> AxiomReport:
     axioms.append(("approximation", Verdict(
         SYMBOLIC, note="suprema computed from the tail rule")))
 
-    collapse = all(p.reflexive(a) for a in f.limits())
-    return AxiomReport(tuple(axioms), collapse=collapse)
+    return AxiomReport(tuple(axioms), collapse=p.is_order)
 
 
 # -- finite collapse certificate -------------------------------------------
@@ -384,8 +383,6 @@ def certify_finite_collapse(frame: FiniteFrame) -> LawReport:
     the first failure, without building a report.  `samples` counts the
     whole space covered.
     """
-    if frame.n > 12:
-        raise TooLarge("collapse certification is limited to 12 elements")
     instance = f"finite:{','.join(frame.names)}"
     free = [
         (a, b)

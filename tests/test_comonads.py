@@ -179,8 +179,8 @@ def test_doubled_membership_witness_is_a_representative(k):
             w = ej if maxp.reflexive(ej) else rfd.frame.successor_of(ej)
             assert w in reps_C and maxp.rel(ej, w), (prox, jbar)
             for I in ideals:
-                if comonads.member(sigma(rfd.ideal_of(ej)), I):
-                    assert comonads.member(sigma(rfd.ideal_of(w)), I)
+                if member(sigma(rfd.ideal_of(ej)), I):
+                    assert member(sigma(rfd.ideal_of(w)), I)
 
 
 def test_doubled_membership_failure_matches_reference(monkeypatch):

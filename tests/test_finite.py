@@ -639,3 +639,63 @@ def test_size_cap_is_checked_before_the_downsets_are_listed():
         with pytest.raises(TooLarge, match="limited to 64 elements"):
             downset_frame([f"x{i}" for i in range(16)], [])
     assert FINITE_FRAME_LIMIT < len(listed[0]) <= 2 * FINITE_FRAME_LIMIT
+
+
+def test_builders_refuse_an_oversized_input_before_the_closure(monkeypatch):
+    # 65 elements, or 64 points with at least 65 downsets: refused by
+    # their count alone, so the closure never runs
+    def closure(*args):
+        raise AssertionError("the closure ran on an oversized input")
+
+    monkeypatch.setattr(finite, "_order_rows", closure)
+    chain = [f"e{i:02}" for i in range(65)]
+    covers = list(zip(chain, chain[1:]))
+    with pytest.raises(TooLarge, match="limited to 64 elements"):
+        build_finite_frame(chain, covers)
+    for names in (chain, chain[:64]):
+        with pytest.raises(TooLarge, match="limited to 64 elements"):
+            downset_frame(names, covers[:len(names) - 1])
+
+
+def test_open_sets_over_the_limit_are_refused_before_the_closure_scan(monkeypatch):
+    # the empty set, the whole space and 63 singletons: 65 distinct opens,
+    # not closed under union
+    monkeypatch.setattr(finite, "combinations", None)
+    points = [f"p{i}" for i in range(64)]
+    opens = [[], points] + [[p] for p in points[:63]]
+    with pytest.raises(TooLarge, match="limited to 64 elements"):
+        open_set_frame(points, opens)
+
+
+def test_products_over_the_limit_are_refused_before_their_rows(monkeypatch):
+    f = ref.chains((9,))[0][1]
+    monkeypatch.setattr(finite, "_bits", None)
+    with pytest.raises(TooLarge, match="limited to 64 elements"):
+        product(f, f)
+    with pytest.raises(TooLarge, match="limited to 64 elements"):
+        product_proximity(order_proximity(f), order_proximity(f))
+
+
+def test_downset_frame_takes_posets_over_16_points():
+    # a 30-point chain has 31 downsets, one per prefix
+    names = [f"c{i:02}" for i in range(30)]
+    f = downset_frame(names, list(zip(names, names[1:])))
+    assert f.n == 31 and len(f.covers()) == 30
+    assert f.names[:3] == ("{}", "{c00}", "{c00,c01}")
+
+
+def test_cycle_messages_match_the_pair_scan():
+    # the oracle's closure keeps the row-major pair scan for cycles
+    rng = random.Random(6)
+    cycles = 0
+    for _ in range(400):
+        names = [f"v{i}" for i in range(rng.randint(2, 9))]
+        rng.shuffle(names)
+        pairs = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(2, 12))]
+        expected = outcome(_oracle_closure, names, pairs)
+        if isinstance(expected, tuple):
+            assert outcome(finite._order_rows, names, pairs) == expected
+            assert_same(build_finite_frame, oracle_frame, names, pairs)
+            assert_same(downset_frame, oracle_downset_frame, names, pairs)
+            cycles += 1
+    assert cycles > 100

@@ -16,7 +16,6 @@ from itertools import combinations, product
 
 import pytest
 
-import proxkit.comonads as comonads
 import proxkit.roundideal as roundideal
 import reference as ref
 from proxkit.catalog import catalog_instances
@@ -248,8 +247,7 @@ def test_pair_laws_make_linearly_many_primitive_calls(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for mod in (comonads, roundideal):
-        monkeypatch.setattr(mod, "member", counted(roundideal.member))
+    monkeypatch.setattr(roundideal, "member", counted(roundideal.member))
     monkeypatch.setattr(roundideal, "way_below_ideals", counted(way_below_ideals))
     monkeypatch.setattr(ChainProximity, "rel", counted(ChainProximity.rel))
 

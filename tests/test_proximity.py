@@ -9,7 +9,7 @@ from proxkit.catalog import catalog_instances
 from proxkit import proximity
 from proxkit.chain import Seq, build_chain_frame, lim
 from proxkit.cli import _generated_frames
-from proxkit.errors import InvalidReflexiveSet, MalformedRelation
+from proxkit.errors import InvalidReflexiveSet, MalformedRelation, TooLarge
 from proxkit.finite import build_finite_frame, downset_frame
 from proxkit.proximity import (
     ChainProximity,
@@ -106,6 +106,15 @@ def test_collapse_certificates():
     ]:
         report = certify_finite_collapse(build_finite_frame(names, pairs))
         assert report.ok, document(report.to_json())
+
+
+def test_collapse_refuses_a_large_frame_by_its_search_space():
+    # a 13-element chain has 91 comparable pairs, 89 of them free
+    names = [f"c{i:02}" for i in range(13)]
+    frame = build_finite_frame(names, list(zip(names, names[1:])))
+    with pytest.raises(TooLarge) as exc:
+        certify_finite_collapse(frame)
+    assert str(exc.value) == "relation search space 2^89 is over budget"
 
 
 @settings(max_examples=40, deadline=None)
