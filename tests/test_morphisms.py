@@ -188,8 +188,8 @@ def test_point_segment_above_the_next_block_fails_meet_hom():
 
 
 def test_omega_exception_on_a_non_reflexive_limit_fails_the_relation():
-    # S0.0 -> S0.0, S0.1 -> L1, S0.n -> S1.n after: S0.0 < S0.1 are
-    # related, but L1 is not reflexive, so (S0.1, S0.1) maps outside it
+    # S0.1 -> L1, and S0.n -> S1.n past it: S0.1 is reflexive, as every
+    # omega element is, but its value L1 is not
     p = chain_proximity(build_chain_frame(2), {2})
     top = p.frame.top
     f = ChainMap(p, p, (Seq.affine(2, 1, 0, ((0, El(0, 0)), (1, El(1, 0)))),
