@@ -142,19 +142,27 @@ def _finite_with_proximity(frame, spec) -> FiniteProximity:
 
 
 def load_instance(name_or_path: str) -> tuple[str, Proximity]:
-    """A catalog name, or a path to an instance JSON file."""
+    """A catalog name, or a path to an instance JSON file.  This is where
+    the errors of reading a document become input errors."""
     if name_or_path in CATALOG_NAMES:
-        text = (
+        data = (
             resources.files("proxkit").joinpath(f"data/{name_or_path}.json")
-            .read_text()
+            .read_bytes()
         )
     else:
         try:
-            with open(name_or_path) as fh:
-                text = fh.read()
+            with open(name_or_path, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise UnknownInstance(f"{name_or_path}: {exc}") from exc
-    return parse_instance(json.loads(text))
+    try:
+        try:
+            doc = json.loads(data)
+        except ValueError as exc:  # not JSON, not UTF-8, or an over-long integer
+            raise InvalidParameter(str(exc)) from exc
+        return parse_instance(doc)
+    except RecursionError:  # in json.loads, or parse_instance's product factors
+        raise InvalidParameter("instance document is nested too deeply") from None
 
 
 @functools.cache

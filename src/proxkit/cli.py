@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .catalog import catalog_instances, catalog_morphisms, load_instance
@@ -26,7 +25,7 @@ from .comonads import (
     maxrel_contains_wb,
     subcomonad_check,
 )
-from .errors import ProxkitError
+from .errors import InvalidParameter, ProxkitError
 from .finite import build_finite_frame, downset_frame, hasse_dot
 from .morphisms import (
     _composite,
@@ -97,8 +96,9 @@ def main(argv=None) -> int:
         if args.cmd == "laws":
             return cmd_laws(args.suite, args.instance)
         return cmd_search(args.law, args.max_size)
-    except (ProxkitError, OSError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+    # load_instance reports a file it cannot read as a ProxkitError; an
+    # OSError here is a write to a closed stdout
+    except (ProxkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -312,8 +312,7 @@ def _generated_frames(max_size: int):
 
 def cmd_search(law: str, max_size: int) -> int:
     if max_size < 2:
-        print("error: --max-size must be at least 2", file=sys.stderr)
-        return 2
+        raise InvalidParameter("--max-size must be at least 2")
     frames = _generated_frames(max_size)
     failures = 0
     if law == "collapse":

@@ -27,6 +27,7 @@ that the homomorphism validators of `morphisms` scan.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
@@ -338,7 +339,7 @@ def _downsets(below: list[int], start: int = 0, limit: int | None = None) -> lis
 
 def open_set_frame(points: list[str], opens: list[list[str]]) -> FiniteFrame:
     """The frame of open sets of a finite topology, ordered by inclusion."""
-    dups = sorted({p for p in points if points.count(p) > 1})
+    dups = sorted(p for p, count in Counter(points).items() if count > 1)
     if dups:
         raise InvalidParameter("duplicate point ids: " + ", ".join(map(repr, dups)))
     idx = {p: i for i, p in enumerate(points)}
@@ -358,9 +359,9 @@ def open_set_frame(points: list[str], opens: list[list[str]]) -> FiniteFrame:
     mask_set = set(masks)
     for a, b in combinations(masks, 2):
         if a | b not in mask_set:
-            raise NotATopology((a, b), "union")
+            raise NotATopology(tuple(_set_names(points, [a, b])), "union")
         if a & b not in mask_set:
-            raise NotATopology((a, b), "intersection")
+            raise NotATopology(tuple(_set_names(points, [a, b])), "intersection")
     return _ring_of_sets(_set_names(points, masks), masks)[0]
 
 

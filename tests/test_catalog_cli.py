@@ -32,6 +32,7 @@ from proxkit.morphisms import ChainMap, enumerate_proxhoms, validate_proxhom
 from proxkit.proximity import ChainProximity, chain_proximity, order_proximity
 from proxkit.roundideal import rframe
 from test_cli_golden import finite_docs
+from test_comonads import _sunk
 
 
 # -- codecs --------------------------------------------------------------------
@@ -333,10 +334,30 @@ def test_cli_builds_its_parser_once_per_process(argv, code, capsys, monkeypatch)
      "field 'reflexive' repeats the limit indices [2]"),
     ({"builder": "chain", "k": 2, "names": ["A", "B", "C"], "reflexive": [2]},
      "field 'names' has 3 block names for k = 2 blocks"),
+    ({"builder": "chain", "k": "2"}, "field 'k' must be an integer, got '2'"),
+    ({"builder": "topology", "points": ["p"], "opens": "p"},
+     "field 'opens' must be a list, got 'p'"),
+    ({"builder": "finite", "leq": []}, "instance document needs the field 'elements'"),
+    ({"builder": "downsets", "elements": ["a", 3]}, "field 'elements' has a non-name entry 3"),
+    ({"builder": "finite", "elements": ["a", "b"], "leq": 5},
+     "field 'leq' must be a list of name pairs, got 5"),
+    ({"builder": "finite", "elements": ["a", "b"], "leq": [["a"]]},
+     "field 'leq' has an entry ['a'] that is not a name pair"),
+    ({"builder": "topology", "points": ["p", "q"], "opens": [[], ["p", "q"], ["z"]]},
+     "not closed under membership: witness ['z']"),
+    ({"builder": "topology", "points": ["p", "q", "r"],
+      "opens": [[], ["p", "q", "r"], ["p", "q"], ["q", "r"]]},
+     "not closed under intersection: witness ('{p,q}', '{q,r}')"),
+    ({"builder": "topology", "points": ["p", "q", "r"],
+      "opens": [[], ["p", "q", "r"], ["p"], ["r"]]},
+     "not closed under union: witness ('{p}', '{r}')"),
 ], ids=["elements-not-a-list", "reflexive-not-indices", "unknown-pair-element",
         "product-factor-not-a-document", "name-not-a-string", "repeated-block-label",
         "block-label-repeats-a-default", "product-factor-a-chain",
-        "repeated-topology-point", "repeated-reflexive-index", "more-names-than-blocks"])
+        "repeated-topology-point", "repeated-reflexive-index", "more-names-than-blocks",
+        "k-not-an-integer", "opens-not-a-list", "no-elements", "non-name-element",
+        "leq-not-a-list", "leq-entry-not-a-pair", "open-with-an-unknown-point",
+        "opens-not-closed-under-intersection", "opens-not-closed-under-union"])
 def test_cli_malformed_instance_exits_2(doc, message, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
@@ -345,6 +366,63 @@ def test_cli_malformed_instance_exits_2(doc, message, tmp_path, capsys):
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n", argv
+
+
+def _nested_products(depth: int) -> bytes:
+    """A product document whose left factor is a product, depth deep,
+    written as text: json.dumps would recurse once per level."""
+    one = '{"builder": "finite", "elements": ["0"]}'
+    head = '{"builder": "product", "right": %s, "left": ' % one
+    return (head * depth + one + "}" * depth).encode()
+
+
+def _int_error(digits: int) -> str:
+    """The interpreter's own message for an integer of too many digits."""
+    with pytest.raises(ValueError) as exc:
+        int("1" * digits)
+    return str(exc.value)
+
+
+RAW_DOCUMENTS = {
+    "deep-arrays": (b"[" * 100_000 + b"]" * 100_000,
+                    "instance document is nested too deeply"),
+    # deep enough for parse_instance to recurse past the limit, not json
+    "deep-products-400": (_nested_products(400), "instance document is nested too deeply"),
+    "deep-products-2000": (_nested_products(2_000), "instance document is nested too deeply"),
+    "not-utf-8": (b'{"builder": "finite", "name": "\xff", "elements": ["a"]}',
+                  "'utf-8' codec can't decode byte 0xff in position 31: invalid start byte"),
+    "long-integer": (b'{"builder": "chain", "k": ' + b"1" * 5_000 + b"}", _int_error(5_000)),
+    "truncated": (b'{"builder": "finite", "elements": ["a"',
+                  "Expecting ',' delimiter: line 1 column 39 (char 38)"),
+}
+
+
+@pytest.mark.parametrize("data, message", RAW_DOCUMENTS.values(), ids=list(RAW_DOCUMENTS))
+def test_cli_unreadable_document_exits_2(data, message, tmp_path, capsys):
+    # the errors of reading a document are input errors, in every command
+    p = tmp_path / "bad.json"
+    p.write_bytes(data)
+    for argv in (["validate", str(p)], ["compactify", str(p)],
+                 ["laws", "--suite", "all", "--instance", str(p)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+@pytest.mark.parametrize("argv, where", [
+    (["validate", "two"], "validate_proximity"),
+    (["laws", "--suite", "morphisms", "--instance", "two"], "theta"),
+    (["search", "--law", "collapse", "--max-size", "2"], "certify_finite_collapse"),
+], ids=["validate", "laws", "search"])
+def test_cli_lets_an_internal_error_propagate(error, argv, where, monkeypatch):
+    # only a ProxkitError is bad input: any other exception inside a
+    # command is a bug, and main does not report it as exit 2
+    def broken(*args):
+        raise error("internal")
+
+    monkeypatch.setattr(cli, where, broken)
+    with pytest.raises(error, match="internal"):
+        main(argv)
 
 
 def test_cli_compactify_json(capsys):
@@ -592,3 +670,57 @@ def test_kleisli_functor_fails_a_pair_with_an_invalid_factor_without_theta(
     assert all(f is not bad for f in theta_args)
     k1_star = [m for m in theta_args if m.src == p1 and m.dst == p1]
     assert len(k1_star) == len(k1) - 1 + (len(k1) - 1) ** 2
+
+
+@pytest.mark.parametrize("sunk, law", [
+    ("rho", "theta-rho.roundtrip"),
+    ("kappa_map", "decomposition"),
+    ("kleisli_lift", "kleisli.functor"),
+])
+def test_morphism_suite_fails_the_law_of_a_sunk_map(sunk, law, monkeypatch, capsys):
+    """One map of the morphism suite sent to the bottom: each record of
+    its law fails, every other record is as the catalog's run prints it,
+    and laws exits 1."""
+    argv = ["laws", "--suite", "morphisms", "--instance", "chain-k1"]
+    assert main(argv) == 0
+    passing = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    build = getattr(cli, sunk)
+    monkeypatch.setattr(cli, sunk, lambda *args: _sunk(build(*args)))
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [json.loads(line) for line in out.splitlines()] == [
+        dict(r, verdict="fail") if r["law"] == law else r for r in passing]
+    assert sum(r["law"] == law for r in passing) == (16 if law == "kleisli.functor" else 4)
+
+
+def test_exhaustive_theta_rho_counts_its_failures(monkeypatch, capsys):
+    # rho sunk to the bottom gives back none of the 4 endomorphisms of the
+    # diamond, and the round trip of its identity fails too
+    build = cli.rho
+    monkeypatch.setattr(cli, "rho", lambda *args: _sunk(build(*args)))
+    assert main(["laws", "--suite", "morphisms", "--instance", "diamond"]) == 1
+    assert capsys.readouterr() == ("".join(line + "\n" for line in [
+        '{"instance": "morphism:diamond-id", "law": "theta-rho.roundtrip", "samples": 0, '
+        '"verdict": "fail"}',
+        '{"instance": "morphism:diamond-id", "law": "decomposition", "samples": 0, '
+        '"verdict": "pass"}',
+        '{"instance": "diamond->diamond", "law": "theta-rho.exhaustive", '
+        '"note": "4 failures", "samples": 4, "verdict": "fail"}',
+        '{"instance": "diamond-id*diamond-id", "law": "kleisli.functor", "samples": 0, '
+        '"verdict": "pass"}']), "")
+
+
+def test_cli_search_star_vs_compose_prints_each_witness(monkeypatch, capsys):
+    # the star table sunk to the bottom differs from every composite that
+    # is not constant: one witness record per pair, and exit 1
+    monkeypatch.setattr(cli, "_star_table",
+                        lambda g, f, composite: (g.dst.frame.bot,) * len(composite))
+    assert main(["search", "--law", "star-vs-compose", "--max-size", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"witness": ["FiniteMap{c0->c0, c1->c1}", "FiniteMap{c0->c0, c1->c1}"]},
+        {"witness": ["FiniteMap{c0->{}, c1->{x0}}", "FiniteMap{{}->{}, {x0}->{x0}}"]},
+        {"witness": ["FiniteMap{{}->c0, {x0}->c1}", "FiniteMap{c0->c0, c1->c1}"]},
+        {"witness": ["FiniteMap{{}->{}, {x0}->{x0}}", "FiniteMap{{}->{}, {x0}->{x0}}"]}]
