@@ -57,9 +57,11 @@ def test_document_and_line_write_the_standard_bytes(obj):
 @given(st.lists(st.sampled_from(["list", "tuple", "dict"]), min_size=1, max_size=80),
        SCALARS)
 def test_deep_nesting(shape, leaf):
+    # each level holds obj once, so the text grows with the depth, not
+    # twice per dict level
     obj = leaf
     for kind in shape:
-        obj = {"k": obj, "": [obj]} if kind == "dict" else [obj, leaf]
+        obj = {"k": obj, "": [leaf]} if kind == "dict" else [obj, leaf]
         if kind == "tuple":
             obj = tuple(obj)
     assert document(obj) == indented(obj)
