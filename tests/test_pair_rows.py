@@ -198,7 +198,7 @@ def test_compact_json_lists_the_scanned_relations():
 
 
 @pytest.mark.parametrize("doc", CHAIN_DOCS.values(), ids=list(CHAIN_DOCS))
-def test_el_of_matches_the_descriptor_scan(doc):
+def test_el_of_matches_the_reference_scan(doc):
     prox = chain_proximity(build_chain_frame(doc["k"]), doc["reflexive"])
     for rfd in _tower(prox):
         base = rfd.base
