@@ -143,18 +143,26 @@ def _finite_with_proximity(frame, spec) -> FiniteProximity:
 
 def load_instance(name_or_path: str) -> tuple[str, Proximity]:
     """A catalog name, or a path to an instance JSON file.  This is where
-    the errors of reading a document become input errors."""
+    the errors of reading a document become input errors.  A catalog
+    instance is read once per process and shared; a file is read and
+    parsed on every call."""
     if name_or_path in CATALOG_NAMES:
-        data = (
-            resources.files("proxkit").joinpath(f"data/{name_or_path}.json")
-            .read_bytes()
-        )
-    else:
-        try:
-            with open(name_or_path, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise UnknownInstance(f"{name_or_path}: {exc}") from exc
+        return _catalog_instance(name_or_path)
+    try:
+        with open(name_or_path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise UnknownInstance(f"{name_or_path}: {exc}") from exc
+    return _read_instance(data)
+
+
+@functools.cache
+def _catalog_instance(name: str) -> tuple[str, Proximity]:
+    """A catalog instance, parsed on first use; proximities are immutable."""
+    return _read_instance(resources.files("proxkit").joinpath(f"data/{name}.json").read_bytes())
+
+
+def _read_instance(data: bytes) -> tuple[str, Proximity]:
     try:
         try:
             doc = json.loads(data)
@@ -165,15 +173,9 @@ def load_instance(name_or_path: str) -> tuple[str, Proximity]:
         raise InvalidParameter("instance document is nested too deeply") from None
 
 
-@functools.cache
-def _catalog() -> tuple[tuple[str, Proximity], ...]:
-    """The catalog, parsed once per process; proximities are immutable."""
-    return tuple(load_instance(n) for n in CATALOG_NAMES)
-
-
 def catalog_instances() -> dict[str, Proximity]:
     """A fresh dict of the catalog's (shared, immutable) proximities."""
-    return dict(_catalog())
+    return dict(map(load_instance, CATALOG_NAMES))
 
 
 # -- element and morphism codecs ---------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import InvalidParameter, MalformedMap
+from .errors import BrokenInvariant, InvalidParameter, MalformedMap
 
 # the cap on the digits int() reads and str() writes, 0 for none (none before 3.10.7)
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -198,7 +198,7 @@ def _check_sorted(vals, what: str):
     """vals, unless they descend: the row masks below bisect them."""
     for a, b in zip(vals, vals[1:]):
         if b < a:
-            raise InvalidParameter(f"{what} are not in chain order: {b!r} after {a!r}")
+            raise BrokenInvariant(f"{what} are not in chain order: {b!r} after {a!r}")
     return vals
 
 

@@ -294,20 +294,33 @@ SEARCH_PAIR_LIMIT = 4
 def _generated_frames(max_size: int):
     """Small finite frames: total orders, Boolean cubes, and the downsets
     of the two-point-under-one poset."""
-    out = []
-    for n in range(2, max_size + 1):
-        names = [f"c{i}" for i in range(n)]
-        out.append((f"order{n}",
-                    build_finite_frame(names, list(zip(names, names[1:])))))
+    out = [(f"order{n}", _order_frame(n)) for n in range(2, max_size + 1)]
     k = 1
     while 2 ** k <= max_size:
-        names = [f"x{i}" for i in range(k)]
-        out.append((f"cube{k}", downset_frame(names, [])))
+        out.append((f"cube{k}", _cube_frame(k)))
         k += 1
     if max_size >= 5:
-        out.append(("vee", downset_frame(["a", "b", "c"],
-                                         [("a", "c"), ("b", "c")])))
+        out.append(("vee", _vee_frame()))
     return out
+
+
+# each generated frame is built once per process: frames are immutable,
+# and the tables they cache depend on nothing but the frame
+
+@functools.cache
+def _order_frame(n: int):
+    names = [f"c{i}" for i in range(n)]
+    return build_finite_frame(names, list(zip(names, names[1:])))
+
+
+@functools.cache
+def _cube_frame(k: int):
+    return downset_frame([f"x{i}" for i in range(k)], [])
+
+
+@functools.cache
+def _vee_frame():
+    return downset_frame(["a", "b", "c"], [("a", "c"), ("b", "c")])
 
 
 def cmd_search(law: str, max_size: int) -> int:

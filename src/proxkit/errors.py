@@ -2,7 +2,13 @@
 
 
 class ProxkitError(Exception):
-    """Base class for all errors raised by proxkit."""
+    """Base class for the errors proxkit raises on its input."""
+
+
+class BrokenInvariant(RuntimeError):
+    """A check of proxkit's own invariants failed: a bug, never bad input.
+    It is not a ProxkitError, so the command line does not report it as
+    an input error."""
 
 
 class NotAPoset(ProxkitError):

@@ -338,31 +338,50 @@ def _downsets(below: list[int], start: int = 0, limit: int | None = None) -> lis
 
 
 def open_set_frame(points: list[str], opens: list[list[str]]) -> FiniteFrame:
-    """The frame of open sets of a finite topology, ordered by inclusion."""
-    dups = sorted(p for p, count in Counter(points).items() if count > 1)
-    if dups:
+    """The frame of open sets of a finite topology, ordered by inclusion.
+
+    The opens are read as bitsets over membership classes, the points that
+    lie in exactly the same opens, numbered by their highest point: then
+    the bitsets sort, join and meet as the sets of points do.  A topology
+    has fewer classes than opens, as each class has its own least open.
+    The points are handled as sets, never one at a time, and each open is
+    named by its listed members."""
+    idx = dict(zip(points, range(len(points))))
+    if len(idx) < len(points):
+        dups = sorted(p for p, count in Counter(points).items() if count > 1)
         raise InvalidParameter("duplicate point ids: " + ", ".join(map(repr, dups)))
-    idx = {p: i for i, p in enumerate(points)}
-    masks = []
+    distinct: dict[frozenset, None] = {}
     for o in opens:
-        m = 0
-        for p in o:
-            if p not in idx:
-                raise NotATopology(o, "membership")
-            m |= 1 << idx[p]
-        masks.append(m)
-    masks = sorted(set(masks))
-    _check_size(len(masks))
-    full = (1 << len(points)) - 1
-    if 0 not in masks or full not in masks:
+        members = frozenset(o)
+        if not members <= idx.keys():
+            raise NotATopology(o, "membership")
+        distinct[members] = None
+    _check_size(len(distinct))
+    # the membership classes: the points split by each open in turn, a
+    # class giving up only the part the open holds
+    classes = [set(idx)] if idx else []
+    for members in distinct:
+        for c in classes[:]:
+            inside = c & members
+            if inside and len(inside) < len(c):
+                c -= inside
+                classes.append(inside)
+    # class k by highest point is bit k: an open's binary digits run from
+    # the class with the highest point down
+    classes.sort(key=lambda c: max(map(idx.__getitem__, c)))
+    reps = [next(iter(c)) for c in reversed(classes)]
+    name_of = {int("0" + "".join(["1" if r in members else "0" for r in reps]), 2):
+               "{" + ",".join(sorted(members)) + "}" for members in distinct}
+    masks = sorted(name_of)
+    full = (1 << len(classes)) - 1
+    if 0 not in name_of or full not in name_of:
         raise NotATopology(("empty set", "whole space"), "bounds")
-    mask_set = set(masks)
     for a, b in combinations(masks, 2):
-        if a | b not in mask_set:
-            raise NotATopology(tuple(_set_names(points, [a, b])), "union")
-        if a & b not in mask_set:
-            raise NotATopology(tuple(_set_names(points, [a, b])), "intersection")
-    return _ring_of_sets(_set_names(points, masks), masks)[0]
+        if a | b not in name_of:
+            raise NotATopology((name_of[a], name_of[b]), "union")
+        if a & b not in name_of:
+            raise NotATopology((name_of[a], name_of[b]), "intersection")
+    return _ring_of_sets([name_of[m] for m in masks], masks)[0]
 
 
 def _set_names(points: list[str], masks: list[int]) -> list[str]:

@@ -291,7 +291,7 @@ def _finite_preserves(f: FiniteMap, src: FiniteProximity, dst: Proximity):
     return None
 
 
-# one shared passing verdict: the validator below returns many reports
+# one shared passing verdict: the validators below return many reports
 _PASSED = Verdict(PASS)
 
 
@@ -436,44 +436,40 @@ def _chain_preserves(f: ChainMap, src: ChainProximity, dst: Proximity):
     return None
 
 
+# the verdicts of the chain validator below that need no witness
+_CHAIN_MONOTONE = Verdict(SYMBOLIC, note="monotone on a chain")
+_CHAIN_PER_CLASS = Verdict(SYMBOLIC, note="relation mapped per class")
+_CHAIN_DIRECTED = Verdict(SYMBOLIC, note="described directed joins preserved")
+_CHAIN_APPROXIMATED = Verdict(SYMBOLIC, note="approximation checked per limit class")
+
+
 def _validate_chain_hom(f: ChainMap, frame_map: bool) -> AxiomReport:
     frame = f.src.frame
-    axioms = []
-
     w = _chain_monotone(f)
     if w is not None:
-        axioms.append(
-            ("meet-hom", Verdict(FAIL, tuple(frame.label(x) for x in w), "not monotone"))
-        )
-        return AxiomReport(tuple(axioms))
-    axioms.append(("meet-hom", Verdict(SYMBOLIC, note="monotone on a chain")))
+        return AxiomReport((
+            ("meet-hom", Verdict(FAIL, tuple(frame.label(x) for x in w), "not monotone")),
+        ))
+    axioms = [("meet-hom", _CHAIN_MONOTONE)]
 
-    dbot = f.dst.frame.bot
-    dtop = f.dst.frame.top
-    v = Verdict(PASS) if f.apply(frame.bot) == dbot else Verdict(
+    v = _PASSED if f.apply(frame.bot) == f.dst.frame.bot else Verdict(
         FAIL, (frame.label(frame.bot),), "bottom not preserved"
     )
     axioms.append(("zero", v))
-    v = Verdict(PASS) if f.apply(frame.top) == dtop else Verdict(
+    v = _PASSED if f.apply(frame.top) == f.dst.frame.top else Verdict(
         FAIL, (frame.label(frame.top),), "top not preserved"
     )
     axioms.append(("top", v))
 
     w = _chain_preserves(f, f.src, f.dst)
     name = "preserves-rel" if frame_map else "join-subadditive"
-    if w is None:
-        axioms.append((name, Verdict(SYMBOLIC, note="relation mapped per class")))
-    else:
-        axioms.append((name, Verdict(FAIL, (frame.label(w),))))
+    axioms.append((name, _CHAIN_PER_CLASS if w is None else Verdict(FAIL, (frame.label(w),))))
 
     # value behaviour at limit points; a reflexive one approximates itself
     if frame_map:
-        name, note, fails = ("directed-joins", "described directed joins preserved",
-                             "directed join not preserved")
+        name, v, fails = "directed-joins", _CHAIN_DIRECTED, "directed join not preserved"
     else:
-        name, note, fails = ("value-approximation", "approximation checked per limit class",
-                             "value not approximated")
-    v = Verdict(SYMBOLIC, note=note)
+        name, v, fails = "value-approximation", _CHAIN_APPROXIMATED, "value not approximated"
     for ell in frame.limits():
         if frame_map or not f.src.reflexive(ell):
             sup, _ = f.block_sup(ell.seg - 1)

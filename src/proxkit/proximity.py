@@ -321,6 +321,15 @@ def _preimage_rows(op_row, col_bits) -> list[int]:
     return ok
 
 
+# the verdicts of the chain validator below that need no witness, shared
+# by every report
+_CHAIN_FINER = Verdict(SYMBOLIC, note="relation is strict pairs plus reflexive classes")
+_CHAIN_SUBLATTICE = Verdict(SYMBOLIC, note="min/max closure per reflexivity class")
+_CHAIN_WEAKENING = Verdict(SYMBOLIC, note="fails only at a=d non-reflexive, impossible")
+_CHAIN_INTERPOLATION = Verdict(SYMBOLIC, note="witness: a itself, or the successor of a")
+_CHAIN_APPROXIMATION = Verdict(SYMBOLIC, note="suprema computed from the tail rule")
+
+
 def _validate_chain(p: ChainProximity) -> AxiomReport:
     """Decide the axioms by one check: the top is reflexive.
 
@@ -331,41 +340,31 @@ def _validate_chain(p: ChainProximity) -> AxiomReport:
     run on a window of points of the chain.
     """
     f = p.frame
-    axioms: list[tuple[str, Verdict]] = []
-
-    # (1a) finer than the order: rel only ever holds on a <= b pairs.
-    axioms.append(("finer-than-leq", Verdict(
-        SYMBOLIC, note="relation is strict pairs plus reflexive classes")))
-
     # (1b) bounded sublattice: bot is never a limit; top must be reflexive.
     # min/max of two related pairs can only land on a non-reflexive a = a
     # pair if one of the pairs already was one.
     if not p.reflexive(f.top):
-        v = Verdict(FAIL, (f.label(f.top), f.label(f.top)), "top pair missing")
+        sublattice = Verdict(FAIL, (f.label(f.top), f.label(f.top)), "top pair missing")
     else:
-        v = Verdict(SYMBOLIC, note="min/max closure per reflexivity class")
-    axioms.append(("sublattice", v))
-
-    # (2) weakening: a <= b rel c <= d gives a rel d.  The only way a rel d
-    # can fail with a <= d is a = d at a non-reflexive limit, which forces
-    # a = b = c = d and contradicts b rel c.
-    axioms.append(("weakening", Verdict(
-        SYMBOLIC, note="fails only at a=d non-reflexive, impossible")))
-
-    # (3) interpolation: reflexive a interpolates through itself; for a
-    # non-reflexive limit a < b, its successor s gives a rel s rel b: s
-    # is index 1 of a's omega block or the first element after a's point
-    # segment, never a limit, so s is reflexive.
-    axioms.append(("interpolation", Verdict(
-        SYMBOLIC, note="witness: a itself, or the successor of a")))
-
-    # (4) approximation: reflexive elements approximate themselves; a
-    # non-reflexive limit El(s, 0) is the supremum of the block s - 1
-    # below it, which are its approximants.
-    axioms.append(("approximation", Verdict(
-        SYMBOLIC, note="suprema computed from the tail rule")))
-
-    return AxiomReport(tuple(axioms), collapse=p.is_order)
+        sublattice = _CHAIN_SUBLATTICE
+    return AxiomReport((
+        # (1a) finer than the order: rel only ever holds on a <= b pairs.
+        ("finer-than-leq", _CHAIN_FINER),
+        ("sublattice", sublattice),
+        # (2) weakening: a <= b rel c <= d gives a rel d.  The only way
+        # a rel d can fail with a <= d is a = d at a non-reflexive limit,
+        # which forces a = b = c = d and contradicts b rel c.
+        ("weakening", _CHAIN_WEAKENING),
+        # (3) interpolation: reflexive a interpolates through itself; for
+        # a non-reflexive limit a < b, its successor s gives a rel s rel b:
+        # s is index 1 of a's omega block or the first element after a's
+        # point segment, never a limit, so s is reflexive.
+        ("interpolation", _CHAIN_INTERPOLATION),
+        # (4) approximation: reflexive elements approximate themselves; a
+        # non-reflexive limit El(s, 0) is the supremum of the block s - 1
+        # below it, which are its approximants.
+        ("approximation", _CHAIN_APPROXIMATION),
+    ), collapse=p.is_order)
 
 
 # -- finite collapse certificate -------------------------------------------

@@ -3,26 +3,46 @@ every report goes through.
 
 `line` and `document` produce exactly the bytes of ``json.dumps(obj,
 sort_keys=True)`` and ``json.dumps(obj, sort_keys=True, indent=2)``, so
-stdout stays as it was, only sooner.  ``json.dumps`` builds a new encoder
-on each call with ``sort_keys``, and with ``indent`` set it falls back to
-the pure-Python encoder: on a large `compactify` document that is most of
-the command.  `line` is one encoder, built once; it keeps no state
-between calls.  `document` walks dicts and lists in Python and hands
-every string to the C string encoder, and every other scalar to `line`.
+stdout stays as it was, only sooner.  ``json.dumps``, like
+``JSONEncoder.encode``, builds a new C encoder inside every call, and
+with ``indent`` set it falls back to the pure-Python encoder: on a large
+`compactify` document that is most of the command.  `line` calls one C
+encoder, built at import.  `document` walks dicts and lists in Python and
+hands every string to the C string encoder, and every other scalar to
+`line`.  `LawReport.dumps` writes its six fixed fields itself.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _string
 
 PASS = "pass"
 FAIL = "fail"
 SYMBOLIC = "verified-symbolically"
 
-# one JSON-lines record, as json.dumps(obj, sort_keys=True) writes it
-line = json.JSONEncoder(sort_keys=True).encode
+
+if c_make_encoder is None:  # an interpreter without the _json accelerator
+    line = json.JSONEncoder(sort_keys=True).encode
+else:
+    # the encoder json.dumps(obj, sort_keys=True) builds on every call,
+    # with the same circular-reference markers, string encoder and default
+    _markers: dict = {}
+    _encode = c_make_encoder(_markers, json.JSONEncoder().default, _string, None,
+                             ": ", ", ", True, False, True)
+
+    def line(obj) -> str:
+        """One JSON-lines record, as json.dumps(obj, sort_keys=True) writes
+        it.  An error can leave the markers of the containers it was
+        inside; they are dropped, so the next call starts clean.  The
+        markers are shared, so threads must not call it concurrently."""
+        try:
+            return "".join(_encode(obj, 0))
+        except BaseException:
+            _markers.clear()
+            raise
 
 
 def document(obj) -> str:
@@ -38,13 +58,15 @@ def _indented(obj, newline: str) -> str:
     if isinstance(obj, str):
         return _string(obj)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+        try:
+            return _string_list(obj, newline)
+        except TypeError:
+            pass
         inner = newline + "  "
         sep = "," + inner
         try:
-            # a list of strings in one step; _string refuses anything else
-            body = sep.join(map(_string, obj))
+            # a list of string lists, as compactify's pair lists, in one step
+            body = sep.join([_string_list(x, inner) for x in obj])
         except TypeError:
             body = sep.join([_indented(x, inner) for x in obj])
         return "[" + inner + body + newline + "]"
@@ -56,6 +78,18 @@ def _indented(obj, newline: str) -> str:
             _string(k) + ": " + _indented(v, inner) for k, v in sorted(obj.items())
         ]) + newline + "}"
     return line(obj)
+
+
+def _string_list(items, newline: str) -> str:
+    """A list or tuple of strings indented as at the line break `newline`;
+    a TypeError for anything else, from _string on an item that is not a
+    string."""
+    if not isinstance(items, (list, tuple)):
+        raise TypeError(f"not a list: {items!r}")
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(_string, items)) + newline + "]"
 
 
 @dataclass(frozen=True)
@@ -130,12 +164,30 @@ class LawReport:
         return out
 
     def dumps(self) -> str:
-        return line(self.to_json())
+        """line(self.to_json()): the fields written in the sorted order of
+        their keys."""
+        out = '{"instance": ' + _string(self.instance) + ', "law": ' + _string(self.law)
+        if self.note:
+            out += ', "note": ' + _string(self.note)
+        out += ', "samples": ' + line(self.samples) + ', "verdict": ' + _string(self.verdict)
+        if self.witness is not None:
+            out += ', "witness": [' + ", ".join([_string(str(w)) for w in self.witness]) + "]"
+        return out + "}"
+
+    @classmethod
+    def _unchecked(cls, law, instance, verdict, samples, witness, note) -> "LawReport":
+        """A report with every field given, set in one step as the maps'
+        and ideals' `_unchecked` constructors set theirs: the frozen
+        dataclass's __init__ sets each field through object.__setattr__."""
+        r = object.__new__(cls)
+        r.__dict__.update(law=law, instance=instance, verdict=verdict,
+                          samples=samples, witness=witness, note=note)
+        return r
 
 
 def law_pass(law: str, instance: str, samples: int = 0, note="") -> LawReport:
-    return LawReport(law, instance, PASS, samples=samples, note=note)
+    return LawReport._unchecked(law, instance, PASS, samples, None, note)
 
 
 def law_fail(law: str, instance: str, witness=None, samples=0, note="") -> LawReport:
-    return LawReport(law, instance, FAIL, samples=samples, witness=witness, note=note)
+    return LawReport._unchecked(law, instance, FAIL, samples, witness, note)

@@ -59,6 +59,7 @@ from .chain import (
     _seq_problem,
 )
 from .errors import (
+    BrokenInvariant,
     InvalidParameter,
     NotDirected,
     TooLarge,
@@ -384,7 +385,7 @@ class ChainRFrame(RFrameData):
     def inclusion_rows(self, reps, ideals) -> list[int]:
         for I, J in zip(ideals, ideals[1:]):
             if not subideal(I, J) or subideal(J, I):
-                raise InvalidParameter(
+                raise BrokenInvariant(
                     f"ideals of the representatives are not nested: {J!r} after {I!r}")
         return super().inclusion_rows(reps, ideals)
 

@@ -18,7 +18,8 @@ from functools import cache
 from itertools import combinations, permutations, product
 
 from proxkit.chain import OMEGA, POINT, ChainLikeFrame, El, Segment, build_chain_frame
-from proxkit.finite import FiniteFrame, build_finite_frame, downset_frame
+from proxkit.errors import InvalidParameter, NotATopology, TooLarge
+from proxkit.finite import FINITE_FRAME_LIMIT, FiniteFrame, build_finite_frame, downset_frame
 from proxkit.morphisms import FiniteMap
 from proxkit.proximity import ChainProximity, FiniteProximity
 from proxkit.reports import FAIL, PASS, AxiomReport, Verdict, law_fail, law_pass
@@ -548,3 +549,72 @@ def chain_instances(k) -> list:
     sets = {frozenset({k}), frozenset(range(1, k + 1, 2)) | {k}, frozenset(range(1, k + 1))}
     return [ChainProximity(frame, frozenset(lims[i - 1] for i in r))
             for r in sorted(sets, key=sorted)]
+
+
+def open_set_frame(points, opens) -> FiniteFrame:
+    """The frame of open sets of a finite topology, from each open's
+    bitset over all the points, with the checks in the order the builder
+    makes them: duplicate points, each open's members in turn, the number
+    of distinct opens, the bounds, and then the first pair of opens, in
+    the order of their bitsets, whose union or intersection is missing."""
+    dups = sorted(p for p in set(points) if points.count(p) > 1)
+    if dups:
+        raise InvalidParameter("duplicate point ids: " + ", ".join(map(repr, dups)))
+    masks = set()
+    for o in opens:
+        if any(p not in points for p in o):
+            raise NotATopology(o, "membership")
+        masks.add(sum(1 << points.index(p) for p in set(o)))
+    if len(masks) > FINITE_FRAME_LIMIT:
+        raise TooLarge(f"finite frames are limited to {FINITE_FRAME_LIMIT} elements")
+    masks = sorted(masks)
+    if 0 not in masks or (1 << len(points)) - 1 not in masks:
+        raise NotATopology(("empty set", "whole space"), "bounds")
+
+    def name(m):
+        return "{" + ",".join(sorted(p for i, p in enumerate(points) if m >> i & 1)) + "}"
+
+    for a, b in combinations(masks, 2):
+        if a | b not in masks:
+            raise NotATopology((name(a), name(b)), "union")
+        if a & b not in masks:
+            raise NotATopology((name(a), name(b)), "intersection")
+    return build_finite_frame([name(m) for m in masks],
+                              [(name(a), name(b)) for a in masks for b in masks if a & ~b == 0])
+
+
+def topologies(rng: random.Random, count: int) -> list:
+    """Seeded (points, opens) documents: the opens of random preorders on
+    up to 7 points, listed in any order with repeats, and now and then
+    with an open dropped or added, a point repeated or an unlisted point;
+    the point names include a comma, so two opens can share a name."""
+    out = []
+    for _ in range(count):
+        points = rng.sample(["p", "q", "r", "s", "t", "u", "v", "p,q"], rng.randint(0, 7))
+        n = len(points)
+        # the up-closed sets of a random reflexive relation's closure; with
+        # no pairs, 7 points have 128 of them
+        density = rng.choice([0.0, 0.1, 0.3])
+        up = [1 << i | sum(1 << j for j in range(n) if rng.random() < density)
+              for i in range(n)]
+        for k in range(n):
+            for i in range(n):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        masks = [m for m in range(1 << n)
+                 if all(up[i] & ~m == 0 for i in range(n) if m >> i & 1)]
+        opens = [rng.sample([p for i, p in enumerate(points) if m >> i & 1],
+                            bin(m).count("1")) for m in masks]
+        opens += rng.sample(opens, rng.randint(0, len(opens)))
+        rng.shuffle(opens)
+        r = rng.random()
+        if r < 0.2 and len(opens) > 1:
+            opens.pop(rng.randrange(len(opens)))
+        elif r < 0.4:
+            opens.append(rng.sample(points, rng.randint(0, n)))
+        elif r < 0.45:
+            points = points + points[:1]
+        elif r < 0.5:
+            opens.insert(rng.randint(0, len(opens)), ["z"])
+        out.append((points, opens))
+    return out

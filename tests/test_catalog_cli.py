@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import re
 import sys
@@ -25,9 +26,11 @@ from proxkit.chain import (
     lim,
     succ,
 )
+import proxkit.catalog as catalog
 import proxkit.cli as cli
+import proxkit.comonads as comonads
 from proxkit.cli import _generated_frames, main
-from proxkit.errors import InvalidParameter, UnknownInstance
+from proxkit.errors import BrokenInvariant, InvalidParameter, UnknownInstance
 from proxkit.morphisms import ChainMap, enumerate_proxhoms, validate_proxhom
 from proxkit.proximity import ChainProximity, chain_proximity, order_proximity
 from proxkit.roundideal import rframe
@@ -408,20 +411,53 @@ def test_cli_unreadable_document_exits_2(data, message, tmp_path, capsys):
         assert capsys.readouterr() == ("", f"error: {message}\n"), argv
 
 
-@pytest.mark.parametrize("error", [KeyError, ValueError])
-@pytest.mark.parametrize("argv, where", [
-    (["validate", "two"], "validate_proximity"),
-    (["laws", "--suite", "morphisms", "--instance", "two"], "theta"),
-    (["search", "--law", "collapse", "--max-size", "2"], "certify_finite_collapse"),
-], ids=["validate", "laws", "search"])
-def test_cli_lets_an_internal_error_propagate(error, argv, where, monkeypatch):
+def reversed_representatives(monkeypatch):
+    representatives = ChainLikeFrame.class_representatives
+    monkeypatch.setattr(ChainLikeFrame, "class_representatives",
+                        lambda self, depth=3: representatives(self, depth)[::-1])
+
+
+def a_representative_twice(monkeypatch):
+    reps = comonads._reps
+
+    def twice(*args, **kw):
+        out = reps(*args, **kw)
+        return out[:2] + out[1:]
+
+    monkeypatch.setattr(comonads, "_reps", twice)
+
+
+INTERNAL_ERRORS = {
+    f"{command}-{error.__name__}": (error, argv, where, "internal")
+    for error in (KeyError, ValueError)
+    for command, argv, where in (
+        ("validate", ["validate", "two"], "validate_proximity"),
+        ("laws", ["laws", "--suite", "morphisms", "--instance", "two"], "theta"),
+        ("search", ["search", "--law", "collapse", "--max-size", "2"],
+         "certify_finite_collapse"))
+} | {
+    # proxkit's own invariants: representatives listed out of chain order,
+    # and ideals of the representatives that are not nested
+    "compactify-BrokenInvariant": (BrokenInvariant, ["compactify", "chain-k2"],
+                                   reversed_representatives, "not in chain order"),
+    "laws-BrokenInvariant": (BrokenInvariant, ["laws", "--suite", "C", "--instance", "chain-k2"],
+                             a_representative_twice, "not nested"),
+}
+
+
+@pytest.mark.parametrize("error, argv, where, message", INTERNAL_ERRORS.values(),
+                         ids=list(INTERNAL_ERRORS))
+def test_cli_lets_an_internal_error_propagate(error, argv, where, message, monkeypatch):
     # only a ProxkitError is bad input: any other exception inside a
     # command is a bug, and main does not report it as exit 2
     def broken(*args):
         raise error("internal")
 
-    monkeypatch.setattr(cli, where, broken)
-    with pytest.raises(error, match="internal"):
+    if callable(where):
+        where(monkeypatch)
+    else:
+        monkeypatch.setattr(cli, where, broken)
+    with pytest.raises(error, match=message):
         main(argv)
 
 
@@ -600,6 +636,55 @@ def test_cli_search_theta_rho_builds_each_ideal_frame_once(capsys, monkeypatch):
     assert main(["search", "--law", "theta-rho", "--max-size", "4"]) == 0
     # five frames: one ideal frame per source, not per (source, target) pair
     assert len(calls) == 5
+
+
+# -- what a process keeps between main calls ------------------------------------
+# values that depend only on the program are built once per process; nothing
+# read from a file, no verdict and no ideal frame is kept
+
+
+def test_catalog_instances_are_parsed_once_per_process(monkeypatch, capsys):
+    assert load_instance("two")[1] is catalog_instances()["two"]
+    monkeypatch.setattr(catalog, "_catalog_instance",
+                        functools.cache(catalog._catalog_instance.__wrapped__))
+    parsed = []
+
+    def recording(doc):
+        parsed.append(doc)
+        return parse_instance(doc)
+
+    monkeypatch.setattr(catalog, "parse_instance", recording)
+    for _ in range(3):
+        assert main(["validate", "two"]) == 0
+    assert len(parsed) == 1
+    assert load_instance("two")[1] is catalog_instances()["two"]
+
+
+def test_an_instance_file_is_read_on_every_call(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    for name in ("first", "second"):
+        path.write_text(json.dumps({"name": name, "builder": "finite",
+                                    "elements": ["0", "1"], "leq": [["0", "1"]]}))
+        assert main(["validate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["instance"] == name
+
+
+def test_search_shares_generated_frames_but_builds_its_ideal_frames(monkeypatch, capsys):
+    built = []
+
+    def recording(prox):
+        built.append(prox)
+        return rframe(prox)
+
+    monkeypatch.setattr(cli, "rframe", recording)
+    runs = []
+    for _ in range(2):
+        assert main(["search", "--law", "theta-rho", "--max-size", "4"]) == 0
+        runs.append(built[:])
+        built.clear()
+    first, second = runs
+    assert len(first) == len(second) == 5
+    assert all(p.frame is q.frame and p is not q for p, q in zip(first, second))
 
 
 @pytest.mark.parametrize("law", ["collapse", "theta-rho", "star-vs-compose"])

@@ -413,6 +413,21 @@ def test_oracle_open_sets():
         assert_same(open_set_frame, oracle_open_set_frame, points, opens)
 
 
+def test_open_set_frame_matches_the_point_bitset_builder():
+    # the builder over membership classes gives the frame, the names and
+    # the first failing witness of the builder over point bitsets
+    seen = set()
+    for points, opens in ref.topologies(random.Random(8), 600):
+        expected = outcome(ref.open_set_frame, points, opens)
+        assert outcome(open_set_frame, points, opens) == expected
+        seen.add(expected[0] if isinstance(expected, tuple) else "frame")
+        if isinstance(expected, tuple) and expected[0] == "NotATopology":
+            seen.add(str(expected[1]).split(":")[0])
+    assert seen == {"frame", "InvalidParameter", "NotAPoset", "NotATopology", "TooLarge",
+                    "not closed under membership", "not closed under bounds",
+                    "not closed under union", "not closed under intersection"}, seen
+
+
 SMALL_FRAMES = [f for _, f in ref.chains((1, 2, 3)) + ref.cubes((2,)) + [ref.vee()]]
 
 

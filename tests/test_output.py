@@ -3,7 +3,7 @@ pair listing against its definition.
 
 `reports.line` and `reports.document` must write the bytes of
 ``json.dumps(obj, sort_keys=True)`` and ``json.dumps(obj, sort_keys=True,
-indent=2)``.  `cli._compact_json` lists each relation on the
+indent=2)``, and `LawReport.dumps` those of `line` on its `to_json()`.  `cli._compact_json` lists each relation on the
 representatives by scanning them in label order; the listing must be the
 sorted list of related label pairs.
 """
@@ -19,7 +19,7 @@ from proxkit.chain import build_chain_frame
 from proxkit.cli import _compact_json
 from proxkit.comonads import _reps
 from proxkit.proximity import chain_proximity
-from proxkit.reports import document, line
+from proxkit.reports import FAIL, PASS, LawReport, document, law_fail, law_pass, line
 from proxkit.roundideal import rframe
 from test_cli_golden import chain_docs
 
@@ -48,9 +48,54 @@ def indented(obj) -> str:
 @example([])
 @example({})
 @example({"a": [], "b": {}, "c": [[]], "d": ["x", 1, ["y"]]})
+@example([["a", "b"], ["c"]])
+@example([["a"], []])
+@example([["a"], [1]])
+@example([["a"], ("b",)])
 def test_document_and_line_write_the_standard_bytes(obj):
     assert document(obj) == indented(obj)
     assert line(obj) == json.dumps(obj, sort_keys=True)
+
+
+def test_line_raises_the_standard_errors():
+    for obj in ({1, 2}, [1, {"a": {2}}], {(1,): 2}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(obj, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            line(obj)
+        assert str(got.value) == str(expected.value)
+        assert getattr(got.value, "__notes__", None) == getattr(expected.value, "__notes__", None)
+    circular = []
+    circular.append(circular)
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        line(circular)
+    # a failed call leaves nothing behind: the same list, mended, is written
+    obj = [[1], {"a": {2}}]
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        line(obj)
+    obj[1]["a"] = 2
+    assert line(obj) == json.dumps(obj, sort_keys=True)
+
+
+WITNESS = st.one_of(st.none(), st.just(()),
+                    st.lists(st.one_of(TEXT, INTS, st.tuples(TEXT)), max_size=4).map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(TEXT, TEXT, st.sampled_from([PASS, FAIL]), st.one_of(st.sampled_from([0, 2**70]), INTS),
+       WITNESS, TEXT)
+@example("R.coassoc", 'chain:"k2"', PASS, 0, None, "")
+@example("C.kz", "\ud800\n\x00é", FAIL, 2**70, (), "\"quoted\"\t😀")
+@example("sub.counit", "two", FAIL, 3, ('"a"', "\x1f", "\udfff", "€"), "")
+def test_law_report_dumps_writes_the_standard_bytes(law, instance, verdict, samples,
+                                                     witness, note):
+    report = LawReport(law, instance, verdict, samples, witness, note)
+    assert report.dumps() == json.dumps(report.to_json(), sort_keys=True)
+    # the builders give the report the constructor gives
+    if verdict == PASS and witness is None:
+        assert law_pass(law, instance, samples, note) == report
+    if verdict == FAIL:
+        assert law_fail(law, instance, witness, samples, note) == report
 
 
 @settings(max_examples=60, deadline=None)

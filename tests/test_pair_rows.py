@@ -29,7 +29,7 @@ from proxkit.comonads import (
     max_proximity_agreement,
     maxrel_contains_wb,
 )
-from proxkit.errors import ProxkitError, UnsupportedRepresentation
+from proxkit.errors import BrokenInvariant, ProxkitError, UnsupportedRepresentation
 from proxkit.morphisms import kappa_map, sigma_map
 from proxkit.proximity import ChainProximity, FiniteProximity, chain_proximity
 from proxkit.reports import law_fail, law_pass
@@ -154,18 +154,18 @@ def test_rows_refuse_representatives_out_of_chain_order(monkeypatch):
     rfd = rframe(prox)
     reps = rfd.frame.class_representatives(2)
     ideals = [rfd.ideal_of(e) for e in reps[::-1]]
-    with pytest.raises(ProxkitError, match="not in chain order"):
+    with pytest.raises(BrokenInvariant, match="not in chain order"):
         rfd.joins_on(reps[::-1])
     with monkeypatch.context() as m:
         m.setattr(type(rfd.frame), "class_representatives",
                   lambda self, depth: reps[::-1])
-        with pytest.raises(ProxkitError, match="not in chain order"):
+        with pytest.raises(BrokenInvariant, match="not in chain order"):
             _reps(rfd, pairs=True)
-    with pytest.raises(ProxkitError, match="not nested"):
+    with pytest.raises(BrokenInvariant, match="not nested"):
         rfd.inclusion_rows(reps[::-1], ideals)
     # in order but not strictly growing: one ideal listed twice
     twice = reps[:2] + reps[1:]
-    with pytest.raises(ProxkitError, match="not nested"):
+    with pytest.raises(BrokenInvariant, match="not nested"):
         rfd.inclusion_rows(twice, [rfd.ideal_of(e) for e in twice])
 
 
