@@ -143,7 +143,7 @@ def test_alpha_map_refuses_the_chain_k1_base():
 
 
 @pytest.mark.parametrize("doc", CHAIN_DOCS.values(), ids=list(CHAIN_DOCS))
-def test_codec_matches_the_old_chain_codec(doc):
+def test_codec_matches_the_reference_chain_codec(doc):
     prox = chain_proximity(build_chain_frame(doc["k"]), doc["reflexive"])
     fin = catalog_instances()["diamond"]
     refused = 0
@@ -162,7 +162,7 @@ def test_codec_matches_the_old_chain_codec(doc):
 
 
 @pytest.mark.parametrize("name", FINITE)
-def test_codec_matches_the_old_finite_codec(name):
+def test_codec_matches_the_reference_finite_codec(name):
     chain = catalog_instances()["chain-k1"]
     for rfd in _tower(catalog_instances()[name]):
         base = rfd.base
