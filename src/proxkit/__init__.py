@@ -32,7 +32,6 @@ from .proximity import (
 )
 from .roundideal import (
     BelowLim,
-    FinIdeal,
     Prin,
     RFrameData,
     dir_sup,

@@ -32,8 +32,8 @@ class NoBounds(ProxkitError):
 class NotATopology(ProxkitError):
     def __init__(self, witness, kind):
         self.witness = witness
-        self.kind = kind  # "union" | "intersection"
-        super().__init__(f"not closed under {kind}: witness {witness}")
+        self.kind = kind  # "membership" | "bounds" | "union" | "intersection"
+        super().__init__(f"not closed under {kind}: witness {witness!r}")
 
 
 class InvalidParameter(ProxkitError):

@@ -354,7 +354,7 @@ def open_set_frame(points: list[str], opens: list[list[str]]) -> FiniteFrame:
     for o in opens:
         members = frozenset(o)
         if not members <= idx.keys():
-            raise NotATopology(o, "membership")
+            raise NotATopology(next(p for p in o if p not in idx), "membership")
         distinct[members] = None
     _check_size(len(distinct))
     # the membership classes: the points split by each open in turn, a

@@ -34,10 +34,10 @@ forces the value of every join-reducible element and judges no
 complete table.  These tables are cached on the frame or proximity they
 describe, so they last as long as it does.
 
-On a finite target theta reads the joins of approximants kept as
-`FiniteProximity.sups`: theta(f) sends the ideal I_e of a finite source
-to sups[f(joins[e])], the join of kappa(f(join of I_e)).  `is_proper` is
-the preserves-rel check run on the way-below proximities of both frames.
+theta(f) sends the ideal I_e of a finite source to f(joins[e]), the join
+of kappa(f(join of I_e)): the target is the order, the one finite
+proximity, whose approximants of v join to v.  `is_proper` is the
+preserves-rel check run on the way-below proximities of both frames.
 """
 
 from __future__ import annotations
@@ -506,13 +506,16 @@ def theta(f: Morphism, rfd: RFrameData) -> Morphism:
     """Turn a proximity homomorphism into the frame map on round ideals
     that joins the pushed ideal.  rfd is the ideal frame of f's source;
     the ideal frame of another proximity is refused.  The ideal I goes to
-    the join of the approximants of f(join of I): the kept `sups` of a
-    finite target, and on a chain that value itself."""
+    the join of the approximants of f(join of I), which is that value
+    itself: kappa(v) has join v, on a finite target the order, as the
+    ideal under a limit v has."""
     if rfd.base is not f.src and rfd.base != f.src:
         raise NotComposable("f is not defined on the base of the given ideal frame")
-    # on a chain kappa(v) has join v, as the ideal under a limit v has
-    sup = f.dst.sups.__getitem__ if isinstance(f.dst, FiniteProximity) else (lambda v: v)
-    return _image_map(f, rfd, f.dst, sup, sup)
+    return _image_map(f, rfd, f.dst, _same, _same)
+
+
+def _same(v):
+    return v
 
 
 def rho(psi: Morphism, rfd: RFrameData) -> Morphism:

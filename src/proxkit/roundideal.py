@@ -2,21 +2,22 @@
 
 A round ideal of a proximity frame is a join-closed downset in which every
 member is approximated by another member.  Canonical forms keep equality
-and inclusion exact:
-
-* finite frames: a bitset over the carrier;
-* chain frames: ``Prin(a)`` for a relation-reflexive element, or
-  ``BelowLim(l)`` for everything strictly under a limit point.
+and inclusion exact: ``Prin(a)``, the principal ideal of a
+relation-reflexive element a, or on a chain ``BelowLim(l)``, everything
+strictly under a limit point.  On a finite frame the order is the one
+proximity (the finite collapse theorem), so every round ideal is the
+principal downset of its join, kept as ``Prin`` of that join.
 
 ``Prin`` and ``BelowLim`` are distinct dataclasses, so the two never
 compare equal, even at the same point.  Their constructors check that
 the ideal is round: ``Prin`` that a is an element relating to itself,
 ``BelowLim`` that l is a limit.  The builders that decide this themselves
 skip the re-check through ``_unchecked``: :func:`kappa` after its
-reflexivity test, which refuses a code that is not an element,
-``ChainRFrame.ideal_of`` on the shifted element of an omega segment, which
-it checks is an element and which relates to itself as every omega
-element does, and the chain ideal frames of :func:`rframe`.
+reflexivity test, which refuses a code that is not an element, or on a
+finite frame after its element check and its refusal of every relation
+but the order, ``ChainRFrame.ideal_of`` on the shifted element of an
+omega segment, which it checks is an element and which relates to itself
+as every omega element does, and the ideal frames of :func:`rframe`.
 :func:`dir_sup`, :func:`retag` and every other caller keep the checks.
 
 The frame of round ideals of a chain instance is again a chain-like
@@ -65,7 +66,7 @@ from .errors import (
     TooLarge,
     UnsupportedRepresentation,
 )
-from .finite import FiniteFrame, _bits, _irreducibles, _renamed, _ring_of_sets, _transpose, _union
+from .finite import FiniteFrame, _bits, _irreducibles, _renamed, _ring_of_sets, _union
 from .proximity import (
     ChainProximity,
     FiniteProximity,
@@ -82,20 +83,9 @@ FINITE_IDEAL_ENUM_LIMIT = 14
 
 
 @dataclass(frozen=True)
-class FinIdeal:
-    prox: FiniteProximity
-    mask: int
-
-    def __repr__(self):
-        f = self.prox.frame
-        members = [f.names[i] for i in f.elements() if (self.mask >> i) & 1]
-        return "Ideal{" + ",".join(members) + "}"
-
-
-@dataclass(frozen=True)
 class Prin:
-    prox: ChainProximity
-    a: El
+    prox: Proximity
+    a: int | El
 
     def __post_init__(self):
         self.prox.frame.check(self.a)
@@ -105,7 +95,7 @@ class Prin:
             )
 
     @classmethod
-    def _unchecked(cls, prox: ChainProximity, a: El) -> "Prin":
+    def _unchecked(cls, prox: Proximity, a) -> "Prin":
         """The principal ideal at an element a of prox's frame that the
         caller has found reflexive; the checks of the public constructor
         are skipped."""
@@ -114,6 +104,9 @@ class Prin:
         return ideal
 
     def __repr__(self):
+        f = self.prox.frame
+        if isinstance(f, FiniteFrame):
+            return "Ideal{" + ",".join(f.names[b] for b in _bits(f.down[self.a])) + "}"
         return f"Prin({self.prox.label(self.a)})"
 
 
@@ -141,16 +134,19 @@ class BelowLim:
         return f"Below({self.prox.label(self.lim)})"
 
 
-RoundIdeal = FinIdeal | Prin | BelowLim
+RoundIdeal = Prin | BelowLim
 
 
 # -- the core maps ----------------------------------------------------------
 
 
 def kappa(prox: Proximity, a) -> RoundIdeal:
-    """The largest round ideal whose join is a: all approximants of a."""
+    """The largest round ideal whose join is a: all approximants of a.  On
+    a finite frame that is the downset of a, as the order is the one
+    finite proximity; any other finite relation is refused."""
     if isinstance(prox, FiniteProximity):
-        return FinIdeal(prox, prox.cols[a])
+        prox.require_order()
+        return Prin._unchecked(prox, prox.frame.check(a))
     # only a limit can fail to relate to itself; a code that is not an
     # element is refused by the limit test under reflexive
     if prox.reflexive(a):
@@ -160,16 +156,12 @@ def kappa(prox: Proximity, a) -> RoundIdeal:
 
 def sigma(ideal: RoundIdeal):
     """The join of a canonical ideal."""
-    if isinstance(ideal, FinIdeal):
-        return ideal.prox.frame.join_over(_bits(ideal.mask))
     if isinstance(ideal, Prin):
         return ideal.a
     return ideal.lim  # sup of everything strictly below a limit
 
 
 def member(b, ideal: RoundIdeal) -> bool:
-    if isinstance(ideal, FinIdeal):
-        return bool((ideal.mask >> b) & 1)
     if isinstance(ideal, Prin):
         return ideal.prox.frame.leq(b, ideal.a)
     return b < ideal.lim
@@ -322,9 +314,9 @@ class RFrameData:
 
 
 class FiniteRFrame(RFrameData):
-    """The ideal frame of a finite order.  Its rows are read off the
-    ideal masks and the base relation, so each pair law is computed from
-    the ideals; rows taken from the order would assert it instead."""
+    """The ideal frame of a finite order.  Each of its ideals is the
+    downset of its join, so membership rows are order rows of the base at
+    the joins, and way-below rows are the base relation there."""
 
     @cached_property
     def maxp(self) -> FiniteProximity:
@@ -338,13 +330,14 @@ class FiniteRFrame(RFrameData):
     def way_below_kappa_rows(self, ideals, tops, rel) -> list[int]:
         """Row p: the q with ideals[p], whose join is tops[p], way below
         kappa(tops[q]): rel, base.rows_on(tops, tops), as I << J means that
-        J holds the join of I, and kappa(b) is column b of the relation."""
+        J holds the join of I, and kappa(b) is the downset of b."""
         return rel
 
     def holder_rows(self, xs, ideals, tops) -> list[int]:
-        """Row p: the t with xs[p] a member of ideals[t], whose joins are tops."""
-        cols = _transpose([I.mask for I in ideals], self.base.frame.n)
-        return [cols[x] for x in xs]
+        """Row p: the t with xs[p] a member of ideals[t], whose joins are
+        tops: ideals[t] is the downset of tops[t], so this is the row of
+        xs[p] in the base, the order, read at tops."""
+        return self.base.rows_on(xs, tops)
 
     def union_over(self, rows, sels) -> list[int]:
         """For each mask in sels, the union of rows[k] over its set bits k."""
@@ -448,13 +441,12 @@ def _rframe_finite(prox: FiniteProximity) -> FiniteRFrame:
             f"round-ideal enumeration limited to {FINITE_IDEAL_ENUM_LIMIT} elements"
         )
     names = tuple(f"dn({x})" for x in f.names)
-    frame, masks = _renamed(f, names), f.down
+    frame, order = _renamed(f, names), f.elements()
     if frame is None:
         irr = _irreducibles(f.down)
         frame, order = _ring_of_sets(names, [d & irr for d in f.down])
-        masks = [f.down[x] for x in order]
     return FiniteRFrame(base=prox, frame=frame, wb=way_below_proximity(frame),
-                        ideals=tuple(FinIdeal(prox, m) for m in masks))
+                        ideals=tuple(Prin._unchecked(prox, x) for x in order))
 
 
 def _rframe_chain(prox: ChainProximity) -> ChainRFrame:

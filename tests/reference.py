@@ -23,7 +23,7 @@ from proxkit.finite import FINITE_FRAME_LIMIT, FiniteFrame, build_finite_frame, 
 from proxkit.morphisms import FiniteMap
 from proxkit.proximity import ChainProximity, FiniteProximity
 from proxkit.reports import FAIL, PASS, AxiomReport, Verdict, law_fail, law_pass
-from proxkit.roundideal import BelowLim, FinIdeal, Prin
+from proxkit.roundideal import BelowLim, Prin
 
 DEPTH = 3  # window points past the horizon of every map in play
 
@@ -53,9 +53,26 @@ def join(frame, xs):
 # -- ideals -------------------------------------------------------------------
 
 
+def members(ideal) -> int:
+    """The mask of the members of an ideal of a finite frame: the b under
+    its generator."""
+    f = ideal.prox.frame
+    return sum(1 << b for b in f.elements() if f.leq(b, ideal.a))
+
+
+def principal(p, mask):
+    """The ideal of p whose members are the elements in mask, after
+    asserting that they are the downset of their join x, as the finite
+    collapse theorem says every round ideal of a finite frame is."""
+    f = p.frame
+    x = join(f, [b for b in f.elements() if mask >> b & 1])
+    assert mask == sum(1 << b for b in f.elements() if f.leq(b, x)), (p, mask)
+    return Prin(p, x)
+
+
 def contains(ideal, b) -> bool:
-    if isinstance(ideal, FinIdeal):
-        return bool(ideal.mask >> b & 1)
+    if isinstance(ideal.prox, FiniteProximity):
+        return bool(members(ideal) >> b & 1)
     return b <= ideal.a if isinstance(ideal, Prin) else b < ideal.lim
 
 
@@ -63,15 +80,15 @@ def sup(ideal):
     """sigma: the join of the members.  A chain ideal is everything under
     its top, with the top when principal; a limit is the supremum of what
     lies under it."""
-    if isinstance(ideal, FinIdeal):
+    if isinstance(ideal.prox, FiniteProximity):
         f = ideal.prox.frame
         return join(f, [b for b in f.elements() if contains(ideal, b)])
     return ideal.a if isinstance(ideal, Prin) else ideal.lim
 
 
 def subset(i, j) -> bool:
-    if isinstance(i, FinIdeal):
-        return not i.mask & ~j.mask
+    if isinstance(i.prox, FiniteProximity):
+        return not members(i) & ~members(j)
     return _top(i) <= _top(j)
 
 
@@ -82,8 +99,13 @@ def _top(ideal):
 def approximants(p, a):
     """kappa(a): the b with b rel a."""
     if isinstance(p, FiniteProximity):
-        return FinIdeal(p, sum(1 << b for b in p.frame.elements() if p.rel(b, a)))
+        return principal(p, column(p, a))
     return Prin(p, a) if p.rel(a, a) else BelowLim(p, a)
+
+
+def column(p: FiniteProximity, a) -> int:
+    """The mask of the b with b rel a."""
+    return sum(1 << b for b in p.frame.elements() if p.rel(b, a))
 
 
 def way_below_set(p, a):
@@ -93,7 +115,7 @@ def way_below_set(p, a):
     itself."""
     f = p.frame
     if isinstance(p, FiniteProximity):
-        return FinIdeal(p, sum(1 << b for b in f.elements() if f.leq(b, a)))
+        return principal(p, sum(1 << b for b in f.elements() if f.leq(b, a)))
     return BelowLim(p, a) if f.is_limit(a) else Prin(p, a)
 
 
@@ -105,8 +127,8 @@ def way_below(i, j) -> bool:
 
 def as_ideal_of(ideal, p):
     """The same set of elements as an ideal of the proximity p."""
-    if isinstance(ideal, FinIdeal):
-        return FinIdeal(p, ideal.mask)
+    if isinstance(p, FiniteProximity):
+        return principal(p, members(ideal))
     return Prin(p, ideal.a) if isinstance(ideal, Prin) else BelowLim(p, ideal.lim)
 
 
@@ -129,7 +151,7 @@ def ideal_frame(p: FiniteProximity):
     masks = [m for m in range(1 << n) if is_round_ideal(m)]
     names = []
     for m in masks:
-        x = sup(FinIdeal(p, m))
+        x = join(f, [a for a in range(n) if m >> a & 1])
         names.append(f"dn({f.names[x]})" if m == down[x] else
                      "{" + ",".join(f.names[a] for a in range(n) if m >> a & 1) + "}")
     frame = build_finite_frame(names, [(a, b) for a, ma in zip(names, masks)
@@ -147,7 +169,7 @@ def codec(p, frame, depth=DEPTH) -> dict:
     relating to its successor."""
     if isinstance(p, FiniteProximity):
         assert frame == ideal_frame(p)[0], "not the frame of round ideals"
-        ideals = [FinIdeal(p, m) for m in ideal_frame(p)[1]]
+        ideals = [principal(p, m) for m in ideal_frame(p)[1]]
     else:
         ideals = [Prin(p, a) for a in points(p.frame, depth) if p.rel(a, a)]
         ideals = sorted(ideals + [BelowLim(p, lim) for lim in p.frame.limits()], key=_top)
@@ -157,7 +179,7 @@ def codec(p, frame, depth=DEPTH) -> dict:
 def element(p, frame, ideal):
     """The point of `frame`, the frame of round ideals of p, that stands
     for `ideal`; None if there is none."""
-    depth = 1 if isinstance(ideal, FinIdeal) else _top(ideal)[0].n + 1
+    depth = 1 if isinstance(p, FiniteProximity) else _top(ideal)[0].n + 1
     for x, i in codec(p, frame, max(depth, DEPTH)).items():
         if i == ideal:
             return x
@@ -182,12 +204,12 @@ def image(f, ideal, depth):
     monotone, so on a chain the images of a principal ideal are bounded by
     that of its top."""
     dst = f.dst
-    if isinstance(ideal, FinIdeal):
+    if isinstance(ideal.prox, FiniteProximity):
         mask = 0
         for b in ideal.prox.frame.elements():
             if contains(ideal, b):
-                mask |= approximants(dst, f.apply(b)).mask
-        return FinIdeal(dst, mask)
+                mask |= column(dst, f.apply(b))
+        return principal(dst, mask)
     if isinstance(ideal, Prin):
         return approximants(dst, f.apply(ideal.a))
     top, attained = block_sup(f, ideal.lim.seg - 1, depth)
@@ -279,8 +301,17 @@ def proximity_violations(p, depth=DEPTH) -> list:
         ("interpolation", ((lab(a, b), "") for a, b in pairs
                            if not any(rel[a][c] and rel[c][b] for c in ix))),
         ("approximation", (((p.label(a), p.label(j)), "join of approximants differs")
-                           for a in els for j in [sup(approximants(p, a))] if j != a)),
+                           for a in els for j in [approximant_join(p, a)] if j != a)),
     ]
+
+
+def approximant_join(p, a):
+    """The join of the b with b rel a, for any relation p: over the column
+    of a finite relation, whose ideal need not be principal unless p is a
+    proximity."""
+    if isinstance(p, FiniteProximity):
+        return join(p.frame, [b for b in p.frame.elements() if p.rel(b, a)])
+    return sup(approximants(p, a))
 
 
 def proximity_report(p, depth=DEPTH) -> AxiomReport:
@@ -562,8 +593,9 @@ def open_set_frame(points, opens) -> FiniteFrame:
         raise InvalidParameter("duplicate point ids: " + ", ".join(map(repr, dups)))
     masks = set()
     for o in opens:
-        if any(p not in points for p in o):
-            raise NotATopology(o, "membership")
+        unknown = [p for p in o if p not in points]
+        if unknown:
+            raise NotATopology(unknown[0], "membership")
         masks.add(sum(1 << points.index(p) for p in set(o)))
     if len(masks) > FINITE_FRAME_LIMIT:
         raise TooLarge(f"finite frames are limited to {FINITE_FRAME_LIMIT} elements")

@@ -23,7 +23,6 @@ from proxkit.chain import El, build_chain_frame
 from proxkit.comonads import m_map
 from proxkit.errors import NotComposable, NotStablyCompact, UnsupportedRepresentation
 from proxkit.morphisms import (
-    FiniteMap,
     alpha_map,
     enumerate_proxhoms,
     identity_map,
@@ -34,7 +33,7 @@ from proxkit.morphisms import (
     theta,
 )
 from proxkit.proximity import FiniteProximity, chain_proximity, order_proximity
-from proxkit.roundideal import BelowLim, FinIdeal, Prin, ideal_frame, is_stably_compact, rframe
+from proxkit.roundideal import BelowLim, Prin, ideal_frame, is_stably_compact, rframe
 from test_cli_golden import chain_docs
 
 
@@ -156,7 +155,7 @@ def test_codec_matches_the_reference_chain_codec(doc):
         ideals = [ref.approximants(base, a) for a in points]
         ideals += [BelowLim(base, e) for e in frame.limits()]
         ideals += [Prin(order, a) for a in points]
-        ideals.append(FinIdeal(fin, 1))
+        ideals.append(Prin(fin, fin.frame.top))
         refused += assert_codec_agrees(rfd, ideals)
     assert refused >= 5
 
@@ -165,11 +164,17 @@ def test_codec_matches_the_reference_chain_codec(doc):
 def test_codec_matches_the_reference_finite_codec(name):
     chain = catalog_instances()["chain-k1"]
     for rfd in _tower(catalog_instances()[name]):
-        base = rfd.base
-        ideals = [FinIdeal(base, m) for m in range(1 << base.frame.n)]
-        ideals.append(Prin(chain, El(0, 3)))
-        # every mask without bot, and the chain ideal, is refused
-        assert assert_codec_agrees(rfd, ideals) >= (1 << (base.frame.n - 1)) + 1
+        base, frame = rfd.base, rfd.base.frame
+        # every round ideal of the order is the downset of its join; the
+        # ideals of other proximities are refused: of a chain, either kind,
+        # of the diagonal relation on this frame, whose codes name its
+        # elements, and of the order on another frame
+        diagonal = FiniteProximity(frame, tuple(1 << x for x in frame.elements()))
+        ideals = [Prin(base, a) for a in frame.elements()]
+        ideals += [Prin(diagonal, a) for a in frame.elements()]
+        ideals += [Prin(chain, El(0, 3)), BelowLim(chain, El(1, 0)),
+                   Prin(rfd.wb, rfd.frame.top)]
+        assert assert_codec_agrees(rfd, ideals) == frame.n + 3
 
 
 @pytest.mark.parametrize("doc", CHAIN_DOCS.values(), ids=list(CHAIN_DOCS))
@@ -209,16 +214,6 @@ def test_theta_and_rmap_match_the_reference_on_enumerated_maps():
                 assert_theta_and_rmap_agree(f, rframe(src), rframe(dst))
                 count += 1
     assert count > len(small) ** 2
-    # into the diamond without (a, a), whose columns still grow with the
-    # order: theta reads the join of a's approximants, which is 0
-    diamond = catalog_instances()["diamond"].frame
-    a = diamond.index("a")
-    weak = FiniteProximity(diamond, tuple(r & ~(1 << a) if x == a else r
-                                          for x, r in enumerate(diamond.up)))
-    for src in small:
-        for f in enumerate_proxhoms(src, order_proximity(diamond)):
-            g, rfd = FiniteMap(src, weak, f.table), rframe(src)
-            assert_map(theta(g, rfd), rfd.wb, weak, lambda x, d: ref.theta(g, ideal(rfd, x, d), d))
 
 
 @pytest.mark.parametrize("src,other", [("diamond", "chain3"), ("chain3", "diamond"),

@@ -347,7 +347,7 @@ def test_cli_builds_its_parser_once_per_process(argv, code, capsys, monkeypatch)
     ({"builder": "finite", "elements": ["a", "b"], "leq": [["a"]]},
      "field 'leq' has an entry ['a'] that is not a name pair"),
     ({"builder": "topology", "points": ["p", "q"], "opens": [[], ["p", "q"], ["z"]]},
-     "not closed under membership: witness ['z']"),
+     "not closed under membership: witness 'z'"),
     ({"builder": "topology", "points": ["p", "q", "r"],
       "opens": [[], ["p", "q", "r"], ["p", "q"], ["q", "r"]]},
      "not closed under intersection: witness ('{p,q}', '{q,r}')"),
@@ -409,6 +409,18 @@ def test_cli_unreadable_document_exits_2(data, message, tmp_path, capsys):
                  ["laws", "--suite", "all", "--instance", str(p)]):
         assert main(argv) == 2, argv
         assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
+def test_cli_names_the_unknown_point_of_a_large_open(tmp_path, capsys):
+    # the witness is the entry that is not a point, not the whole open
+    points = [f"p{i}" for i in range(100_000)]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"builder": "topology", "points": points,
+                             "opens": [[], points + ["zz"], points]}))
+    assert main(["validate", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: not closed under membership: witness 'zz'\n"
+    assert len(err.encode()) < 200
 
 
 def reversed_representatives(monkeypatch):

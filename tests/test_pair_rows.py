@@ -33,7 +33,7 @@ from proxkit.errors import BrokenInvariant, ProxkitError, UnsupportedRepresentat
 from proxkit.morphisms import kappa_map, sigma_map
 from proxkit.proximity import ChainProximity, FiniteProximity, chain_proximity
 from proxkit.reports import law_fail, law_pass
-from proxkit.roundideal import BelowLim, FinIdeal, Prin, rframe, way_below_ideals
+from proxkit.roundideal import BelowLim, Prin, rframe, way_below_ideals
 
 from test_block_map import CHAIN_DOCS, _tower
 
@@ -213,18 +213,18 @@ def test_el_of_refuses_an_ideal_outside_the_classification():
     with pytest.raises(UnsupportedRepresentation, match="not in the classification"):
         rfd.el_of(BelowLim(other, El(5, 0)))
     fin = rframe(catalog_instances()["diamond"])
-    with pytest.raises(UnsupportedRepresentation, match="not in the classification"):
-        fin.el_of(FinIdeal(fin.base, 0))
-    # {0, a, b} has the join 1, but it is not dn(1)
+    # a finite frame has no limit to build an ideal under
     f = fin.base.frame
-    with pytest.raises(UnsupportedRepresentation, match="not in the classification"):
-        fin.el_of(FinIdeal(fin.base, f.down[f.index("a")] | f.down[f.index("b")]))
+    with pytest.raises(UnsupportedRepresentation, match="is not a limit point"):
+        BelowLim(fin.base, f.top)
     # the ideals of another proximity are refused, also where their codes
     # name an element or a segment of this frame
     two = catalog_instances()["two"]
+    diagonal = FiniteProximity(f, tuple(1 << x for x in f.elements()))
     for frame_data, ideal in ((rfd, BelowLim(other, El(1, 0))),
                               (rfd, Prin(other, El(0, 9))),
-                              (fin, FinIdeal(two, 1))):
+                              (fin, Prin(two, 1)),
+                              (fin, Prin(diagonal, f.index("a")))):
         with pytest.raises(UnsupportedRepresentation,
                            match="it is a round ideal of another proximity"):
             frame_data.el_of(ideal)

@@ -21,7 +21,6 @@ from proxkit.morphisms import alpha_map, rmap_map
 from proxkit.proximity import FiniteProximity, chain_proximity, order_proximity
 from proxkit.roundideal import (
     BelowLim,
-    FinIdeal,
     Prin,
     dir_sup,
     ideal_frame,
@@ -48,15 +47,21 @@ def test_finite_rframe_matches_brute_enumeration():
     for name in ("two", "chain3", "diamond", "cube3"):
         _, prox = load_instance(name)
         rfd = rframe(prox)
-        assert sorted(i.mask for i in rfd.ideals) == sorted(ref.ideal_frame(prox)[1]), name
+        assert sorted(map(_members, rfd.ideals)) == sorted(ref.ideal_frame(prox)[1]), name
+
+
+def _members(ideal):
+    """The mask of the b that `member` puts in a round ideal of a finite frame."""
+    return sum(1 << b for b in ideal.prox.frame.elements() if member(b, ideal))
 
 
 def _rframe_tables(prox, rfd=None):
-    """The frame of rframe(prox) and the ideal mask of each element; its
-    way-below relation is the frame's order, every ideal being compact."""
+    """The frame of rframe(prox) and the member mask of each element's
+    ideal; its way-below relation is the frame's order, every ideal being
+    compact."""
     rfd = rfd or rframe(prox)
     assert rfd.base is prox and rfd.wb == FiniteProximity(rfd.frame, rfd.frame.up)
-    return rfd.frame, tuple(i.mask for i in rfd.ideals)
+    return rfd.frame, tuple(map(_members, rfd.ideals))
 
 
 GENERATED = dict(ref.chains(range(1, 13), "order") + ref.cubes((1, 2, 3)) + [ref.vee()])
@@ -130,7 +135,7 @@ def test_finite_towers_are_the_order_at_every_level():
             assert level.wb.is_order and level.maxp.is_order, frame
             down = level.base.frame.down
             assert sorted(level.joins) == list(level.base.frame.elements()), frame
-            assert [i.mask for i in level.ideals] == [down[j] for j in level.joins], frame
+            assert list(map(_members, level.ideals)) == [down[j] for j in level.joins], frame
 
 
 def test_ideal_frame_of_diamond_is_diamond_again():
@@ -188,6 +193,25 @@ def test_kappa_on_finite_frame_is_approximant_set():
     assert sigma(i) == f.index("a")
 
 
+@pytest.mark.parametrize("code", [-1, True, 7])
+def test_kappa_on_a_finite_frame_refuses_a_code_that_is_not_an_element(code):
+    # as the chain kappa does; -1 and True index the carrier's tuples
+    prox = catalog_instances()["diamond"]
+    with pytest.raises(InvalidParameter, match=f"^{code!r} is not an element of this frame$"):
+        kappa(prox, code)
+
+
+def test_kappa_refuses_a_finite_relation_other_than_the_order():
+    # its approximant sets need not be principal, and no round ideal of a
+    # finite frame is kept as anything else
+    frame = ref.diamond()
+    a = frame.index("a")
+    for rows in ((0,) * frame.n, tuple(r & ~(1 << a) if x == a else r
+                                       for x, r in enumerate(frame.up))):
+        with pytest.raises(UnsupportedRepresentation, match="finite collapse theorem"):
+            kappa(FiniteProximity(frame, rows), frame.top)
+
+
 def test_membership_and_inclusion_probes():
     p = k2()
     f = p.frame
@@ -231,12 +255,11 @@ def test_finite_ideal_join_closes_under_joins():
     prox = order_proximity(ref.diamond())
     f = prox.frame
     rfd = rframe(prox)
-    da = FinIdeal(prox, f.down[f.index("a")])
-    db = FinIdeal(prox, f.down[f.index("b")])
+    da, db = Prin(prox, f.index("a")), Prin(prox, f.index("b"))
     j, m = _frame_lattice(rfd, da, db)
     assert member(f.top, j)  # a v b = 1 must be swept in
-    assert j.mask == f.down[f.top]
-    assert m.mask == f.down[f.bot]
+    assert _members(j) == f.down[f.top] and j == Prin(prox, f.top)
+    assert _members(m) == f.down[f.bot] and m == Prin(prox, f.bot)
     # least above both and greatest below both, among all round ideals,
     # and the frame order on codes is inclusion
     ideals = [rfd.ideal_of(e) for e in rfd.frame.elements()]
@@ -273,7 +296,7 @@ def test_kept_joins_and_sups_are_the_joins_they_stand_for():
             assert level.joins == tuple(sigma(I) for I in level.ideals)
             if isinstance(base, FiniteProximity):
                 els = list(level.frame.elements())
-                assert level.joins == tuple(_mask_join(base.frame, I.mask)
+                assert level.joins == tuple(_mask_join(base.frame, _members(I))
                                             for I in level.ideals)
             else:
                 els = level.frame.class_representatives(3)

@@ -12,14 +12,15 @@ layouts with k <= 4 whose top is reflexive, must pass those checks: the
 public constructor accepts its table or rules and gives an equal map.  A
 builder made to leave its target frame fails here.
 
-`kappa`, `RFrameData.ideal_of` and the chain ideal frames build their
-round ideals through `Prin._unchecked` and `BelowLim._unchecked` once
-they have decided roundness themselves.  On the same 15 layouts and
-their towers, each ideal they give, and each ideal that `alpha_map`
-sends an element to, read back through `ideal_of`, must equal the one
-the definitions in `reference` build through the checked constructors,
-and an element outside the frame must still be refused as the checked
-constructor refuses it.
+`kappa`, `RFrameData.ideal_of` and the ideal frames of `rframe` build
+their round ideals through `Prin._unchecked` and `BelowLim._unchecked`
+once they have decided roundness themselves.  On the same 15 layouts and
+their towers, and on the finite catalog instances and theirs, each ideal
+they give, and each ideal that `alpha_map` sends an element to, read
+back through `ideal_of`, must equal the one the definitions in
+`reference` build through the checked constructors, and an element
+outside the frame must still be refused as the checked constructor
+refuses it.
 """
 
 import re
@@ -54,7 +55,7 @@ from proxkit.morphisms import (
     sigma_map,
     theta,
 )
-from proxkit.proximity import FiniteProximity, chain_proximity
+from proxkit.proximity import chain_proximity
 from proxkit.roundideal import (
     BelowLim,
     Prin,
@@ -165,12 +166,13 @@ def test_a_builder_leaving_the_target_fails_the_check(name, message, built,
         assert_checked(built)
 
 
-def test_finite_theta_leaving_the_target_fails_the_check(built, monkeypatch):
-    # the kept sups made to name an element the target does not have
-    monkeypatch.setattr(FiniteProximity, "sups",
-                        property(lambda self: (self.frame.n,) * self.frame.n))
+def test_finite_theta_leaving_the_target_fails_the_check(built):
+    # theta reads f's table at the joins, so a table naming an element the
+    # target does not have is carried into theta's table
     prox = catalog_instances()["diamond"]
-    theta(identity_map(prox), rframe(prox))
+    f = FiniteMap._unchecked(prox, prox, (prox.frame.n,) * prox.frame.n)
+    built.clear()
+    theta(f, rframe(prox))
     assert [caller for caller, _ in built][-1] == "_image_map"
     with pytest.raises(MalformedMap, match="is not in the target frame"):
         assert_checked(built)
@@ -243,6 +245,21 @@ def test_unchecked_ideals_refuse_codes_outside_the_frame(doc):
                 b = rfd.ideal_of(El(i, 0)).a.seg
                 assert_refused_as_checked(lambda p, e: rfd.ideal_of(El(i, -1)),
                                           rfd.base, El(b, -1))
+
+
+@pytest.mark.parametrize("name", ["two", "chain3", "diamond", "cube3"])
+def test_unchecked_finite_ideals_equal_the_checked_ones(name):
+    rfd = rframe(catalog_instances()[name])
+    for level in (rfd, rfd.rr, rfd.cc):
+        prox, alpha = level.base, alpha_map(level)
+        for a in prox.frame.elements():
+            got, want = kappa(prox, a), ref.approximants(prox, a)
+            assert got == want and hash(got) == hash(want), (prox, a)
+            got, want = level.ideal_of(alpha.apply(a)), ref.way_below_set(prox, a)
+            assert got == want and hash(got) == hash(want), (prox, a)
+        assert level.ideals == tuple(ref.codec(prox, level.frame).values())
+        for e in (-1, True, prox.frame.n, "a"):
+            assert_refused_as_checked(kappa, prox, e)
 
 
 @pytest.mark.parametrize("doc", LAYOUTS.values(), ids=list(LAYOUTS))
