@@ -508,7 +508,8 @@ def theta(f: Morphism, rfd: RFrameData) -> Morphism:
     the ideal frame of another proximity is refused.  The ideal I goes to
     the join of the approximants of f(join of I), which is that value
     itself: kappa(v) has join v, on a finite target the order, as the
-    ideal under a limit v has."""
+    ideal under a limit v has.  A finite target relation other than the
+    order is refused, as rframe refuses it."""
     if rfd.base is not f.src and rfd.base != f.src:
         raise NotComposable("f is not defined on the base of the given ideal frame")
     return _image_map(f, rfd, f.dst, _same, _same)
@@ -547,6 +548,7 @@ def _image_map(f: Morphism, rfd: RFrameData, dst: Proximity, code, below) -> Mor
     omega block n -> n onto one.  On a chain Prin(El(j, 0))'s segment
     reads f's rule for segment j through code."""
     if isinstance(f, FiniteMap):
+        dst.require_order()
         table = f.table
         return FiniteMap._unchecked(rfd.wb, dst, tuple(code(table[j]) for j in rfd.joins))
     rules = []

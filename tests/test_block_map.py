@@ -23,6 +23,7 @@ from proxkit.chain import El, build_chain_frame
 from proxkit.comonads import m_map
 from proxkit.errors import NotComposable, NotStablyCompact, UnsupportedRepresentation
 from proxkit.morphisms import (
+    FiniteMap,
     alpha_map,
     enumerate_proxhoms,
     identity_map,
@@ -214,6 +215,17 @@ def test_theta_and_rmap_match_the_reference_on_enumerated_maps():
                 assert_theta_and_rmap_agree(f, rframe(src), rframe(dst))
                 count += 1
     assert count > len(small) ** 2
+    # into the diamond without (a, a), a relation that is no proximity:
+    # theta refuses it, as rframe, kappa and rmap_map do
+    diamond = catalog_instances()["diamond"].frame
+    a = diamond.index("a")
+    weak = FiniteProximity(diamond, tuple(r & ~(1 << a) if x == a else r
+                                          for x, r in enumerate(diamond.up)))
+    for src in small:
+        for f in enumerate_proxhoms(src, order_proximity(diamond)):
+            g, rfd = FiniteMap(src, weak, f.table), rframe(src)
+            with pytest.raises(UnsupportedRepresentation, match="finite collapse theorem"):
+                theta(g, rfd)
 
 
 @pytest.mark.parametrize("src,other", [("diamond", "chain3"), ("chain3", "diamond"),
