@@ -132,7 +132,7 @@ def test_block_map_matches_the_old_chain_builders(doc):
 
 
 @pytest.mark.parametrize("name", FINITE)
-def test_block_map_matches_the_old_finite_builders(name):
+def test_block_map_matches_the_reference_finite_builders(name):
     for rfd in _tower(catalog_instances()[name]):
         assert_block_maps_agree(rfd)
 
