@@ -26,7 +26,7 @@ from .comonads import (
     subcomonad_check,
 )
 from .errors import InvalidParameter, ProxkitError
-from .finite import build_finite_frame, downset_frame, hasse_dot
+from .finite import build_finite_frame, dot_quoted, downset_frame, hasse_dot
 from .morphisms import (
     _composite,
     _star_table,
@@ -151,11 +151,15 @@ def _compact_json(name, prox, rfd) -> dict:
     # the labels are distinct, so pairs scanned in label order come out
     # sorted as the report lists them
     order = sorted(range(len(reps)), key=labels.__getitem__)
-    for key, rel in (("way_below_on_representatives", rfd.wb),
-                     ("max_rel_on_representatives", rfd.maxp)):
+
+    def pairs(rel) -> list:
         rows = rel.rows_on(reps, reps)
-        doc[key] = [[labels[p], labels[q]]
-                    for p in order for q in order if rows[p] >> q & 1]
+        return [[labels[p], labels[q]] for p in order for q in order if rows[p] >> q & 1]
+
+    # a finite maxp is wb itself: one list under both keys, which
+    # `document` writes once
+    wb = doc["way_below_on_representatives"] = pairs(rfd.wb)
+    doc["max_rel_on_representatives"] = wb if rfd.maxp is rfd.wb else pairs(rfd.maxp)
     return doc
 
 
@@ -163,20 +167,20 @@ def _compact_dot(name: str, rfd) -> str:
     if not isinstance(rfd.frame, ChainLikeFrame):
         return hasse_dot(rfd.frame, title=f"compactify:{name}")
     frame = rfd.frame
-    lines = [f'digraph "compactify:{name}" {{', "  rankdir=BT;"]
+    lines = [f"digraph {dot_quoted('compactify:' + name)} {{", "  rankdir=BT;"]
     nodes: list[str] = []
     for i, s in enumerate(frame.segments):
         if s.kind == OMEGA:
             for n in range(3):
                 nid = f"n{i}_{n}"
-                lines.append(f'  {nid} [label="{frame.label(El(i, n))}"];')
+                lines.append(f"  {nid} [label={dot_quoted(frame.label(El(i, n)))}];")
                 nodes.append(nid)
             nid = f"n{i}_more"
             lines.append(f'  {nid} [label="..." shape=none];')
             nodes.append(nid)
         else:
             nid = f"n{i}_0"
-            lines.append(f'  {nid} [label="{frame.label(El(i, 0))}"];')
+            lines.append(f"  {nid} [label={dot_quoted(frame.label(El(i, 0)))}];")
             nodes.append(nid)
     for a, b in zip(nodes, nodes[1:]):
         lines.append(f"  {a} -> {b};")

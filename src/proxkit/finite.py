@@ -21,8 +21,9 @@ A finite frame has the carrier methods of a chain frame (`check`,
 every element is a start and its own class, and none is a limit.  Its
 tables are built on first use and cached on the frame: meet and join
 (the highest common lower and lowest common upper bound), which
-`join_over` folds, and the `triangle` (a, b, meet, join) for every b <= a
-that the homomorphism validators of `morphisms` scan.
+`join_over` folds, the `triangle` (a, b, meet, join) for every b <= a
+that the homomorphism validators of `morphisms` scan, and the `hom_plan`
+by which `enumerate_proxhoms` fills the maps out of the frame.
 """
 
 from __future__ import annotations
@@ -130,6 +131,17 @@ class FiniteFrame:
         meet_t, join_t = self.meet_t, self.join_t
         return tuple((a, b, meet_t[a][b], join_t[a][b])
                      for a in range(self.n - 1, -1, -1) for b in range(a, -1, -1))
+
+    @cached_property
+    def hom_plan(self) -> tuple[tuple[tuple[int, int] | None, tuple], ...]:
+        """Per element c, (split, meets) for `enumerate_proxhoms`: a
+        join-reducible c has a split, a pair x, y < c with join c, and no
+        meets; any other c the pairs (meet(c, b), b) for b < c."""
+        meet_t = self.meet_t
+        splits = {c: (x, y) for x, y, _, c in self.triangle if c not in (x, y)}
+        return tuple((splits[c], ()) if c in splits
+                     else (None, tuple((meet_t[c][b], b) for b in range(c)))
+                     for c in self.elements())
 
     def index(self, name: str) -> int:
         try:
@@ -444,12 +456,17 @@ def product(f: FiniteFrame, g: FiniteFrame) -> FiniteFrame:
     return _product(f, g)[0]
 
 
+def dot_quoted(text: str) -> str:
+    """text as a quoted DOT string, its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def hasse_dot(frame: FiniteFrame, title: str = "frame") -> str:
     """DOT rendering of the Hasse diagram: covering edges only,
     deterministic node and edge order."""
-    lines = [f'digraph "{title}" {{', "  rankdir=BT;"]
+    lines = [f"digraph {dot_quoted(title)} {{", "  rankdir=BT;"]
     for i, name in enumerate(frame.names):
-        lines.append(f'  n{i} [label="{name}"];')
+        lines.append(f"  n{i} [label={dot_quoted(name)}];")
     for a, b in sorted(frame.covers()):
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")

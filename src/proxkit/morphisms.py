@@ -591,20 +591,20 @@ def enumerate_proxhoms(src: FiniteProximity, dst: FiniteProximity) -> list[Finit
     A forced value needs no meet test either: for b before c, c ^ b =
     (x ^ b) v (y ^ b) is a join below c, so f(c ^ b) = (f(x) ^ f(b)) v
     (f(y) ^ f(b)), which is f(c) ^ f(b) as the target is distributive.
+
+    The pair of each join-reducible element and the meet pairs of every
+    other are the source frame's `hom_plan`, built once per frame; the
+    values left to each element are range(m), or one bound at a bound.
     """
     src.require_order()
     dst.require_order()
     sf, df = src.frame, dst.frame
     n, m = sf.n, df.n
-    meet_t, dmeet_t, djoin_t = sf.meet_t, df.meet_t, df.join_t
-    # per join-reducible c: a pair below c with join c
-    parts = {c: (x, y) for x, y, _, c in sf.triangle if c not in (x, y)}
-    # per element a: the pairs (meet(a, b), b) for b < a, none where a is
-    # forced, and the values the bounds leave it
-    meets = [() if a in parts else tuple((meet_t[a][b], b) for b in range(a))
-             for a in range(n)]
-    allowed = [[v for v in range(m) if (a != sf.bot or v == df.bot)
-                and (a != sf.top or v == df.top)] for a in range(n)]
+    plan, dmeet_t, djoin_t = sf.hom_plan, df.meet_t, df.join_t
+    # the values the bounds leave each element; a one-point source's is both
+    allowed = [range(m)] * n
+    allowed[sf.top] = (df.top,)
+    allowed[sf.bot] = (df.bot,) if df.bot in allowed[sf.bot] else ()
     out = []
     table = [0] * n
 
@@ -612,14 +612,14 @@ def enumerate_proxhoms(src: FiniteProximity, dst: FiniteProximity) -> list[Finit
         if a == n:
             out.append(FiniteMap._unchecked(src, dst, tuple(table)))
             return
+        split, meets = plan[a]
         vals = allowed[a]
-        if a in parts:
-            x, y = parts[a]
-            v = djoin_t[table[x]][table[y]]
+        if split is not None:
+            v = djoin_t[table[split[0]]][table[split[1]]]
             vals = (v,) if v in vals else ()
         for v in vals:
             row = dmeet_t[v]
-            if all(table[c] == row[table[b]] for c, b in meets[a]):
+            if all(table[c] == row[table[b]] for c, b in meets):
                 table[a] = v
                 extend(a + 1)
 

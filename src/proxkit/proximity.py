@@ -9,9 +9,11 @@ theorem the only one, so a relation equal to the order is accepted at
 once.  Any other relation is decided axiom by axiom, exhaustively, by
 mask operations on its rows and columns and on the frame's up- and
 down-rows, at most O(n * P) of them for P related pairs; each axiom
-has one check, which reports the first failing witness of its scan.
-Where only the decision counts, as for the collapse candidates, the
-checks run cheapest first and stop at the first that fails.  Chain
+has one check, which reports the first failing witness of its scan;
+approximation joins each column, the approximants of its element, and
+stops at the first that misses its element.  Where only the decision
+counts, as for the collapse candidates, the checks run cheapest first
+and stop at the first that fails.  Chain
 relations are described by the set of relation-reflexive limit points
 and are decided by O(#segments) checks, one per element class.  The
 tests check both against `tests/reference.py`, which loops over each
@@ -63,19 +65,13 @@ class FiniteProximity:
 
     @cached_property
     def cols(self) -> tuple[int, ...]:
-        """cols[b]: bitmask of the a with a rel b."""
+        """cols[b]: bitmask of the a with a rel b, the approximants of b."""
         return _transpose(self.rows, self.frame.n)
 
     @cached_property
     def col_bits(self) -> tuple[tuple[int, ...], ...]:
         """col_bits[b]: the a with a rel b, in increasing order."""
         return tuple(tuple(_bits(col)) for col in self.cols)
-
-    @cached_property
-    def sups(self) -> tuple:
-        """sups[b]: the join of the approximants of b, column b of the
-        relation; b itself whenever the relation approximates b."""
-        return tuple(map(self.frame.join_over, self.col_bits))
 
     def rows_on(self, xs, vals) -> list[int]:
         """Row p: the mask of the q with rel(xs[p], vals[q]), that is the
@@ -273,10 +269,11 @@ def _interpolation(p: FiniteProximity) -> Verdict:
 
 
 def _approximation(p: FiniteProximity) -> Verdict:
-    names = p.frame.names
-    for a, j in enumerate(p.sups):
+    f = p.frame
+    for a, col in enumerate(p.cols):
+        j = f.join_over(_bits(col))
         if j != a:
-            return Verdict(FAIL, (names[a], names[j]), "join of approximants differs")
+            return Verdict(FAIL, (f.names[a], f.names[j]), "join of approximants differs")
     return Verdict(PASS)
 
 

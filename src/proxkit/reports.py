@@ -9,7 +9,10 @@ with ``indent`` set it falls back to the pure-Python encoder: on a large
 `compactify` document that is most of the command.  `line` calls one C
 encoder, built at import.  `document` walks dicts and lists in Python and
 hands every string to the C string encoder, and every other scalar to
-`line`.  `LawReport.dumps` writes its six fixed fields itself.
+`line`.  A list met again at the same indentation, as the one pair list
+a finite `compactify` keeps under both relations, is written once; a
+list of string pairs is written in one step, each distinct label
+encoded once.  `LawReport.dumps` writes its six fixed fields itself.
 """
 
 from __future__ import annotations
@@ -49,35 +52,50 @@ def document(obj) -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2) writes it.  Dict
     keys must be strings, as in every report; anything else that is not
     a dict, list or tuple is written by `line`."""
-    return _indented(obj, "\n")
+    return _indented(obj, "\n", {})
 
 
-def _indented(obj, newline: str) -> str:
+def _indented(obj, newline: str, written: dict) -> str:
     """obj indented as at the line break `newline`, its items one level
-    deeper."""
+    deeper.  `written` keeps the text of each list or tuple written in
+    this call by its id and `newline`, so one met again is written once;
+    every object met is alive under the document, so no id is reused."""
     if isinstance(obj, str):
         return _string(obj)
     if isinstance(obj, (list, tuple)):
-        try:
-            return _string_list(obj, newline)
-        except TypeError:
-            pass
-        inner = newline + "  "
-        sep = "," + inner
-        try:
-            # a list of string lists, as compactify's pair lists, in one step
-            body = sep.join([_string_list(x, inner) for x in obj])
-        except TypeError:
-            body = sep.join([_indented(x, inner) for x in obj])
-        return "[" + inner + body + newline + "]"
+        key = id(obj), newline
+        if key not in written:
+            written[key] = _list(obj, newline, written)
+        return written[key]
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = newline + "  "
         return "{" + inner + ("," + inner).join([
-            _string(k) + ": " + _indented(v, inner) for k, v in sorted(obj.items())
+            _string(k) + ": " + _indented(v, inner, written) for k, v in sorted(obj.items())
         ]) + newline + "}"
     return line(obj)
+
+
+def _list(items, newline: str, written: dict) -> str:
+    """A list or tuple indented as at `newline`: one of strings or of
+    string pairs in one step, any other item by item."""
+    try:
+        return _string_list(items, newline)
+    except TypeError:
+        pass
+    inner = newline + "  "
+    if ({type(x) for x in items} <= {list, tuple} and {len(x) for x in items} == {2}
+            and {type(s) for x in items for s in x} == {str}):
+        # string pairs, as compactify's pair lists, in one step: each
+        # distinct label encoded once
+        code = {s: _string(s) for s in {s for x in items for s in x}}
+        deeper = inner + "  "
+        head, mid, tail = "[" + deeper, "," + deeper, inner + "]"
+        body = ("," + inner).join([head + code[a] + mid + code[b] + tail for a, b in items])
+    else:
+        body = ("," + inner).join([_indented(x, inner, written) for x in items])
+    return "[" + inner + body + newline + "]"
 
 
 def _string_list(items, newline: str) -> str:

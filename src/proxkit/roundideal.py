@@ -223,10 +223,11 @@ class RFrameData:
     `wb` and of `maxp` are the properties `rr` and `cc`; each is built on
     first use and kept for the lifetime of this object, so a run that
     holds one RFrameData per instance builds each level of both towers
-    once.  Where `maxp` is `wb`, as on every finite instance, `cc` is
-    `rr`.  `joins`, sigma of each of `ideals`, is also taken on first use
-    and kept.  The structure maps built from it (sigma, kappa, alpha, r, c,
-    epsilon, beta) are kept in `maps` the same way; see `kept_on_rframe`.
+    once.  A finite `maxp` is `wb` itself, by the collapse theorem, so
+    there `cc` is `rr`.  `joins`, sigma of each of `ideals`, is also taken
+    on first use and kept.  The structure maps built from it (sigma, kappa,
+    alpha, r, c, epsilon, beta) are kept in `maps` the same way; see
+    `kept_on_rframe`.
 
     `rframe` builds a `FiniteRFrame` or a `ChainRFrame`: each kind has
     its own `maxp` and builds the int rows of the pair laws of `comonads`."""
@@ -316,16 +317,15 @@ class RFrameData:
 class FiniteRFrame(RFrameData):
     """The ideal frame of a finite order.  Each of its ideals is the
     downset of its join, so membership rows are order rows of the base at
-    the joins, and way-below rows are the base relation there."""
+    the joins, and way-below rows are the base relation there.  Its
+    maximal proximity is `wb`, by the collapse theorem."""
 
     @cached_property
     def maxp(self) -> FiniteProximity:
-        """I below J iff I is contained in J, so J is in up[I], and the
-        joins are related."""
-        base, f, tops = self.base, self.frame, self.joins
-        return FiniteProximity(f, tuple(
-            sum(1 << j for j in _bits(f.up[i]) if base.rel(tops[i], tops[j]))
-            for i in f.elements()))
+        """`wb` itself: the maximal proximity is a finite proximity, so by
+        the collapse theorem the order, as `wb` is.  maxrel.agreement
+        checks both of its definitions against it."""
+        return self.wb
 
     def way_below_kappa_rows(self, ideals, tops, rel) -> list[int]:
         """Row p: the q with ideals[p], whose join is tops[p], way below

@@ -31,6 +31,7 @@ import proxkit.cli as cli
 import proxkit.comonads as comonads
 from proxkit.cli import _generated_frames, main
 from proxkit.errors import BrokenInvariant, InvalidParameter, UnknownInstance
+from proxkit.finite import FiniteFrame
 from proxkit.morphisms import ChainMap, enumerate_proxhoms, validate_proxhom
 from proxkit.proximity import ChainProximity, chain_proximity, order_proximity
 from proxkit.roundideal import rframe
@@ -495,6 +496,38 @@ def test_cli_compactify_dot(capsys):
     assert capsys.readouterr().out.startswith("digraph")
 
 
+# a quoted DOT string: anything but a quote or a backslash, or a backslash
+# and the character it escapes
+DOT_STRING = r'"((?:[^"\\]|\\.)*)"'
+DOT_LINE = re.compile(rf"digraph {DOT_STRING} {{|  rankdir=BT;|  n\w+ \[label={DOT_STRING}"
+                      r"( shape=none)?\];|  n\w+ -> n\w+;|}")
+
+
+@pytest.mark.parametrize("doc, title, labels", [
+    ({"name": 'q"uote', "builder": "finite", "elements": ["0", 'a"b', "c\\d", "1"],
+      "leq": [["0", 'a"b'], ['a"b', "c\\d"], ["c\\d", "1"]]},
+     'compactify:q"uote', ["dn(0)", 'dn(a"b)', "dn(c\\d)", "dn(1)"]),
+    ({"name": "ch\\ain", "builder": "chain", "k": 2, "names": ['S"x', "T\\y"],
+      "reflexive": [2]},
+     "compactify:ch\\ain",
+     ['P[S"x].0', 'P[S"x].1', 'P[S"x].2', "...", "B[L1]",
+      "P[T\\y].0", "P[T\\y].1", "P[T\\y].2", "...", "B[L2]", "P[L2]"]),
+], ids=["finite", "chain"])
+def test_cli_compactify_dot_escapes_quotes_and_backslashes(doc, title, labels,
+                                                           tmp_path, capsys):
+    # both DOT writers, the Hasse diagram of a finite ideal frame and the
+    # chain of segments, quote every name with its quotes and backslashes
+    # escaped, so each line parses and gives the name back
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compactify", "--out", "dot", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    matches = [DOT_LINE.fullmatch(ln) for ln in lines]
+    assert all(matches), [ln for ln, m in zip(lines, matches) if not m]
+    strings = [re.sub(r"\\(.)", r"\1", m[1] or m[2]) for m in matches if m[1] or m[2]]
+    assert strings == [title] + labels
+
+
 def test_cli_laws_deterministic_output(capsys):
     args = ["laws", "--suite", "R", "--instance", "chain-k2"]
     assert main(args) == 0
@@ -648,6 +681,26 @@ def test_cli_search_theta_rho_builds_each_ideal_frame_once(capsys, monkeypatch):
     assert main(["search", "--law", "theta-rho", "--max-size", "4"]) == 0
     # five frames: one ideal frame per source, not per (source, target) pair
     assert len(calls) == 5
+
+
+def test_cli_search_theta_rho_builds_each_hom_plan_once(capsys, monkeypatch):
+    # with the generated frames built anew, one search builds the
+    # homomorphism plan of each of its five source frames once, not once
+    # per (source, target) pair
+    for build in (cli._order_frame, cli._cube_frame, cli._vee_frame):
+        monkeypatch.setattr(cli, build.__name__, functools.cache(build.__wrapped__))
+    plan, built = FiniteFrame.hom_plan, []
+
+    def counting(frame):
+        built.append(frame)
+        return plan.func(frame)
+
+    kept = functools.cached_property(counting)
+    kept.__set_name__(FiniteFrame, "hom_plan")
+    monkeypatch.setattr(FiniteFrame, "hom_plan", kept)
+    assert main(["search", "--law", "theta-rho", "--max-size", "4"]) == 0
+    assert len(built) == len(set(map(id, built))) == 5
+    assert sorted(frame.n for frame in built) == [2, 2, 3, 4, 4]
 
 
 # -- what a process keeps between main calls ------------------------------------

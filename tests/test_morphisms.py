@@ -419,9 +419,11 @@ def test_enumeration_matches_full_scan_on_small_frames():
         with pytest.raises(UnsupportedRepresentation, match="finite collapse theorem"):
             enumerate_proxhoms(FiniteProximity(frames[0], src.rows),
                                FiniteProximity(frames[1], dst.rows))
-        assert not any("triangle" in vars(f) for f in frames), (ns, nd)
+        assert not any(k in vars(f) for f in frames for k in ("triangle", "hom_plan")), (ns, nd)
         refused += 1
     assert found > 0 and refused == 495
+    # the one-point frame is a source, whose bottom and top are one
+    assert any(src.frame.n == 1 and src.is_order for _, src in props)
 
 
 def test_enumeration_matches_full_scan_on_catalog():

@@ -43,8 +43,18 @@ def indented(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+# one list object met twice, at one indentation and at two
+SHARED = [["a", "b"], ["b", "b"]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(VALUES)
+@example({"max": SHARED, "wb": SHARED})
+@example({"max": SHARED, "wb": [SHARED], "x": [[SHARED]]})
+@example([['"', "\\"], ["é", '"'], ["\\", "😀"], ["\ud800", "é"]])
+@example([["a", "b"], ["c", None]])
+@example([[None, None]])
+@example([["a", "b"], ("c", "d"), ["e", "f", "g"]])
 @example([])
 @example({})
 @example({"a": [], "b": {}, "c": [[]], "d": ["x", 1, ["y"]]})

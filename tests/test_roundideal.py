@@ -18,7 +18,8 @@ from proxkit.errors import (
 from proxkit.finite import downset_frame
 from proxkit import roundideal
 from proxkit.morphisms import alpha_map, rmap_map
-from proxkit.proximity import FiniteProximity, chain_proximity, order_proximity
+from proxkit.proximity import FiniteProximity, _approximation, chain_proximity, order_proximity
+from proxkit.reports import FAIL, PASS, Verdict
 from proxkit.roundideal import (
     BelowLim,
     Prin,
@@ -136,6 +137,24 @@ def test_finite_towers_are_the_order_at_every_level():
             down = level.base.frame.down
             assert sorted(level.joins) == list(level.base.frame.elements()), frame
             assert list(map(_members, level.ideals)) == [down[j] for j in level.joins], frame
+
+
+def test_finite_maxp_is_wb_and_both_definitions_agree_with_it():
+    # the collapse theorem as a shortcut: on every level of the finite
+    # towers of the finite catalog and of the downset lattices the size
+    # cap lets through, maxp is wb itself and cc is rr, and the
+    # reference's pair scan finds both definitions of the maximal
+    # proximity equal to it
+    protos = [p for p in catalog_instances().values() if isinstance(p, FiniteProximity)]
+    protos += [order_proximity(f) for f in ref.downset_lattices(4) if f.n <= 14]
+    levels = 0
+    for prox in protos:
+        rfd = rframe(prox)
+        for level in (rfd, rfd.rr, rfd.cc, rfd.rr.rr, rfd.cc.cc):
+            assert level.maxp is level.wb and level.cc is level.rr, prox.frame
+            assert list(ref.maxrel_agreement(level)) == [], prox.frame
+            levels += 1
+    assert levels == 5 * (4 + 24)
 
 
 def test_ideal_frame_of_diamond_is_diamond_again():
@@ -282,11 +301,22 @@ def _mask_join(frame, mask):
     return j
 
 
+def _approximation_by_mask_joins(p):
+    """The approximation verdict of p: it fails at the first element that
+    the join of its column, the join of its approximants, misses."""
+    names = p.frame.names
+    for a, col in enumerate(p.cols):
+        j = _mask_join(p.frame, col)
+        if j != a:
+            return Verdict(FAIL, (names[a], names[j]), "join of approximants differs")
+    return Verdict(PASS)
+
+
 def test_kept_joins_and_sups_are_the_joins_they_stand_for():
     """RFrameData.joins is sigma of each kept ideal, join_of is sigma of
-    ideal_of, and FiniteProximity.sups is the join of each column of the
-    relation, on every catalog instance and the first two levels of both
-    of its towers."""
+    ideal_of, and the approximation check reads the join of each column
+    of the relation, on every catalog instance and the first two levels
+    of both of its towers."""
     levels = 0
     for prox in catalog_instances().values():
         rfd = rframe(prox)
@@ -304,21 +334,24 @@ def test_kept_joins_and_sups_are_the_joins_they_stand_for():
                 assert level.join_of(e) == sigma(level.ideal_of(e))
             for p in (base, level.wb, level.maxp):
                 if isinstance(p, FiniteProximity):
-                    assert p.sups == tuple(_mask_join(p.frame, col) for col in p.cols)
+                    assert _approximation(p) == _approximation_by_mask_joins(p)
     assert levels == 5 * len(catalog_instances())
 
 
 def test_sups_read_the_relation_not_the_order():
-    # on the empty relation every column is empty, so every sup is bottom;
-    # on a relation missing (a, a) for an atom a, a's sup drops to bottom
+    # on the empty relation every column is empty, so every join of
+    # approximants is bottom, and the first element over bottom fails; on
+    # a relation missing (a, a) for an atom a, a's join drops to bottom
     frame = order_proximity(ref.diamond()).frame
-    assert FiniteProximity(frame, (0,) * frame.n).sups == (frame.bot,) * frame.n
-    a = frame.names.index("a")
+    names, bot = frame.names, frame.bot
+    empty = FiniteProximity(frame, (0,) * frame.n)
+    assert _approximation(empty).witness == (names[1], names[bot])
+    a = names.index("a")
     rows = tuple(r & ~(1 << a) if x == a else r for x, r in enumerate(frame.up))
-    sups = FiniteProximity(frame, rows).sups
-    assert sups[a] == frame.bot
-    assert [sups[x] for x in frame.elements() if x != a] == [
-        x for x in frame.elements() if x != a]
+    assert _approximation(FiniteProximity(frame, rows)).witness == ("a", names[bot])
+    assert _approximation(order_proximity(frame)).ok
+    for p in (empty, FiniteProximity(frame, rows)):
+        assert _approximation(p) == _approximation_by_mask_joins(p)
 
 
 def test_dir_sup_of_described_family():
