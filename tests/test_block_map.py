@@ -119,7 +119,7 @@ FINITE = ["two", "chain3", "diamond", "cube3"]
 
 
 @pytest.mark.parametrize("doc", CHAIN_DOCS.values(), ids=list(CHAIN_DOCS))
-def test_block_map_matches_the_old_chain_builders(doc):
+def test_block_map_matches_the_reference_chain_builders(doc):
     prox = chain_proximity(build_chain_frame(doc["k"]), doc["reflexive"])
     levels = _tower(prox)
     # every base layout has a limit top, so alpha is refused there and
