@@ -64,27 +64,21 @@ from .morphisms import (
     validate_proxhom,
 )
 from .comonads import (
-    adjunction_checks,
     beta_map,
     c_map,
     check_coalgebra_morphism,
+    check_laws,
     cmap_of,
     coalgebra_laws,
     coalgebra_structure,
-    comonad_laws,
     describe_instance,
-    doubled_membership_lemma,
     epsilon_map,
     kleisli_compose,
     kleisli_lift,
-    kz_check,
     m_map,
-    max_proximity_agreement,
-    maxrel_contains_wb,
     naturality_suite,
     r_map,
     retag_map,
-    subcomonad_check,
 )
 from .catalog import (
     CATALOG_NAMES,

@@ -14,17 +14,7 @@ import sys
 
 from .catalog import catalog_instances, catalog_morphisms, load_instance
 from .chain import OMEGA, ChainLikeFrame, El
-from .comonads import (
-    _reps,
-    adjunction_checks,
-    comonad_laws,
-    doubled_membership_lemma,
-    kleisli_lift,
-    kz_check,
-    max_proximity_agreement,
-    maxrel_contains_wb,
-    subcomonad_check,
-)
+from .comonads import SUITES, _report, _reps, check_laws, kleisli_lift
 from .errors import InvalidParameter, ProxkitError
 from .finite import build_finite_frame, dot_quoted, downset_frame, hasse_dot
 from .morphisms import (
@@ -47,7 +37,7 @@ from .proximity import (
     order_proximity,
     validate_proximity,
 )
-from .reports import LawReport, document, law_fail, law_pass, line
+from .reports import LawReport, document, line
 from .roundideal import rframe
 
 
@@ -70,7 +60,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", choices=("json", "dot"), default="json")
 
     p = sub.add_parser("laws", help="run law suites over instances")
-    p.add_argument("--suite", choices=("R", "C", "morphisms", "all"), default="all")
+    p.add_argument("--suite", choices=(*SUITES, "morphisms", "all"), default="all")
     p.add_argument("--instance", default=None,
                    help="catalog name or instance JSON file (default: whole catalog)")
 
@@ -201,20 +191,10 @@ def cmd_laws(suite: str, instance: str | None) -> int:
     rfd_of = functools.cache(rframe)
 
     reports: list[LawReport] = []
-    if suite in ("R", "all"):
-        for prox in insts.values():
-            rfd = rfd_of(prox)
-            reports += comonad_laws("R", rfd)
-            reports += subcomonad_check(rfd)
-    if suite in ("C", "all"):
-        for prox in insts.values():
-            rfd = rfd_of(prox)
-            reports += comonad_laws("C", rfd)
-            reports.append(kz_check(rfd))
-            reports += adjunction_checks(rfd)
-            reports.append(doubled_membership_lemma(rfd))
-            reports.append(max_proximity_agreement(rfd))
-            reports.append(maxrel_contains_wb(rfd))
+    for name in SUITES:
+        if suite in (name, "all"):
+            for prox in insts.values():
+                reports += check_laws(rfd_of(prox), name)
     if suite in ("morphisms", "all"):
         reports += _morphism_suite(insts, rfd_of)
     for r in reports:
@@ -232,18 +212,16 @@ def _morphism_suite(insts, ideal_frame_of) -> list[LawReport]:
     for name, f in morphs.items():
         inst = f"morphism:{name}"
         if not validate_proxhom(f).ok:
-            out.append(law_fail("morphism.valid", inst))
+            out.append(_report("morphism.valid", inst, False))
             continue
         rfd = ideal_frame_of(f.src)
         th = theta(f, rfd)
         ok = validate_pframemap(th).ok and rho(th, rfd) == f
-        out.append(law_pass("theta-rho.roundtrip", inst) if ok
-                   else law_fail("theta-rho.roundtrip", inst))
+        out.append(_report("theta-rho.roundtrip", inst, ok))
         dst_rfd = ideal_frame_of(f.dst)
         decomp = compose(sigma_map(dst_rfd),
                          compose(rmap_map(f, rfd, dst_rfd), kappa_map(rfd)))
-        out.append(law_pass("decomposition", inst) if decomp == f
-                   else law_fail("decomposition", inst))
+        out.append(_report("decomposition", inst, decomp == f))
         thetas[name] = th
         lifts[name] = kleisli_lift(th, rfd, dst_rfd)
         frame_maps[name] = validate_pframemap(f).ok
@@ -253,8 +231,8 @@ def _morphism_suite(insts, ideal_frame_of) -> list[LawReport]:
     for ns, ps in small.items():
         for nd, pd in small.items():
             count, failures = _theta_rho_counts(ps, pd, ideal_frame_of(ps))
-            out.append(_count_law("theta-rho.exhaustive", f"{ns}->{nd}",
-                                  count, failures))
+            out.append(_report("theta-rho.exhaustive", f"{ns}->{nd}", not failures,
+                               samples=count, note=f"{failures} failures" if failures else ""))
     # star-composition laws across composable catalog pairs: theta(g * f)
     # is theta(g) after the lift of theta(f)
     for n1, f in morphs.items():
@@ -264,16 +242,14 @@ def _morphism_suite(insts, ideal_frame_of) -> list[LawReport]:
             inst = f"{n2}*{n1}"
             invalid = [n for n in dict.fromkeys((n1, n2)) if n not in thetas]
             if invalid:
-                out.append(law_fail("kleisli.functor", inst,
-                                    note="invalid factor: " + ", ".join(invalid)))
-                continue
-            sc = star_compose(g, f)
-            ok = validate_proxhom(sc).ok
-            if frame_maps[n2]:
-                ok = ok and sc == compose(g, f)
-            ok = ok and theta(sc, ideal_frame_of(f.src)) == compose(thetas[n2], lifts[n1])
-            out.append(law_pass("kleisli.functor", inst) if ok
-                       else law_fail("kleisli.functor", inst))
+                ok, note = False, "invalid factor: " + ", ".join(invalid)
+            else:
+                sc = star_compose(g, f)
+                ok, note = validate_proxhom(sc).ok, ""
+                if frame_maps[n2]:
+                    ok = ok and sc == compose(g, f)
+                ok = ok and theta(sc, ideal_frame_of(f.src)) == compose(thetas[n2], lifts[n1])
+            out.append(_report("kleisli.functor", inst, ok, note=note))
     return out
 
 
@@ -282,12 +258,6 @@ def _theta_rho_counts(ps, pd, rfd) -> tuple[int, int]:
     rho(theta(f)) does not give back; rfd is the ideal frame of ps."""
     homs = enumerate_proxhoms(ps, pd)
     return len(homs), sum(rho(theta(f, rfd), rfd) != f for f in homs)
-
-
-def _count_law(law, inst, count, failures) -> LawReport:
-    if failures:
-        return law_fail(law, inst, samples=count, note=f"{failures} failures")
-    return law_pass(law, inst, samples=count)
 
 
 # -- search -------------------------------------------------------------------

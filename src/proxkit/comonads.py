@@ -22,17 +22,24 @@ bit b of its first nonzero "bad" row a, and reports the a * n + b + 1
 pairs that a row-major scan would have checked by then as `samples`; a
 pass reports all of them.
 
-Every law takes the instance's RFrameData and climbs the two comonads'
-towers through its `rr` and `cc` properties, so each ideal frame is built
-once and shared by all the laws that hold the same RFrameData.  The
-structure maps (sigma, kappa, alpha, r, c, epsilon, beta) are kept on the
-RFrameData they are built from, in the same way.
+The 16 object laws are the rows (suite, name, decider) of `LAWS`, in
+report order, and `check_laws` runs one suite or one law of them.  A
+decider takes the instance's RFrameData and returns the outcome (ok,
+witness, samples, note) that `_report` turns into a LawReport.  It looks
+the structure maps up as module globals when it runs, so a map replaced
+in this module is the one the laws apply.  Deciders climb the two
+comonads' towers through the `rr` and `cc` properties, so each ideal
+frame is built once and shared by all the laws that hold the same
+RFrameData.  The structure maps (sigma, kappa, alpha, r, c, epsilon,
+beta) are kept on the RFrameData they are built from, in the same way,
+and so is `_adjunction`, the outcomes of the one scan that decides both
+laws of the adjoint chain.
 """
 
 from __future__ import annotations
 
 from .chain import Seq, _check_sorted
-from .errors import NotComposable, NotStablyCompact
+from .errors import InvalidParameter, NotComposable, NotStablyCompact
 from .morphisms import (
     ChainMap,
     FiniteMap,
@@ -69,25 +76,7 @@ def describe_instance(prox: Proximity) -> str:
     return f"chain:[{segs}],R=[{','.join(refl)}]"
 
 
-# -- the maximal proximity --------------------------------------------------
-
-
-def max_proximity_agreement(rfd: RFrameData) -> LawReport:
-    """The two definitions of the maximal proximity agree: relating the
-    joins is the same as being way below the approximant ideal of the
-    other join."""
-    base = rfd.base
-    reps = _reps(rfd, (sigma_map(rfd), kappa_map(rfd)), pairs=True)
-    ideals = [rfd.ideal_of(r) for r in reps]
-    tops = rfd.joins_on(reps)
-    sub = rfd.inclusion_rows(reps, ideals)
-    rel = base.rows_on(tops, tops)
-    by_joins = [s & r for s, r in zip(sub, rel)]
-    by_wb = [s & r for s, r in zip(sub, rfd.way_below_kappa_rows(ideals, tops, rel))]
-    tagged = rfd.maxp.rows_on(reps, reps)
-    bad = [(j ^ t) | (w ^ t) for j, w, t in zip(by_joins, by_wb, tagged)]
-    return _pair_law("maxrel.agreement", describe_instance(base), bad, len(reps),
-                     lambda a, b: (repr(ideals[a]), repr(ideals[b])))
+# -- representatives ----------------------------------------------------------
 
 
 def _reps(rfd: RFrameData, maps=(), pairs: bool = False) -> list:
@@ -186,95 +175,44 @@ def coalgebra_structure(rfd: RFrameData) -> Morphism:
     return retag_map(alpha_map(rfd), rfd.base, rfd.maxp)
 
 
-# -- law harness -------------------------------------------------------------
+# -- reports -----------------------------------------------------------------
 
 
-def _law(name: str, instance: str, ok: bool, witness=None, samples=0) -> LawReport:
+def _report(name: str, instance: str, ok: bool, witness=None, samples: int = 0,
+            note: str = "") -> LawReport:
+    """The report of one law from its outcome: ok, the witness of a
+    failure, the checks made and a note.  A pass drops the witness."""
     if ok:
-        return law_pass(name, instance, samples=samples)
-    return law_fail(name, instance, witness=witness, samples=samples)
+        return law_pass(name, instance, samples=samples, note=note)
+    return law_fail(name, instance, witness=witness, samples=samples, note=note)
 
 
-def _map_eq_law(name, instance, lhs, rhs) -> LawReport:
+def _equal(lhs: Morphism, rhs: Morphism) -> tuple:
+    """The outcome of the identity lhs = rhs of two maps, decided by
+    normal-form equality; a failure names both maps."""
     if lhs == rhs:
-        return law_pass(name, instance, note="normal-form equality")
-    return law_fail(name, instance, witness=(repr(lhs), repr(rhs)))
+        return True, None, 0, "normal-form equality"
+    return False, (repr(lhs), repr(rhs)), 0, ""
 
 
-def comonad_laws(which: str, rfd: RFrameData) -> list[LawReport]:
-    """Counit and comultiplication laws, by exact morphism equality."""
-    inst = describe_instance(rfd.base)
-    if which == "R":
-        rrfd = rfd.rr
-        r = r_map(rfd)
-        ide = identity_map(rfd.wb)
-        return [
-            _map_eq_law("R.counit.left", inst,
-                        compose(sigma_map(rrfd), r), ide),
-            _map_eq_law("R.counit.right", inst,
-                        compose(rmap_map(sigma_map(rfd), rrfd, rfd), r), ide),
-            _map_eq_law("R.coassoc", inst,
-                        compose(r_map(rrfd), r),
-                        compose(rmap_map(r, rrfd, rrfd.rr), r)),
-            _map_eq_law("R.idempotent", inst,
-                        compose(r, sigma_map(rrfd)), identity_map(rrfd.wb)),
-        ]
-    if which == "C":
-        ccfd = rfd.cc
-        c = c_map(rfd)
-        ide = identity_map(rfd.maxp)
-        return [
-            _map_eq_law("C.counit.left", inst,
-                        compose(epsilon_map(ccfd), c), ide),
-            _map_eq_law("C.counit.right", inst,
-                        compose(cmap_of(epsilon_map(rfd), ccfd, rfd), c), ide),
-            _map_eq_law("C.coassoc", inst,
-                        compose(c_map(ccfd), c),
-                        compose(cmap_of(c, ccfd, ccfd.cc), c)),
-            _nonprincipal_comult(rfd, c),
-        ]
-    raise NotComposable(f"unknown comonad selector {which!r}")
-
-
-def _nonprincipal_comult(rfd: RFrameData, c: Morphism) -> LawReport:
-    """At a limit of the ideal frame, the comultiplication value is the
-    non-principal directed union of the principal classes below it.  An
-    ideal frame without limits has no omega block, as its base has none,
-    so the instance is finite."""
-    maxp, ccfd = rfd.maxp, rfd.cc
-    inst = describe_instance(rfd.base)
-    limits = rfd.frame.limits()
-    if not limits:
-        return law_pass("C.comult.nonprincipal", inst,
-                        note="no limit classes on a finite instance")
-    for samples, b in enumerate(limits, 1):
-        got = ccfd.ideal_of(c.apply(b))
-        expected = BelowLim(maxp, b)
-        if got != expected:
-            return law_fail("C.comult.nonprincipal", inst,
-                            witness=(repr(got), repr(expected)), samples=samples)
-        # the same ideal as an explicit directed union of principals
-        union = dir_sup(maxp, Seq.affine(b.seg - 1, 1, 0))
-        if union != expected:
-            return law_fail("C.comult.nonprincipal", inst,
-                            witness=(repr(union), repr(expected)), samples=samples)
-    return law_pass("C.comult.nonprincipal", inst, samples=len(limits))
+# -- coalgebras ----------------------------------------------------------------
 
 
 def coalgebra_laws(rfd: RFrameData) -> list[LawReport]:
     prox = rfd.base
     inst = describe_instance(prox)
-    if not is_stably_compact(prox):
-        return [law_fail("coalgebra.exists", inst,
-                         note="instance is not stably compact")]
+    exists = is_stably_compact(prox)
+    reports = [_report("coalgebra.exists", inst, exists,
+                       note="" if exists else "instance is not stably compact")]
+    if not exists:
+        return reports
     struct = coalgebra_structure(rfd)
-    return [
-        law_pass("coalgebra.exists", inst),
-        _map_eq_law("coalgebra.counit", inst,
-                    compose(epsilon_map(rfd), struct), identity_map(prox)),
-        _map_eq_law("coalgebra.coassoc", inst,
-                    compose(c_map(rfd), struct),
-                    compose(cmap_of(struct, rfd, rfd.cc), struct)),
+    return reports + [
+        _report("coalgebra.counit", inst,
+                *_equal(compose(epsilon_map(rfd), struct), identity_map(prox))),
+        _report("coalgebra.coassoc", inst,
+                *_equal(compose(c_map(rfd), struct),
+                        compose(cmap_of(struct, rfd, rfd.cc), struct))),
     ]
 
 
@@ -283,53 +221,18 @@ def check_coalgebra_morphism(f: Morphism, src_rfd: RFrameData,
     """The structure square commutes exactly when f preserves way-below;
     src_rfd and dst_rfd are the ideal frames of f's source and target."""
     inst = f"{describe_instance(f.src)} -> {describe_instance(f.dst)}"
+    witness = None
     if not (is_stably_compact(f.src) and is_stably_compact(f.dst)):
-        return law_fail("coalgebra.morphism", inst,
-                        note="both instances must be stably compact")
-    if not validate_pframemap(f).ok:
-        return law_fail("coalgebra.morphism", inst,
-                        note="map does not preserve the proximities")
-    lhs = compose(rmap_map(f, src_rfd, dst_rfd), alpha_map(src_rfd))
-    rhs = compose(alpha_map(dst_rfd), f)
-    square = lhs == rhs
-    proper = is_proper(f)
-    note = f"square={'holds' if square else 'fails'}; proper={proper}"
-    if square == proper:
-        return law_pass("coalgebra.morphism", inst, note=note)
-    return law_fail("coalgebra.morphism", inst,
-                    witness=(repr(lhs), repr(rhs)), note=note)
-
-
-def kz_check(rfd: RFrameData) -> LawReport:
-    """Lax-idempotence inequality: the counit at the doubled instance sits
-    below the functor image of the counit, pointwise."""
-    inst = describe_instance(rfd.base)
-    ccfd = rfd.cc
-    eps_CL = epsilon_map(ccfd)
-    ceps = cmap_of(epsilon_map(rfd), ccfd, rfd)
-    leq = rfd.frame.leq
-    samples = 0
-    for x in _reps(ccfd, (eps_CL, ceps)):
-        samples += 1
-        if not leq(eps_CL.apply(x), ceps.apply(x)):
-            return law_fail("C.kz", inst, witness=(repr(x),), samples=samples)
-    return law_pass("C.kz", inst, samples=samples)
-
-
-def subcomonad_check(rfd: RFrameData) -> list[LawReport]:
-    """The way-below comonad includes into the maximal one: the counits
-    agree through beta and the comultiplications match through doubled
-    beta after r."""
-    inst = describe_instance(rfd.base)
-    beta = beta_map(rfd)
-    lhs = compose(c_map(rfd), beta)
-    rbeta = rmap_map(beta, rfd.rr, rfd.cc)
-    rhs = compose(retag_map(rbeta, rbeta.src, rfd.cc.maxp), r_map(rfd))
-    return [
-        _map_eq_law("sub.comult", inst, lhs, rhs),
-        _map_eq_law("sub.counit", inst,
-                    compose(epsilon_map(rfd), beta), sigma_map(rfd)),
-    ]
+        ok, note = False, "both instances must be stably compact"
+    elif not validate_pframemap(f).ok:
+        ok, note = False, "map does not preserve the proximities"
+    else:
+        lhs = compose(rmap_map(f, src_rfd, dst_rfd), alpha_map(src_rfd))
+        rhs = compose(alpha_map(dst_rfd), f)
+        square, proper = lhs == rhs, is_proper(f)
+        ok, witness = square == proper, (repr(lhs), repr(rhs))
+        note = f"square={'holds' if square else 'fails'}; proper={proper}"
+    return _report("coalgebra.morphism", inst, ok, witness, note=note)
 
 
 # -- naturality squares ------------------------------------------------------
@@ -347,79 +250,103 @@ def naturality_suite(f: Morphism, rfd_L: RFrameData,
         jfd_L = ideal_frame(f.src.frame)
         jfd_M = ideal_frame(f.dst.frame)
         jf = rmap_map(retag_map(f, jfd_L.base, jfd_M.base), jfd_L, jfd_M)
-        out.append(_map_eq_law(
-            "nat.m", inst,
+        out.append(_report("nat.m", inst, *_equal(
             compose(jf, m_map(rfd_L, jfd_L)),
-            compose(m_map(rfd_M, jfd_M), rf)))
+            compose(m_map(rfd_M, jfd_M), rf))))
 
     if validate_pframemap(f).ok:
-        out.append(_map_eq_law(
-            "nat.sigma", inst,
-            compose(f, sigma_map(rfd_L)),
-            compose(sigma_map(rfd_M), rf)))
-        out.append(_map_eq_law(
-            "nat.r", inst,
-            compose(rmap_map(rf, rfd_L.rr, rfd_M.rr), r_map(rfd_L)),
-            compose(r_map(rfd_M), rf)))
         cf = retag_map(rf, rfd_L.maxp, rfd_M.maxp)
-        out.append(_map_eq_law(
-            "nat.beta", inst,
-            compose(cf, beta_map(rfd_L)),
-            compose(beta_map(rfd_M), rf)))
         ccf = cmap_of(cf, rfd_L.cc, rfd_M.cc)
-        out.append(_map_eq_law(
-            "nat.c", inst,
-            compose(ccf, c_map(rfd_L)),
-            compose(c_map(rfd_M), cf)))
+        for name, lhs, rhs in (
+                ("nat.sigma", compose(f, sigma_map(rfd_L)), compose(sigma_map(rfd_M), rf)),
+                ("nat.r", compose(rmap_map(rf, rfd_L.rr, rfd_M.rr), r_map(rfd_L)),
+                 compose(r_map(rfd_M), rf)),
+                ("nat.beta", compose(cf, beta_map(rfd_L)), compose(beta_map(rfd_M), rf)),
+                ("nat.c", compose(ccf, c_map(rfd_L)), compose(c_map(rfd_M), cf))):
+            out.append(_report(name, inst, *_equal(lhs, rhs)))
         # the functor image respects the maximal structure
-        out.append(_law(
-            "nat.maxrel-preserved", inst,
-            validate_pframemap(cf).ok))
+        out.append(_report("nat.maxrel-preserved", inst, validate_pframemap(cf).ok))
     return out
 
 
-# -- adjunction and membership lemmas ----------------------------------------
+# -- the object laws -----------------------------------------------------------
 
 
-def adjunction_checks(rfd: RFrameData) -> list[LawReport]:
-    """Pointwise inequalities for the adjoint chain: comultiplication,
-    the doubled counit, and beta-after-kappa."""
-    inst = describe_instance(rfd.base)
+def _sub_comult(rfd: RFrameData) -> tuple:
+    """The way-below comonad includes into the maximal one: the
+    comultiplications match through doubled beta after r."""
+    beta = beta_map(rfd)
+    lhs = compose(c_map(rfd), beta)
+    rbeta = rmap_map(beta, rfd.rr, rfd.cc)
+    return _equal(lhs, compose(retag_map(rbeta, rbeta.src, rfd.cc.maxp), r_map(rfd)))
+
+
+def _nonprincipal_comult(rfd: RFrameData) -> tuple:
+    """At a limit of the ideal frame, the comultiplication value is the
+    non-principal directed union of the principal classes below it.  An
+    ideal frame without limits has no omega block, as its base has none,
+    so the instance is finite."""
+    maxp, ccfd, c = rfd.maxp, rfd.cc, c_map(rfd)
+    limits = rfd.frame.limits()
+    if not limits:
+        return True, None, 0, "no limit classes on a finite instance"
+    for samples, b in enumerate(limits, 1):
+        got = ccfd.ideal_of(c.apply(b))
+        expected = BelowLim(maxp, b)
+        if got != expected:
+            return False, (repr(got), repr(expected)), samples, ""
+        # the same ideal as an explicit directed union of principals
+        union = dir_sup(maxp, Seq.affine(b.seg - 1, 1, 0))
+        if union != expected:
+            return False, (repr(union), repr(expected)), samples, ""
+    return True, None, len(limits), ""
+
+
+def _kz(rfd: RFrameData) -> tuple:
+    """Lax idempotence: the counit at the doubled instance sits below the
+    functor image of the counit, pointwise."""
     ccfd = rfd.cc
-    c = c_map(rfd)
-    eps_CL = epsilon_map(ccfd)
+    eps_CL, ceps = epsilon_map(ccfd), cmap_of(epsilon_map(rfd), ccfd, rfd)
+    reps = _reps(ccfd, (eps_CL, ceps))
+    for samples, x in enumerate(reps, 1):
+        if not rfd.frame.leq(eps_CL.apply(x), ceps.apply(x)):
+            return False, (repr(x),), samples, ""
+    return True, None, len(reps), ""
+
+
+@kept_on_rframe
+def _adjunction(rfd: RFrameData) -> tuple:
+    """The outcomes of the two adjunctions of the chain c -| eps -| beta
+    kappa, pointwise, from one scan that builds c, the doubled counit,
+    beta after the doubled kappa and the representatives of both frames
+    once.  Each fails at its last failing element, and both count every
+    check of the scan."""
+    ccfd = rfd.cc
+    c, eps_CL = c_map(rfd), epsilon_map(ccfd)
     bk = retag_map(kappa_map(ccfd), rfd.maxp, ccfd.maxp)
-    frame_C = rfd.frame
-    frame_CC = ccfd.frame
-    reps_C = _reps(rfd, (c, eps_CL, bk))
-    reps_CC = _reps(ccfd, (c, eps_CL, bk))
-    samples = 0
-    ok1 = ok2 = True
+    leq_C, leq_CC = rfd.frame.leq, ccfd.frame.leq
+    reps_C, reps_CC = _reps(rfd, (c, eps_CL, bk)), _reps(ccfd, (c, eps_CL, bk))
     w1 = w2 = None
     for x in reps_C:
-        samples += 1
         # unit/counit of c -| eps: x <= eps(c(x)) (equality) and c(eps(y)) <= y
-        if not frame_C.leq(x, eps_CL.apply(c.apply(x))):
-            ok1, w1 = False, (repr(x),)
+        if not leq_C(x, eps_CL.apply(c.apply(x))):
+            w1 = (repr(x),)
     for y in reps_CC:
-        samples += 1
-        if not frame_CC.leq(c.apply(eps_CL.apply(y)), y):
-            ok1, w1 = False, (repr(y),)
+        if not leq_CC(c.apply(eps_CL.apply(y)), y):
+            w1 = (repr(y),)
         # eps -| beta kappa: y <= bk(eps(y))
-        if not frame_CC.leq(y, bk.apply(eps_CL.apply(y))):
-            ok2, w2 = False, (repr(y),)
+        if not leq_CC(y, bk.apply(eps_CL.apply(y))):
+            w2 = (repr(y),)
     for x in reps_C:
-        samples += 1
-        if not frame_C.leq(eps_CL.apply(bk.apply(x)), x):
-            ok2, w2 = False, (repr(x),)
-    return [_law("adj.c-eps", inst, ok1, witness=w1, samples=samples),
-            _law("adj.eps-betakappa", inst, ok2, witness=w2, samples=samples)]
+        if not leq_C(eps_CL.apply(bk.apply(x)), x):
+            w2 = (repr(x),)
+    samples = 2 * len(reps_C) + len(reps_CC)
+    return (w1 is None, w1, samples, ""), (w2 is None, w2, samples, "")
 
 
-def doubled_membership_lemma(rfd: RFrameData) -> LawReport:
+def _doubled_membership(rfd: RFrameData) -> tuple:
     """For a doubled ideal J: the counit of the counit lands in I exactly
     when some intermediate class dominates eps(J) and lands in I."""
-    inst = describe_instance(rfd.base)
     maxp, ccfd = rfd.maxp, rfd.cc
     eps_CL = epsilon_map(ccfd)
     # The existential over kbar runs over reps_C only, and loses nothing.
@@ -445,24 +372,35 @@ def doubled_membership_lemma(rfd: RFrameData) -> LawReport:
     landing = rfd.holder_rows(joins, ideals, joins)
     rhs = rfd.union_over(landing, maxp.rows_on(ejs, reps_C))
     bad = [x ^ y for x, y in zip(lhs, rhs)]
-    return _pair_law("C.doubled-membership", inst, bad, len(reps_C),
-                     lambda u, t: (repr(reps_CC[u]), repr(ideals[t])))
+    return _first_bad(bad, len(reps_C),
+                      lambda u, t: (repr(reps_CC[u]), repr(ideals[t])))
 
 
-def maxrel_contains_wb(rfd: RFrameData) -> LawReport:
+def _maxrel_agreement(rfd: RFrameData) -> tuple:
+    """The two definitions of the maximal proximity agree: relating the
+    joins is the same as being way below the approximant ideal of the
+    other join."""
+    reps = _reps(rfd, (sigma_map(rfd), kappa_map(rfd)), pairs=True)
+    ideals = [rfd.ideal_of(r) for r in reps]
+    tops = rfd.joins_on(reps)
+    sub = rfd.inclusion_rows(reps, ideals)
+    rel = rfd.base.rows_on(tops, tops)
+    by_joins = [s & r for s, r in zip(sub, rel)]
+    by_wb = [s & r for s, r in zip(sub, rfd.way_below_kappa_rows(ideals, tops, rel))]
+    tagged = rfd.maxp.rows_on(reps, reps)
+    bad = [(j ^ t) | (w ^ t) for j, w, t in zip(by_joins, by_wb, tagged)]
+    return _first_bad(bad, len(reps), lambda a, b: (repr(ideals[a]), repr(ideals[b])))
+
+
+def _maxrel_contains_wb(rfd: RFrameData) -> tuple:
     """Way-below implies the maximal relation on every pair of ideals."""
     reps = _reps(rfd, pairs=True)
     bad = [w & ~m for w, m in zip(rfd.wb.rows_on(reps, reps),
                                   rfd.maxp.rows_on(reps, reps))]
-    return _pair_law("maxrel.contains-wb", describe_instance(rfd.base), bad,
-                     len(reps), lambda a, b: (repr(reps[a]), repr(reps[b])))
+    return _first_bad(bad, len(reps), lambda a, b: (repr(reps[a]), repr(reps[b])))
 
 
-# -- rows over representatives -------------------------------------------------
-
-
-def _pair_law(name: str, instance: str, bad: list[int], n: int,
-              witness) -> LawReport:
+def _first_bad(bad: list[int], n: int, witness) -> tuple:
     """Pass, or fail at the first set bit of the rows `bad` in row-major
     order: bit b of row a marks a failing pair, witness(a, b) names it,
     and a pair scan over a, then b, would have stopped there after
@@ -470,6 +408,51 @@ def _pair_law(name: str, instance: str, bad: list[int], n: int,
     for a, row in enumerate(bad):
         if row:
             b = _low(row)
-            return law_fail(name, instance, witness=witness(a, b),
-                            samples=a * n + b + 1)
-    return law_pass(name, instance, samples=len(bad) * n)
+            return False, witness(a, b), a * n + b + 1, ""
+    return True, None, len(bad) * n, ""
+
+
+# (suite, name, decider) of each object law, in report order; README's
+# "Laws" lists them in the paper's terms
+LAWS = (
+    ("R", "R.counit.left",
+     lambda rfd: _equal(compose(sigma_map(rfd.rr), r_map(rfd)), identity_map(rfd.wb))),
+    ("R", "R.counit.right",
+     lambda rfd: _equal(compose(rmap_map(sigma_map(rfd), rfd.rr, rfd), r_map(rfd)),
+                        identity_map(rfd.wb))),
+    ("R", "R.coassoc",
+     lambda rfd: _equal(compose(r_map(rfd.rr), r_map(rfd)),
+                        compose(rmap_map(r_map(rfd), rfd.rr, rfd.rr.rr), r_map(rfd)))),
+    ("R", "R.idempotent",
+     lambda rfd: _equal(compose(r_map(rfd), sigma_map(rfd.rr)), identity_map(rfd.rr.wb))),
+    ("R", "sub.comult", _sub_comult),
+    ("R", "sub.counit",
+     lambda rfd: _equal(compose(epsilon_map(rfd), beta_map(rfd)), sigma_map(rfd))),
+    ("C", "C.counit.left",
+     lambda rfd: _equal(compose(epsilon_map(rfd.cc), c_map(rfd)), identity_map(rfd.maxp))),
+    ("C", "C.counit.right",
+     lambda rfd: _equal(compose(cmap_of(epsilon_map(rfd), rfd.cc, rfd), c_map(rfd)),
+                        identity_map(rfd.maxp))),
+    ("C", "C.coassoc",
+     lambda rfd: _equal(compose(c_map(rfd.cc), c_map(rfd)),
+                        compose(cmap_of(c_map(rfd), rfd.cc, rfd.cc.cc), c_map(rfd)))),
+    ("C", "C.comult.nonprincipal", _nonprincipal_comult),
+    ("C", "C.kz", _kz),
+    ("C", "adj.c-eps", lambda rfd: _adjunction(rfd)[0]),
+    ("C", "adj.eps-betakappa", lambda rfd: _adjunction(rfd)[1]),
+    ("C", "C.doubled-membership", _doubled_membership),
+    ("C", "maxrel.agreement", _maxrel_agreement),
+    ("C", "maxrel.contains-wb", _maxrel_contains_wb),
+)
+SUITES = tuple(dict.fromkeys(suite for suite, _, _ in LAWS))
+
+
+def check_laws(rfd: RFrameData, select: str) -> list[LawReport]:
+    """The reports of the object laws that `select` names, a suite of
+    `SUITES` or one law, on the instance whose ideal frame is rfd, in
+    table order."""
+    rows = [(name, decide) for suite, name, decide in LAWS if select in (suite, name)]
+    if not rows:
+        raise InvalidParameter(f"no object law or suite is named {select!r}")
+    inst = describe_instance(rfd.base)
+    return [_report(name, inst, *decide(rfd)) for name, decide in rows]

@@ -226,8 +226,8 @@ class RFrameData:
     once.  A finite `maxp` is `wb` itself, by the collapse theorem, so
     there `cc` is `rr`.  `joins`, sigma of each of `ideals`, is also taken
     on first use and kept.  The structure maps built from it (sigma, kappa,
-    alpha, r, c, epsilon, beta) are kept in `maps` the same way; see
-    `kept_on_rframe`.
+    alpha, r, c, epsilon, beta) and the adjunction laws' outcomes are kept
+    in `maps` the same way; see `kept_on_rframe`.
 
     `rframe` builds a `FiniteRFrame` or a `ChainRFrame`: each kind has
     its own `maxp` and builds the int rows of the pair laws of `comonads`."""
@@ -239,7 +239,7 @@ class RFrameData:
     # element El(i, 0) of each segment i: Prin(El(b, 0)) for the omega
     # block over base block b, else the point's Prin or BelowLim
     ideals: tuple[RoundIdeal, ...]
-    # the structure maps built from this object, by builder function
+    # the values `kept_on_rframe` built from this object, by builder function
     maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ideal_of(self, el) -> RoundIdeal:
@@ -409,8 +409,9 @@ class ChainRFrame(RFrameData):
 
 
 def kept_on_rframe(build):
-    """Make build(rfd), a structure map of one RFrameData, run once per
-    RFrameData: the map is kept in rfd.maps and returned on later calls."""
+    """Make build(rfd), a structure map of one RFrameData or another value
+    that depends on it alone, run once per RFrameData: the value is kept
+    in rfd.maps and returned on later calls."""
     @wraps(build)
     def kept(rfd: RFrameData):
         if build not in rfd.maps:

@@ -7,26 +7,21 @@ import proxkit.roundideal as roundideal
 import reference as ref
 from proxkit.catalog import catalog_instances, catalog_morphisms
 from proxkit.chain import POINT, El, Seq, build_chain_frame
-from proxkit.errors import NotComposable, NotStablyCompact
+from proxkit.errors import InvalidParameter, NotComposable, NotStablyCompact
 from proxkit.comonads import (
-    adjunction_checks,
+    LAWS,
     beta_map,
     c_map,
     check_coalgebra_morphism,
+    check_laws,
     cmap_of,
     coalgebra_laws,
     coalgebra_structure,
-    comonad_laws,
     describe_instance,
-    doubled_membership_lemma,
     epsilon_map,
     kleisli_compose,
-    kz_check,
     m_map,
-    max_proximity_agreement,
-    maxrel_contains_wb,
     retag_map,
-    subcomonad_check,
 )
 from proxkit.morphisms import (
     ChainMap,
@@ -41,7 +36,7 @@ from proxkit.morphisms import (
 )
 from proxkit.proximity import FiniteProximity, chain_proximity, validate_proximity
 from proxkit.roundideal import ideal_frame, member, rframe, sigma
-from test_pair_rows import reference_report
+from test_pair_rows import one_law, reference_report
 
 # instances small enough for the doubled and tripled ideal frames
 LAW_INSTANCES = ("two", "chain3", "diamond", "chain-k1", "chain-k2")
@@ -70,13 +65,13 @@ def test_max_proximity_collapses_on_finite_order_instances():
 
 def test_max_proximity_definitions_agree():
     for name, prox in insts().items():
-        rep = max_proximity_agreement(rframe(prox))
+        rep = one_law("maxrel.agreement", rframe(prox))
         assert rep.ok, (name, rep)
 
 
 def test_max_proximity_contains_way_below():
     for name, prox in insts().items():
-        assert maxrel_contains_wb(rframe(prox)).ok, name
+        assert one_law("maxrel.contains-wb", rframe(prox)).ok, name
 
 
 def test_max_proximity_reflexive_limits_track_the_base():
@@ -94,20 +89,26 @@ def test_max_proximity_reflexive_limits_track_the_base():
 def test_comonad_laws_all_pass():
     for name, prox in insts().items():
         for which in ("R", "C"):
-            for rep in comonad_laws(which, rframe(prox)):
+            for rep in check_laws(rframe(prox), which):
                 assert rep.ok, (name, rep)
 
 
 def test_law_names_cover_both_comonads():
     rfd = rframe(insts()["chain-k1"])
-    names_r = [r.law for r in comonad_laws("R", rfd)]
-    names_c = [r.law for r in comonad_laws("C", rfd)]
+    names_r = [r.law for r in check_laws(rfd, "R")]
+    names_c = [r.law for r in check_laws(rfd, "C")]
     assert names_r == ["R.counit.left", "R.counit.right", "R.coassoc",
-                       "R.idempotent"]
+                       "R.idempotent", "sub.comult", "sub.counit"]
     assert names_c == ["C.counit.left", "C.counit.right", "C.coassoc",
-                       "C.comult.nonprincipal"]
-    with pytest.raises(NotComposable):
-        comonad_laws("Q", rfd)
+                       "C.comult.nonprincipal", "C.kz", "adj.c-eps",
+                       "adj.eps-betakappa", "C.doubled-membership",
+                       "maxrel.agreement", "maxrel.contains-wb"]
+    # one law by its name gives the report its suite gives
+    for suite, name, _ in LAWS:
+        assert check_laws(rfd, name) == [r for r in check_laws(rfd, suite) if r.law == name]
+    for select in ("Q", "morphisms", "all", "r", ""):
+        with pytest.raises(InvalidParameter, match="no object law or suite"):
+            check_laws(rfd, select)
 
 
 def test_doubling_grows_but_redoubling_stabilizes_nothing():
@@ -130,38 +131,40 @@ def test_counit_of_doubled_instance_is_not_injective():
 
 def test_subcomonad_identities():
     for name, prox in insts().items():
-        for rep in subcomonad_check(rframe(prox)):
+        for law in ("sub.comult", "sub.counit"):
+            rep = one_law(law, rframe(prox))
             assert rep.ok, (name, rep)
 
 
 def test_kz_inequality():
     for name, prox in insts().items():
-        assert kz_check(rframe(prox)).ok, name
+        assert one_law("C.kz", rframe(prox)).ok, name
 
 
 def test_adjunction_inequalities():
     for name, prox in insts().items():
-        for rep in adjunction_checks(rframe(prox)):
+        for law in ("adj.c-eps", "adj.eps-betakappa"):
+            rep = one_law(law, rframe(prox))
             assert rep.ok, (name, rep)
 
 
 def test_doubled_membership():
     for name, prox in insts().items():
-        assert doubled_membership_lemma(rframe(prox)).ok, name
+        assert one_law("C.doubled-membership", rframe(prox)).ok, name
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_doubled_membership_matches_reference_on_chains(k):
     for prox in ref.chain_instances(k):
-        assert (doubled_membership_lemma(rframe(prox))
-                == reference_report(doubled_membership_lemma, rframe(prox)))
+        assert (one_law("C.doubled-membership", rframe(prox))
+                == reference_report("C.doubled-membership", rframe(prox)))
 
 
 def test_doubled_membership_matches_reference_on_finite_catalog():
     for name in ("two", "chain3", "diamond", "cube3"):
         prox = catalog_instances()[name]
-        assert (doubled_membership_lemma(rframe(prox))
-                == reference_report(doubled_membership_lemma, rframe(prox))), name
+        assert (one_law("C.doubled-membership", rframe(prox))
+                == reference_report("C.doubled-membership", rframe(prox))), name
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -199,9 +202,9 @@ def test_doubled_membership_failure_matches_reference(monkeypatch):
              *(prox for k in (1, 2, 3) for prox in ref.chain_instances(k))]
     failed = 0
     for prox in cases:
-        got = doubled_membership_lemma(rframe(prox))
+        got = one_law("C.doubled-membership", rframe(prox))
         assert got == reference_report(
-            doubled_membership_lemma, rframe(prox),
+            "C.doubled-membership", rframe(prox),
             contains=lambda I, b: ref.contains(I, b) != (b == ref.sup(I)))
         all_reflexive = prox.reflexive_limits == frozenset(prox.frame.limits())
         assert got.ok == all_reflexive, prox.reflexive_limits
@@ -231,8 +234,8 @@ def test_doubled_membership_failure_matches_reference_on_finite_catalog():
         if not isinstance(prox, FiniteProximity):
             continue
         for rfd in _flipped_maxp(prox):
-            got = doubled_membership_lemma(rfd)
-            assert got == reference_report(doubled_membership_lemma, rfd), name
+            got = one_law("C.doubled-membership", rfd)
+            assert got == reference_report("C.doubled-membership", rfd), name
             failed += not got.ok
     assert failed
 
@@ -256,12 +259,13 @@ def reference_verdicts(prox):
     return ref.class_laws(rfd, *maps, ref.depth_for(*maps))
 
 
+PER_CLASS = ("C.kz", "adj.c-eps", "adj.eps-betakappa", "C.doubled-membership",
+             "maxrel.agreement", "maxrel.contains-wb")
+
+
 def per_class_verdicts(prox):
     rfd = rframe(prox)
-    reports = [kz_check(rfd), *adjunction_checks(rfd),
-               doubled_membership_lemma(rfd),
-               max_proximity_agreement(rfd), maxrel_contains_wb(rfd)]
-    return {r.law: r.ok for r in reports}
+    return {law: one_law(law, rfd).ok for law in PER_CLASS}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
@@ -464,8 +468,8 @@ def _harness_class_laws(rfd):
 def test_map_equality_law_reports_both_maps_when_it_fails(monkeypatch):
     # r sunk to the bottom: sigma after r sends 1 to 0, not to itself
     _sink(monkeypatch, "r_map")
-    reports = comonad_laws("R", rframe(insts()["two"]))
-    assert [r.ok for r in reports] == [False, False, True, False]
+    reports = check_laws(rframe(insts()["two"]), "R")
+    assert [r.ok for r in reports] == [False, False, True, False, False, True]
     assert _report(reports[0]) == (
         "R.counit.left", "fail",
         ("FiniteMap{dn(0)->dn(0), dn(1)->dn(0)}", "FiniteMap{dn(0)->dn(0), dn(1)->dn(1)}"), 0)
@@ -478,7 +482,7 @@ def test_kz_reports_its_first_failing_representative(name, witness, monkeypatch)
     # representative, the first the counit sends above the bottom, fails
     _sink(monkeypatch, "cmap_of")
     rfd = rframe(insts()[name])
-    assert _report(kz_check(rfd)) == ("C.kz", "fail", witness, 2)
+    assert _report(one_law("C.kz", rfd)) == ("C.kz", "fail", witness, 2)
     assert _harness_class_laws(rfd)["C.kz"] is False
 
 
@@ -495,7 +499,7 @@ def test_adjunction_reports_its_last_failing_representative(sunk, law, name, wit
     # the witness is the last failing element and samples counts every check
     _sink(monkeypatch, sunk)
     rfd = rframe(insts()[name])
-    reports = {r.law: r for r in adjunction_checks(rfd)}
+    reports = {law: one_law(law, rfd) for law in ("adj.c-eps", "adj.eps-betakappa")}
     assert _report(reports[law]) == (law, "fail", witness, samples)
     assert [r.ok for r in reports.values()] == [law != "adj.c-eps", law == "adj.c-eps"]
     expected = _harness_class_laws(rfd)
@@ -506,8 +510,8 @@ def test_adjunction_reports_its_last_failing_representative(sunk, law, name, wit
 def test_nonprincipal_comultiplication_reports_the_first_limit(name, monkeypatch):
     # c sunk to the bottom sends the first limit L1 to a principal ideal
     _sink(monkeypatch, "c_map")
-    reports = comonad_laws("C", rframe(insts()[name]))
-    assert _report(reports[-1]) == (
+    report = one_law("C.comult.nonprincipal", rframe(insts()[name]))
+    assert _report(report) == (
         "C.comult.nonprincipal", "fail", ("Prin(P[S0].0)", "Below(B[L1])"), 1)
 
 
@@ -516,6 +520,6 @@ def test_nonprincipal_comultiplication_checks_the_directed_union(monkeypatch):
     # member: a principal ideal, not the ideal under L1
     monkeypatch.setattr(comonads, "dir_sup",
                         lambda p, seq: roundideal.dir_sup(p, Seq.constant(seq.value(0))))
-    report = comonad_laws("C", rframe(insts()["chain-k2"]))[-1]
+    report = one_law("C.comult.nonprincipal", rframe(insts()["chain-k2"]))
     assert _report(report) == (
         "C.comult.nonprincipal", "fail", ("Prin(P[S0].0)", "Below(B[L1])"), 1)

@@ -1,7 +1,7 @@
 """The pair laws decided on bitmask rows, against the definitions.
 
-`max_proximity_agreement`, `maxrel_contains_wb` and
-`doubled_membership_lemma` build int rows over the representatives and
+The laws `maxrel.agreement`, `maxrel.contains-wb` and
+`C.doubled-membership` build int rows over the representatives and
 report the first set bit of the first nonzero "bad" row.  The reference
 evaluates each law at every pair of points of a deeper window; its first
 violating pair must be the report's witness, counted at its place among
@@ -21,14 +21,7 @@ import reference as ref
 from proxkit.catalog import catalog_instances
 from proxkit.chain import El, build_chain_frame
 from proxkit.cli import _compact_json
-from proxkit.comonads import (
-    _reps,
-    describe_instance,
-    doubled_membership_lemma,
-    epsilon_map,
-    max_proximity_agreement,
-    maxrel_contains_wb,
-)
+from proxkit.comonads import _reps, check_laws, describe_instance, epsilon_map
 from proxkit.errors import BrokenInvariant, ProxkitError, UnsupportedRepresentation
 from proxkit.morphisms import kappa_map, sigma_map
 from proxkit.proximity import ChainProximity, FiniteProximity, chain_proximity
@@ -38,7 +31,13 @@ from proxkit.roundideal import BelowLim, Prin, rframe, way_below_ideals
 from test_block_map import CHAIN_DOCS, _tower
 
 FINITE_NAMES = ("two", "chain3", "diamond", "cube3")
-LAWS = (max_proximity_agreement, doubled_membership_lemma, maxrel_contains_wb)
+LAWS = ("maxrel.agreement", "C.doubled-membership", "maxrel.contains-wb")
+
+
+def one_law(law, rfd):
+    """The report of the law named `law` on rfd."""
+    (report,) = check_laws(rfd, law)
+    return report
 
 
 def reference_report(law, rfd, **kw):
@@ -47,27 +46,26 @@ def reference_report(law, rfd, **kw):
     which must hold the pair, and the pairs a row-major scan of those
     representatives checks up to it."""
     base = rfd.base
-    if law is doubled_membership_lemma:
+    if law == "C.doubled-membership":
         maps = (epsilon_map(rfd.cc),)
         rows, cols = _reps(rfd.cc, maps, pairs=True), _reps(rfd, maps, pairs=True)
-        name, found = "C.doubled-membership", ref.doubled_membership
+        found = ref.doubled_membership
     else:
-        maps = (sigma_map(rfd), kappa_map(rfd)) if law is max_proximity_agreement else ()
+        maps = (sigma_map(rfd), kappa_map(rfd)) if law == "maxrel.agreement" else ()
         rows = cols = _reps(rfd, maps, pairs=True)
-        name, found = ((("maxrel.agreement", ref.maxrel_agreement) if maps
-                        else ("maxrel.contains-wb", ref.maxrel_contains_wb)))
+        found = ref.maxrel_agreement if maps else ref.maxrel_contains_wb
     depth = ref.depth_for(*maps)
     first = next(found(rfd, depth, **kw), None)
     inst = describe_instance(base)
     if first is None:
-        return law_pass(name, inst, samples=len(rows) * len(cols))
+        return law_pass(law, inst, samples=len(rows) * len(cols))
     x, y = first
     ideals = ref.codec(base, rfd.frame, depth)
-    if name == "maxrel.agreement":
+    if law == "maxrel.agreement":
         x, y = ideals[x], ideals[y]
-    elif name == "C.doubled-membership":
+    elif law == "C.doubled-membership":
         y = ideals[y]
-    return law_fail(name, inst, witness=(repr(x), repr(y)),
+    return law_fail(law, inst, witness=(repr(x), repr(y)),
                     samples=rows.index(first[0]) * len(cols) + cols.index(first[1]) + 1)
 
 
@@ -109,9 +107,9 @@ def finite_tamperings(prox):
             yield {key: FiniteProximity(rfd.frame, flipped)}
 
 
-def outcome(law, *args):
+def outcome(decide, *args):
     try:
-        return law(*args)
+        return decide(*args)
     except ProxkitError as exc:
         return type(exc)
 
@@ -119,29 +117,29 @@ def outcome(law, *args):
 def assert_rows_match_reference(prox, tamperings):
     """Each law on each tampered frame gives the reference's report;
     returns the number of failing reports per law."""
-    failed = {law.__name__: 0 for law in LAWS}
+    failed = dict.fromkeys(LAWS, 0)
     for change in tamperings:
         for law in LAWS:
             expected = outcome(reference_report, law, tampered(prox, **change))
-            assert outcome(law, tampered(prox, **change)) == expected, (
-                describe_instance(prox), change, law.__name__)
-            failed[law.__name__] += getattr(expected, "ok", True) is False
+            assert outcome(one_law, law, tampered(prox, **change)) == expected, (
+                describe_instance(prox), change, law)
+            failed[law] += getattr(expected, "ok", True) is False
     return failed
 
 
 def test_pair_laws_match_the_reference_on_tampered_chains():
-    failed = {law.__name__: 0 for law in LAWS}
+    failed = dict.fromkeys(LAWS, 0)
     for doc in CHAIN_DOCS.values():
         prox = chain_proximity(build_chain_frame(doc["k"]), doc["reflexive"])
         for law, count in assert_rows_match_reference(prox, chain_tamperings(prox)).items():
             failed[law] += count
     # a chain relation keeps every strict pair, which is all the lemma
     # needs, so only the two maximal-relation laws fail here
-    assert failed["max_proximity_agreement"] and failed["maxrel_contains_wb"]
+    assert failed["maxrel.agreement"] and failed["maxrel.contains-wb"]
 
 
 def test_pair_laws_match_the_reference_on_the_tampered_finite_catalog():
-    failed = {law.__name__: 0 for law in LAWS}
+    failed = dict.fromkeys(LAWS, 0)
     for name in FINITE_NAMES:
         prox = catalog_instances()[name]
         for law, count in assert_rows_match_reference(prox, finite_tamperings(prox)).items():
@@ -258,7 +256,7 @@ def test_pair_laws_make_linearly_many_primitive_calls(monkeypatch):
         rfd.cc
         calls[0] = 0
         for law in LAWS:
-            assert law(rfd).ok
+            assert one_law(law, rfd).ok
         return calls[0]
 
     small, large = count(16), count(64)

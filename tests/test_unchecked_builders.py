@@ -33,16 +33,11 @@ from proxkit import cli
 from proxkit.catalog import catalog_instances
 from proxkit.chain import OMEGA, El, build_chain_frame
 from proxkit.comonads import (
-    adjunction_checks,
+    check_laws,
     coalgebra_laws,
-    comonad_laws,
-    doubled_membership_lemma,
     kleisli_lift,
-    kz_check,
     m_map,
-    max_proximity_agreement,
     naturality_suite,
-    subcomonad_check,
 )
 from proxkit.errors import InvalidParameter, MalformedMap, NotStablyCompact
 from proxkit.morphisms import (
@@ -101,13 +96,8 @@ def run_suites(rfd):
     """The R, C, coalgebra and naturality laws on rfd, the maps between
     its tower levels, and theta and the co-Kleisli lift of its structure
     maps."""
-    comonad_laws("R", rfd)
-    comonad_laws("C", rfd)
-    subcomonad_check(rfd)
-    kz_check(rfd)
-    adjunction_checks(rfd)
-    doubled_membership_lemma(rfd)
-    max_proximity_agreement(rfd)
+    check_laws(rfd, "R")
+    check_laws(rfd, "C")
     if is_stably_compact(rfd.base):
         coalgebra_laws(rfd)
     m_map(rfd, ideal_frame(rfd.base.frame))
