@@ -200,7 +200,7 @@ def test_theta_and_rmap_match_the_reference_on_finite_towers(name):
 
 
 @pytest.mark.parametrize("name", list(catalog_morphisms()))
-def test_theta_and_rmap_match_the_old_loops_on_catalog_morphisms(name):
+def test_theta_and_rmap_match_the_reference_on_catalog_morphisms(name):
     f = catalog_morphisms()[name]
     assert_theta_and_rmap_agree(f, rframe(f.src), rframe(f.dst))
 
