@@ -1,4 +1,4 @@
-"""The two comonads on proximity frames and their law harness.
+"""The two comonads on proximity frames and the whole law harness.
 
 The ideal-frame construction carries two proximities: the way-below
 relation `RFrameData.wb` and the maximal proximity `RFrameData.maxp`
@@ -25,38 +25,53 @@ pass reports all of them.
 The 16 object laws are the rows (suite, name, decider) of `LAWS`, in
 report order, and `check_laws` runs one suite or one law of them.  A
 decider takes the instance's RFrameData and returns the outcome (ok,
-witness, samples, note) that `_report` turns into a LawReport.  It looks
-the structure maps up as module globals when it runs, so a map replaced
-in this module is the one the laws apply.  Deciders climb the two
+witness, samples, note) that `reports.law_report` turns into a
+LawReport.  It looks the structure maps up as module globals when it
+runs, so a map replaced in this module is the one the laws apply.  Deciders climb the two
 comonads' towers through the `rr` and `cc` properties, so each ideal
 frame is built once and shared by all the laws that hold the same
 RFrameData.  The structure maps (sigma, kappa, alpha, r, c, epsilon,
 beta) are kept on the RFrameData they are built from, in the same way,
 and so is `_adjunction`, the outcomes of the one scan that decides both
-laws of the adjoint chain.
+laws of the adjoint chain.  `morphism_laws` is the morphism suite, and
+`SEARCHES` the exhaustive searches over `finite.search_frames`.
 """
 
 from __future__ import annotations
 
 from .chain import Seq, _check_sorted
 from .errors import InvalidParameter, NotComposable, NotStablyCompact
+from .finite import search_frames
 from .morphisms import (
     ChainMap,
     FiniteMap,
     Morphism,
+    _composite,
+    _star_table,
     alpha_map,
     block_map,
     compose,
+    enumerate_proxhoms,
     identity_map,
     is_proper,
     kappa_map,
+    rho,
     rmap_map,
     sigma_map,
+    star_compose,
+    theta,
     validate_pframemap,
     validate_proxhom,
 )
-from .proximity import FiniteProximity, Proximity, _low
-from .reports import LawReport, law_fail, law_pass
+from .proximity import (
+    FiniteProximity,
+    Proximity,
+    _collapse_pairs,
+    _low,
+    certify_finite_collapse,
+    order_proximity,
+)
+from .reports import LawReport, law_report
 from .roundideal import (
     BelowLim,
     RFrameData,
@@ -65,6 +80,7 @@ from .roundideal import (
     is_stably_compact,
     kept_on_rframe,
     retag,
+    rframe,
 )
 
 
@@ -178,15 +194,6 @@ def coalgebra_structure(rfd: RFrameData) -> Morphism:
 # -- reports -----------------------------------------------------------------
 
 
-def _report(name: str, instance: str, ok: bool, witness=None, samples: int = 0,
-            note: str = "") -> LawReport:
-    """The report of one law from its outcome: ok, the witness of a
-    failure, the checks made and a note.  A pass drops the witness."""
-    if ok:
-        return law_pass(name, instance, samples=samples, note=note)
-    return law_fail(name, instance, witness=witness, samples=samples, note=note)
-
-
 def _equal(lhs: Morphism, rhs: Morphism) -> tuple:
     """The outcome of the identity lhs = rhs of two maps, decided by
     normal-form equality; a failure names both maps."""
@@ -202,15 +209,15 @@ def coalgebra_laws(rfd: RFrameData) -> list[LawReport]:
     prox = rfd.base
     inst = describe_instance(prox)
     exists = is_stably_compact(prox)
-    reports = [_report("coalgebra.exists", inst, exists,
+    reports = [law_report("coalgebra.exists", inst, exists,
                        note="" if exists else "instance is not stably compact")]
     if not exists:
         return reports
     struct = coalgebra_structure(rfd)
     return reports + [
-        _report("coalgebra.counit", inst,
+        law_report("coalgebra.counit", inst,
                 *_equal(compose(epsilon_map(rfd), struct), identity_map(prox))),
-        _report("coalgebra.coassoc", inst,
+        law_report("coalgebra.coassoc", inst,
                 *_equal(compose(c_map(rfd), struct),
                         compose(cmap_of(struct, rfd, rfd.cc), struct))),
     ]
@@ -232,7 +239,7 @@ def check_coalgebra_morphism(f: Morphism, src_rfd: RFrameData,
         square, proper = lhs == rhs, is_proper(f)
         ok, witness = square == proper, (repr(lhs), repr(rhs))
         note = f"square={'holds' if square else 'fails'}; proper={proper}"
-    return _report("coalgebra.morphism", inst, ok, witness, note=note)
+    return law_report("coalgebra.morphism", inst, ok, witness, note=note)
 
 
 # -- naturality squares ------------------------------------------------------
@@ -250,7 +257,7 @@ def naturality_suite(f: Morphism, rfd_L: RFrameData,
         jfd_L = ideal_frame(f.src.frame)
         jfd_M = ideal_frame(f.dst.frame)
         jf = rmap_map(retag_map(f, jfd_L.base, jfd_M.base), jfd_L, jfd_M)
-        out.append(_report("nat.m", inst, *_equal(
+        out.append(law_report("nat.m", inst, *_equal(
             compose(jf, m_map(rfd_L, jfd_L)),
             compose(m_map(rfd_M, jfd_M), rf))))
 
@@ -263,9 +270,9 @@ def naturality_suite(f: Morphism, rfd_L: RFrameData,
                  compose(r_map(rfd_M), rf)),
                 ("nat.beta", compose(cf, beta_map(rfd_L)), compose(beta_map(rfd_M), rf)),
                 ("nat.c", compose(ccf, c_map(rfd_L)), compose(c_map(rfd_M), cf))):
-            out.append(_report(name, inst, *_equal(lhs, rhs)))
+            out.append(law_report(name, inst, *_equal(lhs, rhs)))
         # the functor image respects the maximal structure
-        out.append(_report("nat.maxrel-preserved", inst, validate_pframemap(cf).ok))
+        out.append(law_report("nat.maxrel-preserved", inst, validate_pframemap(cf).ok))
     return out
 
 
@@ -455,4 +462,135 @@ def check_laws(rfd: RFrameData, select: str) -> list[LawReport]:
     if not rows:
         raise InvalidParameter(f"no object law or suite is named {select!r}")
     inst = describe_instance(rfd.base)
-    return [_report(name, inst, *decide(rfd)) for name, decide in rows]
+    return [law_report(name, inst, *decide(rfd)) for name, decide in rows]
+
+
+# -- the morphism suite --------------------------------------------------------
+
+
+def morphism_laws(morphs: dict, insts: dict, rfd_of) -> list[LawReport]:
+    """The morphism suite over the maps of `morphs` out of the instances
+    `insts`, by name; rfd_of(p) is the ideal frame of the proximity p."""
+    out: list[LawReport] = []
+    morphs = {k: v for k, v in morphs.items() if any(v.src == p for p in insts.values())}
+    # per valid morphism f: theta(f), its co-Kleisli lift R(theta f) . r,
+    # and whether f is a frame map, each built once for every pair below
+    thetas, lifts, frame_maps = {}, {}, {}
+    for name, f in morphs.items():
+        inst = f"morphism:{name}"
+        if not validate_proxhom(f).ok:
+            out.append(law_report("morphism.valid", inst, False))
+            continue
+        rfd = rfd_of(f.src)
+        th = theta(f, rfd)
+        ok = validate_pframemap(th).ok and rho(th, rfd) == f
+        out.append(law_report("theta-rho.roundtrip", inst, ok))
+        dst_rfd = rfd_of(f.dst)
+        decomp = compose(sigma_map(dst_rfd), compose(rmap_map(f, rfd, dst_rfd), kappa_map(rfd)))
+        out.append(law_report("decomposition", inst, decomp == f))
+        thetas[name] = th
+        lifts[name] = kleisli_lift(th, rfd, dst_rfd)
+        frame_maps[name] = validate_pframemap(f).ok
+    # exhaustive theta/rho on small finite instances
+    small = {k: v for k, v in insts.items()
+             if isinstance(v, FiniteProximity) and v.frame.n <= SEARCH_PAIR_LIMIT}
+    for ns, ps in small.items():
+        for nd, pd in small.items():
+            count, failures = _theta_rho_counts(ps, pd, rfd_of(ps))
+            out.append(law_report("theta-rho.exhaustive", f"{ns}->{nd}", not failures,
+                                  samples=count, note=f"{failures} failures" if failures else ""))
+    # star-composition laws across composable pairs: theta(g * f) is
+    # theta(g) after the lift of theta(f)
+    for n1, f in morphs.items():
+        for n2, g in morphs.items():
+            if f.dst != g.src:
+                continue
+            inst = f"{n2}*{n1}"
+            invalid = [n for n in dict.fromkeys((n1, n2)) if n not in thetas]
+            if invalid:
+                ok, note = False, "invalid factor: " + ", ".join(invalid)
+            else:
+                sc = star_compose(g, f)
+                ok, note = validate_proxhom(sc).ok, ""
+                if frame_maps[n2]:
+                    ok = ok and sc == compose(g, f)
+                ok = ok and theta(sc, rfd_of(f.src)) == compose(thetas[n2], lifts[n1])
+            out.append(law_report("kleisli.functor", inst, ok, note=note))
+    return out
+
+
+def _theta_rho_counts(ps, pd, rfd) -> tuple[int, int]:
+    """The proximity homomorphisms ps -> pd, counted, and how many of them
+    rho(theta(f)) does not give back; rfd is the ideal frame of ps."""
+    homs = enumerate_proxhoms(ps, pd)
+    return len(homs), sum(rho(theta(f, rfd), rfd) != f for f in homs)
+
+
+# -- the exhaustive searches ---------------------------------------------------
+
+# theta/rho is enumerated on pairs of frames of at most SEARCH_PAIR_LIMIT
+# elements.  star-vs-compose pairs each homomorphism with each endomorphism
+# of its target: 0.14, 0.22 and 1.6 s of process time, start-up included,
+# on one Xeon core at limits 5, 6 and 7.
+SEARCH_PAIR_LIMIT = 4
+
+
+def _collapse_search(max_size: int):
+    """The collapse certificate of each search frame, once the budget has
+    passed every frame, so that it refuses a search before any record."""
+    frames = search_frames(max_size)
+    for _, frame in frames:
+        _collapse_pairs(frame)
+    for name, frame in frames:
+        report = certify_finite_collapse(frame)
+        yield dict(report.to_json(), frame=name), not report.ok
+
+
+def _pair_frames(max_size: int):
+    """Yield a skip record for each search frame over SEARCH_PAIR_LIMIT
+    elements; return the others, by name, with their order proximities."""
+    small = []
+    for name, frame in search_frames(max_size):
+        if frame.n > SEARCH_PAIR_LIMIT:
+            yield {"frame": name, "skipped": f"over {SEARCH_PAIR_LIMIT} elements"}, False
+        else:
+            small.append((name, order_proximity(frame)))
+    return small
+
+
+def _theta_rho_search(max_size: int):
+    """rho(theta(f)) against f on each ordered pair of small frames."""
+    small = yield from _pair_frames(max_size)
+    for ns, ps in small:
+        rfd = rframe(ps)
+        for nd, pd in small:
+            count, bad = _theta_rho_counts(ps, pd, rfd)
+            yield {"pair": f"{ns}->{nd}", "homs": count, "failures": bad}, bad > 0
+
+
+def _star_vs_compose_search(max_size: int):
+    """g * f against g . f, by their tables, for each homomorphism f between
+    small frames and each endomorphism g of its target.  On finite frames
+    the order is the only proximity, so they always agree; the genuine
+    witness needs the two-block chain instance."""
+    small = yield from _pair_frames(max_size)
+    homs = {(ns, nd): enumerate_proxhoms(ps, pd) for ns, ps in small for nd, pd in small}
+    found = False
+    for (_, nd), fs in homs.items():
+        for f in fs:
+            for g in homs[nd, nd]:
+                composite = _composite(g, f)
+                if _star_table(g, f, composite) != composite:
+                    found = True
+                    yield {"witness": [repr(f), repr(g)]}, True
+    if not found:
+        yield {"result": "no finite witness",
+               "note": "finite proximities collapse to the order, making every "
+                       "homomorphism join-preserving; see the chain-k2 catalog "
+                       "morphisms k2-f, k2-g for the infinite witness"}, False
+
+
+# each search by its --law name: a generator of (record, failed) over the
+# search frames of at most max_size elements, yielding each record found
+SEARCHES = {"collapse": _collapse_search, "theta-rho": _theta_rho_search,
+            "star-vs-compose": _star_vs_compose_search}

@@ -24,13 +24,14 @@ tables are built on first use and cached on the frame: meet and join
 `join_over` folds, the `triangle` (a, b, meet, join) for every b <= a
 that the homomorphism validators of `morphisms` scan, and the `hom_plan`
 by which `enumerate_proxhoms` fills the maps out of the frame.
+`search_frames` gives the frames the exhaustive searches run over.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 from .errors import (
@@ -454,6 +455,34 @@ def _product(f: FiniteFrame, g: FiniteFrame) -> tuple[FiniteFrame, list[int]]:
 def product(f: FiniteFrame, g: FiniteFrame) -> FiniteFrame:
     """Componentwise-ordered product of two finite frames."""
     return _product(f, g)[0]
+
+
+def search_frames(max_size: int) -> list[tuple[str, FiniteFrame]]:
+    """The searched frames of at most max_size elements, by name: total
+    orders, Boolean cubes, and the downsets of two points under one.  Each
+    is built once per process, as the tables it caches depend on it alone."""
+    out = [(f"order{n}", _order_frame(n)) for n in range(2, max_size + 1)]
+    # cube k has 2^k elements
+    out += [(f"cube{k}", _cube_frame(k)) for k in range(1, max_size.bit_length())]
+    if max_size >= 5:
+        out.append(("vee", _vee_frame()))
+    return out
+
+
+@cache
+def _order_frame(n: int) -> FiniteFrame:
+    names = [f"c{i}" for i in range(n)]
+    return build_finite_frame(names, list(zip(names, names[1:])))
+
+
+@cache
+def _cube_frame(k: int) -> FiniteFrame:
+    return downset_frame([f"x{i}" for i in range(k)], [])
+
+
+@cache
+def _vee_frame() -> FiniteFrame:
+    return downset_frame(["a", "b", "c"], [("a", "c"), ("b", "c")])
 
 
 def dot_quoted(text: str) -> str:

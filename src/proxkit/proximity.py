@@ -37,7 +37,7 @@ from functools import cached_property
 from .chain import ChainLikeFrame, El, _above
 from .errors import InvalidReflexiveSet, MalformedRelation, TooLarge, UnsupportedRepresentation
 from .finite import FiniteFrame, _bits, _downsets, _product, _transpose, _union
-from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, LawReport, Verdict, law_fail, law_pass
+from .reports import FAIL, PASS, SYMBOLIC, AxiomReport, LawReport, Verdict, law_report
 
 
 @dataclass(frozen=True)
@@ -380,14 +380,7 @@ def certify_finite_collapse(frame: FiniteFrame) -> LawReport:
     whole space covered.
     """
     instance = f"finite:{','.join(frame.names)}"
-    free = [
-        (a, b)
-        for a in frame.elements()
-        for b in frame.elements()
-        if frame.leq(a, b) and (a, b) not in ((frame.bot, frame.bot), (frame.top, frame.top))
-    ]
-    if len(free) > 24:
-        raise TooLarge(f"relation search space 2^{len(free)} is over budget")
+    free = _collapse_pairs(frame)
     survivors = 0
     n = frame.n
     for bits in _weakening_closed(frame, free):
@@ -402,15 +395,26 @@ def certify_finite_collapse(frame: FiniteFrame) -> LawReport:
             survivors += 1
             if not cand.is_order:
                 witness = [(frame.names[a], frame.names[b]) for a, b in cand.pairs()]
-                return law_fail(
-                    "collapse", instance, witness=tuple(witness),
+                return law_report(
+                    "collapse", instance, False, witness=tuple(witness),
                     samples=1 << len(free), note="non-order proximity found",
                 )
     if survivors != 1:
-        return law_fail("collapse", instance, samples=1 << len(free),
-                        note="the order itself did not survive")
-    return law_pass("collapse", instance, samples=1 << len(free),
-                    note="only the order satisfies the axioms")
+        return law_report("collapse", instance, False, samples=1 << len(free),
+                          note="the order itself did not survive")
+    return law_report("collapse", instance, True, samples=1 << len(free),
+                      note="only the order satisfies the axioms")
+
+
+def _collapse_pairs(frame: FiniteFrame) -> list[tuple[int, int]]:
+    """The pairs a <= b other than (bot,bot) and (top,top) whose subsets
+    the collapse certificate covers; TooLarge if there are over 24."""
+    bounds = ((frame.bot, frame.bot), (frame.top, frame.top))
+    free = [(a, b) for a in frame.elements() for b in frame.elements()
+            if frame.leq(a, b) and (a, b) not in bounds]
+    if len(free) > 24:
+        raise TooLarge(f"relation search space 2^{len(free)} is over budget")
+    return free
 
 
 def _weakening_closed(frame: FiniteFrame, free) -> list[int]:

@@ -12,7 +12,8 @@ hands every string to the C string encoder, and every other scalar to
 `line`.  A list met again at the same indentation, as the one pair list
 a finite `compactify` keeps under both relations, is written once; a
 list of string pairs is written in one step, each distinct label
-encoded once.  `LawReport.dumps` writes its six fixed fields itself.
+encoded once.  `law_report` builds every LawReport, whose `dumps` writes
+its six fixed fields itself.
 """
 
 from __future__ import annotations
@@ -78,12 +79,10 @@ def _indented(obj, newline: str, written: dict) -> str:
 
 
 def _list(items, newline: str, written: dict) -> str:
-    """A list or tuple indented as at `newline`: one of strings or of
-    string pairs in one step, any other item by item."""
-    try:
-        return _string_list(items, newline)
-    except TypeError:
-        pass
+    """A list or tuple indented as at `newline`: one of string pairs in
+    one step, any other item by item."""
+    if not items:
+        return "[]"
     inner = newline + "  "
     if ({type(x) for x in items} <= {list, tuple} and {len(x) for x in items} == {2}
             and {type(s) for x in items for s in x} == {str}):
@@ -96,18 +95,6 @@ def _list(items, newline: str, written: dict) -> str:
     else:
         body = ("," + inner).join([_indented(x, inner, written) for x in items])
     return "[" + inner + body + newline + "]"
-
-
-def _string_list(items, newline: str) -> str:
-    """A list or tuple of strings indented as at the line break `newline`;
-    a TypeError for anything else, from _string on an item that is not a
-    string."""
-    if not isinstance(items, (list, tuple)):
-        raise TypeError(f"not a list: {items!r}")
-    if not items:
-        return "[]"
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(map(_string, items)) + newline + "]"
 
 
 @dataclass(frozen=True)
@@ -203,9 +190,9 @@ class LawReport:
         return r
 
 
-def law_pass(law: str, instance: str, samples: int = 0, note="") -> LawReport:
-    return LawReport._unchecked(law, instance, PASS, samples, None, note)
-
-
-def law_fail(law: str, instance: str, witness=None, samples=0, note="") -> LawReport:
-    return LawReport._unchecked(law, instance, FAIL, samples, witness, note)
+def law_report(law: str, instance: str, ok: bool, witness=None, samples: int = 0,
+               note: str = "") -> LawReport:
+    """The report of one law from its outcome: ok, the witness of a
+    failure, the checks made and a note.  A pass drops the witness."""
+    return LawReport._unchecked(law, instance, PASS if ok else FAIL, samples,
+                                None if ok else witness, note)

@@ -22,7 +22,7 @@ from proxkit.errors import InvalidParameter, NotATopology, TooLarge
 from proxkit.finite import FINITE_FRAME_LIMIT, FiniteFrame, build_finite_frame, downset_frame
 from proxkit.morphisms import FiniteMap
 from proxkit.proximity import ChainProximity, FiniteProximity
-from proxkit.reports import FAIL, PASS, AxiomReport, Verdict, law_fail, law_pass
+from proxkit.reports import FAIL, PASS, AxiomReport, Verdict, law_report
 from proxkit.roundideal import BelowLim, Prin
 
 DEPTH = 3  # window points past the horizon of every map in play
@@ -410,14 +410,14 @@ def certify_collapse(frame: FiniteFrame, axioms=AXIOMS):
     for bits in range(samples):
         cand = candidate(frame, free, bits)
         if cand.rows != frame.up and holds(cand):
-            return law_fail("collapse", instance, samples=samples,
-                            note="non-order proximity found", witness=tuple(
-                                (frame.names[a], frame.names[b]) for a, b in cand.pairs()))
+            return law_report("collapse", instance, False, samples=samples,
+                              note="non-order proximity found", witness=tuple(
+                                  (frame.names[a], frame.names[b]) for a, b in cand.pairs()))
     if not holds(FiniteProximity(frame, frame.up)):
-        return law_fail("collapse", instance, samples=samples,
-                        note="the order itself did not survive")
-    return law_pass("collapse", instance, samples=samples,
-                    note="only the order satisfies the axioms")
+        return law_report("collapse", instance, False, samples=samples,
+                          note="the order itself did not survive")
+    return law_report("collapse", instance, True, samples=samples,
+                      note="only the order satisfies the axioms")
 
 
 # -- the per-class laws, point by point ----------------------------------------

@@ -29,9 +29,10 @@ from proxkit.chain import (
 import proxkit.catalog as catalog
 import proxkit.cli as cli
 import proxkit.comonads as comonads
-from proxkit.cli import _generated_frames, main
+import proxkit.finite as finite
+from proxkit.cli import main
 from proxkit.errors import BrokenInvariant, InvalidParameter, UnknownInstance
-from proxkit.finite import FiniteFrame
+from proxkit.finite import FiniteFrame, search_frames
 from proxkit.morphisms import ChainMap, enumerate_proxhoms, validate_proxhom
 from proxkit.proximity import ChainProximity, chain_proximity, order_proximity
 from proxkit.roundideal import rframe
@@ -444,10 +445,10 @@ INTERNAL_ERRORS = {
     f"{command}-{error.__name__}": (error, argv, where, "internal")
     for error in (KeyError, ValueError)
     for command, argv, where in (
-        ("validate", ["validate", "two"], "validate_proximity"),
-        ("laws", ["laws", "--suite", "morphisms", "--instance", "two"], "theta"),
+        ("validate", ["validate", "two"], "proxkit.cli.validate_proximity"),
+        ("laws", ["laws", "--suite", "morphisms", "--instance", "two"], "proxkit.comonads.theta"),
         ("search", ["search", "--law", "collapse", "--max-size", "2"],
-         "certify_finite_collapse"))
+         "proxkit.comonads.certify_finite_collapse"))
 } | {
     # proxkit's own invariants: representatives listed out of chain order,
     # and ideals of the representatives that are not nested
@@ -469,7 +470,7 @@ def test_cli_lets_an_internal_error_propagate(error, argv, where, message, monke
     if callable(where):
         where(monkeypatch)
     else:
-        monkeypatch.setattr(cli, where, broken)
+        monkeypatch.setattr(where, broken)
     with pytest.raises(error, match=message):
         main(argv)
 
@@ -608,15 +609,13 @@ def test_cli_search_star_vs_compose(capsys):
 
 
 def test_cli_search_star_vs_compose_enumerates_each_ordered_pair_once(capsys, monkeypatch):
-    from proxkit import cli
-
     calls = []
 
     def counting(src, dst):
         calls.append((src, dst))
         return enumerate_proxhoms(src, dst)
 
-    monkeypatch.setattr(cli, "enumerate_proxhoms", counting)
+    monkeypatch.setattr(comonads, "enumerate_proxhoms", counting)
     assert main(["search", "--law", "star-vs-compose", "--max-size", "4"]) == 0
     # five frames: one call per ordered (source, target) pair; each
     # target's endomorphisms are the homomorphisms of its diagonal pair
@@ -631,15 +630,15 @@ def test_cli_search_star_vs_compose_pairs_each_hom_with_its_targets_endomorphism
                 g.src.frame.names, g.dst.frame.names, g.table)
 
     compared = []
-    star_table = cli._star_table
+    star_table = comonads._star_table
 
     def recording(g, f, composite):
         compared.append(pair(g, f))
         return star_table(g, f, composite)
 
-    monkeypatch.setattr(cli, "_star_table", recording)
+    monkeypatch.setattr(comonads, "_star_table", recording)
     assert main(["search", "--law", "star-vs-compose", "--max-size", "4"]) == 0
-    proxes = [order_proximity(f) for _, f in _generated_frames(4)]
+    proxes = [order_proximity(f) for _, f in search_frames(4)]
     assert compared == [pair(g, f) for p in proxes for q in proxes
                         for f in enumerate_proxhoms(p, q) for g in enumerate_proxhoms(q, q)]
     assert len(compared) > 100
@@ -650,7 +649,7 @@ def test_cli_search_collapse_covers_order6(capsys):
     lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
     assert [l["frame"] for l in lines] == [
         "order2", "order3", "order4", "order5", "order6", "cube1", "cube2", "vee"]
-    sizes = dict(_generated_frames(6))
+    sizes = dict(search_frames(6))
     for l in lines:
         f = sizes[l["frame"]]
         comparable = sum(f.leq(a, b) for a in f.elements() for b in f.elements())
@@ -660,24 +659,22 @@ def test_cli_search_collapse_covers_order6(capsys):
 
 
 def test_cli_search_collapse_stops_at_order7_over_budget(capsys):
-    # order7 has 26 free pairs: five records, then the budget refuses it
+    # order7 has 26 free pairs: the budget refuses the search before its
+    # first record
     assert main(["search", "--law", "collapse", "--max-size", "7"]) == 2
     out, err = capsys.readouterr()
-    assert [json.loads(l)["frame"] for l in out.splitlines()] == [
-        "order2", "order3", "order4", "order5", "order6"]
+    assert out == ""
     assert err == "error: relation search space 2^26 is over budget\n"
 
 
 def test_cli_search_theta_rho_builds_each_ideal_frame_once(capsys, monkeypatch):
-    from proxkit import cli
-
     calls = []
 
     def counting(prox):
         calls.append(prox)
         return rframe(prox)
 
-    monkeypatch.setattr(cli, "rframe", counting)
+    monkeypatch.setattr(comonads, "rframe", counting)
     assert main(["search", "--law", "theta-rho", "--max-size", "4"]) == 0
     # five frames: one ideal frame per source, not per (source, target) pair
     assert len(calls) == 5
@@ -687,8 +684,8 @@ def test_cli_search_theta_rho_builds_each_hom_plan_once(capsys, monkeypatch):
     # with the generated frames built anew, one search builds the
     # homomorphism plan of each of its five source frames once, not once
     # per (source, target) pair
-    for build in (cli._order_frame, cli._cube_frame, cli._vee_frame):
-        monkeypatch.setattr(cli, build.__name__, functools.cache(build.__wrapped__))
+    for build in (finite._order_frame, finite._cube_frame, finite._vee_frame):
+        monkeypatch.setattr(finite, build.__name__, functools.cache(build.__wrapped__))
     plan, built = FiniteFrame.hom_plan, []
 
     def counting(frame):
@@ -741,7 +738,7 @@ def test_search_shares_generated_frames_but_builds_its_ideal_frames(monkeypatch,
         built.append(prox)
         return rframe(prox)
 
-    monkeypatch.setattr(cli, "rframe", recording)
+    monkeypatch.setattr(comonads, "rframe", recording)
     runs = []
     for _ in range(2):
         assert main(["search", "--law", "theta-rho", "--max-size", "4"]) == 0
@@ -790,13 +787,13 @@ def test_kleisli_functor_fails_a_pair_with_an_invalid_factor_without_theta(
     monkeypatch.setattr(cli, "catalog_morphisms",
                         lambda: {**catalog, "chain-bad": bad})
     theta_args = []
-    real_theta = cli.theta
+    real_theta = comonads.theta
 
     def theta(f, rfd):
         theta_args.append(f)
         return real_theta(f, rfd)
 
-    monkeypatch.setattr(cli, "theta", theta)
+    monkeypatch.setattr(comonads, "theta", theta)
     assert main(["laws", "--suite", "morphisms"]) == 1
     lines = capsys.readouterr().out.splitlines()
     reports = [json.loads(line) for line in lines]
@@ -834,8 +831,8 @@ def test_morphism_suite_fails_the_law_of_a_sunk_map(sunk, law, monkeypatch, caps
     argv = ["laws", "--suite", "morphisms", "--instance", "chain-k1"]
     assert main(argv) == 0
     passing = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    build = getattr(cli, sunk)
-    monkeypatch.setattr(cli, sunk, lambda *args: _sunk(build(*args)))
+    build = getattr(comonads, sunk)
+    monkeypatch.setattr(comonads, sunk, lambda *args: _sunk(build(*args)))
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert err == ""
@@ -847,8 +844,8 @@ def test_morphism_suite_fails_the_law_of_a_sunk_map(sunk, law, monkeypatch, caps
 def test_exhaustive_theta_rho_counts_its_failures(monkeypatch, capsys):
     # rho sunk to the bottom gives back none of the 4 endomorphisms of the
     # diamond, and the round trip of its identity fails too
-    build = cli.rho
-    monkeypatch.setattr(cli, "rho", lambda *args: _sunk(build(*args)))
+    build = comonads.rho
+    monkeypatch.setattr(comonads, "rho", lambda *args: _sunk(build(*args)))
     assert main(["laws", "--suite", "morphisms", "--instance", "diamond"]) == 1
     assert capsys.readouterr() == ("".join(line + "\n" for line in [
         '{"instance": "morphism:diamond-id", "law": "theta-rho.roundtrip", "samples": 0, '
@@ -864,7 +861,7 @@ def test_exhaustive_theta_rho_counts_its_failures(monkeypatch, capsys):
 def test_cli_search_star_vs_compose_prints_each_witness(monkeypatch, capsys):
     # the star table sunk to the bottom differs from every composite that
     # is not constant: one witness record per pair, and exit 1
-    monkeypatch.setattr(cli, "_star_table",
+    monkeypatch.setattr(comonads, "_star_table",
                         lambda g, f, composite: (g.dst.frame.bot,) * len(composite))
     assert main(["search", "--law", "star-vs-compose", "--max-size", "2"]) == 1
     out, err = capsys.readouterr()

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import reference as ref
 from proxkit import morphisms
 from proxkit.catalog import catalog_instances, catalog_morphisms
-from proxkit.cli import _generated_frames
 from proxkit.chain import OMEGA, El, Seq, build_chain_frame, lim, succ
 from proxkit.errors import InvalidParameter, MalformedMap, NotComposable, UnsupportedRepresentation
+from proxkit.finite import search_frames
 from proxkit.morphisms import (
     ChainMap,
     FiniteMap,
@@ -136,7 +136,7 @@ def test_is_proper_matches_the_definition():
     # and from them into chain-k1 at its window points, theta of each
     # catalog morphism, and sigma, kappa and alpha on the levels of the 15
     # layouts with k <= 4 whose top is reflexive
-    orders = [order_proximity(f) for _, f in _generated_frames(4)]
+    orders = [order_proximity(f) for _, f in search_frames(4)]
     maps = [h for src, dst in product(orders, repeat=2) for h in enumerate_proxhoms(src, dst)]
     p = k1()
     maps += [f for src in orders for t in product(ref.points(p.frame), repeat=src.frame.n)
@@ -358,7 +358,7 @@ def test_enumeration_counts_the_lattice_homomorphisms_by_birkhoff_duality():
     # valid finite ones, a homomorphism is a bounded lattice homomorphism:
     # joint subadditivity on (a, a) and (b, b) gives f(a v b) <= f(a) v f(b).
     # The comparison with every table below stops at 4 elements.
-    proxes = [(name, order_proximity(f)) for name, f in _generated_frames(6)]
+    proxes = [(name, order_proximity(f)) for name, f in search_frames(6)]
     found = 0
     for (ns, p), (nd, q) in product(proxes, proxes):
         count = len(enumerate_proxhoms(p, q))
@@ -468,7 +468,7 @@ def test_hom_validation_matches_scan_on_small_frames():
 
 def test_hom_validation_matches_scan_on_larger_frames():
     rng = random.Random(12)
-    frames = [f for _, f in _generated_frames(8) if f.n > 4]
+    frames = [f for _, f in search_frames(8) if f.n > 4]
     props = [p for f in frames for p in (order_proximity(f), ref.sub_relation(f, rng))]
     small = [p for name, p in ref.small_proximities() if name.startswith(("cube2", "chain4"))]
     for src, dst in product(props, props + small):
@@ -547,7 +547,7 @@ def test_joint_subadditivity_checks_each_unordered_pair_once(monkeypatch):
     # of cube3 without the pair (top, top), mapped identically into the
     # order, where f(a1 v a2) <= f(b1) v f(b2) holds for every a1 <= b1
     # and a2 <= b2.
-    dst = order_proximity(dict(_generated_frames(8))["cube3"])
+    dst = order_proximity(dict(search_frames(8))["cube3"])
     f = dst.frame
     src = FiniteProximity(f, f.up[:f.top] + (0,))
     pairs = len(src.pairs())
@@ -559,7 +559,7 @@ def test_joint_subadditivity_checks_each_unordered_pair_once(monkeypatch):
 def test_order_to_order_homomorphism_needs_no_relation_tests(monkeypatch):
     # between two orders, join preservation is decided on the tables and
     # implies both joint subadditivity and value approximation
-    p = order_proximity(dict(_generated_frames(8))["cube3"])
+    p = order_proximity(dict(search_frames(8))["cube3"])
     calls = _count_rel_calls(monkeypatch)
     assert validate_proxhom(identity_map(p)).ok
     assert calls == []
@@ -586,7 +586,7 @@ def _built_maps():
     over the finite catalog instances and the orders of the generated
     frames of at most 4 elements."""
     proxes = [p for p in catalog_instances().values() if isinstance(p, FiniteProximity)]
-    proxes += [order_proximity(f) for _, f in _generated_frames(4)]
+    proxes += [order_proximity(f) for _, f in search_frames(4)]
     homs = {(i, j): enumerate_proxhoms(p, q)
             for i, p in enumerate(proxes) for j, q in enumerate(proxes)}
     for fs in homs.values():
@@ -609,7 +609,7 @@ def test_builders_give_the_maps_the_checked_constructor_gives():
 
 
 def test_star_compose_over_columns_matches_scan_on_enumerated_pairs():
-    proxes = [order_proximity(f) for _, f in _generated_frames(4)]
+    proxes = [order_proximity(f) for _, f in search_frames(4)]
     proxes += [p for p in catalog_instances().values()
                if isinstance(p, FiniteProximity) and p.frame.n <= 4]
     homs = {(i, j): enumerate_proxhoms(p, q)

@@ -19,7 +19,7 @@ from proxkit.chain import build_chain_frame
 from proxkit.cli import _compact_json
 from proxkit.comonads import _reps
 from proxkit.proximity import chain_proximity
-from proxkit.reports import FAIL, PASS, LawReport, document, law_fail, law_pass, line
+from proxkit.reports import FAIL, PASS, LawReport, document, law_report, line
 from proxkit.roundideal import rframe
 from test_cli_golden import chain_docs
 
@@ -101,11 +101,11 @@ def test_law_report_dumps_writes_the_standard_bytes(law, instance, verdict, samp
                                                      witness, note):
     report = LawReport(law, instance, verdict, samples, witness, note)
     assert report.dumps() == json.dumps(report.to_json(), sort_keys=True)
-    # the builders give the report the constructor gives
+    # the builder gives the report the constructor gives
     if verdict == PASS and witness is None:
-        assert law_pass(law, instance, samples, note) == report
+        assert law_report(law, instance, True, None, samples, note) == report
     if verdict == FAIL:
-        assert law_fail(law, instance, witness, samples, note) == report
+        assert law_report(law, instance, False, witness, samples, note) == report
 
 
 @settings(max_examples=60, deadline=None)

@@ -25,7 +25,7 @@ from proxkit.comonads import _reps, check_laws, describe_instance, epsilon_map
 from proxkit.errors import BrokenInvariant, ProxkitError, UnsupportedRepresentation
 from proxkit.morphisms import kappa_map, sigma_map
 from proxkit.proximity import ChainProximity, FiniteProximity, chain_proximity
-from proxkit.reports import law_fail, law_pass
+from proxkit.reports import law_report
 from proxkit.roundideal import BelowLim, Prin, rframe, way_below_ideals
 
 from test_block_map import CHAIN_DOCS, _tower
@@ -58,15 +58,15 @@ def reference_report(law, rfd, **kw):
     first = next(found(rfd, depth, **kw), None)
     inst = describe_instance(base)
     if first is None:
-        return law_pass(law, inst, samples=len(rows) * len(cols))
+        return law_report(law, inst, True, samples=len(rows) * len(cols))
     x, y = first
     ideals = ref.codec(base, rfd.frame, depth)
     if law == "maxrel.agreement":
         x, y = ideals[x], ideals[y]
     elif law == "C.doubled-membership":
         y = ideals[y]
-    return law_fail(law, inst, witness=(repr(x), repr(y)),
-                    samples=rows.index(first[0]) * len(cols) + cols.index(first[1]) + 1)
+    return law_report(law, inst, False, witness=(repr(x), repr(y)),
+                      samples=rows.index(first[0]) * len(cols) + cols.index(first[1]) + 1)
 
 
 def tampered(prox, maxp=None, wb=None):

@@ -8,9 +8,8 @@ import reference as ref
 from proxkit.catalog import catalog_instances
 from proxkit import proximity
 from proxkit.chain import Seq, build_chain_frame, lim
-from proxkit.cli import _generated_frames
 from proxkit.errors import InvalidReflexiveSet, MalformedRelation, TooLarge
-from proxkit.finite import build_finite_frame, downset_frame
+from proxkit.finite import build_finite_frame, downset_frame, search_frames
 from proxkit.proximity import (
     ChainProximity,
     FiniteProximity,
@@ -204,7 +203,7 @@ def test_chain_validation_work_is_linear_in_segments(k, monkeypatch):
 # -- collapse certificate against the reference ---------------------------------
 
 
-SMALL_FRAMES = [(name, f) for name, f in _generated_frames(5)]
+SMALL_FRAMES = [(name, f) for name, f in search_frames(5)]
 
 
 @pytest.mark.parametrize("name,frame", SMALL_FRAMES, ids=[n for n, _ in SMALL_FRAMES])
