@@ -179,7 +179,7 @@ def test_codec_matches_the_reference_finite_codec(name):
 
 
 @pytest.mark.parametrize("doc", CHAIN_DOCS.values(), ids=list(CHAIN_DOCS))
-def test_theta_and_rmap_match_the_old_loops_on_chain_towers(doc):
+def test_theta_and_rmap_match_the_reference_on_chain_towers(doc):
     prox = chain_proximity(build_chain_frame(doc["k"]), doc["reflexive"])
     for rfd in _tower(prox):
         assert_theta_and_rmap_agree(identity_map(rfd.base), rfd, rfd)
