@@ -25,6 +25,7 @@ from .proximity import (
     Proximity,
     certify_finite_collapse,
     chain_proximity,
+    describe_instance,
     order_proximity,
     product_proximity,
     validate_proximity,
@@ -71,7 +72,6 @@ from .comonads import (
     cmap_of,
     coalgebra_laws,
     coalgebra_structure,
-    describe_instance,
     epsilon_map,
     kleisli_compose,
     kleisli_lift,

@@ -1,7 +1,9 @@
 """Built-in instances, JSON codecs, and the named morphism catalog.
 
-Instances live as data files under ``data/`` so acceptance runs are
-reproducible.  The JSON formats:
+Instances and morphisms live as data files under ``data/`` so acceptance
+runs are reproducible, each written in the format a user document takes:
+one file per instance, and ``data/morphisms.json`` holding every catalog
+map by name, which shows both morphism forms.  The JSON formats:
 
 instance::
     { "name": "...", "builder": "finite" | "downsets" | "topology"
@@ -22,12 +24,11 @@ import json
 from collections import Counter
 from importlib import resources
 
-from .chain import OMEGA, El, Seq, _max_str_digits, build_chain_frame, lim, succ
+from .chain import OMEGA, El, Seq, _max_str_digits, build_chain_frame
 from .errors import InvalidParameter, UnknownInstance
 from .finite import build_finite_frame, downset_frame, open_set_frame
-from .morphisms import ChainMap, FiniteMap, Morphism, identity_map
+from .morphisms import ChainMap, FiniteMap, Morphism
 from .proximity import (
-    ChainProximity,
     FiniteProximity,
     Proximity,
     chain_proximity,
@@ -159,7 +160,11 @@ def load_instance(name_or_path: str) -> tuple[str, Proximity]:
 @functools.cache
 def _catalog_instance(name: str) -> tuple[str, Proximity]:
     """A catalog instance, parsed on first use; proximities are immutable."""
-    return _read_instance(resources.files("proxkit").joinpath(f"data/{name}.json").read_bytes())
+    return _read_instance(_data_file(name))
+
+
+def _data_file(name: str) -> bytes:
+    return resources.files("proxkit").joinpath(f"data/{name}.json").read_bytes()
 
 
 def _read_instance(data: bytes) -> tuple[str, Proximity]:
@@ -262,45 +267,16 @@ def catalog_morphisms() -> dict[str, Morphism]:
 
 @functools.cache
 def _catalog_morphisms() -> tuple[tuple[str, Morphism], ...]:
-    """The named maps exercised by the law suites, built and checked once
-    per process.  On the one-block chain: identity, doubling, a shift that
-    fixes bottom, and the join-breaking collapse h.  On the two-block
-    chain: the pair witnessing that star-composition differs from plain
-    composition."""
+    """The named maps exercised by the law suites, parsed from
+    ``data/morphisms.json`` and checked once per process, in file order.
+    Each document names its source and target catalog instances.  On the
+    one-block chain: the identity, doubling, n -> n+3 relocated at 0 to
+    keep the bottom fixed, and the join-breaking collapse h, which sends
+    the block to the bottom and keeps L1.  On the two-block chain, k2-f
+    and k2-g: the star-vs-compose witness pair, whose star-composite
+    differs from their plain composite.  Then the identities of the four
+    finite instances."""
     insts = catalog_instances()
-    p1: ChainProximity = insts["chain-k1"]
-    p2: ChainProximity = insts["chain-k2"]
-    f1, f2 = p1.frame, p2.frame
-    L1_1 = lim(f1, 1)
-    out: dict[str, Morphism] = {
-        "chain-id": identity_map(p1),
-        "chain-double": ChainMap(p1, p1, (
-            Seq.affine(0, 2, 0),
-            Seq.constant(L1_1),
-        )),
-        # n -> n+3 relocated at 0 to keep the bottom fixed
-        "chain-shift3": ChainMap(p1, p1, (
-            Seq.affine(0, 1, 3, ((0, f1.bot),)),
-            Seq.constant(L1_1),
-        )),
-        "chain-h": ChainMap(p1, p1, (
-            Seq.constant(f1.bot),
-            Seq.constant(L1_1),
-        )),
-        # star-vs-compose witnesses on the two-block chain
-        "k2-f": ChainMap(p2, p2, (
-            Seq.affine(2, 1, 0, ((0, f2.bot),)),
-            Seq.constant(f2.top),
-            Seq.constant(f2.top),
-            Seq.constant(f2.top),
-        )),
-        "k2-g": ChainMap(p2, p2, (
-            Seq.constant(f2.bot),
-            Seq.constant(f2.bot),
-            Seq.constant(succ(f2, 0, 0)),
-            Seq.constant(f2.top),
-        )),
-    }
-    for name in ("two", "chain3", "diamond", "cube3"):
-        out[f"{name}-id"] = identity_map(insts[name])
-    return tuple(out.items())
+    docs = json.loads(_data_file("morphisms"))
+    return tuple((name, parse_morphism(doc, insts[doc["source"]], insts[doc["target"]]))
+                 for name, doc in docs.items())

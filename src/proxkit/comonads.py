@@ -69,6 +69,7 @@ from .proximity import (
     _collapse_pairs,
     _low,
     certify_finite_collapse,
+    describe_instance,
     order_proximity,
 )
 from .reports import LawReport, law_report
@@ -82,14 +83,6 @@ from .roundideal import (
     retag,
     rframe,
 )
-
-
-def describe_instance(prox: Proximity) -> str:
-    if isinstance(prox, FiniteProximity):
-        return "finite:" + ",".join(prox.frame.names)
-    segs = ",".join(s.label for s in prox.frame.segments)
-    refl = sorted(prox.frame.label(e) for e in prox.reflexive_limits)
-    return f"chain:[{segs}],R=[{','.join(refl)}]"
 
 
 # -- representatives ----------------------------------------------------------
@@ -227,7 +220,7 @@ def check_coalgebra_morphism(f: Morphism, src_rfd: RFrameData,
                              dst_rfd: RFrameData) -> LawReport:
     """The structure square commutes exactly when f preserves way-below;
     src_rfd and dst_rfd are the ideal frames of f's source and target."""
-    inst = f"{describe_instance(f.src)} -> {describe_instance(f.dst)}"
+    inst = _arrow(f)
     witness = None
     if not (is_stably_compact(f.src) and is_stably_compact(f.dst)):
         ok, note = False, "both instances must be stably compact"
@@ -242,6 +235,11 @@ def check_coalgebra_morphism(f: Morphism, src_rfd: RFrameData,
     return law_report("coalgebra.morphism", inst, ok, witness, note=note)
 
 
+def _arrow(f: Morphism) -> str:
+    """The instance field of a law about f: "source -> target"."""
+    return f"{describe_instance(f.src)} -> {describe_instance(f.dst)}"
+
+
 # -- naturality squares ------------------------------------------------------
 
 
@@ -249,7 +247,7 @@ def naturality_suite(f: Morphism, rfd_L: RFrameData,
                      rfd_M: RFrameData) -> list[LawReport]:
     """The five squares, each run when f belongs to the right class;
     rfd_L and rfd_M are the ideal frames of f's source and target."""
-    inst = f"{describe_instance(f.src)} -> {describe_instance(f.dst)}"
+    inst = _arrow(f)
     rf = rmap_map(f, rfd_L, rfd_M)
     out: list[LawReport] = []
 

@@ -171,6 +171,16 @@ def product_proximity(p: FiniteProximity, q: FiniteProximity):
     return FiniteProximity(pf, tuple(rows))
 
 
+def describe_instance(prox: Proximity) -> str:
+    """The instance field of a report: a finite frame's element names, or
+    a chain's segments and reflexive limits."""
+    if isinstance(prox, FiniteProximity):
+        return "finite:" + ",".join(prox.frame.names)
+    segs = ",".join(s.label for s in prox.frame.segments)
+    refl = sorted(prox.frame.label(e) for e in prox.reflexive_limits)
+    return f"chain:[{segs}],R=[{','.join(refl)}]"
+
+
 # -- axiom checking --------------------------------------------------------
 
 
@@ -293,9 +303,7 @@ _CHEAPEST_FIRST = (_approximation, _interpolation, _finer_than_leq, _weakening, 
 # containing the bounds, closed under weakening, interpolated by either
 # end, and each element is the join of the elements below it
 _ORDER_REPORT = AxiomReport(
-    tuple((axiom, Verdict(PASS)) for axiom in
-          ("finer-than-leq", "sublattice", "weakening", "interpolation", "approximation")),
-    collapse=True)
+    tuple((axiom, Verdict(PASS)) for axiom, _ in _AXIOM_CHECKS), collapse=True)
 
 
 def _low(mask: int) -> int:
@@ -379,7 +387,7 @@ def certify_finite_collapse(frame: FiniteFrame) -> LawReport:
     the first failure, without building a report.  `samples` counts the
     whole space covered.
     """
-    instance = f"finite:{','.join(frame.names)}"
+    instance = describe_instance(order_proximity(frame))
     free = _collapse_pairs(frame)
     survivors = 0
     n = frame.n

@@ -6,7 +6,7 @@ and inclusion exact: ``Prin(a)``, the principal ideal of a
 relation-reflexive element a, or on a chain ``BelowLim(l)``, everything
 strictly under a limit point.  On a finite frame the order is the one
 proximity (the finite collapse theorem), so every round ideal is the
-principal downset of its join, kept as ``Prin`` of that join.
+principal downset of its join, kept and printed as ``Prin`` of that join.
 
 ``Prin`` and ``BelowLim`` are distinct dataclasses, so the two never
 compare equal, even at the same point.  Their constructors check that
@@ -66,7 +66,7 @@ from .errors import (
     TooLarge,
     UnsupportedRepresentation,
 )
-from .finite import FiniteFrame, _bits, _irreducibles, _renamed, _ring_of_sets, _union
+from .finite import FiniteFrame, _irreducibles, _renamed, _ring_of_sets, _union
 from .proximity import (
     ChainProximity,
     FiniteProximity,
@@ -104,9 +104,6 @@ class Prin:
         return ideal
 
     def __repr__(self):
-        f = self.prox.frame
-        if isinstance(f, FiniteFrame):
-            return "Ideal{" + ",".join(f.names[b] for b in _bits(f.down[self.a])) + "}"
         return f"Prin({self.prox.label(self.a)})"
 
 

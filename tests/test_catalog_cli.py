@@ -3,6 +3,7 @@ import functools
 import json
 import re
 import sys
+from importlib import resources
 
 import pytest
 
@@ -174,6 +175,34 @@ def test_catalog_is_complete():
     for name in ("chain-id", "chain-double", "chain-shift3", "chain-h",
                  "k2-f", "k2-g", "diamond-id"):
         assert name in ms
+
+
+def test_catalog_morphisms_are_the_documents_of_the_data_file():
+    insts = catalog_instances()
+    docs = json.loads(resources.files("proxkit").joinpath("data/morphisms.json").read_bytes())
+    parsed = [(name, parse_morphism(doc, insts[doc["source"]], insts[doc["target"]]))
+              for name, doc in docs.items()]
+    first = catalog_morphisms()
+    assert list(first.items()) == parsed
+    assert all(catalog_morphisms()[name] is f for name, f in first.items())
+
+
+def test_catalog_morphisms_print_as_they_always_have():
+    expected = {
+        "chain-id": "ChainMap{S0:affine(0,1,0), L1->L1}",
+        "chain-double": "ChainMap{S0:affine(0,2,0), L1->L1}",
+        "chain-shift3": "ChainMap{S0:{0: 'S0.0'}affine(0,1,3), L1->L1}",
+        "chain-h": "ChainMap{S0->S0.0, L1->L1}",
+        "k2-f": "ChainMap{S0:{0: 'S0.0'}affine(2,1,0), L1->L2, S1->L2, L2->L2}",
+        "k2-g": "ChainMap{S0->S0.0, L1->S0.0, S1->S0.0, L2->L2}",
+        "two-id": "FiniteMap{0->0, 1->1}",
+        "chain3-id": "FiniteMap{0->0, m->m, 1->1}",
+        "diamond-id": "FiniteMap{0->0, a->a, b->b, 1->1}",
+        "cube3-id": "FiniteMap{{}->{}, {x}->{x}, {y}->{y}, {z}->{z}, {x,y}->{x,y}, "
+                    "{x,z}->{x,z}, {y,z}->{y,z}, {x,y,z}->{x,y,z}}",
+    }
+    got = [(name, repr(f)) for name, f in catalog_morphisms().items()]
+    assert got == list(expected.items())
 
 
 def test_catalog_is_parsed_once_and_shared():
@@ -487,6 +516,15 @@ def test_cli_compactify_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["classification"]) == 4
     assert {c["sigma"] for c in doc["classification"]} == {"0", "a", "b", "1"}
+
+
+@pytest.mark.parametrize("name", ["two", "chain3", "diamond", "cube3"])
+def test_cli_compactify_prints_each_finite_ideal_as_the_principal_ideal_of_its_join(
+        name, capsys):
+    assert main(["compactify", name]) == 0
+    classes = json.loads(capsys.readouterr().out)["classification"]
+    assert len(classes) == catalog_instances()[name].frame.n
+    assert all(c["ideal"] == "Prin(" + c["sigma"] + ")" for c in classes)
 
 
 def test_cli_compactify_dot(capsys):

@@ -6,16 +6,11 @@ of each command in order.
 A refactor that must keep every report byte-identical is checked by this
 test alone: it compares bytes.  After an intended output change,
 regenerate the files with ``PYTHONPATH=src python tests/test_cli_golden.py``
-and review the diff, which shows each changed report line by line.
-
-``cli_golden.json`` keeps the SHA-256 hashes that this file set replaced;
-`test_stored_outputs_hash_to_the_retired_golden_hashes` shows that the
-text holds the same bytes.  It is not regenerated, so the first intended
-output change deletes it with that test.
+and review the diff, which shows each changed report line by line.  The
+files are the one record of the golden outputs.
 """
 
 import contextlib
-import hashlib
 import io
 import itertools
 import json
@@ -29,7 +24,6 @@ from proxkit.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
 INDEX = GOLDEN / "index.json"
-HASHES = Path(__file__).with_name("cli_golden.json")
 
 
 def chain_docs() -> dict[str, dict]:
@@ -153,17 +147,6 @@ def test_golden_files_are_one_per_command():
     names = [stdout_file(argv) for argv in commands()]
     assert len({n.casefold() for n in names}) == len(names)
     assert sorted(p.name for p in GOLDEN.glob("*.out")) == sorted(names)
-
-
-def test_stored_outputs_hash_to_the_retired_golden_hashes():
-    index = json.loads(INDEX.read_text())
-    hashes = json.loads(HASHES.read_text())
-    assert [g["argv"] for g in hashes] == [g["argv"] for g in index]
-    for g, h in zip(index, hashes):
-        stdout = (GOLDEN / stdout_file(g["argv"])).read_bytes()
-        assert (g["exit"], hashlib.sha256(stdout).hexdigest(),
-                hashlib.sha256(g["stderr"].encode()).hexdigest()) == (
-            h["exit"], h["stdout"], h["stderr"]), g["argv"]
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 `cli.py` parses, loads and prints: the laws, the morphism suite and the
 searches it runs are those of `comonads`, and it takes none of the maps
 or deciders they are built from.  Every `LawReport` of the package is
-built by `reports.law_report`.
+built by `reports.law_report`, and every map of `catalog.py` by
+`parse_morphism`, from a document.
 """
 
 import argparse
@@ -14,6 +15,7 @@ from proxkit import cli, comonads
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "proxkit"
 DECIDERS = {"certify_finite_collapse", "theta", "rho", "enumerate_proxhoms"}
+MAP_BUILDERS = {"FiniteMap", "ChainMap", "Seq.constant", "Seq.affine", "identity_map", "block_map"}
 
 
 def imports_from(tree) -> list:
@@ -39,29 +41,45 @@ def test_search_choices_are_the_search_table():
     assert law.choices == tuple(comonads.SEARCHES)
 
 
-def unchecked_report_callers(tree, where="<module>") -> list:
-    """The innermost function around each `LawReport._unchecked` call of
-    tree, by name, in source order; "<module>" for a call outside any."""
+def callers(tree, called: set, where="<module>") -> list:
+    """The innermost function around each call of tree to a name or
+    `Name.attribute` in called, by name, in source order; "<module>" for
+    a call outside any."""
     out = []
     for node in ast.iter_child_nodes(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_unchecked" and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "LawReport"):
+        if isinstance(node, ast.Call) and dotted(node.func) in called:
             out.append(where)
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
-        out += unchecked_report_callers(node, "<lambda>" if isinstance(node, ast.Lambda) else inner)
+        out += callers(node, called, "<lambda>" if isinstance(node, ast.Lambda) else inner)
     return out
+
+
+def dotted(func) -> str | None:
+    """`name` or `Name.attribute` for a call of either form, else None."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return None
 
 
 def test_checker_finds_each_call_in_its_innermost_function():
     source = ("a = LawReport._unchecked()\n"
               "def f():\n    def g():\n        return LawReport._unchecked()\n"
               "    return LawReport._unchecked(), FiniteMap._unchecked()\n"
-              "h = lambda: LawReport._unchecked()\n")
-    assert unchecked_report_callers(ast.parse(source)) == ["<module>", "g", "f", "<lambda>"]
+              "h = lambda: LawReport._unchecked()\n"
+              "m = FiniteMap()\n")
+    assert callers(ast.parse(source), {"LawReport._unchecked"}) == [
+        "<module>", "g", "f", "<lambda>"]
+    assert callers(ast.parse(source), {"FiniteMap"}) == ["<module>"]
 
 
 def test_law_report_is_the_one_caller_of_the_unchecked_report():
-    callers = {(path.name, caller) for path in sorted(SRC.glob("*.py"))
-               for caller in unchecked_report_callers(ast.parse(path.read_text()))}
-    assert callers == {("reports.py", "law_report")}
+    found = {(path.name, caller) for path in sorted(SRC.glob("*.py"))
+             for caller in callers(ast.parse(path.read_text()), {"LawReport._unchecked"})}
+    assert found == {("reports.py", "law_report")}
+
+
+def test_parse_morphism_is_the_one_builder_of_catalog_maps():
+    tree = ast.parse((SRC / "catalog.py").read_text())
+    assert set(callers(tree, MAP_BUILDERS)) == {"parse_morphism"}

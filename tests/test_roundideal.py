@@ -192,6 +192,16 @@ def test_prin_requires_reflexive_element():
         BelowLim(p, succ(p.frame, 0, 3))
 
 
+def test_a_principal_ideal_prints_as_prin_of_its_element_on_either_kind():
+    p = k2()
+    d = catalog_instances()["diamond"]
+    c = catalog_instances()["cube3"]
+    assert repr(Prin(p, lim(p.frame, 2))) == "Prin(L2)"
+    assert repr(Prin(p, succ(p.frame, 1, 3))) == "Prin(S1.3)"
+    assert repr(Prin(d, d.frame.index("a"))) == "Prin(a)"
+    assert repr(Prin(c, c.frame.index("{x,z}"))) == "Prin({x,z})"
+
+
 def test_kappa_case_split_on_chain():
     p = k2()
     L1, L2, s = lim(p.frame, 1), lim(p.frame, 2), succ(p.frame, 0, 4)
